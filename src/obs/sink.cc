@@ -201,6 +201,25 @@ TraceSink::schedFinish(const void* ctx, const std::string& ctx_name,
 }
 
 void
+TraceSink::lifecycle(uint32_t name, dam::Cycle at, int64_t arg0,
+                     int64_t arg1)
+{
+    TraceEvent e; // an Instant on the lifecycle track by default
+    e.ts = at;
+    e.name = name;
+    e.arg0 = arg0;
+    e.arg1 = arg1;
+    append(e);
+}
+
+RequestLifecycle*
+TraceSink::record(int64_t id, int64_t attempt)
+{
+    auto it = reqIndex_.find(lifeKey(id, attempt));
+    return it != reqIndex_.end() ? &requests_[it->second] : nullptr;
+}
+
+void
 TraceSink::reqArrived(int64_t id, int64_t session, int64_t turn,
                       int64_t prompt_len, int64_t output_len, dam::Cycle at,
                       int64_t attempt)
@@ -222,24 +241,9 @@ TraceSink::reqArrived(int64_t id, int64_t session, int64_t turn,
     reqIndex_[lifeKey(id, attempt)] = requests_.size();
     requests_.push_back(rec);
 
-    TraceEvent e;
-    e.ts = at;
-    e.name = nameArrive_;
-    e.kind = EventKind::Instant;
-    e.tid = kTidLifecycle;
-    e.arg0 = id;
-    e.arg1 = prompt_len;
-    append(e);
-    if (attempt > 0) {
-        TraceEvent re;
-        re.ts = at;
-        re.name = nameRetry_;
-        re.kind = EventKind::Instant;
-        re.tid = kTidLifecycle;
-        re.arg0 = id;
-        re.arg1 = attempt;
-        append(re);
-    }
+    lifecycle(nameArrive_, at, id, prompt_len);
+    if (attempt > 0)
+        lifecycle(nameRetry_, at, id, attempt);
 }
 
 void
@@ -248,21 +252,12 @@ TraceSink::reqAdmitted(int64_t id, int64_t attempt,
 {
     if (opts_.level < TraceLevel::Request)
         return;
-    auto it = reqIndex_.find(lifeKey(id, attempt));
-    if (it != reqIndex_.end()) {
-        RequestLifecycle& rec = requests_[it->second];
-        rec.admitted = true;
-        rec.admittedAt = at;
-        rec.cachedPrefixTokens = cached_prefix_tokens;
+    if (RequestLifecycle* rec = record(id, attempt)) {
+        rec->admitted = true;
+        rec->admittedAt = at;
+        rec->cachedPrefixTokens = cached_prefix_tokens;
     }
-    TraceEvent e;
-    e.ts = at;
-    e.name = nameAdmit_;
-    e.kind = EventKind::Instant;
-    e.tid = kTidLifecycle;
-    e.arg0 = id;
-    e.arg1 = cached_prefix_tokens;
-    append(e);
+    lifecycle(nameAdmit_, at, id, cached_prefix_tokens);
 }
 
 void
@@ -270,19 +265,11 @@ TraceSink::reqFirstToken(int64_t id, int64_t attempt, dam::Cycle at)
 {
     if (opts_.level < TraceLevel::Request)
         return;
-    auto it = reqIndex_.find(lifeKey(id, attempt));
-    if (it != reqIndex_.end()) {
-        RequestLifecycle& rec = requests_[it->second];
-        rec.sawFirstToken = true;
-        rec.firstTokenAt = at;
+    if (RequestLifecycle* rec = record(id, attempt)) {
+        rec->sawFirstToken = true;
+        rec->firstTokenAt = at;
     }
-    TraceEvent e;
-    e.ts = at;
-    e.name = nameFirstToken_;
-    e.kind = EventKind::Instant;
-    e.tid = kTidLifecycle;
-    e.arg0 = id;
-    append(e);
+    lifecycle(nameFirstToken_, at, id);
 }
 
 void
@@ -290,19 +277,11 @@ TraceSink::reqFinished(int64_t id, int64_t attempt, dam::Cycle at)
 {
     if (opts_.level < TraceLevel::Request)
         return;
-    auto it = reqIndex_.find(lifeKey(id, attempt));
-    if (it != reqIndex_.end()) {
-        RequestLifecycle& rec = requests_[it->second];
-        rec.finished = true;
-        rec.finishedAt = at;
+    if (RequestLifecycle* rec = record(id, attempt)) {
+        rec->finished = true;
+        rec->finishedAt = at;
     }
-    TraceEvent e;
-    e.ts = at;
-    e.name = nameFinish_;
-    e.kind = EventKind::Instant;
-    e.tid = kTidLifecycle;
-    e.arg0 = id;
-    append(e);
+    lifecycle(nameFinish_, at, id);
 }
 
 void
@@ -310,19 +289,11 @@ TraceSink::reqFailed(int64_t id, int64_t attempt, dam::Cycle at)
 {
     if (opts_.level < TraceLevel::Request)
         return;
-    auto it = reqIndex_.find(lifeKey(id, attempt));
-    if (it != reqIndex_.end()) {
-        RequestLifecycle& rec = requests_[it->second];
-        rec.failed = true;
-        rec.failedAt = at;
+    if (RequestLifecycle* rec = record(id, attempt)) {
+        rec->failed = true;
+        rec->failedAt = at;
     }
-    TraceEvent e;
-    e.ts = at;
-    e.name = nameFailed_;
-    e.kind = EventKind::Instant;
-    e.tid = kTidLifecycle;
-    e.arg0 = id;
-    append(e);
+    lifecycle(nameFailed_, at, id);
 }
 
 void
@@ -330,19 +301,11 @@ TraceSink::reqShed(int64_t id, int64_t attempt, dam::Cycle at)
 {
     if (opts_.level < TraceLevel::Request)
         return;
-    auto it = reqIndex_.find(lifeKey(id, attempt));
-    if (it != reqIndex_.end()) {
-        RequestLifecycle& rec = requests_[it->second];
-        rec.shed = true;
-        rec.shedAt = at;
+    if (RequestLifecycle* rec = record(id, attempt)) {
+        rec->shed = true;
+        rec->shedAt = at;
     }
-    TraceEvent e;
-    e.ts = at;
-    e.name = nameShed_;
-    e.kind = EventKind::Instant;
-    e.tid = kTidLifecycle;
-    e.arg0 = id;
-    append(e);
+    lifecycle(nameShed_, at, id);
 }
 
 void
@@ -351,81 +314,42 @@ TraceSink::reqMigrated(int64_t id, int64_t attempt, dam::Cycle at,
 {
     if (opts_.level < TraceLevel::Request)
         return;
-    auto it = reqIndex_.find(lifeKey(id, attempt));
-    if (it != reqIndex_.end()) {
-        RequestLifecycle& rec = requests_[it->second];
-        rec.migrated = true;
-        rec.migratedAt = at;
+    if (RequestLifecycle* rec = record(id, attempt)) {
+        rec->migrated = true;
+        rec->migratedAt = at;
     }
-    TraceEvent e;
-    e.ts = at;
-    e.name = nameMigrated_;
-    e.kind = EventKind::Instant;
-    e.tid = kTidLifecycle;
-    e.arg0 = id;
-    e.arg1 = kv_tokens;
-    append(e);
+    lifecycle(nameMigrated_, at, id, kv_tokens);
 }
 
 void
 TraceSink::reqCapped(int64_t id, dam::Cycle at, int64_t cap)
 {
-    if (opts_.level < TraceLevel::Request)
-        return;
-    TraceEvent e;
-    e.ts = at;
-    e.name = nameCapped_;
-    e.kind = EventKind::Instant;
-    e.tid = kTidLifecycle;
-    e.arg0 = id;
-    e.arg1 = cap;
-    append(e);
+    if (opts_.level >= TraceLevel::Request)
+        lifecycle(nameCapped_, at, id, cap);
 }
 
 void
 TraceSink::instant(std::string_view name, dam::Cycle at, int64_t arg0,
                    int64_t arg1)
 {
-    if (opts_.level < TraceLevel::Request)
-        return;
-    TraceEvent e;
-    e.ts = at;
-    e.name = intern(name);
-    e.kind = EventKind::Instant;
-    e.tid = kTidLifecycle;
-    e.arg0 = arg0;
-    e.arg1 = arg1;
-    append(e);
+    if (opts_.level >= TraceLevel::Request)
+        lifecycle(intern(name), at, arg0, arg1);
 }
 
 void
 TraceSink::faultDown(dam::Cycle at, dam::Cycle fail_at,
                      dam::Cycle recover_at)
 {
-    if (opts_.level < TraceLevel::Request)
-        return;
-    TraceEvent e;
-    e.ts = at;
-    e.name = nameFaultDown_;
-    e.kind = EventKind::Instant;
-    e.tid = kTidLifecycle;
-    e.arg0 = static_cast<int64_t>(fail_at);
-    e.arg1 = recover_at != 0 ? static_cast<int64_t>(recover_at) : -1;
-    append(e);
+    if (opts_.level >= TraceLevel::Request)
+        lifecycle(nameFaultDown_, at, static_cast<int64_t>(fail_at),
+                  recover_at != 0 ? static_cast<int64_t>(recover_at) : -1);
 }
 
 void
 TraceSink::faultUp(dam::Cycle at)
 {
-    if (opts_.level < TraceLevel::Request)
-        return;
-    TraceEvent e;
-    e.ts = at;
-    e.name = nameFaultUp_;
-    e.kind = EventKind::Instant;
-    e.tid = kTidLifecycle;
-    e.arg0 = -1;
-    append(e);
+    if (opts_.level >= TraceLevel::Request)
+        lifecycle(nameFaultUp_, at, -1);
 }
 
 void

@@ -182,6 +182,11 @@ class TraceSink
 
   private:
     void append(const TraceEvent& e);
+    /** Append an instant on the lifecycle track. */
+    void lifecycle(uint32_t name, dam::Cycle at, int64_t arg0,
+                   int64_t arg1 = 0);
+    /** (id, attempt)'s lifecycle record; null if it never arrived. */
+    RequestLifecycle* record(int64_t id, int64_t attempt);
 
     struct OpOpen
     {

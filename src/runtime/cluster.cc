@@ -77,6 +77,30 @@ struct ShadowReplica
     }
 };
 
+/**
+ * Plain fault-tier placement: the least-loaded replica (assigned
+ * worst-case tokens, ties to the lowest index) alive at @p at, or -1
+ * when none is. The resilience tier places through pickResilientTarget
+ * instead, and this tier cannot: that function divides load by the
+ * slowdown factor, while the telemetry observation pass
+ * (ServingCluster::resilientBreakers) runs this tier under slowdown
+ * plans — switching would move the inferred breakers and with them
+ * every telemetry-driven run's outcomes.
+ */
+int64_t
+leastLoadedAlive(const std::vector<int64_t>& load, const FaultPlan& faults,
+                 dam::Cycle at)
+{
+    int64_t best = -1;
+    for (size_t c = 0; c < load.size(); ++c) {
+        if (!faults.aliveAt(static_cast<int64_t>(c), at))
+            continue;
+        if (best < 0 || load[c] < load[static_cast<size_t>(best)])
+            best = static_cast<int64_t>(c);
+    }
+    return best;
+}
+
 } // namespace
 
 std::string
@@ -96,7 +120,11 @@ routeKindName(RouteKind k)
 }
 
 ServingCluster::ServingCluster(ClusterConfig cfg, const Policy& policy)
-    : cfg_(std::move(cfg)), policy_(policy)
+    : cfg_(std::move(cfg)), policy_(policy),
+      prefillFpt_(static_cast<double>(prefillFlopsPerToken(
+          cfg_.engine.model, cfg_.engine.numLayers > 0
+                                 ? cfg_.engine.numLayers
+                                 : cfg_.engine.model.numLayers)))
 {
     STEP_ASSERT(cfg_.replicas >= 1, "cluster needs at least one replica");
     STEP_ASSERT(cfg_.threads >= 0, "negative worker-thread count");
@@ -150,13 +178,25 @@ ServingCluster::resilientBreakers(const std::vector<Request>& reqs) const
 std::vector<int64_t>
 ServingCluster::routeTrace(const std::vector<Request>& reqs) const
 {
-    return routeTraceImpl(reqs, nullptr);
+    if (!cfg_.resilience.enabled)
+        return routeTraceImpl(reqs, {}, {});
+    return routeTraceImpl(reqs, resilientBreakers(reqs),
+                          autoscaleTimeline(reqs));
+}
+
+std::vector<AutoscaleStep>
+ServingCluster::autoscaleTimeline(const std::vector<Request>& reqs) const
+{
+    return computeAutoscaleTimeline(cfg_.resilience.autoscale, reqs,
+                                    cfg_.faults, cfg_.replicas, prefillFpt_,
+                                    cfg_.engine.totalComputeBw);
 }
 
 std::vector<int64_t>
 ServingCluster::routeTraceImpl(
     const std::vector<Request>& reqs,
-    const std::vector<BreakerTimeline>* pre) const
+    const std::vector<BreakerTimeline>& breakers,
+    const std::vector<AutoscaleStep>& autoscale) const
 {
     const auto R = static_cast<size_t>(cfg_.replicas);
     std::vector<int64_t> out(reqs.size(), 0);
@@ -214,14 +254,6 @@ ServingCluster::routeTraceImpl(
         BatcherConfig bc = cfg_.engine.batcher;
         if (bc.kvBytesPerToken == 0)
             bc.kvBytesPerToken = cfg_.engine.model.kvBytesPerToken();
-        const int64_t layers = cfg_.engine.numLayers > 0
-                                   ? cfg_.engine.numLayers
-                                   : cfg_.engine.model.numLayers;
-        // Per-token service proxy: the analytic prefill cost stands in
-        // for both phases — the router only needs relative load, not
-        // absolute latency.
-        const double fpt = static_cast<double>(
-            prefillFlopsPerToken(cfg_.engine.model, layers));
         const double bw =
             static_cast<double>(cfg_.engine.totalComputeBw);
 
@@ -261,9 +293,12 @@ ServingCluster::routeTraceImpl(
             copy->cachedPrefixTokens = 0;
             copy->blockHashes = {};
             s.batcher.enqueue(copy);
+            // Per-token service proxy: the analytic prefill cost stands
+            // in for both phases — the router only needs relative load,
+            // not absolute latency.
             auto service = static_cast<dam::Cycle>(std::ceil(
-                static_cast<double>(q.promptLen + q.outputLen) * fpt /
-                rbw));
+                static_cast<double>(q.promptLen + q.outputLen) *
+                prefillFpt_ / rbw));
             service = std::max<dam::Cycle>(1, service);
             s.busyUntil = std::max(q.arrival, s.busyUntil) + service;
             s.inflight.push_back({copy, s.busyUntil});
@@ -282,22 +317,6 @@ ServingCluster::routeTraceImpl(
     // affinity outranks parking). All inputs are pure pre-computed
     // data, so the remap stays a deterministic pre-pass.
     if (cfg_.resilience.enabled) {
-        std::vector<BreakerTimeline> computed;
-        if (pre == nullptr) {
-            computed = resilientBreakers(reqs);
-            pre = &computed;
-        }
-        const std::vector<BreakerTimeline>& breakers = *pre;
-        const int64_t layers = cfg_.engine.numLayers > 0
-                                   ? cfg_.engine.numLayers
-                                   : cfg_.engine.model.numLayers;
-        const std::vector<AutoscaleStep> autoscale =
-            computeAutoscaleTimeline(
-                cfg_.resilience.autoscale, reqs, cfg_.faults,
-                cfg_.replicas,
-                static_cast<double>(
-                    prefillFlopsPerToken(cfg_.engine.model, layers)),
-                cfg_.engine.totalComputeBw);
         std::vector<int64_t> load(R, 0);
         std::unordered_map<uint64_t, size_t> sticky; // key -> owner
         for (size_t i = 0; i < reqs.size(); ++i) {
@@ -340,9 +359,8 @@ ServingCluster::routeTraceImpl(
 
     // Fault-aware remap: a health-checked router never sends a request
     // into a replica it knows is down at the arrival cycle. Such
-    // requests move to the least-loaded alive replica (assigned
-    // worst-case tokens, ties to the lowest index); if *no* replica is
-    // alive the assignment stands and the dead replica refuses the
+    // requests move to the least-loaded alive replica; if *no* replica
+    // is alive the assignment stands and the dead replica refuses the
     // request on arrival (a crash mid-flight is still the engine's to
     // discover — the router only sees health at admission time).
     if (!cfg_.faults.empty()) {
@@ -351,15 +369,8 @@ ServingCluster::routeTraceImpl(
             auto r = static_cast<size_t>(out[i]);
             if (!cfg_.faults.aliveAt(static_cast<int64_t>(r),
                                      reqs[i].arrival)) {
-                int64_t best = -1;
-                for (size_t c = 0; c < R; ++c) {
-                    if (!cfg_.faults.aliveAt(static_cast<int64_t>(c),
-                                             reqs[i].arrival))
-                        continue;
-                    if (best < 0 ||
-                        load[c] < load[static_cast<size_t>(best)])
-                        best = static_cast<int64_t>(c);
-                }
+                const int64_t best =
+                    leastLoadedAlive(load, cfg_.faults, reqs[i].arrival);
                 if (best >= 0) {
                     r = static_cast<size_t>(best);
                     out[i] = best;
@@ -381,15 +392,19 @@ ServingCluster::run(std::vector<Request>& reqs)
                 "request trace must be sorted by arrival");
 
     const auto R = static_cast<size_t>(cfg_.replicas);
-    // Breaker timelines come first: routing consults them, and under
-    // BreakerSource::Telemetry deriving them runs a whole observation
-    // pass — computed once here and shared with failover placement.
+    // Breaker and autoscale timelines come first: routing consults
+    // them, and under BreakerSource::Telemetry deriving the breakers
+    // runs a whole observation pass — both are computed once here and
+    // shared with failover placement.
     const bool resilient = cfg_.resilience.enabled;
     std::vector<BreakerTimeline> breakers;
-    if (resilient)
+    std::vector<AutoscaleStep> autoscale;
+    if (resilient) {
         breakers = resilientBreakers(reqs);
+        autoscale = autoscaleTimeline(reqs);
+    }
     const std::vector<int64_t> assignment =
-        routeTraceImpl(reqs, resilient ? &breakers : nullptr);
+        routeTraceImpl(reqs, breakers, autoscale);
     const bool have_faults = !cfg_.faults.empty();
 
     // Per-replica fault timelines and seeds, derived on the coordinating
@@ -403,37 +418,24 @@ ServingCluster::run(std::vector<Request>& reqs)
     for (size_t r = 0; r < R; ++r)
         seeds[r] = deriveSeed(static_cast<uint64_t>(r));
 
-    // Resilience pre-pass: breaker timelines, the autoscaler's step
-    // timeline, and the per-replica cluster-instant lists the engines
-    // will stamp onto their traces — all pure data derived before any
-    // worker exists, like the fault plans and seeds above.
-    std::vector<AutoscaleStep> autoscale;
+    // Resilience pre-pass: the per-replica cluster-instant lists the
+    // engines will stamp onto their traces (breaker flips, autoscale
+    // steps) — pure data derived before any worker exists, like the
+    // fault plans and seeds above.
     std::vector<std::vector<ClusterInstant>> instants(R);
     std::unordered_map<uint64_t, int64_t> affinity_owner;
     if (resilient) {
-        const int64_t layers = cfg_.engine.numLayers > 0
-                                   ? cfg_.engine.numLayers
-                                   : cfg_.engine.model.numLayers;
-        autoscale = computeAutoscaleTimeline(
-            cfg_.resilience.autoscale, reqs, cfg_.faults, cfg_.replicas,
-            static_cast<double>(
-                prefillFlopsPerToken(cfg_.engine.model, layers)),
-            cfg_.engine.totalComputeBw);
         for (size_t r = 0; r < R; ++r) {
             // Each breaker-state flip becomes one instant at its edge;
             // the state *after* the edge names the instant.
             std::vector<dam::Cycle> edges;
-            for (const BreakerTimeline::Window& w : breakers[r].open) {
-                edges.push_back(w.start);
-                if (w.end != 0)
-                    edges.push_back(w.end);
-            }
-            for (const BreakerTimeline::Window& w :
-                 breakers[r].halfOpen) {
-                edges.push_back(w.start);
-                if (w.end != 0)
-                    edges.push_back(w.end);
-            }
+            for (const auto* windows :
+                 {&breakers[r].open, &breakers[r].halfOpen})
+                for (const BreakerTimeline::Window& w : *windows) {
+                    edges.push_back(w.start);
+                    if (w.end != 0)
+                        edges.push_back(w.end);
+                }
             std::sort(edges.begin(), edges.end());
             edges.erase(std::unique(edges.begin(), edges.end()),
                         edges.end());
@@ -695,17 +697,9 @@ ServingCluster::run(std::vector<Request>& reqs)
                     cfg_.resilience.breaker.halfOpenLoadPenalty,
                     cfg_.bwScales.empty() ? nullptr : &cfg_.bwScales);
             } else {
-                // Least-loaded replica alive at the re-arrival cycle;
-                // with none alive the retry could only be refused
-                // again, so the failure stands.
-                for (size_t c = 0; c < R; ++c) {
-                    if (!cfg_.faults.aliveAt(static_cast<int64_t>(c),
-                                             *re))
-                        continue;
-                    if (best < 0 ||
-                        load[c] < load[static_cast<size_t>(best)])
-                        best = static_cast<int64_t>(c);
-                }
+                // With no replica alive at the re-arrival cycle the
+                // retry could only be refused again: the failure stands.
+                best = leastLoadedAlive(load, cfg_.faults, *re);
             }
             if (best < 0)
                 continue;

@@ -262,17 +262,24 @@ class ServingCluster
      */
     std::vector<BreakerTimeline>
     resilientBreakers(const std::vector<Request>& reqs) const;
-    /** routeTrace with the resilience pre-pass's breaker timelines
-     *  precomputed (null = compute internally). Lets run() share one
-     *  observation pass between routing and failover placement. */
+    /** The autoscaler's step timeline for @p reqs (resilience tier). */
+    std::vector<AutoscaleStep>
+    autoscaleTimeline(const std::vector<Request>& reqs) const;
+    /** routeTrace with the resilience pre-pass's breaker and autoscale
+     *  timelines precomputed (both empty with the tier disabled). Lets
+     *  run() share them between routing and failover placement. */
     std::vector<int64_t>
     routeTraceImpl(const std::vector<Request>& reqs,
-                   const std::vector<BreakerTimeline>* breakers) const;
+                   const std::vector<BreakerTimeline>& breakers,
+                   const std::vector<AutoscaleStep>& autoscale) const;
     /** bwScales[r], or 1.0 for an unscaled fleet. */
     double bwScaleAt(size_t r) const;
 
     ClusterConfig cfg_;
     const Policy& policy_;
+    /** Analytic prefill FLOPs per prompt token across the engine's
+     *  layers: the router's and autoscaler's service-time proxy. */
+    double prefillFpt_;
 };
 
 } // namespace step::runtime

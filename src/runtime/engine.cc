@@ -1,7 +1,10 @@
 #include "runtime/engine.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <iterator>
+#include <optional>
 
 #include "obs/metrics.hh"
 #include "obs/sink.hh"
@@ -16,94 +19,306 @@ namespace {
 
 /** Hard bound against a non-progressing configuration. */
 constexpr int64_t kMaxIterations = 1'000'000;
+constexpr dam::Cycle kNone = ReplicaFaultTimeline::kNoEvent;
 
-/** Handles into the sink's CounterRegistry, resolved once per run. */
-struct EngineCounters
-{
-    obs::CounterRegistry::Handle queueDepth, runningRequests, decodeBatch,
-        kvReservedBytes, prefixCacheTokens, iterations, prefillTokens,
-        generatedTokens, contextSwitches;
-
-    explicit EngineCounters(obs::CounterRegistry& c)
-        : queueDepth(c.gauge("queue_depth")),
-          runningRequests(c.gauge("running_requests")),
-          decodeBatch(c.gauge("decode_batch")),
-          kvReservedBytes(c.gauge("kv_reserved_bytes")),
-          prefixCacheTokens(c.gauge("prefix_cache_tokens")),
-          iterations(c.monotonic("iterations")),
-          prefillTokens(c.monotonic("prefill_tokens")),
-          generatedTokens(c.monotonic("generated_tokens")),
-          contextSwitches(c.monotonic("context_switches"))
-    {}
-};
+// ---- telemetry ---------------------------------------------------------
 
 /**
- * Fault-tier counters, registered only when the run can actually use
- * them (faults, an admission policy, or deadlines present) — a
- * fault-free, deadline-less traced run keeps its counter set, and so
- * its exported bytes, identical to earlier builds.
+ * Every quantity the engine exports. Declaration order is the counter
+ * registration order (engine, fault tier, resilience tier), which the
+ * trace's counter samples and the summary's counter list follow; the
+ * metrics-only quantities come last.
  */
-struct FaultCounters
-{
-    obs::CounterRegistry::Handle requestsFailed, requestsRetried,
-        requestsShed, deadlineMisses, replicaFaults;
-
-    explicit FaultCounters(obs::CounterRegistry& c)
-        : requestsFailed(c.monotonic("requests_failed")),
-          requestsRetried(c.monotonic("requests_retried")),
-          requestsShed(c.monotonic("requests_shed")),
-          deadlineMisses(c.monotonic("deadline_misses")),
-          replicaFaults(c.monotonic("replica_faults"))
-    {}
+enum Quantity : uint8_t {
+    QueueDepth, RunningRequests, DecodeBatch, KvReservedBytes,
+    PrefixCacheTokens, Iterations, PrefillTokens, GeneratedTokens,
+    ContextSwitches,
+    RequestsFailed, RequestsRetried, RequestsShed, DeadlineMisses,
+    ReplicaFaults,
+    RequestsMigrated, RequestsCapped,
+    TtftCycles, TpotCycles, RequestsFinished, SloGoodTokens, IterCycles,
+    kNumQuantities
 };
+
+enum class CounterKind : uint8_t { None, Gauge, Monotonic };
+enum class MetricKind : uint8_t { None, Series, Histogram };
+
+struct QuantitySpec
+{
+    const char* name;
+    CounterKind counter; ///< in the trace sink's CounterRegistry
+    MetricKind metric;   ///< in the MetricsRegistry
+};
+
+/** One row per Quantity, in enum order. */
+constexpr QuantitySpec kQuantities[kNumQuantities] = {
+    {"queue_depth", CounterKind::Gauge, MetricKind::Series},
+    {"running_requests", CounterKind::Gauge, MetricKind::Series},
+    {"decode_batch", CounterKind::Gauge, MetricKind::Series},
+    {"kv_reserved_bytes", CounterKind::Gauge, MetricKind::Series},
+    {"prefix_cache_tokens", CounterKind::Gauge, MetricKind::None},
+    {"iterations", CounterKind::Monotonic, MetricKind::None},
+    {"prefill_tokens", CounterKind::Monotonic, MetricKind::Series},
+    {"generated_tokens", CounterKind::Monotonic, MetricKind::Series},
+    {"context_switches", CounterKind::Monotonic, MetricKind::None},
+    {"requests_failed", CounterKind::Monotonic, MetricKind::Series},
+    {"requests_retried", CounterKind::Monotonic, MetricKind::None},
+    {"requests_shed", CounterKind::Monotonic, MetricKind::Series},
+    {"deadline_misses", CounterKind::Monotonic, MetricKind::Series},
+    {"replica_faults", CounterKind::Monotonic, MetricKind::None},
+    {"requests_migrated", CounterKind::Monotonic, MetricKind::Series},
+    {"requests_capped", CounterKind::Monotonic, MetricKind::None},
+    {"ttft_cycles", CounterKind::None, MetricKind::Histogram},
+    {"tpot_cycles", CounterKind::None, MetricKind::Histogram},
+    {"requests_finished", CounterKind::None, MetricKind::Series},
+    {"slo_good_tokens", CounterKind::None, MetricKind::Series},
+    {"iter_cycles", CounterKind::None, MetricKind::Series},
+};
+
+/** Metrics registration order, which is the artifact's export order. */
+constexpr Quantity kMetricsOrder[] = {
+    TtftCycles, TpotCycles, RequestsFinished, RequestsFailed,
+    RequestsShed, RequestsMigrated, DeadlineMisses, SloGoodTokens,
+    QueueDepth, RunningRequests, DecodeBatch, KvReservedBytes,
+    GeneratedTokens, PrefillTokens, IterCycles,
+};
+
+static_assert(
+    [] {
+        size_t metered = 0;
+        for (const QuantitySpec& q : kQuantities)
+            metered += q.metric != MetricKind::None;
+        return metered == std::size(kMetricsOrder);
+    }(),
+    "kMetricsOrder must list every metered quantity once");
 
 /**
- * Resilience-tier counters, registered only when the tier is active on
- * this replica (slowdown drain enabled or cluster instants present) —
- * the FaultCounters pattern, so resilience-free runs keep their counter
- * set, and their exported bytes, unchanged.
+ * The engine's one telemetry path. Resolves handles into whichever
+ * exporters are attached — the trace sink with its counter registry,
+ * the metrics registry — and turns each engine event into lifecycle
+ * hooks, counter updates and metric samples as kQuantities declares.
+ * With nothing attached each event is one predicted branch and
+ * computes nothing.
  */
-struct ResilienceCounters
+class Recorder
 {
-    obs::CounterRegistry::Handle requestsMigrated, requestsCapped;
+  public:
+    Recorder(obs::TraceSink* trace, obs::MetricsRegistry* metrics,
+             const SloConfig& slo)
+        : trace_(trace), metrics_(metrics), slo_(slo),
+          on_(trace != nullptr || metrics != nullptr)
+    {
+        if (trace_) {
+            obs::CounterRegistry& c = trace_->counters();
+            for (size_t q = 0; q < kNumQuantities; ++q) {
+                if (kQuantities[q].counter == CounterKind::Gauge)
+                    counter_[q] = c.gauge(kQuantities[q].name);
+                else if (kQuantities[q].counter == CounterKind::Monotonic)
+                    counter_[q] = c.monotonic(kQuantities[q].name);
+            }
+        }
+        if (metrics_)
+            for (Quantity q : kMetricsOrder)
+                metric_[q] =
+                    kQuantities[q].metric == MetricKind::Histogram
+                        ? metrics_->histogram(kQuantities[q].name)
+                        : metrics_->series(kQuantities[q].name);
+    }
 
-    explicit ResilienceCounters(obs::CounterRegistry& c)
-        : requestsMigrated(c.monotonic("requests_migrated")),
-          requestsCapped(c.monotonic("requests_capped"))
-    {}
+    void
+    arrived(const Request& r)
+    {
+        if (!trace_) [[likely]]
+            return;
+        trace_->reqArrived(r.id, r.sessionId, r.turn, r.promptLen,
+                           r.outputLen, r.arrival, r.attempt);
+        if (r.attempt > 0)
+            record(RequestsRetried, r.arrival, 1);
+    }
+
+    /** An admission round at @p at admitted and output-capped these
+     *  requests (its shed ones go through terminal()). */
+    void
+    admission(const ContinuousBatcher::AdmitResult& adm, dam::Cycle at)
+    {
+        if (!trace_) [[likely]]
+            return;
+        for (const Request* r : adm.admitted)
+            trace_->reqAdmitted(r->id, r->attempt, r->cachedPrefixTokens,
+                                at);
+        for (const Request* r : adm.capped) {
+            trace_->reqCapped(r->id, at, r->outputLen);
+            record(RequestsCapped, at, 1);
+        }
+    }
+
+    void
+    firstToken(const Request& r)
+    {
+        if (!on_) [[likely]]
+            return;
+        if (trace_)
+            trace_->reqFirstToken(r.id, r.attempt, r.firstTokenAt);
+        record(TtftCycles, r.firstTokenAt,
+               static_cast<int64_t>(r.firstTokenAt - r.arrival));
+    }
+
+    /**
+     * @p r reached its terminal state at r.finishedAt. A migration hands
+     * off @p kv_tokens of computed KV: the counter counts the handoff,
+     * the series records the tokens.
+     */
+    void
+    terminal(const Request& r, int64_t kv_tokens)
+    {
+        if (!on_) [[likely]]
+            return;
+        const dam::Cycle at = r.finishedAt;
+        switch (r.state) {
+          case ReqState::Finished:
+            if (trace_)
+                trace_->reqFinished(r.id, r.attempt, at);
+            if (r.deadlineAt != 0 && at > r.deadlineAt)
+                record(DeadlineMisses, at, 1);
+            if (metrics_) {
+                record(RequestsFinished, at, 1);
+                if (r.outputLen > 1)
+                    record(TpotCycles, at, std::llround(tpot(r)));
+                if (slo_.meets(r))
+                    record(SloGoodTokens, at, r.generated);
+            }
+            break;
+          case ReqState::Failed:
+            if (trace_)
+                trace_->reqFailed(r.id, r.attempt, at);
+            record(RequestsFailed, at, 1);
+            break;
+          case ReqState::Shed:
+            if (trace_)
+                trace_->reqShed(r.id, r.attempt, at);
+            record(RequestsShed, at, 1);
+            break;
+          case ReqState::Migrated:
+            if (trace_)
+                trace_->reqMigrated(r.id, r.attempt, at, kv_tokens);
+            record(RequestsMigrated, at, kv_tokens, /*counted=*/1);
+            break;
+          default:
+            STEP_ASSERT(false, "request " << r.id << " is not terminal");
+        }
+    }
+
+    void
+    crashed(dam::Cycle at, const ReplicaFaultTimeline::Down& w)
+    {
+        if (!trace_) [[likely]]
+            return;
+        trace_->faultDown(at, w.failAt, w.recoverAt);
+        record(ReplicaFaults, at, 1);
+    }
+
+    void
+    recovered(dam::Cycle at)
+    {
+        if (trace_) [[unlikely]]
+            trace_->faultUp(at);
+    }
+
+    void
+    clusterInstant(const ClusterInstant& ci)
+    {
+        if (trace_) [[unlikely]]
+            trace_->instant(clusterInstantName(ci.kind), ci.at, -1,
+                            ci.value);
+    }
+
+    /** Anchor the next graph run's graph-local event stamps at @p at. */
+    void
+    graphRunAt(dam::Cycle at)
+    {
+        if (trace_) [[unlikely]]
+            trace_->setTimeBase(at);
+    }
+
+    /**
+     * Iteration @p s ended: record the per-iteration quantities at its
+     * end cycle and sample the trace counters. @p first_tokens prefills
+     * completed inside it; its decode graph resumed @p switches contexts.
+     */
+    void
+    iteration(const IterationSample& s, int64_t first_tokens,
+              uint64_t switches, const ContinuousBatcher& b,
+              const PrefixCache* cache)
+    {
+        if (!on_) [[likely]]
+            return;
+        const dam::Cycle at = s.start + s.length;
+        record(QueueDepth, at, b.waitingCount());
+        record(RunningRequests, at,
+               static_cast<int64_t>(b.running().size()));
+        record(DecodeBatch, at, s.decodeBatch);
+        record(KvReservedBytes, at, b.kvBytesReserved());
+        if (cache)
+            record(PrefixCacheTokens, at, cache->occupancyTokens());
+        record(Iterations, at, 1);
+        record(PrefillTokens, at, s.prefillTokens);
+        // Every decode emits one token; prefill completions emit their
+        // first token inside this iteration too.
+        record(GeneratedTokens, at, s.decodeBatch + first_tokens);
+        record(ContextSwitches, at, static_cast<int64_t>(switches));
+        record(IterCycles, at, static_cast<int64_t>(s.length));
+        if (trace_)
+            trace_->sampleCounters(at);
+    }
+
+    /** Final counter values and windowed-SLO fields into @p s. */
+    void
+    summarize(ServingSummary& s) const
+    {
+        if (trace_)
+            s.counters = trace_->counters().snapshot();
+        if (metrics_)
+            applySloWindows(s, *metrics_, slo_);
+    }
+
+  private:
+    /**
+     * @p v into @p q's counter (set or added, by kind) and its metrics
+     * instrument, whichever exist and are attached. @p counted, when
+     * given, is what the counter takes instead.
+     */
+    void
+    record(Quantity q, dam::Cycle at, int64_t v,
+           std::optional<int64_t> counted = std::nullopt)
+    {
+        const QuantitySpec& s = kQuantities[q];
+        if (trace_ && s.counter == CounterKind::Gauge)
+            trace_->counters().set(counter_[q], counted.value_or(v));
+        else if (trace_ && s.counter == CounterKind::Monotonic)
+            trace_->counters().add(counter_[q], counted.value_or(v));
+        if (metrics_ && s.metric != MetricKind::None)
+            metrics_->record(metric_[q], at, static_cast<uint64_t>(v));
+    }
+
+    obs::TraceSink* trace_;
+    obs::MetricsRegistry* metrics_;
+    const SloConfig& slo_;
+    const bool on_;
+    std::array<obs::CounterRegistry::Handle, kNumQuantities> counter_{};
+    std::array<obs::MetricsRegistry::Handle, kNumQuantities> metric_{};
 };
 
-/**
- * Handles into the attached MetricsRegistry, resolved once per run.
- * Two latency histograms (windowed percentile signal for the SLO
- * monitor and the telemetry health monitor) plus window-aggregate
- * series for lifecycle events and per-iteration gauges.
- */
-struct MetricsInstruments
+/** Fold a crash-lost cache's stats into @p acc: its lookups, hits and
+ *  savings happened even though its content died with the replica. */
+void
+foldLostCache(PrefixCacheStats& acc, const PrefixCacheStats& lost)
 {
-    obs::MetricsRegistry::Handle ttft, tpot, finished, failed, shed,
-        migrated, deadlineMisses, sloGoodTokens, queueDepth,
-        runningRequests, decodeBatch, kvReservedBytes, generatedTokens,
-        prefillTokens, iterCycles;
-
-    explicit MetricsInstruments(obs::MetricsRegistry& m)
-        : ttft(m.histogram("ttft_cycles")),
-          tpot(m.histogram("tpot_cycles")),
-          finished(m.series("requests_finished")),
-          failed(m.series("requests_failed")),
-          shed(m.series("requests_shed")),
-          migrated(m.series("requests_migrated")),
-          deadlineMisses(m.series("deadline_misses")),
-          sloGoodTokens(m.series("slo_good_tokens")),
-          queueDepth(m.series("queue_depth")),
-          runningRequests(m.series("running_requests")),
-          decodeBatch(m.series("decode_batch")),
-          kvReservedBytes(m.series("kv_reserved_bytes")),
-          generatedTokens(m.series("generated_tokens")),
-          prefillTokens(m.series("prefill_tokens")),
-          iterCycles(m.series("iter_cycles"))
-    {}
-};
+    acc.lookups += lost.lookups;
+    acc.hits += lost.hits;
+    acc.tokensSaved += lost.tokensSaved;
+    acc.peakOccupancyTokens =
+        std::max(acc.peakOccupancyTokens, lost.peakOccupancyTokens);
+}
 
 } // namespace
 
@@ -133,12 +348,6 @@ prefillFlopsPerToken(const ModelConfig& m, int64_t num_layers)
     return per_layer * num_layers;
 }
 
-int64_t
-ServingEngine::prefillFlopsPerToken() const
-{
-    return runtime::prefillFlopsPerToken(cfg_.model, cfg_.numLayers);
-}
-
 EngineResult
 ServingEngine::run(std::vector<Request>& reqs)
 {
@@ -157,32 +366,19 @@ ServingEngine::run(std::vector<Request>& reqs)
     }
     EngineResult res;
     Rng iter_rng(cfg_.seed);
-    const double fpt = static_cast<double>(prefillFlopsPerToken());
+    const double fpt =
+        static_cast<double>(prefillFlopsPerToken(cfg_.model, cfg_.numLayers));
 
     // Tracing: scheduler events only matter at level >= Op, so the
     // per-resume branch in dam::Scheduler::drain stays cold below it.
     sched_.setTraceSink(trace_ && trace_->level() >= obs::TraceLevel::Op
                             ? trace_
                             : nullptr);
-    std::unique_ptr<EngineCounters> ctr;
-    if (trace_)
-        ctr = std::make_unique<EngineCounters>(trace_->counters());
-    std::unique_ptr<MetricsInstruments> mtr;
-    if (metrics_)
-        mtr = std::make_unique<MetricsInstruments>(*metrics_);
+    Recorder tel(trace_, metrics_, cfg_.slo);
 
     // ---- fault tier ---------------------------------------------------
     const ReplicaFaultTimeline& faults = cfg_.faults;
     const bool have_faults = !faults.empty();
-    bool have_deadlines = false;
-    for (const Request& r : reqs)
-        if (r.deadlineAt != 0) {
-            have_deadlines = true;
-            break;
-        }
-    std::unique_ptr<FaultCounters> fctr;
-    if (trace_ && (have_faults || cfg_.admission || have_deadlines))
-        fctr = std::make_unique<FaultCounters>(trace_->counters());
     // Stats of caches dropped by crashes, folded into the summary tail.
     PrefixCacheStats lostCacheStats;
 
@@ -199,72 +395,48 @@ ServingEngine::run(std::vector<Request>& reqs)
                 drain_edges.push_back(s.start + cfg_.drain.detectCycles);
     size_t drain_idx = 0;
     size_t instant_idx = 0; ///< next cfg_.clusterInstants to emit
-    std::unique_ptr<ResilienceCounters> rctr;
-    if (trace_ && (cfg_.drain.enabled || !cfg_.clusterInstants.empty()))
-        rctr = std::make_unique<ResilienceCounters>(trace_->counters());
 
-    // Request completion: cache the full prompt+output stream (the next
-    // turn of the session prefixes it), drop the admission pin, free the
-    // KV reservation.
-    int64_t terminal = 0;
-    auto finish = [&](Request* r, dam::Cycle at) {
-        r->state = ReqState::Finished;
+    // Every terminal transition goes through here. A finish returns its
+    // own holdings: it caches the full prompt+output stream (the
+    // session's next turn prefixes it), drops its pin and frees its KV.
+    // Crashes and drains release wholesale first (evict), and shed
+    // requests never held anything.
+    int64_t ended = 0;
+    auto terminal = [&](Request* r, ReqState state, dam::Cycle at,
+                        int64_t kv_tokens = 0) {
+        r->state = state;
         r->finishedAt = at;
-        if (cache) {
-            cache->insert(r->blockHashes,
-                          static_cast<int64_t>(r->blockHashes.size()));
-            cache->release(*r);
+        if (state == ReqState::Finished) {
+            if (cache) {
+                cache->insert(r->blockHashes,
+                              static_cast<int64_t>(r->blockHashes.size()));
+                cache->release(*r);
+            }
+            batcher.release(r);
         }
-        batcher.release(r);
-        ++terminal;
-        if (trace_) [[unlikely]] {
-            trace_->reqFinished(r->id, r->attempt, at);
-            if (fctr && r->deadlineAt != 0 && at > r->deadlineAt)
-                trace_->counters().add(fctr->deadlineMisses, 1);
-        }
-        if (mtr) [[unlikely]] {
-            metrics_->record(mtr->finished, at, 1);
-            if (r->outputLen > 1)
-                metrics_->record(
-                    mtr->tpot, at,
-                    static_cast<uint64_t>(std::llround(tpot(*r))));
-            if (r->deadlineAt != 0 && at > r->deadlineAt)
-                metrics_->record(mtr->deadlineMisses, at, 1);
-            if (cfg_.slo.meets(*r))
-                metrics_->record(mtr->sloGoodTokens, at,
-                                 static_cast<uint64_t>(r->generated));
-        }
+        ++ended;
+        tel.terminal(*r, kv_tokens);
     };
-    // Terminal failure (replica crash): KV/cache bookkeeping is the
-    // *caller's* job — a crash releases everything wholesale first.
-    auto failReq = [&](Request* r, dam::Cycle at) {
-        r->state = ReqState::Failed;
-        r->finishedAt = at;
-        ++terminal;
-        if (trace_) [[unlikely]] {
-            trace_->reqFailed(r->id, r->attempt, at);
-            if (fctr)
-                trace_->counters().add(fctr->requestsFailed, 1);
+    // Crash (Failed) or slowdown drain (Migrated): running requests
+    // return their KV and pins, queued ones leave too. A drain moves only
+    // queued and prefilling requests, handing off their prefill progress
+    // as KV; decoding ones finish here at the degraded bandwidth
+    // (shipping a half-generated stream costs more than it saves).
+    auto evict = [&](ReqState state, dam::Cycle at) {
+        const bool drain = state == ReqState::Migrated;
+        const std::vector<Request*> running(batcher.running());
+        for (Request* r : running) {
+            if (drain && r->state != ReqState::Prefilling)
+                continue;
+            if (cache)
+                cache->release(*r);
+            batcher.release(r);
+            terminal(r, state, at, drain ? r->prefilledTokens : 0);
         }
-        if (mtr) [[unlikely]]
-            metrics_->record(mtr->failed, at, 1);
-    };
-    // Live migration exit: the incarnation ends here carrying
-    // @p kv_tokens of computed KV for the handoff; the cluster turns it
-    // into a re-arrival elsewhere. Like failReq, KV/cache bookkeeping
-    // is the caller's job.
-    auto migrateReq = [&](Request* r, dam::Cycle at, int64_t kv_tokens) {
-        r->state = ReqState::Migrated;
-        r->finishedAt = at;
-        ++terminal;
-        if (trace_) [[unlikely]] {
-            trace_->reqMigrated(r->id, r->attempt, at, kv_tokens);
-            if (rctr)
-                trace_->counters().add(rctr->requestsMigrated, 1);
+        for (Request* r : batcher.drainWaiting()) {
+            r->cachedPrefixTokens = 0; // no pin was ever taken
+            terminal(r, state, at);
         }
-        if (mtr) [[unlikely]]
-            metrics_->record(mtr->migrated, at,
-                             static_cast<uint64_t>(kv_tokens));
     };
 
     // Iteration-graph parameters shared across iterations; the per-
@@ -285,6 +457,15 @@ ServingEngine::run(std::vector<Request>& reqs)
     const int64_t decode_units =
         2 + cfg_.attnRegions +
         (cfg_.moeRegions > 0 ? cfg_.moeRegions : cfg_.model.numExperts);
+    // Prefill flops @p r still needs. Only the uncached suffix costs any:
+    // the cached prefix's KV is already resident, and migrated-in KV
+    // skips compute the same way (>= 1 suffix token always remains, see
+    // Request::prefillSkipTokens).
+    auto prefill_left = [&](const Request& r) {
+        return static_cast<double>(r.promptLen - r.prefillSkipTokens()) *
+                   fpt -
+               r.prefillFlopsDone;
+    };
 
     dam::Cycle now = 0;
     size_t next_arrival = 0;
@@ -313,114 +494,57 @@ ServingEngine::run(std::vector<Request>& reqs)
         return StallError(std::move(d));
     };
 
-    while (terminal < total) {
+    while (ended < total) {
         if (res.iterations >= kMaxIterations)
             throw buildStall("iteration bound exceeded without progress");
 
-        // ---- deliver arrivals and crash windows in cycle order -------
-        // Both can lie anywhere inside the iteration that just ended, so
-        // they are replayed earliest-first: an arrival before the crash
-        // is enqueued (and then dies with the replica), one after the
-        // recovery enqueues into the restarted replica.
+        // ---- deliver due events in cycle order -----------------------
+        // Arrivals, crashes and resilience events (cluster instants,
+        // drain triggers) can lie anywhere inside the iteration that
+        // just ended, so they are replayed earliest-first: an arrival
+        // before a crash is enqueued (and then dies with the replica),
+        // one after the recovery enqueues into the restarted replica.
+        // Ties go to resilience events, so the trace stamps the cause
+        // (breaker flip, drain trigger) before its effects, then to
+        // arrivals.
         while (true) {
-            const bool has_arr = next_arrival < reqs.size() &&
-                                 reqs[next_arrival].arrival <= now;
-            const bool has_crash = down_idx < faults.downs.size() &&
-                                   faults.downs[down_idx].failAt <= now;
-            // Resilience events interleave in cycle order; ties go to
-            // them so the trace stamps the cause (breaker flip, drain
-            // trigger) before its effects. With the tier disabled both
-            // lists are empty and this is the historical loop verbatim.
-            const dam::Cycle arr_at =
-                has_arr ? reqs[next_arrival].arrival
-                        : ReplicaFaultTimeline::kNoEvent;
-            const dam::Cycle crash_at =
-                has_crash ? faults.downs[down_idx].failAt
-                          : ReplicaFaultTimeline::kNoEvent;
-            const bool has_instant =
-                instant_idx < cfg_.clusterInstants.size() &&
-                cfg_.clusterInstants[instant_idx].at <= now;
-            const bool has_drain = drain_idx < drain_edges.size() &&
-                                   drain_edges[drain_idx] <= now;
             const dam::Cycle inst_at =
-                has_instant ? cfg_.clusterInstants[instant_idx].at
-                            : ReplicaFaultTimeline::kNoEvent;
+                instant_idx < cfg_.clusterInstants.size()
+                    ? cfg_.clusterInstants[instant_idx].at
+                    : kNone;
             const dam::Cycle drain_at =
-                has_drain ? drain_edges[drain_idx]
-                          : ReplicaFaultTimeline::kNoEvent;
-            if (has_instant && inst_at <= arr_at && inst_at <= crash_at &&
-                inst_at <= drain_at) {
-                const ClusterInstant& ci =
-                    cfg_.clusterInstants[instant_idx++];
-                if (trace_) [[unlikely]]
-                    trace_->instant(clusterInstantName(ci.kind), ci.at,
-                                    -1, ci.value);
-                continue;
-            }
-            if (has_drain && drain_at <= arr_at && drain_at <= crash_at) {
-                const dam::Cycle at = drain_edges[drain_idx++];
-                // Queued and prefilling requests leave for a healthy
-                // replica; decoding requests stay and finish locally at
-                // the degraded bandwidth (shipping a half-generated
-                // stream would cost more than it saves).
-                const std::vector<Request*> running(batcher.running());
-                for (Request* r : running) {
-                    if (r->state != ReqState::Prefilling)
-                        continue;
-                    const int64_t kv = r->prefilledTokens;
-                    if (cache)
-                        cache->release(*r);
-                    batcher.release(r);
-                    migrateReq(r, at, kv);
-                }
-                for (Request* r : batcher.drainWaiting()) {
-                    r->cachedPrefixTokens = 0; // no pin was ever taken
-                    migrateReq(r, at, 0);
-                }
-                continue;
-            }
-            if (has_arr &&
-                (!has_crash || reqs[next_arrival].arrival <=
-                                   faults.downs[down_idx].failAt)) {
+                drain_idx < drain_edges.size() ? drain_edges[drain_idx]
+                                               : kNone;
+            const dam::Cycle arr_at = next_arrival < reqs.size()
+                                          ? reqs[next_arrival].arrival
+                                          : kNone;
+            const dam::Cycle crash_at = down_idx < faults.downs.size()
+                                            ? faults.downs[down_idx].failAt
+                                            : kNone;
+            const dam::Cycle next =
+                std::min({inst_at, drain_at, arr_at, crash_at});
+            if (next > now)
+                break;
+            if (inst_at == next) {
+                tel.clusterInstant(cfg_.clusterInstants[instant_idx++]);
+            } else if (drain_at == next) {
+                ++drain_idx;
+                evict(ReqState::Migrated, next);
+            } else if (arr_at == next) {
                 Request& r = reqs[next_arrival++];
-                if (trace_) [[unlikely]] {
-                    trace_->reqArrived(r.id, r.sessionId, r.turn,
-                                       r.promptLen, r.outputLen, r.arrival,
-                                       r.attempt);
-                    if (fctr && r.attempt > 0)
-                        trace_->counters().add(fctr->requestsRetried, 1);
-                }
+                tel.arrived(r);
                 if (have_faults && faults.downAt(r.arrival)) {
                     // Connection refused: the replica was down when the
                     // request arrived.
-                    failReq(&r, r.arrival);
+                    terminal(&r, ReqState::Failed, r.arrival);
                 } else {
                     batcher.enqueue(&r);
                 }
-                continue;
-            }
-            if (has_crash) {
+            } else {
                 const ReplicaFaultTimeline::Down w =
                     faults.downs[down_idx++];
-                if (trace_) [[unlikely]] {
-                    trace_->faultDown(now, w.failAt, w.recoverAt);
-                    if (fctr)
-                        trace_->counters().add(fctr->replicaFaults, 1);
-                }
-                // Everything in flight or queued dies with the replica;
-                // KV reservations and cache pins are torn down wholesale
-                // (the invariant checks below catch any leak).
-                const std::vector<Request*> running(batcher.running());
-                for (Request* r : running) {
-                    if (cache)
-                        cache->release(*r);
-                    batcher.release(r);
-                    failReq(r, now);
-                }
-                for (Request* r : batcher.drainWaiting()) {
-                    r->cachedPrefixTokens = 0; // no pin was ever taken
-                    failReq(r, now);
-                }
+                tel.crashed(now, w);
+                evict(ReqState::Failed, now);
                 STEP_ASSERT(batcher.kvBytesReserved() == 0,
                             "crash teardown leaked "
                                 << batcher.kvBytesReserved()
@@ -433,13 +557,7 @@ ServingEngine::run(std::vector<Request>& reqs)
                     // The cache's KV blocks died with the replica:
                     // fold its stats away and restart cold, so
                     // re-routed requests re-prefill from scratch.
-                    const PrefixCacheStats& st = cache->stats();
-                    lostCacheStats.lookups += st.lookups;
-                    lostCacheStats.hits += st.hits;
-                    lostCacheStats.tokensSaved += st.tokensSaved;
-                    lostCacheStats.peakOccupancyTokens =
-                        std::max(lostCacheStats.peakOccupancyTokens,
-                                 st.peakOccupancyTokens);
+                    foldLostCache(lostCacheStats, cache->stats());
                     cache = std::make_unique<PrefixCache>(
                         cfg_.prefixCache);
                     batcher.attachPrefixCache(cache.get());
@@ -449,28 +567,20 @@ ServingEngine::run(std::vector<Request>& reqs)
                     // the moment it shows up.
                     while (next_arrival < reqs.size()) {
                         Request& r = reqs[next_arrival++];
-                        if (trace_) [[unlikely]]
-                            trace_->reqArrived(r.id, r.sessionId, r.turn,
-                                               r.promptLen, r.outputLen,
-                                               r.arrival, r.attempt);
-                        failReq(&r, r.arrival);
+                        tel.arrived(r);
+                        terminal(&r, ReqState::Failed, r.arrival);
                     }
-                } else if (w.recoverAt > now) {
-                    now = w.recoverAt;
-                    if (trace_) [[unlikely]]
-                        trace_->faultUp(now);
-                } else if (trace_) [[unlikely]] {
-                    // The iteration that just ended spans the whole
-                    // outage: down and up are delivered at the same
-                    // boundary. Emit the up so the trace's down/up
-                    // alternation invariant holds.
-                    trace_->faultUp(now);
+                } else {
+                    // If the iteration that just ended spans the whole
+                    // outage, down and up are delivered at the same
+                    // boundary; the up is still emitted so the trace's
+                    // down/up alternation invariant holds.
+                    now = std::max(now, w.recoverAt);
+                    tel.recovered(now);
                 }
-                continue;
             }
-            break;
         }
-        if (terminal >= total)
+        if (ended >= total)
             break;
 
         // Slowdown windows scale the bandwidth pool this iteration
@@ -498,26 +608,9 @@ ServingEngine::run(std::vector<Request>& reqs)
         }
         const ContinuousBatcher::AdmitResult adm =
             batcher.admit(cfg_.admission, actx);
-        for (Request* r : adm.shed) {
-            r->finishedAt = now;
-            ++terminal;
-            if (trace_) [[unlikely]] {
-                trace_->reqShed(r->id, r->attempt, now);
-                if (fctr)
-                    trace_->counters().add(fctr->requestsShed, 1);
-            }
-            if (mtr) [[unlikely]]
-                metrics_->record(mtr->shed, now, 1);
-        }
-        if (trace_) [[unlikely]] {
-            for (const Request* r : adm.admitted)
-                trace_->reqAdmitted(r->id, r->attempt, r->cachedPrefixTokens, now);
-            for (const Request* r : adm.capped) {
-                trace_->reqCapped(r->id, now, r->outputLen);
-                if (rctr)
-                    trace_->counters().add(rctr->requestsCapped, 1);
-            }
-        }
+        for (Request* r : adm.shed)
+            terminal(r, ReqState::Shed, now);
+        tel.admission(adm, now);
 
         if (batcher.running().empty()) {
             if (batcher.waitingCount() > 0) {
@@ -528,7 +621,7 @@ ServingEngine::run(std::vector<Request>& reqs)
                 throw buildStall(
                     "head-of-line request can never be admitted");
             }
-            if (terminal >= total)
+            if (ended >= total)
                 break;
             if (next_arrival >= reqs.size())
                 throw buildStall("idle with unfinished requests");
@@ -557,6 +650,7 @@ ServingEngine::run(std::vector<Request>& reqs)
         // ---- iteration length ---------------------------------------
         dam::Cycle iter_cycles = 0;
         int64_t decode_flops = 0;
+        uint64_t switches = 0;
         if (!decodes.empty()) {
             // One decode step for the whole batch: a decoder-layer pass
             // over the current composition, simulated on the substrate.
@@ -573,12 +667,10 @@ ServingEngine::run(std::vector<Request>& reqs)
             if (cfg_.recycleGraphs && !iterGraph_)
                 iterGraph_ = std::make_unique<Graph>(SimConfig{},
                                                      &arena_);
-            if (trace_) [[unlikely]] {
-                // Graph runs stamp events in graph-local cycles; anchor
-                // them on the serving timeline. iter_cycles >= the
-                // simulated span, so successive bases stay monotone.
-                trace_->setTimeBase(now);
-            }
+            // Graph runs stamp events in graph-local cycles; anchor them
+            // on the serving timeline. iter_cycles >= the simulated
+            // span, so successive bases stay monotone.
+            tel.graphRunAt(now);
             static constexpr verify::VerifyOptions kVerifyAll{};
             SimResult sim = runDecoderIteration(
                 dp, spec, &sched_,
@@ -588,54 +680,33 @@ ServingEngine::run(std::vector<Request>& reqs)
             iter_cycles = sim.cycles * static_cast<dam::Cycle>(
                 cfg_.numLayers);
             decode_flops = sim.totalFlops * cfg_.numLayers;
-            if (ctr) [[unlikely]]
-                trace_->counters().add(
-                    ctr->contextSwitches,
-                    static_cast<int64_t>(sim.contextSwitches));
+            switches = sim.contextSwitches;
         } else {
             // Prefill-only iteration: run until the head request's
             // prompt completes, but wake up for the next arrival.
             STEP_ASSERT(split.prefillBw > 0,
                         "policy starves prefill with no decode work");
-            // Only the uncached suffix costs prefill flops; the cached
-            // prefix's KV is already resident, and migrated-in KV skips
-            // compute the same way (>= 1 suffix token always remains,
-            // see Request::prefillSkipTokens).
-            const Request* head = prefills.front();
-            double remaining =
-                static_cast<double>(head->promptLen -
-                                    head->prefillSkipTokens()) *
-                    fpt -
-                head->prefillFlopsDone;
-            iter_cycles = static_cast<dam::Cycle>(std::ceil(
-                remaining / static_cast<double>(split.prefillBw)));
+            iter_cycles = static_cast<dam::Cycle>(
+                std::ceil(prefill_left(*prefills.front()) /
+                          static_cast<double>(split.prefillBw)));
             iter_cycles = std::max<dam::Cycle>(1, iter_cycles);
-            if (next_arrival < reqs.size()) {
-                dam::Cycle gap = reqs[next_arrival].arrival - now;
-                iter_cycles = std::max<dam::Cycle>(
-                    1, std::min(iter_cycles, gap));
-            }
-            // Wake exactly on fault-timeline edges too, so crashes and
-            // bandwidth changes land on the cycle they were scripted at.
-            if (have_faults) {
-                const dam::Cycle edge = faults.nextEventAfter(now);
-                if (edge != ReplicaFaultTimeline::kNoEvent && edge > now)
+            // Wake for the next arrival, and exactly on fault-timeline
+            // and resilience edges (drain triggers, cluster instants) so
+            // crashes, bandwidth changes and drains land on the cycle
+            // they were scripted at.
+            auto wake_by = [&](dam::Cycle edge) {
+                if (edge > now)
                     iter_cycles = std::max<dam::Cycle>(
                         1, std::min(iter_cycles, edge - now));
-            }
-            // ... and on resilience edges (drain triggers, cluster
-            // instants), for the same exact-cycle reason.
-            if (drain_idx < drain_edges.size() &&
-                drain_edges[drain_idx] > now)
-                iter_cycles = std::max<dam::Cycle>(
-                    1, std::min(iter_cycles,
-                                drain_edges[drain_idx] - now));
-            if (instant_idx < cfg_.clusterInstants.size() &&
-                cfg_.clusterInstants[instant_idx].at > now)
-                iter_cycles = std::max<dam::Cycle>(
-                    1, std::min(iter_cycles,
-                                cfg_.clusterInstants[instant_idx].at -
-                                    now));
+            };
+            if (next_arrival < reqs.size())
+                wake_by(reqs[next_arrival].arrival);
+            if (have_faults)
+                wake_by(faults.nextEventAfter(now));
+            if (drain_idx < drain_edges.size())
+                wake_by(drain_edges[drain_idx]);
+            if (instant_idx < cfg_.clusterInstants.size())
+                wake_by(cfg_.clusterInstants[instant_idx].at);
         }
 
         // ---- prefill progress (FIFO, analytic) ----------------------
@@ -647,11 +718,7 @@ ServingEngine::run(std::vector<Request>& reqs)
         for (Request* r : prefills) {
             if (budget <= 0.0)
                 break;
-            double need =
-                static_cast<double>(r->promptLen -
-                                    r->prefillSkipTokens()) *
-                    fpt -
-                r->prefillFlopsDone;
+            const double need = prefill_left(*r);
             double use = std::min(need, budget);
             budget -= use;
             consumed += use;
@@ -672,17 +739,13 @@ ServingEngine::run(std::vector<Request>& reqs)
                 r->generated = 1;
                 ++first_tokens;
                 r->state = ReqState::Decoding;
-                if (trace_) [[unlikely]]
-                    trace_->reqFirstToken(r->id, r->attempt, r->firstTokenAt);
-                if (mtr) [[unlikely]]
-                    metrics_->record(mtr->ttft, r->firstTokenAt,
-                                     r->firstTokenAt - r->arrival);
+                tel.firstToken(*r);
                 // The completed prompt prefix becomes cacheable for the
                 // session's (or any prefix-sharing) next request.
                 if (cache)
                     cache->insert(r->blockHashes, r->promptBlocks);
                 if (r->generated >= r->outputLen)
-                    finish(r, r->firstTokenAt);
+                    terminal(r, ReqState::Finished, r->firstTokenAt);
             }
         }
 
@@ -690,7 +753,7 @@ ServingEngine::run(std::vector<Request>& reqs)
         for (Request* r : decodes) {
             r->generated += 1;
             if (r->generated >= r->outputLen)
-                finish(r, now + iter_cycles);
+                terminal(r, ReqState::Finished, now + iter_cycles);
         }
 
         // ---- accounting ---------------------------------------------
@@ -708,41 +771,7 @@ ServingEngine::run(std::vector<Request>& reqs)
 
         now += iter_cycles;
 
-        if (ctr) [[unlikely]] {
-            obs::CounterRegistry& c = trace_->counters();
-            c.set(ctr->queueDepth, batcher.waitingCount());
-            c.set(ctr->runningRequests,
-                  static_cast<int64_t>(batcher.running().size()));
-            c.set(ctr->decodeBatch, sample.decodeBatch);
-            c.set(ctr->kvReservedBytes, batcher.kvBytesReserved());
-            if (cache)
-                c.set(ctr->prefixCacheTokens, cache->occupancyTokens());
-            c.add(ctr->iterations, 1);
-            c.add(ctr->prefillTokens, prefilled_tokens);
-            // Every decode emits one token; prefill completions emit
-            // their first token inside this iteration too.
-            c.add(ctr->generatedTokens,
-                  static_cast<int64_t>(decodes.size()) + first_tokens);
-            trace_->sampleCounters(now);
-        }
-        if (mtr) [[unlikely]] {
-            metrics_->record(mtr->queueDepth, now,
-                             static_cast<uint64_t>(
-                                 batcher.waitingCount()));
-            metrics_->record(mtr->runningRequests, now,
-                             batcher.running().size());
-            metrics_->record(mtr->decodeBatch, now,
-                             static_cast<uint64_t>(sample.decodeBatch));
-            metrics_->record(mtr->kvReservedBytes, now,
-                             static_cast<uint64_t>(
-                                 batcher.kvBytesReserved()));
-            metrics_->record(mtr->generatedTokens, now,
-                             decodes.size() +
-                                 static_cast<uint64_t>(first_tokens));
-            metrics_->record(mtr->prefillTokens, now,
-                             static_cast<uint64_t>(prefilled_tokens));
-            metrics_->record(mtr->iterCycles, now, iter_cycles);
-        }
+        tel.iteration(sample, first_tokens, switches, batcher, cache.get());
     }
 
     // Abort-path accounting invariant: every KV reservation and prefix
@@ -760,14 +789,8 @@ ServingEngine::run(std::vector<Request>& reqs)
     res.summary.computeUtilization =
         res.timeline.computeUtilization(cfg_.totalComputeBw);
     if (cache) {
-        // Fold in caches lost to crashes: their lookups/hits happened
-        // even though their content died with the replica.
         PrefixCacheStats st = cache->stats();
-        st.lookups += lostCacheStats.lookups;
-        st.hits += lostCacheStats.hits;
-        st.tokensSaved += lostCacheStats.tokensSaved;
-        st.peakOccupancyTokens = std::max(
-            st.peakOccupancyTokens, lostCacheStats.peakOccupancyTokens);
+        foldLostCache(st, lostCacheStats);
         res.summary.prefixLookups = st.lookups;
         res.summary.prefixHits = st.hits;
         res.summary.prefixTokensSaved = st.tokensSaved;
@@ -778,10 +801,7 @@ ServingEngine::run(std::vector<Request>& reqs)
         // summarize ran before the cache counters were attached.
         refreshPrefixDerivedStats(res.summary);
     }
-    if (trace_)
-        res.summary.counters = trace_->counters().snapshot();
-    if (metrics_)
-        applySloWindows(res.summary, *metrics_, cfg_.slo);
+    tel.summarize(res.summary);
     return res;
 }
 

@@ -165,36 +165,28 @@ class ServingEngine
     EngineResult run(std::vector<Request>& reqs);
 
     /**
-     * Analytic prefill cost of one prompt token across all layers
-     * (QKV + output projections and the top-K expert FFN; prompt
-     * attention is projection-dominated and left out of the model).
-     */
-    int64_t prefillFlopsPerToken() const;
-
-    /**
      * Attach (or detach, with nullptr) a trace sink. run() then reports
-     * request lifecycle instants and samples the counter registry each
-     * iteration, and — at level >= Op — forwards the iteration graphs'
-     * scheduler events with the engine clock as time base. The sink
-     * must outlive the engine's runs; with none attached the only cost
-     * is one predicted branch per hook site.
+     * request lifecycle instants, registers every engine counter —
+     * engine, fault and resilience tiers alike, whether or not the run
+     * uses them — samples them each iteration and snapshots them into
+     * ServingSummary::counters, and at level >= Op forwards the
+     * iteration graphs' scheduler events with the engine clock as time
+     * base. The sink must outlive the engine's runs.
      */
     void attachTrace(obs::TraceSink* sink) { trace_ = sink; }
-    obs::TraceSink* trace() const { return trace_; }
 
     /**
      * Attach (or detach, with nullptr) a metrics registry. run() then
      * registers the engine's instrument set (TTFT/TPOT histograms,
-     * per-iteration gauges, lifecycle event series — see README) and
-     * records into it at iteration boundaries and request lifecycle
-     * events, and fills the summary's windowed-SLO fields. Sampling
-     * never influences control flow, so a metrics-on run is identical
-     * to a metrics-off run in every other output byte; with none
-     * attached the only cost is one predicted branch per hook site
-     * (the hot path stays allocation-free).
+     * per-iteration gauges, lifecycle event series — see README),
+     * records into it at iteration boundaries and lifecycle events, and
+     * fills the summary's windowed-SLO fields. Quantities both exporters
+     * carry are recorded by one call, so final counters and series
+     * agree. Neither exporter influences control flow: attaching one
+     * changes no other output byte, and with none attached each hook
+     * costs one predicted branch (the hot path stays allocation-free).
      */
     void attachMetrics(obs::MetricsRegistry* m) { metrics_ = m; }
-    obs::MetricsRegistry* metrics() const { return metrics_; }
 
   private:
     EngineConfig cfg_;

@@ -16,6 +16,7 @@
 #include "analysis/utilization.hh"
 #include "obs/export.hh"
 #include "obs/json.hh"
+#include "obs/metrics.hh"
 #include "obs/sink.hh"
 #include "runtime/cluster.hh"
 #include "runtime/engine.hh"
@@ -231,6 +232,92 @@ TEST(ObsEngine, CountersAreSnapshottedIntoTheSummary)
     EXPECT_FALSE(depth->monotonic);
     // Drained at the end of the run.
     EXPECT_EQ(depth->value, 0);
+}
+
+TEST(ObsEngine, EveryCounterIsRegisteredEvenWithTheTiersInactive)
+{
+    TraceOptions opts;
+    opts.level = TraceLevel::Request;
+    TraceSink sink(opts);
+    EngineResult r = runTraced(&sink, 20);
+
+    // Registration order: engine, then fault tier, then resilience tier.
+    const std::vector<std::string> expected = {
+        "queue_depth",       "running_requests", "decode_batch",
+        "kv_reserved_bytes", "prefix_cache_tokens", "iterations",
+        "prefill_tokens",    "generated_tokens", "context_switches",
+        "requests_failed",   "requests_retried", "requests_shed",
+        "deadline_misses",   "replica_faults",   "requests_migrated",
+        "requests_capped"};
+    const size_t first_tier_counter = 9; // requests_failed
+    ASSERT_EQ(r.summary.counters.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(r.summary.counters[i].name, expected[i]);
+        if (i >= first_tier_counter) {
+            EXPECT_TRUE(r.summary.counters[i].monotonic) << expected[i];
+            EXPECT_EQ(r.summary.counters[i].value, 0) << expected[i];
+        }
+    }
+}
+
+TEST(ObsEngine, CountersAgreeWithMetricsOnAFaultyRun)
+{
+    // A crash, a deep slowdown the drain migrates away from, deadlines
+    // some requests miss and a shedding policy that drops sure losers:
+    // every outcome the two exporters both record shows up here, and
+    // each final counter must match its metrics series.
+    TraceConfig tc = burstyTrace(80);
+    tc.deadlineCycles = 2'000'000;
+    QueueDepthPolicy policy;
+    EngineConfig ec;
+    ec.seed = deriveSeed(1);
+    auto probe_reqs = generateTrace(tc, deriveSeed(2));
+    const dam::Cycle makespan =
+        ServingEngine(ec, policy).run(probe_reqs).summary.makespan;
+
+    ec.faults.downs.push_back({makespan / 5, makespan / 3});
+    ec.faults.slowdowns.push_back({makespan / 2, makespan * 3 / 4, 0.2});
+    ec.drain.enabled = true;
+    DeadlineAwareShedPolicy shed;
+    ec.admission = &shed;
+    TraceOptions opts;
+    opts.level = TraceLevel::Request;
+    TraceSink sink(opts);
+    MetricsRegistry metrics;
+    ServingEngine engine(ec, policy);
+    engine.attachTrace(&sink);
+    engine.attachMetrics(&metrics);
+    auto reqs = generateTrace(tc, deriveSeed(2));
+    const EngineResult r = engine.run(reqs);
+
+    auto counter = [&](const std::string& name) {
+        for (const CounterSample& c : r.summary.counters)
+            if (c.name == name)
+                return c.value;
+        ADD_FAILURE() << "no counter " << name;
+        return int64_t{-1};
+    };
+    auto series = [&](const std::string& name) {
+        const MetricsRegistry::Instrument* ins = metrics.find(name);
+        EXPECT_NE(ins, nullptr) << "no instrument " << name;
+        return ins ? ins->series.total() : WindowAgg{};
+    };
+    for (const char* event : {"requests_failed", "requests_shed",
+                              "deadline_misses", "requests_migrated"}) {
+        EXPECT_GT(counter(event), 0) << event;
+        EXPECT_EQ(counter(event),
+                  static_cast<int64_t>(series(event).count))
+            << event;
+    }
+    for (const char* amount : {"generated_tokens", "prefill_tokens"}) {
+        EXPECT_GT(counter(amount), 0) << amount;
+        EXPECT_EQ(counter(amount),
+                  static_cast<int64_t>(series(amount).sum))
+            << amount;
+    }
+    EXPECT_EQ(counter("requests_failed"), r.summary.failedRequests);
+    EXPECT_EQ(counter("requests_shed"), r.summary.shedRequests);
+    EXPECT_EQ(counter("deadline_misses"), r.summary.deadlineMisses);
 }
 
 TEST(ObsEngine, SchedulerSpansBalanceAndStayMonotonePerTrack)
