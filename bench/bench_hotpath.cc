@@ -268,8 +268,7 @@ struct ServingResult
     double rearmEventsPerSec = 0;
     double rearmBuildUs = 0; ///< graph rearm + patch cost, no run
     uint64_t eventsPerIter = 0;
-    uint64_t switchesPerIter = 0;       ///< timed-wait merge (default)
-    uint64_t switchesPerIterLegacy = 0; ///< patience-yield merge
+    uint64_t switchesPerIter = 0;
 };
 
 ServingResult
@@ -331,17 +330,12 @@ runServing(int reps)
             runDecoderIteration(p, spec, &sched);
         res.rebuildItersPerSec = reps / seconds(t0, Clk::now());
     }
-    // Context switches per decoder iteration, with the WaitUntil merge
-    // (default) and the legacy patience-yield merge.
-    for (bool timed : {true, false}) {
-        SimConfig sc = iterationSimConfig(
-            static_cast<int64_t>(spec.kvLens.size()));
-        sc.mergeTimedWait = timed;
-        Graph g(sc);
+    {
+        // Context switches per decoder iteration.
+        Graph g(iterationSimConfig(
+            static_cast<int64_t>(spec.kvLens.size())));
         buildDecoderLayer(g, p, spec.trace, spec.kvLens);
-        SimResult r = g.run();
-        (timed ? res.switchesPerIter : res.switchesPerIterLegacy) =
-            r.contextSwitches;
+        res.switchesPerIter = g.run().contextSwitches;
     }
     return res;
 }
@@ -385,12 +379,8 @@ main(int argc, char** argv)
     std::printf("  rearm build cost:    %9.1f us/iter\n", sv.rearmBuildUs);
     std::printf("  rearm vs rebuild:    %9.2fx\n",
                 sv.rearmItersPerSec / sv.rebuildItersPerSec);
-    std::printf("  switches/iter:       %9llu (legacy merge: %llu, "
-                "%.2fx)\n",
-                static_cast<unsigned long long>(sv.switchesPerIter),
-                static_cast<unsigned long long>(sv.switchesPerIterLegacy),
-                static_cast<double>(sv.switchesPerIterLegacy) /
-                    static_cast<double>(sv.switchesPerIter));
+    std::printf("  switches/iter:       %9llu\n",
+                static_cast<unsigned long long>(sv.switchesPerIter));
 
     bool zero_alloc = pp.steadyAllocs == 0 && mp.steadyAllocs == 0 &&
                       rt.steadyAllocs == 0;
@@ -427,8 +417,6 @@ main(int argc, char** argv)
               static_cast<double>(sv.eventsPerIter), "events");
         j.set("serving_switches_per_iter",
               static_cast<double>(sv.switchesPerIter), "switches");
-        j.set("serving_switches_per_iter_legacy_merge",
-              static_cast<double>(sv.switchesPerIterLegacy), "switches");
         j.set("zero_alloc_steady_state",
               std::string(zero_alloc ? "true" : "false"));
         if (!j.writeTo(json_path)) {

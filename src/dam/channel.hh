@@ -242,9 +242,8 @@ struct WaitAny
  * @p deadline — the context parks in the scheduler's ready heap keyed at
  * the deadline, so it resumes exactly when no other runnable context is
  * earlier — or until any of the given channels receives a token,
- * whichever the deterministic heap order reaches first. Replaces
- * patience-yield polling in availability-ordered merges: one suspension
- * instead of one context switch per polled producer step.
+ * whichever the deterministic heap order reaches first. Availability-
+ * ordered merges wait out arrival races with it in one suspension.
  *
  * Like WaitAny, the channel list is viewed, not copied, and must
  * outlive the co_await (operator members and coroutine locals qualify).

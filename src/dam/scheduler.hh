@@ -90,8 +90,7 @@ class Scheduler
      * channel wake (makeReady) re-keys it to its own clock first. The
      * context is marked Blocked with a TimedWait record so drain() can
      * tell a timer expiry from a corrupted heap. This is the primitive
-     * behind WaitUntil, which replaces EagerMerge's patience-yield
-     * polling with a single suspension.
+     * behind WaitUntil.
      */
     void suspendUntil(Context* ctx, Cycle t);
 

@@ -36,13 +36,6 @@ struct SimConfig
     size_t channelCapacity = 8;
     /** FIFO forwarding latency. */
     dam::Cycle channelLatency = 1;
-    /**
-     * Availability-ordered merges wait out arrival races with one
-     * WaitUntil suspension instead of patience-yield polling (~3x fewer
-     * context switches per decoder iteration). The legacy yield loop is
-     * kept behind this flag for A/B verification in tests and benches.
-     */
-    bool mergeTimedWait = true;
 };
 
 /** One end of a stream: the channel plus its compile-time view. */

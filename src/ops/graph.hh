@@ -151,9 +151,9 @@ class Graph
 
     /**
      * Statically analyze the current build without executing it
-     * (structural well-formedness, shape/dtype flow, deadlock-freedom,
-     * determinism audit — see src/verify/verifier.hh). Read-only:
-     * verification never changes simulation behavior or output bytes.
+     * (structural well-formedness, shape/dtype flow, deadlock-freedom —
+     * see src/verify/verifier.hh). Read-only: verification never
+     * changes simulation behavior or output bytes.
      */
     [[nodiscard]] verify::VerifyReport
     verify(const verify::VerifyOptions& opts) const;

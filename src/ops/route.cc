@@ -276,10 +276,8 @@ dam::SimTask
 EagerMergeOp::run()
 {
     const auto b = static_cast<uint32_t>(rank_);
-    const bool timed_wait = graph_.config().mergeTimedWait;
     std::vector<bool>& done = done_;
     size_t remaining = ins_.size();
-    int patience = 0;
     while (remaining > 0) {
         int pick = pickAvailable(done);
         if (pick < 0) {
@@ -299,25 +297,15 @@ EagerMergeOp::run()
         dam::Cycle avail =
             ins_[static_cast<size_t>(pick)].ch->frontTime();
         std::optional<dam::Cycle> other = scheduler()->minReadyClock(this);
-        if (timed_wait) {
-            if (other && *other < avail) {
-                // One time-indexed suspension until simulated time
-                // catches up to the candidate's availability, instead
-                // of yield-polling once per earlier-clocked producer
-                // step. A pure timer: anything pushed in the meantime
-                // is visible at the re-pick after the deadline pop, so
-                // a channel wake would only add resumes.
-                dam::WaitUntil until_waiter{{}, *this, avail};
-                co_await until_waiter;
-                continue;
-            }
-        } else if (patience < 64 && other && *other < avail) {
-            // Legacy bounded-retry yield poll (A/B reference).
-            ++patience;
-            co_await dam::Yield{*this};
+        if (other && *other < avail) {
+            // One time-indexed suspension until simulated time catches
+            // up to the candidate's availability. A pure timer: anything
+            // pushed in the meantime is visible at the re-pick after the
+            // deadline pop, so a channel wake would only add resumes.
+            dam::WaitUntil until_waiter{{}, *this, avail};
+            co_await until_waiter;
             continue;
         }
-        patience = 0;
         auto pi = static_cast<size_t>(pick);
         if (ins_[pi].ch->frontToken().isDone()) {
             co_await ins_[pi].ch->read(*this);

@@ -105,8 +105,7 @@ class Recorder
   public:
     Recorder(obs::TraceSink* trace, obs::MetricsRegistry* metrics,
              const SloConfig& slo)
-        : trace_(trace), metrics_(metrics), slo_(slo),
-          on_(trace != nullptr || metrics != nullptr)
+        : trace_(trace), metrics_(metrics), slo_(slo)
     {
         if (trace_) {
             obs::CounterRegistry& c = trace_->counters();
@@ -155,7 +154,7 @@ class Recorder
     void
     firstToken(const Request& r)
     {
-        if (!on_) [[likely]]
+        if (!trace_ && !metrics_) [[likely]]
             return;
         if (trace_)
             trace_->reqFirstToken(r.id, r.attempt, r.firstTokenAt);
@@ -171,7 +170,7 @@ class Recorder
     void
     terminal(const Request& r, int64_t kv_tokens)
     {
-        if (!on_) [[likely]]
+        if (!trace_ && !metrics_) [[likely]]
             return;
         const dam::Cycle at = r.finishedAt;
         switch (r.state) {
@@ -250,7 +249,7 @@ class Recorder
               uint64_t switches, const ContinuousBatcher& b,
               const PrefixCache* cache)
     {
-        if (!on_) [[likely]]
+        if (!trace_ && !metrics_) [[likely]]
             return;
         const dam::Cycle at = s.start + s.length;
         record(QueueDepth, at, b.waitingCount());
@@ -303,7 +302,6 @@ class Recorder
     obs::TraceSink* trace_;
     obs::MetricsRegistry* metrics_;
     const SloConfig& slo_;
-    const bool on_;
     std::array<obs::CounterRegistry::Handle, kNumQuantities> counter_{};
     std::array<obs::MetricsRegistry::Handle, kNumQuantities> metric_{};
 };
@@ -334,6 +332,28 @@ ServingEngine::ServingEngine(EngineConfig cfg, const Policy& policy)
     STEP_ASSERT(cfg_.totalComputeBw >= 2,
                 "bandwidth pool too small to split");
     STEP_ASSERT(cfg_.numLayers > 0, "layer count must be positive");
+
+    // Iteration-graph parameters shared across iterations; the per-
+    // iteration pieces are the batch's KV lengths, the expert trace, and
+    // the policy-assigned matmul bandwidth.
+    baseParams_.cfg = cfg_.model;
+    baseParams_.attnStrategy = cfg_.attnStrategy;
+    baseParams_.attnRegions = cfg_.attnRegions;
+    baseParams_.kvTileRows = cfg_.kvTileRows;
+    baseParams_.moeRegions = cfg_.moeRegions;
+    baseParams_.moeTile = cfg_.moeTile;
+    baseParams_.denseTile = cfg_.denseTile;
+    baseParams_.weightTileCols = cfg_.weightTileCols;
+    baseParams_.seed = cfg_.seed;
+    // Matmul pipelines the decode share is spread over: the two dense
+    // projections, the attention regions, and the MoE regions.
+    decodeUnits_ = 2 + cfg_.attnRegions +
+                   (cfg_.moeRegions > 0 ? cfg_.moeRegions
+                                        : cfg_.model.numExperts);
+    prefillFlopsPerToken_ = static_cast<double>(
+        prefillFlopsPerToken(cfg_.model, cfg_.numLayers));
+    if (cfg_.recycleGraphs)
+        iterGraph_ = std::make_unique<Graph>(SimConfig{}, &arena_);
 }
 
 int64_t
@@ -348,461 +368,484 @@ prefillFlopsPerToken(const ModelConfig& m, int64_t num_layers)
     return per_layer * num_layers;
 }
 
-EngineResult
-ServingEngine::run(std::vector<Request>& reqs)
+/**
+ * One run()'s replica state machine: the constructor sets up a cold
+ * replica, step() advances it by one loop turn, and finish() checks the
+ * teardown invariants and builds the result. What outlives a run — the
+ * scheduler, the recycled graph, the per-engine constants — stays on
+ * the ServingEngine.
+ */
+class ServingEngine::Run
 {
-    STEP_ASSERT(std::is_sorted(reqs.begin(), reqs.end(),
-                               [](const Request& a, const Request& b) {
-                                   return a.arrival < b.arrival;
-                               }),
-                "request trace must be sorted by arrival");
-
-    ContinuousBatcher batcher(cfg_.batcher);
-    // Fresh cold cache per run: replays of one engine stay bit-identical.
-    std::unique_ptr<PrefixCache> cache;
-    if (cfg_.prefixCache.capacityTokens > 0) {
-        cache = std::make_unique<PrefixCache>(cfg_.prefixCache);
-        batcher.attachPrefixCache(cache.get());
+  public:
+    Run(ServingEngine& eng, std::vector<Request>& reqs)
+        : eng_(eng), cfg_(eng.cfg_), reqs_(reqs), batcher_(cfg_.batcher),
+          iterRng_(cfg_.seed), tel_(eng.trace_, eng.metrics_, cfg_.slo),
+          dp_(eng.baseParams_)
+    {
+        // A cold cache per run keeps replays of one engine identical.
+        if (cfg_.prefixCache.capacityTokens > 0)
+            restartCache();
+        // Scheduler events only matter at trace level >= Op, so the
+        // per-resume branch in dam::Scheduler::drain stays cold below.
+        eng.sched_.setTraceSink(
+            eng.trace_ && eng.trace_->level() >= obs::TraceLevel::Op
+                ? eng.trace_
+                : nullptr);
+        // Slowdown-drain edges: when each qualifying slowdown window has
+        // been observed long enough to trigger live migration.
+        if (cfg_.drain.enabled)
+            for (const auto& s : cfg_.faults.slowdowns)
+                if (s.factor <= cfg_.drain.openBelowFactor &&
+                    s.end - s.start > cfg_.drain.detectCycles)
+                    drainEdges_.push_back(s.start +
+                                          cfg_.drain.detectCycles);
     }
-    EngineResult res;
-    Rng iter_rng(cfg_.seed);
-    const double fpt =
-        static_cast<double>(prefillFlopsPerToken(cfg_.model, cfg_.numLayers));
 
-    // Tracing: scheduler events only matter at level >= Op, so the
-    // per-resume branch in dam::Scheduler::drain stays cold below it.
-    sched_.setTraceSink(trace_ && trace_->level() >= obs::TraceLevel::Op
-                            ? trace_
-                            : nullptr);
-    Recorder tel(trace_, metrics_, cfg_.slo);
+    /** One loop turn: deliver the due events, admit, and run one decode
+     *  or prefill-only iteration. False once every request ended. */
+    bool
+    step()
+    {
+        if (ended_ >= reqs_.size())
+            return false;
+        if (res_.iterations >= kMaxIterations)
+            throw stall("iteration bound exceeded without progress");
+        deliverDue();
+        if (ended_ >= reqs_.size())
+            return false;
+        // Slowdown windows scale the bandwidth pool this iteration
+        // splits (>= 2 so the policy can always split something).
+        const double f = cfg_.faults.bwFactorAt(now_);
+        const auto bw = static_cast<double>(cfg_.totalComputeBw);
+        const int64_t eff_bw =
+            f < 1.0 ? std::max<int64_t>(2, std::llround(bw * f))
+                    : cfg_.totalComputeBw;
+        if (admit(eff_bw))
+            iterate(eff_bw);
+        return true;
+    }
 
-    // ---- fault tier ---------------------------------------------------
-    const ReplicaFaultTimeline& faults = cfg_.faults;
-    const bool have_faults = !faults.empty();
-    // Stats of caches dropped by crashes, folded into the summary tail.
-    PrefixCacheStats lostCacheStats;
+    EngineResult
+    finish()
+    {
+        expectReleased("run");
+        ServingSummary& s = res_.summary;
+        s = summarize(reqs_, res_.timeline.span(), cfg_.slo);
+        s.computeUtilization =
+            res_.timeline.computeUtilization(cfg_.totalComputeBw);
+        if (cache_) {
+            PrefixCacheStats st = cache_->stats();
+            foldLostCache(st, lostCacheStats_);
+            s.prefixLookups = st.lookups;
+            s.prefixHits = st.hits;
+            s.prefixTokensSaved = st.tokensSaved;
+            s.prefixPeakOccupancyTokens = st.peakOccupancyTokens;
+            // A single engine is its own busiest replica.
+            s.prefixPeakOccupancyMaxReplica = st.peakOccupancyTokens;
+            // summarize ran before the cache counters were attached.
+            refreshPrefixDerivedStats(s);
+        }
+        tel_.summarize(s);
+        return std::move(res_);
+    }
 
-    // ---- resilience tier ---------------------------------------------
-    // Slowdown-drain edges: the cycle each qualifying slowdown window
-    // has been observed long enough to trigger live migration.
-    // Precomputed from the (already normalized, start-sorted) timeline —
-    // data, like the fault plan itself.
-    std::vector<dam::Cycle> drain_edges;
-    if (cfg_.drain.enabled)
-        for (const auto& s : faults.slowdowns)
-            if (s.factor <= cfg_.drain.openBelowFactor &&
-                s.end - s.start > cfg_.drain.detectCycles)
-                drain_edges.push_back(s.start + cfg_.drain.detectCycles);
-    size_t drain_idx = 0;
-    size_t instant_idx = 0; ///< next cfg_.clusterInstants to emit
+  private:
+    /**
+     * Scripted event kinds in tie order: resilience events first, so the
+     * trace stamps the cause (breaker flip, drain trigger) before its
+     * effects, then arrivals, then crashes.
+     */
+    enum class Event : uint8_t { Instant, Drain, Arrival, Crash };
 
-    // Every terminal transition goes through here. A finish returns its
-    // own holdings: it caches the full prompt+output stream (the
-    // session's next turn prefixes it), drops its pin and frees its KV.
-    // Crashes and drains release wholesale first (evict), and shed
-    // requests never held anything.
-    int64_t ended = 0;
-    auto terminal = [&](Request* r, ReqState state, dam::Cycle at,
-                        int64_t kv_tokens = 0) {
+    struct Due
+    {
+        dam::Cycle at = kNone; ///< the earliest event; kNone if none left
+        Event kind = Event::Instant;
+        dam::Cycle arrivalAt = kNone; ///< the next arrival on its own
+    };
+
+    /** The one reader of the event cursors' heads. */
+    Due
+    nextDue() const
+    {
+        const std::array<dam::Cycle, 4> heads = {
+            nextInstant_ < cfg_.clusterInstants.size()
+                ? cfg_.clusterInstants[nextInstant_].at
+                : kNone,
+            nextDrain_ < drainEdges_.size() ? drainEdges_[nextDrain_] : kNone,
+            nextArrival_ < reqs_.size() ? reqs_[nextArrival_].arrival : kNone,
+            nextDown_ < cfg_.faults.downs.size()
+                ? cfg_.faults.downs[nextDown_].failAt
+                : kNone,
+        };
+        // The first minimum: ties go to the earlier kind.
+        const auto first = std::min_element(heads.begin(), heads.end());
+        return {*first, static_cast<Event>(first - heads.begin()),
+                heads[static_cast<size_t>(Event::Arrival)]};
+    }
+
+    /** Replay the events due by now_ earliest-first: an arrival before a
+     *  crash is enqueued (and dies with the replica), one after the
+     *  recovery enqueues into the restarted replica. */
+    void
+    deliverDue()
+    {
+        for (Due d = nextDue(); d.at <= now_; d = nextDue()) {
+            switch (d.kind) {
+              case Event::Instant:
+                tel_.clusterInstant(cfg_.clusterInstants[nextInstant_++]);
+                break;
+              case Event::Drain:
+                ++nextDrain_;
+                evict(ReqState::Migrated, d.at);
+                break;
+              case Event::Arrival:
+                arrive(reqs_[nextArrival_++]);
+                break;
+              case Event::Crash:
+                crash(cfg_.faults.downs[nextDown_++]);
+                break;
+            }
+        }
+    }
+
+    void
+    arrive(Request& r)
+    {
+        tel_.arrived(r);
+        if (cfg_.faults.downAt(r.arrival)) // connection refused
+            terminal(&r, ReqState::Failed, r.arrival);
+        else
+            batcher_.enqueue(&r);
+    }
+
+    void
+    crash(const ReplicaFaultTimeline::Down& w)
+    {
+        tel_.crashed(now_, w);
+        evict(ReqState::Failed, now_);
+        expectReleased("crash teardown");
+        if (cache_) {
+            // Its KV blocks died with the replica: fold its stats away
+            // and restart cold, so re-routed requests re-prefill.
+            foldLostCache(lostCacheStats_, cache_->stats());
+            restartCache();
+        }
+        if (w.recoverAt == 0) {
+            // Dead forever: every remaining arrival is refused.
+            while (nextArrival_ < reqs_.size())
+                arrive(reqs_[nextArrival_++]);
+        } else {
+            // An iteration spanning the whole outage delivers down and
+            // up at one boundary; the up is still emitted so the trace's
+            // down/up alternation holds.
+            now_ = std::max(now_, w.recoverAt);
+            tel_.recovered(now_);
+        }
+    }
+
+    /**
+     * Every terminal transition goes through here. An admitted request
+     * returns its KV and prefix pin; a finish first caches its full
+     * prompt+output stream (the session's next turn prefixes it).
+     * Queued, refused and shed requests never held anything.
+     */
+    void
+    terminal(Request* r, ReqState state, dam::Cycle at,
+             int64_t kv_tokens = 0)
+    {
+        if (r->state == ReqState::Prefilling ||
+            r->state == ReqState::Decoding) {
+            if (cache_ && state == ReqState::Finished)
+                cache_->insert(r->blockHashes,
+                               static_cast<int64_t>(r->blockHashes.size()));
+            if (cache_)
+                cache_->release(*r);
+            batcher_.release(r);
+        }
         r->state = state;
         r->finishedAt = at;
-        if (state == ReqState::Finished) {
-            if (cache) {
-                cache->insert(r->blockHashes,
-                              static_cast<int64_t>(r->blockHashes.size()));
-                cache->release(*r);
-            }
-            batcher.release(r);
-        }
-        ++ended;
-        tel.terminal(*r, kv_tokens);
-    };
-    // Crash (Failed) or slowdown drain (Migrated): running requests
-    // return their KV and pins, queued ones leave too. A drain moves only
-    // queued and prefilling requests, handing off their prefill progress
-    // as KV; decoding ones finish here at the degraded bandwidth
-    // (shipping a half-generated stream costs more than it saves).
-    auto evict = [&](ReqState state, dam::Cycle at) {
+        ++ended_;
+        tel_.terminal(*r, kv_tokens);
+    }
+
+    /**
+     * Crash (Failed) or slowdown drain (Migrated): running requests end
+     * here, queued ones leave too. A drain moves only queued and
+     * prefilling requests, handing off their prefill progress as KV;
+     * decoding ones finish here at the degraded bandwidth (shipping a
+     * half-generated stream costs more than it saves).
+     */
+    void
+    evict(ReqState state, dam::Cycle at)
+    {
         const bool drain = state == ReqState::Migrated;
-        const std::vector<Request*> running(batcher.running());
-        for (Request* r : running) {
-            if (drain && r->state != ReqState::Prefilling)
-                continue;
-            if (cache)
-                cache->release(*r);
-            batcher.release(r);
-            terminal(r, state, at, drain ? r->prefilledTokens : 0);
-        }
-        for (Request* r : batcher.drainWaiting()) {
+        for (Request* r : std::vector<Request*>(batcher_.running()))
+            if (!drain || r->state == ReqState::Prefilling)
+                terminal(r, state, at, drain ? r->prefilledTokens : 0);
+        for (Request* r : batcher_.drainWaiting()) {
             r->cachedPrefixTokens = 0; // no pin was ever taken
             terminal(r, state, at);
         }
-    };
+    }
 
-    // Iteration-graph parameters shared across iterations; the per-
-    // iteration pieces are the batch's KV lengths, the expert trace, and
-    // the policy-assigned matmul bandwidth.
-    DecoderParams dp;
-    dp.cfg = cfg_.model;
-    dp.attnStrategy = cfg_.attnStrategy;
-    dp.attnRegions = cfg_.attnRegions;
-    dp.kvTileRows = cfg_.kvTileRows;
-    dp.moeRegions = cfg_.moeRegions;
-    dp.moeTile = cfg_.moeTile;
-    dp.denseTile = cfg_.denseTile;
-    dp.weightTileCols = cfg_.weightTileCols;
-    dp.seed = cfg_.seed;
-    // Matmul pipelines the decode share is spread over: the two dense
-    // projections, the attention regions, and the MoE regions.
-    const int64_t decode_units =
-        2 + cfg_.attnRegions +
-        (cfg_.moeRegions > 0 ? cfg_.moeRegions : cfg_.model.numExperts);
-    // Prefill flops @p r still needs. Only the uncached suffix costs any:
-    // the cached prefix's KV is already resident, and migrated-in KV
-    // skips compute the same way (>= 1 suffix token always remains, see
-    // Request::prefillSkipTokens).
-    auto prefill_left = [&](const Request& r) {
+    /** Every KV reservation and prefix pin taken so far — for failed and
+     *  shed requests too — has come back. */
+    void
+    expectReleased(const char* what) const
+    {
+        STEP_ASSERT(batcher_.kvBytesReserved() == 0,
+                    what << " leaked " << batcher_.kvBytesReserved()
+                         << " B of KV reservations");
+        STEP_ASSERT(!cache_ || cache_->pinnedRequests() == 0,
+                    what << " leaked " << cache_->pinnedRequests()
+                         << " prefix-cache pins");
+    }
+
+    void
+    restartCache()
+    {
+        cache_ = std::make_unique<PrefixCache>(cfg_.prefixCache);
+        batcher_.attachPrefixCache(cache_.get());
+    }
+
+    /** One admission round at now_. False when nothing runs after it:
+     *  then it re-admits after a shed, else waits for an arrival. */
+    bool
+    admit(int64_t eff_bw)
+    {
+        AdmissionContext actx;
+        actx.now = now_;
+        actx.prefillFlopsPerToken = eng_.prefillFlopsPerToken_;
+        actx.totalComputeBw = eff_bw;
+        actx.nominalComputeBw = cfg_.totalComputeBw;
+        // Idle-TTL sweep first: entries that expire this round cannot
+        // be hit by this round's lookups (TTL 0 = off).
+        if (cache_ && cfg_.prefixCache.idleTtlCycles > 0) {
+            cache_->setClock(now_);
+            cache_->evictIdle();
+        }
+        const ContinuousBatcher::AdmitResult adm =
+            batcher_.admit(cfg_.admission, actx);
+        for (Request* r : adm.shed)
+            terminal(r, ReqState::Shed, now_);
+        tel_.admission(adm, now_);
+        if (!batcher_.running().empty())
+            return true;
+        // Empty machine with a queue: unless this round shed something,
+        // the head can never fit the KV budget and no policy sheds it.
+        if (batcher_.waitingCount() > 0 && adm.shed.empty())
+            throw stall("head-of-line request can never be admitted");
+        if (batcher_.waitingCount() == 0 && ended_ < reqs_.size()) {
+            const dam::Cycle next = nextDue().arrivalAt;
+            if (next == kNone)
+                throw stall("idle with unfinished requests");
+            now_ = next;
+        }
+        return false;
+    }
+
+    /** One batching iteration over the running requests from now_. */
+    void
+    iterate(int64_t eff_bw)
+    {
+        LoadSnapshot load;
+        load.waitingRequests = batcher_.waitingCount();
+        load.waitingPromptTokens = batcher_.waitingPromptTokens();
+        decodes_.clear();
+        prefills_.clear();
+        for (Request* r : batcher_.running()) {
+            if (r->state == ReqState::Decoding) {
+                decodes_.push_back(r);
+            } else {
+                prefills_.push_back(r);
+                load.pendingPrefillTokens +=
+                    r->promptLen - r->prefilledTokens;
+            }
+        }
+        load.activeDecodes = static_cast<int64_t>(decodes_.size());
+        const BwSplit split = eng_.policy_.split(load, eff_bw);
+
+        IterationSample s;
+        s.start = now_;
+        s.prefillBw = split.prefillBw;
+        s.decodeBw = split.decodeBw;
+        s.decodeBatch = static_cast<int64_t>(decodes_.size());
+        uint64_t switches = 0;
+        if (!decodes_.empty()) {
+            // One decode step for the whole batch: a decoder-layer pass
+            // over the current composition, simulated on the substrate.
+            IterationSpec spec;
+            for (Request* r : decodes_)
+                spec.kvLens.push_back(r->contextLen());
+            spec.trace = generateExpertTrace(iterRng_, s.decodeBatch,
+                                             cfg_.model.numExperts,
+                                             cfg_.model.topK);
+            dp_.batch = s.decodeBatch;
+            dp_.computeBwPerMatmul =
+                std::max<int64_t>(16, split.decodeBw / eng_.decodeUnits_);
+            dp_.cfg.moeMatmulBw = dp_.computeBwPerMatmul;
+            // Graph runs stamp events in graph-local cycles: anchor them
+            // on the serving clock (iterations outlast their simulated
+            // span, so successive bases stay monotone).
+            tel_.graphRunAt(now_);
+            static constexpr verify::VerifyOptions kVerifyAll{};
+            const SimResult sim = runDecoderIteration(
+                dp_, spec, &eng_.sched_, eng_.iterGraph_.get(),
+                eng_.iterGraph_ ? &eng_.rearmHandles_ : nullptr,
+                cfg_.verifyGraphs ? &kVerifyAll : nullptr);
+            s.length = sim.cycles * static_cast<dam::Cycle>(cfg_.numLayers);
+            s.usefulFlops = sim.totalFlops * cfg_.numLayers;
+            switches = sim.contextSwitches;
+        } else {
+            s.length = prefillOnlyCycles(split.prefillBw);
+        }
+        const int64_t first_tokens = advancePrefill(s);
+        for (Request* r : decodes_) {
+            r->generated += 1;
+            if (r->generated >= r->outputLen)
+                terminal(r, ReqState::Finished, now_ + s.length);
+        }
+        res_.timeline.record(s);
+        ++res_.iterations;
+        now_ += s.length;
+        tel_.iteration(s, first_tokens, switches, batcher_, cache_.get());
+    }
+
+    /**
+     * A prefill-only iteration runs until the head prompt completes, but
+     * wakes exactly on the next scripted event or fault-timeline edge,
+     * so each lands on the cycle it was scripted at.
+     */
+    dam::Cycle
+    prefillOnlyCycles(int64_t prefill_bw) const
+    {
+        STEP_ASSERT(prefill_bw > 0,
+                    "policy starves prefill with no decode work");
+        const auto until_done = static_cast<dam::Cycle>(
+            std::ceil(prefillLeft(*prefills_.front()) /
+                      static_cast<double>(prefill_bw)));
+        // Delivery left every scripted event strictly after now_.
+        const dam::Cycle wake =
+            std::min(nextDue().at, cfg_.faults.nextEventAfter(now_));
+        STEP_ASSERT(wake > now_, "event at " << wake << " undelivered");
+        return std::min(std::max<dam::Cycle>(1, until_done), wake - now_);
+    }
+
+    /**
+     * Prefill progress, FIFO and analytic: the prompts share @p s's
+     * prefill budget in order; adds the tokens and flops used to @p s.
+     * Returns how many prompts completed, each emitting its first token
+     * where inside the iteration it did.
+     */
+    int64_t
+    advancePrefill(IterationSample& s)
+    {
+        double budget =
+            static_cast<double>(s.prefillBw) * static_cast<double>(s.length);
+        double consumed = 0.0;
+        int64_t first_tokens = 0;
+        for (Request* r : prefills_) {
+            if (budget <= 0.0)
+                break;
+            const double need = prefillLeft(*r);
+            const double use = std::min(need, budget);
+            budget -= use;
+            consumed += use;
+            r->prefillFlopsDone += use;
+            const int64_t tok_before = r->prefilledTokens;
+            r->prefilledTokens = std::min(
+                r->promptLen,
+                r->prefillSkipTokens() +
+                    static_cast<int64_t>(r->prefillFlopsDone /
+                                         eng_.prefillFlopsPerToken_));
+            s.prefillTokens += r->prefilledTokens - tok_before;
+            if (use < need)
+                continue;
+            const auto offset = static_cast<dam::Cycle>(
+                std::ceil(consumed / static_cast<double>(s.prefillBw)));
+            r->firstTokenAt = now_ + std::min(offset, s.length);
+            r->generated = 1;
+            ++first_tokens;
+            r->state = ReqState::Decoding;
+            tel_.firstToken(*r);
+            // The completed prompt prefix becomes cacheable for the
+            // session's (or any prefix-sharing) next request.
+            if (cache_)
+                cache_->insert(r->blockHashes, r->promptBlocks);
+            if (r->generated >= r->outputLen)
+                terminal(r, ReqState::Finished, r->firstTokenAt);
+        }
+        s.usefulFlops += static_cast<int64_t>(consumed);
+        return first_tokens;
+    }
+
+    /** Prefill flops @p r still needs: only the suffix that is neither
+     *  cached nor migrated in (>= 1 token, see prefillSkipTokens). */
+    double
+    prefillLeft(const Request& r) const
+    {
         return static_cast<double>(r.promptLen - r.prefillSkipTokens()) *
-                   fpt -
+                   eng_.prefillFlopsPerToken_ -
                r.prefillFlopsDone;
-    };
+    }
 
-    dam::Cycle now = 0;
-    size_t next_arrival = 0;
-    size_t down_idx = 0; ///< next unprocessed crash window
-    const auto total = static_cast<int64_t>(reqs.size());
-
-    // Structured stall reporting: dump what was blocked and what held
-    // the channels (KV reservations, cache pins), then unwind.
-    auto buildStall = [&](std::string reason) {
+    /** Structured stall report: what was blocked and what held the
+     *  channels (KV reservations, cache pins). */
+    StallError
+    stall(std::string reason) const
+    {
         StallDiagnostic d;
         d.reason = std::move(reason);
-        d.now = now;
-        d.iterations = res.iterations;
-        d.runningRequests = static_cast<int64_t>(batcher.running().size());
-        d.kvReservedBytes = batcher.kvBytesReserved();
-        d.kvBudgetBytes = batcher.kvBudgetBytes();
-        if (cache) {
-            d.cachePinnedRequests = cache->pinnedRequests();
-            d.cacheOccupancyTokens = cache->occupancyTokens();
+        d.now = now_;
+        d.iterations = res_.iterations;
+        d.runningRequests = static_cast<int64_t>(batcher_.running().size());
+        d.kvReservedBytes = batcher_.kvBytesReserved();
+        d.kvBudgetBytes = batcher_.kvBudgetBytes();
+        if (cache_) {
+            d.cachePinnedRequests = cache_->pinnedRequests();
+            d.cacheOccupancyTokens = cache_->occupancyTokens();
         }
-        for (const Request* r : batcher.waiting())
+        for (const Request* r : batcher_.waiting())
             d.blocked.push_back({r->id, r->promptLen, r->outputLen,
                                  r->kvReservationTokens() *
                                      cfg_.batcher.kvBytesPerToken,
                                  r->arrival});
         return StallError(std::move(d));
-    };
-
-    while (ended < total) {
-        if (res.iterations >= kMaxIterations)
-            throw buildStall("iteration bound exceeded without progress");
-
-        // ---- deliver due events in cycle order -----------------------
-        // Arrivals, crashes and resilience events (cluster instants,
-        // drain triggers) can lie anywhere inside the iteration that
-        // just ended, so they are replayed earliest-first: an arrival
-        // before a crash is enqueued (and then dies with the replica),
-        // one after the recovery enqueues into the restarted replica.
-        // Ties go to resilience events, so the trace stamps the cause
-        // (breaker flip, drain trigger) before its effects, then to
-        // arrivals.
-        while (true) {
-            const dam::Cycle inst_at =
-                instant_idx < cfg_.clusterInstants.size()
-                    ? cfg_.clusterInstants[instant_idx].at
-                    : kNone;
-            const dam::Cycle drain_at =
-                drain_idx < drain_edges.size() ? drain_edges[drain_idx]
-                                               : kNone;
-            const dam::Cycle arr_at = next_arrival < reqs.size()
-                                          ? reqs[next_arrival].arrival
-                                          : kNone;
-            const dam::Cycle crash_at = down_idx < faults.downs.size()
-                                            ? faults.downs[down_idx].failAt
-                                            : kNone;
-            const dam::Cycle next =
-                std::min({inst_at, drain_at, arr_at, crash_at});
-            if (next > now)
-                break;
-            if (inst_at == next) {
-                tel.clusterInstant(cfg_.clusterInstants[instant_idx++]);
-            } else if (drain_at == next) {
-                ++drain_idx;
-                evict(ReqState::Migrated, next);
-            } else if (arr_at == next) {
-                Request& r = reqs[next_arrival++];
-                tel.arrived(r);
-                if (have_faults && faults.downAt(r.arrival)) {
-                    // Connection refused: the replica was down when the
-                    // request arrived.
-                    terminal(&r, ReqState::Failed, r.arrival);
-                } else {
-                    batcher.enqueue(&r);
-                }
-            } else {
-                const ReplicaFaultTimeline::Down w =
-                    faults.downs[down_idx++];
-                tel.crashed(now, w);
-                evict(ReqState::Failed, now);
-                STEP_ASSERT(batcher.kvBytesReserved() == 0,
-                            "crash teardown leaked "
-                                << batcher.kvBytesReserved()
-                                << " B of KV reservations");
-                if (cache) {
-                    STEP_ASSERT(cache->pinnedRequests() == 0,
-                                "crash teardown leaked "
-                                    << cache->pinnedRequests()
-                                    << " prefix-cache pins");
-                    // The cache's KV blocks died with the replica:
-                    // fold its stats away and restart cold, so
-                    // re-routed requests re-prefill from scratch.
-                    foldLostCache(lostCacheStats, cache->stats());
-                    cache = std::make_unique<PrefixCache>(
-                        cfg_.prefixCache);
-                    batcher.attachPrefixCache(cache.get());
-                }
-                if (w.recoverAt == 0) {
-                    // Dead forever: every remaining arrival is refused
-                    // the moment it shows up.
-                    while (next_arrival < reqs.size()) {
-                        Request& r = reqs[next_arrival++];
-                        tel.arrived(r);
-                        terminal(&r, ReqState::Failed, r.arrival);
-                    }
-                } else {
-                    // If the iteration that just ended spans the whole
-                    // outage, down and up are delivered at the same
-                    // boundary; the up is still emitted so the trace's
-                    // down/up alternation invariant holds.
-                    now = std::max(now, w.recoverAt);
-                    tel.recovered(now);
-                }
-            }
-        }
-        if (ended >= total)
-            break;
-
-        // Slowdown windows scale the bandwidth pool this iteration
-        // splits (>= 2 so the policy can always split something).
-        int64_t eff_bw = cfg_.totalComputeBw;
-        if (have_faults) {
-            const double f = faults.bwFactorAt(now);
-            if (f < 1.0)
-                eff_bw = std::max<int64_t>(
-                    2, static_cast<int64_t>(std::llround(
-                           static_cast<double>(cfg_.totalComputeBw) * f)));
-        }
-
-        AdmissionContext actx;
-        actx.now = now;
-        actx.prefillFlopsPerToken = fpt;
-        actx.totalComputeBw = eff_bw;
-        actx.nominalComputeBw = cfg_.totalComputeBw;
-        // Idle-TTL sweep before admission: entries that expire this
-        // round cannot be hit by this round's lookups (TTL 0 = off and
-        // the calls are never reached).
-        if (cache && cfg_.prefixCache.idleTtlCycles > 0) {
-            cache->setClock(now);
-            cache->evictIdle();
-        }
-        const ContinuousBatcher::AdmitResult adm =
-            batcher.admit(cfg_.admission, actx);
-        for (Request* r : adm.shed)
-            terminal(r, ReqState::Shed, now);
-        tel.admission(adm, now);
-
-        if (batcher.running().empty()) {
-            if (batcher.waitingCount() > 0) {
-                if (!adm.shed.empty())
-                    continue; // shedding made progress; re-admit
-                // Empty machine, nothing admitted: the head can never
-                // fit the KV budget and no policy sheds it.
-                throw buildStall(
-                    "head-of-line request can never be admitted");
-            }
-            if (ended >= total)
-                break;
-            if (next_arrival >= reqs.size())
-                throw buildStall("idle with unfinished requests");
-            now = reqs[next_arrival].arrival;
-            continue;
-        }
-
-        // ---- policy decision for this iteration ----------------------
-        LoadSnapshot load;
-        load.waitingRequests = batcher.waitingCount();
-        load.waitingPromptTokens = batcher.waitingPromptTokens();
-        std::vector<Request*> decodes;
-        std::vector<Request*> prefills;
-        for (Request* r : batcher.running()) {
-            if (r->state == ReqState::Decoding) {
-                decodes.push_back(r);
-            } else {
-                prefills.push_back(r);
-                load.pendingPrefillTokens +=
-                    r->promptLen - r->prefilledTokens;
-            }
-        }
-        load.activeDecodes = static_cast<int64_t>(decodes.size());
-        BwSplit split = policy_.split(load, eff_bw);
-
-        // ---- iteration length ---------------------------------------
-        dam::Cycle iter_cycles = 0;
-        int64_t decode_flops = 0;
-        uint64_t switches = 0;
-        if (!decodes.empty()) {
-            // One decode step for the whole batch: a decoder-layer pass
-            // over the current composition, simulated on the substrate.
-            IterationSpec spec;
-            for (Request* r : decodes)
-                spec.kvLens.push_back(r->contextLen());
-            spec.trace = generateExpertTrace(
-                iter_rng, static_cast<int64_t>(decodes.size()),
-                cfg_.model.numExperts, cfg_.model.topK);
-            dp.batch = static_cast<int64_t>(decodes.size());
-            dp.computeBwPerMatmul = std::max<int64_t>(
-                16, split.decodeBw / decode_units);
-            dp.cfg.moeMatmulBw = dp.computeBwPerMatmul;
-            if (cfg_.recycleGraphs && !iterGraph_)
-                iterGraph_ = std::make_unique<Graph>(SimConfig{},
-                                                     &arena_);
-            // Graph runs stamp events in graph-local cycles; anchor them
-            // on the serving timeline. iter_cycles >= the simulated
-            // span, so successive bases stay monotone.
-            tel.graphRunAt(now);
-            static constexpr verify::VerifyOptions kVerifyAll{};
-            SimResult sim = runDecoderIteration(
-                dp, spec, &sched_,
-                cfg_.recycleGraphs ? iterGraph_.get() : nullptr,
-                cfg_.recycleGraphs ? &rearmHandles_ : nullptr,
-                cfg_.verifyGraphs ? &kVerifyAll : nullptr);
-            iter_cycles = sim.cycles * static_cast<dam::Cycle>(
-                cfg_.numLayers);
-            decode_flops = sim.totalFlops * cfg_.numLayers;
-            switches = sim.contextSwitches;
-        } else {
-            // Prefill-only iteration: run until the head request's
-            // prompt completes, but wake up for the next arrival.
-            STEP_ASSERT(split.prefillBw > 0,
-                        "policy starves prefill with no decode work");
-            iter_cycles = static_cast<dam::Cycle>(
-                std::ceil(prefill_left(*prefills.front()) /
-                          static_cast<double>(split.prefillBw)));
-            iter_cycles = std::max<dam::Cycle>(1, iter_cycles);
-            // Wake for the next arrival, and exactly on fault-timeline
-            // and resilience edges (drain triggers, cluster instants) so
-            // crashes, bandwidth changes and drains land on the cycle
-            // they were scripted at.
-            auto wake_by = [&](dam::Cycle edge) {
-                if (edge > now)
-                    iter_cycles = std::max<dam::Cycle>(
-                        1, std::min(iter_cycles, edge - now));
-            };
-            if (next_arrival < reqs.size())
-                wake_by(reqs[next_arrival].arrival);
-            if (have_faults)
-                wake_by(faults.nextEventAfter(now));
-            if (drain_idx < drain_edges.size())
-                wake_by(drain_edges[drain_idx]);
-            if (instant_idx < cfg_.clusterInstants.size())
-                wake_by(cfg_.clusterInstants[instant_idx].at);
-        }
-
-        // ---- prefill progress (FIFO, analytic) ----------------------
-        double budget = static_cast<double>(split.prefillBw) *
-                        static_cast<double>(iter_cycles);
-        double consumed = 0.0;
-        int64_t prefilled_tokens = 0;
-        int64_t first_tokens = 0;
-        for (Request* r : prefills) {
-            if (budget <= 0.0)
-                break;
-            const double need = prefill_left(*r);
-            double use = std::min(need, budget);
-            budget -= use;
-            consumed += use;
-            r->prefillFlopsDone += use;
-            int64_t tok_before = r->prefilledTokens;
-            r->prefilledTokens = std::min(
-                r->promptLen,
-                r->prefillSkipTokens() +
-                    static_cast<int64_t>(r->prefillFlopsDone / fpt));
-            prefilled_tokens += r->prefilledTokens - tok_before;
-            if (use >= need) {
-                // Prompt done: the first output token is emitted at the
-                // point inside the iteration where its prefill finished.
-                auto offset = static_cast<dam::Cycle>(std::ceil(
-                    consumed / static_cast<double>(split.prefillBw)));
-                r->firstTokenAt =
-                    now + std::min(offset, iter_cycles);
-                r->generated = 1;
-                ++first_tokens;
-                r->state = ReqState::Decoding;
-                tel.firstToken(*r);
-                // The completed prompt prefix becomes cacheable for the
-                // session's (or any prefix-sharing) next request.
-                if (cache)
-                    cache->insert(r->blockHashes, r->promptBlocks);
-                if (r->generated >= r->outputLen)
-                    terminal(r, ReqState::Finished, r->firstTokenAt);
-            }
-        }
-
-        // ---- decode progress ----------------------------------------
-        for (Request* r : decodes) {
-            r->generated += 1;
-            if (r->generated >= r->outputLen)
-                terminal(r, ReqState::Finished, now + iter_cycles);
-        }
-
-        // ---- accounting ---------------------------------------------
-        IterationSample sample;
-        sample.start = now;
-        sample.length = iter_cycles;
-        sample.prefillBw = split.prefillBw;
-        sample.decodeBw = split.decodeBw;
-        sample.usefulFlops =
-            decode_flops + static_cast<int64_t>(consumed);
-        sample.decodeBatch = static_cast<int64_t>(decodes.size());
-        sample.prefillTokens = prefilled_tokens;
-        res.timeline.record(sample);
-        ++res.iterations;
-
-        now += iter_cycles;
-
-        tel.iteration(sample, first_tokens, switches, batcher, cache.get());
     }
 
-    // Abort-path accounting invariant: every KV reservation and prefix
-    // pin taken during the run — including ones for requests that
-    // failed or were shed — must have been returned.
-    STEP_ASSERT(batcher.kvBytesReserved() == 0,
-                "run ended with " << batcher.kvBytesReserved()
-                                  << " B of KV still reserved");
-    if (cache)
-        STEP_ASSERT(cache->pinnedRequests() == 0,
-                    "run ended with " << cache->pinnedRequests()
-                                      << " prefix-cache pins held");
+    ServingEngine& eng_;
+    const EngineConfig& cfg_;
+    std::vector<Request>& reqs_;
+    ContinuousBatcher batcher_;
+    std::unique_ptr<PrefixCache> cache_;
+    Rng iterRng_;
+    Recorder tel_;
+    DecoderParams dp_; ///< per-iteration fields patched each decode
+    EngineResult res_;
+    PrefixCacheStats lostCacheStats_; ///< of caches lost to crashes
+    std::vector<dam::Cycle> drainEdges_;
+    // Event cursors: next arrival, crash, drain edge, cluster instant.
+    size_t nextArrival_ = 0;
+    size_t nextDown_ = 0;
+    size_t nextDrain_ = 0;
+    size_t nextInstant_ = 0;
+    size_t ended_ = 0; ///< requests in a terminal state
+    dam::Cycle now_ = 0;
+    std::vector<Request*> decodes_; ///< this iteration's, by phase
+    std::vector<Request*> prefills_;
+};
 
-    res.summary = summarize(reqs, res.timeline.span(), cfg_.slo);
-    res.summary.computeUtilization =
-        res.timeline.computeUtilization(cfg_.totalComputeBw);
-    if (cache) {
-        PrefixCacheStats st = cache->stats();
-        foldLostCache(st, lostCacheStats);
-        res.summary.prefixLookups = st.lookups;
-        res.summary.prefixHits = st.hits;
-        res.summary.prefixTokensSaved = st.tokensSaved;
-        res.summary.prefixPeakOccupancyTokens = st.peakOccupancyTokens;
-        // A single engine is its own busiest replica.
-        res.summary.prefixPeakOccupancyMaxReplica =
-            st.peakOccupancyTokens;
-        // summarize ran before the cache counters were attached.
-        refreshPrefixDerivedStats(res.summary);
+EngineResult
+ServingEngine::run(std::vector<Request>& reqs)
+{
+    STEP_ASSERT(std::ranges::is_sorted(reqs, {}, &Request::arrival),
+                "request trace must be sorted by arrival");
+    Run r(*this, reqs);
+    while (r.step()) {
     }
-    tel.summarize(res.summary);
-    return res;
+    return r.finish();
 }
 
 } // namespace step::runtime

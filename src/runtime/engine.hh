@@ -189,13 +189,17 @@ class ServingEngine
     void attachMetrics(obs::MetricsRegistry* m) { metrics_ = m; }
 
   private:
+    class Run; ///< one run()'s replica state machine (engine.cc)
     EngineConfig cfg_;
     const Policy& policy_;
+    DecoderParams baseParams_; ///< cfg_'s iteration-graph params
+    int64_t decodeUnits_ = 0;  ///< matmul pipelines sharing decode bw
+    double prefillFlopsPerToken_ = 0; ///< of cfg_'s model and layers
     obs::TraceSink* trace_ = nullptr;
     obs::MetricsRegistry* metrics_ = nullptr;
     dam::Scheduler sched_; ///< reused across per-iteration graphs
     GraphArena arena_;     ///< backs the recycled iteration graph
-    std::unique_ptr<Graph> iterGraph_; ///< lazily created when recycling
+    std::unique_ptr<Graph> iterGraph_; ///< null unless recycling
     /** Structure-preserving rearm handles for iterGraph_: while the
      *  decode batch's structural key is stable, iterations patch the
      *  recycled graph in place instead of rebuilding it. */

@@ -19,7 +19,6 @@
 #include "dam/channel.hh"
 #include "obs/json.hh"
 #include "ops/graph.hh"
-#include "ops/route.hh"
 
 namespace step::verify {
 
@@ -447,26 +446,6 @@ deadlockPass(const View& v, std::vector<Finding>& out)
     }
 }
 
-void
-determinismPass(const View& v, std::vector<Finding>& out)
-{
-    if (v.g.config().mergeTimedWait)
-        return;
-    for (const OpBase* op : v.g.ops()) {
-        const auto* em = dynamic_cast<const EagerMergeOp*>(op);
-        if (!em)
-            continue;
-        out.push_back(
-            {Severity::Warning, "determinism.eager-merge-poll", op->name(),
-             em->out().ch ? em->out().ch->name() : "",
-             "availability-ordered merge runs in legacy poll mode "
-             "(SimConfig::mergeTimedWait == false); its output order "
-             "depends on scheduler interleaving",
-             "enable mergeTimedWait for replay-stable arbitration, or "
-             "pin the interleaving in the test that disables it"});
-    }
-}
-
 } // namespace
 
 VerifyReport
@@ -482,8 +461,6 @@ GraphVerifier::run(const VerifyOptions& opts) const
         shapeFlowPass(v, r.findings);
     if (opts.deadlock)
         deadlockPass(v, r.findings);
-    if (opts.determinism)
-        determinismPass(v, r.findings);
     return r;
 }
 

@@ -26,10 +26,6 @@
  *    tokens, or more initial tokens than its channels can buffer, is
  *    reported with a minimal cycle witness — the static counterpart of
  *    the scheduler's runtime deadlock report.
- *
- *  - determinism audit: flag operators whose output order can depend
- *    on scheduler interleaving (EagerMerge in legacy poll mode), so
- *    the seeded-replay guarantee is auditable rather than folklore.
  */
 #pragma once
 
@@ -78,7 +74,6 @@ struct VerifyOptions
     bool structural = true;
     bool shapeFlow = true;
     bool deadlock = true;
-    bool determinism = true;
 };
 
 struct VerifyReport

@@ -425,6 +425,74 @@ TEST(EngineFaults, SlowdownWindowStretchesTheRun)
     EXPECT_GT(slow, fast);
 }
 
+TEST(EngineFaults, PrefillOnlyIterationsWakeExactlyOnScriptedEdges)
+{
+    // One long single-token prompt at a time keeps the engine in
+    // prefill-only iterations, whose length is clamped to the next
+    // scripted event. Each request meets one edge mid-prefill: a
+    // shallow slowdown start (bandwidth drops, no drain), a deep
+    // slowdown's drain edge, and a crash. Each must land on the exact
+    // cycle it was scripted at.
+    StaticSplitPolicy policy(0.3);
+    EngineConfig ec;
+    const int64_t prompt = 1024;
+    const auto fpt = static_cast<dam::Cycle>(
+        prefillFlopsPerToken(ec.model, ec.model.numLayers));
+    const dam::Cycle work = static_cast<dam::Cycle>(prompt) * fpt;
+    const auto prefill_bw = [&](double factor) {
+        const auto bw = static_cast<double>(std::llround(
+            static_cast<double>(ec.totalComputeBw) * factor));
+        return static_cast<dam::Cycle>(0.3 * bw);
+    };
+    const auto ceil_div = [](dam::Cycle a, dam::Cycle b) {
+        return (a + b - 1) / b;
+    };
+    const dam::Cycle full_bw = prefill_bw(1.0);
+    const dam::Cycle t0 = ceil_div(work, full_bw); // unperturbed prefill
+
+    // Request 0: a shallow slowdown (above the drain threshold) starts
+    // halfway through its prefill.
+    const dam::Cycle slow_at = t0 / 2;
+    ec.faults.slowdowns.push_back({slow_at, 4 * t0, 0.8});
+    // Request 1: a deep slowdown starts a quarter in; the drain fires
+    // a detection lag later, still mid-prefill.
+    const dam::Cycle a1 = 5 * t0;
+    const dam::Cycle deep_at = a1 + t0 / 4;
+    ec.faults.slowdowns.push_back({deep_at, deep_at + 10 * t0, 0.5});
+    ec.drain.enabled = true;
+    ec.drain.detectCycles = t0 / 4;
+    // Request 2: the replica crashes halfway through its prefill.
+    const dam::Cycle a2 = deep_at + 11 * t0;
+    const dam::Cycle crash_at = a2 + t0 / 2;
+    ec.faults.downs.push_back({crash_at, crash_at + t0});
+    ec.faults.normalize();
+
+    std::vector<Request> reqs = {mkReq(0, 0, prompt, 1),
+                                 mkReq(1, a1, prompt, 1),
+                                 mkReq(2, a2, prompt, 1)};
+    ServingEngine engine(ec, policy);
+    EngineResult r = engine.run(reqs);
+
+    ASSERT_EQ(reqs[0].state, ReqState::Finished);
+    const dam::Cycle expect_first =
+        slow_at +
+        ceil_div(work - slow_at * full_bw, prefill_bw(0.8));
+    EXPECT_EQ(reqs[0].firstTokenAt, expect_first);
+    EXPECT_EQ(reqs[0].finishedAt, expect_first);
+    EXPECT_GT(reqs[0].firstTokenAt, t0) << "the slowdown must cost cycles";
+
+    ASSERT_EQ(reqs[1].state, ReqState::Migrated);
+    EXPECT_EQ(reqs[1].finishedAt, deep_at + ec.drain.detectCycles);
+    EXPECT_GT(reqs[1].prefilledTokens, 0);
+    EXPECT_LT(reqs[1].prefilledTokens, prompt);
+
+    ASSERT_EQ(reqs[2].state, ReqState::Failed);
+    EXPECT_EQ(reqs[2].finishedAt, crash_at);
+    EXPECT_EQ(r.summary.failedRequests, 1);
+    EXPECT_EQ(r.summary.migratedRequests, 1);
+    EXPECT_EQ(r.summary.completed, 1);
+}
+
 TEST(EngineFaults, CrashAccountingHoldsWithPrefixCache)
 {
     // The crash teardown must return every KV reservation and cache pin

@@ -34,20 +34,18 @@ using verify::VerifyReport;
 
 /** Options running only one pass, so each mutation isolates one rule. */
 VerifyOptions
-only(bool structural, bool shape, bool deadlock, bool determinism)
+only(bool structural, bool shape, bool deadlock)
 {
     VerifyOptions o;
     o.structural = structural;
     o.shapeFlow = shape;
     o.deadlock = deadlock;
-    o.determinism = determinism;
     return o;
 }
 
-const VerifyOptions kStructural = only(true, false, false, false);
-const VerifyOptions kShape = only(false, true, false, false);
-const VerifyOptions kDeadlock = only(false, false, true, false);
-const VerifyOptions kDeterminism = only(false, false, false, true);
+const VerifyOptions kStructural = only(true, false, false);
+const VerifyOptions kShape = only(false, true, false);
+const VerifyOptions kDeadlock = only(false, false, true);
 
 std::vector<Token>
 doneOnly()
@@ -311,51 +309,6 @@ TEST(VerifyDeadlock, AcyclicPipelineIsClean)
     g.add<SinkOp>("s0", bc.out(0));
     g.add<SinkOp>("s1", bc.out(1));
     const VerifyReport r = g.verify(kDeadlock);
-    EXPECT_TRUE(r.clean()) << r.toText();
-}
-
-// ---- determinism pass --------------------------------------------------
-
-TEST(VerifyDeterminism, EagerMergeInPollModeWarns)
-{
-    SimConfig sc;
-    sc.mergeTimedWait = false;
-    Graph g(sc);
-    std::vector<StreamPort> ins;
-    for (int i = 0; i < 2; ++i)
-        ins.push_back(g.add<SourceOp>("in" + std::to_string(i),
-                                      doneOnly(),
-                                      StreamShape({Dim::ragged(),
-                                                   Dim::ragged()}),
-                                      scalarTile())
-                          .out());
-    auto& em = g.add<EagerMergeOp>("em", ins, 1);
-    g.add<SinkOp>("d", em.out());
-    g.add<SinkOp>("s", em.selOut());
-    const VerifyReport r = g.verify(kDeterminism);
-    const auto& f = single(r);
-    EXPECT_EQ(f.ruleId, "determinism.eager-merge-poll");
-    EXPECT_EQ(f.opName, "em");
-    EXPECT_EQ(f.severity, Severity::Warning);
-    EXPECT_EQ(r.errors(), 0u);
-    EXPECT_EQ(r.warnings(), 1u);
-}
-
-TEST(VerifyDeterminism, TimedWaitMergeIsClean)
-{
-    Graph g; // mergeTimedWait defaults to true
-    std::vector<StreamPort> ins;
-    for (int i = 0; i < 2; ++i)
-        ins.push_back(g.add<SourceOp>("in" + std::to_string(i),
-                                      doneOnly(),
-                                      StreamShape({Dim::ragged(),
-                                                   Dim::ragged()}),
-                                      scalarTile())
-                          .out());
-    auto& em = g.add<EagerMergeOp>("em", ins, 1);
-    g.add<SinkOp>("d", em.out());
-    g.add<SinkOp>("s", em.selOut());
-    const VerifyReport r = g.verify(kDeterminism);
     EXPECT_TRUE(r.clean()) << r.toText();
 }
 
