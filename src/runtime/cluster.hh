@@ -114,12 +114,12 @@ struct ClusterConfig
      * things (see resilience.hh): the router and failover placement
      * become health-scored (circuit breakers from the fault plan,
      * autoscale parking, affinity preference); crash casualties and
-     * slowdown-drained requests *migrate* at a modeled KV-handoff cost
-     * instead of going through the plain retry policy; migrated or
+     * slowdown-drained requests *migrate*: the tier's RetryPolicy is a
+     * MigrationHandoff, and cfg_.retry is not consulted; migrated or
      * retried requests placed off their cache-affinity replica may
      * fetch their prefix from the owner's cache at a modeled transfer
      * cost; and each engine runs the slowdown drain with the breaker's
-     * detection parameters. cfg_.retry is not consulted while enabled.
+     * detection parameters.
      */
     ResilienceConfig resilience;
     /**
@@ -224,16 +224,16 @@ class ServingCluster
      * replica's simulation to completion on the worker pool, and merge.
      * Requests are mutated in place exactly as ServingEngine::run would
      * (states, TTFT/finish stamps). With a fault plan, failover runs in
-     * deterministic waves: replicas simulate, crash casualties are
-     * collected in (fail-cycle, request) order and offered to the retry
-     * policy, granted retries are appended to their target replica's
-     * shard, and only the changed replicas re-simulate — until no new
-     * failure appears. A request that failed but was retried reports
-     * the final incarnation's outcome to the caller (original arrival
-     * kept, Request::attempt telling the story); its source replica's
-     * summary reclassifies it failed -> retried. Deterministic for
-     * fixed (config, policy, trace, global seed), independent of the
-     * thread count.
+     * deterministic waves: replicas simulate, casualties are collected
+     * in (fail-cycle, request) order and offered to the tier's
+     * RetryPolicy, granted incarnations are appended to their target
+     * replica's shard, and only the changed replicas re-simulate —
+     * until no new failure appears. A request that failed but was
+     * retried reports the final incarnation's outcome to the caller
+     * (original arrival kept, Request::attempt telling the story); its
+     * source replica's summary reclassifies it failed -> retried.
+     * Deterministic for fixed (config, policy, trace, global seed),
+     * independent of the thread count.
      */
     ClusterResult run(std::vector<Request>& reqs);
 
@@ -249,6 +249,8 @@ class ServingCluster
     std::vector<int64_t> routeTrace(const std::vector<Request>& reqs) const;
 
   private:
+    class Run; ///< one run()'s failover state machine (cluster.cc)
+
     /**
      * The breaker timelines the resilience tier will consult, by
      * ClusterConfig::resilience.breakerSource: plan-derived
@@ -262,18 +264,12 @@ class ServingCluster
      */
     std::vector<BreakerTimeline>
     resilientBreakers(const std::vector<Request>& reqs) const;
-    /** The autoscaler's step timeline for @p reqs (resilience tier). */
-    std::vector<AutoscaleStep>
-    autoscaleTimeline(const std::vector<Request>& reqs) const;
-    /** routeTrace with the resilience pre-pass's breaker and autoscale
-     *  timelines precomputed (both empty with the tier disabled). Lets
-     *  run() share them between routing and failover placement. */
-    std::vector<int64_t>
-    routeTraceImpl(const std::vector<Request>& reqs,
-                   const std::vector<BreakerTimeline>& breakers,
-                   const std::vector<AutoscaleStep>& autoscale) const;
-    /** bwScales[r], or 1.0 for an unscaled fleet. */
-    double bwScaleAt(size_t r) const;
+    /** routeTrace, also handing back the breaker and autoscale timelines
+     *  the resilience tier's remap consulted (left empty off the tier),
+     *  so run() shares them with failover placement. */
+    std::vector<int64_t> route(const std::vector<Request>& reqs,
+                               std::vector<BreakerTimeline>& breakers,
+                               std::vector<AutoscaleStep>& autoscale) const;
 
     ClusterConfig cfg_;
     const Policy& policy_;

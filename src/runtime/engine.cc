@@ -431,7 +431,7 @@ class ServingEngine::Run
     {
         expectReleased("run");
         ServingSummary& s = res_.summary;
-        s = summarize(reqs_, res_.timeline.span(), cfg_.slo);
+        s.makespan = res_.timeline.span();
         s.computeUtilization =
             res_.timeline.computeUtilization(cfg_.totalComputeBw);
         if (cache_) {
@@ -443,9 +443,8 @@ class ServingEngine::Run
             s.prefixPeakOccupancyTokens = st.peakOccupancyTokens;
             // A single engine is its own busiest replica.
             s.prefixPeakOccupancyMaxReplica = st.peakOccupancyTokens;
-            // summarize ran before the cache counters were attached.
-            refreshPrefixDerivedStats(s);
         }
+        resummarize(s, reqs_, cfg_.slo);
         tel_.summarize(s);
         return std::move(res_);
     }

@@ -166,8 +166,9 @@ class RetryPolicy
     /**
      * @p r failed at cycle @p failed_at; @p attempt is the attempt
      * number the retry would be (1 = first retry). Return the re-arrival
-     * cycle (>= failed_at — the router cannot travel back in time), or
-     * nullopt to give up (the request stays failed).
+     * cycle (>= failed_at — the router cannot travel back in time; the
+     * cluster raises FatalError otherwise), or nullopt to give up (the
+     * request stays failed).
      */
     virtual std::optional<dam::Cycle>
     reschedule(const Request& r, int64_t attempt,

@@ -31,8 +31,8 @@ namespace {
 
 /** Fill everything derivable from the raw fields — percentiles and
  *  means from the sample vectors (each sorted once), rates from the
- *  token totals over the makespan. Shared tail of summarize and
- *  mergeSummaries. */
+ *  token totals over the makespan, the prefix-cache ratios from their
+ *  counters. Shared tail of resummarize and mergeSummaries. */
 void
 finalizeDerivedStats(ServingSummary& s)
 {
@@ -48,15 +48,24 @@ finalizeDerivedStats(ServingSummary& s)
     s.tpotP95 = percentileSorted(tpot, 95.0);
     s.tpotP99 = percentileSorted(tpot, 99.0);
     s.tpotMean = mean(tpot);
-    refreshPrefixDerivedStats(s);
+    s.prefixHitRate =
+        s.prefixLookups > 0
+            ? static_cast<double>(s.prefixHits) /
+                  static_cast<double>(s.prefixLookups)
+            : 0.0;
+    s.prefillTokensSavedFrac =
+        s.promptTokens > 0
+            ? static_cast<double>(s.prefixTokensSaved) /
+                  static_cast<double>(s.promptTokens)
+            : 0.0;
     refreshAvailability(s);
-    if (s.makespan > 0) {
-        double kcycles = static_cast<double>(s.makespan) / 1000.0;
-        s.throughputTokensPerKcycle =
-            static_cast<double>(s.generatedTokens) / kcycles;
-        s.goodputTokensPerKcycle =
-            static_cast<double>(s.sloGoodTokens) / kcycles;
-    }
+    const double kcycles = static_cast<double>(s.makespan) / 1000.0;
+    s.throughputTokensPerKcycle =
+        s.makespan > 0 ? static_cast<double>(s.generatedTokens) / kcycles
+                       : 0.0;
+    s.goodputTokensPerKcycle =
+        s.makespan > 0 ? static_cast<double>(s.sloGoodTokens) / kcycles
+                       : 0.0;
 }
 
 } // namespace
@@ -72,31 +81,29 @@ refreshAvailability(ServingSummary& s)
                      : 1.0;
 }
 
-void
-refreshPrefixDerivedStats(ServingSummary& s)
-{
-    s.prefixHitRate =
-        s.prefixLookups > 0
-            ? static_cast<double>(s.prefixHits) /
-                  static_cast<double>(s.prefixLookups)
-            : 0.0;
-    s.prefillTokensSavedFrac =
-        s.promptTokens > 0
-            ? static_cast<double>(s.prefixTokensSaved) /
-                  static_cast<double>(s.promptTokens)
-            : 0.0;
-}
-
 ServingSummary
 summarize(const std::vector<Request>& reqs, dam::Cycle makespan,
           const SloConfig& slo)
 {
     ServingSummary s;
     s.makespan = makespan;
+    resummarize(s, reqs, slo);
+    return s;
+}
+
+void
+resummarize(ServingSummary& s, const std::vector<Request>& reqs,
+            const SloConfig& slo)
+{
+    s.completed = s.generatedTokens = s.promptTokens = s.sloCompliant =
+        s.sloGoodTokens = s.failedRequests = s.retriedRequests =
+            s.shedRequests = s.migratedRequests = s.deadlineMisses = 0;
+    s.ttftSamples.clear();
+    s.tpotSamples.clear();
     for (const Request& r : reqs) {
         if (r.state == ReqState::Failed) {
             // The engine sees every crash casualty as failed; a cluster
-            // reclassifies the retried ones (see ServingCluster::run).
+            // reclassifies the retried ones (see ServingCluster::Run).
             ++s.failedRequests;
             continue;
         }
@@ -126,7 +133,6 @@ summarize(const std::vector<Request>& reqs, dam::Cycle makespan,
         }
     }
     finalizeDerivedStats(s);
-    return s;
 }
 
 ServingSummary

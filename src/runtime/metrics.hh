@@ -149,9 +149,17 @@ struct ServingSummary
 ServingSummary summarize(const std::vector<Request>& reqs,
                          dam::Cycle makespan, const SloConfig& slo);
 
+/**
+ * summarize() in place over s.makespan: recompute every request-derived
+ * field (retriedRequests resets to 0) and keep the engine-attached ones:
+ * computeUtilization, the prefix-cache counters (the hit-rate and
+ * savings ratios are re-derived from them), counters, slo windows.
+ */
+void resummarize(ServingSummary& s, const std::vector<Request>& reqs,
+                 const SloConfig& slo);
+
 /** Re-derive availability from the summary's terminal counts (1.0 when
- *  none — never NaN). Called by summarize/mergeSummaries and by the
- *  cluster after it reclassifies retried failures. */
+ *  none — never NaN). Called by summarize/mergeSummaries. */
 void refreshAvailability(ServingSummary& s);
 
 /**
@@ -169,14 +177,6 @@ void refreshAvailability(ServingSummary& s);
  * @p parts.
  */
 ServingSummary mergeSummaries(const std::vector<ServingSummary>& parts);
-
-/**
- * Re-derive prefixHitRate / prefillTokensSavedFrac from the summary's
- * prefix counters — the one definition of those ratios, shared by
- * summarize/mergeSummaries and by the engine, which attaches the cache
- * counters only after summarize has run.
- */
-void refreshPrefixDerivedStats(ServingSummary& s);
 
 void printSummary(const ServingSummary& s, std::ostream& os);
 

@@ -179,6 +179,28 @@ inferBreakerTimeline(const obs::MetricsRegistry& m,
     return hm.finish();
 }
 
+// ---- live request migration -------------------------------------------
+
+int64_t
+carriedKvTokens(const Request& r)
+{
+    return r.state == ReqState::Migrated ? r.prefilledTokens : 0;
+}
+
+std::optional<dam::Cycle>
+MigrationHandoff::reschedule(const Request& r, int64_t attempt,
+                             dam::Cycle failed_at) const
+{
+    const auto kv = static_cast<dam::Cycle>(carriedKvTokens(r));
+    const dam::Cycle handoff =
+        cfg.fixedHandoffCycles + kv * cfg.perTokenTransferCycles;
+    const dam::Cycle rearrive = failed_at + std::max<dam::Cycle>(1, handoff);
+    if (attempt > cfg.maxMigrations ||
+        (r.deadlineAt != 0 && rearrive > r.deadlineAt))
+        return std::nullopt;
+    return rearrive;
+}
+
 // ---- overload brown-out ------------------------------------------------
 
 double

@@ -204,6 +204,25 @@ struct MigrationConfig
     int64_t maxMigrations = 3;
 };
 
+/** KV tokens a handoff of @p r carries: its prefill progress after a
+ *  soft drain (Migrated), none after a crash (the KV died with it). */
+int64_t carriedKvTokens(const Request& r);
+
+/**
+ * The resilience tier's RetryPolicy, i.e. the migration cost model: up to
+ * maxMigrations attempts, each re-arriving max(1, fixedHandoffCycles +
+ * carriedKvTokens(r) * perTokenTransferCycles) cycles after the failure,
+ * and never past the request's deadline.
+ */
+class MigrationHandoff : public RetryPolicy
+{
+  public:
+    explicit MigrationHandoff(const MigrationConfig& cfg) : cfg(cfg) {}
+    MigrationConfig cfg;
+    std::optional<dam::Cycle> reschedule(const Request& r, int64_t attempt,
+                                         dam::Cycle failed_at) const override;
+};
+
 /**
  * Engine-side half of slowdown migration: when a slowdown window at or
  * below openBelowFactor has run for detectCycles (the same edge that

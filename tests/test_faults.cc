@@ -314,6 +314,33 @@ TEST(Retry, ExponentialBackoffBoundsAttemptsAndRespectsDeadline)
     EXPECT_FALSE(NoRetryPolicy{}.reschedule(r, 1, 0).has_value());
 }
 
+TEST(Retry, ReArrivalBeforeTheFailureIsAFatalError)
+{
+    // RetryPolicy promises a re-arrival at or after the failure; the
+    // cluster enforces that with a structured error rather than
+    // silently replaying a retry into the past.
+    struct TimeTravelRetry : RetryPolicy
+    {
+        std::optional<dam::Cycle>
+        reschedule(const Request&, int64_t attempt,
+                   dam::Cycle failed_at) const override
+        {
+            if (attempt > 1)
+                return std::nullopt;
+            return failed_at - 1;
+        }
+    } travel;
+    QueueDepthPolicy policy;
+    ClusterConfig cc;
+    cc.replicas = 2;
+    cc.retry = &travel;
+    // Replica 0 dies for good while its only request is mid-prefill.
+    cc.faults.crashes.push_back({0, 1'000'000, 0});
+    std::vector<Request> reqs = {mkReq(0, 0, 4096, 8)};
+    ServingCluster cluster(cc, policy);
+    EXPECT_THROW(cluster.run(reqs), FatalError);
+}
+
 // ---- engine fault semantics -------------------------------------------
 
 TEST(EngineFaults, EmptyPlanMatchesFaultFreeRun)

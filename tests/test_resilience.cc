@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "runtime/cluster.hh"
 #include "support/rng.hh"
@@ -642,6 +643,213 @@ TEST(Resilience, FaultyResilientRunIsThreadCountInvariantAndReplays)
         EXPECT_EQ(q1[i].finishedAt, q1b[i].finishedAt);
     }
     expectAccountingCloses(r1.aggregate, int64_t(q1.size()));
+}
+
+// ---- migration handoff cost ------------------------------------------
+
+TEST(Migration, HandoffBoundsAttemptsRespectsDeadlineAndCarriesDrainedKv)
+{
+    MigrationConfig mc;
+    mc.fixedHandoffCycles = 1000;
+    mc.perTokenTransferCycles = 10;
+    mc.maxMigrations = 2;
+    const MigrationHandoff handoff(mc);
+
+    Request drained;
+    drained.promptLen = 100;
+    drained.outputLen = 5;
+    drained.state = ReqState::Migrated;
+    drained.prefilledTokens = 40;
+    Request crashed = drained; // same progress, but its KV died
+    crashed.state = ReqState::Failed;
+
+    // A soft drain ships its prefill progress; a crash casualty ships
+    // nothing and only pays the fixed handshake.
+    EXPECT_EQ(carriedKvTokens(drained), 40);
+    EXPECT_EQ(carriedKvTokens(crashed), 0);
+    auto soft = handoff.reschedule(drained, 1, 5000);
+    auto hard = handoff.reschedule(crashed, 1, 5000);
+    ASSERT_TRUE(soft.has_value());
+    ASSERT_TRUE(hard.has_value());
+    EXPECT_EQ(*soft, 5000u + 1000u + 40u * 10u);
+    EXPECT_EQ(*hard, 6000u);
+
+    EXPECT_TRUE(handoff.reschedule(crashed, 2, 5000).has_value());
+    EXPECT_FALSE(handoff.reschedule(crashed, 3, 5000).has_value());
+
+    crashed.deadlineAt = 6000; // landing exactly on the deadline is fine
+    EXPECT_TRUE(handoff.reschedule(crashed, 1, 5000).has_value());
+    crashed.deadlineAt = 5999;
+    EXPECT_FALSE(handoff.reschedule(crashed, 1, 5000).has_value());
+
+    // A free handoff still takes one cycle: the router cannot deliver
+    // a request at the cycle it failed.
+    mc.fixedHandoffCycles = 0;
+    auto instant = MigrationHandoff(mc).reschedule(crashed, 1, 5000);
+    ASSERT_TRUE(instant.has_value());
+    EXPECT_EQ(*instant, 5001u);
+}
+
+namespace {
+
+/**
+ * A two-replica resilient cluster with single-token prefill-only work
+ * (StaticSplitPolicy(0.3)), tracing at request level so each
+ * incarnation's arrival is observable. t0 is one 1024-token prompt's
+ * unperturbed prefill time; the breaker (and with it the engine drain)
+ * detects a deep slowdown after t0 / 4.
+ */
+struct HandoffRig
+{
+    static constexpr int64_t kPrompt = 1024;
+    ClusterConfig cc;
+    dam::Cycle fpt = 0;
+    dam::Cycle t0 = 0;
+
+    HandoffRig()
+    {
+        cc.replicas = 2;
+        cc.threads = 1;
+        cc.trace.level = obs::TraceLevel::Request;
+        cc.resilience.enabled = true;
+        fpt = static_cast<dam::Cycle>(prefillFlopsPerToken(
+            cc.engine.model, cc.engine.model.numLayers));
+        t0 = (kPrompt * fpt + prefillBw(1.0) - 1) / prefillBw(1.0);
+        cc.resilience.breaker.detectCycles = t0 / 4;
+    }
+
+    dam::Cycle
+    prefillBw(double factor) const
+    {
+        const auto bw = static_cast<double>(std::llround(
+            static_cast<double>(cc.engine.totalComputeBw) * factor));
+        return static_cast<dam::Cycle>(0.3 * bw);
+    }
+
+    /** Prompt tokens a lone request admitted at @p a prefills by the
+     *  drain edge of a 0.4x slowdown starting at @p slow_at. */
+    int64_t
+    prefilledAtDrain(dam::Cycle a, dam::Cycle slow_at) const
+    {
+        const dam::Cycle flops =
+            (slow_at - a) * prefillBw(1.0) +
+            cc.resilience.breaker.detectCycles * prefillBw(0.4);
+        return static_cast<int64_t>(flops / fpt);
+    }
+
+    /** Replica @p r's lifecycle of request @p id's incarnation
+     *  @p attempt (null when it never arrived there). */
+    static const obs::RequestLifecycle*
+    find(const ClusterResult& res, size_t r, int64_t id, int64_t attempt)
+    {
+        for (const obs::RequestLifecycle& l : res.traces[r]->requests())
+            if (l.id == id && l.attempt == attempt)
+                return &l;
+        return nullptr;
+    }
+};
+
+/** One kPrompt-token prompt with a single output token. */
+Request
+prefillOnly(int64_t id, dam::Cycle arrival)
+{
+    Request r;
+    r.id = id;
+    r.arrival = arrival;
+    r.promptLen = HandoffRig::kPrompt;
+    r.outputLen = 1;
+    return r;
+}
+
+/** prefillOnly as turn @p turn of one session whose every prompt block
+ *  is hashed (so a finished turn caches the whole prompt). */
+Request
+sessionTurn(int64_t id, dam::Cycle arrival, int64_t turn)
+{
+    Request r = prefillOnly(id, arrival);
+    r.sessionId = 7;
+    r.turn = turn;
+    r.affinityKey = 0x5e55;
+    r.blockHashes.assign(HandoffRig::kPrompt / kPrefixBlockTokens, 1);
+    return r;
+}
+
+} // namespace
+
+TEST(Resilience, DrainedRequestReArrivesAfterItsKvHandoff)
+{
+    // Replica 0 slows to 0.4x a quarter into the only request's
+    // prefill; the drain fires a detection lag later, mid-prefill, and
+    // the request migrates to replica 1 carrying its prefilled KV.
+    HandoffRig rig;
+    const dam::Cycle slow_at = rig.t0 / 4;
+    const dam::Cycle edge =
+        slow_at + rig.cc.resilience.breaker.detectCycles;
+    rig.cc.faults.slowdowns.push_back(
+        {0, slow_at, slow_at + 20 * rig.t0, 0.4});
+    std::vector<Request> reqs = {prefillOnly(0, 0)};
+    StaticSplitPolicy policy(0.3);
+    ClusterResult res = ServingCluster(rig.cc, policy).run(reqs);
+
+    EXPECT_EQ(res.migrationsIssued, 1);
+    ASSERT_EQ(reqs[0].state, ReqState::Finished);
+    EXPECT_EQ(reqs[0].attempt, 1);
+    const int64_t kv = rig.prefilledAtDrain(0, slow_at);
+    EXPECT_EQ(kv, 358);
+    EXPECT_EQ(reqs[0].remoteKvTokens, kv);
+
+    const obs::RequestLifecycle* src = HandoffRig::find(res, 0, 0, 0);
+    const obs::RequestLifecycle* inc = HandoffRig::find(res, 1, 0, 1);
+    ASSERT_NE(src, nullptr);
+    ASSERT_NE(inc, nullptr);
+    EXPECT_TRUE(src->migrated);
+    EXPECT_EQ(src->migratedAt, edge);
+    const MigrationConfig& mc = rig.cc.resilience.migration;
+    EXPECT_EQ(inc->arrival,
+              edge + mc.fixedHandoffCycles +
+                  static_cast<dam::Cycle>(kv) * mc.perTokenTransferCycles);
+}
+
+TEST(Resilience, RemotePrefixFetchChargesLookupAndTheUncarriedTokens)
+{
+    // Turn 0 of a session finishes on replica 0 (its affinity owner).
+    // Turn 1 lands there too and is drained mid-prefill; placed on
+    // replica 1, it fetches the owner's cached prefix for the tokens
+    // its migrated KV did not already cover.
+    HandoffRig rig;
+    rig.cc.routing = RouteKind::PrefixAffinity;
+    rig.cc.resilience.remotePrefix.enabled = true;
+    const dam::Cycle a1 = 2 * rig.t0;
+    const dam::Cycle slow_at = a1 + rig.t0 / 4;
+    const dam::Cycle edge =
+        slow_at + rig.cc.resilience.breaker.detectCycles;
+    rig.cc.faults.slowdowns.push_back(
+        {0, slow_at, slow_at + 20 * rig.t0, 0.4});
+    std::vector<Request> reqs = {sessionTurn(0, 0, 0),
+                                 sessionTurn(1, a1, 1)};
+    StaticSplitPolicy policy(0.3);
+    ClusterResult res = ServingCluster(rig.cc, policy).run(reqs);
+
+    ASSERT_EQ(reqs[0].state, ReqState::Finished);
+    ASSERT_EQ(reqs[1].state, ReqState::Finished);
+    EXPECT_EQ(reqs[1].attempt, 1);
+    ASSERT_NE(HandoffRig::find(res, 0, 0, 0), nullptr); // owner: replica 0
+    const obs::RequestLifecycle* inc = HandoffRig::find(res, 1, 1, 1);
+    ASSERT_NE(inc, nullptr);
+
+    const MigrationConfig& mc = rig.cc.resilience.migration;
+    const RemotePrefixConfig& rp = rig.cc.resilience.remotePrefix;
+    const int64_t kv = rig.prefilledAtDrain(a1, slow_at);
+    const int64_t credit = HandoffRig::kPrompt - 1; // whole prompt cached
+    EXPECT_EQ(kv, 358);
+    const dam::Cycle handed =
+        edge + mc.fixedHandoffCycles +
+        static_cast<dam::Cycle>(kv) * mc.perTokenTransferCycles;
+    const dam::Cycle fetched =
+        handed + rp.lookupCycles +
+        static_cast<dam::Cycle>(credit - kv) * rp.perTokenFetchCycles;
+    EXPECT_EQ(inc->arrival, fetched);
+    EXPECT_EQ(reqs[1].remoteKvTokens, credit);
 }
 
 // ---- telemetry-inferred breakers ---------------------------------------
