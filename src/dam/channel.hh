@@ -78,9 +78,7 @@ class Channel
     /** Head token without consuming; requires !empty(). */
     const Token& frontToken() const;
 
-    /** Bind endpoints (done by the graph builder). */
-    void setProducer(Context* p) { producer_ = p; }
-    void setConsumer(Context* c) { consumer_ = c; }
+    /** Endpoints, bound through Context::bindProducer/bindConsumer. */
     Context* producer() const { return producer_; }
     Context* consumer() const { return consumer_; }
 
@@ -166,6 +164,7 @@ class Channel
     uint64_t totalPushed() const { return totalPushed_; }
 
   private:
+    friend class Context;
     friend struct ReadAwaiter;
     friend struct WriteAwaiter;
     friend struct WriteCopyAwaiter;
@@ -296,6 +295,18 @@ struct Yield
 #include "dam/scheduler.hh"
 
 namespace step::dam {
+
+inline void
+Context::bindProducer(Channel& ch)
+{
+    ch.producer_ = this;
+}
+
+inline void
+Context::bindConsumer(Channel& ch)
+{
+    ch.consumer_ = this;
+}
 
 inline void
 Channel::push(Context& writer, Token&& t, Cycle min_ready)

@@ -72,6 +72,14 @@ class Context
 
   protected:
     /**
+     * Make this context @p ch's producer / consumer: the only way to
+     * set a channel endpoint. Operators bind through OpBase's port
+     * helpers, which also record the port for static analysis.
+     */
+    void bindProducer(Channel& ch);
+    void bindConsumer(Channel& ch);
+
+    /**
      * Return the context to its pre-registration state so it can be
      * re-added to a scheduler and re-run: clock zeroed, coroutine frame
      * destroyed (its block returns to the FramePool), block info

@@ -2,13 +2,15 @@
  * @file
  * Shared infrastructure for STeP operator implementations: the simulation
  * configuration, stream ports (channel + symbolic shape + dtype), and the
- * operator base class combining a DAM context with the section-4.2 metric
- * interface.
+ * operator base class combining a DAM context, its port table, and the
+ * section-4.2 metric interface.
  */
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/codec.hh"
@@ -56,31 +58,32 @@ struct StreamPort
 };
 
 /**
- * One stream endpoint as declared by its operator, for static analysis
- * (src/verify). Operators report every port they bound in their
- * constructor — inputs they consume, outputs they produce — so the
- * verifier can cross-check the op-side view against the channel
- * endpoint tables and diff shapes/dtypes across each channel without
- * executing anything.
+ * One stream endpoint of an operator, recorded when the operator binds
+ * it (OpBase::bindInput / bindOutput / bindOutputInto), so binding a
+ * port and declaring it are one call. The static verifier (src/verify)
+ * reads these tables in place to cross-check them against the channel
+ * endpoints and to diff shapes/dtypes across each channel without
+ * executing anything. Shape and dtype are viewed, not copied: they live
+ * in the operator's own StreamPort member.
  */
 struct PortDecl
 {
     const dam::Channel* ch = nullptr;
-    StreamShape shape;
-    DataType dtype;
+    /** The operator's port carrying this endpoint's shape and dtype
+     *  (RelayOp's output views the input it forwards verbatim). */
+    const StreamPort* view = nullptr;
     bool isInput = false;
+    /**
+     * Tokens the operator emits on this output before consuming
+     * anything: the static counterpart of initial tokens on a marked
+     * dataflow graph. DispatcherOp primes its selector stream this way
+     * (Figure 16); the deadlock pass uses these credits to prove its
+     * feedback cycle live instead of flagging it.
+     */
+    int64_t priming = 0;
 
-    static PortDecl
-    input(const StreamPort& p)
-    {
-        return PortDecl{p.ch, p.shape, p.dtype, true};
-    }
-
-    static PortDecl
-    output(const StreamPort& p)
-    {
-        return PortDecl{p.ch, p.shape, p.dtype, false};
-    }
+    const StreamShape& shape() const { return view->shape; }
+    const DataType& dtype() const { return view->dtype; }
 };
 
 struct OffChipTensor;
@@ -136,31 +139,12 @@ class OpBase : public dam::Context
     virtual int64_t allocatedComputeBw() const { return 0; }
 
     /**
-     * Append one PortDecl per stream endpoint this operator bound in its
-     * constructor. The declarations are the operator-side ground truth
-     * the static verifier checks against the channel endpoint tables;
-     * an operator that binds a channel but does not declare it here
-     * shows up as a structural finding.
+     * Every stream endpoint this operator bound, in binding order. The
+     * bind helpers below are the only way to set a channel endpoint, so
+     * a bound port is always a declared one. The span views graph-owned
+     * storage: it is valid until the graph binds its next port.
      */
-    virtual void
-    collectPorts(std::vector<PortDecl>& out) const
-    {
-        (void)out;
-    }
-
-    /**
-     * Tokens this operator emits on @p out before consuming anything —
-     * the static counterpart of initial tokens on a marked dataflow
-     * graph. DispatcherOp primes its selector stream this way (Figure
-     * 16); the deadlock pass uses these credits to prove its feedback
-     * cycle live instead of flagging it.
-     */
-    virtual int64_t
-    primingTokens(const dam::Channel* out) const
-    {
-        (void)out;
-        return 0;
-    }
+    std::span<const PortDecl> ports() const;
 
     // Runtime measurements, populated during simulation.
     int64_t measuredFlops() const { return flops_; }
@@ -171,6 +155,28 @@ class OpBase : public dam::Context
     Graph& graph() const { return graph_; }
 
   protected:
+    /**
+     * Bind @p in, a StreamPort member of this operator (the port table
+     * views it), as an input: set the channel's consumer and record it.
+     */
+    void bindInput(const StreamPort& in);
+
+    /**
+     * Create channel @p chan (@p capacity overrides the configured
+     * depth when nonzero), make this operator its producer, store the
+     * port in the member @p out, and record it with @p priming initial
+     * tokens.
+     */
+    void bindOutput(StreamPort& out, std::string_view chan,
+                    StreamShape shape, DataType dtype, size_t capacity = 0,
+                    int64_t priming = 0);
+
+    /**
+     * Bind an output into the pre-created channel @p ch, whose shape
+     * and dtype are those of the member @p view (RelayOp).
+     */
+    void bindOutputInto(dam::Channel* ch, const StreamPort& view);
+
     /** advance() that also accrues busy-cycle statistics. */
     void
     busyAdvance(dam::Cycle dt)
@@ -215,6 +221,16 @@ class OpBase : public dam::Context
     dam::Cycle busy_ = 0;
 
   private:
+    // Operators set endpoints only through the helpers above, which
+    // record the port.
+    using dam::Context::bindConsumer;
+    using dam::Context::bindProducer;
+
+    void recordPort(const PortDecl& port);
+
+    /** This op's slice of the graph's port storage (see Graph). */
+    uint32_t firstPort_ = 0;
+    uint32_t numPorts_ = 0;
     int64_t memoIn_ = -1;
     int64_t memoFlops_ = -1;
     int64_t memoOut_ = -1;

@@ -8,6 +8,52 @@ OpBase::OpBase(Graph& g, std::string name)
     : dam::Context(std::move(name)), graph_(g)
 {}
 
+std::span<const PortDecl>
+OpBase::ports() const
+{
+    return {graph_.ports_.data() + firstPort_, numPorts_};
+}
+
+void
+OpBase::recordPort(const PortDecl& port)
+{
+    std::vector<PortDecl>& table = graph_.ports_;
+    if (numPorts_ == 0)
+        firstPort_ = static_cast<uint32_t>(table.size());
+    STEP_ASSERT(firstPort_ + numPorts_ == table.size(),
+                "operator " << name() << " bound a port after another "
+                "operator was built");
+    table.push_back(port);
+    ++numPorts_;
+}
+
+void
+OpBase::bindInput(const StreamPort& in)
+{
+    STEP_ASSERT(in.ch, "input of " << name() << " bound to a null channel");
+    bindConsumer(*in.ch);
+    recordPort(PortDecl{in.ch, &in, true, 0});
+}
+
+void
+OpBase::bindOutput(StreamPort& out, std::string_view chan,
+                   StreamShape shape, DataType dtype, size_t capacity,
+                   int64_t priming)
+{
+    out = StreamPort{&graph_.makeChannel(chan, capacity), std::move(shape),
+                     std::move(dtype)};
+    bindProducer(*out.ch);
+    recordPort(PortDecl{out.ch, &out, false, priming});
+}
+
+void
+OpBase::bindOutputInto(dam::Channel* ch, const StreamPort& view)
+{
+    STEP_ASSERT(ch, "output of " << name() << " bound to a null channel");
+    bindProducer(*ch);
+    recordPort(PortDecl{ch, &view, false, 0});
+}
+
 void
 OpBase::rearm(const RearmSpec&)
 {
@@ -94,6 +140,7 @@ Graph::recycle(const SimConfig& cfg)
     STEP_ASSERT(arena_, "Graph::recycle requires an arena-backed graph");
     destroyOps();
     arena_->mem.reset();
+    ports_.clear();
     channels_.clear();
     // LIFO pooling: a structurally stable rebuild pops channels in a
     // fixed order, so each logical channel settles onto one pooled

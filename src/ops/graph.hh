@@ -171,11 +171,19 @@ class Graph
     uint64_t totalChannelTokens() const;
 
   private:
+    friend class OpBase;
+
     void destroyOps();
 
     SimConfig cfg_;
     GraphArena* arena_ = nullptr;
     std::vector<OpBase*> ops_;
+    /**
+     * Every operator's port table, back to back in construction order
+     * (OpBase::ports() is a slice). One vector kept across recycle()
+     * so steady-state rebuilds record ports without allocating.
+     */
+    std::vector<PortDecl> ports_;
     /** Live channels of the current build (owned via store/pool). */
     std::vector<dam::Channel*> channels_;
     std::vector<std::unique_ptr<dam::Channel>> channelStore_;

@@ -18,16 +18,14 @@ MapOp::MapOp(Graph& g, const std::string& name, std::vector<StreamPort> ins,
     STEP_ASSERT(ins_.size() == 1 || ins_.size() == 2,
                 "Map takes 1 or 2 inputs");
     for (auto& p : ins_)
-        p.ch->setConsumer(this);
+        bindInput(p);
     if (ins_.size() == 2) {
         STEP_ASSERT(ins_[0].shape.compatibleWith(ins_[1].shape),
                     "Map input shapes misaligned: "
                     << ins_[0].shape.toString() << " vs "
                     << ins_[1].shape.toString() << " in " << name);
     }
-    out_ = StreamPort{&g.makeChannel(name + ".out"), ins_[0].shape,
-                      std::move(out_dtype)};
-    out_.ch->setProducer(this);
+    bindOutput(out_, name + ".out", ins_[0].shape, std::move(out_dtype));
     // Reserve at build time so the per-element path never allocates.
     argScratch_.reserve(ins_.size());
 }
@@ -133,10 +131,9 @@ AccumOp::AccumOp(Graph& g, const std::string& name, StreamPort in,
     STEP_ASSERT(rank_ >= 1 && rank_ <= in_.rank(),
                 "Accum rank " << rank_ << " vs input rank " << in_.rank()
                 << " in " << name);
-    in_.ch->setConsumer(this);
-    out_ = StreamPort{&g.makeChannel(name + ".out"),
-                      in_.shape.dropInner(rank_), std::move(out_dtype)};
-    out_.ch->setProducer(this);
+    bindInput(in_);
+    bindOutput(out_, name + ".out", in_.shape.dropInner(rank_),
+               std::move(out_dtype));
 }
 
 dam::SimTask
@@ -202,10 +199,8 @@ ScanOp::ScanOp(Graph& g, const std::string& name, StreamPort in, size_t rank,
 {
     STEP_ASSERT(rank_ >= 1 && rank_ <= in_.rank(),
                 "Scan rank " << rank_ << " vs input rank " << in_.rank());
-    in_.ch->setConsumer(this);
-    out_ = StreamPort{&g.makeChannel(name + ".out"), in_.shape,
-                      std::move(out_dtype)};
-    out_.ch->setProducer(this);
+    bindInput(in_);
+    bindOutput(out_, name + ".out", in_.shape, std::move(out_dtype));
 }
 
 dam::SimTask
@@ -258,13 +253,11 @@ FlatMapOp::FlatMapOp(Graph& g, const std::string& name, StreamPort in,
       computeBw_(compute_bw)
 {
     STEP_ASSERT(rank_ >= 1, "FlatMap expansion rank must be >= 1");
-    in_.ch->setConsumer(this);
+    bindInput(in_);
     // [D_a..D_1, D'_b..D'_0]: the input's innermost dim persists as the
     // expansion-count dim; fn_dims appends inside it (Table 5).
-    StreamShape out_shape = in_.shape.concatInner(fn_dims);
-    out_ = StreamPort{&g.makeChannel(name + ".out"), std::move(out_shape),
-                      std::move(out_dtype)};
-    out_.ch->setProducer(this);
+    bindOutput(out_, name + ".out", in_.shape.concatInner(fn_dims),
+               std::move(out_dtype));
 }
 
 dam::SimTask

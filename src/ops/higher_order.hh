@@ -59,14 +59,6 @@ class MapOp : public OpBase
 
     void rearm(const RearmSpec& spec) override;
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        for (const StreamPort& i : ins_)
-            out.push_back(PortDecl::input(i));
-        out.push_back(PortDecl::output(out_));
-    }
-
   private:
     std::vector<StreamPort> ins_;
     MapFn fn_;
@@ -105,13 +97,6 @@ class AccumOp : public OpBase
 
     void rearm(const RearmSpec& spec) override;
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        out.push_back(PortDecl::output(out_));
-    }
-
   private:
     StreamPort in_;
     size_t rank_;
@@ -142,13 +127,6 @@ class ScanOp : public OpBase
     }
 
     void rearm(const RearmSpec& spec) override;
-
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        out.push_back(PortDecl::output(out_));
-    }
 
   private:
     StreamPort in_;
@@ -181,13 +159,6 @@ class FlatMapOp : public OpBase
     int64_t allocatedComputeBw() const override { return computeBw_; }
 
     void rearm(const RearmSpec& spec) override;
-
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        out.push_back(PortDecl::output(out_));
-    }
 
   private:
     StreamPort in_;

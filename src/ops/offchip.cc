@@ -77,14 +77,12 @@ LinearOffChipLoadOp::LinearOffChipLoadOp(Graph& g, const std::string& name,
     : OpBase(g, name), ref_(ref), tensor_(std::move(tensor)),
       stride_(stride_tiles), outShape_(out_shape_tiles)
 {
-    ref_.ch->setConsumer(this);
-    StreamShape out_shape = ref_.shape.concatInner(
-        StreamShape::fixed({outShape_[0], outShape_[1]}));
-    DataType dt = DataType::tile(tensor_.tileRows, tensor_.tileCols,
-                                 tensor_.elemBytes);
-    out_ = StreamPort{&g.makeChannel(name + ".out"), std::move(out_shape),
-                      std::move(dt)};
-    out_.ch->setProducer(this);
+    bindInput(ref_);
+    bindOutput(out_, name + ".out",
+               ref_.shape.concatInner(
+                   StreamShape::fixed({outShape_[0], outShape_[1]})),
+               DataType::tile(tensor_.tileRows, tensor_.tileCols,
+                              tensor_.elemBytes));
 }
 
 dam::SimTask
@@ -144,7 +142,7 @@ LinearOffChipStoreOp::LinearOffChipStoreOp(Graph& g, const std::string& name,
                                            StreamPort in, uint64_t base_addr)
     : OpBase(g, name), in_(in), base_(base_addr)
 {
-    in_.ch->setConsumer(this);
+    bindInput(in_);
 }
 
 dam::SimTask
@@ -194,16 +192,13 @@ RandomOffChipLoadOp::RandomOffChipLoadOp(Graph& g, const std::string& name,
       blockStride_(block_stride_bytes), outShape_(out_shape_tiles),
       gridMode_(grid_mode)
 {
-    addr_.ch->setConsumer(this);
-    StreamShape out_shape = gridMode_
-        ? addr_.shape.concatInner(
-              StreamShape::fixed({outShape_[0], outShape_[1]}))
-        : addr_.shape;
-    DataType dt = DataType::tile(tensor_.tileRows, tensor_.tileCols,
-                                 tensor_.elemBytes);
-    out_ = StreamPort{&g.makeChannel(name + ".out"), std::move(out_shape),
-                      std::move(dt)};
-    out_.ch->setProducer(this);
+    bindInput(addr_);
+    bindOutput(out_, name + ".out",
+               gridMode_ ? addr_.shape.concatInner(StreamShape::fixed(
+                               {outShape_[0], outShape_[1]}))
+                         : addr_.shape,
+               DataType::tile(tensor_.tileRows, tensor_.tileCols,
+                              tensor_.elemBytes));
 }
 
 int64_t
@@ -292,11 +287,9 @@ RandomOffChipStoreOp::RandomOffChipStoreOp(Graph& g, const std::string& name,
     : OpBase(g, name), waddr_(waddr), wdata_(wdata), base_(base_addr),
       blockStride_(block_stride_bytes)
 {
-    waddr_.ch->setConsumer(this);
-    wdata_.ch->setConsumer(this);
-    ack_ = StreamPort{&g.makeChannel(name + ".ack"), waddr_.shape,
-                      DataType::tile(1, 1, 1)};
-    ack_.ch->setProducer(this);
+    bindInput(waddr_);
+    bindInput(wdata_);
+    bindOutput(ack_, name + ".ack", waddr_.shape, DataType::tile(1, 1, 1));
 }
 
 dam::SimTask

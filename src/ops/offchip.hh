@@ -79,13 +79,6 @@ class LinearOffChipLoadOp : public OpBase
     /** spec.tensor swaps in new tensor metadata (same tile geometry). */
     void rearm(const RearmSpec& spec) override;
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(ref_));
-        out.push_back(PortDecl::output(out_));
-    }
-
   private:
     StreamPort ref_;
     OffChipTensor tensor_;
@@ -112,12 +105,6 @@ class LinearOffChipStoreOp : public OpBase
     int64_t bytesStored() const { return cursor_; }
 
     void rearm(const RearmSpec& spec) override;
-
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-    }
 
   private:
     StreamPort in_;
@@ -156,13 +143,6 @@ class RandomOffChipLoadOp : public OpBase
      *  extents); the block stride and output grid stay as built. */
     void rearm(const RearmSpec& spec) override;
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(addr_));
-        out.push_back(PortDecl::output(out_));
-    }
-
   private:
     StreamPort addr_;
     OffChipTensor tensor_;
@@ -191,14 +171,6 @@ class RandomOffChipStoreOp : public OpBase
 
     sym::Expr offChipTrafficExpr() const override;
     sym::Expr onChipMemExpr() const override;
-
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(waddr_));
-        out.push_back(PortDecl::input(wdata_));
-        out.push_back(PortDecl::output(ack_));
-    }
 
   private:
     StreamPort waddr_;

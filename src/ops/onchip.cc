@@ -16,13 +16,11 @@ BufferizeOp::BufferizeOp(Graph& g, const std::string& name, StreamPort in,
     STEP_ASSERT(rank_ >= 1 && rank_ <= in_.rank(),
                 "bufferize rank " << rank_ << " of input rank "
                 << in_.rank() << " in " << name);
-    in_.ch->setConsumer(this);
+    bindInput(in_);
     StreamShape taken = in_.shape.takeInner(rank_);
     std::vector<Dim> buf_dims(taken.dims().begin(), taken.dims().end());
-    out_ = StreamPort{&g.makeChannel(name + ".out"),
-                      in_.shape.dropInner(rank_),
-                      DataType::bufferRef(buf_dims, in_.dtype)};
-    out_.ch->setProducer(this);
+    bindOutput(out_, name + ".out", in_.shape.dropInner(rank_),
+               DataType::bufferRef(buf_dims, in_.dtype));
 }
 
 namespace {
@@ -140,16 +138,14 @@ StreamifyOp::StreamifyOp(Graph& g, const std::string& name, StreamPort in,
     STEP_ASSERT(ref_.rank() == in_.rank() + refInnerRank_,
                 "streamify ref rank " << ref_.rank() << " != in rank "
                 << in_.rank() << " + " << refInnerRank_ << " in " << name);
-    in_.ch->setConsumer(this);
-    ref_.ch->setConsumer(this);
+    bindInput(in_);
+    bindInput(ref_);
 
     StreamShape added = affine_
         ? StreamShape::fixed({affine_->outShape[0], affine_->outShape[1]})
         : StreamShape(in_.dtype.bufferDims());
-    out_ = StreamPort{&g.makeChannel(name + ".out"),
-                      ref_.shape.concatInner(added),
-                      in_.dtype.pointee()};
-    out_.ch->setProducer(this);
+    bindOutput(out_, name + ".out", ref_.shape.concatInner(added),
+               in_.dtype.pointee());
 }
 
 size_t

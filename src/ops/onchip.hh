@@ -31,13 +31,6 @@ class BufferizeOp : public OpBase
 
     void rearm(const RearmSpec& spec) override;
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        out.push_back(PortDecl::output(out_));
-    }
-
   private:
     StreamPort in_;
     size_t rank_;
@@ -71,14 +64,6 @@ class StreamifyOp : public OpBase
 
     dam::SimTask run() override;
     void rearm(const RearmSpec& spec) override;
-
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        out.push_back(PortDecl::input(ref_));
-        out.push_back(PortDecl::output(out_));
-    }
 
   private:
     size_t addedRank() const;

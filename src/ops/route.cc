@@ -34,20 +34,18 @@ PartitionOp::PartitionOp(Graph& g, const std::string& name, StreamPort in,
                 "partition rank mismatch: in rank " << in_.rank()
                 << " != sel rank " << sel_.rank() << " + " << rank_
                 << " in " << name);
-    in_.ch->setConsumer(this);
-    sel_.ch->setConsumer(this);
+    bindInput(in_);
+    bindInput(sel_);
 
     // [sel outer dims..., D^i (ragged), chunk dims...]
     StreamShape out_shape = sel_.shape.dropInner(1)
         .concatInner(StreamShape({Dim::ragged()}))
         .concatInner(in_.shape.takeInner(rank_));
-    for (size_t i = 0; i < num_consumers; ++i) {
-        StreamPort p{&g.makeChannel(name + ".out" + std::to_string(i)),
-                     out_shape, in_.dtype};
-        p.ch->setProducer(this);
-        outs_.push_back(p);
-        coals_.emplace_back();
-    }
+    outs_.resize(num_consumers);
+    coals_.resize(num_consumers);
+    for (size_t i = 0; i < num_consumers; ++i)
+        bindOutput(outs_[i], name + ".out" + std::to_string(i), out_shape,
+                   in_.dtype);
 }
 
 dam::SimTask
@@ -131,18 +129,16 @@ ReassembleOp::ReassembleOp(Graph& g, const std::string& name,
 {
     STEP_ASSERT(!ins_.empty(), "reassemble needs inputs");
     for (auto& p : ins_) {
-        p.ch->setConsumer(this);
+        bindInput(p);
         STEP_ASSERT(p.rank() == rank_ + 1,
                     "reassemble input rank " << p.rank() << " != rank+1 ("
                     << rank_ + 1 << ") in " << name);
     }
-    sel_.ch->setConsumer(this);
+    bindInput(sel_);
     StreamShape out_shape = sel_.shape
         .concatInner(StreamShape({Dim::ragged()}))
         .concatInner(ins_[0].shape.takeInner(rank_));
-    out_ = StreamPort{&g.makeChannel(name + ".out"), std::move(out_shape),
-                      ins_[0].dtype};
-    out_.ch->setProducer(this);
+    bindOutput(out_, name + ".out", std::move(out_shape), ins_[0].dtype);
     // Reserve at build time so per-selection routing never allocates.
     selScratch_.reserve(ins_.size());
 }
@@ -227,21 +223,16 @@ EagerMergeOp::EagerMergeOp(Graph& g, const std::string& name,
 {
     STEP_ASSERT(!ins_.empty(), "eager merge needs inputs");
     for (auto& p : ins_) {
-        p.ch->setConsumer(this);
+        bindInput(p);
         STEP_ASSERT(p.rank() == rank_ + 1 || (rank_ == 0 && p.rank() == 1),
                     "eager merge input rank " << p.rank()
                     << " incompatible with rank " << rank_);
     }
     StreamShape out_shape = StreamShape({Dim::ragged()})
         .concatInner(ins_[0].shape.takeInner(rank_));
-    out_ = StreamPort{&g.makeChannel(name + ".out"), std::move(out_shape),
-                      ins_[0].dtype};
-    out_.ch->setProducer(this);
-    selOut_ = StreamPort{&g.makeChannel(name + ".sel"),
-                         StreamShape({Dim::ragged()}),
-                         DataType::selector(
-                             static_cast<int64_t>(ins_.size()))};
-    selOut_.ch->setProducer(this);
+    bindOutput(out_, name + ".out", std::move(out_shape), ins_[0].dtype);
+    bindOutput(selOut_, name + ".sel", StreamShape({Dim::ragged()}),
+               DataType::selector(static_cast<int64_t>(ins_.size())));
     // Reserve at build time so re-blocking never allocates.
     waitScratch_.reserve(ins_.size());
     done_.assign(ins_.size(), false);
@@ -358,13 +349,12 @@ DispatcherOp::DispatcherOp(Graph& g, const std::string& name,
     : OpBase(g, name), completions_(completions), regions_(regions),
       total_(total)
 {
-    completions_.ch->setConsumer(this);
-    out_ = StreamPort{&g.makeChannel(name + ".out",
-                                     std::max<size_t>(16, 2 * regions)),
-                      StreamShape({Dim::fixed(
-                          static_cast<int64_t>(total))}),
-                      DataType::selector(static_cast<int64_t>(regions))};
-    out_.ch->setProducer(this);
+    bindInput(completions_);
+    bindOutput(out_, name + ".out",
+               StreamShape({Dim::fixed(static_cast<int64_t>(total))}),
+               DataType::selector(static_cast<int64_t>(regions)),
+               std::max<size_t>(16, 2 * regions),
+               static_cast<int64_t>(std::min<uint64_t>(regions, total)));
 }
 
 dam::SimTask

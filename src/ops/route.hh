@@ -7,8 +7,6 @@
  */
 #pragma once
 
-#include <algorithm>
-
 #include "ops/common.hh"
 #include "ops/graph.hh"
 
@@ -31,15 +29,6 @@ class PartitionOp : public OpBase
 
     dam::SimTask run() override;
     void rearm(const RearmSpec& spec) override;
-
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        out.push_back(PortDecl::input(sel_));
-        for (const StreamPort& o : outs_)
-            out.push_back(PortDecl::output(o));
-    }
 
   private:
     StreamPort in_;
@@ -66,15 +55,6 @@ class ReassembleOp : public OpBase
 
     dam::SimTask run() override;
     void rearm(const RearmSpec& spec) override;
-
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        for (const StreamPort& i : ins_)
-            out.push_back(PortDecl::input(i));
-        out.push_back(PortDecl::input(sel_));
-        out.push_back(PortDecl::output(out_));
-    }
 
   private:
     std::vector<StreamPort> ins_;
@@ -103,15 +83,6 @@ class EagerMergeOp : public OpBase
     dam::SimTask run() override;
     void rearm(const RearmSpec& spec) override;
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        for (const StreamPort& i : ins_)
-            out.push_back(PortDecl::input(i));
-        out.push_back(PortDecl::output(out_));
-        out.push_back(PortDecl::output(selOut_));
-    }
-
   private:
     /** Pick the available input with the earliest head token. */
     int pickAvailable(const std::vector<bool>& done) const;
@@ -132,7 +103,10 @@ class EagerMergeOp : public OpBase
  * one-hot selectors over @p regions consumers; the first `regions`
  * assignments are round-robin (the FlatMap in the figure), every
  * subsequent assignment targets the region whose completion signal
- * arrives next (the EagerMerge selector input).
+ * arrives next (the EagerMerge selector input). The round-robin
+ * selectors are emitted before any completion is read, so the output is
+ * bound with min(regions, total) priming tokens: the initial tokens
+ * that keep the feedback cycle live.
  */
 class DispatcherOp : public OpBase
 {
@@ -143,27 +117,6 @@ class DispatcherOp : public OpBase
     StreamPort out() const { return out_; }
 
     dam::SimTask run() override;
-
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(completions_));
-        out.push_back(PortDecl::output(out_));
-    }
-
-    /**
-     * The first min(regions, total) selectors are emitted round-robin
-     * before any completion is read — the initial tokens that keep the
-     * Figure-16 feedback cycle live.
-     */
-    int64_t
-    primingTokens(const dam::Channel* out) const override
-    {
-        if (out != out_.ch)
-            return 0;
-        return static_cast<int64_t>(
-            std::min<uint64_t>(regions_, total_));
-    }
 
   private:
     StreamPort completions_;

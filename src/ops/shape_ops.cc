@@ -15,10 +15,8 @@ FlattenOp::FlattenOp(Graph& g, const std::string& name, StreamPort in,
     STEP_ASSERT(lo <= hi && hi < in.rank(),
                 "flatten range [" << lo << "," << hi << "] of rank "
                 << in.rank() << " in " << name);
-    in_.ch->setConsumer(this);
-    out_ = StreamPort{&g.makeChannel(name + ".out"),
-                      in_.shape.flattened(lo, hi), in_.dtype};
-    out_.ch->setProducer(this);
+    bindInput(in_);
+    bindOutput(out_, name + ".out", in_.shape.flattened(lo, hi), in_.dtype);
 }
 
 dam::SimTask
@@ -64,7 +62,7 @@ ReshapeOp::ReshapeOp(Graph& g, const std::string& name, StreamPort in,
                 << " out of input rank " << in.rank());
     STEP_ASSERT(!pad_ || rank_ == 0,
                 "padding only supported when splitting the innermost dim");
-    in_.ch->setConsumer(this);
+    bindInput(in_);
 
     // Split inner(rank): [..., D, ...] -> [..., ceil(D/S), S, ...].
     DimVec dims = in_.shape.dims();
@@ -75,14 +73,10 @@ ReshapeOp::ReshapeOp(Graph& g, const std::string& name, StreamPort in,
         outer = Dim::ragged();
     dims[vidx] = outer;
     dims.insert(vidx + 1, Dim::fixed(chunk_));
-    out_ = StreamPort{&g.makeChannel(name + ".out"), StreamShape(dims),
-                      in_.dtype};
-    out_.ch->setProducer(this);
-    if (pad_) {
-        padOut_ = StreamPort{&g.makeChannel(name + ".pad"),
-                             StreamShape(dims), DataType::tile(1, 1, 1)};
-        padOut_.ch->setProducer(this);
-    }
+    bindOutput(out_, name + ".out", StreamShape(dims), in_.dtype);
+    if (pad_)
+        bindOutput(padOut_, name + ".pad", StreamShape(dims),
+                   DataType::tile(1, 1, 1));
 }
 
 dam::SimTask
@@ -186,14 +180,12 @@ ReshapeOp::run()
 PromoteOp::PromoteOp(Graph& g, const std::string& name, StreamPort in)
     : OpBase(g, name), in_(in)
 {
-    in_.ch->setConsumer(this);
+    bindInput(in_);
     Dim outer{sym::min(sym::Expr(1), in_.shape.rank()
                        ? in_.shape.outer(0).size : sym::Expr(0)),
               in_.shape.rank() && in_.shape.outer(0).isStatic()
                   ? DimKind::StaticRegular : DimKind::DynamicRegular};
-    out_ = StreamPort{&g.makeChannel(name + ".out"),
-                      in_.shape.pushOuter(outer), in_.dtype};
-    out_.ch->setProducer(this);
+    bindOutput(out_, name + ".out", in_.shape.pushOuter(outer), in_.dtype);
 }
 
 dam::SimTask
@@ -234,11 +226,9 @@ ExpandOp::ExpandOp(Graph& g, const std::string& name, StreamPort in,
 {
     STEP_ASSERT(in.rank() == ref.rank(),
                 "Expand input/ref rank mismatch in " << name);
-    in_.ch->setConsumer(this);
-    ref_.ch->setConsumer(this);
-    out_ = StreamPort{&g.makeChannel(name + ".out"), ref_.shape,
-                      in_.dtype};
-    out_.ch->setProducer(this);
+    bindInput(in_);
+    bindInput(ref_);
+    bindOutput(out_, name + ".out", ref_.shape, in_.dtype);
 }
 
 dam::SimTask
@@ -288,14 +278,12 @@ ExpandStaticOp::ExpandStaticOp(Graph& g, const std::string& name,
     : OpBase(g, name), in_(in), count_(count)
 {
     STEP_ASSERT(count_ >= 1, "expand count must be >= 1");
-    in_.ch->setConsumer(this);
+    bindInput(in_);
     DimVec dims = in_.shape.dims();
     STEP_ASSERT(!dims.empty(), "expand on rank-0 stream");
     Dim& inner = dims.back();
     inner = Dim{inner.size * sym::Expr(count_), inner.kind};
-    out_ = StreamPort{&g.makeChannel(name + ".out"), StreamShape(dims),
-                      in_.dtype};
-    out_.ch->setProducer(this);
+    bindOutput(out_, name + ".out", StreamShape(dims), in_.dtype);
 }
 
 dam::SimTask
@@ -327,11 +315,10 @@ RepeatOp::RepeatOp(Graph& g, const std::string& name, StreamPort in,
     : OpBase(g, name), in_(in), count_(count)
 {
     STEP_ASSERT(count_ >= 1, "repeat count must be >= 1");
-    in_.ch->setConsumer(this);
-    out_ = StreamPort{
-        &g.makeChannel(name + ".out"),
-        in_.shape.concatInner(StreamShape::fixed({count_})), in_.dtype};
-    out_.ch->setProducer(this);
+    bindInput(in_);
+    bindOutput(out_, name + ".out",
+               in_.shape.concatInner(StreamShape::fixed({count_})),
+               in_.dtype);
 }
 
 dam::SimTask
@@ -367,14 +354,13 @@ ZipOp::ZipOp(Graph& g, const std::string& name, std::vector<StreamPort> ins)
     STEP_ASSERT(ins_.size() >= 2, "Zip needs >= 2 inputs");
     std::vector<DataType> dts;
     for (auto& p : ins_) {
-        p.ch->setConsumer(this);
+        bindInput(p);
         STEP_ASSERT(p.shape.compatibleWith(ins_[0].shape),
                     "Zip shapes misaligned in " << name);
         dts.push_back(p.dtype);
     }
-    out_ = StreamPort{&g.makeChannel(name + ".out"), ins_[0].shape,
-                      DataType::tuple(std::move(dts))};
-    out_.ch->setProducer(this);
+    bindOutput(out_, name + ".out", ins_[0].shape,
+               DataType::tuple(std::move(dts)));
 }
 
 dam::SimTask
@@ -419,14 +405,12 @@ FilterOp::FilterOp(Graph& g, const std::string& name, StreamPort in,
                    StreamPort mask)
     : OpBase(g, name), in_(in), mask_(mask)
 {
-    in_.ch->setConsumer(this);
-    mask_.ch->setConsumer(this);
+    bindInput(in_);
+    bindInput(mask_);
     DimVec dims = in_.shape.dims();
     STEP_ASSERT(!dims.empty(), "filter on rank-0 stream");
     dims.back() = Dim::ragged();
-    out_ = StreamPort{&g.makeChannel(name + ".out"), StreamShape(dims),
-                      in_.dtype};
-    out_.ch->setProducer(this);
+    bindOutput(out_, name + ".out", StreamShape(dims), in_.dtype);
 }
 
 dam::SimTask

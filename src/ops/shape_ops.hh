@@ -26,13 +26,6 @@ class FlattenOp : public OpBase
     dam::SimTask run() override;
     void rearm(const RearmSpec& spec) override;
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        out.push_back(PortDecl::output(out_));
-    }
-
   private:
     StreamPort in_;
     size_t lo_;
@@ -61,15 +54,6 @@ class ReshapeOp : public OpBase
     dam::SimTask run() override;
     void rearm(const RearmSpec& spec) override;
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        out.push_back(PortDecl::output(out_));
-        if (hasPadStream())
-            out.push_back(PortDecl::output(padOut_));
-    }
-
   private:
     StreamPort in_;
     size_t rank_;
@@ -90,13 +74,6 @@ class PromoteOp : public OpBase
     StreamPort out() const { return out_; }
     dam::SimTask run() override;
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        out.push_back(PortDecl::output(out_));
-    }
-
   private:
     StreamPort in_;
     StreamPort out_;
@@ -114,14 +91,6 @@ class ExpandOp : public OpBase
 
     StreamPort out() const { return out_; }
     dam::SimTask run() override;
-
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        out.push_back(PortDecl::input(ref_));
-        out.push_back(PortDecl::output(out_));
-    }
 
   private:
     StreamPort in_;
@@ -141,13 +110,6 @@ class ExpandStaticOp : public OpBase
     StreamPort out() const { return out_; }
     dam::SimTask run() override;
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        out.push_back(PortDecl::output(out_));
-    }
-
   private:
     StreamPort in_;
     int64_t count_;
@@ -165,13 +127,6 @@ class RepeatOp : public OpBase
     dam::SimTask run() override;
     void rearm(const RearmSpec& spec) override;
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        out.push_back(PortDecl::output(out_));
-    }
-
   private:
     StreamPort in_;
     int64_t count_;
@@ -187,14 +142,6 @@ class ZipOp : public OpBase
 
     StreamPort out() const { return out_; }
     dam::SimTask run() override;
-
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        for (const StreamPort& i : ins_)
-            out.push_back(PortDecl::input(i));
-        out.push_back(PortDecl::output(out_));
-    }
 
   private:
     std::vector<StreamPort> ins_;
@@ -215,14 +162,6 @@ class FilterOp : public OpBase
     StreamPort out() const { return out_; }
     dam::SimTask run() override;
     void rearm(const RearmSpec& spec) override;
-
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        out.push_back(PortDecl::input(mask_));
-        out.push_back(PortDecl::output(out_));
-    }
 
   private:
     StreamPort in_;

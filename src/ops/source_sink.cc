@@ -11,9 +11,7 @@ SourceOp::SourceOp(Graph& g, const std::string& name,
 {
     STEP_ASSERT(!toks_.empty() && toks_.back().isDone(),
                 "source stream must end in Done: " << name);
-    out_ = StreamPort{&g.makeChannel(name + ".out"), std::move(shape),
-                      std::move(dtype)};
-    out_.ch->setProducer(this);
+    bindOutput(out_, name + ".out", std::move(shape), std::move(dtype));
 }
 
 dam::SimTask
@@ -47,7 +45,7 @@ SinkOp::SinkOp(Graph& g, const std::string& name, StreamPort in,
                bool capture)
     : OpBase(g, name), in_(in), capture_(capture)
 {
-    in_.ch->setConsumer(this);
+    bindInput(in_);
 }
 
 dam::SimTask
@@ -82,8 +80,9 @@ RelayOp::RelayOp(Graph& g, const std::string& name, StreamPort in,
                  dam::Channel* target)
     : OpBase(g, name), in_(in), target_(target)
 {
-    in_.ch->setConsumer(this);
-    target_->setProducer(this);
+    bindInput(in_);
+    // Verbatim forwarder: the target carries the input's view.
+    bindOutputInto(target_, in_);
 }
 
 dam::SimTask
@@ -106,13 +105,11 @@ BroadcastOp::BroadcastOp(Graph& g, const std::string& name, StreamPort in,
     : OpBase(g, name), in_(in)
 {
     STEP_ASSERT(fanout >= 1, "broadcast fanout must be >= 1");
-    in_.ch->setConsumer(this);
-    for (size_t i = 0; i < fanout; ++i) {
-        StreamPort p{&g.makeChannel(name + ".out" + std::to_string(i)),
-                     in.shape, in.dtype};
-        p.ch->setProducer(this);
-        outs_.push_back(p);
-    }
+    bindInput(in_);
+    outs_.resize(fanout);
+    for (size_t i = 0; i < fanout; ++i)
+        bindOutput(outs_[i], name + ".out" + std::to_string(i), in_.shape,
+                   in_.dtype);
 }
 
 dam::SimTask

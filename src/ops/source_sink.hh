@@ -37,12 +37,6 @@ class SourceOp : public OpBase
      */
     void rearm(const RearmSpec& spec) override;
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::output(out_));
-    }
-
   private:
     std::vector<Token> toks_;
     StreamPort out_;
@@ -66,12 +60,6 @@ class SinkOp : public OpBase
 
     void rearm(const RearmSpec& spec) override;
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-    }
-
   private:
     StreamPort in_;
     bool capture_;
@@ -94,14 +82,6 @@ class RelayOp : public OpBase
 
     dam::SimTask run() override;
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        // Verbatim forwarder: the target carries the input's view.
-        out.push_back(PortDecl{target_, in_.shape, in_.dtype, false});
-    }
-
   private:
     StreamPort in_;
     dam::Channel* target_;
@@ -117,14 +97,6 @@ class BroadcastOp : public OpBase
     size_t fanout() const { return outs_.size(); }
 
     dam::SimTask run() override;
-
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        for (const StreamPort& o : outs_)
-            out.push_back(PortDecl::output(o));
-    }
 
   private:
     StreamPort in_;

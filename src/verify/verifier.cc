@@ -1,7 +1,7 @@
 /**
  * @file
- * GraphVerifier implementation: four read-only analysis passes over the
- * channel endpoint tables and operator port declarations, plus the text
+ * GraphVerifier implementation: three read-only analysis passes over the
+ * channel endpoint tables and operator port tables, plus the text
  * and JSON finding renderers. Findings are emitted in deterministic
  * graph order (ops, then channels, in creation order), so verifier
  * output is replay-stable like everything else in the simulator.
@@ -105,8 +105,6 @@ namespace {
 struct View
 {
     const Graph& g;
-    /** Per-op declared ports, index-aligned with g.ops(). */
-    std::vector<std::vector<PortDecl>> ports;
     /** Graph membership and index of each op, keyed by Context*. */
     std::unordered_map<const dam::Context*, size_t> opIndex;
     /** Declared producer/consumer view per channel (first declaration
@@ -119,11 +117,9 @@ struct View
     explicit View(const Graph& graph) : g(graph)
     {
         const auto& ops = g.ops();
-        ports.resize(ops.size());
         for (size_t i = 0; i < ops.size(); ++i) {
             opIndex.emplace(ops[i], i);
-            ops[i]->collectPorts(ports[i]);
-            for (const PortDecl& p : ports[i]) {
+            for (const PortDecl& p : ops[i]->ports()) {
                 if (p.ch == nullptr)
                     continue;
                 if (p.isInput) {
@@ -143,7 +139,7 @@ structuralPass(const View& v, std::vector<Finding>& out)
 {
     const auto& ops = v.g.ops();
     for (size_t i = 0; i < ops.size(); ++i) {
-        for (const PortDecl& p : v.ports[i]) {
+        for (const PortDecl& p : ops[i]->ports()) {
             if (p.ch == nullptr) {
                 out.push_back(
                     {Severity::Error, "structural.null-port",
@@ -166,10 +162,8 @@ structuralPass(const View& v, std::vector<Finding>& out)
                          (p.isInput ? "consumer" : "producer") + " is '" +
                          (endpoint ? endpoint->name() : "<none>") + "'",
                      "channels are single-producer single-consumer; a "
-                     "later set" +
-                         std::string(p.isInput ? "Consumer" : "Producer") +
-                         " overwrote this op's binding (use BroadcastOp "
-                         "for fan-out)"});
+                     "later op's binding overwrote this one (use "
+                     "BroadcastOp for fan-out)"});
         }
     }
     for (const dam::Channel* ch : v.g.channels()) {
@@ -216,21 +210,21 @@ shapeFlowPass(const View& v, std::vector<Finding>& out)
         const PortDecl& cons = *c->second;
         const std::string prodName = v.prodOp.at(ch)->name();
         const std::string consName = v.consOp.at(ch)->name();
-        if (!prod.shape.compatibleWith(cons.shape))
+        if (!prod.shape().compatibleWith(cons.shape()))
             out.push_back(
                 {Severity::Error, "shape.mismatch", consName, ch->name(),
                  "producer '" + prodName + "' emits " +
-                     prod.shape.toString() + " but consumer '" + consName +
-                     "' expects " + cons.shape.toString(),
+                     prod.shape().toString() + " but consumer '" +
+                     consName + "' expects " + cons.shape().toString(),
                  "shapes must agree in rank and every static extent; "
                  "insert a shape operator or fix the port declaration"});
-        if (prod.dtype.toString() != cons.dtype.toString())
+        if (prod.dtype().toString() != cons.dtype().toString())
             out.push_back(
                 {Severity::Error, "shape.dtype-mismatch", consName,
                  ch->name(),
                  "producer '" + prodName + "' emits " +
-                     prod.dtype.toString() + " but consumer '" + consName +
-                     "' expects " + cons.dtype.toString(),
+                     prod.dtype().toString() + " but consumer '" +
+                     consName + "' expects " + cons.dtype().toString(),
                  "element types must match exactly across a channel"});
     }
 }
@@ -358,7 +352,9 @@ deadlockPass(const View& v, std::vector<Finding>& out)
             if (sccs.comp[e.from] != static_cast<int>(scc) ||
                 sccs.comp[e.to] != static_cast<int>(scc))
                 continue;
-            priming += ops[e.from]->primingTokens(e.ch);
+            for (const PortDecl& p : ops[e.from]->ports())
+                if (!p.isInput && p.ch == e.ch)
+                    priming += p.priming;
             capacity += static_cast<int64_t>(e.ch->capacity());
             if (e.ch->capacity() == 0 && !zeroCap)
                 zeroCap = e.ch;
@@ -430,8 +426,8 @@ deadlockPass(const View& v, std::vector<Finding>& out)
                  chName,
                  "channel cycle carries no initial tokens: " + witness,
                  "every op on the cycle blocks reading its predecessor; "
-                 "prime the cycle (see DispatcherOp::primingTokens) or "
-                 "break it"});
+                 "prime the cycle (bind an output with priming tokens, "
+                 "as DispatcherOp does) or break it"});
         } else if (priming > capacity) {
             out.push_back(
                 {Severity::Error, "deadlock.cycle-capacity", opName,

@@ -3,16 +3,18 @@
  * Static analysis over a built ops::Graph — the machine-checkable
  * well-formedness oracle the graph-rewrite/fusion pass will invoke
  * after every rewrite. The verifier never executes the graph: it walks
- * the channel endpoint tables and the operator-declared ports
- * (OpBase::collectPorts) and emits structured findings.
+ * the channel endpoint tables and each operator's port table
+ * (OpBase::ports(), filled by the same calls that bind the channel
+ * endpoints) and emits structured findings.
  *
  * Passes (each independently toggleable via VerifyOptions):
  *
  *  - structural well-formedness: every channel has exactly one producer
  *    and one consumer endpoint registered in the owning graph, no
- *    dangling ports, positive capacities, and the op-side port
- *    declarations agree with the channel endpoint tables (the property
- *    recycle()/rearm() must preserve).
+ *    dangling ports, positive capacities, and each op's port table
+ *    agrees with the channel endpoint tables (the property
+ *    recycle()/rearm() must preserve; a second op binding the same
+ *    endpoint shows up here against the first op's table).
  *
  *  - shape/dtype flow: for every channel, the producer's declared
  *    output view must be compatible (StreamShape::compatibleWith +
@@ -20,9 +22,9 @@
  *
  *  - deadlock-freedom: build the op-level channel dependency graph,
  *    find its strongly connected components, and for each cycle
- *    conservatively check the initial credits (OpBase::primingTokens,
- *    the static counterpart of initial tokens on a marked dataflow
- *    graph) against the cycle's buffering; a cycle with no initial
+ *    conservatively check the initial credits (PortDecl::priming on
+ *    the cycle's output ports, the static counterpart of initial tokens
+ *    on a marked dataflow graph) against the cycle's buffering; a cycle with no initial
  *    tokens, or more initial tokens than its channels can buffer, is
  *    reported with a minimal cycle witness — the static counterpart of
  *    the scheduler's runtime deadlock report.

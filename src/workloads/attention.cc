@@ -141,6 +141,7 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
     const auto P = static_cast<size_t>(p.regions);
     STEP_ASSERT(!p.functional || (qs && ks && vs),
                 "functional mode needs q/k/v payloads");
+    STEP_ASSERT(!rearm || ext_q, "rearm handles need an external q stream");
 
     // ---- KV tensors laid out per request ----------------------------
     int64_t tot_tiles = 0;
@@ -199,8 +200,6 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
             attnReqTokens(kv_lens, base_tile, Tk, d,
                           p.functional ? qs : nullptr),
             StreamShape({Dim::fixed(B), Dim::fixed(1)}), req_dt);
-        if (rearm)
-            rearm->req = &req_src;
         req_port = req_src.out();
     }
 
@@ -362,13 +361,6 @@ rearmAttentionLayer(const AttnRearmHandles& h, const AttnParams& p,
         RearmSpec s;
         s.tokens = &toks;
         h.meta->rearm(s);
-    }
-    if (h.req) {
-        std::vector<Token> toks =
-            attnReqTokens(kv_lens, base_tile, Tk, d, nullptr);
-        RearmSpec s;
-        s.tokens = &toks;
-        h.req->rearm(s);
     }
     if (h.selA || h.selB) {
         auto assign = staticAssignment(p);

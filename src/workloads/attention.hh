@@ -57,13 +57,14 @@ class RandomOffChipLoadOp;
  * Typed handles to the operators of a built attention layer that carry
  * per-iteration state. Populated by buildAttentionLayer when requested;
  * rearmAttentionLayer() patches them for the next iteration's KV
- * lengths and policy bandwidth without reconstructing the graph.
- * Pointers are owned by the graph and die with it (or with its next
- * recycle), so handles must be refreshed on every full rebuild.
+ * lengths and policy bandwidth without reconstructing the graph. Only
+ * layers fed by an external q stream (ext_q, as buildDecoderLayer
+ * builds them) are rearmable. Pointers are owned by the graph and die
+ * with it (or with its next recycle), so handles must be refreshed on
+ * every full rebuild.
  */
 struct AttnRearmHandles
 {
-    SourceOp* req = nullptr;  ///< standalone (q, meta) request stream
     SourceOp* meta = nullptr; ///< meta stream zipped with ext_q rows
     SourceOp* selA = nullptr; ///< static partition selector
     SourceOp* selB = nullptr; ///< static gather selector

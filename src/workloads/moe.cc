@@ -74,14 +74,62 @@ matmulPath(PipelineCtx& ctx, const std::string& name, StreamPort packed,
     return packcol.out();
 }
 
+/** One expert's rows packed into tiles, plus its pad stream (static
+ *  tiling only). */
+struct PackedRows
+{
+    StreamPort packed;
+    StreamPort pad;
+};
+
 /**
- * Full SwiGLU expert pipeline over a flat row stream (rank r, [.., D] of
- * [1,H] rows): pack -> (W1, W3) matmuls -> swiglu -> W2 matmul ->
- * unpack+filter -> flat row stream of [1,H] outputs (rank r).
+ * Per-expert pack stage shared by the dedicated and time-multiplexed
+ * layouts: flatten the expert's partition output to a row stream, then
+ * pack rows into tiles (Reshape+pad for static tiling, Promote for
+ * dynamic tiling, then the row Accum). The Accum runs at a quarter of
+ * the per-matmul bandwidth; on the dedicated layout that equals the
+ * region bandwidth, so one rearm list serves both layouts.
+ */
+PackedRows
+packExpertRows(Graph& g, const MoeParams& p, const std::string& name,
+               StreamPort part_out, MoeRearmHandles* rearm)
+{
+    const int64_t H = p.cfg.hidden;
+    const bool static_tiling = p.tiling == Tiling::Static;
+    auto& rows = g.add<FlattenOp>(nm(name, "rows"), part_out, 0, 1);
+    PackedRows out;
+    StreamPort grouped;
+    if (static_tiling) {
+        Value zero_row = p.functional
+            ? Value(Tile::zeros(1, H))
+            : Value(Tile(1, H));
+        auto& rs = g.add<ReshapeOp>(nm(name, "reshape"), rows.out(), 0,
+                                    p.tileRows,
+                                    std::optional<Value>(zero_row));
+        grouped = rs.out();
+        out.pad = rs.padOut();
+    } else {
+        grouped = g.add<PromoteOp>(nm(name, "promote"), rows.out()).out();
+    }
+    auto& pk = g.add<AccumOp>(
+        nm(name, "packrow"), grouped, 1, fns::retileRowInit(H),
+        fns::retileRowUpdate(), p.computeBwPerMatmul / 4,
+        static_tiling ? DataType::tile(p.tileRows, H)
+                      : DataType::tile(Dim::ragged(), Dim::fixed(H)));
+    if (rearm)
+        rearm->baseBwOps.emplace_back(&pk, 4);
+    out.packed = pk.out();
+    return out;
+}
+
+/**
+ * Full SwiGLU expert pipeline over one expert's packed tiles: (W1, W3)
+ * matmuls -> swiglu -> W2 matmul -> unpack+filter -> flat row stream
+ * of [1,H] outputs (rank 1).
  */
 StreamPort
-expertPipeline(PipelineCtx& ctx, const std::string& name, StreamPort rows,
-               const WeightLoader& loader)
+expertPipeline(PipelineCtx& ctx, const std::string& name,
+               const PackedRows& in, const WeightLoader& loader)
 {
     Graph& g = ctx.g;
     const MoeParams& p = ctx.p;
@@ -90,38 +138,7 @@ expertPipeline(PipelineCtx& ctx, const std::string& name, StreamPort rows,
     const int64_t Tc = p.weightTileCols;
     const int64_t n_cols_up = I / Tc;
     const int64_t n_cols_down = H / Tc;
-    const size_t r = rows.rank();
-
-    // ---- pack rows into tiles --------------------------------------
-    StreamPort packed;
-    StreamPort pad; // only for static tiling
-    if (p.tiling == Tiling::Static) {
-        Value zero_row = p.functional
-            ? Value(Tile::zeros(1, H))
-            : Value(Tile(1, H));
-        auto& rs = g.add<ReshapeOp>(nm(name, "reshape"), rows, 0,
-                                    p.tileRows,
-                                    std::optional<Value>(zero_row));
-        auto& pk = g.add<AccumOp>(
-            nm(name, "packrow"), rs.out(), 1, fns::retileRowInit(H),
-            fns::retileRowUpdate(), ctx.matmulBw / 4,
-            DataType::tile(p.tileRows, H));
-        ctx.record(pk, 4);
-        packed = pk.out();
-        pad = rs.padOut();
-    } else {
-        StreamPort grouped = rows;
-        if (r == 1) {
-            auto& pr = g.add<PromoteOp>(nm(name, "promote"), rows);
-            grouped = pr.out();
-        }
-        auto& pk = g.add<AccumOp>(
-            nm(name, "packrow"), grouped, 1, fns::retileRowInit(H),
-            fns::retileRowUpdate(), ctx.matmulBw / 4,
-            DataType::tile(Dim::ragged(), Dim::fixed(H)));
-        ctx.record(pk, 4);
-        packed = pk.out();
-    }
+    const StreamPort& packed = in.packed;
 
     // ---- gate / up projections + swiglu ----------------------------
     auto& pbc = g.add<BroadcastOp>(nm(name, "packed_bc"), packed, 4);
@@ -149,12 +166,12 @@ expertPipeline(PipelineCtx& ctx, const std::string& name, StreamPort rows,
                                 DataType::tile(1, H));
     StreamPort out_rows = fm.out();
     if (p.tiling == Tiling::Static) {
-        auto& fi = g.add<FilterOp>(nm(name, "dropPad"), out_rows, pad);
+        auto& fi = g.add<FilterOp>(nm(name, "dropPad"), out_rows, in.pad);
         out_rows = fi.out();
     }
-    if (out_rows.rank() > r) {
+    if (out_rows.rank() > 1) {
         auto& fl = g.add<FlattenOp>(nm(name, "flatrows"), out_rows, 0,
-                                    out_rows.rank() - r);
+                                    out_rows.rank() - 1);
         out_rows = fl.out();
     }
     return out_rows;
@@ -268,6 +285,7 @@ buildMoeLayer(Graph& g, const MoeParams& p, const ExpertTrace& trace,
                 "weight tile cols must divide I and H");
     STEP_ASSERT(!p.functional || token_rows,
                 "functional mode needs input activations");
+    STEP_ASSERT(!rearm || ext_in, "rearm handles need an external input");
 
     // ---- input token stream [B, 1] of [1,H] rows --------------------
     StreamPort in_port;
@@ -278,8 +296,6 @@ buildMoeLayer(Graph& g, const MoeParams& p, const ExpertTrace& trace,
             "moe.in", rowStreamTokens(B, H, token_rows),
             StreamShape({Dim::fixed(B), Dim::fixed(1)}),
             DataType::tile(1, H));
-        if (rearm)
-            rearm->in = &in_src;
         in_port = in_src.out();
     }
 
@@ -353,12 +369,9 @@ buildMoeLayer(Graph& g, const MoeParams& p, const ExpertTrace& trace,
                                             0, 1);
                 return fl.out();
             };
-            auto& rows_flat = g.add<FlattenOp>(nm(name, "rows"),
-                                               part.out(
-                                                   static_cast<size_t>(e)),
-                                               0, 1);
-            StreamPort out_rows = expertPipeline(ctx, name,
-                                                 rows_flat.out(), loader);
+            PackedRows packed = packExpertRows(
+                g, p, name, part.out(static_cast<size_t>(e)), rearm);
+            StreamPort out_rows = expertPipeline(ctx, name, packed, loader);
             auto& chunked = g.add<RepeatOp>(nm(name, "chunk"), out_rows,
                                             1);
             expert_rows[static_cast<size_t>(e)] = chunked.out();
@@ -380,41 +393,13 @@ buildMoeLayer(Graph& g, const MoeParams& p, const ExpertTrace& trace,
 
             // Per-expert packing into tiles.
             std::vector<StreamPort> packed_streams;
-            std::vector<StreamPort> pad_streams(
-                static_cast<size_t>(experts_per_region));
+            std::vector<StreamPort> pad_streams;
             for (int64_t k = 0; k < experts_per_region; ++k) {
-                std::string en = nm(name, "e" + std::to_string(k));
-                auto& rows = g.add<FlattenOp>(
-                    nm(en, "rows"), part.out(static_cast<size_t>(e0 + k)),
-                    0, 1);
-                if (p.tiling == Tiling::Static) {
-                    Value zero_row = p.functional
-                        ? Value(Tile::zeros(1, H))
-                        : Value(Tile(1, H));
-                    auto& rs = g.add<ReshapeOp>(
-                        nm(en, "reshape"), rows.out(), 0, p.tileRows,
-                        std::optional<Value>(zero_row));
-                    auto& pk = g.add<AccumOp>(
-                        nm(en, "packrow"), rs.out(), 1,
-                        fns::retileRowInit(H), fns::retileRowUpdate(),
-                        p.computeBwPerMatmul / 4,
-                        DataType::tile(p.tileRows, H));
-                    if (rearm)
-                        rearm->baseBwOps.emplace_back(&pk, 4);
-                    packed_streams.push_back(pk.out());
-                    pad_streams[static_cast<size_t>(k)] = rs.padOut();
-                } else {
-                    auto& pr = g.add<PromoteOp>(nm(en, "promote"),
-                                                rows.out());
-                    auto& pk = g.add<AccumOp>(
-                        nm(en, "packrow"), pr.out(), 1,
-                        fns::retileRowInit(H), fns::retileRowUpdate(),
-                        p.computeBwPerMatmul / 4,
-                        DataType::tile(Dim::ragged(), Dim::fixed(H)));
-                    if (rearm)
-                        rearm->baseBwOps.emplace_back(&pk, 4);
-                    packed_streams.push_back(pk.out());
-                }
+                PackedRows pr = packExpertRows(
+                    g, p, nm(name, "e" + std::to_string(k)),
+                    part.out(static_cast<size_t>(e0 + k)), rearm);
+                packed_streams.push_back(pr.packed);
+                pad_streams.push_back(pr.pad);
             }
 
             // Merge packed tiles by availability; the selector stream
@@ -525,12 +510,6 @@ rearmMoeLayer(const MoeRearmHandles& h, const MoeParams& p,
         std::vector<Token> toks = moeSelTokens(trace);
         s.tokens = &toks;
         h.selB->rearm(s);
-    }
-    if (h.in) {
-        std::vector<Token> toks = rowStreamTokens(
-            static_cast<int64_t>(trace.perToken.size()), p.cfg.hidden);
-        s.tokens = &toks;
-        h.in->rearm(s);
     }
 
     const int64_t region_bw = moeRegionBw(p);

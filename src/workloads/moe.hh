@@ -63,14 +63,14 @@ class SourceOp;
 
 /**
  * Typed handles to the operators of a built MoE layer that carry
- * per-iteration state (router selector streams, input activations,
- * policy-assigned matmul bandwidths). Populated by buildMoeLayer when
- * requested; rearmMoeLayer() patches them for the next iteration's
- * expert trace. Pointers die with the graph build.
+ * per-iteration state (router selector streams, policy-assigned matmul
+ * bandwidths). Populated by buildMoeLayer when requested; rearmMoeLayer()
+ * patches them for the next iteration's expert trace. Only layers fed by
+ * an external input (ext_in, as buildDecoderLayer builds them) are
+ * rearmable. Pointers die with the graph build.
  */
 struct MoeRearmHandles
 {
-    SourceOp* in = nullptr;   ///< standalone input stream (no ext_in)
     SourceOp* selA = nullptr; ///< router partition selector
     SourceOp* selB = nullptr; ///< router gather selector
     /** (op, divisor): rearmed bandwidth = moeRegionBw(p) / divisor. */

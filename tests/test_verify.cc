@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ops/route.hh"
@@ -20,6 +21,8 @@
 #include "support/rng.hh"
 #include "trace/trace.hh"
 #include "verify/verifier.hh"
+#include "workloads/attention.hh"
+#include "workloads/decoder.hh"
 #include "workloads/moe.hh"
 
 #include "helpers.hh"
@@ -70,23 +73,28 @@ single(const VerifyReport& r)
     return r.findings.front();
 }
 
-/** Declares a port bound to no channel — a builder bug. */
+/** Binds a port with no channel (input, or output into a pre-created
+ *  channel) — a builder bug. */
 class NullPortOp : public OpBase
 {
   public:
-    NullPortOp(Graph& g, const std::string& name) : OpBase(g, name) {}
+    NullPortOp(Graph& g, const std::string& name, bool output)
+        : OpBase(g, name)
+    {
+        if (output)
+            bindOutputInto(nullptr, port_);
+        else
+            bindInput(port_);
+    }
 
     dam::SimTask run() override { co_return; }
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl{nullptr, ragged1(), scalarTile(), true});
-    }
+  private:
+    StreamPort port_{nullptr, ragged1(), scalarTile()};
 };
 
 /**
- * Relay-like feedback op with declared priming credits: the static
+ * Forwarder whose output carries priming credits: the static
  * counterpart of DispatcherOp's primed selector stream, reduced to the
  * minimum needed to exercise the credit arithmetic of the deadlock
  * pass.
@@ -95,33 +103,65 @@ class PrimedFeedbackOp : public OpBase
 {
   public:
     PrimedFeedbackOp(Graph& g, const std::string& name, StreamPort in,
-                     dam::Channel* target, int64_t priming)
-        : OpBase(g, name), in_(in), target_(target), priming_(priming)
+                     size_t capacity, int64_t priming)
+        : OpBase(g, name), in_(in)
     {
-        in_.ch->setConsumer(this);
-        target_->setProducer(this);
+        bindInput(in_);
+        bindOutput(out_, name + ".out", in_.shape, in_.dtype, capacity,
+                   priming);
     }
+
+    StreamPort out() const { return out_; }
 
     dam::SimTask run() override { co_return; }
 
-    void
-    collectPorts(std::vector<PortDecl>& out) const override
-    {
-        out.push_back(PortDecl::input(in_));
-        out.push_back(PortDecl{target_, in_.shape, in_.dtype, false});
-    }
-
-    int64_t
-    primingTokens(const dam::Channel* out) const override
-    {
-        return out == target_ ? priming_ : 0;
-    }
-
   private:
     StreamPort in_;
-    dam::Channel* target_;
-    int64_t priming_;
+    StreamPort out_;
 };
+
+/**
+ * The port tables and the channel endpoints are one record: every
+ * channel of @p g appears exactly once as an output, in its producer's
+ * table, and exactly once as an input, in its consumer's table.
+ */
+void
+expectPortTablesMatchEndpoints(const Graph& g)
+{
+    std::unordered_map<const dam::Channel*, int> outs;
+    std::unordered_map<const dam::Channel*, int> ins;
+    for (const OpBase* op : g.ops()) {
+        for (const PortDecl& p : op->ports()) {
+            ASSERT_NE(p.ch, nullptr) << op->name();
+            const dam::Context* endpoint =
+                p.isInput ? p.ch->consumer() : p.ch->producer();
+            EXPECT_EQ(endpoint, op) << op->name() << " " << p.ch->name();
+            ++(p.isInput ? ins : outs)[p.ch];
+        }
+    }
+    EXPECT_EQ(outs.size(), g.channels().size());
+    EXPECT_EQ(ins.size(), g.channels().size());
+    for (const dam::Channel* ch : g.channels()) {
+        EXPECT_EQ(outs.count(ch) ? outs.at(ch) : 0, 1) << ch->name();
+        EXPECT_EQ(ins.count(ch) ? ins.at(ch) : 0, 1) << ch->name();
+    }
+}
+
+/** The priming count of @p op_name's output ports, summed. */
+int64_t
+primingOf(const Graph& g, const std::string& op_name)
+{
+    int64_t n = -1;
+    for (const OpBase* op : g.ops()) {
+        if (op->name() != op_name)
+            continue;
+        n = 0;
+        for (const PortDecl& p : op->ports())
+            if (!p.isInput)
+                n += p.priming;
+    }
+    return n;
+}
 
 // ---- structural pass ---------------------------------------------------
 
@@ -178,12 +218,13 @@ TEST(VerifyStructural, SecondConsumerOverwriteIsEndpointMismatch)
 
 TEST(VerifyStructural, EndpointFromAnotherGraphIsForeign)
 {
-    Graph other;
-    auto& foreign = other.add<SourceOp>("foreign", doneOnly(), ragged1(),
-                                        scalarTile());
     Graph g;
     dam::Channel& ch = g.makeChannel("xch");
-    ch.setProducer(&foreign); // stale pointer from another build
+    Graph other;
+    auto& src = other.add<SourceOp>("src", doneOnly(), ragged1(),
+                                    scalarTile());
+    // An op of another build binds itself as this graph's producer.
+    other.add<RelayOp>("foreign", src.out(), &ch);
     g.add<SinkOp>("sink", StreamPort{&ch, ragged1(), scalarTile()});
     const auto& f = single(g.verify(kStructural));
     EXPECT_EQ(f.ruleId, "structural.foreign-endpoint");
@@ -191,13 +232,15 @@ TEST(VerifyStructural, EndpointFromAnotherGraphIsForeign)
     EXPECT_EQ(f.channelName, "xch");
 }
 
-TEST(VerifyStructural, NullPortDeclarationFlagged)
+TEST(VerifyStructural, NullPortBindingUnreachableByConstruction)
 {
+    // Ports are recorded only by the bind helpers, which reject a null
+    // channel, so structural.null-port is defense-in-depth for future
+    // rewrite passes that might edit port tables in place. Pin the
+    // guard that makes the state unreachable today.
     Graph g;
-    g.add<NullPortOp>("broken");
-    const auto& f = single(g.verify(kStructural));
-    EXPECT_EQ(f.ruleId, "structural.null-port");
-    EXPECT_EQ(f.opName, "broken");
+    EXPECT_THROW((void)g.add<NullPortOp>("in", false), PanicError);
+    EXPECT_THROW((void)g.add<NullPortOp>("out", true), PanicError);
 }
 
 // ---- shape/dtype flow pass ---------------------------------------------
@@ -274,11 +317,9 @@ TEST(VerifyDeadlock, PrimingBeyondCycleBufferingFlagged)
 {
     Graph g;
     dam::Channel& a = g.makeChannel("cycA", 2);
-    dam::Channel& b = g.makeChannel("cycB", 2);
-    g.add<PrimedFeedbackOp>("f1", StreamPort{&a, ragged1(), scalarTile()},
-                            &b, 5);
-    g.add<PrimedFeedbackOp>("f2", StreamPort{&b, ragged1(), scalarTile()},
-                            &a, 0);
+    auto& f1 = g.add<PrimedFeedbackOp>(
+        "f1", StreamPort{&a, ragged1(), scalarTile()}, 2, 5);
+    g.add<RelayOp>("r", f1.out(), &a);
     const auto& f = single(g.verify(kDeadlock));
     EXPECT_EQ(f.ruleId, "deadlock.cycle-capacity");
     EXPECT_NE(f.witness.find("primes 5"), std::string::npos) << f.witness;
@@ -291,11 +332,9 @@ TEST(VerifyDeadlock, PrimedCycleWithinBufferingIsLive)
     // feedback loop keeps it live, and the verifier must not cry wolf.
     Graph g;
     dam::Channel& a = g.makeChannel("cycA");
-    dam::Channel& b = g.makeChannel("cycB");
-    g.add<PrimedFeedbackOp>("f1", StreamPort{&a, ragged1(), scalarTile()},
-                            &b, 1);
-    g.add<PrimedFeedbackOp>("f2", StreamPort{&b, ragged1(), scalarTile()},
-                            &a, 0);
+    auto& f1 = g.add<PrimedFeedbackOp>(
+        "f1", StreamPort{&a, ragged1(), scalarTile()}, 0, 1);
+    g.add<RelayOp>("r", f1.out(), &a);
     const VerifyReport r = g.verify(kDeadlock);
     EXPECT_TRUE(r.clean()) << r.toText();
 }
@@ -360,6 +399,61 @@ TEST(Verify, ShippingMoeGraphLintsClean)
     EXPECT_TRUE(r.clean()) << r.toText();
     EXPECT_GT(r.opsChecked, 0u);
     EXPECT_GT(r.channelsChecked, 0u);
+}
+
+TEST(Verify, PortTablesAreTheChannelEndpoints)
+{
+    const ModelConfig cfg = servingSimConfig();
+    const auto lens = sampleKvBatch(7, 32, KvVarClass::Med);
+    for (ParStrategy s : {ParStrategy::StaticCoarse,
+                          ParStrategy::StaticInterleaved,
+                          ParStrategy::Dynamic}) {
+        SCOPED_TRACE(static_cast<int>(s));
+        AttnParams p;
+        p.cfg = cfg;
+        p.batch = 32;
+        p.strategy = s;
+        p.regions = 4;
+        p.coarseBlock = p.batch / p.regions;
+        Graph g;
+        g.add<SinkOp>("out", buildAttentionLayer(g, p, lens).out);
+        expectPortTablesMatchEndpoints(g);
+        // The dispatcher's round-robin fill: min(regions, B) tokens.
+        EXPECT_EQ(primingOf(g, "attn.disp"),
+                  s == ParStrategy::Dynamic ? 4 : -1);
+    }
+    for (Tiling t : {Tiling::Static, Tiling::Dynamic}) {
+        for (int64_t regions : {int64_t{0}, int64_t{4}}) {
+            SCOPED_TRACE(regions);
+            MoeParams p;
+            p.cfg = cfg;
+            p.batch = 32;
+            p.tiling = t;
+            p.parallelRegions = regions;
+            Rng rng(11);
+            ExpertTrace tr = generateExpertTrace(rng, p.batch,
+                                                 p.cfg.numExperts,
+                                                 p.cfg.topK);
+            Graph g;
+            g.add<SinkOp>("out", buildMoeLayer(g, p, tr).out);
+            expectPortTablesMatchEndpoints(g);
+        }
+    }
+    // A batch smaller than the region count primes only B selectors.
+    DecoderParams dp;
+    dp.cfg = cfg;
+    dp.batch = 2;
+    dp.attnStrategy = ParStrategy::Dynamic;
+    dp.moeRegions = 4;
+    IterationSpec spec;
+    spec.kvLens = sampleKvBatch(13, dp.batch, KvVarClass::Med);
+    Rng rng(17);
+    spec.trace = generateExpertTrace(rng, dp.batch, dp.cfg.numExperts,
+                                     dp.cfg.topK);
+    Graph g;
+    buildDecoderLayer(g, dp, spec.trace, spec.kvLens);
+    expectPortTablesMatchEndpoints(g);
+    EXPECT_EQ(primingOf(g, "attn.disp"), 2);
 }
 
 TEST(Verify, VerificationIsReadOnly)
