@@ -8,11 +8,13 @@
  *  - steady-state heap allocations per event, measured with a counting
  *    global allocator around the scheduler's drain() phase only (graph
  *    build/teardown and coroutine-frame creation in start() excluded),
- *  - serving-iteration throughput with graph recycling on and off.
+ *  - serving-iteration throughput with graph recycling on and off, and
+ *    through one rearmed graph over a realistic decode-batch mix.
  *
  * With `--json[=path]` the results are also written to
  * BENCH_hotpath.json for CI trajectory capture.
  */
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -263,6 +265,8 @@ runSubstrate(BuildFn build, int reps)
 struct ServingResult
 {
     double rearmItersPerSec = 0;    ///< rearm fast path (engine default)
+    double batchMixItersPerSec = 0; ///< rearm over a changing batch
+    uint64_t batchMixRebuilds = 0;  ///< builds over the whole batch mix
     double recycledItersPerSec = 0; ///< recycle + rebuild per iteration
     double rebuildItersPerSec = 0;  ///< cold graph per iteration
     double rearmEventsPerSec = 0;
@@ -270,6 +274,24 @@ struct ServingResult
     uint64_t eventsPerIter = 0;
     uint64_t switchesPerIter = 0;
 };
+
+/**
+ * Decode batch sizes of the batch-mix case: up from 1 to 24 and down to
+ * 3 in single steps, then a few jumps, the way a continuous batcher's
+ * batch moves as requests arrive and finish.
+ */
+std::vector<int64_t>
+batchMixWalk()
+{
+    std::vector<int64_t> walk;
+    for (int64_t b = 1; b <= 24; ++b)
+        walk.push_back(b);
+    for (int64_t b = 23; b >= 3; --b)
+        walk.push_back(b);
+    for (int64_t b : {12, 4, 20, 8, 16, 2, 24, 6})
+        walk.push_back(b);
+    return walk;
+}
 
 ServingResult
 runServing(int reps)
@@ -312,6 +334,34 @@ runServing(int reps)
         for (int r = 0; r < reps; ++r)
             rearmDecoderLayer(g, handles, p, spec);
         res.rearmBuildUs = seconds(t0, Clk::now()) / reps * 1e6;
+    }
+    {
+        // Batch mix: a fixed continuous-batcher-like walk of the decode
+        // batch through one graph. Batch size is a rearm payload, so the
+        // graph is built once and every batch change rearms it.
+        std::vector<IterationSpec> mix;
+        for (int64_t b : batchMixWalk()) {
+            IterationSpec s;
+            for (int64_t i = 0; i < b; ++i)
+                s.kvLens.push_back(rng.uniformRange(32, 192));
+            s.trace = generateExpertTrace(rng, b, p.cfg.numExperts,
+                                          p.cfg.topK);
+            mix.push_back(std::move(s));
+        }
+        GraphArena arena;
+        Graph g(SimConfig{}, &arena);
+        DecoderRearmHandles handles;
+        for (const IterationSpec& s : mix) // warmup pass, builds once
+            runDecoderIteration(p, s, &sched, &g, &handles);
+        const int walks = std::max(1, reps / 30);
+        auto t0 = Clk::now();
+        for (int w = 0; w < walks; ++w)
+            for (const IterationSpec& s : mix)
+                runDecoderIteration(p, s, &sched, &g, &handles);
+        res.batchMixItersPerSec = static_cast<double>(walks) *
+                                  static_cast<double>(mix.size()) /
+                                  seconds(t0, Clk::now());
+        res.batchMixRebuilds = handles.rebuilds;
     }
     {
         // Recycle + rebuild every iteration (the PR-2 path).
@@ -377,6 +427,9 @@ main(int argc, char** argv)
     std::printf("  cold rebuild:        %9.1f iters/sec\n",
                 sv.rebuildItersPerSec);
     std::printf("  rearm build cost:    %9.1f us/iter\n", sv.rearmBuildUs);
+    std::printf("  batch mix (B=1..24): %9.1f iters/sec (builds: %llu)\n",
+                sv.batchMixItersPerSec,
+                static_cast<unsigned long long>(sv.batchMixRebuilds));
     std::printf("  rearm vs rebuild:    %9.2fx\n",
                 sv.rearmItersPerSec / sv.rebuildItersPerSec);
     std::printf("  switches/iter:       %9llu\n",
@@ -413,6 +466,10 @@ main(int argc, char** argv)
         j.set("serving_rearm_events_per_sec", sv.rearmEventsPerSec,
               "events/sec");
         j.set("serving_rearm_build_us", sv.rearmBuildUs, "us");
+        j.set("serving_batchmix_iters_per_sec", sv.batchMixItersPerSec,
+              "iters/sec");
+        j.set("serving_batchmix_rebuilds",
+              static_cast<double>(sv.batchMixRebuilds), "builds");
         j.set("serving_events_per_iter",
               static_cast<double>(sv.eventsPerIter), "events");
         j.set("serving_switches_per_iter",

@@ -25,6 +25,8 @@ struct IterationSample
     int64_t usefulFlops = 0;    ///< prefill + decode FLOPs this iteration
     int64_t decodeBatch = 0;    ///< decode requests in the batch
     int64_t prefillTokens = 0;  ///< prompt tokens prefilled this iteration
+
+    bool operator==(const IterationSample&) const = default;
 };
 
 class UtilizationTimeline
@@ -66,6 +68,9 @@ class UtilizationTimeline
     Table bucketReport(int64_t total_bw, int buckets = 12) const;
 
     size_t iterations() const { return samples_.size(); }
+
+    /** Every recorded iteration, in record order. */
+    const std::vector<IterationSample>& samples() const { return samples_; }
 
   private:
     std::vector<IterationSample> samples_;

@@ -69,8 +69,10 @@ Yield::await_suspend(std::coroutine_handle<>) const
 
 /** Dynamics-only reset for the rearm path (see header). */
 void
-Channel::rearm()
+Channel::rearm(size_t capacity)
 {
+    STEP_ASSERT(capacity >= 1, "channel capacity must be >= 1");
+    capacity_ = capacity;
     entries_.clear();
     credits_.clear();
     initCredits_ = capacity_;

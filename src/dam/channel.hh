@@ -55,11 +55,13 @@ class Channel
 
     /**
      * Reset run-time dynamics only — FIFO contents, credits, waiter
-     * registrations, push count — while keeping the name, geometry, and
+     * registrations, push count — and set the FIFO depth to
+     * @p capacity, while keeping the name, latency, and
      * producer/consumer bindings. Used by Graph::rearm() to re-run a
-     * structurally unchanged graph without rebuilding it.
+     * structurally unchanged graph without rebuilding it: depth is a
+     * rearm payload (it scales with the batch), latency is structural.
      */
-    void rearm();
+    void rearm(size_t capacity);
 
     const std::string& name() const { return name_; }
     size_t capacity() const { return capacity_; }

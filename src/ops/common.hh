@@ -105,6 +105,9 @@ struct RearmSpec
     const OffChipTensor* tensor = nullptr;
     /** New allocated compute bandwidth; < 0 keeps the current value. */
     int64_t computeBw = -1;
+    /** New element count of a counted generator (DispatcherOp's
+     *  selector total); < 0 keeps the current value. */
+    int64_t total = -1;
 };
 
 /**
@@ -176,6 +179,10 @@ class OpBase : public dam::Context
      * and dtype are those of the member @p view (RelayOp).
      */
     void bindOutputInto(dam::Channel* ch, const StreamPort& view);
+
+    /** Re-set the priming count recorded for the bound output @p out
+     *  (a rearm payload, e.g. DispatcherOp's min(regions, total)). */
+    void setPriming(const StreamPort& out, int64_t priming);
 
     /** advance() that also accrues busy-cycle statistics. */
     void

@@ -55,6 +55,20 @@ OpBase::bindOutputInto(dam::Channel* ch, const StreamPort& view)
 }
 
 void
+OpBase::setPriming(const StreamPort& out, int64_t priming)
+{
+    for (uint32_t i = firstPort_; i < firstPort_ + numPorts_; ++i) {
+        PortDecl& port = graph_.ports_[i];
+        if (!port.isInput && port.view == &out) {
+            port.priming = priming;
+            return;
+        }
+    }
+    STEP_ASSERT(false, "operator " << name() << " has no bound output "
+                "to prime");
+}
+
+void
 OpBase::rearm(const RearmSpec&)
 {
     flops_ = 0;
@@ -130,6 +144,7 @@ Graph::makeChannel(std::string_view name, size_t capacity_override)
                                             cfg_.channelLatency);
     }
     channels_.push_back(ch.get());
+    configSized_.push_back(capacity_override == 0);
     channelStore_.push_back(std::move(ch));
     return *channels_.back();
 }
@@ -142,6 +157,7 @@ Graph::recycle(const SimConfig& cfg)
     arena_->mem.reset();
     ports_.clear();
     channels_.clear();
+    configSized_.clear();
     // LIFO pooling: a structurally stable rebuild pops channels in a
     // fixed order, so each logical channel settles onto one pooled
     // object whose name/ring storage already fits.
@@ -169,13 +185,13 @@ void
 Graph::rearm(const SimConfig& cfg)
 {
     STEP_ASSERT(!ops_.empty(), "Graph::rearm on an empty graph");
-    STEP_ASSERT(cfg.channelCapacity == cfg_.channelCapacity &&
-                cfg.channelLatency == cfg_.channelLatency,
-                "channel geometry is structural: recycle and rebuild "
+    STEP_ASSERT(cfg.channelLatency == cfg_.channelLatency,
+                "channel latency is structural: recycle and rebuild "
                 "instead of rearming");
     cfg_ = cfg;
-    for (dam::Channel* ch : channels_)
-        ch->rearm();
+    for (size_t i = 0; i < channels_.size(); ++i)
+        channels_[i]->rearm(configSized_[i] ? cfg_.channelCapacity
+                                            : channels_[i]->capacity());
     if (customMem_) {
         mem_->reset();
     } else {

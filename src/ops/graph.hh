@@ -118,8 +118,12 @@ class Graph
      * per-iteration parameters are patched through OpBase::rearm().
      * This skips the ~190 operator constructors a recycle+rebuild pays
      * and is valid only while the graph structure (operator set,
-     * channel geometry) is unchanged — callers key on a structural
-     * fingerprint and fall back to recycle() + rebuild on mismatch.
+     * channel wiring and latency) is unchanged — callers key on a
+     * structural fingerprint and fall back to recycle() + rebuild on
+     * mismatch. Channel depth is not structural: channels created at
+     * the configured depth take @p cfg's channelCapacity, and channels
+     * created with a makeChannel override keep theirs for the owning
+     * builder's rearm to re-size.
      */
     void rearm(const SimConfig& cfg);
 
@@ -186,6 +190,9 @@ class Graph
     std::vector<PortDecl> ports_;
     /** Live channels of the current build (owned via store/pool). */
     std::vector<dam::Channel*> channels_;
+    /** Per channel of channels_: created at the configured depth (no
+     *  makeChannel override), so rearm() re-sizes it from the config. */
+    std::vector<bool> configSized_;
     std::vector<std::unique_ptr<dam::Channel>> channelStore_;
     std::vector<std::unique_ptr<dam::Channel>> channelPool_;
     std::unique_ptr<MemModel> mem_;

@@ -343,18 +343,43 @@ EagerMergeOp::run()
 // Dispatcher
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** Round-robin selectors DispatcherOp emits before reading anything. */
+int64_t
+dispatcherPriming(size_t regions, uint64_t total)
+{
+    return static_cast<int64_t>(std::min<uint64_t>(regions, total));
+}
+
+} // namespace
+
 DispatcherOp::DispatcherOp(Graph& g, const std::string& name,
                            StreamPort completions, size_t regions,
-                           uint64_t total)
+                           uint64_t total, Dim extent)
     : OpBase(g, name), completions_(completions), regions_(regions),
       total_(total)
 {
     bindInput(completions_);
-    bindOutput(out_, name + ".out",
-               StreamShape({Dim::fixed(static_cast<int64_t>(total))}),
+    bindOutput(out_, name + ".out", StreamShape({std::move(extent)}),
                DataType::selector(static_cast<int64_t>(regions)),
                std::max<size_t>(16, 2 * regions),
-               static_cast<int64_t>(std::min<uint64_t>(regions, total)));
+               dispatcherPriming(regions, total));
+}
+
+void
+DispatcherOp::rearm(const RearmSpec& spec)
+{
+    OpBase::rearm(spec);
+    if (spec.total < 0)
+        return;
+    const Dim& extent = out_.shape.outer(0);
+    STEP_ASSERT(!extent.isStatic() || extent.size.equals(spec.total),
+                name() << " declares the static extent "
+                       << extent.toString() << "; rebuild it to change "
+                       << "its total to " << spec.total);
+    total_ = static_cast<uint64_t>(spec.total);
+    setPriming(out_, dispatcherPriming(regions_, total_));
 }
 
 dam::SimTask

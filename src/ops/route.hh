@@ -106,17 +106,21 @@ class EagerMergeOp : public OpBase
  * arrives next (the EagerMerge selector input). The round-robin
  * selectors are emitted before any completion is read, so the output is
  * bound with min(regions, total) priming tokens: the initial tokens
- * that keep the feedback cycle live.
+ * that keep the feedback cycle live. The output declares @p extent as
+ * its length: Dim::fixed(total), or a symbol when the builder rearms the
+ * total (RearmSpec::total), since a static extent cannot follow a new
+ * total.
  */
 class DispatcherOp : public OpBase
 {
   public:
     DispatcherOp(Graph& g, const std::string& name, StreamPort completions,
-                 size_t regions, uint64_t total);
+                 size_t regions, uint64_t total, Dim extent);
 
     StreamPort out() const { return out_; }
 
     dam::SimTask run() override;
+    void rearm(const RearmSpec& spec) override;
 
   private:
     StreamPort completions_;

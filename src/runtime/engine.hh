@@ -117,8 +117,10 @@ struct EngineConfig
 
     /**
      * Statically verify every freshly built iteration graph — the first
-     * build and each rearm structural-key fallback — before running it
-     * (src/verify; error findings are fatal). Read-only, so enabling it
+     * build, and a rebuild after a structural-key change; batch changes
+     * rearm a graph whose symbolic shapes the first verification
+     * already covers — before running it (src/verify; error findings
+     * are fatal). Read-only, so enabling it
      * is byte-identical to disabling it on a well-formed graph; on by
      * default in debug builds, opt-in (--verify on the sims) elsewhere.
      */
@@ -201,8 +203,8 @@ class ServingEngine
     GraphArena arena_;     ///< backs the recycled iteration graph
     std::unique_ptr<Graph> iterGraph_; ///< null unless recycling
     /** Structure-preserving rearm handles for iterGraph_: while the
-     *  decode batch's structural key is stable, iterations patch the
-     *  recycled graph in place instead of rebuilding it. */
+     *  structural key is stable — batch changes included — iterations
+     *  patch the recycled graph in place instead of rebuilding it. */
     DecoderRearmHandles rearmHandles_;
 };
 

@@ -74,6 +74,14 @@ assignSelTokens(const std::vector<uint32_t>& assign)
     return toks;
 }
 
+/** Depth of the dynamic strategy's completion channels: they scale
+ *  with the batch, so build and rearm size them here. */
+size_t
+completionCapacity(int64_t batch)
+{
+    return static_cast<size_t>(batch) + 16;
+}
+
 /** Shape-only K/V tensor pair for the current KV layout. */
 void
 kvShapeTensors(int64_t tot_tiles, int64_t Tk, int64_t d, OffChipTensor* kt,
@@ -185,7 +193,7 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
         // to form the (q, meta) request tuples.
         auto& meta_src = g.add<SourceOp>(
             "attn.meta", attnMetaTokens(kv_lens, base_tile, Tk),
-            StreamShape({Dim::fixed(B)}), DataType::tile(1, 2));
+            StreamShape({batchDim()}), DataType::tile(1, 2));
         if (rearm)
             rearm->meta = &meta_src;
         auto& qflat = g.add<FlattenOp>("attn.qflat", *ext_q, 0, 1);
@@ -199,7 +207,7 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
             "attn.req",
             attnReqTokens(kv_lens, base_tile, Tk, d,
                           p.functional ? qs : nullptr),
-            StreamShape({Dim::fixed(B), Dim::fixed(1)}), req_dt);
+            StreamShape({batchDim(), Dim::fixed(1)}), req_dt);
         req_port = req_src.out();
     }
 
@@ -213,7 +221,7 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
         auto assign = staticAssignment(p);
         auto mk_sel = [&](const std::string& name) -> SourceOp& {
             return g.add<SourceOp>(name, assignSelTokens(assign),
-                                   StreamShape({Dim::fixed(B)}),
+                                   StreamShape({batchDim()}),
                                    DataType::selector(p.regions));
         };
         SourceOp& sa = mk_sel("attn.selA");
@@ -235,17 +243,21 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
     if (dynamic) {
         std::vector<StreamPort> comp_ports;
         for (size_t r = 0; r < P; ++r) {
-            auto& ch = g.makeChannel(
-                "attn.comp" + std::to_string(r),
-                static_cast<size_t>(B) + 16);
+            auto& ch = g.makeChannel("attn.comp" + std::to_string(r),
+                                     completionCapacity(B));
             completion_chans.push_back(&ch);
+            if (rearm)
+                rearm->compChans.push_back(&ch);
             comp_ports.push_back(StreamPort{
                 &ch, StreamShape({Dim::ragged()}), DataType::tile(1, d)});
         }
         auto& em = g.add<EagerMergeOp>("attn.compMerge", comp_ports, 0);
         g.add<SinkOp>("attn.compSink", em.out());
         auto& disp = g.add<DispatcherOp>("attn.disp", em.selOut(), P,
-                                         static_cast<uint64_t>(B));
+                                         static_cast<uint64_t>(B),
+                                         batchDim());
+        if (rearm)
+            rearm->disp = &disp;
         auto& selbc = g.add<BroadcastOp>("attn.selbc", disp.out(), 2);
         part_sel = selbc.out(0);
         gather_sel = selbc.out(1);
@@ -338,6 +350,7 @@ rearmAttentionLayer(const AttnRearmHandles& h, const AttnParams& p,
     STEP_ASSERT(!p.functional,
                 "rearm supports timing mode only (functional payloads "
                 "require a rebuild)");
+    const auto B = static_cast<int64_t>(kv_lens.size());
     const int64_t d = p.cfg.numKvHeads * p.cfg.headDim;
     const int64_t Tk = p.kvTileRows;
 
@@ -380,6 +393,13 @@ rearmAttentionLayer(const AttnRearmHandles& h, const AttnParams& p,
         RearmSpec s;
         s.computeBw = p.computeBw / div;
         op->rearm(s);
+    }
+    for (dam::Channel* ch : h.compChans)
+        ch->rearm(completionCapacity(B));
+    if (h.disp) {
+        RearmSpec s;
+        s.total = B;
+        h.disp->rearm(s);
     }
 }
 

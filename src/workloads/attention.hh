@@ -53,11 +53,14 @@ struct AttnBuild
 class SourceOp;
 class RandomOffChipLoadOp;
 
+class DispatcherOp;
+
 /**
- * Typed handles to the operators of a built attention layer that carry
- * per-iteration state. Populated by buildAttentionLayer when requested;
- * rearmAttentionLayer() patches them for the next iteration's KV
- * lengths and policy bandwidth without reconstructing the graph. Only
+ * Typed handles to the operators and channels of a built attention
+ * layer that carry per-iteration state. Populated by
+ * buildAttentionLayer when requested; rearmAttentionLayer() patches
+ * them for the next iteration's batch, KV lengths and policy bandwidth
+ * without reconstructing the graph. Only
  * layers fed by an external q stream (ext_q, as buildDecoderLayer
  * builds them) are rearmable. Pointers are owned by the graph and die
  * with it (or with its next recycle), so handles must be refreshed on
@@ -72,6 +75,10 @@ struct AttnRearmHandles
     std::vector<RandomOffChipLoadOp*> vLoads; ///< per-region V loads
     /** (op, divisor): rearmed bandwidth = p.computeBw / divisor. */
     std::vector<std::pair<OpBase*, int64_t>> bwOps;
+    /** Dynamic strategy: the dispatcher (its total is the batch) and
+     *  the completion channels (their depth scales with the batch). */
+    DispatcherOp* disp = nullptr;
+    std::vector<dam::Channel*> compChans;
 };
 
 /**
@@ -88,10 +95,11 @@ AttnBuild buildAttentionLayer(
     AttnRearmHandles* rearm = nullptr);
 
 /**
- * Re-arm a built attention layer for new per-request KV lengths and the
- * current policy bandwidth (timing mode only). Requires the owning
- * graph to have been rearm()-ed first; produces metrics bit-identical
- * to a full rebuild with the same parameters.
+ * Re-arm a built attention layer for a new batch (kv_lens.size()), new
+ * per-request KV lengths and the current policy bandwidth (timing mode
+ * only). Requires the owning graph to have been rearm()-ed first;
+ * produces metrics bit-identical to a full rebuild with the same
+ * parameters.
  */
 void rearmAttentionLayer(const AttnRearmHandles& h, const AttnParams& p,
                          const std::vector<int64_t>& kv_lens);

@@ -62,10 +62,9 @@ iterationSimConfig(int64_t batch)
 }
 
 DecoderStructKey
-decoderStructKey(const DecoderParams& p, int64_t batch)
+decoderStructKey(const DecoderParams& p, int64_t /*batch: a rearm payload*/)
 {
     DecoderStructKey k;
-    k.batch = batch;
     k.hidden = p.cfg.hidden;
     k.moeIntermediate = p.cfg.moeIntermediate;
     k.numExperts = p.cfg.numExperts;
@@ -163,7 +162,7 @@ buildDecoderLayer(Graph& g, const DecoderParams& p,
     // Layer input activations.
     auto& in_src = g.add<SourceOp>(
         "layer.in", rowStreamTokens(B, H),
-        StreamShape({Dim::fixed(B), Dim::fixed(1)}), DataType::tile(1, H));
+        StreamShape({batchDim(), Dim::fixed(1)}), DataType::tile(1, H));
     if (rearm)
         rearm->layerIn = &in_src;
 
@@ -266,12 +265,13 @@ runDecoderIteration(const DecoderParams& p, const IterationSpec& spec,
             if (rearm->valid && rearm->key == key) {
                 // Fast path: patch the recycled graph in place instead
                 // of re-running ~190 operator constructors. The
-                // structure is the verified one, so no re-verification.
+                // structure is the verified one and its shapes hold for
+                // every batch, so no re-verification.
                 ++rearm->rearms;
                 rearmDecoderLayer(*reuse, *rearm, p, spec);
             } else {
-                // Structural change (batch size, layer config, policy
-                // split): fall back to a full recycle + rebuild and
+                // First build or structural change (layer config,
+                // parallelization, tiling): recycle + rebuild and
                 // refresh the handles.
                 ++rearm->rebuilds;
                 reuse->recycle(sc);

@@ -61,15 +61,17 @@ StreamPort buildDenseProj(Graph& g, const std::string& name,
 
 /**
  * Structural fingerprint of a decoder-layer graph: everything that
- * determines the operator set and channel geometry. KV lengths, expert
- * traces, and policy-assigned bandwidths are deliberately absent — they
- * are per-iteration state the rearm path patches in place. When the key
- * changes (batch size, layer config, parallelization split) the graph
- * must be recycled and rebuilt.
+ * determines the operator set and channel wiring. The batch size, KV
+ * lengths, expert traces, and policy-assigned bandwidths are
+ * deliberately absent — they are per-iteration state the rearm path
+ * patches in place (the batch reaches the graph only through source
+ * tokens, channel depths, the attention dispatcher's total and
+ * priming, and port shapes that declare it as the symbol B). When the
+ * key changes (layer config, parallelization or tiling) the graph must
+ * be recycled and rebuilt.
  */
 struct DecoderStructKey
 {
-    int64_t batch = 0;
     // ModelConfig geometry
     int64_t hidden = 0;
     int64_t moeIntermediate = 0;
@@ -92,13 +94,15 @@ struct DecoderStructKey
     bool operator==(const DecoderStructKey&) const = default;
 };
 
+/** @p batch is unused: the batch is not structural (kept so callers
+ *  can key an iteration without knowing that). */
 DecoderStructKey decoderStructKey(const DecoderParams& p, int64_t batch);
 
 /**
  * The SimConfig a serving iteration at @p batch runs under (channel
  * capacity scales with the batch). Exported so benches and tests build
- * exactly the graph the engine runs; rearm asserts the channel
- * geometry it implies is unchanged.
+ * exactly the graph the engine runs; rearm re-sizes the channels of a
+ * built graph to the depth it implies.
  */
 SimConfig iterationSimConfig(int64_t batch);
 
@@ -108,7 +112,8 @@ SimConfig iterationSimConfig(int64_t batch);
  * graph's driver (e.g. the serving engine) and refreshed by
  * buildDecoderLayer on every full rebuild; runDecoderIteration uses
  * them to take the structure-preserving rearm fast path whenever the
- * key still matches.
+ * key still matches, whatever the iteration's batch size. A driver
+ * with a fixed layer config therefore builds once.
  */
 struct DecoderRearmHandles
 {
@@ -156,11 +161,13 @@ struct IterationSpec
 
 /**
  * Structure-preserving re-arm of a previously built decoder-layer
- * graph: Graph::rearm plus per-operator patches for the iteration's KV
- * lengths, expert trace, and bandwidths. Valid only while
- * decoderStructKey(p, B) matches the build; metrics are bit-identical
- * to a cold build with the same (p, spec). Exposed separately from
- * runDecoderIteration so benches can time the rearm cost alone.
+ * graph: Graph::rearm (channel depths for the iteration's batch) plus
+ * per-operator patches for the iteration's batch, KV lengths, expert
+ * trace, and bandwidths. Valid only while decoderStructKey(p, B)
+ * matches the build; the batch may differ from the build's. Metrics
+ * are bit-identical to a cold build with the same (p, spec). Exposed
+ * separately from runDecoderIteration so benches can time the rearm
+ * cost alone.
  */
 void rearmDecoderLayer(Graph& g, const DecoderRearmHandles& h,
                        const DecoderParams& p, const IterationSpec& spec);
@@ -175,15 +182,17 @@ void rearmDecoderLayer(Graph& g, const DecoderRearmHandles& h,
  * names (see Graph::recycle). When @p rearm is also non-null and the
  * structural key matches the previous build, even the rebuild is
  * skipped: the recycled graph is patched in place (rearmDecoderLayer)
- * — the fast path the serving engine runs on. On a key change the
- * handles are refreshed by a full recycle+rebuild.
+ * — the fast path the serving engine runs on, batch changes included.
+ * Only the first build and a key change (layer config, parallelization
+ * or tiling) recycle, rebuild and refresh the handles.
  *
- * When @p vopts is non-null every fresh build — the cold path and the
- * rearm structural-key fallback, but not the structure-preserving rearm
+ * When @p vopts is non-null every fresh build — the cold path, the
+ * first build and a key change, but not the structure-preserving rearm
  * itself — is statically verified (Graph::verify) before it runs; an
  * error-severity finding raises FatalError with the rendered report.
- * Verification is read-only, so a clean verified run is byte-identical
- * to an unverified one.
+ * A built graph declares the batch symbolically, so its verification
+ * holds for every batch it is rearmed to. Verification is read-only,
+ * so a clean verified run is byte-identical to an unverified one.
  */
 SimResult runDecoderIteration(const DecoderParams& p,
                               const IterationSpec& spec,

@@ -9,7 +9,21 @@
 #include <cstdint>
 #include <string>
 
+#include "core/stream_shape.hh"
+
 namespace step {
+
+/**
+ * The batch extent, declared as the symbol B on every port the workload
+ * builders size by the batch. Batch size is a rearm payload rather than
+ * structure (see DecoderStructKey), so a built graph's metadata must
+ * hold for every batch it is rearmed to.
+ */
+inline Dim
+batchDim()
+{
+    return Dim::dynamicExpr(sym::Expr::sym("B"));
+}
 
 struct ModelConfig
 {

@@ -294,17 +294,17 @@ buildMoeLayer(Graph& g, const MoeParams& p, const ExpertTrace& trace,
     } else {
         auto& in_src = g.add<SourceOp>(
             "moe.in", rowStreamTokens(B, H, token_rows),
-            StreamShape({Dim::fixed(B), Dim::fixed(1)}),
+            StreamShape({batchDim(), Dim::fixed(1)}),
             DataType::tile(1, H));
         in_port = in_src.out();
     }
 
     // ---- router selector streams ------------------------------------
     auto& selA = g.add<SourceOp>("moe.selA", moeSelTokens(trace),
-                                 StreamShape({Dim::fixed(B)}),
+                                 StreamShape({batchDim()}),
                                  DataType::selector(E));
     auto& selB = g.add<SourceOp>("moe.selB", moeSelTokens(trace),
-                                 StreamShape({Dim::fixed(B)}),
+                                 StreamShape({batchDim()}),
                                  DataType::selector(E));
     if (rearm) {
         rearm->selA = &selA;

@@ -99,9 +99,10 @@ MoeBuild buildMoeLayer(Graph& g, const MoeParams& p,
 
 /**
  * Re-arm a built MoE layer for a new expert-routing trace and the
- * current policy bandwidth (timing mode only). The trace's batch size
- * and the layer geometry must match the build; metrics are
- * bit-identical to a full rebuild with the same parameters.
+ * current policy bandwidth (timing mode only). The layer geometry must
+ * match the build; the trace's batch size may differ, since the router
+ * streams declare the batch symbolically. Metrics are bit-identical to
+ * a full rebuild with the same parameters.
  */
 void rearmMoeLayer(const MoeRearmHandles& h, const MoeParams& p,
                    const ExpertTrace& trace);

@@ -236,7 +236,8 @@ TEST(Dispatcher, RoundRobinThenCompletionDriven)
     comps.push_back(Token::done());
     auto& csrc = g.add<SourceOp>("c", comps, StreamShape({Dim::ragged()}),
                                  DataType::selector(2));
-    auto& disp = g.add<DispatcherOp>("disp", csrc.out(), 2, 5);
+    auto& disp = g.add<DispatcherOp>("disp", csrc.out(), 2, 5,
+                                     Dim::fixed(5));
     auto& sink = g.add<SinkOp>("sink", disp.out(), true);
     (void)g.run();
     ASSERT_EQ(sink.dataCount(), 5u);
@@ -245,6 +246,54 @@ TEST(Dispatcher, RoundRobinThenCompletionDriven)
         if (t.isData())
             order.push_back(t.value().selector().indices[0]);
     EXPECT_EQ(order, (std::vector<uint32_t>{0, 1, 1, 1, 0}));
+}
+
+TEST(Dispatcher, RearmTakesNewTotalAndPriming)
+{
+    auto completions = [] {
+        return std::vector<Token>{Token::data(Selector::oneHot(1)),
+                                  Token::done()};
+    };
+    Graph g;
+    auto& csrc = g.add<SourceOp>("c", completions(),
+                                 StreamShape({Dim::ragged()}),
+                                 DataType::selector(2));
+    auto& disp = g.add<DispatcherOp>("disp", csrc.out(), 2, 3,
+                                     Dim::dynamicExpr(sym::Expr::sym("N")));
+    auto& sink = g.add<SinkOp>("sink", disp.out());
+    (void)g.run();
+    EXPECT_EQ(sink.dataCount(), 3u);
+    EXPECT_EQ(disp.ports()[1].priming, 2);
+
+    // A total below the region count primes fewer selectors.
+    g.rearm(g.config());
+    std::vector<Token> toks = completions();
+    RearmSpec src;
+    src.tokens = &toks;
+    csrc.rearm(src);
+    RearmSpec total;
+    total.total = 1;
+    disp.rearm(total);
+    EXPECT_EQ(disp.ports()[1].priming, 1);
+    (void)g.run();
+    EXPECT_EQ(sink.dataCount(), 1u);
+}
+
+TEST(Dispatcher, RearmRejectsNewTotalUnderStaticExtent)
+{
+    Graph g;
+    auto& csrc = g.add<SourceOp>(
+        "c", std::vector<Token>{Token::done()},
+        StreamShape({Dim::ragged()}), DataType::selector(2));
+    auto& disp = g.add<DispatcherOp>("disp", csrc.out(), 2, 3,
+                                     Dim::fixed(3));
+    g.add<SinkOp>("sink", disp.out());
+    RearmSpec same;
+    same.total = 3;
+    EXPECT_NO_THROW(disp.rearm(same));
+    RearmSpec other;
+    other.total = 4;
+    EXPECT_THROW(disp.rearm(other), PanicError);
 }
 
 } // namespace

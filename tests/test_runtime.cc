@@ -8,6 +8,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "runtime/engine.hh"
 #include "support/error.hh"
 
@@ -346,23 +348,56 @@ TEST(Engine, CompletesAllRequestsAndStampsLatencies)
 TEST(Engine, RecycledGraphsMatchRebuildPathOver100Iterations)
 {
     // Acceptance gate for graph recycling: >= 100 batching iterations on
-    // one engine instance, with metrics identical to rebuilding the
-    // iteration graph from scratch every time.
+    // one engine instance, with every request's outcome and every
+    // iteration identical to rebuilding the iteration graph from scratch
+    // each time (the oracle). The decode batch walks from 1 to past the
+    // attention region count, so the recycled graph is rearmed across
+    // batch sizes, including the dispatcher's min(regions, B) priming.
     TraceConfig tc = burstyTrace(60);
     QueueDepthPolicy policy;
+    const EngineConfig defaults;
 
-    auto run_once = [&](bool recycle) {
-        auto reqs = generateTrace(tc, 5);
+    auto run_once = [&](bool recycle, std::vector<Request>& reqs) {
+        reqs = generateTrace(tc, 5);
         EngineConfig ec;
         ec.recycleGraphs = recycle;
         ServingEngine engine(ec, policy);
         return engine.run(reqs);
     };
-    EngineResult rebuild = run_once(false);
-    EngineResult recycled = run_once(true);
+    std::vector<Request> rebuild_reqs;
+    std::vector<Request> recycled_reqs;
+    EngineResult rebuild = run_once(false, rebuild_reqs);
+    EngineResult recycled = run_once(true, recycled_reqs);
 
     EXPECT_GE(recycled.iterations, 100);
     EXPECT_EQ(recycled.iterations, rebuild.iterations);
+
+    int64_t min_batch = std::numeric_limits<int64_t>::max();
+    int64_t max_batch = 0;
+    for (const IterationSample& s : recycled.timeline.samples()) {
+        if (s.decodeBatch == 0)
+            continue;
+        min_batch = std::min(min_batch, s.decodeBatch);
+        max_batch = std::max(max_batch, s.decodeBatch);
+    }
+    EXPECT_EQ(min_batch, 1);
+    EXPECT_GT(max_batch, defaults.attnRegions);
+
+    ASSERT_EQ(recycled_reqs.size(), rebuild_reqs.size());
+    for (size_t i = 0; i < recycled_reqs.size(); ++i) {
+        EXPECT_EQ(recycled_reqs[i].state, rebuild_reqs[i].state)
+            << "request " << i;
+        EXPECT_EQ(recycled_reqs[i].firstTokenAt,
+                  rebuild_reqs[i].firstTokenAt) << "request " << i;
+        EXPECT_EQ(recycled_reqs[i].finishedAt, rebuild_reqs[i].finishedAt)
+            << "request " << i;
+    }
+    const auto& got = recycled.timeline.samples();
+    const auto& want = rebuild.timeline.samples();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], want[i]) << "iteration " << i;
+
     EXPECT_EQ(recycled.summary.makespan, rebuild.summary.makespan);
     EXPECT_EQ(recycled.summary.completed, rebuild.summary.completed);
     EXPECT_EQ(recycled.summary.generatedTokens,
