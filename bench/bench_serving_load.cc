@@ -27,10 +27,12 @@
  * fault injection with the resilience tier's migration, breakers, and
  * cross-replica prefix reuse enabled — cluster only, so --replicas >= 2
  * is required. The JSON artifact then additionally records goodput
- * under faults, availability, and the migration/retry counts at the
- * highest load point; CI gates it against
- * bench/baseline_serving_load_faults.json, whose goodput/availability
- * floors carry an explicit {"gate": "floor"} marker. Without either
+ * under faults, availability, the migration/retry counts at the
+ * highest load point, and replica_iter_skip_frac: the share of the
+ * failover waves' replica iterations that checkpoint resume skipped,
+ * over the whole sweep (1 - simulated / replayed). CI gates it against
+ * bench/baseline_serving_load_faults.json, whose goodput, availability
+ * and skip-fraction floors carry an explicit {"gate": "floor"} marker. Without either
  * flag the sweep's output is byte-identical to the fault-free bench.
  *
  *   ./bench_serving_load [--seed N] [--requests N] [--replicas N]
@@ -137,6 +139,9 @@ main(int argc, char** argv)
     double goodput_static = 0.0, goodput_dynamic = 0.0; // highest rate
     double availability_hiload = 1.0; // dynamic policy, highest rate
     int64_t migrations_hiload = 0, retries_hiload = 0;
+    // Replica iterations the failover waves executed, and what replaying
+    // every re-run from cycle 0 would have executed.
+    int64_t iters_simulated = 0, iters_replayed = 0;
     for (double rate_per_mcycle : {0.6, 1.0, 1.4, 1.8}) {
         for (bool dynamic : {false, true}) {
             TraceConfig tc;
@@ -196,6 +201,8 @@ main(int argc, char** argv)
                 ServingCluster cluster(cc, policy);
                 ClusterResult cr = cluster.run(reqs);
                 s = cr.aggregate;
+                iters_simulated += cr.replicaIterationsSimulated;
+                iters_replayed += cr.replicaIterationsReplayed;
                 if (dynamic) {
                     availability_hiload = s.availability;
                     migrations_hiload = cr.migrationsIssued;
@@ -261,6 +268,12 @@ main(int argc, char** argv)
                        static_cast<double>(migrations_hiload), "count");
             report.set("retries_hiload",
                        static_cast<double>(retries_hiload), "count");
+            report.set("replica_iter_skip_frac",
+                       iters_replayed > 0
+                           ? 1.0 - static_cast<double>(iters_simulated) /
+                                       static_cast<double>(iters_replayed)
+                           : 0.0,
+                       "fraction");
         }
         if (!report.writeTo(json_path))
             std::cerr << "failed to write " << json_path << "\n";

@@ -7,6 +7,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -33,6 +34,9 @@ class UtilizationTimeline
 {
   public:
     void record(const IterationSample& s) { samples_.push_back(s); }
+
+    /** Keep the first @p n iterations (a resumed run's prefix). */
+    void truncate(size_t n) { samples_.resize(std::min(n, samples_.size())); }
 
     /**
      * Append another timeline's samples (cluster aggregation: replica

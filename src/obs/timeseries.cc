@@ -6,6 +6,22 @@
 
 namespace step::obs {
 
+namespace {
+
+/** Fold @p src's samples into @p dst's aggregate. */
+void
+fold(WindowAgg& dst, const WindowAgg& src)
+{
+    if (src.count == 0)
+        return;
+    dst.min = dst.count == 0 ? src.min : std::min(dst.min, src.min);
+    dst.max = dst.count == 0 ? src.max : std::max(dst.max, src.max);
+    dst.count += src.count;
+    dst.sum += src.sum;
+}
+
+} // namespace
+
 TimeSeries::TimeSeries(dam::Cycle window_cycles, bool with_histograms)
     : window_(window_cycles), withHists_(with_histograms)
 {
@@ -22,15 +38,9 @@ TimeSeries::record(dam::Cycle at, uint64_t value)
         if (withHists_)
             hists_.resize(w + 1);
     }
-    WindowAgg& agg = windows_[w];
-    agg.min = agg.count == 0 ? value : std::min(agg.min, value);
-    agg.max = agg.count == 0 ? value : std::max(agg.max, value);
-    agg.count += 1;
-    agg.sum += value;
-    total_.min = total_.count == 0 ? value : std::min(total_.min, value);
-    total_.max = total_.count == 0 ? value : std::max(total_.max, value);
-    total_.count += 1;
-    total_.sum += value;
+    const WindowAgg sample{1, value, value, value};
+    fold(windows_[w], sample);
+    fold(total_, sample);
     if (withHists_) {
         if (!hists_[w])
             hists_[w] = std::make_unique<LogHistogram>();
@@ -49,27 +59,16 @@ TimeSeries::merge(const TimeSeries& o)
             hists_.resize(o.windows_.size());
     }
     for (size_t w = 0; w < o.windows_.size(); ++w) {
-        const WindowAgg& src = o.windows_[w];
-        if (src.count == 0)
+        if (o.windows_[w].count == 0)
             continue;
-        WindowAgg& dst = windows_[w];
-        dst.min = dst.count == 0 ? src.min : std::min(dst.min, src.min);
-        dst.max = dst.count == 0 ? src.max : std::max(dst.max, src.max);
-        dst.count += src.count;
-        dst.sum += src.sum;
+        fold(windows_[w], o.windows_[w]);
         if (withHists_ && o.withHists_ && o.hists_[w]) {
             if (!hists_[w])
                 hists_[w] = std::make_unique<LogHistogram>();
             hists_[w]->merge(*o.hists_[w]);
         }
     }
-    const WindowAgg& src = o.total_;
-    if (src.count != 0) {
-        total_.min = total_.count == 0 ? src.min : std::min(total_.min, src.min);
-        total_.max = total_.count == 0 ? src.max : std::max(total_.max, src.max);
-        total_.count += src.count;
-        total_.sum += src.sum;
-    }
+    fold(total_, o.total_);
 }
 
 const WindowAgg&
@@ -94,6 +93,44 @@ TimeSeries::forEachWindow(
     for (size_t w = 0; w < windows_.size(); ++w)
         if (windows_[w].count != 0)
             fn(w, windows_[w]);
+}
+
+TimeSeries::Mark
+TimeSeries::mark(dam::Cycle floor) const
+{
+    Mark m;
+    m.slots = windows_.size();
+    m.first = std::min(size_t(floor / window_), m.slots);
+    m.windows.assign(windows_.begin() + static_cast<ptrdiff_t>(m.first),
+                     windows_.end());
+    m.hists.resize(withHists_ ? m.slots - m.first : 0);
+    for (size_t i = 0; i < m.hists.size(); ++i)
+        if (hists_[m.first + i])
+            m.hists[i] = hists_[m.first + i]->sparse();
+    return m;
+}
+
+void
+TimeSeries::rollback(const Mark& m)
+{
+    STEP_ASSERT(m.first <= windows_.size() && m.slots <= windows_.size(),
+                "rollback to a mark this series never passed");
+    windows_.resize(m.slots);
+    std::copy(m.windows.begin(), m.windows.end(),
+              windows_.begin() + static_cast<ptrdiff_t>(m.first));
+    if (withHists_) {
+        hists_.resize(m.slots);
+        for (size_t i = 0; i < m.hists.size(); ++i)
+            hists_[m.first + i] =
+                m.hists[i].count == 0
+                    ? nullptr
+                    : std::make_unique<LogHistogram>(m.hists[i]);
+    }
+    // The total is a fold of the windows, which now hold exactly the
+    // samples recorded before the mark.
+    total_ = WindowAgg{};
+    for (const WindowAgg& w : windows_)
+        fold(total_, w);
 }
 
 } // namespace step::obs

@@ -7,6 +7,7 @@
 #include <limits>
 #include <numeric>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -428,12 +429,14 @@ ServingCluster::route(const std::vector<Request>& reqs,
 /**
  * One run()'s failover state machine. The constructor is the pre-pass:
  * it decides the tier, routes the trace, and shards it into *pristine*
- * per-replica inputs. wave() simulates the listed replicas from fresh
- * working copies, so every (re-)run of a replica replays the identical
- * input. failover() turns the casualties no earlier wave decided into
- * new incarnations and names the replicas to re-simulate; it converges
- * because each (request, attempt) pair is decided exactly once and the
- * policy bounds attempts. finish() reconciles, reflects and merges.
+ * per-replica inputs. wave() simulates the listed replicas over fresh
+ * copies of their inputs; a re-run resumes from the replica's latest
+ * checkpoint before the arrivals failover appended, which the replay
+ * from cycle 0 would reach identically. failover() turns the casualties
+ * no earlier wave decided into new incarnations and names the replicas
+ * to re-simulate; it converges because each (request, attempt) pair is
+ * decided exactly once and the policy bounds attempts. finish()
+ * reconciles, reflects and merges.
  */
 class ServingCluster::Run
 {
@@ -445,7 +448,7 @@ class ServingCluster::Run
               std::min(cfg_.threads > 0 ? cfg_.threads : cfg_.replicas,
                        cfg_.replicas))),
           handoff_(cfg_.resilience.migration), shard_(R_), meta_(R_),
-          work_(R_), results_(R_),
+          runs_(R_), changedFrom_(R_, 0), results_(R_),
           traces_(cfg_.trace.level != obs::TraceLevel::Off ? R_ : 0),
           mregs_(cfg_.metrics.enabled ? R_ : 0), load_(R_, 0)
     {
@@ -492,6 +495,27 @@ class ServingCluster::Run
             meta_[r].push_back({i, reqs[i].attempt});
             load_[r] += reqs[i].promptLen + reqs[i].outputLen;
         }
+        // Every casualty fails at or after some replica's failure edge,
+        // and its next incarnation re-arrives no earlier: anchoring each
+        // replica's checkpoints at the cluster-wide edges keeps one just
+        // before every appended arrival. A fault-free plan anchors none.
+        std::vector<dam::Cycle> edges;
+        for (const EngineConfig& ec : engines_)
+            for (dam::Cycle c : failureEdges(ec))
+                edges.push_back(c);
+        std::sort(edges.begin(), edges.end());
+        edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+        for (ReplicaRun& run : runs_)
+            run.anchors = edges;
+        // One sink and registry per replica for the whole run: a re-run
+        // rolls its replica's back to the checkpoint it resumes from, so
+        // the exports describe the final timelines. Created before any
+        // worker exists; replica r's worker is their only writer, and
+        // exporting in index order erases the threads.
+        for (auto& t : traces_)
+            t = std::make_unique<obs::TraceSink>(cfg_.trace);
+        for (auto& m : mregs_)
+            m = std::make_unique<obs::MetricsRegistry>(cfg_.metrics);
     }
 
     /** Every replica: wave 0's list. */
@@ -507,19 +531,7 @@ class ServingCluster::Run
     void
     wave(const std::vector<size_t>& todo)
     {
-        STEP_ASSERT(waves_ < 1024, "failover waves did not converge");
         ++waves_;
-        // Fresh sinks and registries (exports describe final timelines),
-        // created before the workers spawn: replica r's worker is their
-        // only writer, and exporting in index order erases the threads.
-        for (size_t r : todo) {
-            work_[r] = shard_[r];
-            if (!traces_.empty())
-                traces_[r] = std::make_unique<obs::TraceSink>(cfg_.trace);
-            if (!mregs_.empty())
-                mregs_[r] =
-                    std::make_unique<obs::MetricsRegistry>(cfg_.metrics);
-        }
         // Replica todo[i] runs on worker i mod T (worker 0 is this
         // thread); the host thread never changes what a (shared-nothing)
         // replica computes.
@@ -543,26 +555,33 @@ class ServingCluster::Run
         for (std::exception_ptr& e : errors)
             if (e)
                 std::rethrow_exception(e);
+        for (size_t r : todo) {
+            simulated_ += runs_[r].simulatedIterations;
+            replayed_ += runs_[r].result.iterations;
+            changedFrom_[r] = ReplicaFaultTimeline::kNoEvent;
+        }
     }
 
     /**
      * Offer the undecided casualties to the rescheduling policy in
      * (fail-cycle, request, attempt) order, append the granted ones to
-     * their targets' shards, and return the changed replicas.
+     * their targets' shards, and return the changed replicas. A policy
+     * still granting after kMaxWaves waves is a FatalError.
      */
     std::vector<size_t>
     failover()
     {
-        std::vector<char> dirty(R_, 0);
+        std::vector<Casualty> granted;
         for (const Casualty& f : casualties()) {
             decided_.insert({f.orig, f.attempt});
-            const int64_t tgt = handOff(f);
-            if (tgt >= 0)
-                dirty[static_cast<size_t>(tgt)] = 1;
+            if (handOff(f) >= 0)
+                granted.push_back(f);
         }
+        if (!granted.empty() && waves_ >= kMaxWaves)
+            nonConvergence(granted);
         std::vector<size_t> todo;
         for (size_t r = 0; r < R_; ++r)
-            if (dirty[r]) {
+            if (changedFrom_[r] != ReplicaFaultTimeline::kNoEvent) {
                 resortShard(r);
                 todo.push_back(r);
             }
@@ -572,12 +591,14 @@ class ServingCluster::Run
     ClusterResult
     finish()
     {
+        for (size_t r = 0; r < R_; ++r)
+            results_[r].result = std::move(runs_[r].result);
         // Every original request reports its *final* incarnation
         // (highest attempt), with the original arrival restored so the
         // caller's trace stays sorted.
         std::vector<Final> fin(reqs_.size());
         for (size_t r = 0; r < R_; ++r)
-            for (size_t k = 0; k < work_[r].size(); ++k) {
+            for (size_t k = 0; k < runs_[r].reqs.size(); ++k) {
                 const Incarnation& m = meta_[r][k];
                 if (m.attempt > fin[m.orig].attempt)
                     fin[m.orig] = {m.attempt, r, k};
@@ -585,7 +606,7 @@ class ServingCluster::Run
         reconcile(fin);
         for (size_t i = 0; i < reqs_.size(); ++i) {
             const dam::Cycle arrival = reqs_[i].arrival;
-            reqs_[i] = work_[fin[i].replica][fin[i].slot];
+            reqs_[i] = runs_[fin[i].replica].reqs[fin[i].slot];
             reqs_[i].arrival = arrival;
         }
 
@@ -598,6 +619,9 @@ class ServingCluster::Run
         out.breakers = std::move(breakers_);
         out.retriesIssued = retriesIssued_;
         out.migrationsIssued = migrationsIssued_;
+        out.waves = waves_;
+        out.replicaIterationsSimulated = simulated_;
+        out.replicaIterationsReplayed = replayed_;
         out.autoscale = std::move(autoscale_);
         std::vector<ServingSummary> parts;
         parts.reserve(R_);
@@ -635,6 +659,10 @@ class ServingCluster::Run
     }
 
   private:
+    /** Waves after which a policy still granting incarnations is
+     *  misconfigured (it must bound attempts). */
+    static constexpr int kMaxWaves = 1024;
+
     /** A shard slot: the caller's request and which incarnation of it
      *  (0 = original submission). */
     struct Incarnation
@@ -669,7 +697,30 @@ class ServingCluster::Run
         out.replica = static_cast<int64_t>(r);
         out.seed = engines_[r].seed;
         out.assignedRequests = static_cast<int64_t>(shard_[r].size());
-        out.result = engine.run(work_[r]);
+        engine.run(runs_[r], std::vector<Request>(shard_[r]),
+                   changedFrom_[r]);
+    }
+
+    /** The retry policy still granted incarnations after kMaxWaves
+     *  waves: report the wave count and the casualties it re-issued. */
+    [[noreturn]] void
+    nonConvergence(const std::vector<Casualty>& granted) const
+    {
+        std::ostringstream os;
+        for (size_t i = 0; i < std::min<size_t>(granted.size(), 8); ++i) {
+            const Casualty& f = granted[i];
+            os << (i ? ", " : "") << "request "
+               << runs_[f.replica].reqs[f.slot].id << " attempt "
+               << f.attempt << " (replica " << f.replica << ", cycle "
+               << f.at << ")";
+        }
+        if (granted.size() > 8)
+            os << ", ...";
+        stepFatal("failover did not converge: after "
+                  << waves_ << " waves the retry policy still granted "
+                  << granted.size()
+                  << " more incarnations (it must bound attempts): "
+                  << os.str());
     }
 
     std::vector<Casualty>
@@ -677,8 +728,8 @@ class ServingCluster::Run
     {
         std::vector<Casualty> out;
         for (size_t r = 0; r < R_; ++r)
-            for (size_t k = 0; k < work_[r].size(); ++k) {
-                const Request& q = work_[r][k];
+            for (size_t k = 0; k < runs_[r].reqs.size(); ++k) {
+                const Request& q = runs_[r].reqs[k];
                 const Incarnation& m = meta_[r][k];
                 if ((q.state == ReqState::Failed ||
                      q.state == ReqState::Migrated) &&
@@ -698,7 +749,7 @@ class ServingCluster::Run
     int64_t
     handOff(const Casualty& f)
     {
-        const Request& src = work_[f.replica][f.slot];
+        const Request& src = runs_[f.replica].reqs[f.slot];
         const std::optional<dam::Cycle> re =
             retry_->reschedule(src, f.attempt + 1, f.at);
         if (!re)
@@ -723,6 +774,7 @@ class ServingCluster::Run
         inc.attempt = f.attempt + 1;
         inc.remoteKvTokens = carriedKvTokens(src);
         fetchRemotePrefix(inc, owner, tgt);
+        changedFrom_[tgt] = std::min(changedFrom_[tgt], inc.arrival);
         shard_[tgt].push_back(inc);
         meta_[tgt].push_back({f.orig, inc.attempt});
         load_[tgt] += inc.promptLen + inc.outputLen;
@@ -753,7 +805,7 @@ class ServingCluster::Run
                                    d.failAt > wiped))
                 wiped = d.failAt;
         int64_t credit = 0;
-        for (const Request& q : work_[ow]) {
+        for (const Request& q : runs_[ow].reqs) {
             if (q.sessionId != inc.sessionId || q.turn >= inc.turn ||
                 q.state != ReqState::Finished || q.finishedAt > at ||
                 (wiped != ReplicaFaultTimeline::kNoEvent &&
@@ -821,9 +873,9 @@ class ServingCluster::Run
         for (size_t r = 0; r < R_; ++r) {
             int64_t retried = 0;
             std::vector<Request> view;
-            view.reserve(work_[r].size());
-            for (size_t k = 0; k < work_[r].size(); ++k) {
-                Request& q = work_[r][k];
+            view.reserve(runs_[r].reqs.size());
+            for (size_t k = 0; k < runs_[r].reqs.size(); ++k) {
+                Request& q = runs_[r].reqs[k];
                 const Incarnation& m = meta_[r][k];
                 if (m.attempt < fin[m.orig].attempt) {
                     if (q.state == ReqState::Failed)
@@ -859,7 +911,11 @@ class ServingCluster::Run
 
     std::vector<std::vector<Request>> shard_;
     std::vector<std::vector<Incarnation>> meta_;
-    std::vector<std::vector<Request>> work_;
+    /** Per replica: its last run (requests, result, checkpoints). */
+    std::vector<ReplicaRun> runs_;
+    /** Per replica: the earliest arrival failover appended since its
+     *  last run (kNoEvent: unchanged). */
+    std::vector<dam::Cycle> changedFrom_;
     std::vector<ReplicaResult> results_;
     std::vector<std::unique_ptr<obs::TraceSink>> traces_;
     std::vector<std::unique_ptr<obs::MetricsRegistry>> mregs_;
@@ -869,6 +925,8 @@ class ServingCluster::Run
     int64_t retriesIssued_ = 0;
     int64_t migrationsIssued_ = 0;
     int waves_ = 0;
+    int64_t simulated_ = 0; ///< replica iterations executed
+    int64_t replayed_ = 0;  ///< ... and a replay from cycle 0 would run
 };
 
 ClusterResult

@@ -128,8 +128,10 @@ struct ClusterConfig
      * written by exactly one worker, so recording needs no locks — and
      * hands them back in ClusterResult::traces, replica-index order.
      * Exporting that vector yields bytes independent of the thread
-     * count. Replicas re-simulated by a failover wave get a fresh sink,
-     * so exported traces always describe the final timeline.
+     * count. A replica a failover wave re-simulates rolls its sink back
+     * to the checkpoint it resumes from (an empty sink for a re-run
+     * from cycle 0), so exported traces always describe the final
+     * timeline.
      */
     obs::TraceOptions trace;
     /**
@@ -140,9 +142,10 @@ struct ClusterConfig
      * instrument set into its replica's registry at iteration
      * boundaries, and ClusterResult hands back the per-replica
      * registries plus their replica-index-order merge — so the exported
-     * artifact is bit-identical whatever the thread count. Replicas
-     * re-simulated by a failover wave get a fresh registry, so metrics
-     * always describe the final timeline.
+     * artifact is bit-identical whatever the thread count. A replica a
+     * failover wave re-simulates rolls its registry back to the
+     * checkpoint it resumes from, so metrics always describe the final
+     * timeline.
      */
     obs::MetricsConfig metrics;
 };
@@ -169,6 +172,14 @@ struct ClusterResult
     /** Migration incarnations the resilience tier issued (0 unless the
      *  tier is enabled and a slowdown drain fired). */
     int64_t migrationsIssued = 0;
+    /** Failover waves run (1 without a casualty). */
+    int64_t waves = 0;
+    /** Replica iterations the waves actually executed: a re-run counts
+     *  only those after the checkpoint it resumed from. */
+    int64_t replicaIterationsSimulated = 0;
+    /** EngineResult::iterations summed over every wave's replica runs:
+     *  what re-simulating each from cycle 0 would have executed. */
+    int64_t replicaIterationsReplayed = 0;
     /** The autoscaler's precomputed step timeline (empty unless the
      *  resilience tier's autoscaler is enabled). */
     std::vector<AutoscaleStep> autoscale;
@@ -228,7 +239,13 @@ class ServingCluster
      * in (fail-cycle, request) order and offered to the tier's
      * RetryPolicy, granted incarnations are appended to their target
      * replica's shard, and only the changed replicas re-simulate —
-     * until no new failure appears. A request that failed but was
+     * until no new failure appears. A re-simulated replica resumes from
+     * its latest checkpoint before the earliest arrival appended to it
+     * (checkpoints are anchored at the plan's failure edges), so only
+     * the part of its timeline the new arrivals can change runs again;
+     * the result is byte-identical to replaying it from cycle 0. A
+     * retry policy that never stops granting attempts raises a
+     * FatalError after 1024 waves. A request that failed but was
      * retried reports the final incarnation's outcome to the caller
      * (original arrival kept, Request::attempt telling the story); its
      * source replica's summary reclassifies it failed -> retried.

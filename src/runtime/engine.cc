@@ -5,6 +5,7 @@
 #include <cmath>
 #include <iterator>
 #include <optional>
+#include <utility>
 
 #include "obs/metrics.hh"
 #include "obs/sink.hh"
@@ -318,7 +319,93 @@ foldLostCache(PrefixCacheStats& acc, const PrefixCacheStats& lost)
         std::max(acc.peakOccupancyTokens, lost.peakOccupancyTokens);
 }
 
+/** When each of @p cfg's qualifying slowdown windows has been observed
+ *  long enough to trigger live migration. */
+std::vector<dam::Cycle>
+drainEdges(const EngineConfig& cfg)
+{
+    std::vector<dam::Cycle> out;
+    if (cfg.drain.enabled)
+        for (const auto& s : cfg.faults.slowdowns)
+            if (s.factor <= cfg.drain.openBelowFactor &&
+                s.end - s.start > cfg.drain.detectCycles)
+                out.push_back(s.start + cfg.drain.detectCycles);
+    return out;
+}
+
 } // namespace
+
+/**
+ * A run's state at the top of one loop turn, before that turn delivers
+ * anything. Requests are kept by slot (input position): a resumed run
+ * serves fresh copies. Only what the run changed on the requests still
+ * live at the checkpoint is kept; the ones already ended keep their
+ * final state in the last run's requests, and the rest is the input's.
+ */
+struct ReplicaRun::Checkpoint
+{
+    dam::Cycle now = 0;
+    /** Arrivals at or after this cycle change nothing before here. */
+    dam::Cycle horizon = 0;
+    dam::Cycle delivered = 0;
+    size_t nextArrival = 0, nextDown = 0, nextDrain = 0, nextInstant = 0;
+    size_t ended = 0;
+    int64_t iterations = 0; ///< also the timeline's length
+    Rng iterRng{0};
+    PrefixCacheStats lostCacheStats;
+    ContinuousBatcher::Slots batcher;
+    /** What the run changed on one live request; the rest is input. */
+    struct Live
+    {
+        ReqState state;
+        int64_t prefilledTokens;
+        double prefillFlopsDone;
+        int64_t generated;
+        dam::Cycle firstTokenAt;
+        int64_t cachedPrefixTokens;
+        int64_t outputLen;   ///< admission may cap it...
+        size_t blockHashes; ///< ...and truncate the hash stream with it
+    };
+    /** Every live request: running, then waiting, in batcher order. */
+    std::vector<Live> live;
+    std::unique_ptr<PrefixCache> cache; ///< pins keyed on `live`
+    bool traced = false, metered = false;
+    obs::TraceSink::Mark trace;
+    obs::MetricsRegistry::Mark metrics;
+
+    /** The live request that slot @p k of the run's requests held. */
+    size_t
+    liveIndexOf(uint32_t k) const
+    {
+        const auto it =
+            std::find(batcher.running.begin(), batcher.running.end(), k);
+        STEP_ASSERT(it != batcher.running.end(),
+                    "a prefix-cache pin held by a request not running");
+        return static_cast<size_t>(it - batcher.running.begin());
+    }
+
+    uint32_t
+    slotOf(size_t j) const
+    {
+        return j < batcher.running.size()
+                   ? batcher.running[j]
+                   : batcher.waiting[j - batcher.running.size()];
+    }
+};
+
+ReplicaRun::ReplicaRun() = default;
+ReplicaRun::~ReplicaRun() = default;
+ReplicaRun::ReplicaRun(ReplicaRun&&) noexcept = default;
+ReplicaRun& ReplicaRun::operator=(ReplicaRun&&) noexcept = default;
+
+std::vector<dam::Cycle>
+failureEdges(const EngineConfig& cfg)
+{
+    std::vector<dam::Cycle> out = drainEdges(cfg);
+    for (const auto& d : cfg.faults.downs)
+        out.push_back(d.failAt);
+    return out;
+}
 
 EngineConfig::EngineConfig() : model(servingSimConfig()) {}
 
@@ -369,19 +456,23 @@ prefillFlopsPerToken(const ModelConfig& m, int64_t num_layers)
 }
 
 /**
- * One run()'s replica state machine: the constructor sets up a cold
- * replica, step() advances it by one loop turn, and finish() checks the
- * teardown invariants and builds the result. What outlives a run — the
- * scheduler, the recycled graph, the per-engine constants — stays on
- * the ServingEngine.
+ * One run()'s replica state machine: the constructor resumes the replica
+ * from a checkpoint (the cycle-0 one for a cold start), step() advances
+ * it by one loop turn, and finish() checks the teardown invariants and
+ * builds the result. What outlives a run — the scheduler, the recycled
+ * graph, the per-engine constants — stays on the ServingEngine.
  */
 class ServingEngine::Run
 {
+    using Checkpoint = ReplicaRun::Checkpoint;
+
   public:
-    Run(ServingEngine& eng, std::vector<Request>& reqs)
-        : eng_(eng), cfg_(eng.cfg_), reqs_(reqs), batcher_(cfg_.batcher),
-          iterRng_(cfg_.seed), tel_(eng.trace_, eng.metrics_, cfg_.slo),
-          dp_(eng.baseParams_)
+    Run(ServingEngine& eng, ReplicaRun& run, std::vector<Request>&& input,
+        dam::Cycle changed_from)
+        : eng_(eng), cfg_(eng.cfg_), run_(run), reqs_(run.reqs),
+          batcher_(cfg_.batcher), iterRng_(cfg_.seed),
+          tel_(eng.trace_, eng.metrics_, cfg_.slo), dp_(eng.baseParams_),
+          drainEdges_(drainEdges(cfg_))
     {
         // A cold cache per run keeps replays of one engine identical.
         if (cfg_.prefixCache.capacityTokens > 0)
@@ -392,14 +483,12 @@ class ServingEngine::Run
             eng.trace_ && eng.trace_->level() >= obs::TraceLevel::Op
                 ? eng.trace_
                 : nullptr);
-        // Slowdown-drain edges: when each qualifying slowdown window has
-        // been observed long enough to trigger live migration.
-        if (cfg_.drain.enabled)
-            for (const auto& s : cfg_.faults.slowdowns)
-                if (s.factor <= cfg_.drain.openBelowFactor &&
-                    s.end - s.start > cfg_.drain.detectCycles)
-                    drainEdges_.push_back(s.start +
-                                          cfg_.drain.detectCycles);
+        const Checkpoint* from = latestCheckpoint(changed_from);
+        Checkpoint cold; // the cycle-0 checkpoint: this constructor's state
+        cold.iterRng = iterRng_;
+        cold.traced = eng.trace_ != nullptr;
+        cold.metered = eng.metrics_ != nullptr;
+        resume(from ? *from : cold, std::move(input));
     }
 
     /** One loop turn: deliver the due events, admit, and run one decode
@@ -407,6 +496,7 @@ class ServingEngine::Run
     bool
     step()
     {
+        checkpoint();
         if (ended_ >= reqs_.size())
             return false;
         if (res_.iterations >= kMaxIterations)
@@ -426,9 +516,16 @@ class ServingEngine::Run
         return true;
     }
 
-    EngineResult
+    /** Close the run into run_: its result, and the checkpoints a later
+     *  resume may start from. */
+    void
     finish()
     {
+        // The final turn is the last one a change at the anchors still
+        // ahead could resume from.
+        if (rolling_ && nextAnchor_ < run_.anchors.size())
+            run_.checkpoints_.push_back(std::move(rolling_));
+        run_.simulatedIterations = res_.iterations - resumedAt_;
         expectReleased("run");
         ServingSummary& s = res_.summary;
         s.makespan = res_.timeline.span();
@@ -446,10 +543,179 @@ class ServingEngine::Run
         }
         resummarize(s, reqs_, cfg_.slo);
         tel_.summarize(s);
-        return std::move(res_);
+        run_.result = std::move(res_);
     }
 
   private:
+    /**
+     * The latest kept checkpoint that arrivals at or after
+     * @p changed_from cannot have changed and whose trace events the
+     * ring still holds; null for the cycle-0 one. The checkpoints after
+     * it describe the timeline this run replaces, so they go.
+     */
+    const Checkpoint*
+    latestCheckpoint(dam::Cycle changed_from)
+    {
+        auto& kept = run_.checkpoints_;
+        size_t k = kept.size();
+        for (; k > 0; --k) {
+            const Checkpoint& ck = *kept[k - 1];
+            if (ck.horizon <= changed_from &&
+                (!eng_.trace_ || eng_.trace_->canRollback(ck.trace)))
+                break;
+        }
+        kept.resize(k);
+        return k > 0 ? kept.back().get() : nullptr;
+    }
+
+    /**
+     * Continue from @p ck over @p input, as if this run had reached ck's
+     * loop turn itself. The delivered prefix of @p input must be the last
+     * run's: its ended requests keep their final state from there, its
+     * live ones are @p input's with ck's changes, and the undelivered
+     * rest is @p input's.
+     */
+    void
+    resume(const Checkpoint& ck, std::vector<Request>&& input)
+    {
+        STEP_ASSERT(ck.traced == (eng_.trace_ != nullptr) &&
+                        ck.metered == (eng_.metrics_ != nullptr),
+                    "a resumed run must keep its trace sink and registry");
+        const size_t n = ck.nextArrival;
+        STEP_ASSERT(n <= input.size() && n <= reqs_.size(),
+                    "resumed input lost delivered requests");
+        for (size_t k = 0; k < n; ++k)
+            STEP_ASSERT(input[k].id == reqs_[k].id &&
+                            input[k].attempt == reqs_[k].attempt &&
+                            input[k].arrival == reqs_[k].arrival,
+                        "request " << input[k].id << " (attempt "
+                                   << input[k].attempt
+                                   << ") sorts into the delivered prefix "
+                                      "of a resumed run");
+        std::vector<char> live(n, 0);
+        for (size_t j = 0; j < ck.live.size(); ++j) {
+            const uint32_t k = ck.slotOf(j);
+            live[k] = 1;
+            const Checkpoint::Live& l = ck.live[j];
+            Request& r = input[k];
+            r.state = l.state;
+            r.prefilledTokens = l.prefilledTokens;
+            r.prefillFlopsDone = l.prefillFlopsDone;
+            r.generated = l.generated;
+            r.firstTokenAt = l.firstTokenAt;
+            r.cachedPrefixTokens = l.cachedPrefixTokens;
+            r.outputLen = l.outputLen;
+            r.blockHashes.resize(l.blockHashes);
+        }
+        for (size_t k = 0; k < n; ++k)
+            if (!live[k])
+                input[k] = std::move(reqs_[k]);
+        reqs_ = std::move(input);
+
+        batcher_.restoreSlots(ck.batcher, reqs_.data());
+        if (ck.cache) {
+            const Checkpoint::Live* base = ck.live.data();
+            cache_ = ck.cache->clone([&](PrefixCache::PinOwner p) {
+                const auto j = static_cast<size_t>(
+                    static_cast<const Checkpoint::Live*>(p) - base);
+                return &reqs_[ck.slotOf(j)];
+            });
+            batcher_.attachPrefixCache(cache_.get());
+        }
+        now_ = ck.now;
+        horizon_ = ck.horizon;
+        delivered_ = ck.delivered;
+        nextArrival_ = ck.nextArrival;
+        nextDown_ = ck.nextDown;
+        nextDrain_ = ck.nextDrain;
+        nextInstant_ = ck.nextInstant;
+        ended_ = ck.ended;
+        iterRng_ = ck.iterRng;
+        lostCacheStats_ = ck.lostCacheStats;
+        res_.timeline = std::move(run_.result.timeline);
+        res_.timeline.truncate(static_cast<size_t>(ck.iterations));
+        res_.iterations = resumedAt_ = ck.iterations;
+        if (eng_.trace_)
+            eng_.trace_->rollback(ck.trace);
+        if (eng_.metrics_)
+            eng_.metrics_->rollback(ck.metrics);
+        const std::vector<dam::Cycle>& anchors = run_.anchors;
+        nextAnchor_ = static_cast<size_t>(
+            std::lower_bound(anchors.begin(), anchors.end(), horizon_) -
+            anchors.begin());
+        resumed_ = true;
+    }
+
+    /**
+     * A loop turn starts. Once the horizon passes an anchor, the last
+     * turn's snapshot was the latest a change at that anchor can resume
+     * from: keep it (anchors in one gap share it). Then snapshot this
+     * turn while anchors remain ahead. Without anchors nothing is taken.
+     */
+    void
+    checkpoint()
+    {
+        const std::vector<dam::Cycle>& anchors = run_.anchors;
+        if (nextAnchor_ < anchors.size() && anchors[nextAnchor_] < horizon_) {
+            if (rolling_)
+                run_.checkpoints_.push_back(std::move(rolling_));
+            nextAnchor_ = static_cast<size_t>(
+                std::lower_bound(anchors.begin() +
+                                     static_cast<ptrdiff_t>(nextAnchor_),
+                                 anchors.end(), horizon_) -
+                anchors.begin());
+        }
+        // A resumed run's first turn is its checkpoint, already kept.
+        if (std::exchange(resumed_, false) || nextAnchor_ == anchors.size())
+            return;
+        rolling_ = snapshot();
+    }
+
+    /** This loop turn's state. */
+    std::unique_ptr<Checkpoint>
+    snapshot()
+    {
+        auto out = std::make_unique<Checkpoint>();
+        Checkpoint& ck = *out;
+        ck.now = now_;
+        ck.horizon = horizon_;
+        ck.delivered = delivered_;
+        ck.nextArrival = nextArrival_;
+        ck.nextDown = nextDown_;
+        ck.nextDrain = nextDrain_;
+        ck.nextInstant = nextInstant_;
+        ck.ended = ended_;
+        ck.iterations = res_.iterations;
+        ck.iterRng = iterRng_;
+        ck.lostCacheStats = lostCacheStats_;
+        ck.batcher = batcher_.slots(reqs_.data());
+        const size_t nlive =
+            ck.batcher.running.size() + ck.batcher.waiting.size();
+        ck.live.reserve(nlive);
+        for (size_t j = 0; j < nlive; ++j) {
+            const Request& r = reqs_[ck.slotOf(j)];
+            ck.live.push_back({r.state, r.prefilledTokens, r.prefillFlopsDone,
+                               r.generated, r.firstTokenAt,
+                               r.cachedPrefixTokens, r.outputLen,
+                               r.blockHashes.size()});
+        }
+        if (cache_)
+            ck.cache = cache_->clone([&](PrefixCache::PinOwner p) {
+                const auto k = static_cast<uint32_t>(
+                    static_cast<const Request*>(p) - reqs_.data());
+                return &ck.live[ck.liveIndexOf(k)];
+            });
+        ck.traced = eng_.trace_ != nullptr;
+        ck.metered = eng_.metrics_ != nullptr;
+        if (eng_.trace_)
+            ck.trace = eng_.trace_->mark();
+        // A later sample lands at or after now_ or at an undelivered
+        // event's cycle.
+        if (eng_.metrics_)
+            ck.metrics = eng_.metrics_->mark(std::min(now_, delivered_));
+        return out;
+    }
+
     /**
      * Scripted event kinds in tie order: resilience events first, so the
      * trace stamps the cause (breaker flip, drain trigger) before its
@@ -507,6 +773,8 @@ class ServingEngine::Run
                 break;
             }
         }
+        delivered_ = now_ + 1;
+        horizon_ = std::max(horizon_, delivered_);
     }
 
     void
@@ -532,9 +800,11 @@ class ServingEngine::Run
             restartCache();
         }
         if (w.recoverAt == 0) {
-            // Dead forever: every remaining arrival is refused.
+            // Dead forever: every remaining arrival is refused. That read
+            // every later arrival, so no checkpoint from here on is valid.
             while (nextArrival_ < reqs_.size())
                 arrive(reqs_[nextArrival_++]);
+            horizon_ = kNone;
         } else {
             // An iteration spanning the whole outage delivers down and
             // up at one boundary; the up is still emitted so the trace's
@@ -640,6 +910,7 @@ class ServingEngine::Run
             const dam::Cycle next = nextDue().arrivalAt;
             if (next == kNone)
                 throw stall("idle with unfinished requests");
+            horizon_ = std::max(horizon_, next);
             now_ = next;
         }
         return false;
@@ -699,6 +970,9 @@ class ServingEngine::Run
             switches = sim.contextSwitches;
         } else {
             s.length = prefillOnlyCycles(split.prefillBw);
+            // Its wake read the event heads: an arrival before its end
+            // would have cut it short.
+            horizon_ = std::max(horizon_, now_ + s.length);
         }
         const int64_t first_tokens = advancePrefill(s);
         for (Request* r : decodes_) {
@@ -816,7 +1090,8 @@ class ServingEngine::Run
 
     ServingEngine& eng_;
     const EngineConfig& cfg_;
-    std::vector<Request>& reqs_;
+    ReplicaRun& run_;
+    std::vector<Request>& reqs_; ///< run_.reqs
     ContinuousBatcher batcher_;
     std::unique_ptr<PrefixCache> cache_;
     Rng iterRng_;
@@ -832,19 +1107,42 @@ class ServingEngine::Run
     size_t nextInstant_ = 0;
     size_t ended_ = 0; ///< requests in a terminal state
     dam::Cycle now_ = 0;
+    /** Events before this cycle have been delivered. */
+    dam::Cycle delivered_ = 0;
+    /** The run so far read the event schedule up to here: an arrival
+     *  added at or after it cannot have changed anything yet. */
+    dam::Cycle horizon_ = 0;
+    // Checkpointing: the next anchor not yet passed, this turn's rolling
+    // snapshot, and the iterations the run resumed past.
+    size_t nextAnchor_ = 0;
+    std::unique_ptr<Checkpoint> rolling_;
+    int64_t resumedAt_ = 0;
+    bool resumed_ = false;
     std::vector<Request*> decodes_; ///< this iteration's, by phase
     std::vector<Request*> prefills_;
 };
 
+void
+ServingEngine::run(ReplicaRun& run, std::vector<Request>&& input,
+                   dam::Cycle changed_from)
+{
+    STEP_ASSERT(std::ranges::is_sorted(input, {}, &Request::arrival),
+                "request trace must be sorted by arrival");
+    Run r(*this, run, std::move(input), changed_from);
+    while (r.step()) {
+    }
+    r.finish();
+}
+
 EngineResult
 ServingEngine::run(std::vector<Request>& reqs)
 {
-    STEP_ASSERT(std::ranges::is_sorted(reqs, {}, &Request::arrival),
-                "request trace must be sorted by arrival");
-    Run r(*this, reqs);
-    while (r.step()) {
-    }
-    return r.finish();
+    // The vector's buffer moves through the run and back, so requests
+    // keep their addresses.
+    ReplicaRun r;
+    run(r, std::move(reqs), 0);
+    reqs = std::move(r.reqs);
+    return std::move(r.result);
 }
 
 } // namespace step::runtime

@@ -141,6 +141,46 @@ struct EngineResult
 };
 
 /**
+ * One replica's run, kept so that a later run over a grown input can
+ * resume instead of replaying from cycle 0 (see ServingEngine::run).
+ * Besides the last run's requests and result it holds the checkpoints
+ * that run took at loop-turn boundaries, one per anchor cycle: the
+ * latest boundary whose run so far no arrival at or after the anchor
+ * could have changed. Movable; the checkpoints die with it.
+ */
+class ReplicaRun
+{
+  public:
+    ReplicaRun();
+    ~ReplicaRun();
+    ReplicaRun(ReplicaRun&&) noexcept;
+    ReplicaRun& operator=(ReplicaRun&&) noexcept;
+
+    /** Cycles to anchor checkpoints at, sorted ascending. Empty (the
+     *  default) takes none: a re-run then starts from cycle 0. */
+    std::vector<dam::Cycle> anchors;
+    /** The last run's requests, in input order, served in place as
+     *  ServingEngine::run(reqs) serves its argument. */
+    std::vector<Request> reqs;
+    EngineResult result; ///< the last run's
+    /** Iterations the last run executed: result.iterations less those
+     *  it resumed past. */
+    int64_t simulatedIterations = 0;
+
+  private:
+    friend class ServingEngine;
+    struct Checkpoint; ///< engine.cc
+    std::vector<std::unique_ptr<Checkpoint>> checkpoints_;
+};
+
+/**
+ * The cycles at which @p cfg's replica can first fail or drain a
+ * request — each crash, and each slowdown window's drain trigger — so
+ * that every casualty of this replica fails at or after one of them.
+ */
+std::vector<dam::Cycle> failureEdges(const EngineConfig& cfg);
+
+/**
  * Analytic prefill cost of one prompt token across @p num_layers layers
  * (QKV + output projections and the top-K expert FFN; prompt attention
  * is projection-dominated and left out of the model). Shared by the
@@ -167,13 +207,28 @@ class ServingEngine
     EngineResult run(std::vector<Request>& reqs);
 
     /**
+     * Serve @p input (sorted by arrival) into @p run, as run(reqs) would
+     * serve it from cycle 0. When @p run ran before, @p input must be its
+     * last input plus arrivals at or after @p changed_from: the run then
+     * resumes from the latest checkpoint those arrivals cannot have
+     * changed, with @p run's requests, result and the attached trace
+     * sink and metrics registry rolled back to it, and only the rest
+     * re-simulates. A fresh @p run starts from the cycle-0 checkpoint.
+     * The attached exporters must be the ones the last run wrote.
+     */
+    void run(ReplicaRun& run, std::vector<Request>&& input,
+             dam::Cycle changed_from);
+
+    /**
      * Attach (or detach, with nullptr) a trace sink. run() then reports
      * request lifecycle instants, registers every engine counter —
      * engine, fault and resilience tiers alike, whether or not the run
      * uses them — samples them each iteration and snapshots them into
      * ServingSummary::counters, and at level >= Op forwards the
      * iteration graphs' scheduler events with the engine clock as time
-     * base. The sink must outlive the engine's runs.
+     * base. The sink must outlive the engine's runs. A run first rolls
+     * the sink back to the checkpoint it resumes from — to empty for a
+     * start from cycle 0 — so it holds one run's record.
      */
     void attachTrace(obs::TraceSink* sink) { trace_ = sink; }
 
@@ -187,6 +242,8 @@ class ServingEngine
      * agree. Neither exporter influences control flow: attaching one
      * changes no other output byte, and with none attached each hook
      * costs one predicted branch (the hot path stays allocation-free).
+     * Like the trace sink, the registry is rolled back to the run's
+     * starting checkpoint first.
      */
     void attachMetrics(obs::MetricsRegistry* m) { metrics_ = m; }
 

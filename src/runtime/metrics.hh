@@ -137,6 +137,8 @@ struct ServingSummary
      * replicas by name: monotonic counters sum, gauges take the max.
      */
     std::vector<obs::CounterSample> counters;
+
+    bool operator==(const ServingSummary&) const = default;
 };
 
 /**

@@ -173,6 +173,8 @@ struct Request
 
     bool done() const { return state == ReqState::Finished; }
 
+    bool operator==(const Request&) const = default;
+
     /** Finished, failed, shed, or migrated away: no further service
      *  possible on this replica. */
     bool

@@ -6,13 +6,19 @@
  * deadline-aware shedding policies, cluster failover with availability
  * accounting, summary merging of the fault counters (NaN-free with
  * zero-fault and fully-failed replicas), thread-count invariance of
- * faulty runs, and the structured StallError diagnostic that replaced
- * the engine's fatal idle assert.
+ * faulty runs, the structured StallError diagnostic that replaced
+ * the engine's fatal idle assert, and checkpoint resume: a replica
+ * resumed from any valid checkpoint over a grown input serves exactly
+ * what a cold run from cycle 0 serves.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <sstream>
 
+#include "obs/export.hh"
 #include "runtime/cluster.hh"
 #include "support/error.hh"
 #include "support/rng.hh"
@@ -861,5 +867,473 @@ TEST(ClusterFaults, SeededMtbfPlanConvergesSupersededIncarnations)
         EXPECT_EQ(r.aggregate.completed + r.aggregate.failedRequests +
                       r.aggregate.shedRequests,
                   480);
+    }
+}
+
+// ---- checkpoint resume -------------------------------------------------
+
+namespace {
+
+/** Everything one engine run shows: its requests, result and exports. */
+struct Served
+{
+    std::vector<Request> reqs;
+    EngineResult result;
+    std::string trace, lifecycles, metrics;
+    int64_t simulated = 0;
+};
+
+/** The exporters every run below attaches. */
+struct Exporters
+{
+    explicit Exporters(size_t ring = size_t{1} << 20,
+                       obs::TraceLevel level = obs::TraceLevel::Request,
+                       dam::Cycle window = 3'000'000)
+        : sink(obs::TraceOptions{level, ring}),
+          registry(obs::MetricsConfig{true, window})
+    {
+    }
+
+    void
+    attach(ServingEngine& e)
+    {
+        e.attachTrace(&sink);
+        e.attachMetrics(&registry);
+    }
+
+    void
+    exportInto(Served& s) const
+    {
+        std::ostringstream t, l, m;
+        obs::writeChromeTrace(t, {&sink});
+        obs::writeRequestJsonl(l, {&sink});
+        obs::writeMetricsJson(m, {&registry});
+        s.trace = t.str();
+        s.lifecycles = l.str();
+        s.metrics = m.str();
+    }
+
+    obs::TraceSink sink;
+    obs::MetricsRegistry registry;
+};
+
+/** @p input served from cycle 0 by ServingEngine::run. */
+Served
+serveCold(const EngineConfig& ec, const Policy& policy,
+          std::vector<Request> input, Exporters ex = Exporters())
+{
+    Served out;
+    ServingEngine engine(ec, policy);
+    ex.attach(engine);
+    out.result = engine.run(input);
+    out.reqs = std::move(input);
+    out.simulated = out.result.iterations;
+    ex.exportInto(out);
+    return out;
+}
+
+/**
+ * @p last served with checkpoints anchored at @p anchors, then @p input
+ * (@p last plus arrivals at or after @p changed_from) resumed from the
+ * latest checkpoint valid at @p changed_from, each on a fresh engine
+ * over the same exporters, as the cluster's waves run.
+ */
+Served
+serveResumed(const EngineConfig& ec, const Policy& policy,
+             const std::vector<Request>& last,
+             const std::vector<dam::Cycle>& anchors,
+             const std::vector<Request>& input, dam::Cycle changed_from,
+             Exporters ex = Exporters())
+{
+    ReplicaRun run;
+    run.anchors = anchors;
+    {
+        ServingEngine engine(ec, policy);
+        ex.attach(engine);
+        engine.run(run, std::vector<Request>(last), 0);
+    }
+    ServingEngine engine(ec, policy);
+    ex.attach(engine);
+    engine.run(run, std::vector<Request>(input), changed_from);
+    Served out;
+    out.reqs = std::move(run.reqs);
+    out.result = std::move(run.result);
+    out.simulated = run.simulatedIterations;
+    ex.exportInto(out);
+    return out;
+}
+
+void
+expectSameRun(const Served& cold, const Served& resumed)
+{
+    ASSERT_EQ(cold.reqs.size(), resumed.reqs.size());
+    for (size_t i = 0; i < cold.reqs.size(); ++i)
+        EXPECT_TRUE(cold.reqs[i] == resumed.reqs[i])
+            << "request slot " << i << " (id " << cold.reqs[i].id << ")";
+    EXPECT_TRUE(cold.result.summary == resumed.result.summary);
+    EXPECT_EQ(cold.result.iterations, resumed.result.iterations);
+    EXPECT_TRUE(cold.result.timeline.samples() ==
+                resumed.result.timeline.samples());
+    // Not EXPECT_EQ: gtest would diff the multi-megabyte exports.
+    EXPECT_TRUE(cold.trace == resumed.trace) << "trace JSON differs";
+    EXPECT_TRUE(cold.lifecycles == resumed.lifecycles)
+        << "requests JSONL differs";
+    EXPECT_TRUE(cold.metrics == resumed.metrics) << "metrics JSON differs";
+}
+
+/** @p base plus @p extra, in the cluster's shard order. */
+std::vector<Request>
+appended(std::vector<Request> base, const std::vector<Request>& extra)
+{
+    base.insert(base.end(), extra.begin(), extra.end());
+    std::stable_sort(base.begin(), base.end(),
+                     [](const Request& a, const Request& b) {
+                         return std::tie(a.arrival, a.id, a.attempt) <
+                                std::tie(b.arrival, b.id, b.attempt);
+                     });
+    return base;
+}
+
+/** Request @p r's next incarnation, re-arriving at @p at. */
+Request
+incarnation(const Request& r, dam::Cycle at)
+{
+    Request inc = r;
+    inc.arrival = at;
+    inc.attempt = r.attempt + 1;
+    return inc;
+}
+
+/** The cycles a sweep resumes from: cycle 0, every iteration start of
+ *  @p res up to @p until, and @p until itself. */
+std::vector<dam::Cycle>
+boundariesUpTo(const EngineResult& res, dam::Cycle until)
+{
+    std::vector<dam::Cycle> out = {0, until};
+    for (const IterationSample& s : res.timeline.samples())
+        if (s.start <= until)
+            out.push_back(s.start);
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+}
+
+} // namespace
+
+TEST(Resume, ResumeFromEveryValidCheckpointEqualsColdReplay)
+{
+    // Seeded multi-turn traces on a replica with a crash-with-recovery,
+    // a drained slowdown, a prefix cache and brown-out capping; a few
+    // incarnations appended at seeded cycles. Every resume point up to
+    // the earliest appended arrival must reproduce the cold run on the
+    // grown input exactly, checkpoints anchored at every boundary.
+    QueueDepthPolicy policy;
+    BrownoutPolicy brownout; // caps outputs (and hash streams) early
+    brownout.cfg.queueFullDepth = 4;
+    brownout.cfg.capAt = 0.25;
+    brownout.cfg.outputCapTokens = 8;
+    brownout.cfg.shedLowAt = 0.9;
+    brownout.cfg.refuseAt = 2.0;
+    for (uint64_t seed : {1, 2, 3}) {
+        SCOPED_TRACE(seed);
+        TraceConfig tc = burstyTrace(0);
+        tc.numSessions = 6;
+        tc.turnsPerSession = 3;
+        tc.lowPriorityFrac = 0.3;
+        tc.outputMean = 48;
+        auto base = generateTrace(tc, seed);
+        const dam::Cycle span = base.back().arrival;
+
+        EngineConfig ec;
+        ec.seed = seed;
+        ec.prefixCache.capacityTokens = 1 << 12;
+        ec.admission = &brownout;
+        ec.faults.downs.push_back({span / 3, span / 3 + span / 10});
+        ec.faults.slowdowns.push_back({span / 2, span / 2 + span / 4, 0.4});
+        ec.drain.enabled = true;
+        ec.drain.detectCycles = span / 40;
+        ec.faults.normalize();
+
+        const Served first = serveCold(ec, policy, base);
+        int64_t capped = 0;
+        for (const Request& r : first.reqs)
+            capped += r.outputLen == brownout.cfg.outputCapTokens;
+        EXPECT_GT(capped, 0);
+        Rng rng(seed);
+        std::vector<Request> extra;
+        dam::Cycle earliest = ReplicaFaultTimeline::kNoEvent;
+        for (int k = 0; k < 3; ++k) {
+            const Request& src = base[rng.uniformInt(base.size())];
+            const dam::Cycle at =
+                span / 4 + static_cast<dam::Cycle>(rng.uniformInt(span));
+            extra.push_back(incarnation(src, at));
+            earliest = std::min(earliest, at);
+        }
+        const std::vector<Request> grown = appended(base, extra);
+        const Served cold = serveCold(ec, policy, grown);
+
+        std::vector<dam::Cycle> anchors =
+            boundariesUpTo(first.result, earliest);
+        std::set<int64_t> simulated;
+        for (dam::Cycle from : anchors) {
+            SCOPED_TRACE(from);
+            const Served resumed =
+                serveResumed(ec, policy, base, anchors, grown, from);
+            expectSameRun(cold, resumed);
+            simulated.insert(resumed.simulated);
+        }
+        // Each resume point started from a checkpoint of its own.
+        EXPECT_GT(simulated.size(), anchors.size() / 2);
+        EXPECT_LT(*simulated.begin(), cold.result.iterations);
+    }
+}
+
+TEST(Resume, ArrivalInsidePrefillOnlyWakeWindowResumesBeforeIt)
+{
+    // A lone prompt runs as prefill-only iterations, each waking on the
+    // next scheduled event. An arrival appended inside one of those
+    // windows would have cut it short, so the checkpoint after it is
+    // not valid for that arrival: the resume must start before it.
+    StaticSplitPolicy policy(0.3);
+    EngineConfig ec;
+    const int64_t prompt = 1024;
+    std::vector<Request> base = {mkReq(0, 0, prompt, 1),
+                                 mkReq(1, 0, prompt, 1)};
+    const Served probe = serveCold(ec, policy, base);
+    const dam::Cycle t0 = probe.reqs[0].firstTokenAt;
+    base[1].arrival = t0 + 10; // an idle jump, then its own prefill
+    const Served first = serveCold(ec, policy, base);
+    const dam::Cycle t1 = first.reqs[1].firstTokenAt;
+    ASSERT_GT(t1, t0 + 12);
+    const dam::Cycle inside = t0 + 10 + (t1 - t0 - 10) / 2;
+
+    const std::vector<Request> grown =
+        appended(base, {incarnation(mkReq(2, 0, 64, 4), inside)});
+    const Served cold = serveCold(ec, policy, grown);
+    int64_t from_window = 0; // cold iterations from the window's start
+    bool cut = false;        // the arrival ended an iteration
+    for (const IterationSample& it : cold.result.timeline.samples()) {
+        from_window += it.start >= t0 + 10;
+        cut |= it.start + it.length == inside;
+    }
+    ASSERT_TRUE(cut);
+    const std::vector<dam::Cycle> anchors = {t0, t0 + 10, inside, t1};
+    const Served resumed =
+        serveResumed(ec, policy, base, anchors, grown, inside);
+    expectSameRun(cold, resumed);
+    // It resumed at the wake window's start, past the first prefill.
+    EXPECT_EQ(resumed.simulated, from_window);
+    EXPECT_LT(resumed.simulated, cold.result.iterations);
+}
+
+TEST(Resume, ArrivalOnACheckpointBoundaryAndEqualArrivalTies)
+{
+    // Appended arrivals exactly on iteration boundaries of the first
+    // run, each tied with an existing arrival at that cycle but carrying
+    // a lower id, so it sorts first among the equal arrivals.
+    QueueDepthPolicy policy;
+    auto base = generateTrace(burstyTrace(16), 7);
+    EngineConfig ec;
+    const std::vector<IterationSample> samples =
+        serveCold(ec, policy, base).result.timeline.samples();
+    ASSERT_GT(samples.size(), 10u);
+    const dam::Cycle on = samples[samples.size() / 2].start;
+    // A tie: the last request moves onto that boundary too.
+    base.back().arrival = on;
+    std::stable_sort(base.begin(), base.end(),
+                     [](const Request& a, const Request& b) {
+                         return a.arrival < b.arrival;
+                     });
+    const Served first = serveCold(ec, policy, base);
+    const std::vector<Request> grown =
+        appended(base, {incarnation(base[0], on)}); // id 0 < 15
+    const Served cold = serveCold(ec, policy, grown);
+    const std::vector<dam::Cycle> from = boundariesUpTo(first.result, on);
+    ASSERT_EQ(from.back(), on);
+    for (size_t k = from.size() - std::min<size_t>(from.size(), 4);
+         k < from.size(); ++k) {
+        SCOPED_TRACE(from[k]);
+        expectSameRun(cold,
+                      serveResumed(ec, policy, base, from, grown, from[k]));
+    }
+}
+
+TEST(Resume, ArrivalAfterACrashWithRecovery)
+{
+    QueueDepthPolicy policy;
+    auto base = generateTrace(burstyTrace(30), 11);
+    const dam::Cycle span = base.back().arrival;
+    EngineConfig ec;
+    const dam::Cycle down = span / 3, up = span / 2;
+    ec.faults.downs.push_back({down, up});
+    ec.faults.normalize();
+    const Served first = serveCold(ec, policy, base);
+    ASSERT_GT(first.result.summary.failedRequests, 0);
+    // One incarnation inside the outage (refused) and one after it.
+    const std::vector<Request> grown =
+        appended(base, {incarnation(base[3], (down + up) / 2),
+                        incarnation(base[4], up + 1000)});
+    // Narrow windows: the refusals the crash delivery records land in
+    // windows before the boundary that delivered them.
+    const auto ex = [] {
+        return Exporters(size_t{1} << 20, obs::TraceLevel::Request, 20'000);
+    };
+    const Served cold = serveCold(ec, policy, grown, ex());
+    for (dam::Cycle from : boundariesUpTo(first.result, (down + up) / 2)) {
+        SCOPED_TRACE(from);
+        expectSameRun(cold, serveResumed(ec, policy, base,
+                                         failureEdges(ec), grown, from,
+                                         ex()));
+    }
+}
+
+TEST(Resume, CrashDeliveredLateWithARefusalResumesExactly)
+{
+    // A crash in the middle of a decode iteration is delivered at the
+    // iteration's end, together with an arrival the outage refuses: the
+    // refusal is recorded at its own cycle, windows before that
+    // boundary. Resuming from the checkpoint at the boundary re-delivers
+    // both and must count each once.
+    QueueDepthPolicy policy;
+    EngineConfig ec;
+    std::vector<Request> base = {mkReq(0, 0, 64, 400)};
+    const Served probe = serveCold(ec, policy, base);
+    const IterationSample mid =
+        probe.result.timeline.samples()[probe.result.iterations / 2];
+    ASSERT_GT(mid.length, 4'000u);
+    const dam::Cycle down = mid.start + mid.length / 2;
+    const dam::Cycle up = down + 1'000'000;
+    ec.faults.downs.push_back({down, up});
+    ec.faults.normalize();
+    base.push_back(mkReq(1, down + 1, 64, 4)); // refused
+    const std::vector<Request> grown =
+        appended(base, {incarnation(base[0], up + 100)});
+    const auto ex = [] {
+        return Exporters(size_t{1} << 20, obs::TraceLevel::Request, 1'000);
+    };
+    const Served cold = serveCold(ec, policy, grown, ex());
+    ASSERT_EQ(cold.reqs[1].state, ReqState::Failed);
+    const Served resumed = serveResumed(ec, policy, base, {down}, grown,
+                                        up + 100, ex());
+    expectSameRun(cold, resumed);
+    EXPECT_LT(resumed.simulated, cold.result.iterations);
+}
+
+TEST(Resume, ArrivalInsideAnIdleGapResumesBeforeTheJump)
+{
+    // With nothing queued the engine jumps its clock to the next
+    // arrival. An arrival appended inside that gap would have ended the
+    // jump early, so the checkpoint at the gap's far end is not valid
+    // for it.
+    QueueDepthPolicy policy;
+    EngineConfig ec;
+    const std::vector<Request> base = {mkReq(0, 0, 64, 4),
+                                       mkReq(1, 50'000'000, 64, 4)};
+    const Served first = serveCold(ec, policy, base);
+    const dam::Cycle gap_start = first.reqs[0].finishedAt;
+    const dam::Cycle inside = (gap_start + 50'000'000) / 2;
+    const std::vector<Request> grown =
+        appended(base, {incarnation(mkReq(2, 0, 64, 4), inside)});
+    const Served cold = serveCold(ec, policy, grown);
+    const Served resumed = serveResumed(
+        ec, policy, base, {gap_start, inside, 50'000'000}, grown, inside);
+    expectSameRun(cold, resumed);
+    EXPECT_LT(resumed.simulated, cold.result.iterations);
+}
+
+TEST(Resume, PrefixCachePinsAtTheCheckpointMoveToTheResumedRequests)
+{
+    // Sessions sharing prefixes keep admitted requests pinned in the
+    // cache across most boundaries: the checkpoint's cache clone must
+    // re-key those pins onto the resumed run's requests (the run
+    // asserts every pin comes back by its end). Op-level tracing also
+    // rolls back the switch attribution.
+    QueueDepthPolicy policy;
+    TraceConfig tc = burstyTrace(0);
+    tc.numSessions = 8;
+    tc.turnsPerSession = 3;
+    tc.sharedSystemPromptLen = 96;
+    auto base = generateTrace(tc, 5);
+    EngineConfig ec;
+    ec.prefixCache.capacityTokens = 1 << 14;
+    const Served first = serveCold(ec, policy, base);
+    ASSERT_GT(first.result.summary.prefixHitRate, 0.0);
+    const dam::Cycle at = base[base.size() / 2].arrival + 1;
+    const std::vector<Request> grown =
+        appended(base, {incarnation(base[base.size() / 3], at)});
+    const auto level = obs::TraceLevel::Op;
+    const Served cold =
+        serveCold(ec, policy, grown, Exporters(size_t{1} << 22, level));
+    const std::vector<dam::Cycle> anchors =
+        boundariesUpTo(first.result, at);
+    for (size_t k = anchors.size() / 2; k < anchors.size(); ++k) {
+        SCOPED_TRACE(anchors[k]);
+        expectSameRun(cold, serveResumed(ec, policy, base, anchors, grown,
+                                         anchors[k],
+                                         Exporters(size_t{1} << 22, level)));
+    }
+}
+
+TEST(Resume, RingThatDroppedEventsSinceACheckpointResumesFromCycleZero)
+{
+    QueueDepthPolicy policy;
+    auto base = generateTrace(burstyTrace(24), 3);
+    EngineConfig ec;
+    const Served first = serveCold(ec, policy, base);
+    const dam::Cycle at = base[12].arrival;
+    const std::vector<Request> grown =
+        appended(base, {incarnation(base[2], at)});
+    const Served cold = serveCold(ec, policy, grown, Exporters(64));
+    const Served resumed = serveResumed(
+        ec, policy, base, boundariesUpTo(first.result, at), grown, at,
+        Exporters(64));
+    expectSameRun(cold, resumed);
+    EXPECT_EQ(resumed.simulated, resumed.result.iterations);
+}
+
+TEST(ClusterFaults, FaultFreeRunIsOneWaveWithNothingResumed)
+{
+    QueueDepthPolicy policy;
+    ClusterConfig cc;
+    cc.replicas = 4;
+    cc.routing = RouteKind::LeastQueued;
+    auto reqs = generateTrace(clusterTrace(60), deriveSeed(2));
+    ClusterResult r = ServingCluster(cc, policy).run(reqs);
+    EXPECT_EQ(r.waves, 1);
+    EXPECT_EQ(r.replicaIterationsSimulated, r.totalIterations);
+    EXPECT_EQ(r.replicaIterationsReplayed, r.totalIterations);
+}
+
+TEST(ClusterFaults, RetryPolicyThatNeverGivesUpIsAFatalError)
+{
+    // A lone long prompt on one replica that crashes for one cycle every
+    // 1000 cycles: every incarnation dies mid-prefill, and a policy that
+    // always retries one cycle later never lets failover converge. That
+    // is a configuration error, reported with the wave count and the
+    // casualties still being re-issued.
+    struct AlwaysRetry : RetryPolicy
+    {
+        std::optional<dam::Cycle>
+        reschedule(const Request&, int64_t, dam::Cycle failed_at) const override
+        {
+            return failed_at + 1;
+        }
+    } always;
+    QueueDepthPolicy policy;
+    ClusterConfig cc;
+    cc.replicas = 1;
+    cc.retry = &always;
+    for (dam::Cycle k = 1; k <= 1100; ++k)
+        cc.faults.crashes.push_back({0, 1000 * k, 1000 * k + 1});
+    std::vector<Request> reqs = {mkReq(0, 0, 1024, 1)};
+    try {
+        ServingCluster(cc, policy).run(reqs);
+        FAIL() << "failover converged under an unbounded retry policy";
+    } catch (const FatalError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("did not converge"), std::string::npos) << what;
+        EXPECT_NE(what.find("after 1024 waves"), std::string::npos) << what;
+        EXPECT_NE(what.find("request 0 attempt 1023"), std::string::npos)
+            << what;
     }
 }

@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
+#include "obs/export.hh"
 #include "runtime/cluster.hh"
 #include "support/rng.hh"
 
@@ -1120,4 +1122,89 @@ TEST(TelemetryBreaker, TelemetryRunIsThreadCountInvariantAndReplays)
         EXPECT_EQ(q1[i].finishedAt, q1b[i].finishedAt);
     }
     expectAccountingCloses(r1.aggregate, int64_t(q1.size()));
+}
+
+TEST(Resilience, ResumedWavesSkipIterationsAndStayThreadInvariant)
+{
+    // A seeded crash+slowdown plan on the full tier, telemetry breakers
+    // (whose observation pass runs its own waves), a prefix cache and
+    // remote prefix fetch, traced and metered: failover waves resume
+    // re-simulated replicas from checkpoints, so they execute fewer
+    // iterations than a replay from cycle 0, and the run stays
+    // byte-identical across worker-thread counts.
+    TraceConfig tc = sessionClusterTrace(24, 3);
+    tc.lowPriorityFrac = 0.2;
+    tc.highPriorityFrac = 0.1;
+    QueueDepthPolicy policy;
+    BrownoutPolicy brownout;
+    const auto probe = generateTrace(tc, deriveSeed(2));
+    FaultPlanConfig fc;
+    fc.mtbfCycles = 30'000'000;
+    fc.mttrCycles = fc.mtbfCycles / 4;
+    fc.slowdownMtbfCycles = 20'000'000;
+    fc.horizonCycles = probe.back().arrival * 2;
+
+    struct Outcome
+    {
+        ClusterResult r;
+        std::vector<Request> reqs;
+        std::string trace, lifecycles, metrics;
+    };
+    auto run_with = [&](int64_t threads) {
+        ClusterConfig cc;
+        cc.replicas = 4;
+        cc.threads = threads;
+        cc.routing = RouteKind::LeastQueued;
+        cc.faults = generateFaultPlan(fc, cc.replicas, deriveSeed(3));
+        cc.engine.prefixCache.capacityTokens = 1 << 14;
+        cc.engine.admission = &brownout;
+        cc.resilience.enabled = true;
+        cc.resilience.breakerSource = BreakerSource::Telemetry;
+        cc.resilience.remotePrefix.enabled = true;
+        cc.trace = obs::TraceOptions{obs::TraceLevel::Request,
+                                     size_t{1} << 20};
+        cc.metrics.enabled = true;
+        Outcome o;
+        o.reqs = generateTrace(tc, deriveSeed(2));
+        o.r = ServingCluster(cc, policy).run(o.reqs);
+        std::ostringstream t, l, m;
+        obs::writeChromeTrace(t, o.r.traceViews());
+        obs::writeRequestJsonl(l, o.r.traceViews());
+        obs::writeMetricsJson(m, o.r.metricsViews(),
+                              o.r.mergedMetrics.get());
+        o.trace = t.str();
+        o.lifecycles = l.str();
+        o.metrics = m.str();
+        return o;
+    };
+    const Outcome a = run_with(1);
+    const Outcome b = run_with(4);
+
+    EXPECT_GT(a.r.waves, 1);
+    EXPECT_LT(a.r.replicaIterationsSimulated,
+              a.r.replicaIterationsReplayed);
+    EXPECT_GE(a.r.replicaIterationsSimulated, a.r.totalIterations);
+
+    EXPECT_TRUE(a.r.aggregate == b.r.aggregate);
+    EXPECT_TRUE(a.r.timeline.samples() == b.r.timeline.samples());
+    ASSERT_EQ(a.r.replicas.size(), b.r.replicas.size());
+    for (size_t i = 0; i < a.r.replicas.size(); ++i) {
+        EXPECT_TRUE(a.r.replicas[i].result.summary ==
+                    b.r.replicas[i].result.summary);
+        EXPECT_EQ(a.r.replicas[i].result.iterations,
+                  b.r.replicas[i].result.iterations);
+    }
+    EXPECT_EQ(a.r.totalIterations, b.r.totalIterations);
+    EXPECT_EQ(a.r.retriesIssued, b.r.retriesIssued);
+    EXPECT_EQ(a.r.migrationsIssued, b.r.migrationsIssued);
+    EXPECT_EQ(a.r.waves, b.r.waves);
+    EXPECT_EQ(a.r.replicaIterationsSimulated,
+              b.r.replicaIterationsSimulated);
+    EXPECT_EQ(a.r.replicaIterationsReplayed, b.r.replicaIterationsReplayed);
+    EXPECT_TRUE(a.reqs == b.reqs);
+    // Not EXPECT_EQ: gtest would diff the multi-megabyte exports.
+    EXPECT_TRUE(a.trace == b.trace) << "trace JSON differs";
+    EXPECT_TRUE(a.lifecycles == b.lifecycles) << "requests JSONL differs";
+    EXPECT_TRUE(a.metrics == b.metrics) << "metrics JSON differs";
+    expectAccountingCloses(a.r.aggregate, int64_t(a.reqs.size()));
 }
