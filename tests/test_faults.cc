@@ -1219,6 +1219,54 @@ TEST(Resume, CrashDeliveredLateWithARefusalResumesExactly)
     EXPECT_LT(resumed.simulated, cold.result.iterations);
 }
 
+TEST(Resume, LateDrainInAWindowThatAlreadyHoldsAMigration)
+{
+    // Two drains migrate a prefilling prompt each while a long decode
+    // runs. The second drain edge falls inside a decode iteration, so it
+    // is delivered at that iteration's end, one metrics window later
+    // than its own cycle, into a window the first migration already
+    // touched. The checkpoint at that boundary must cover the earlier
+    // window, or the resumed run counts the second migration twice.
+    QueueDepthPolicy policy;
+    EngineConfig ec;
+    ec.drain.enabled = true;
+    ec.drain.detectCycles = 1'000;
+    const dam::Cycle d1 = 2'000'000; // first drain edge
+    ec.faults.slowdowns.push_back({d1 - 1'000, d1 + 2'000, 0.5});
+    ec.faults.normalize();
+    std::vector<Request> base = {mkReq(0, 0, 64, 400),
+                                 mkReq(1, 1'000'000, 1024, 4),
+                                 mkReq(2, 3'000'000, 1024, 4)};
+    // Adding the second slowdown inside the iteration that holds its
+    // drain edge leaves everything before that iteration's end as is.
+    const Served probe = serveCold(ec, policy, base);
+    ASSERT_EQ(probe.reqs[1].state, ReqState::Migrated);
+    const IterationSample* it = nullptr;
+    for (const IterationSample& x : probe.result.timeline.samples())
+        if (x.start > 3'000'000 && x.decodeBatch > 0 && x.length > 8'000) {
+            it = &x;
+            break;
+        }
+    ASSERT_NE(it, nullptr);
+    const dam::Cycle d2 = it->start + it->length / 2;
+    const dam::Cycle t = it->start + it->length;
+    ec.faults.slowdowns.push_back({d2 - 1'000, d2 + 2'000, 0.5});
+    ec.faults.normalize();
+    const auto ex = [&] {
+        return Exporters(size_t{1} << 20, obs::TraceLevel::Request,
+                         (d2 + t) / 2); // d1, d2 in window 0; t in 1
+    };
+    const std::vector<Request> grown =
+        appended(base, {incarnation(base[1], t + 5)});
+    const Served cold = serveCold(ec, policy, grown, ex());
+    ASSERT_EQ(cold.reqs[2].state, ReqState::Migrated);
+    ASSERT_EQ(cold.reqs[2].finishedAt, d2);
+    const Served resumed =
+        serveResumed(ec, policy, base, {d2}, grown, t + 5, ex());
+    expectSameRun(cold, resumed);
+    EXPECT_LT(resumed.simulated, cold.result.iterations);
+}
+
 TEST(Resume, ArrivalInsideAnIdleGapResumesBeforeTheJump)
 {
     // With nothing queued the engine jumps its clock to the next
