@@ -1022,9 +1022,9 @@ boundariesUpTo(const EngineResult& res, dam::Cycle until)
 
 TEST(Resume, ResumeFromEveryValidCheckpointEqualsColdReplay)
 {
-    // Seeded multi-turn traces on a replica with a crash-with-recovery,
-    // a drained slowdown, a prefix cache and brown-out capping; a few
-    // incarnations appended at seeded cycles. Every resume point up to
+    // Seeded multi-turn traces on a replica with a seeded fault timeline
+    // (crashes that recover, drained slowdowns), a prefix cache and
+    // brown-out capping; a few incarnations appended at seeded cycles. Every resume point up to
     // the earliest appended arrival must reproduce the cold run on the
     // grown input exactly, checkpoints anchored at every boundary.
     QueueDepthPolicy policy;
@@ -1048,11 +1048,18 @@ TEST(Resume, ResumeFromEveryValidCheckpointEqualsColdReplay)
         ec.seed = seed;
         ec.prefixCache.capacityTokens = 1 << 12;
         ec.admission = &brownout;
-        ec.faults.downs.push_back({span / 3, span / 3 + span / 10});
-        ec.faults.slowdowns.push_back({span / 2, span / 2 + span / 4, 0.4});
+        FaultPlanConfig fc; // a seeded timeline: crashes that recover,
+        fc.mtbfCycles = static_cast<double>(span) / 4; // deep slowdowns
+        fc.mttrCycles = static_cast<double>(span) / 20;
+        fc.slowdownMtbfCycles = static_cast<double>(span) / 4;
+        fc.slowdownMeanCycles = static_cast<double>(span) / 10;
+        fc.slowdownFactor = 0.4;
+        fc.horizonCycles = span;
+        ec.faults = generateFaultPlan(fc, 1, seed).forReplica(0);
+        ASSERT_FALSE(ec.faults.downs.empty());
+        ASSERT_FALSE(ec.faults.slowdowns.empty());
         ec.drain.enabled = true;
         ec.drain.detectCycles = span / 40;
-        ec.faults.normalize();
 
         const Served first = serveCold(ec, policy, base);
         int64_t capped = 0;
