@@ -9,10 +9,15 @@
  *    global allocator around the scheduler's drain() phase only (graph
  *    build/teardown and coroutine-frame creation in start() excluded),
  *  - serving-iteration throughput with graph recycling on and off, and
- *    through one rearmed graph over a realistic decode-batch mix.
+ *    through one rearmed graph over a realistic decode-batch mix,
+ *  - heap allocations per event of the serving iteration itself (B=4
+ *    and the batch mix), counted around Graph::run only, as perfbench's
+ *    stepbench counts dam.allocs_per_event: the rearm that patches the
+ *    graph between iterations is excluded.
  *
- * With `--json[=path]` the results are also written to
- * BENCH_hotpath.json for CI trajectory capture.
+ * The exit code is non-zero when any of these drains allocates. With
+ * `--json[=path]` the results are also written to BENCH_hotpath.json
+ * for CI trajectory capture.
  */
 #include <algorithm>
 #include <atomic>
@@ -273,7 +278,50 @@ struct ServingResult
     double rearmBuildUs = 0; ///< graph rearm + patch cost, no run
     uint64_t eventsPerIter = 0;
     uint64_t switchesPerIter = 0;
+    /** Allocations inside Graph::run, rearm excluded (B=4 / mix). */
+    uint64_t rearmRunAllocs = 0;
+    uint64_t batchMixRunAllocs = 0;
+    /** Channel tokens of the runs those counts cover. */
+    uint64_t allocCheckEvents = 0;
+
+    double
+    allocsPerEvent() const
+    {
+        return static_cast<double>(rearmRunAllocs + batchMixRunAllocs) /
+               static_cast<double>(allocCheckEvents);
+    }
 };
+
+/**
+ * One pass of @p specs through the warm rearmed graph @p g, counting
+ * heap allocations inside Graph::run only; the rearm before each run
+ * is the serving engine's, but is not counted. Adds the runs' channel
+ * tokens to @p events.
+ */
+uint64_t
+countRunAllocs(const DecoderParams& p,
+               const std::vector<IterationSpec>& specs,
+               dam::Scheduler& sched, Graph& g, DecoderRearmHandles& h,
+               uint64_t* events)
+{
+    uint64_t allocs = 0;
+    for (const IterationSpec& s : specs) {
+        const auto b = static_cast<int64_t>(s.kvLens.size());
+        if (!h.valid || h.key != decoderStructKey(p, b)) {
+            std::fprintf(stderr, "serving alloc check: the graph needs "
+                         "a rebuild at B=%lld\n",
+                         static_cast<long long>(b));
+            std::exit(1);
+        }
+        ++h.rearms;
+        rearmDecoderLayer(g, h, p, s);
+        const uint64_t a0 = g_alloc_count.load(std::memory_order_relaxed);
+        (void)g.run(sched);
+        allocs += g_alloc_count.load(std::memory_order_relaxed) - a0;
+        *events += g.totalChannelTokens();
+    }
+    return allocs;
+}
 
 /**
  * Decode batch sizes of the batch-mix case: up from 1 to 24 and down to
@@ -334,6 +382,10 @@ runServing(int reps)
         for (int r = 0; r < reps; ++r)
             rearmDecoderLayer(g, handles, p, spec);
         res.rearmBuildUs = seconds(t0, Clk::now()) / reps * 1e6;
+
+        res.rearmRunAllocs = countRunAllocs(
+            p, std::vector<IterationSpec>(10, spec), sched, g, handles,
+            &res.allocCheckEvents);
     }
     {
         // Batch mix: a fixed continuous-batcher-like walk of the decode
@@ -362,6 +414,8 @@ runServing(int reps)
                                   static_cast<double>(mix.size()) /
                                   seconds(t0, Clk::now());
         res.batchMixRebuilds = handles.rebuilds;
+        res.batchMixRunAllocs = countRunAllocs(p, mix, sched, g, handles,
+                                               &res.allocCheckEvents);
     }
     {
         // Recycle + rebuild every iteration (the PR-2 path).
@@ -436,12 +490,16 @@ main(int argc, char** argv)
                 static_cast<unsigned long long>(sv.switchesPerIter));
 
     bool zero_alloc = pp.steadyAllocs == 0 && mp.steadyAllocs == 0 &&
-                      rt.steadyAllocs == 0;
+                      rt.steadyAllocs == 0 && sv.rearmRunAllocs == 0 &&
+                      sv.batchMixRunAllocs == 0;
     std::printf("\nsteady-state drain allocations: pingpong=%llu "
-                "map=%llu routing=%llu -> %s\n",
+                "map=%llu routing=%llu serving(B=4)=%llu "
+                "serving(mix)=%llu -> %s\n",
                 static_cast<unsigned long long>(pp.steadyAllocs),
                 static_cast<unsigned long long>(mp.steadyAllocs),
                 static_cast<unsigned long long>(rt.steadyAllocs),
+                static_cast<unsigned long long>(sv.rearmRunAllocs),
+                static_cast<unsigned long long>(sv.batchMixRunAllocs),
                 zero_alloc ? "ZERO-ALLOC OK" : "NON-ZERO");
 
     if (!json_path.empty()) {
@@ -474,6 +532,8 @@ main(int argc, char** argv)
               static_cast<double>(sv.eventsPerIter), "events");
         j.set("serving_switches_per_iter",
               static_cast<double>(sv.switchesPerIter), "switches");
+        j.set("serving_allocs_per_event", sv.allocsPerEvent(),
+              "allocs/event");
         j.set("zero_alloc_steady_state",
               std::string(zero_alloc ? "true" : "false"));
         if (!j.writeTo(json_path)) {

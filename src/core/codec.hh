@@ -8,7 +8,9 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <optional>
 #include <string>
 #include <variant>
@@ -66,6 +68,8 @@ class Nested
  * One writer event emits at most two tokens (a flushed stop plus the
  * new token), so the result is an inline fixed-capacity range — the
  * coalescer sits on every operator's emit path and must not allocate.
+ * Its slots are raw storage: only the tokens an event actually emits
+ * are constructed, and a data token is built in place from the value.
  */
 class StopCoalescer
 {
@@ -74,19 +78,49 @@ class StopCoalescer
     class Emit
     {
       public:
-        Token* begin() { return toks_; }
-        Token* end() { return toks_ + n_; }
-        const Token* begin() const { return toks_; }
-        const Token* end() const { return toks_ + n_; }
+        Emit() noexcept = default;
+        Emit(Emit&& o) noexcept : n_(o.n_)
+        {
+            for (uint8_t i = 0; i < n_; ++i)
+                new (slot(i)) Token(std::move(*o.slot(i)));
+        }
+        Emit& operator=(Emit&&) = delete;
+        ~Emit()
+        {
+            for (uint8_t i = 0; i < n_; ++i)
+                slot(i)->~Token();
+        }
+
+        Token* begin() { return slot(0); }
+        Token* end() { return slot(n_); }
+        const Token* begin() const { return slot(0); }
+        const Token* end() const { return slot(n_); }
         size_t size() const { return n_; }
         bool empty() const { return n_ == 0; }
-        const Token& operator[](size_t i) const { return toks_[i]; }
+        const Token& operator[](size_t i) const { return *slot(i); }
 
       private:
         friend class StopCoalescer;
-        void push(Token t) { toks_[n_++] = std::move(t); }
 
-        Token toks_[2];
+        Token*
+        slot(size_t i)
+        {
+            return std::launder(reinterpret_cast<Token*>(buf_)) + i;
+        }
+        const Token*
+        slot(size_t i) const
+        {
+            return std::launder(reinterpret_cast<const Token*>(buf_)) + i;
+        }
+
+        void push(Token&& t) { new (slot(n_++)) Token(std::move(t)); }
+        void
+        pushData(Value&& v)
+        {
+            new (slot(n_++)) Token(Token::data(std::move(v)));
+        }
+
+        alignas(Token) std::byte buf_[2 * sizeof(Token)];
         uint8_t n_ = 0;
     };
 
@@ -94,15 +128,16 @@ class StopCoalescer
     onData(Value v)
     {
         Emit out = flush();
-        out.push(Token::data(std::move(v)));
+        out.pushData(std::move(v));
         return out;
     }
 
+    /** Re-emit a spent token, moving its value. */
     Emit
-    onToken(const Token& t)
+    onToken(Token&& t)
     {
         if (t.isData())
-            return onData(t.value());
+            return onData(t.takeValue());
         if (t.isStop())
             return onStop(t.level());
         return onDone();
@@ -111,13 +146,12 @@ class StopCoalescer
     Emit
     onStop(uint32_t level)
     {
-        Emit out;
-        if (pending_ && *pending_ < level) {
+        if (pending_ != 0 && pending_ < level) {
             pending_ = level;           // upgrade: nested ends coincide
-        } else {
-            out = flush();              // same/lower level: genuine stop
-            pending_ = level;
+            return Emit();
         }
+        Emit out = flush();             // same/lower level: genuine stop
+        pending_ = level;
         return out;
     }
 
@@ -130,22 +164,23 @@ class StopCoalescer
     }
 
     /** Drop any buffered stop: back to the freshly-built state (rearm). */
-    void reset() { pending_.reset(); }
+    void reset() { pending_ = 0; }
 
     /** Force out any buffered stop (used before Done or at barriers). */
     Emit
     flush()
     {
         Emit out;
-        if (pending_) {
-            out.push(Token::stop(*pending_));
-            pending_.reset();
+        if (pending_ != 0) {
+            out.push(Token::stop(pending_));
+            pending_ = 0;
         }
         return out;
     }
 
   private:
-    std::optional<uint32_t> pending_;
+    /** Buffered stop level; 0 = none (stop levels start at 1). */
+    uint32_t pending_ = 0;
 };
 
 /**

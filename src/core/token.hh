@@ -28,14 +28,11 @@ class Token
   public:
     enum class Kind : uint8_t { Data, Stop, Done };
 
-    Token() : kind_(Kind::Done) {}
+    Token() noexcept = default;
 
-    static Token data(Value v) { return Token(Kind::Data, 0, std::move(v)); }
-    static Token stop(uint32_t level)
-    {
-        return Token(Kind::Stop, level, Value());
-    }
-    static Token done() { return Token(Kind::Done, 0, Value()); }
+    static Token data(Value v) noexcept { return Token(std::move(v)); }
+    static Token stop(uint32_t level) noexcept { return Token(level); }
+    static Token done() noexcept { return Token(); }
 
     Kind kind() const { return kind_; }
     bool isData() const { return kind_ == Kind::Data; }
@@ -68,13 +65,20 @@ class Token
     }
 
   private:
-    Token(Kind k, uint32_t level, Value v)
-        : kind_(k), level_(level), value_(std::move(v))
+    explicit Token(Value v) noexcept
+        : value_(std::move(v)), kind_(Kind::Data)
+    {}
+    explicit Token(uint32_t level) noexcept
+        : level_(level), kind_(Kind::Stop)
     {}
 
-    Kind kind_;
-    uint32_t level_ = 0;
     Value value_;
+    uint32_t level_ = 0;
+    Kind kind_ = Kind::Done;
 };
+
+// Tokens live in every FIFO slot and are relocated several times per
+// simulated transfer: keep them to six words.
+static_assert(sizeof(Token) <= 48, "Token must stay within 48 bytes");
 
 } // namespace step

@@ -3,25 +3,67 @@
 #include <sstream>
 
 #include "support/error.hh"
+#include "support/framepool.hh"
 
 namespace step {
+
+void
+SelectorIndices::spill(const uint32_t* first, size_t n)
+{
+    auto* b = new (::operator new(sizeof(Block) + n * sizeof(uint32_t)))
+        Block();
+    std::copy(first, first + n, b->indices());
+    rep_.block = b;
+    rep_.n = static_cast<uint32_t>(n);
+}
+
+void
+SelectorIndices::freeBlock(Block* b) noexcept
+{
+    b->~Block();
+    ::operator delete(b);
+}
+
+bool
+SelectorIndices::operator==(const SelectorIndices& o) const
+{
+    return std::equal(begin(), end(), o.begin(), o.end());
+}
+
+TupleVal::Block*
+TupleVal::allocBlock(size_t n)
+{
+    static_assert(sizeof(Block) % alignof(Value) == 0,
+                  "tuple elements must follow the header aligned");
+    return new (FramePool::allocate(sizeof(Block) + n * sizeof(Value)))
+        Block();
+}
+
+void
+TupleVal::freeBlock(Block* b) noexcept
+{
+    Value* e = b->elems();
+    for (uint32_t i = 0; i < b->n; ++i)
+        e[i].~Value();
+    b->~Block();
+    FramePool::deallocate(b);
+}
 
 int64_t
 TupleVal::bytes() const
 {
     int64_t n = 0;
-    if (elems)
-        for (const auto& e : *elems)
-            n += e.bytes();
+    for (const Value& e : elems())
+        n += e.bytes();
     return n;
 }
 
 Value
-Value::tuple(std::vector<Value> elems)
+Value::tuple(std::initializer_list<Value> elems)
 {
-    TupleVal t;
-    t.elems = std::make_shared<const std::vector<Value>>(std::move(elems));
-    return Value(std::move(t));
+    return TupleVal::make(elems.size(), [&](size_t i) -> const Value& {
+        return elems.begin()[i];
+    });
 }
 
 std::string

@@ -8,9 +8,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
-#include <memory>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,12 +22,128 @@
 namespace step {
 
 /**
- * Small-buffer-optimized index store for Selector. One-hot and top-2
- * routing tokens — the overwhelming majority of MoE/attention traffic —
- * fit in the two inline slots, so constructing and copying them never
- * touches the heap; wider selectors spill to a vector.
+ * Growable index list for building selectors (and other small index
+ * sets). One-hot and top-2 lists stay inline.
  */
 using IndexVec = SmallVec<uint32_t, 2>;
+
+/**
+ * A selector's immutable index list: up to kInline indices stored in
+ * place, longer lists in one refcounted block. Like Tile, it is
+ * trivially relocatable, and a copy is a POD copy plus at most one
+ * refcount increment.
+ */
+class SelectorIndices
+{
+  public:
+    static constexpr size_t kInline = 6;
+
+    SelectorIndices() noexcept = default;
+
+    SelectorIndices(const uint32_t* first, size_t n)
+    {
+        if (n > kInline) {
+            spill(first, n);
+            return;
+        }
+        std::copy(first, first + n, rep_.inl);
+        rep_.n = static_cast<uint32_t>(n);
+    }
+
+    SelectorIndices(const SelectorIndices& o) noexcept : rep_(o.rep_)
+    {
+        retain();
+    }
+    SelectorIndices(SelectorIndices&& o) noexcept : rep_(o.rep_)
+    {
+        o.rep_.n = 0;
+    }
+
+    SelectorIndices&
+    operator=(const SelectorIndices& o) noexcept
+    {
+        if (this != &o) {
+            o.retain();
+            release();
+            rep_ = o.rep_;
+        }
+        return *this;
+    }
+
+    SelectorIndices&
+    operator=(SelectorIndices&& o) noexcept
+    {
+        if (this != &o) {
+            release();
+            rep_ = o.rep_;
+            o.rep_.n = 0;
+        }
+        return *this;
+    }
+
+    ~SelectorIndices() { release(); }
+
+    size_t size() const { return rep_.n; }
+    bool empty() const { return rep_.n == 0; }
+
+    const uint32_t*
+    begin() const
+    {
+        return spilled() ? rep_.block->indices() : rep_.inl;
+    }
+    const uint32_t* end() const { return begin() + rep_.n; }
+
+    uint32_t
+    operator[](size_t i) const
+    {
+        STEP_ASSERT(i < rep_.n, "selector index " << i << " out of "
+                    << rep_.n);
+        return begin()[i];
+    }
+
+    bool operator==(const SelectorIndices& o) const;
+
+  private:
+    friend class Value;
+
+    /** Refcount header; the indices follow it in the same allocation. */
+    struct Block
+    {
+        detail::RefCount rc;
+
+        uint32_t* indices() { return reinterpret_cast<uint32_t*>(this + 1); }
+    };
+
+    struct Rep
+    {
+        union {
+            uint32_t inl[kInline];
+            Block* block;
+        };
+        uint32_t n = 0;
+    };
+
+    bool spilled() const { return rep_.n > kInline; }
+
+    void
+    retain() const noexcept
+    {
+        if (spilled())
+            rep_.block->rc.retain();
+    }
+
+    void
+    release() noexcept
+    {
+        if (spilled() && rep_.block->rc.release())
+            freeBlock(rep_.block);
+    }
+
+    void spill(const uint32_t* first, size_t n);
+    static void freeBlock(Block* b) noexcept;
+
+    Rep rep_;
+};
 
 /**
  * Multi-hot routing vector: the indices of the selected consumers or
@@ -34,18 +151,23 @@ using IndexVec = SmallVec<uint32_t, 2>;
  */
 struct Selector
 {
-    IndexVec indices;
+    SelectorIndices indices;
 
     Selector() = default;
-    explicit Selector(IndexVec idx) : indices(std::move(idx)) {}
-    explicit Selector(const std::vector<uint32_t>& idx)
-        : indices(idx.begin(), idx.end())
+    explicit Selector(const IndexVec& idx)
+        : indices(idx.begin(), idx.size())
     {}
-    static Selector oneHot(uint32_t i) { return Selector(IndexVec{i}); }
+    explicit Selector(const std::vector<uint32_t>& idx)
+        : indices(idx.data(), idx.size())
+    {}
+    static Selector oneHot(uint32_t i) { return Selector(&i, 1); }
 
     bool operator==(const Selector& o) const { return indices == o.indices; }
     /** Metric size: one machine word. */
     int64_t bytes() const { return 8; }
+
+  private:
+    Selector(const uint32_t* first, size_t n) : indices(first, n) {}
 };
 
 /** Read-only reference to a buffer allocated in on-chip memory. */
@@ -63,82 +185,147 @@ struct BufferRef
 
 class Value;
 
-/** Tuple payload (from Zip); shared to keep Value cheap to copy. */
-struct TupleVal
+/**
+ * Tuple payload (from Zip): one refcounted block holding the elements,
+ * drawn from the per-thread FramePool freelists, so building a tuple on
+ * the hot path does not touch the heap once the pool is warm.
+ */
+class TupleVal
 {
-    std::shared_ptr<const std::vector<Value>> elems;
+  public:
+    TupleVal() noexcept = default;
+    TupleVal(const TupleVal& o) noexcept : block_(o.block_) { retain(); }
+    TupleVal(TupleVal&& o) noexcept : block_(o.block_) { o.block_ = nullptr; }
 
+    TupleVal&
+    operator=(const TupleVal& o) noexcept
+    {
+        if (this != &o) {
+            // Read @p o first: it may live inside the block this
+            // releases.
+            Block* b = o.block_;
+            o.retain();
+            release();
+            block_ = b;
+        }
+        return *this;
+    }
+
+    TupleVal&
+    operator=(TupleVal&& o) noexcept
+    {
+        if (this != &o) {
+            release();
+            block_ = o.block_;
+            o.block_ = nullptr;
+        }
+        return *this;
+    }
+
+    ~TupleVal() { release(); }
+
+    /** Tuple of @p n elements, element i constructed from fn(i) (a
+     *  Value&& result is moved in). */
+    template <typename F> static TupleVal make(size_t n, F&& fn);
+
+    std::span<const Value> elems() const;
     int64_t bytes() const;
+
+  private:
+    friend class Value;
+
+    struct Block
+    {
+        detail::RefCount rc;
+        uint32_t n = 0;
+
+        Value* elems() { return reinterpret_cast<Value*>(this + 1); }
+    };
+
+    void
+    retain() const noexcept
+    {
+        if (block_)
+            block_->rc.retain();
+    }
+
+    void
+    release() noexcept
+    {
+        if (block_ && block_->rc.release())
+            freeBlock(block_);
+    }
+
+    static Block* allocBlock(size_t n);
+    static void freeBlock(Block* b) noexcept;
+
+    Block* block_ = nullptr;
 };
 
 /**
  * A single data element travelling on a stream.
  *
- * Implemented as a hand-rolled tagged union rather than std::variant:
- * tokens are moved several times per simulated channel transfer, and the
- * open-coded switch moves (plus same-kind move-assignment reusing the
- * destination in place, the FIFO-slot recycle case) compile to a few
- * stores where the variant machinery dispatches through visit tables.
+ * A tagged union whose alternatives are all trivially relocatable: each
+ * holds at most one pointer to an immutable refcounted block and no
+ * pointer into itself. Copy is therefore a POD copy plus at most one
+ * refcount increment, move is a bytewise relocation that leaves the
+ * source an empty tile, and destroy is at most one release. In timing
+ * mode no alternative owns a block, so values travel through channels
+ * without touching the allocator.
  */
 class Value
 {
   public:
-    Value() : kind_(Kind::Tile), tile_() {}
-    Value(Tile t)                                   // NOLINT implicit
-        : kind_(Kind::Tile), tile_(std::move(t))
+    Value() noexcept : tile_() {}
+    Value(Tile t) noexcept                          // NOLINT implicit
+        : tile_(std::move(t))
     {}
-    Value(Selector s)                               // NOLINT implicit
-        : kind_(Kind::Selector), sel_(std::move(s))
+    Value(Selector s) noexcept                      // NOLINT implicit
+        : sel_(std::move(s)), kind_(Kind::Selector)
     {}
-    Value(BufferRef b)                              // NOLINT implicit
-        : kind_(Kind::BufferRef), buf_(b)
+    Value(BufferRef b) noexcept                     // NOLINT implicit
+        : buf_(b), kind_(Kind::BufferRef)
     {}
-    Value(TupleVal t)                               // NOLINT implicit
-        : kind_(Kind::Tuple), tup_(std::move(t))
+    Value(TupleVal t) noexcept                      // NOLINT implicit
+        : tup_(std::move(t)), kind_(Kind::Tuple)
     {}
 
-    Value(const Value& o) : kind_(o.kind_) { copyFrom(o); }
+    Value(const Value& o) noexcept
+    {
+        relocateFrom(o);
+        retain();
+    }
 
-    Value(Value&& o) noexcept : kind_(o.kind_) { moveFrom(std::move(o)); }
+    Value(Value&& o) noexcept
+    {
+        relocateFrom(o);
+        o.setEmpty();
+    }
 
     Value&
-    operator=(const Value& o)
+    operator=(const Value& o) noexcept
     {
-        // Copy-construct first so a throwing payload copy (functional-
-        // mode tiles allocate) cannot leave kind_ pointing at an
-        // unconstructed member; the move assign below is noexcept.
-        if (this != &o) {
-            Value tmp(o);
-            *this = std::move(tmp);
-        }
-        return *this;
+        // Through a copy: @p o may live inside the tuple this releases.
+        Value copy(o);
+        return *this = std::move(copy);
     }
 
     Value&
     operator=(Value&& o) noexcept
     {
-        if (this == &o)
-            return *this;
-        if (kind_ == o.kind_) {
-            // In-place member move-assignment: the dominant case when a
-            // recycled FIFO slot receives a token of the same kind.
-            switch (kind_) {
-            case Kind::Tile:      tile_ = std::move(o.tile_); break;
-            case Kind::Selector:  sel_ = std::move(o.sel_); break;
-            case Kind::BufferRef: buf_ = o.buf_; break;
-            case Kind::Tuple:     tup_ = std::move(o.tup_); break;
-            }
-            return *this;
+        if (this != &o) {
+            release();
+            relocateFrom(o);
+            o.setEmpty();
         }
-        destroy();
-        kind_ = o.kind_;
-        moveFrom(std::move(o));
         return *this;
     }
 
-    ~Value() { destroy(); }
+    ~Value() { release(); }
 
-    static Value tuple(std::vector<Value> elems);
+    /** Tuple of copies of @p elems (TupleVal::make builds one from
+     *  values moved in). */
+    static Value tuple(std::initializer_list<Value> elems);
 
     bool isTile() const { return kind_ == Kind::Tile; }
     bool isSelector() const { return kind_ == Kind::Selector; }
@@ -150,7 +337,7 @@ class Value
     const Tile& tile() const;
     const Selector& selector() const;
     const BufferRef& bufferRef() const;
-    const std::vector<Value>& tupleElems() const;
+    std::span<const Value> tupleElems() const;
 
     /** Wire size in bytes, used by the roofline timing model. */
     int64_t bytes() const;
@@ -160,47 +347,56 @@ class Value
   private:
     enum class Kind : uint8_t { Tile, Selector, BufferRef, Tuple };
 
+    /** Bitwise copy of @p o's representation; no refcount traffic. */
     void
-    copyFrom(const Value& o)
+    relocateFrom(const Value& o) noexcept
+    {
+        std::memcpy(static_cast<void*>(this), static_cast<const void*>(&o),
+                    sizeof(Value));
+    }
+
+    /** Forget the payload without releasing it (it was relocated). */
+    void
+    setEmpty() noexcept
+    {
+        new (&tile_) Tile();
+        kind_ = Kind::Tile;
+    }
+
+    void
+    retain() const noexcept
     {
         switch (kind_) {
-        case Kind::Tile:      new (&tile_) Tile(o.tile_); break;
-        case Kind::Selector:  new (&sel_) Selector(o.sel_); break;
-        case Kind::BufferRef: new (&buf_) BufferRef(o.buf_); break;
-        case Kind::Tuple:     new (&tup_) TupleVal(o.tup_); break;
+        case Kind::Tile:      tile_.retain(); break;
+        case Kind::Selector:  sel_.indices.retain(); break;
+        case Kind::Tuple:     tup_.retain(); break;
+        case Kind::BufferRef: break;
         }
     }
 
     void
-    moveFrom(Value&& o) noexcept
-    {
-        switch (kind_) {
-        case Kind::Tile:      new (&tile_) Tile(std::move(o.tile_)); break;
-        case Kind::Selector:  new (&sel_) Selector(std::move(o.sel_)); break;
-        case Kind::BufferRef: new (&buf_) BufferRef(o.buf_); break;
-        case Kind::Tuple:     new (&tup_) TupleVal(std::move(o.tup_)); break;
-        }
-    }
-
-    void
-    destroy() noexcept
+    release() noexcept
     {
         switch (kind_) {
         case Kind::Tile:      tile_.~Tile(); break;
         case Kind::Selector:  sel_.~Selector(); break;
-        case Kind::BufferRef: break; // trivially destructible
         case Kind::Tuple:     tup_.~TupleVal(); break;
+        case Kind::BufferRef: break;
         }
     }
 
-    Kind kind_;
     union {
         Tile tile_;
         Selector sel_;
         BufferRef buf_;
         TupleVal tup_;
     };
+    Kind kind_ = Kind::Tile;
 };
+
+static_assert(sizeof(Tile) <= 32 && sizeof(Selector) <= 32 &&
+                  sizeof(TupleVal) <= 32 && sizeof(BufferRef) <= 32,
+              "a Value alternative outgrew its 32-byte slot");
 
 inline const Tile&
 Value::tile() const
@@ -223,11 +419,11 @@ Value::bufferRef() const
     return buf_;
 }
 
-inline const std::vector<Value>&
+inline std::span<const Value>
 Value::tupleElems() const
 {
     STEP_ASSERT(isTuple(), "value is not a tuple: " << toString());
-    return *tup_.elems;
+    return tup_.elems();
 }
 
 inline int64_t
@@ -240,6 +436,28 @@ Value::bytes() const
     if (isBufferRef())
         return buf_.bytes();
     return tup_.bytes();
+}
+
+inline std::span<const Value>
+TupleVal::elems() const
+{
+    if (!block_)
+        return {};
+    return {block_->elems(), block_->n};
+}
+
+template <typename F>
+TupleVal
+TupleVal::make(size_t n, F&& fn)
+{
+    TupleVal t;
+    t.block_ = allocBlock(n);
+    Value* e = t.block_->elems();
+    for (size_t i = 0; i < n; ++i) {
+        new (e + i) Value(fn(i));
+        t.block_->n = static_cast<uint32_t>(i + 1);
+    }
+    return t;
 }
 
 } // namespace step

@@ -103,7 +103,7 @@ MapOp::run()
         // Stop or Done (inputs aligned): forward.
         busyAdvance(1);
         bool done = t0.isDone();
-        STEP_EMIT_RAW(out_.ch, t0);
+        STEP_EMIT_RAW(out_.ch, std::move(t0));
         if (done)
             break;
     }
@@ -225,7 +225,7 @@ ScanOp::run()
             if (t.level() >= rank_)
                 state = init_(); // reset at reduction-group boundary
             busyAdvance(1);
-            STEP_EMIT_RAW(out_.ch, t);
+            STEP_EMIT_RAW(out_.ch, std::move(t));
         } else {
             STEP_EMIT_RAW(out_.ch, Token::done());
             break;
@@ -273,7 +273,7 @@ FlatMapOp::run()
             int64_t flops = 0;
             expScratch_.clear();
             fn_(t.value(), expScratch_, flops);
-            const std::vector<Token>& expansion = expScratch_;
+            std::vector<Token>& expansion = expScratch_;
             flops_ += flops;
             busyAdvance(std::max<dam::Cycle>(
                 1, rooflineCyclesMemo(t.value().bytes(), flops, 0, computeBw_,
@@ -283,7 +283,7 @@ FlatMapOp::run()
                             et.level() < b),
                             "FlatMap fn emitted token beyond rank "
                             << rank_);
-                STEP_EMIT(out_.ch, coal_.onToken(et));
+                STEP_EMIT(out_.ch, coal_.onToken(std::move(et)));
             }
             STEP_EMIT(out_.ch, coal_.onStop(b));
         } else if (t.isStop()) {
@@ -331,16 +331,16 @@ matmulBT()
         flops += 2 * a.rows() * a.cols() * b.rows();
         if (!a.hasData() || !b.hasData())
             return Tile(a.rows(), b.rows(), a.elemBytes());
-        std::vector<float> out(static_cast<size_t>(a.rows() * b.rows()));
-        for (int64_t i = 0; i < a.rows(); ++i)
-            for (int64_t j = 0; j < b.rows(); ++j) {
-                float acc = 0.0f;
-                for (int64_t k = 0; k < a.cols(); ++k)
-                    acc += a.at(i, k) * b.at(j, k);
-                out[static_cast<size_t>(i * b.rows() + j)] = acc;
-            }
-        return Tile::withData(a.rows(), b.rows(), std::move(out),
-                              a.elemBytes());
+        return Tile::generate(a.rows(), b.rows(), a.elemBytes(),
+                              [&](float* out) {
+            for (int64_t i = 0; i < a.rows(); ++i)
+                for (int64_t j = 0; j < b.rows(); ++j) {
+                    float acc = 0.0f;
+                    for (int64_t k = 0; k < a.cols(); ++k)
+                        acc += a.at(i, k) * b.at(j, k);
+                    out[i * b.rows() + j] = acc;
+                }
+        });
     };
 }
 
@@ -489,20 +489,20 @@ attnUpdate(int64_t flop_scale)
         }
         float corr = std::exp(m_old - m_new);
         float l_new = l_old * corr;
-        std::vector<float> acc(static_cast<size_t>(hd));
-        for (int64_t d = 0; d < hd; ++d)
-            acc[static_cast<size_t>(d)] =
-                (acc_t.hasData() ? acc_t.at(0, d) : 0.0f) * corr;
-        for (int64_t t = 0; t < t_rows; ++t) {
-            float p = std::exp(scores[static_cast<size_t>(t)] - m_new);
-            l_new += p;
+        Tile acc = Tile::generate(1, hd, q.elemBytes(), [&](float* out) {
             for (int64_t d = 0; d < hd; ++d)
-                acc[static_cast<size_t>(d)] += p * v.at(t, d);
-        }
+                out[d] = (acc_t.hasData() ? acc_t.at(0, d) : 0.0f) * corr;
+            for (int64_t t = 0; t < t_rows; ++t) {
+                float p = std::exp(scores[static_cast<size_t>(t)] - m_new);
+                l_new += p;
+                for (int64_t d = 0; d < hd; ++d)
+                    out[d] += p * v.at(t, d);
+            }
+        });
         return Value::tuple({
             Tile::withData(1, 1, {m_new}, q.elemBytes()),
             Tile::withData(1, 1, {l_new}, q.elemBytes()),
-            Tile::withData(1, hd, std::move(acc), q.elemBytes()),
+            std::move(acc),
         });
     };
 }
@@ -518,12 +518,11 @@ attnFinish()
         if (!acc.hasData() || !l_t.hasData())
             return Tile(1, acc.cols(), acc.elemBytes());
         float l = l_t.at(0, 0);
-        std::vector<float> out(static_cast<size_t>(acc.cols()));
-        for (int64_t d = 0; d < acc.cols(); ++d)
-            out[static_cast<size_t>(d)] =
-                l > 0.0f ? acc.at(0, d) / l : 0.0f;
-        return Tile::withData(1, acc.cols(), std::move(out),
-                              acc.elemBytes());
+        return Tile::generate(1, acc.cols(), acc.elemBytes(),
+                              [&](float* out) {
+            for (int64_t d = 0; d < acc.cols(); ++d)
+                out[d] = l > 0.0f ? acc.at(0, d) / l : 0.0f;
+        });
     };
 }
 

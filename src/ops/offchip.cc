@@ -53,15 +53,14 @@ OffChipTensor::tileAt(int64_t ti, int64_t tj) const
     if (!payload)
         return Tile(tileRows, tileCols, elemBytes);
     int64_t tensor_cols = inShapeTiles[1] * tileCols;
-    std::vector<float> data(
-        static_cast<size_t>(tileRows * tileCols));
-    for (int64_t r = 0; r < tileRows; ++r) {
-        int64_t src = (ti * tileRows + r) * tensor_cols + tj * tileCols;
-        for (int64_t c = 0; c < tileCols; ++c)
-            data[static_cast<size_t>(r * tileCols + c)] =
-                (*payload)[static_cast<size_t>(src + c)];
-    }
-    return Tile::withData(tileRows, tileCols, std::move(data), elemBytes);
+    return Tile::generate(tileRows, tileCols, elemBytes, [&](float* data) {
+        for (int64_t r = 0; r < tileRows; ++r) {
+            int64_t src = (ti * tileRows + r) * tensor_cols + tj * tileCols;
+            for (int64_t c = 0; c < tileCols; ++c)
+                data[r * tileCols + c] =
+                    (*payload)[static_cast<size_t>(src + c)];
+        }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -245,8 +244,8 @@ RandomOffChipLoadOp::run()
                         : Tile(tensor_.tileRows, tensor_.tileCols,
                                tensor_.elemBytes);
                     STEP_EMIT(out_.ch, coal_.flush());
-                    co_await out_.ch->writeAt(*this, Token::data(tile),
-                                              done_at);
+                    co_await out_.ch->writeAt(
+                        *this, Token::data(std::move(tile)), done_at);
                 }
                 if (gridMode_)
                     STEP_EMIT(out_.ch, coal_.onStop(1));
@@ -309,11 +308,10 @@ RandomOffChipStoreOp::run()
                 base_ + static_cast<uint64_t>(idx * blockStride_), bytes,
                 now(), true);
             busyAdvance(1);
-            Token ack = Token::data(
-                Tile::withData(1, 1, std::vector<float>{1.0f}, 1));
+            Token ack = Token::data(Tile::withData(1, 1, {1.0f}, 1));
             co_await ack_.ch->writeAt(*this, std::move(ack), done_at);
         } else if (ta.isStop()) {
-            STEP_EMIT_RAW(ack_.ch, ta);
+            STEP_EMIT_RAW(ack_.ch, std::move(ta));
         } else {
             STEP_EMIT_RAW(ack_.ch, Token::done());
             break;

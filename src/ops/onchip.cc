@@ -98,7 +98,7 @@ BufferizeOp::run()
             busyAdvance(1);
             if (t.level() >= b) {
                 Token buf = flush_buffer();
-                STEP_EMIT(out_.ch, coal_.onData(buf.value()));
+                STEP_EMIT(out_.ch, coal_.onData(buf.takeValue()));
                 if (t.level() > b)
                     STEP_EMIT(out_.ch, coal_.onStop(t.level() - b));
             } else {
@@ -107,7 +107,7 @@ BufferizeOp::run()
         } else {
             if (full && (!toks.empty() || payload > 0)) {
                 Token buf = flush_buffer();
-                STEP_EMIT(out_.ch, coal_.onData(buf.value()));
+                STEP_EMIT(out_.ch, coal_.onData(buf.takeValue()));
             }
             STEP_EMIT(out_.ch, coal_.onDone());
             break;

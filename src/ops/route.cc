@@ -72,8 +72,14 @@ PartitionOp::run()
                 busyAdvance(routeCost(
                     t, graph_.config().onChipBwBytesPerCycle));
                 if (t.isData()) {
-                    for (uint32_t i : sel)
-                        STEP_EMIT(outs_[i].ch, coals_[i].onData(t.value()));
+                    // Copies for all but the last selected output, which
+                    // takes the spent token's value.
+                    for (size_t k = 0; k < sel.size(); ++k) {
+                        const uint32_t i = sel[k];
+                        STEP_EMIT(outs_[i].ch, coals_[i].onData(
+                            k + 1 < sel.size() ? Value(t.value())
+                                               : t.takeValue()));
+                    }
                 } else if (t.level() < p) {
                     for (uint32_t i : sel)
                         STEP_EMIT(outs_[i].ch,
@@ -153,20 +159,25 @@ ReassembleOp::run()
         Token ts = co_await sel_.ch->read(*this);
         if (ts.isData()) {
             ++elements_;
-            const IndexVec& picked = ts.value().selector().indices;
+            const auto& picked = ts.value().selector().indices;
             selScratch_.assign(picked.begin(), picked.end());
             std::vector<uint32_t>& sel = selScratch_;
             // Collect in availability order: inputs whose head token is
             // already present go first (by ready time), the rest last.
-            std::stable_sort(sel.begin(), sel.end(),
-                [&](uint32_t a, uint32_t c) {
-                    auto key = [&](uint32_t i) -> dam::Cycle {
-                        const auto* ch = ins_[i].ch;
-                        return ch->empty() ? ~dam::Cycle{0}
-                                           : ch->frontTime();
-                    };
-                    return key(a) < key(c);
-                });
+            // A stable insertion sort in place: selections are a few
+            // entries, and std::stable_sort would allocate a buffer.
+            auto key = [&](uint32_t i) -> dam::Cycle {
+                const auto* ch = ins_[i].ch;
+                return ch->empty() ? ~dam::Cycle{0} : ch->frontTime();
+            };
+            for (size_t a = 1; a < sel.size(); ++a) {
+                const uint32_t v = sel[a];
+                const dam::Cycle kv = key(v);
+                size_t c = a;
+                for (; c > 0 && kv < key(sel[c - 1]); --c)
+                    sel[c] = sel[c - 1];
+                sel[c] = v;
+            }
             for (size_t si = 0; si < sel.size(); ++si) {
                 uint32_t i = sel[si];
                 STEP_ASSERT(i < ins_.size(), "selector index " << i
@@ -179,7 +190,7 @@ ReassembleOp::run()
                     busyAdvance(routeCost(
                         t, graph_.config().onChipBwBytesPerCycle));
                     if (t.isData()) {
-                        STEP_EMIT(out_.ch, coal_.onData(t.value()));
+                        STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
                     } else if (t.level() < b) {
                         STEP_EMIT(out_.ch, coal_.onStop(t.level()));
                     } else {
@@ -312,7 +323,7 @@ EagerMergeOp::run()
             Token t = co_await ins_[pi].ch->read(*this);
             busyAdvance(routeCost(
                 t, graph_.config().onChipBwBytesPerCycle));
-            STEP_EMIT(out_.ch, coal_.onData(t.value()));
+            STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
             continue;
         }
         while (true) {
@@ -320,7 +331,7 @@ EagerMergeOp::run()
             busyAdvance(routeCost(
                 t, graph_.config().onChipBwBytesPerCycle));
             if (t.isData()) {
-                STEP_EMIT(out_.ch, coal_.onData(t.value()));
+                STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
             } else if (t.isStop() && t.level() < b) {
                 STEP_EMIT(out_.ch, coal_.onStop(t.level()));
             } else if (t.isStop()) {
@@ -405,7 +416,7 @@ DispatcherOp::run()
         ++issued;
         ++elements_;
         busyAdvance(1);
-        STEP_EMIT_RAW(out_.ch, Token::data(t.value()));
+        STEP_EMIT_RAW(out_.ch, Token::data(t.takeValue()));
     }
     // Emit Done immediately so downstream termination doesn't wait on
     // the trailing completions (which depend on downstream finishing).

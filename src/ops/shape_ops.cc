@@ -30,7 +30,7 @@ FlattenOp::run()
         busyAdvance(1);
         if (t.isData()) {
             ++elements_;
-            STEP_EMIT(out_.ch, coal_.onData(t.value()));
+            STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
         } else if (t.isStop()) {
             uint32_t l = t.level();
             if (l <= lo_) {
@@ -95,7 +95,7 @@ ReshapeOp::run()
         if (t.isData()) {
             ++elements_;
             if (b == 0) {
-                STEP_EMIT(out_.ch, coal_.onData(t.value()));
+                STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
                 if (padOut_.ch) {
                     STEP_EMIT(padOut_.ch, padCoal_.onData(
                         Tile::withData(1, 1, {0.0f}, 1)));
@@ -106,7 +106,7 @@ ReshapeOp::run()
                         STEP_EMIT(padOut_.ch, padCoal_.onStop(1));
                 }
             } else {
-                STEP_EMIT(out_.ch, coal_.onData(t.value()));
+                STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
             }
         } else if (t.isStop()) {
             uint32_t l = t.level();
@@ -155,8 +155,7 @@ ReshapeOp::run()
                     STEP_EMIT(out_.ch, coal_.onData(*pad_));
                     if (padOut_.ch) {
                         STEP_EMIT(padOut_.ch, padCoal_.onData(
-                            Tile::withData(1, 1,
-                                           std::vector<float>{1.0f}, 1)));
+                            Tile::withData(1, 1, {1.0f}, 1)));
                     }
                     ++count;
                 }
@@ -202,7 +201,7 @@ PromoteOp::run()
         if (t.isData()) {
             ++elements_;
             seen = true;
-            STEP_EMIT(out_.ch, coal.onData(t.value()));
+            STEP_EMIT(out_.ch, coal.onData(t.takeValue()));
         } else if (t.isStop()) {
             seen = true;
             STEP_EMIT(out_.ch, coal.onStop(t.level()));
@@ -248,7 +247,7 @@ ExpandOp::run()
                 STEP_ASSERT(!ti.isDone(), "Expand input ended before ref "
                             << "in " << name());
                 if (ti.isData())
-                    cur = ti.value();
+                    cur = ti.takeValue();
             }
             STEP_EMIT(out_.ch, coal.onData(*cur));
         } else if (t.isStop()) {
@@ -294,11 +293,12 @@ ExpandStaticOp::run()
         busyAdvance(1);
         if (t.isData()) {
             ++elements_;
-            for (int64_t i = 0; i < count_; ++i)
+            for (int64_t i = 0; i + 1 < count_; ++i)
                 STEP_EMIT_RAW(out_.ch, t);
+            STEP_EMIT_RAW(out_.ch, std::move(t)); // last use
         } else {
             bool done = t.isDone();
-            STEP_EMIT_RAW(out_.ch, t);
+            STEP_EMIT_RAW(out_.ch, std::move(t));
             if (done)
                 break;
         }
@@ -331,8 +331,11 @@ RepeatOp::run()
         busyAdvance(1);
         if (t.isData()) {
             ++elements_;
-            for (int64_t i = 0; i < count_; ++i)
+            // Copies for all but the last repetition, which takes the
+            // spent token's value.
+            for (int64_t i = 0; i + 1 < count_; ++i)
                 STEP_EMIT(out_.ch, coal_.onData(t.value()));
+            STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
             STEP_EMIT(out_.ch, coal_.onStop(1));
         } else if (t.isStop()) {
             STEP_EMIT(out_.ch, coal_.onStop(t.level() + 1));
@@ -361,14 +364,16 @@ ZipOp::ZipOp(Graph& g, const std::string& name, std::vector<StreamPort> ins)
     }
     bindOutput(out_, name + ".out", ins_[0].shape,
                DataType::tuple(std::move(dts)));
+    // Reserve at build time so the per-element path never allocates.
+    tokScratch_.reserve(ins_.size());
 }
 
 dam::SimTask
 ZipOp::run()
 {
+    std::vector<Token>& ts = tokScratch_;
     while (true) {
-        std::vector<Token> ts;
-        ts.reserve(ins_.size());
+        ts.clear();
         for (auto& p : ins_)
             ts.push_back(co_await p.ch->read(*this));
         busyAdvance(1);
@@ -381,15 +386,12 @@ ZipOp::run()
         }
         if (ts[0].isData()) {
             ++elements_;
-            std::vector<Value> vals;
-            vals.reserve(ts.size());
-            for (auto& t : ts)
-                vals.push_back(t.value());
-            STEP_EMIT_RAW(out_.ch, Token::data(Value::tuple(
-                std::move(vals))));
+            STEP_EMIT_RAW(out_.ch, Token::data(TupleVal::make(
+                ts.size(),
+                [&](size_t i) -> Value&& { return ts[i].takeValue(); })));
         } else {
             bool done = ts[0].isDone();
-            STEP_EMIT_RAW(out_.ch, ts[0]);
+            STEP_EMIT_RAW(out_.ch, std::move(ts[0]));
             if (done)
                 break;
         }
@@ -430,7 +432,7 @@ FilterOp::run()
             bool padded = m.value().tile().hasData() &&
                           m.value().tile().at(0, 0) != 0.0f;
             if (!padded)
-                STEP_EMIT(out_.ch, coal_.onData(t.value()));
+                STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
         } else if (t.isStop()) {
             STEP_EMIT(out_.ch, coal_.onStop(t.level()));
         } else {

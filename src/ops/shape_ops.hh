@@ -146,6 +146,8 @@ class ZipOp : public OpBase
   private:
     std::vector<StreamPort> ins_;
     StreamPort out_;
+    /** One token per input (capacity reused across events). */
+    std::vector<Token> tokScratch_;
 };
 
 /**

@@ -120,8 +120,10 @@ BroadcastOp::run()
         bool done = t.isDone();
         if (t.isData())
             ++elements_;
-        for (auto& o : outs_)
-            STEP_EMIT_RAW(o.ch, t);
+        // Copies for all but the last output, which takes the token.
+        for (size_t o = 0; o + 1 < outs_.size(); ++o)
+            STEP_EMIT_RAW(outs_[o].ch, t);
+        STEP_EMIT_RAW(outs_.back().ch, std::move(t));
         if (done)
             break;
     }

@@ -55,10 +55,10 @@ attnMetaTokens(const std::vector<int64_t>& kv_lens,
     for (size_t r = 0; r < kv_lens.size(); ++r) {
         for (auto& tk : coal.onData(Value(metaTile(
                  kv_lens, base_tile, Tk, static_cast<int64_t>(r)))))
-            toks.push_back(tk);
+            toks.push_back(std::move(tk));
     }
     for (auto& tk : coal.onDone())
-        toks.push_back(tk);
+        toks.push_back(std::move(tk));
     return toks;
 }
 
@@ -107,12 +107,12 @@ attnReqTokens(const std::vector<int64_t>& kv_lens,
         for (auto& tk : coal.onData(Value::tuple(
                  {std::move(q), metaTile(kv_lens, base_tile, Tk,
                                          static_cast<int64_t>(r))})))
-            toks.push_back(tk);
+            toks.push_back(std::move(tk));
         for (auto& tk : coal.onStop(1))
-            toks.push_back(tk);
+            toks.push_back(std::move(tk));
     }
     for (auto& tk : coal.onDone())
-        toks.push_back(tk);
+        toks.push_back(std::move(tk));
     return toks;
 }
 

@@ -233,12 +233,12 @@ rowStreamTokens(int64_t batch, int64_t hidden,
             ? Tile::withData(1, hidden, (*rows)[static_cast<size_t>(t)])
             : Tile(1, hidden);
         for (auto& tk : coal.onData(Value(std::move(row))))
-            toks.push_back(tk);
+            toks.push_back(std::move(tk));
         for (auto& tk : coal.onStop(1))
-            toks.push_back(tk);
+            toks.push_back(std::move(tk));
     }
     for (auto& tk : coal.onDone())
-        toks.push_back(tk);
+        toks.push_back(std::move(tk));
     return toks;
 }
 

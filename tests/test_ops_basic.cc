@@ -340,6 +340,72 @@ TEST(Repeat, AddsInnerDim)
     EXPECT_EQ(test::leavesOf(out), (std::vector<float>{1, 1, 2, 2}));
 }
 
+// ---- fan-out aliasing: every output carries the full payload ----------
+//
+// Operators that send one input token to several outputs copy its value
+// for all but the last use and move it into the last. These tests use
+// multi-element (heap-backed) tiles and fail if any output sees a value
+// that was moved away before its last use.
+
+/** 1x4 functional row r: {r, r+1, r+2, r+3}. */
+Tile
+payloadRow(float r)
+{
+    return Tile::withData(1, 4, {r, r + 1, r + 2, r + 3}, 2);
+}
+
+/** The data tiles of a captured stream, in order. */
+std::vector<Tile>
+dataTiles(const std::vector<Token>& toks)
+{
+    std::vector<Tile> out;
+    for (const Token& t : toks)
+        if (t.isData())
+            out.push_back(t.value().tile());
+    return out;
+}
+
+void
+expectRows(const std::vector<Tile>& got, const std::vector<float>& rows)
+{
+    ASSERT_EQ(got.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_TRUE(got[i].hasData()) << "output " << i << " lost its payload";
+        EXPECT_TRUE(got[i].equals(payloadRow(rows[i])))
+            << "output " << i;
+    }
+}
+
+TEST(FanOut, RepeatCopiesPayloadToEveryRepetition)
+{
+    Graph g;
+    std::vector<Token> toks{Token::data(payloadRow(1)),
+                            Token::data(payloadRow(5)), Token::done()};
+    auto& src = g.add<SourceOp>("src", toks, StreamShape::fixed({2}),
+                                DataType::tile(1, 4));
+    auto& rp = g.add<RepeatOp>("rp", src.out(), 3);
+    auto& sink = g.add<SinkOp>("sink", rp.out(), true);
+    (void)g.run();
+    expectRows(dataTiles(sink.tokens()), {1, 1, 1, 5, 5, 5});
+}
+
+TEST(FanOut, BroadcastCopiesPayloadToEveryOutput)
+{
+    Graph g;
+    std::vector<Token> toks{Token::data(payloadRow(2)),
+                            Token::data(payloadRow(7)), Token::done()};
+    auto& src = g.add<SourceOp>("src", toks, StreamShape::fixed({2}),
+                                DataType::tile(1, 4));
+    auto& bc = g.add<BroadcastOp>("bc", src.out(), 3);
+    std::vector<SinkOp*> sinks;
+    for (size_t o = 0; o < 3; ++o)
+        sinks.push_back(&g.add<SinkOp>("s" + std::to_string(o), bc.out(o),
+                                       true));
+    (void)g.run();
+    for (SinkOp* s : sinks)
+        expectRows(dataTiles(s->tokens()), {2, 7});
+}
+
 TEST(Zip, PairsAlignedStreams)
 {
     Graph g;

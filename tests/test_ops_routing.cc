@@ -95,6 +95,46 @@ TEST(Partition, MultiHotBroadcastsChunk)
               (std::vector<float>{1, 2}));
 }
 
+TEST(Partition, MultiHotCopiesPayloadToEverySelectedOutput)
+{
+    // Fan-out aliasing: a multi-hot selection copies each element to all
+    // but the last selected output and moves it into the last; every
+    // output must still see the full (heap-backed) payload.
+    Graph g;
+    auto row = [](float r) {
+        return Tile::withData(1, 4, {r, r + 1, r + 2, r + 3}, 2);
+    };
+    std::vector<Token> in_toks{
+        Token::data(row(1)), Token::data(row(2)), Token::stop(1),
+        Token::data(row(3)), Token::stop(1), Token::done()};
+    auto& in = g.add<SourceOp>("in", std::move(in_toks),
+                               StreamShape::fixed({2, 2}),
+                               DataType::tile(1, 4));
+    StreamPort sel =
+        selSource(g, "sel", selectorStream({{0, 1, 2}, {2, 0}}), 3);
+    auto& part = g.add<PartitionOp>("part", in.out(), sel, 1, 3);
+    std::vector<SinkOp*> sinks;
+    for (size_t o = 0; o < 3; ++o)
+        sinks.push_back(&g.add<SinkOp>("s" + std::to_string(o),
+                                       part.out(o), true));
+    (void)g.run();
+    const std::vector<std::vector<float>> expect{{1, 2, 3}, {1, 2},
+                                                 {1, 2, 3}};
+    for (size_t o = 0; o < 3; ++o) {
+        std::vector<Tile> got;
+        for (const Token& t : sinks[o]->tokens())
+            if (t.isData())
+                got.push_back(t.value().tile());
+        ASSERT_EQ(got.size(), expect[o].size()) << "output " << o;
+        for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(got[i].hasData())
+                << "output " << o << " element " << i << " lost its payload";
+            EXPECT_TRUE(got[i].equals(row(expect[o][i])))
+                << "output " << o << " element " << i;
+        }
+    }
+}
+
 TEST(PartitionReassemble, RoundTripIdentity)
 {
     // Partition rows to 3 consumers then reassemble with the same

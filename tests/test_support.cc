@@ -149,7 +149,7 @@ TEST(SmallVec, RangeConstructAndIterate)
     EXPECT_EQ(expect, 10);
 }
 
-// ---- IndexVec (Selector small-buffer store) ---------------------------
+// ---- IndexVec (selector index builder) --------------------------------
 
 TEST(IndexVec, InlineOneHotNoSpill)
 {
