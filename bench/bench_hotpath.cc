@@ -33,6 +33,7 @@
 #include "ops/route.hh"
 #include "ops/shape_ops.hh"
 #include "ops/source_sink.hh"
+#include "runtime/engine.hh"
 #include "support/rng.hh"
 #include "workloads/decoder.hh"
 
@@ -344,11 +345,9 @@ batchMixWalk()
 ServingResult
 runServing(int reps)
 {
-    DecoderParams p;
-    p.cfg = servingSimConfig();
-    p.moeRegions = 4;
-    p.moeTile = 16;
-    p.denseTile = 16;
+    // The engine's own iteration graph (dynamic attention dispatch
+    // included), not a hand-copied approximation of it.
+    DecoderParams p = runtime::decoderParams(runtime::EngineConfig{});
     IterationSpec spec;
     spec.kvLens = {32, 64, 96, 160};
     Rng rng(3);

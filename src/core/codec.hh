@@ -124,13 +124,16 @@ class StopCoalescer
         uint8_t n_ = 0;
     };
 
+    /** A data value; an rvalue reaches its Emit slot with one
+     *  relocation. */
     Emit
-    onData(Value v)
+    onData(Value&& v)
     {
         Emit out = flush();
         out.pushData(std::move(v));
         return out;
     }
+    Emit onData(const Value& v) { return onData(Value(v)); }
 
     /** Re-emit a spent token, moving its value. */
     Emit

@@ -138,6 +138,14 @@ class Tile
      *  unavailable. */
     bool isZeroFill() const { return rep_.store == Store::Zero; }
 
+    /** Holders of the payload block (1 for a sole owner); 0 when the
+     *  payload is not a shared block. Diagnostics and tests. */
+    uint32_t
+    useCount() const
+    {
+        return rep_.store == Store::Block ? rep_.block->rc.refs.load() : 0;
+    }
+
     /** Element access; requires hasData(). */
     float at(int64_t r, int64_t c) const;
 

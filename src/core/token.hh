@@ -30,7 +30,14 @@ class Token
 
     Token() noexcept = default;
 
-    static Token data(Value v) noexcept { return Token(std::move(v)); }
+    /** Relocate out of @p o, leaving it dead (see RelocateTag). */
+    Token(RelocateTag, Token& o) noexcept
+        : value_(relocate, o.value_), level_(o.level_), kind_(o.kind_)
+    {}
+
+    /** Data token; an rvalue is relocated straight into the token. */
+    static Token data(Value&& v) noexcept { return Token(std::move(v)); }
+    static Token data(const Value& v) noexcept { return Token(Value(v)); }
     static Token stop(uint32_t level) noexcept { return Token(level); }
     static Token done() noexcept { return Token(); }
 
@@ -65,7 +72,7 @@ class Token
     }
 
   private:
-    explicit Token(Value v) noexcept
+    explicit Token(Value&& v) noexcept
         : value_(std::move(v)), kind_(Kind::Data)
     {}
     explicit Token(uint32_t level) noexcept

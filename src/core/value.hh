@@ -186,6 +186,18 @@ struct BufferRef
 class Value;
 
 /**
+ * Tag selecting a relocating constructor, `T(relocate, src)`: the new
+ * object takes over @p src's representation bytewise and @p src is left
+ * dead. Its destructor must not run; only raw storage whose owner
+ * tracks liveness (a channel's FIFO slots) relocates out this way.
+ */
+struct RelocateTag
+{
+    explicit RelocateTag() = default;
+};
+inline constexpr RelocateTag relocate{};
+
+/**
  * Tuple payload (from Zip): one refcounted block holding the elements,
  * drawn from the per-thread FramePool freelists, so building a tuple on
  * the hot path does not touch the heap once the pool is warm.
@@ -301,6 +313,9 @@ class Value
         relocateFrom(o);
         o.setEmpty();
     }
+
+    /** Relocate out of @p o, leaving it dead (see RelocateTag). */
+    Value(RelocateTag, Value& o) noexcept { relocateFrom(o); }
 
     Value&
     operator=(const Value& o) noexcept

@@ -15,8 +15,13 @@
  * Broadcast operator, as on real SDA fabrics.
  *
  * The hot path (push/pop/suspend) performs no heap allocation: entry and
- * credit storage are rings sized to the FIFO depth at construction, and
- * blocking records a tagged BlockInfo instead of formatting a string.
+ * credit storage are rings that grow to the occupancy high-water mark,
+ * and blocking records a tagged BlockInfo instead of formatting a
+ * string. Entry slots are raw storage: push constructs the token in a
+ * dead slot and pop relocates it out bytewise, leaving the slot dead, so
+ * a hop costs one construction and one relocation and never leaves an
+ * empty shell to release. Tokens still queued when the channel is
+ * rearmed, re-initialized or destroyed are destroyed there.
  */
 #pragma once
 
@@ -182,7 +187,9 @@ class Channel
 
     struct Entry
     {
-        Cycle ready = 0;
+        Entry(Cycle r, Token&& t) noexcept : ready(r), tok(std::move(t)) {}
+
+        Cycle ready;
         Token tok;
     };
     // entries + credits (incl. implicit ones) == capacity at all times.
@@ -331,9 +338,7 @@ Channel::push(Context& writer, Token&& t, Cycle min_ready)
     // against back().ready exactly).
     ready = std::max(ready, lastReady_);
     lastReady_ = ready;
-    Entry& slot = entries_.push_slot();
-    slot.ready = ready;
-    slot.tok = std::move(t);
+    entries_.emplace_back(ready, std::move(t));
     ++totalPushed_;
     if (waitingReader_) {
         Context* r = waitingReader_;
@@ -351,8 +356,8 @@ Channel::pop(Context& reader)
     STEP_ASSERT(!entries_.empty(), "pop on empty channel " << name_);
     Entry& e = entries_.front();
     reader.advanceTo(e.ready);
-    Token out = std::move(e.tok);
-    entries_.pop_front();
+    Token out(relocate, e.tok); // the slot is dead from here on
+    entries_.pop_front_relocated();
     if (entries_.empty())
         lastReady_ = 0;
     credits_.push_back(reader.now());

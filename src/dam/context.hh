@@ -94,7 +94,6 @@ class Context
         block_ = BlockInfo{};
         sched_ = nullptr;
         task_ = SimTask{};
-        heapPos_ = kNotQueued;
     }
 
   private:
@@ -104,17 +103,14 @@ class Context
     friend struct WaitUntil;
     friend struct Yield;
 
-    static constexpr size_t kNotQueued = ~size_t{0};
-
     std::string name_;
     Cycle now_ = 0;
     CtxState state_ = CtxState::NotStarted;
     BlockInfo block_;
     Scheduler* sched_ = nullptr;
     SimTask task_;
-    uint64_t id_ = 0;
-    /** Slot in the scheduler's ready heap; kNotQueued when absent. */
-    size_t heapPos_ = kNotQueued;
+    /** Dense index in the scheduler (its ready-queue key). */
+    uint32_t id_ = 0;
 };
 
 } // namespace step::dam

@@ -14,24 +14,24 @@ Scheduler::add(Context* ctx)
     STEP_ASSERT(ctx->state_ == CtxState::NotStarted,
                 "context " << ctx->name() << " registered twice");
     ctx->sched_ = this;
-    ctx->id_ = contexts_.size();
+    ctx->id_ = static_cast<uint32_t>(contexts_.size());
     contexts_.push_back(ctx);
+    pos_.push_back(kNotQueued);
 }
 
 Context*
 Scheduler::popMin()
 {
     STEP_ASSERT(!heap_.empty(), "popMin on empty ready heap");
-    Context* ctx = heap_.front().ctx;
-    ctx->heapPos_ = Context::kNotQueued;
-    HeapEntry last = heap_.back();
+    const uint32_t id = heap_.front().id;
+    pos_[id] = kNotQueued;
+    const HeapEntry last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
         heap_.front() = last;
-        last.ctx->heapPos_ = 0;
         siftDown(0);
     }
-    return ctx;
+    return contexts_[id];
 }
 
 void
@@ -56,9 +56,14 @@ Scheduler::yieldRunning(Context* ctx)
 std::optional<Cycle>
 Scheduler::minReadyClock(const Context* self) const
 {
+    if (sweeping()) {
+        STEP_ASSERT(startQueue_[startHead_] != self->id_,
+                    "minReadyClock caller is on the start queue");
+        return Cycle{0};
+    }
     if (heap_.empty())
         return std::nullopt;
-    STEP_ASSERT(heap_.front().ctx != self,
+    STEP_ASSERT(heap_.front().id != self->id_,
                 "minReadyClock caller is in the ready heap");
     return heap_.front().time;
 }
@@ -68,10 +73,16 @@ Scheduler::start()
 {
     finished_ = 0;
     heap_.reserve(contexts_.size());
+    startQueue_.clear();
+    startQueue_.reserve(contexts_.size());
+    startHead_ = 0;
     for (Context* ctx : contexts_) {
         ctx->task_ = ctx->run();
         ctx->state_ = CtxState::Ready;
-        enqueue(ctx);
+        if (ctx->now() == 0)
+            startQueue_.push_back(ctx->id_);
+        else
+            enqueue(ctx);
     }
 }
 
@@ -79,13 +90,20 @@ void
 Scheduler::drain()
 {
     while (finished_ < contexts_.size()) {
-        if (heap_.empty())
-            stepFatal("simulation deadlock:\n" << deadlockReport());
-        // The root key is the scheduler's virtual time: it never runs
+        // The head key is the scheduler's virtual time: it never runs
         // backwards (wakes and yields always re-key at or after the
-        // current root), so it is the monotone stamp tracing wants.
-        const Cycle vnow = heap_.front().time;
-        Context* ctx = popMin();
+        // current head), so it is the monotone stamp tracing wants.
+        Cycle vnow = 0;
+        Context* ctx = nullptr;
+        if (sweeping()) {
+            // Initial sweep: key (0, start order), ahead of the heap.
+            ctx = contexts_[startQueue_[startHead_++]];
+        } else {
+            if (heap_.empty())
+                stepFatal("simulation deadlock:\n" << deadlockReport());
+            vnow = heap_.front().time;
+            ctx = popMin();
+        }
         if (ctx->state_ == CtxState::Blocked) {
             // Timed-wait deadline reached: every other ready context's
             // key is at or past it, so the waiter proceeds. The channel
@@ -143,11 +161,14 @@ Scheduler::reset()
     // Deliberately no per-context bookkeeping: after an abnormal run
     // (deadlock throw) the caller may have destroyed the contexts still
     // sitting in the heap, so their pointers must not be dereferenced.
-    // A forgotten context can never be re-enqueued here (add() only
-    // accepts NotStarted contexts, which are born with heapPos_ clear),
-    // so dropping the heap wholesale is safe.
+    // Heap slots live in pos_, indexed by the ids add() hands out, so
+    // dropping the heap, the slot map and the start queue wholesale is
+    // safe.
     contexts_.clear();
     heap_.clear();
+    pos_.clear();
+    startQueue_.clear();
+    startHead_ = 0;
     seq_ = 0;
     finished_ = 0;
     switches_ = 0;

@@ -5,13 +5,25 @@
  * together (important for shared-resource contention modeling and for
  * availability-ordered merges) and makes runs deterministic.
  *
- * The ready queue is an index-tracking binary min-heap: each context
- * records its heap slot, so there are never stale entries, re-keying is
- * O(log n), and the minimum ready clock is an O(1) root read instead of
- * an O(n) scan.
+ * The ready queue is an index-tracking 4-ary min-heap over (time, seq)
+ * keys. Entries carry the context's dense index, and a scheduler-owned
+ * array maps each index to its heap slot, so there are never stale
+ * entries, re-keying is O(log n), sifts touch only the heap and that
+ * array (never the scattered Context objects), and the minimum ready
+ * clock is an O(1) root read. Keys are unique, so any correct priority
+ * queue over them pops the same sequence: the arity is a host-cost
+ * choice, not a semantic one.
+ *
+ * The initial sweep bypasses the heap: start() puts every context whose
+ * clock is 0 on a start queue, resumed in start order. Their keys
+ * (0, start order) precede every key the heap can hold (anything
+ * enqueued later draws a larger seq, and a context started with a
+ * nonzero clock sorts after time 0), so serving the start queue first
+ * pops exactly the sequence one heap would.
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -114,33 +126,37 @@ class Scheduler
     obs::TraceSink* traceSink() const { return trace_; }
 
     /**
-     * Earliest next-resume key in the ready heap, or nullopt when the
-     * heap is empty. This is NOT necessarily any context's clock: the
+     * Earliest next-resume key in the ready queue (start queue first,
+     * then heap), or nullopt when both are empty. This is NOT
+     * necessarily any context's clock: the
      * heap also holds timed waiters keyed at their deadlines
      * (suspendUntil) and contexts parked at the token-ready/credit
      * time that woke them (makeReadyAt), so the value is "no runnable
      * context can act before this cycle". Meaningful from a running
-     * context (which is never in the ready heap), so @p self never
-     * shadows the result; the parameter is asserted against the root
-     * defensively.
+     * context (which is never queued), so @p self never shadows the
+     * result; the parameter is asserted against the head defensively.
      */
     std::optional<Cycle> minReadyClock(const Context* self) const;
 
     size_t numContexts() const { return contexts_.size(); }
 
   private:
+    static constexpr uint32_t kNotQueued = ~uint32_t{0};
+    static constexpr size_t kArity = 4;
+
     void enqueue(Context* ctx);
     void enqueueAt(Context* ctx, Cycle t);
     Context* popMin();
     void siftUp(size_t i);
     void siftDown(size_t i);
+    bool sweeping() const { return startHead_ < startQueue_.size(); }
     std::string deadlockReport() const;
 
     struct HeapEntry
     {
         Cycle time;
         uint64_t seq;
-        Context* ctx;
+        uint32_t id; ///< Context::id_, an index into contexts_ and pos_
         bool
         operator<(const HeapEntry& o) const
         {
@@ -148,8 +164,21 @@ class Scheduler
         }
     };
 
+    void
+    place(const HeapEntry& e, size_t i)
+    {
+        heap_[i] = e;
+        pos_[e.id] = static_cast<uint32_t>(i);
+    }
+
     std::vector<Context*> contexts_;
     std::vector<HeapEntry> heap_;
+    /** Heap slot of each context, by id; kNotQueued when absent. */
+    std::vector<uint32_t> pos_;
+    /** Ids of the contexts start() queued at clock 0, in start order;
+     *  entries before startHead_ have been resumed. */
+    std::vector<uint32_t> startQueue_;
+    size_t startHead_ = 0;
     uint64_t seq_ = 0;
     size_t finished_ = 0;
     uint64_t switches_ = 0;
@@ -163,54 +192,53 @@ class Scheduler
 inline void
 Scheduler::siftUp(size_t i)
 {
-    HeapEntry e = heap_[i];
+    const HeapEntry e = heap_[i];
     while (i > 0) {
-        size_t parent = (i - 1) / 2;
+        size_t parent = (i - 1) / kArity;
         if (!(e < heap_[parent]))
             break;
-        heap_[i] = heap_[parent];
-        heap_[i].ctx->heapPos_ = i;
+        place(heap_[parent], i);
         i = parent;
     }
-    heap_[i] = e;
-    e.ctx->heapPos_ = i;
+    place(e, i);
 }
 
 inline void
 Scheduler::siftDown(size_t i)
 {
-    HeapEntry e = heap_[i];
+    const HeapEntry e = heap_[i];
     const size_t n = heap_.size();
     while (true) {
-        size_t child = 2 * i + 1;
-        if (child >= n)
+        size_t first = kArity * i + 1;
+        if (first >= n)
             break;
-        if (child + 1 < n && heap_[child + 1] < heap_[child])
-            ++child;
-        if (!(heap_[child] < e))
+        size_t last = std::min(first + kArity, n);
+        size_t best = first;
+        for (size_t c = first + 1; c < last; ++c)
+            if (heap_[c] < heap_[best])
+                best = c;
+        if (!(heap_[best] < e))
             break;
-        heap_[i] = heap_[child];
-        heap_[i].ctx->heapPos_ = i;
-        i = child;
+        place(heap_[best], i);
+        i = best;
     }
-    heap_[i] = e;
-    e.ctx->heapPos_ = i;
+    place(e, i);
 }
 
 inline void
 Scheduler::enqueueAt(Context* ctx, Cycle t)
 {
-    if (ctx->heapPos_ != Context::kNotQueued) {
+    const uint32_t p = pos_[ctx->id_];
+    if (p != kNotQueued) {
         // Re-key in place. Live path: a channel wake re-keys a timed
         // waiter from its deadline down to its own clock.
-        size_t i = ctx->heapPos_;
-        heap_[i].time = t;
-        heap_[i].seq = seq_++;
-        siftUp(i);
-        siftDown(ctx->heapPos_);
+        heap_[p].time = t;
+        heap_[p].seq = seq_++;
+        siftUp(p);
+        siftDown(pos_[ctx->id_]);
         return;
     }
-    heap_.push_back(HeapEntry{t, seq_++, ctx});
+    heap_.push_back(HeapEntry{t, seq_++, ctx->id_});
     siftUp(heap_.size() - 1);
 }
 
@@ -229,17 +257,20 @@ Scheduler::makeReady(Context* ctx)
 inline void
 Scheduler::makeReadyAt(Context* ctx, Cycle t)
 {
+    // Only Blocked contexts wake: a context still on the start queue is
+    // Ready, so waking it is a no-op, as it was when it sat in the heap.
     if (ctx->state_ == CtxState::Blocked) {
         ctx->state_ = CtxState::Ready;
         ctx->block_ = BlockInfo{};
         if (t < ctx->now())
             t = ctx->now();
-        if (ctx->heapPos_ != Context::kNotQueued) {
+        const uint32_t p = pos_[ctx->id_];
+        if (p != kNotQueued) {
             // A timed waiter woken by channel activity: pull its heap
             // key down when the wake time is earlier than the
             // remaining deadline, so the new input is considered as
             // soon as the waiter would naturally run.
-            if (t < heap_[ctx->heapPos_].time)
+            if (t < heap_[p].time)
                 enqueueAt(ctx, t);
             return;
         }

@@ -409,6 +409,22 @@ failureEdges(const EngineConfig& cfg)
 
 EngineConfig::EngineConfig() : model(servingSimConfig()) {}
 
+DecoderParams
+decoderParams(const EngineConfig& cfg)
+{
+    DecoderParams p;
+    p.cfg = cfg.model;
+    p.attnStrategy = cfg.attnStrategy;
+    p.attnRegions = cfg.attnRegions;
+    p.kvTileRows = cfg.kvTileRows;
+    p.moeRegions = cfg.moeRegions;
+    p.moeTile = cfg.moeTile;
+    p.denseTile = cfg.denseTile;
+    p.weightTileCols = cfg.weightTileCols;
+    p.seed = cfg.seed;
+    return p;
+}
+
 ServingEngine::ServingEngine(EngineConfig cfg, const Policy& policy)
     : cfg_(std::move(cfg)), policy_(policy)
 {
@@ -423,15 +439,7 @@ ServingEngine::ServingEngine(EngineConfig cfg, const Policy& policy)
     // Iteration-graph parameters shared across iterations; the per-
     // iteration pieces are the batch's KV lengths, the expert trace, and
     // the policy-assigned matmul bandwidth.
-    baseParams_.cfg = cfg_.model;
-    baseParams_.attnStrategy = cfg_.attnStrategy;
-    baseParams_.attnRegions = cfg_.attnRegions;
-    baseParams_.kvTileRows = cfg_.kvTileRows;
-    baseParams_.moeRegions = cfg_.moeRegions;
-    baseParams_.moeTile = cfg_.moeTile;
-    baseParams_.denseTile = cfg_.denseTile;
-    baseParams_.weightTileCols = cfg_.weightTileCols;
-    baseParams_.seed = cfg_.seed;
+    baseParams_ = decoderParams(cfg_);
     // Matmul pipelines the decode share is spread over: the two dense
     // projections, the attention regions, and the MoE regions.
     decodeUnits_ = 2 + cfg_.attnRegions +

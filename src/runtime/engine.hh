@@ -133,6 +133,15 @@ struct EngineConfig
     EngineConfig();
 };
 
+/**
+ * The iteration-graph parameters an engine built from @p cfg runs: its
+ * structural knobs, with the per-iteration fields (batch, matmul
+ * bandwidth) at their defaults. Benches that drive the decoder graph
+ * directly take it from here, so they measure the graph the engine
+ * actually runs.
+ */
+DecoderParams decoderParams(const EngineConfig& cfg);
+
 struct EngineResult
 {
     ServingSummary summary;

@@ -4,17 +4,22 @@
  * storage. Unlike std::deque it never allocates per push in steady
  * state: storage is a single power-of-two array that is reused in place,
  * growing (amortized, doubling) only when the occupancy high-water mark
- * rises. Channels reserve their full FIFO depth up front, so simulation
- * push/pop is allocation-free.
+ * rises.
  *
- * Elements must be default-constructible; pop_front() does not destroy
- * the slot (callers move the payload out), so slots are recycled by
- * assignment.
+ * Slots are raw storage: an element is alive only between the push that
+ * constructs it in a dead slot and the pop that ends it. A pop either
+ * destroys the element (pop_front) or, when the caller has already
+ * relocated it out bytewise, just vacates the slot
+ * (pop_front_relocated), so a channel hop never leaves an empty shell
+ * behind to be released on the next push. clear() and the destructor
+ * destroy whatever is still live.
  */
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 
 #include "support/error.hh"
@@ -26,6 +31,14 @@ class Ring
 {
   public:
     Ring() = default;
+    Ring(const Ring&) = delete;
+    Ring& operator=(const Ring&) = delete;
+
+    ~Ring()
+    {
+        clear();
+        deallocate();
+    }
 
     bool empty() const { return size_ == 0; }
     size_t size() const { return size_; }
@@ -67,40 +80,49 @@ class Ring
         return buf_[(head_ + i) & mask_];
     }
 
-    void
-    push_back(T v)
-    {
-        if (size_ == cap_)
-            grow(cap_ ? cap_ * 2 : 8);
-        buf_[(head_ + size_) & mask_] = std::move(v);
-        ++size_;
-    }
-
-    /**
-     * Append a (recycled) default-or-stale slot and return it for the
-     * caller to fill in place — one move fewer than push_back on the
-     * channel hot path.
-     */
+    /** Construct an element at the back, in place in a dead slot. */
+    template <typename... Args>
     T&
-    push_slot()
+    emplace_back(Args&&... args)
     {
         if (size_ == cap_)
             grow(cap_ ? cap_ * 2 : 8);
-        return buf_[(head_ + size_++) & mask_];
+        T* slot = buf_ + ((head_ + size_) & mask_);
+        ::new (static_cast<void*>(slot)) T(std::forward<Args>(args)...);
+        ++size_;
+        return *slot;
     }
 
+    void push_back(T v) { emplace_back(std::move(v)); }
+
+    /** Destroy the front element. */
     void
     pop_front()
     {
-        STEP_ASSERT(size_ > 0, "pop_front() on empty ring");
-        head_ = (head_ + 1) & mask_;
-        --size_;
+        front().~T();
+        advance();
     }
 
-    /** Drop all elements; keeps the storage. */
+    /**
+     * Vacate the front slot without running a destructor: the caller
+     * has relocated the element out bytewise (its representation now
+     * lives elsewhere), so the slot is already dead.
+     */
+    void
+    pop_front_relocated()
+    {
+        STEP_ASSERT(size_ > 0, "pop_front_relocated() on empty ring");
+        advance();
+    }
+
+    /** Destroy all elements; keeps the storage. */
     void
     clear()
     {
+        if constexpr (!std::is_trivially_destructible_v<T>) {
+            for (size_t i = 0; i < size_; ++i)
+                buf_[(head_ + i) & mask_].~T();
+        }
         head_ = 0;
         size_ = 0;
     }
@@ -115,21 +137,42 @@ class Ring
 
   private:
     void
+    advance()
+    {
+        head_ = (head_ + 1) & mask_;
+        --size_;
+    }
+
+    // Out of line: growth is rare (the occupancy high-water mark), and
+    // keeping it out of emplace_back keeps the per-token push short.
+    [[gnu::noinline]] void
     grow(size_t min_cap)
     {
         size_t cap = cap_ ? cap_ : 8;
         while (cap < min_cap)
             cap *= 2;
-        auto next = std::make_unique<T[]>(cap);
-        for (size_t i = 0; i < size_; ++i)
-            next[i] = std::move(buf_[(head_ + i) & mask_]);
-        buf_ = std::move(next);
+        T* next = std::allocator<T>{}.allocate(cap);
+        for (size_t i = 0; i < size_; ++i) {
+            T& old = buf_[(head_ + i) & mask_];
+            ::new (static_cast<void*>(next + i)) T(std::move(old));
+            old.~T();
+        }
+        deallocate();
+        buf_ = next;
         cap_ = cap;
         mask_ = cap - 1;
         head_ = 0;
     }
 
-    std::unique_ptr<T[]> buf_;
+    void
+    deallocate()
+    {
+        if (buf_)
+            std::allocator<T>{}.deallocate(buf_, cap_);
+        buf_ = nullptr;
+    }
+
+    T* buf_ = nullptr;
     size_t cap_ = 0;
     size_t mask_ = 0;
     size_t head_ = 0;

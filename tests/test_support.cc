@@ -2,20 +2,26 @@
  * @file
  * Tests for the hot-path support containers introduced by the
  * zero-allocation DAM work: the channel ring buffer, the small-buffer
- * vector behind stream shapes, the selector index store, and the
- * monotonic arena + name interner behind graph recycling.
+ * vector behind stream shapes, the selector index store, the monotonic
+ * arena + name interner behind graph recycling, and the STEP_ASSERT
+ * failure path.
  */
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/token.hh"
 #include "core/value.hh"
+#include "ops/graph.hh"
+#include "ops/higher_order.hh"
+#include "ops/source_sink.hh"
 #include "support/arena.hh"
 #include "support/error.hh"
 #include "support/framepool.hh"
@@ -74,15 +80,36 @@ TEST(Ring, GrowFromOffsetHead)
     }
 }
 
-TEST(Ring, PushSlotFillsInPlace)
+TEST(Ring, EmplaceBackConstructsInPlace)
 {
     Ring<std::string> r;
     r.reserve(2);
-    r.push_slot() = "a";
-    r.push_slot() = "b";
+    r.emplace_back("a");
+    r.emplace_back(3, 'b');
     EXPECT_EQ(r.size(), 2u);
     EXPECT_EQ(r.front(), "a");
-    EXPECT_EQ(r.back(), "b");
+    EXPECT_EQ(r.back(), "bbb");
+}
+
+TEST(Ring, LiveElementsSurviveGrowthAndAreDestroyedOnce)
+{
+    // shared_ptr use counts observe every construction and destruction.
+    auto p = std::make_shared<int>(7);
+    {
+        Ring<std::shared_ptr<int>> r;
+        r.reserve(2);
+        for (int i = 0; i < 5; ++i) // grows twice with live entries
+            r.push_back(p);
+        EXPECT_EQ(p.use_count(), 6);
+        r.pop_front();
+        EXPECT_EQ(p.use_count(), 5);
+        r.clear();
+        EXPECT_EQ(p.use_count(), 1);
+        r.push_back(p);
+        r.push_back(p);
+        EXPECT_EQ(p.use_count(), 3);
+    } // the destructor ends the two live entries
+    EXPECT_EQ(p.use_count(), 1);
 }
 
 // ---- SmallVec ---------------------------------------------------------
@@ -323,6 +350,59 @@ TEST(Rng, UniformIntStaysInRangeAndHitsEveryResidue)
     Rng a(13), b(13);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(a.uniformInt(97), b.uniformInt(97));
+}
+
+// ---- STEP_ASSERT ------------------------------------------------------
+
+TEST(Assert, FailureThrowsPanicNamingConditionMessageAndLine)
+{
+    const int answer = 41;
+    int line = 0;
+    try {
+        line = __LINE__; STEP_ASSERT(answer == 42, "answer=" << answer);
+        FAIL() << "STEP_ASSERT did not throw";
+    } catch (const PanicError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("assertion `answer == 42` failed"),
+                  std::string::npos) << what;
+        EXPECT_NE(what.find("answer=41"), std::string::npos) << what;
+        EXPECT_NE(what.find(std::string(__FILE__) + ":" +
+                            std::to_string(line)),
+                  std::string::npos) << what;
+    }
+}
+
+TEST(Assert, PassingCheckNeverFormatsItsMessage)
+{
+    int formatted = 0;
+    auto note = [&] { return ++formatted; };
+    STEP_ASSERT(formatted == 0, "side effect " << note());
+    EXPECT_EQ(formatted, 0);
+}
+
+TEST(Assert, FailureInsideAnOperatorBodySurfacesFromGraphRun)
+{
+    // The Map body asks a tile for its selector: Value::selector's
+    // STEP_ASSERT fails inside the operator's coroutine, and the
+    // scheduler rethrows it out of Graph::run.
+    Graph g;
+    std::vector<Token> toks = {Token::data(Tile::withData(1, 1, {1.0f}, 1)),
+                               Token::done()};
+    auto& src = g.add<SourceOp>("src", toks, StreamShape::fixed({1}),
+                                DataType::tile(1, 1, 1));
+    MapFn bad = [](const std::vector<Value>& a, int64_t&) -> Value {
+        return a[0].selector();
+    };
+    auto& m = g.add<MapOp>("m", std::vector<StreamPort>{src.out()}, bad, 16,
+                           DataType::tile(1, 1, 1));
+    g.add<SinkOp>("sink", m.out(), true);
+    try {
+        (void)g.run();
+        FAIL() << "Graph::run did not throw";
+    } catch (const PanicError& e) {
+        EXPECT_NE(std::string(e.what()).find("value is not a selector"),
+                  std::string::npos) << e.what();
+    }
 }
 
 } // namespace
