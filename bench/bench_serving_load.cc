@@ -27,13 +27,17 @@
  * fault injection with the resilience tier's migration, breakers, and
  * cross-replica prefix reuse enabled — cluster only, so --replicas >= 2
  * is required. The JSON artifact then additionally records goodput
- * under faults, availability, the migration/retry counts at the
- * highest load point, and replica_iter_skip_frac: the share of the
- * failover waves' replica iterations that checkpoint resume skipped,
- * over the whole sweep (1 - simulated / replayed). CI gates it against
- * bench/baseline_serving_load_faults.json, whose goodput, availability
- * and skip-fraction floors carry an explicit {"gate": "floor"} marker. Without either
- * flag the sweep's output is byte-identical to the fault-free bench.
+ * under faults, availability, and the migration/retry counts at the
+ * highest load point. CI gates it against
+ * bench/baseline_serving_load_faults.json, whose goodput and
+ * availability floors carry an explicit {"gate": "floor"} marker.
+ * Without either flag the sweep's output is byte-identical to the
+ * fault-free bench.
+ *
+ * Every cluster run must simulate each replica iteration exactly once
+ * (ClusterResult::replicaIterationsSimulated == totalIterations, summed
+ * over the sweep and reported as replica_iterations_simulated and
+ * replica_iterations); the bench exits 2 when it did not.
  *
  *   ./bench_serving_load [--seed N] [--requests N] [--replicas N]
  *                        [--threads N] [--routing rr|lq|hash|prefix]
@@ -139,9 +143,9 @@ main(int argc, char** argv)
     double goodput_static = 0.0, goodput_dynamic = 0.0; // highest rate
     double availability_hiload = 1.0; // dynamic policy, highest rate
     int64_t migrations_hiload = 0, retries_hiload = 0;
-    // Replica iterations the failover waves executed, and what replaying
-    // every re-run from cycle 0 would have executed.
-    int64_t iters_simulated = 0, iters_replayed = 0;
+    // Replica iterations the cluster runs executed, and the ones in their
+    // final timelines: equal when none ran twice.
+    int64_t iters_simulated = 0, iters_final = 0;
     for (double rate_per_mcycle : {0.6, 1.0, 1.4, 1.8}) {
         for (bool dynamic : {false, true}) {
             TraceConfig tc;
@@ -202,7 +206,7 @@ main(int argc, char** argv)
                 ClusterResult cr = cluster.run(reqs);
                 s = cr.aggregate;
                 iters_simulated += cr.replicaIterationsSimulated;
-                iters_replayed += cr.replicaIterationsReplayed;
+                iters_final += cr.totalIterations;
                 if (dynamic) {
                     availability_hiload = s.availability;
                     migrations_hiload = cr.migrationsIssued;
@@ -268,17 +272,21 @@ main(int argc, char** argv)
                        static_cast<double>(migrations_hiload), "count");
             report.set("retries_hiload",
                        static_cast<double>(retries_hiload), "count");
-            report.set("replica_iter_skip_frac",
-                       iters_replayed > 0
-                           ? 1.0 - static_cast<double>(iters_simulated) /
-                                       static_cast<double>(iters_replayed)
-                           : 0.0,
-                       "fraction");
         }
+        report.set("replica_iterations_simulated",
+                   static_cast<double>(iters_simulated), "count");
+        report.set("replica_iterations", static_cast<double>(iters_final),
+                   "count");
         if (!report.writeTo(json_path))
             std::cerr << "failed to write " << json_path << "\n";
         else
             std::cout << "wrote " << json_path << "\n";
+    }
+    if (iters_simulated != iters_final) {
+        std::cerr << "bench_serving_load: the cluster runs simulated "
+                  << iters_simulated << " replica iterations for "
+                  << iters_final << " in their final timelines\n";
+        return 2;
     }
     return 0;
 }

@@ -24,12 +24,14 @@ outcomes are checked too: finished/failed/shed/migrated are mutually
 exclusive, failed/shed/migrated stamps never precede the arrival (or
 the first token, when one was emitted), shed requests were never
 admitted, and attempt counts are non-negative. Retry validation checks
-lineage: an attempt > 0 incarnation (a failover retry or a resilience
-migration handoff) must have a lower-attempt incarnation of the same
-request on record. Stamp ordering across incarnations is deliberately
-NOT enforced — the failover waves re-simulate source replicas, so the
-final timeline's terminal stamp can legitimately land after (or in a
-different state than) the earlier-wave event that spawned the retry.
+lineage and causality across incarnations: an attempt > 0 incarnation
+(a failover retry or a resilience migration handoff) must have a
+lower-attempt incarnation of the same request on record, and must
+arrive no earlier than its predecessor's failed or migrated stamp; and
+every superseded incarnation must have ended failed or migrated. The
+cluster decides each casualty once, in simulated-time order, so a
+successor never precedes the failure that spawned it and a request
+that finished or was shed is never retried.
 
 Fault instants in the trace (fault.replica_down / fault.replica_up /
 req.retry / req.failed / req.shed / req.migrated) must alternate sanely
@@ -153,6 +155,7 @@ def check_trace(path):
 def check_jsonl(path):
     n = 0
     attempts_by_rid = defaultdict(list)
+    incarnations = defaultdict(dict)  # rid -> attempt -> (lineno, record)
     retries = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -223,14 +226,13 @@ def check_jsonl(path):
             if rid is not None:
                 attempt = r.get("attempt", 0)
                 attempts_by_rid[rid].append(attempt)
+                incarnations[rid][attempt] = (lineno, r)
                 if attempt > 0:
                     retries.append((lineno, rid, attempt))
     if n == 0:
         fail(f"{path}: no request records")
     # Lineage: a retry/migration incarnation exists only because some
-    # lower-attempt incarnation of the same request ended early. Stamp
-    # ordering across incarnations is not comparable post-wave (see the
-    # module docstring), but the parent incarnation must be on record.
+    # lower-attempt incarnation of the same request ended early.
     for lineno, rid, attempt in retries:
         if not any(a < attempt for a in attempts_by_rid.get(rid, [])):
             fail(
@@ -238,6 +240,26 @@ def check_jsonl(path):
                 f"attempt {attempt} has no lower-attempt incarnation "
                 f"on record"
             )
+    # Causality: every superseded incarnation failed or migrated, and its
+    # successor arrives no earlier than that stamp.
+    for rid, by_attempt in incarnations.items():
+        attempts = sorted(by_attempt)
+        for prev, nxt in zip(attempts, attempts[1:]):
+            lineno, p = by_attempt[prev]
+            ended = max(p.get("failed", -1), p.get("migrated", -1))
+            if ended == -1:
+                fail(
+                    f"{path}:{lineno}: request {rid} attempt {prev} was "
+                    f"superseded by attempt {nxt} but neither failed nor "
+                    f"migrated: {p}"
+                )
+            succ_line, succ = by_attempt[nxt]
+            if succ.get("arrival", -1) < ended:
+                fail(
+                    f"{path}:{succ_line}: request {rid} attempt {nxt} "
+                    f"arrives at {succ.get('arrival')}, before attempt "
+                    f"{prev} ended at {ended}"
+                )
     print(
         f"check_trace: {path}: {n} request lifecycles consistent"
         + (f", {len(retries)} retries each with a parent incarnation" if retries else "")

@@ -7,7 +7,6 @@
  */
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -34,9 +33,6 @@ class UtilizationTimeline
 {
   public:
     void record(const IterationSample& s) { samples_.push_back(s); }
-
-    /** Keep the first @p n iterations (a resumed run's prefix). */
-    void truncate(size_t n) { samples_.resize(std::min(n, samples_.size())); }
 
     /**
      * Append another timeline's samples (cluster aggregation: replica

@@ -79,39 +79,6 @@ class CounterRegistry
         return true;
     }
 
-    /** What a counter's future samples depend on: its value and the
-     *  last one emitted. */
-    struct State
-    {
-        int64_t value = 0;
-        int64_t lastEmitted = 0;
-        bool everEmitted = false;
-    };
-
-    /** Every counter's State, registration order. */
-    std::vector<State>
-    state() const
-    {
-        std::vector<State> out;
-        out.reserve(entries_.size());
-        for (const Entry& e : entries_)
-            out.push_back({e.value, e.lastEmitted, e.everEmitted});
-        return out;
-    }
-
-    /** Restore state()'s @p s; counters it does not cover (all, for
-     *  an empty @p s) return to their registration state. */
-    void
-    restoreState(const std::vector<State>& s)
-    {
-        for (size_t i = 0; i < entries_.size(); ++i) {
-            const State st = i < s.size() ? s[i] : State{};
-            entries_[i].value = st.value;
-            entries_[i].lastEmitted = st.lastEmitted;
-            entries_[i].everEmitted = st.everEmitted;
-        }
-    }
-
     /** Final values, registration order (deterministic). */
     std::vector<CounterSample>
     snapshot() const

@@ -25,7 +25,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace step::obs {
@@ -151,34 +150,6 @@ class LogHistogram
 
     /** Dense bucket counts (trailing buckets may be absent). */
     const std::vector<uint64_t>& buckets() const { return counts_; }
-
-    /** An exact copy that stores only the nonzero buckets: a window of
-     *  a few dozen samples fills a few dozen of its hundreds. */
-    struct Sparse
-    {
-        std::vector<std::pair<uint32_t, uint64_t>> buckets;
-        size_t slots = 0; ///< dense length
-        uint64_t count = 0, sum = 0, min = 0, max = 0;
-    };
-
-    Sparse
-    sparse() const
-    {
-        Sparse s{{}, counts_.size(), count_, sum_, min_, max_};
-        for (size_t i = 0; i < counts_.size(); ++i)
-            if (counts_[i] != 0)
-                s.buckets.emplace_back(static_cast<uint32_t>(i), counts_[i]);
-        return s;
-    }
-
-    LogHistogram() = default;
-    explicit LogHistogram(const Sparse& s)
-        : counts_(s.slots, 0), count_(s.count), sum_(s.sum), min_(s.min),
-          max_(s.max)
-    {
-        for (const auto& [i, n] : s.buckets)
-            counts_[i] = n;
-    }
 
   private:
     std::vector<uint64_t> counts_;

@@ -58,34 +58,6 @@ MetricsRegistry::find(std::string_view name) const
     return nullptr;
 }
 
-MetricsRegistry::Mark
-MetricsRegistry::mark(dam::Cycle floor) const
-{
-    Mark m;
-    m.series.reserve(instruments_.size());
-    for (const Instrument& ins : instruments_)
-        m.series.push_back(ins.series.mark(floor));
-    return m;
-}
-
-void
-MetricsRegistry::rollback(const Mark& m)
-{
-    STEP_ASSERT(m.series.empty() || m.series.size() == instruments_.size(),
-                "rollback across an instrument registration");
-    static const TimeSeries::Mark kEmpty;
-    for (size_t i = 0; i < instruments_.size(); ++i) {
-        Instrument& ins = instruments_[i];
-        ins.series.rollback(m.series.empty() ? kEmpty : m.series[i]);
-        if (!ins.isHistogram)
-            continue;
-        ins.total = LogHistogram{};
-        for (size_t w = 0; w < ins.series.windowSlots(); ++w)
-            if (const LogHistogram* h = ins.series.windowHistogram(w))
-                ins.total.merge(*h);
-    }
-}
-
 void
 MetricsRegistry::mergeFrom(const MetricsRegistry& o)
 {

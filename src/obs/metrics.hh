@@ -78,24 +78,6 @@ class MetricsRegistry
     const Instrument* find(std::string_view name) const;
 
     /**
-     * A point to return to (see rollback): every instrument's windows
-     * from the one holding the floor on. A default Mark is the empty
-     * registry.
-     */
-    struct Mark
-    {
-        std::vector<TimeSeries::Mark> series; ///< per instrument
-    };
-
-    /** Mark the current point, given that no later sample will be
-     *  recorded before @p floor. */
-    Mark mark(dam::Cycle floor) const;
-
-    /** Return to @p m: samples recorded since disappear. Histogram
-     *  totals are refolded from the windows. */
-    void rollback(const Mark& m);
-
-    /**
      * Fold @p o into this registry: instruments match by name (new
      * names append in @p o's registration order), histograms and
      * window series merge elementwise. Window widths must match.

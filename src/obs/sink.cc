@@ -1,7 +1,6 @@
 #include "obs/sink.hh"
 
 #include <algorithm>
-#include <iterator>
 
 #include "dam/channel.hh"
 #include "support/error.hh"
@@ -372,72 +371,6 @@ TraceSink::sampleCounters(dam::Cycle at)
         e.arg0 = counters_.value(i);
         append(e);
     }
-}
-
-namespace {
-
-bool
-closed(const RequestLifecycle& rec)
-{
-    return rec.finished || rec.failed || rec.shed || rec.migrated;
-}
-
-} // namespace
-
-TraceSink::Mark
-TraceSink::mark()
-{
-    Mark m;
-    m.events = ring_.size();
-    m.dropped = dropped_;
-    std::copy(std::begin(lastTs_), std::end(lastTs_), std::begin(m.lastTs));
-    m.base = base_;
-    m.requests = requests_.size();
-    while (firstOpen_ < requests_.size() && closed(requests_[firstOpen_]))
-        ++firstOpen_;
-    for (size_t i = firstOpen_; i < requests_.size(); ++i)
-        if (!closed(requests_[i]))
-            m.open.emplace_back(i, requests_[i]);
-    m.counters = counters_.state();
-    m.switchCounts = switchCounts_;
-    m.attributedSwitches = attributedSwitches_;
-    return m;
-}
-
-bool
-TraceSink::canRollback(const Mark& m) const
-{
-    // Without a drop since the mark, the ring still holds its events in
-    // place (the head only moves on a drop).
-    return dropped_ == m.dropped || m.events == 0;
-}
-
-void
-TraceSink::rollback(const Mark& m)
-{
-    STEP_ASSERT(canRollback(m), "trace ring dropped events after the mark");
-    STEP_ASSERT(activeOps_.empty(), "rollback inside a graph run");
-    if (dropped_ != m.dropped) {
-        ring_.clear();
-        head_ = 0;
-        dropped_ = 0;
-    } else {
-        ring_.resize(m.events);
-    }
-    std::copy(std::begin(m.lastTs), std::end(m.lastTs), std::begin(lastTs_));
-    base_ = m.base;
-    for (size_t i = m.requests; i < requests_.size(); ++i)
-        reqIndex_.erase(lifeKey(requests_[i].id, requests_[i].attempt));
-    requests_.resize(m.requests);
-    for (const auto& [i, rec] : m.open)
-        requests_[i] = rec;
-    firstOpen_ = m.open.empty() ? m.requests : m.open.front().first;
-    counters_.restoreState(m.counters);
-    switchCounts_ = m.switchCounts;
-    switchIndex_.clear();
-    for (size_t i = 0; i < switchCounts_.size(); ++i)
-        switchIndex_.emplace(switchCounts_[i].first, i);
-    attributedSwitches_ = m.attributedSwitches;
 }
 
 std::vector<SwitchAttribution>

@@ -107,10 +107,10 @@ class TraceSink
     /**
      * @p attempt > 0 marks a cluster retry incarnation: a "req.retry"
      * instant is emitted alongside the arrival. Lifecycle records are
-     * keyed by (id, attempt) — the fault tier's failover waves can
-     * leave a superseded incarnation and its successor concurrently
-     * simulated on one replica, and each hooks into its own record —
-     * so every later hook passes the incarnation's attempt too. The
+     * keyed by (id, attempt) — failover can place a request's next
+     * incarnation on the replica its last one failed on, and each
+     * hooks into its own record — so every later hook passes the
+     * incarnation's attempt too. The
      * JSONL reports one line per incarnation, so a failed first
      * attempt stays visible.
      */
@@ -172,40 +172,6 @@ class TraceSink
         return requests_;
     }
 
-    // ---- rollback ----------------------------------------------------
-    /**
-     * A point of the sink's replica run to return to (see rollback). The
-     * sink is not append-only: lifecycle hooks update the records of
-     * earlier arrivals and counters hold current values. So besides the
-     * ring length a mark keeps the counter states, the switch attribution
-     * and a copy of every record that is still open (no terminal hook
-     * yet). A default Mark is the empty sink.
-     */
-    struct Mark
-    {
-        size_t events = 0; ///< ring length
-        uint64_t dropped = 0;
-        dam::Cycle lastTs[3] = {0, 0, 0};
-        dam::Cycle base = 0;
-        size_t requests = 0; ///< lifecycle records
-        std::vector<std::pair<size_t, RequestLifecycle>> open;
-        std::vector<CounterRegistry::State> counters;
-        std::vector<std::pair<uint32_t, uint64_t>> switchCounts;
-        uint64_t attributedSwitches = 0;
-    };
-
-    /** The sink's current point. */
-    Mark mark();
-    /** Whether rollback(@p m) can return exactly: not once the ring has
-     *  dropped events recorded after the mark. An empty mark always can. */
-    bool canRollback(const Mark& m) const;
-    /**
-     * Return to @p m: events and records added since disappear, open
-     * records and counters take their marked values. Interned names stay
-     * (no export shows a name id).
-     */
-    void rollback(const Mark& m);
-
     /**
      * Context-switch attribution: resumes per op name, accumulated at
      * level >= Op, sorted by (count desc, name asc) — the work-list for
@@ -266,8 +232,6 @@ class TraceSink
                static_cast<uint64_t>(attempt);
     }
     std::unordered_map<uint64_t, size_t> reqIndex_;
-    /** Every record before this one is closed (mark() skips them). */
-    size_t firstOpen_ = 0;
 
     CounterRegistry counters_;
     std::vector<uint32_t> counterNameIds_; ///< lazily interned

@@ -95,42 +95,4 @@ TimeSeries::forEachWindow(
             fn(w, windows_[w]);
 }
 
-TimeSeries::Mark
-TimeSeries::mark(dam::Cycle floor) const
-{
-    Mark m;
-    m.slots = windows_.size();
-    m.first = std::min(size_t(floor / window_), m.slots);
-    m.windows.assign(windows_.begin() + static_cast<ptrdiff_t>(m.first),
-                     windows_.end());
-    m.hists.resize(withHists_ ? m.slots - m.first : 0);
-    for (size_t i = 0; i < m.hists.size(); ++i)
-        if (hists_[m.first + i])
-            m.hists[i] = hists_[m.first + i]->sparse();
-    return m;
-}
-
-void
-TimeSeries::rollback(const Mark& m)
-{
-    STEP_ASSERT(m.first <= windows_.size() && m.slots <= windows_.size(),
-                "rollback to a mark this series never passed");
-    windows_.resize(m.slots);
-    std::copy(m.windows.begin(), m.windows.end(),
-              windows_.begin() + static_cast<ptrdiff_t>(m.first));
-    if (withHists_) {
-        hists_.resize(m.slots);
-        for (size_t i = 0; i < m.hists.size(); ++i)
-            hists_[m.first + i] =
-                m.hists[i].count == 0
-                    ? nullptr
-                    : std::make_unique<LogHistogram>(m.hists[i]);
-    }
-    // The total is a fold of the windows, which now hold exactly the
-    // samples recorded before the mark.
-    total_ = WindowAgg{};
-    for (const WindowAgg& w : windows_)
-        fold(total_, w);
-}
-
 } // namespace step::obs

@@ -70,26 +70,6 @@ class TimeSeries
     void forEachWindow(
         const std::function<void(size_t w, const WindowAgg&)>& fn) const;
 
-    /**
-     * The windows a rollback may have to restore: those from `first` on,
-     * where every later sample lands. A default Mark is the empty series.
-     */
-    struct Mark
-    {
-        size_t first = 0;
-        size_t slots = 0;
-        std::vector<WindowAgg> windows;
-        /** Per window when the series keeps them; count 0 = none. */
-        std::vector<LogHistogram::Sparse> hists;
-    };
-
-    /** Mark the windows from the one holding @p floor on. */
-    Mark mark(dam::Cycle floor) const;
-
-    /** Return to @p m, given that every sample since it was taken was
-     *  recorded at or after its floor; the total is refolded. */
-    void rollback(const Mark& m);
-
   private:
     dam::Cycle window_ = 1;
     bool withHists_ = false;

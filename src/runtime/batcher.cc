@@ -109,35 +109,6 @@ ContinuousBatcher::release(Request* r)
     running_.erase(it);
 }
 
-ContinuousBatcher::Slots
-ContinuousBatcher::slots(const Request* base) const
-{
-    const auto slot = [base](const Request* r) {
-        return static_cast<uint32_t>(r - base);
-    };
-    Slots out;
-    out.waiting.reserve(waiting_.size());
-    for (const Request* r : waiting_)
-        out.waiting.push_back(slot(r));
-    out.running.reserve(running_.size());
-    for (const Request* r : running_)
-        out.running.push_back(slot(r));
-    out.kvReserved = kvReserved_;
-    return out;
-}
-
-void
-ContinuousBatcher::restoreSlots(const Slots& s, Request* base)
-{
-    waiting_.clear();
-    for (uint32_t k : s.waiting)
-        waiting_.push_back(base + k);
-    running_.clear();
-    for (uint32_t k : s.running)
-        running_.push_back(base + k);
-    kvReserved_ = s.kvReserved;
-}
-
 int64_t
 ContinuousBatcher::waitingPromptTokens() const
 {

@@ -107,21 +107,6 @@ class ContinuousBatcher
     int64_t kvBytesReserved() const { return kvReserved_; }
     int64_t kvBudgetBytes() const { return cfg_.kvBudgetBytes; }
 
-    /**
-     * The queue and the running set as positions in one request array,
-     * plus the KV reserved for them: a checkpoint keys requests by
-     * position, because a resumed run serves copies at new addresses.
-     */
-    struct Slots
-    {
-        std::vector<uint32_t> waiting, running; ///< in queue/batch order
-        int64_t kvReserved = 0;
-    };
-    /** Every queued and running request, as a position in @p base. */
-    Slots slots(const Request* base) const;
-    /** Replace the queue and the running set with @p s over @p base. */
-    void restoreSlots(const Slots& s, Request* base);
-
   private:
     BatcherConfig cfg_;
     PrefixCache* cache_ = nullptr;

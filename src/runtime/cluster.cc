@@ -1,13 +1,13 @@
 #include "runtime/cluster.hh"
 
 #include <algorithm>
+#include <barrier>
 #include <cmath>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <limits>
-#include <numeric>
-#include <set>
-#include <sstream>
+#include <optional>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -426,36 +426,122 @@ ServingCluster::route(const std::vector<Request>& reqs,
     return out;
 }
 
+namespace {
+
 /**
- * One run()'s failover state machine. The constructor is the pre-pass:
- * it decides the tier, routes the trace, and shards it into *pristine*
- * per-replica inputs. wave() simulates the listed replicas over fresh
- * copies of their inputs; a re-run resumes from the replica's latest
- * checkpoint before the arrivals failover appended, which the replay
- * from cycle 0 would reach identically. failover() turns the casualties
- * no earlier wave decided into new incarnations and names the replicas
- * to re-simulate; it converges because each (request, attempt) pair is
- * decided exactly once and the policy bounds attempts. finish()
- * reconciles, reflects and merges.
+ * A cluster run's worker threads. Worker 0 is the coordinating thread;
+ * workers 1..T-1 live for the whole run, so each worker's iteration
+ * workspace (graph, arena, scheduler) stays on one thread. run(job) has
+ * every worker call job(t) once and returns when all have, rethrowing
+ * the first failure by worker index.
+ */
+class WorkerPool
+{
+  public:
+    explicit WorkerPool(size_t workers)
+        : ws_(workers), errors_(workers),
+          sync_(static_cast<ptrdiff_t>(workers))
+    {
+        for (auto& w : ws_)
+            w = std::make_unique<IterationWorkspace>();
+        try {
+            for (size_t t = 1; t < workers; ++t)
+                threads_.emplace_back([this, t] {
+                    for (;;) {
+                        sync_.arrive_and_wait(); // a job, or the stop
+                        if (stop_)
+                            return;
+                        work(t);
+                        sync_.arrive_and_wait();
+                    }
+                });
+        } catch (...) {
+            // Workers that never started never arrive: drop their
+            // places, then stop the started ones.
+            for (size_t t = threads_.size() + 1; t < workers; ++t)
+                sync_.arrive_and_drop();
+            stop();
+            throw;
+        }
+    }
+
+    ~WorkerPool() { stop(); }
+
+    WorkerPool(const WorkerPool&) = delete;
+    WorkerPool& operator=(const WorkerPool&) = delete;
+
+    size_t size() const { return ws_.size(); }
+    IterationWorkspace& workspace(size_t t) { return *ws_[t]; }
+
+    void
+    run(std::function<void(size_t)> job)
+    {
+        job_ = std::move(job);
+        sync_.arrive_and_wait();
+        work(0);
+        sync_.arrive_and_wait();
+        for (std::exception_ptr& e : errors_)
+            if (e)
+                std::rethrow_exception(std::exchange(e, nullptr));
+    }
+
+  private:
+    void
+    stop()
+    {
+        stop_ = true;
+        sync_.arrive_and_wait();
+        for (std::thread& th : threads_)
+            th.join();
+    }
+
+    void
+    work(size_t t)
+    {
+        try {
+            job_(t);
+        } catch (...) {
+            errors_[t] = std::current_exception();
+        }
+    }
+
+    std::vector<std::unique_ptr<IterationWorkspace>> ws_;
+    std::vector<std::exception_ptr> errors_;
+    std::function<void(size_t)> job_;
+    std::barrier<> sync_;
+    bool stop_ = false; ///< published by the barrier it precedes
+    std::vector<std::thread> threads_;
+};
+
+} // namespace
+
+/**
+ * One run()'s epoch loop. The constructor is the pre-pass: it decides
+ * the tier, routes the trace, starts one live engine run per replica
+ * over its shard, and collects the barriers — every replica's crash,
+ * recovery and drain trigger. epoch(E) advances every replica to
+ * barrier E on the worker pool; between barriers the replicas share
+ * nothing. barrier(E) is the coordinator's turn: the replicas with a
+ * crash or drain at E deliver it, and their casualties are offered to
+ * the rescheduling policy in (cycle, request, attempt) order, each
+ * granted incarnation appended to its target's live run. Every replica
+ * iteration is therefore simulated once, and every failover decision
+ * sees only what happened up to its barrier. finish() reconciles,
+ * reflects and merges.
  */
 class ServingCluster::Run
 {
   public:
     Run(const ServingCluster& cluster, std::vector<Request>& reqs)
-        : cluster_(cluster), cfg_(cluster.cfg_), reqs_(reqs),
+        : cfg_(cluster.cfg_), reqs_(reqs),
           R_(static_cast<size_t>(cfg_.replicas)),
-          threads_(static_cast<size_t>(
-              std::min(cfg_.threads > 0 ? cfg_.threads : cfg_.replicas,
-                       cfg_.replicas))),
-          handoff_(cfg_.resilience.migration), shard_(R_), meta_(R_),
-          runs_(R_), changedFrom_(R_, 0), results_(R_),
+          handoff_(cfg_.resilience.migration), origs_(R_), results_(R_),
           traces_(cfg_.trace.level != obs::TraceLevel::Off ? R_ : 0),
           mregs_(cfg_.metrics.enabled ? R_ : 0), load_(R_, 0)
     {
         // The tier is decided here, once: its timelines (via routing),
         // its rescheduling policy, its affinity owners and its drain.
-        const std::vector<int64_t> assignment =
-            cluster.route(reqs, breakers_, autoscale_);
+        assignment_ = cluster.route(reqs, breakers_, autoscale_);
         static const ExponentialBackoffRetry default_retry;
         retry_ = cfg_.retry ? cfg_.retry : &default_retry;
         const bool resilient = cfg_.resilience.enabled;
@@ -463,16 +549,21 @@ class ServingCluster::Run
             retry_ = &handoff_;
         for (size_t i = 0; resilient && i < reqs.size(); ++i)
             if (reqs[i].affinityKey != 0) // last sight wins
-                owners_[reqs[i].affinityKey] = assignment[i];
+                owners_[reqs[i].affinityKey] = assignment_[i];
+        // After routing, whose telemetry observation pass runs a pool of
+        // its own.
+        pool_.emplace(static_cast<size_t>(
+            std::min(cfg_.threads > 0 ? cfg_.threads : cfg_.replicas,
+                     cfg_.replicas)));
 
         // Seeds, fault timelines and instants are derived on the
-        // coordinating thread before any worker exists — the one
-        // ordering the global-seed contract requires (see rng.hh).
+        // coordinating thread before any worker runs — the one ordering
+        // the global-seed contract requires (see rng.hh).
         std::vector<std::vector<ClusterInstant>> instants =
             clusterInstants(breakers_, autoscale_, R_);
-        engines_.assign(R_, cfg_.engine);
+        configs_.assign(R_, cfg_.engine);
         for (size_t r = 0; r < R_; ++r) {
-            EngineConfig& ec = engines_[r];
+            EngineConfig& ec = configs_[r];
             ec.seed = deriveSeed(static_cast<uint64_t>(r));
             ec.faults = cfg_.faults.forReplica(static_cast<int64_t>(r));
             if (!cfg_.bwScales.empty())
@@ -488,127 +579,128 @@ class ServingCluster::Run
                 ec.drain.openBelowFactor =
                     cfg_.resilience.breaker.openBelowFactor;
             }
+            edges_.push_back(failureEdges(ec));
+            std::ranges::sort(edges_.back());
+            barriers_.insert(barriers_.end(), edges_.back().begin(),
+                             edges_.back().end());
+            for (const auto& d : ec.faults.downs)
+                if (d.recoverAt != 0)
+                    barriers_.push_back(d.recoverAt);
         }
-        for (size_t i = 0; i < reqs.size(); ++i) { // shards stay sorted
-            auto r = static_cast<size_t>(assignment[i]);
-            shard_[r].push_back(reqs[i]);
-            meta_[r].push_back({i, reqs[i].attempt});
-            load_[r] += reqs[i].promptLen + reqs[i].outputLen;
-        }
-        // Every casualty fails at or after some replica's failure edge,
-        // and its next incarnation re-arrives no earlier: anchoring each
-        // replica's checkpoints at the cluster-wide edges keeps one just
-        // before every appended arrival. A fault-free plan anchors none.
-        std::vector<dam::Cycle> edges;
-        for (const EngineConfig& ec : engines_)
-            for (dam::Cycle c : failureEdges(ec))
-                edges.push_back(c);
-        std::sort(edges.begin(), edges.end());
-        edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-        for (ReplicaRun& run : runs_)
-            run.anchors = edges;
-        // One sink and registry per replica for the whole run: a re-run
-        // rolls its replica's back to the checkpoint it resumes from, so
-        // the exports describe the final timelines. Created before any
-        // worker exists; replica r's worker is their only writer, and
-        // exporting in index order erases the threads.
+        // A fault-free plan has no barrier and runs as one epoch.
+        std::ranges::sort(barriers_);
+        barriers_.erase(std::unique(barriers_.begin(), barriers_.end()),
+                        barriers_.end());
+        for (EngineConfig& ec : configs_)
+            ec.barriers = barriers_;
+
+        // One sink and registry per replica, created before any worker
+        // runs; replica r's run is their only writer, and exporting in
+        // index order erases the threads.
         for (auto& t : traces_)
             t = std::make_unique<obs::TraceSink>(cfg_.trace);
         for (auto& m : mregs_)
             m = std::make_unique<obs::MetricsRegistry>(cfg_.metrics);
-    }
-
-    /** Every replica: wave 0's list. */
-    std::vector<size_t>
-    all() const
-    {
-        std::vector<size_t> todo(R_);
-        std::iota(todo.begin(), todo.end(), size_t{0});
-        return todo;
-    }
-
-    /** Simulate the listed replicas on the worker pool. */
-    void
-    wave(const std::vector<size_t>& todo)
-    {
-        ++waves_;
-        // Replica todo[i] runs on worker i mod T (worker 0 is this
-        // thread); the host thread never changes what a (shared-nothing)
-        // replica computes.
-        const size_t T = std::min(threads_, todo.size());
-        std::vector<std::exception_ptr> errors(std::max<size_t>(1, T));
-        auto worker = [&](size_t t) {
-            try {
-                for (size_t i = t; i < todo.size(); i += T)
-                    runReplica(todo[i]);
-            } catch (...) {
-                errors[t] = std::current_exception();
-            }
-        };
-        std::vector<std::thread> pool;
-        pool.reserve(T);
-        for (size_t t = 1; t < T; ++t)
-            pool.emplace_back(worker, t);
-        worker(0);
-        for (std::thread& th : pool)
-            th.join();
-        for (std::exception_ptr& e : errors)
-            if (e)
-                std::rethrow_exception(e);
-        for (size_t r : todo) {
-            simulated_ += runs_[r].simulatedIterations;
-            replayed_ += runs_[r].result.iterations;
-            changedFrom_[r] = ReplicaFaultTimeline::kNoEvent;
+        std::vector<std::vector<Request>> shards(R_);
+        for (size_t i = 0; i < reqs.size(); ++i) { // shards stay sorted
+            const auto r = static_cast<size_t>(assignment_[i]);
+            shards[r].push_back(reqs[i]);
+            origs_[r].push_back(i);
         }
+        runs_.reserve(R_);
+        for (size_t r = 0; r < R_; ++r) {
+            auto& e = engines_.emplace_back(
+                std::make_unique<ServingEngine>(configs_[r], cluster.policy_));
+            if (!traces_.empty())
+                e->attachTrace(traces_[r].get());
+            if (!mregs_.empty())
+                e->attachMetrics(mregs_[r].get());
+            runs_.emplace_back(*e, std::move(shards[r]));
+        }
+    }
+
+    const std::vector<dam::Cycle>& barriers() const { return barriers_; }
+
+    /** Advance every replica to @p until (kNoEvent: to its end) on the
+     *  worker pool; replica r runs on worker r mod T, which never
+     *  changes what the (shared-nothing) replica computes. */
+    void
+    epoch(dam::Cycle until)
+    {
+        ++epochs_;
+        std::vector<int64_t> iters(R_, 0);
+        pool_->run([&](size_t t) {
+            for (size_t r = t; r < R_; r += pool_->size())
+                iters[r] = runs_[r].advance(until, pool_->workspace(t));
+        });
+        for (int64_t n : iters)
+            simulated_ += n;
     }
 
     /**
-     * Offer the undecided casualties to the rescheduling policy in
-     * (fail-cycle, request, attempt) order, append the granted ones to
-     * their targets' shards, and return the changed replicas. A policy
-     * still granting after kMaxWaves waves is a FatalError.
+     * The coordinator's turn at barrier @p at: the replicas with a crash
+     * or drain there deliver it, and every new casualty is offered to
+     * the rescheduling policy in (fail-cycle, request, attempt) order.
      */
-    std::vector<size_t>
-    failover()
+    void
+    barrier(dam::Cycle at)
     {
-        std::vector<Casualty> granted;
-        for (const Casualty& f : casualties()) {
-            decided_.insert({f.orig, f.attempt});
-            if (handOff(f) >= 0)
-                granted.push_back(f);
+        // Placement weighs what was routed to arrive by now, never load
+        // assigned later in simulated time.
+        for (; routed_ < reqs_.size() && reqs_[routed_].arrival <= at;
+             ++routed_)
+            load_[static_cast<size_t>(assignment_[routed_])] +=
+                reqs_[routed_].promptLen + reqs_[routed_].outputLen;
+        std::vector<Casualty> due;
+        for (size_t r = 0; r < R_; ++r) {
+            if (std::ranges::binary_search(edges_[r], at))
+                runs_[r].deliverUntil(at);
+            for (size_t k : runs_[r].takeCasualties())
+                due.push_back({runs_[r].request(k).finishedAt, origs_[r][k],
+                               runs_[r].request(k).attempt, r, k});
         }
-        if (!granted.empty() && waves_ >= kMaxWaves)
-            nonConvergence(granted);
-        std::vector<size_t> todo;
-        for (size_t r = 0; r < R_; ++r)
-            if (changedFrom_[r] != ReplicaFaultTimeline::kNoEvent) {
-                resortShard(r);
-                todo.push_back(r);
-            }
-        return todo;
+        std::ranges::sort(due, {}, [](const Casualty& f) {
+            return std::tie(f.at, f.orig, f.attempt);
+        });
+        for (const Casualty& f : due)
+            handOff(f);
     }
 
     ClusterResult
     finish()
     {
-        for (size_t r = 0; r < R_; ++r)
-            results_[r].result = std::move(runs_[r].result);
+        // The workers' graphs go first: the metrics merge below would
+        // otherwise stack on them at the run's peak footprint.
+        pool_.reset();
+        std::vector<std::vector<Request>> served(R_);
+        for (size_t r = 0; r < R_; ++r) {
+            ReplicaResult& out = results_[r];
+            out.result = runs_[r].finish(served[r]);
+            out.replica = static_cast<int64_t>(r);
+            out.seed = configs_[r].seed;
+            out.assignedRequests = static_cast<int64_t>(served[r].size());
+            out.engine = std::move(configs_[r]);
+        }
         // Every original request reports its *final* incarnation
         // (highest attempt), with the original arrival restored so the
         // caller's trace stays sorted.
         std::vector<Final> fin(reqs_.size());
         for (size_t r = 0; r < R_; ++r)
-            for (size_t k = 0; k < runs_[r].reqs.size(); ++k) {
-                const Incarnation& m = meta_[r][k];
-                if (m.attempt > fin[m.orig].attempt)
-                    fin[m.orig] = {m.attempt, r, k};
+            for (size_t k = 0; k < served[r].size(); ++k) {
+                const size_t i = origs_[r][k];
+                if (served[r][k].attempt > fin[i].attempt)
+                    fin[i] = {served[r][k].attempt, r, k};
             }
-        reconcile(fin);
+        reconcile(fin, served);
         for (size_t i = 0; i < reqs_.size(); ++i) {
             const dam::Cycle arrival = reqs_[i].arrival;
-            reqs_[i] = runs_[fin[i].replica].reqs[fin[i].slot];
+            reqs_[i] = served[fin[i].replica][fin[i].slot];
             reqs_[i].arrival = arrival;
+            if (reqs_[i].state == ReqState::Migrated)
+                reqs_[i].state = ReqState::Failed; // denied a target
         }
+        for (size_t r = 0; r < R_; ++r)
+            results_[r].requests = std::move(served[r]);
 
         // Merge in replica-index order: the aggregate depends only on
         // the per-replica results, never on worker scheduling.
@@ -619,9 +711,8 @@ class ServingCluster::Run
         out.breakers = std::move(breakers_);
         out.retriesIssued = retriesIssued_;
         out.migrationsIssued = migrationsIssued_;
-        out.waves = waves_;
+        out.epochs = epochs_;
         out.replicaIterationsSimulated = simulated_;
-        out.replicaIterationsReplayed = replayed_;
         out.autoscale = std::move(autoscale_);
         std::vector<ServingSummary> parts;
         parts.reserve(R_);
@@ -659,17 +750,10 @@ class ServingCluster::Run
     }
 
   private:
-    /** Waves after which a policy still granting incarnations is
-     *  misconfigured (it must bound attempts). */
-    static constexpr int kMaxWaves = 1024;
+    /** Attempts after which a policy still granting incarnations of one
+     *  request is misconfigured (it must bound attempts). */
+    static constexpr int64_t kMaxAttempts = 1024;
 
-    /** A shard slot: the caller's request and which incarnation of it
-     *  (0 = original submission). */
-    struct Incarnation
-    {
-        size_t orig;
-        int64_t attempt;
-    };
     /** A failed or drained incarnation awaiting its failover decision. */
     struct Casualty
     {
@@ -685,80 +769,29 @@ class ServingCluster::Run
         size_t replica = 0, slot = 0;
     };
 
+    /** Reschedule and place @p f's next incarnation and append it to its
+     *  target's run; the failure stands when the policy gives up or no
+     *  replica can take it. */
     void
-    runReplica(size_t r)
-    {
-        ServingEngine engine(engines_[r], cluster_.policy_);
-        if (!traces_.empty())
-            engine.attachTrace(traces_[r].get());
-        if (!mregs_.empty())
-            engine.attachMetrics(mregs_[r].get());
-        ReplicaResult& out = results_[r];
-        out.replica = static_cast<int64_t>(r);
-        out.seed = engines_[r].seed;
-        out.assignedRequests = static_cast<int64_t>(shard_[r].size());
-        engine.run(runs_[r], std::vector<Request>(shard_[r]),
-                   changedFrom_[r]);
-    }
-
-    /** The retry policy still granted incarnations after kMaxWaves
-     *  waves: report the wave count and the casualties it re-issued. */
-    [[noreturn]] void
-    nonConvergence(const std::vector<Casualty>& granted) const
-    {
-        std::ostringstream os;
-        for (size_t i = 0; i < std::min<size_t>(granted.size(), 8); ++i) {
-            const Casualty& f = granted[i];
-            os << (i ? ", " : "") << "request "
-               << runs_[f.replica].reqs[f.slot].id << " attempt "
-               << f.attempt << " (replica " << f.replica << ", cycle "
-               << f.at << ")";
-        }
-        if (granted.size() > 8)
-            os << ", ...";
-        stepFatal("failover did not converge: after "
-                  << waves_ << " waves the retry policy still granted "
-                  << granted.size()
-                  << " more incarnations (it must bound attempts): "
-                  << os.str());
-    }
-
-    std::vector<Casualty>
-    casualties() const
-    {
-        std::vector<Casualty> out;
-        for (size_t r = 0; r < R_; ++r)
-            for (size_t k = 0; k < runs_[r].reqs.size(); ++k) {
-                const Request& q = runs_[r].reqs[k];
-                const Incarnation& m = meta_[r][k];
-                if ((q.state == ReqState::Failed ||
-                     q.state == ReqState::Migrated) &&
-                    !decided_.count({m.orig, m.attempt}))
-                    out.push_back({q.finishedAt, m.orig, m.attempt, r, k});
-            }
-        std::sort(out.begin(), out.end(),
-                  [](const Casualty& a, const Casualty& b) {
-                      return std::tie(a.at, a.orig, a.attempt) <
-                             std::tie(b.at, b.orig, b.attempt);
-                  });
-        return out;
-    }
-
-    /** Reschedule, place and append @p f's next incarnation; returns
-     *  its target replica, or -1 when the failure stands. */
-    int64_t
     handOff(const Casualty& f)
     {
-        const Request& src = runs_[f.replica].reqs[f.slot];
+        const Request& src = runs_[f.replica].request(f.slot);
         const std::optional<dam::Cycle> re =
             retry_->reschedule(src, f.attempt + 1, f.at);
         if (!re)
-            return -1; // policy says permanent (attempts / deadline)
+            return; // policy says permanent (attempts / deadline)
         if (*re < f.at)
             stepFatal("retry policy re-arrival at cycle "
                       << *re << " precedes the failure of request "
                       << src.id << " (attempt " << f.attempt + 1
                       << ") at cycle " << f.at);
+        if (f.attempt + 1 >= kMaxAttempts)
+            stepFatal("failover did not converge: the retry policy granted "
+                      "request "
+                      << src.id << " attempt " << f.attempt + 1
+                      << " after attempt " << f.attempt
+                      << " failed on replica " << f.replica << " at cycle "
+                      << f.at << " (it must bound attempts)");
         const Request& orig = reqs_[f.orig]; // pristine: never mutated
         const auto it = owners_.find(orig.affinityKey);
         const int64_t owner = it != owners_.end() ? it->second : -1;
@@ -767,20 +800,18 @@ class ServingCluster::Run
         const int64_t best =
             place(cfg_, load_, breakers_, autoscale_, *re, owner);
         if (best < 0)
-            return -1;
+            return;
         const auto tgt = static_cast<size_t>(best);
         Request inc = orig;
         inc.arrival = *re;
         inc.attempt = f.attempt + 1;
         inc.remoteKvTokens = carriedKvTokens(src);
         fetchRemotePrefix(inc, owner, tgt);
-        changedFrom_[tgt] = std::min(changedFrom_[tgt], inc.arrival);
-        shard_[tgt].push_back(inc);
-        meta_[tgt].push_back({f.orig, inc.attempt});
-        load_[tgt] += inc.promptLen + inc.outputLen;
         ++(src.state == ReqState::Migrated ? migrationsIssued_
                                            : retriesIssued_);
-        return best;
+        load_[tgt] += inc.promptLen + inc.outputLen;
+        origs_[tgt].push_back(f.orig);
+        runs_[tgt].append(std::move(inc));
     }
 
     /**
@@ -789,7 +820,7 @@ class ServingCluster::Run
      * earlier turn finished there before the handoff lands and after the
      * owner's last crash. Block-granular; it pays a lookup RTT plus
      * per-token transfer for what the handoff did not already carry.
-     * The reference is the owner's currently-simulated timeline.
+     * The reference is what the owner has simulated so far.
      */
     void
     fetchRemotePrefix(Request& inc, int64_t owner, size_t tgt) const
@@ -800,12 +831,14 @@ class ServingCluster::Run
         const auto ow = static_cast<size_t>(owner);
         const dam::Cycle at = inc.arrival;
         dam::Cycle wiped = ReplicaFaultTimeline::kNoEvent; // last crash
-        for (const auto& d : engines_[ow].faults.downs)
+        for (const auto& d : configs_[ow].faults.downs)
             if (d.failAt <= at && (wiped == ReplicaFaultTimeline::kNoEvent ||
                                    d.failAt > wiped))
                 wiped = d.failAt;
         int64_t credit = 0;
-        for (const Request& q : runs_[ow].reqs) {
+        const ServingEngine::Run& run = runs_[ow];
+        for (size_t k = 0; k < run.size(); ++k) {
+            const Request& q = run.request(k);
             if (q.sessionId != inc.sessionId || q.turn >= inc.turn ||
                 q.state != ReqState::Finished || q.finishedAt > at ||
                 (wiped != ReplicaFaultTimeline::kNoEvent &&
@@ -827,106 +860,91 @@ class ServingCluster::Run
         }
     }
 
-    /** Re-sort shard @p r by arrival, in lockstep with its meta; the
-     *  full key keeps the order independent of the append sequence. */
-    void
-    resortShard(size_t r)
-    {
-        std::vector<Request>& shard = shard_[r];
-        std::vector<Incarnation>& meta = meta_[r];
-        std::vector<size_t> idx(shard.size());
-        std::iota(idx.begin(), idx.end(), size_t{0});
-        std::sort(idx.begin(), idx.end(), [&](size_t a, size_t b) {
-            return std::tie(shard[a].arrival, shard[a].id, meta[a].attempt) <
-                   std::tie(shard[b].arrival, shard[b].id, meta[b].attempt);
-        });
-        std::vector<Request> s2;
-        std::vector<Incarnation> m2;
-        s2.reserve(idx.size());
-        m2.reserve(idx.size());
-        for (size_t k : idx) {
-            s2.push_back(std::move(shard[k]));
-            m2.push_back(meta[k]);
-        }
-        shard = std::move(s2);
-        meta = std::move(m2);
-    }
-
     /**
-     * Recompute every replica's summary from its *final* timeline (a
-     * later wave's arrivals can flip a superseded incarnation's fate, so
-     * the per-wave issue log is no accounting source), reinterpreting
-     * superseded slots:
-     *   - Failed/Migrated with a successor: transparent handoff
-     *     (retried resp. migrated, outside availability);
-     *   - Finished/Shed with a successor: phantom duplicate — the source
-     *     would have stopped serving the moment the handoff was issued,
-     *     so the slot is dropped and the successor carries the outcome.
-     * A *final* incarnation still Migrated was denied a target (attempt
-     * cap, deadline, nothing healthy): a loss, converted to Failed so
-     * availability closes over finished/failed/shed. Without failover
-     * every incarnation is final and the recompute changes nothing.
+     * Recompute each replica's summary where failover reinterprets an
+     * incarnation: a superseded one that failed counts as retried (a
+     * transparent handoff, outside availability), a superseded migrated
+     * one as migrated; a *final* one still Migrated was denied a target
+     * (attempt cap, deadline, nothing healthy) — a loss, counted (and
+     * reported to the caller) as Failed so availability closes over
+     * finished/failed/shed. The served requests themselves stay as the
+     * engines left them. Each casualty is decided once, so a superseded
+     * incarnation always ended failed or migrated. A replica failover
+     * never touched keeps the summary its engine made.
      */
     void
-    reconcile(const std::vector<Final>& fin)
+    reconcile(const std::vector<Final>& fin,
+              const std::vector<std::vector<Request>>& served)
     {
         for (size_t r = 0; r < R_; ++r) {
             int64_t retried = 0;
+            bool changed = false;
             std::vector<Request> view;
-            view.reserve(runs_[r].reqs.size());
-            for (size_t k = 0; k < runs_[r].reqs.size(); ++k) {
-                Request& q = runs_[r].reqs[k];
-                const Incarnation& m = meta_[r][k];
-                if (m.attempt < fin[m.orig].attempt) {
-                    if (q.state == ReqState::Failed)
-                        ++retried; // counted as failover, not failure
-                    else if (q.state == ReqState::Migrated)
-                        view.push_back(q);
+            view.reserve(served[r].size());
+            for (size_t k = 0; k < served[r].size(); ++k) {
+                const Request& q = served[r][k];
+                const bool superseded =
+                    q.attempt < fin[origs_[r][k]].attempt;
+                STEP_ASSERT(!superseded || q.state == ReqState::Failed ||
+                                q.state == ReqState::Migrated,
+                            "request " << q.id << " attempt " << q.attempt
+                                       << " was superseded but did not "
+                                          "fail or migrate");
+                if (superseded && q.state == ReqState::Failed) {
+                    ++retried; // counted as failover, not failure
+                    changed = true;
                     continue;
                 }
-                if (q.state == ReqState::Migrated)
-                    q.state = ReqState::Failed;
                 view.push_back(q);
+                if (!superseded && q.state == ReqState::Migrated) {
+                    view.back().state = ReqState::Failed;
+                    changed = true;
+                }
             }
+            if (!changed)
+                continue;
             ServingSummary& s = results_[r].result.summary;
             resummarize(s, view, cfg_.engine.slo);
             s.retriedRequests = retried;
         }
     }
 
-    const ServingCluster& cluster_;
     const ClusterConfig& cfg_;
     std::vector<Request>& reqs_;
     const size_t R_;
-    const size_t threads_;
 
+    std::vector<int64_t> assignment_; ///< routed replica per request
     std::vector<BreakerTimeline> breakers_;
     std::vector<AutoscaleStep> autoscale_;
     MigrationHandoff handoff_;
     const RetryPolicy* retry_ = nullptr;
     /** Affinity key -> replica with the warm cache; empty off-tier. */
     std::unordered_map<uint64_t, int64_t> owners_;
-    /** Per replica: seed, fault timeline, bandwidth, instants, drain. */
-    std::vector<EngineConfig> engines_;
+    /** Per replica: seed, fault timeline, bandwidth, instants, drain,
+     *  barriers. */
+    std::vector<EngineConfig> configs_;
+    /** Per replica: its crash and drain cycles, sorted. */
+    std::vector<std::vector<dam::Cycle>> edges_;
+    /** Every replica's crash, recovery and drain cycle, sorted, unique. */
+    std::vector<dam::Cycle> barriers_;
 
-    std::vector<std::vector<Request>> shard_;
-    std::vector<std::vector<Incarnation>> meta_;
-    /** Per replica: its last run (requests, result, checkpoints). */
-    std::vector<ReplicaRun> runs_;
-    /** Per replica: the earliest arrival failover appended since its
-     *  last run (kNoEvent: unchanged). */
-    std::vector<dam::Cycle> changedFrom_;
+    /** Per replica: its engine, and the live run on it. */
+    std::vector<std::unique_ptr<ServingEngine>> engines_;
+    std::vector<ServingEngine::Run> runs_;
+    /** Per replica, per slot: the caller's request it serves. */
+    std::vector<std::vector<size_t>> origs_;
+    /** Steps runs_; declared after them so its threads go first. */
+    std::optional<WorkerPool> pool_;
     std::vector<ReplicaResult> results_;
     std::vector<std::unique_ptr<obs::TraceSink>> traces_;
     std::vector<std::unique_ptr<obs::MetricsRegistry>> mregs_;
 
-    std::set<std::pair<size_t, int64_t>> decided_;
     std::vector<int64_t> load_;
+    size_t routed_ = 0; ///< requests whose arrival load_ holds
     int64_t retriesIssued_ = 0;
     int64_t migrationsIssued_ = 0;
-    int waves_ = 0;
+    int64_t epochs_ = 0;
     int64_t simulated_ = 0; ///< replica iterations executed
-    int64_t replayed_ = 0;  ///< ... and a replay from cycle 0 would run
 };
 
 ClusterResult
@@ -938,9 +956,11 @@ ServingCluster::run(std::vector<Request>& reqs)
                                }),
                 "request trace must be sorted by arrival");
     Run r(*this, reqs);
-    for (std::vector<size_t> todo = r.all(); !todo.empty();
-         todo = r.failover())
-        r.wave(todo);
+    for (dam::Cycle at : r.barriers()) {
+        r.epoch(at);
+        r.barrier(at);
+    }
+    r.epoch(ReplicaFaultTimeline::kNoEvent);
     return r.finish();
 }
 

@@ -3,9 +3,10 @@
  * Multi-replica sharded serving cluster: the scale-out layer over the
  * single-engine serving runtime. One ServingEngine is single-threaded by
  * design (deterministic virtual time); a ServingCluster splits a request
- * trace across N shared-nothing replica engines — each with its own
- * Scheduler, GraphArena, rearm handles, and thread-local coroutine-frame
- * pool — runs each replica's simulation in a worker thread, and merges
+ * trace across N shared-nothing replica engines, steps them on a pool
+ * of worker threads — each worker owning one iteration workspace
+ * (scheduler, graph arena, rearm handles) and thread-local coroutine-
+ * frame pool, lent to whichever replica it steps — and merges
  * the per-replica results into one aggregate with percentiles recomputed
  * over the union of raw latency samples. This mirrors how continuous-
  * batching serving systems scale out: replicas behind a router, sharing
@@ -124,14 +125,13 @@ struct ClusterConfig
     ResilienceConfig resilience;
     /**
      * Tracing (level Off = disabled). When enabled, run() creates one
-     * TraceSink per replica *before* workers spawn — each sink is then
-     * written by exactly one worker, so recording needs no locks — and
+     * TraceSink per replica *before* workers run — within an epoch each
+     * sink is written by exactly one worker, so recording needs no
+     * locks — and
      * hands them back in ClusterResult::traces, replica-index order.
      * Exporting that vector yields bytes independent of the thread
-     * count. A replica a failover wave re-simulates rolls its sink back
-     * to the checkpoint it resumes from (an empty sink for a re-run
-     * from cycle 0), so exported traces always describe the final
-     * timeline.
+     * count. Each replica's run records once, in simulated-time order,
+     * so the exported traces describe the final timelines.
      */
     obs::TraceOptions trace;
     /**
@@ -142,10 +142,7 @@ struct ClusterConfig
      * instrument set into its replica's registry at iteration
      * boundaries, and ClusterResult hands back the per-replica
      * registries plus their replica-index-order merge — so the exported
-     * artifact is bit-identical whatever the thread count. A replica a
-     * failover wave re-simulates rolls its registry back to the
-     * checkpoint it resumes from, so metrics always describe the final
-     * timeline.
+     * artifact is bit-identical whatever the thread count.
      */
     obs::MetricsConfig metrics;
 };
@@ -156,6 +153,15 @@ struct ReplicaResult
     uint64_t seed = 0; ///< deriveSeed(replica), recorded for replay
     int64_t assignedRequests = 0;
     EngineResult result;
+    /** The engine configuration the replica ran under (seed, fault
+     *  timeline, bandwidth, instants, drain, barriers), for replay. */
+    EngineConfig engine;
+    /** Every incarnation the replica served, by slot: its routed shard
+     *  in trace order, then the failover incarnations in the order they
+     *  were appended. A ServingEngine over `engine`, run on these
+     *  requests as they were appended (stable-sorted by arrival),
+     *  reproduces `result` exactly. */
+    std::vector<Request> requests;
 };
 
 struct ClusterResult
@@ -167,19 +173,16 @@ struct ClusterResult
     UtilizationTimeline timeline;
     std::vector<ReplicaResult> replicas;
     int64_t totalIterations = 0;
-    /** Retry incarnations the failover waves issued (0 without faults). */
+    /** Retry incarnations failover issued (0 without faults). */
     int64_t retriesIssued = 0;
     /** Migration incarnations the resilience tier issued (0 unless the
      *  tier is enabled and a slowdown drain fired). */
     int64_t migrationsIssued = 0;
-    /** Failover waves run (1 without a casualty). */
-    int64_t waves = 0;
-    /** Replica iterations the waves actually executed: a re-run counts
-     *  only those after the checkpoint it resumed from. */
+    /** Epochs run: one more than the barriers (1 without faults). */
+    int64_t epochs = 0;
+    /** Replica iterations the epochs executed, counted as they ran;
+     *  equal to totalIterations, since no iteration runs twice. */
     int64_t replicaIterationsSimulated = 0;
-    /** EngineResult::iterations summed over every wave's replica runs:
-     *  what re-simulating each from cycle 0 would have executed. */
-    int64_t replicaIterationsReplayed = 0;
     /** The autoscaler's precomputed step timeline (empty unless the
      *  resilience tier's autoscaler is enabled). */
     std::vector<AutoscaleStep> autoscale;
@@ -234,23 +237,33 @@ class ServingCluster
      * Route @p reqs (sorted by arrival) across the replicas, run every
      * replica's simulation to completion on the worker pool, and merge.
      * Requests are mutated in place exactly as ServingEngine::run would
-     * (states, TTFT/finish stamps). With a fault plan, failover runs in
-     * deterministic waves: replicas simulate, casualties are collected
-     * in (fail-cycle, request) order and offered to the tier's
-     * RetryPolicy, granted incarnations are appended to their target
-     * replica's shard, and only the changed replicas re-simulate —
-     * until no new failure appears. A re-simulated replica resumes from
-     * its latest checkpoint before the earliest arrival appended to it
-     * (checkpoints are anchored at the plan's failure edges), so only
-     * the part of its timeline the new arrivals can change runs again;
-     * the result is byte-identical to replaying it from cycle 0. A
-     * retry policy that never stops granting attempts raises a
-     * FatalError after 1024 waves. A request that failed but was
-     * retried reports the final incarnation's outcome to the caller
-     * (original arrival kept, Request::attempt telling the story); its
-     * source replica's summary reclassifies it failed -> retried.
-     * Deterministic for fixed (config, policy, trace, global seed),
-     * independent of the thread count.
+     * (states, TTFT/finish stamps).
+     *
+     * Each replica keeps one live ServingEngine::Run for the whole call,
+     * and the cluster advances all of them epoch by epoch between
+     * *barriers*: every replica's crash, recovery and drain trigger.
+     * Inside an epoch the replicas share nothing and step in parallel,
+     * each while its clock is before the next barrier E (prefill-only
+     * wakes and idle jumps stop at E, so no run reads an event past
+     * it). At E the coordinator takes over: each replica with a crash or
+     * drain at E delivers the events due by E, and the casualties —
+     * with a crash, also the arrivals it refuses until its recovery —
+     * are offered to the tier's RetryPolicy in (fail-cycle, request,
+     * attempt) order. Each granted incarnation is placed by the load
+     * routed up to E and appended to its target's live run, at or after
+     * that run's horizon. Every replica iteration is thus simulated
+     * once, each casualty is decided once, and no decision depends on
+     * anything later in simulated time. A fault-free plan has no
+     * barrier and runs as one epoch. A retry policy that keeps granting
+     * attempts raises a FatalError naming the request once it reaches
+     * attempt 1024.
+     *
+     * A request that failed but was retried reports the final
+     * incarnation's outcome to the caller (original arrival kept,
+     * Request::attempt telling the story); its source replica's summary
+     * reclassifies it failed -> retried. Deterministic for fixed
+     * (config, policy, trace, global seed), independent of the thread
+     * count.
      */
     ClusterResult run(std::vector<Request>& reqs);
 
@@ -266,7 +279,7 @@ class ServingCluster
     std::vector<int64_t> routeTrace(const std::vector<Request>& reqs) const;
 
   private:
-    class Run; ///< one run()'s failover state machine (cluster.cc)
+    class Run; ///< one run()'s epoch loop (cluster.cc)
 
     /**
      * The breaker timelines the resilience tier will consult, by

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <deque>
+#include <functional>
 #include <iterator>
 #include <optional>
 #include <utility>
@@ -335,69 +337,6 @@ drainEdges(const EngineConfig& cfg)
 
 } // namespace
 
-/**
- * A run's state at the top of one loop turn, before that turn delivers
- * anything. Requests are kept by slot (input position): a resumed run
- * serves fresh copies. Only what the run changed on the requests still
- * live at the checkpoint is kept; the ones already ended keep their
- * final state in the last run's requests, and the rest is the input's.
- */
-struct ReplicaRun::Checkpoint
-{
-    dam::Cycle now = 0;
-    /** Arrivals at or after this cycle change nothing before here. */
-    dam::Cycle horizon = 0;
-    dam::Cycle delivered = 0;
-    size_t nextArrival = 0, nextDown = 0, nextDrain = 0, nextInstant = 0;
-    size_t ended = 0;
-    int64_t iterations = 0; ///< also the timeline's length
-    Rng iterRng{0};
-    PrefixCacheStats lostCacheStats;
-    ContinuousBatcher::Slots batcher;
-    /** What the run changed on one live request; the rest is input. */
-    struct Live
-    {
-        ReqState state;
-        int64_t prefilledTokens;
-        double prefillFlopsDone;
-        int64_t generated;
-        dam::Cycle firstTokenAt;
-        int64_t cachedPrefixTokens;
-        int64_t outputLen;   ///< admission may cap it...
-        size_t blockHashes; ///< ...and truncate the hash stream with it
-    };
-    /** Every live request: running, then waiting, in batcher order. */
-    std::vector<Live> live;
-    std::unique_ptr<PrefixCache> cache; ///< pins keyed on `live`
-    bool traced = false, metered = false;
-    obs::TraceSink::Mark trace;
-    obs::MetricsRegistry::Mark metrics;
-
-    /** The live request that slot @p k of the run's requests held. */
-    size_t
-    liveIndexOf(uint32_t k) const
-    {
-        const auto it =
-            std::find(batcher.running.begin(), batcher.running.end(), k);
-        STEP_ASSERT(it != batcher.running.end(),
-                    "a prefix-cache pin held by a request not running");
-        return static_cast<size_t>(it - batcher.running.begin());
-    }
-
-    uint32_t
-    slotOf(size_t j) const
-    {
-        return j < batcher.running.size()
-                   ? batcher.running[j]
-                   : batcher.waiting[j - batcher.running.size()];
-    }
-};
-
-ReplicaRun::ReplicaRun() = default;
-ReplicaRun::~ReplicaRun() = default;
-ReplicaRun::ReplicaRun(ReplicaRun&&) noexcept = default;
-ReplicaRun& ReplicaRun::operator=(ReplicaRun&&) noexcept = default;
-
 std::vector<dam::Cycle>
 failureEdges(const EngineConfig& cfg)
 {
@@ -447,8 +386,6 @@ ServingEngine::ServingEngine(EngineConfig cfg, const Policy& policy)
                                         : cfg_.model.numExperts);
     prefillFlopsPerToken_ = static_cast<double>(
         prefillFlopsPerToken(cfg_.model, cfg_.numLayers));
-    if (cfg_.recycleGraphs)
-        iterGraph_ = std::make_unique<Graph>(SimConfig{}, &arena_);
 }
 
 int64_t
@@ -464,77 +401,107 @@ prefillFlopsPerToken(const ModelConfig& m, int64_t num_layers)
 }
 
 /**
- * One run()'s replica state machine: the constructor resumes the replica
- * from a checkpoint (the cycle-0 one for a cold start), step() advances
- * it by one loop turn, and finish() checks the teardown invariants and
- * builds the result. What outlives a run — the scheduler, the recycled
- * graph, the per-engine constants — stays on the ServingEngine.
+ * One replica run's state machine: the constructor sets up the cold
+ * replica, step() advances it by one loop turn, and finish() checks the
+ * teardown invariants and builds the result. What is reused across runs
+ * — the scheduler and the recycled graph — is the borrowed workspace;
+ * the per-engine constants stay on the ServingEngine.
  */
-class ServingEngine::Run
+class ServingEngine::Run::Impl
 {
-    using Checkpoint = ReplicaRun::Checkpoint;
-
   public:
-    Run(ServingEngine& eng, ReplicaRun& run, std::vector<Request>&& input,
-        dam::Cycle changed_from)
-        : eng_(eng), cfg_(eng.cfg_), run_(run), reqs_(run.reqs),
+    Impl(const ServingEngine& eng, std::vector<Request>&& input)
+        : eng_(eng), cfg_(eng.cfg_),
+          reqs_(std::make_move_iterator(input.begin()),
+                std::make_move_iterator(input.end())),
           batcher_(cfg_.batcher), iterRng_(cfg_.seed),
           tel_(eng.trace_, eng.metrics_, cfg_.slo), dp_(eng.baseParams_),
-          drainEdges_(drainEdges(cfg_))
+          drainEdges_(drainEdges(cfg_)),
+          // Scheduler events only matter at trace level >= Op, so the
+          // per-resume branch in dam::Scheduler::drain stays cold below.
+          opSink_(eng.trace_ && eng.trace_->level() >= obs::TraceLevel::Op
+                      ? eng.trace_
+                      : nullptr)
     {
+        STEP_ASSERT(std::ranges::is_sorted(reqs_, {}, &Request::arrival),
+                    "request trace must be sorted by arrival");
+        order_.reserve(reqs_.size());
+        for (Request& r : reqs_)
+            order_.push_back(&r);
         // A cold cache per run keeps replays of one engine identical.
         if (cfg_.prefixCache.capacityTokens > 0)
             restartCache();
-        // Scheduler events only matter at trace level >= Op, so the
-        // per-resume branch in dam::Scheduler::drain stays cold below.
-        eng.sched_.setTraceSink(
-            eng.trace_ && eng.trace_->level() >= obs::TraceLevel::Op
-                ? eng.trace_
-                : nullptr);
-        const Checkpoint* from = latestCheckpoint(changed_from);
-        Checkpoint cold; // the cycle-0 checkpoint: this constructor's state
-        cold.iterRng = iterRng_;
-        cold.traced = eng.trace_ != nullptr;
-        cold.metered = eng.metrics_ != nullptr;
-        resume(from ? *from : cold, std::move(input));
     }
 
-    /** One loop turn: deliver the due events, admit, and run one decode
-     *  or prefill-only iteration. False once every request ended. */
-    bool
-    step()
+    int64_t
+    advance(dam::Cycle until, IterationWorkspace& ws)
     {
-        checkpoint();
-        if (ended_ >= reqs_.size())
-            return false;
-        if (res_.iterations >= kMaxIterations)
-            throw stall("iteration bound exceeded without progress");
-        deliverDue();
-        if (ended_ >= reqs_.size())
-            return false;
-        // Slowdown windows scale the bandwidth pool this iteration
-        // splits (>= 2 so the policy can always split something).
-        const double f = cfg_.faults.bwFactorAt(now_);
-        const auto bw = static_cast<double>(cfg_.totalComputeBw);
-        const int64_t eff_bw =
-            f < 1.0 ? std::max<int64_t>(2, std::llround(bw * f))
-                    : cfg_.totalComputeBw;
-        if (admit(eff_bw))
-            iterate(eff_bw);
-        return true;
+        const int64_t before = res_.iterations;
+        ws.sched.setTraceSink(opSink_);
+        while (now_ < until && step(ws)) {
+        }
+        return res_.iterations - before;
     }
 
-    /** Close the run into run_: its result, and the checkpoints a later
-     *  resume may start from. */
     void
-    finish()
+    deliverUntil(dam::Cycle at)
     {
-        // The final turn is the last one a change at the anchors still
-        // ahead could resume from.
-        if (rolling_ && nextAnchor_ < run_.anchors.size())
-            run_.checkpoints_.push_back(std::move(rolling_));
-        run_.simulatedIterations = res_.iterations - resumedAt_;
+        if (ended_ >= reqs_.size() && !cut_)
+            return;
+        STEP_ASSERT(now_ >= at, "barrier at cycle " << at
+                                    << " delivered to a run at cycle "
+                                    << now_);
+        deliverDue(at);
+        cut_ = at < now_;
+    }
+
+    dam::Cycle horizon() const { return horizon_; }
+
+    void
+    append(Request r)
+    {
+        STEP_ASSERT(r.arrival >= horizon_,
+                    "request " << r.id << " (attempt " << r.attempt
+                               << ") appended at cycle " << r.arrival
+                               << ", before the run's horizon "
+                               << horizon_);
+        reqs_.push_back(std::move(r));
+        Request* p = &reqs_.back();
+        // Everything delivered arrived before the horizon, so the
+        // request sorts into the undelivered tail.
+        const auto tail =
+            order_.begin() + static_cast<ptrdiff_t>(nextArrival_);
+        order_.insert(std::upper_bound(tail, order_.end(), p->arrival,
+                                       [](dam::Cycle a, const Request* q) {
+                                           return a < q->arrival;
+                                       }),
+                      p);
+    }
+
+    std::vector<size_t>
+    takeCasualties()
+    {
+        std::vector<size_t> out;
+        if (casualties_.empty())
+            return out;
+        const std::less<const Request*> before;
+        std::ranges::sort(casualties_, before);
+        for (size_t k = 0; k < reqs_.size(); ++k)
+            if (std::ranges::binary_search(casualties_, &reqs_[k], before))
+                out.push_back(k);
+        casualties_.clear();
+        return out;
+    }
+
+    size_t size() const { return reqs_.size(); }
+    const Request& request(size_t slot) const { return reqs_[slot]; }
+
+    EngineResult
+    finish(std::vector<Request>& reqs)
+    {
         expectReleased("run");
+        reqs.assign(std::make_move_iterator(reqs_.begin()),
+                    std::make_move_iterator(reqs_.end()));
         ServingSummary& s = res_.summary;
         s.makespan = res_.timeline.span();
         s.computeUtilization =
@@ -549,179 +516,35 @@ class ServingEngine::Run
             // A single engine is its own busiest replica.
             s.prefixPeakOccupancyMaxReplica = st.peakOccupancyTokens;
         }
-        resummarize(s, reqs_, cfg_.slo);
+        resummarize(s, reqs, cfg_.slo);
         tel_.summarize(s);
-        run_.result = std::move(res_);
+        return std::move(res_);
     }
 
   private:
-    /**
-     * The latest kept checkpoint that arrivals at or after
-     * @p changed_from cannot have changed and whose trace events the
-     * ring still holds; null for the cycle-0 one. The checkpoints after
-     * it describe the timeline this run replaces, so they go.
-     */
-    const Checkpoint*
-    latestCheckpoint(dam::Cycle changed_from)
+    /** One loop turn: deliver the due events, admit, and run one decode
+     *  or prefill-only iteration. False once every request ended. */
+    bool
+    step(IterationWorkspace& ws)
     {
-        auto& kept = run_.checkpoints_;
-        size_t k = kept.size();
-        for (; k > 0; --k) {
-            const Checkpoint& ck = *kept[k - 1];
-            if (ck.horizon <= changed_from &&
-                (!eng_.trace_ || eng_.trace_->canRollback(ck.trace)))
-                break;
-        }
-        kept.resize(k);
-        return k > 0 ? kept.back().get() : nullptr;
-    }
-
-    /**
-     * Continue from @p ck over @p input, as if this run had reached ck's
-     * loop turn itself. The delivered prefix of @p input must be the last
-     * run's: its ended requests keep their final state from there, its
-     * live ones are @p input's with ck's changes, and the undelivered
-     * rest is @p input's.
-     */
-    void
-    resume(const Checkpoint& ck, std::vector<Request>&& input)
-    {
-        STEP_ASSERT(ck.traced == (eng_.trace_ != nullptr) &&
-                        ck.metered == (eng_.metrics_ != nullptr),
-                    "a resumed run must keep its trace sink and registry");
-        const size_t n = ck.nextArrival;
-        STEP_ASSERT(n <= input.size() && n <= reqs_.size(),
-                    "resumed input lost delivered requests");
-        for (size_t k = 0; k < n; ++k)
-            STEP_ASSERT(input[k].id == reqs_[k].id &&
-                            input[k].attempt == reqs_[k].attempt &&
-                            input[k].arrival == reqs_[k].arrival,
-                        "request " << input[k].id << " (attempt "
-                                   << input[k].attempt
-                                   << ") sorts into the delivered prefix "
-                                      "of a resumed run");
-        std::vector<char> live(n, 0);
-        for (size_t j = 0; j < ck.live.size(); ++j) {
-            const uint32_t k = ck.slotOf(j);
-            live[k] = 1;
-            const Checkpoint::Live& l = ck.live[j];
-            Request& r = input[k];
-            r.state = l.state;
-            r.prefilledTokens = l.prefilledTokens;
-            r.prefillFlopsDone = l.prefillFlopsDone;
-            r.generated = l.generated;
-            r.firstTokenAt = l.firstTokenAt;
-            r.cachedPrefixTokens = l.cachedPrefixTokens;
-            r.outputLen = l.outputLen;
-            r.blockHashes.resize(l.blockHashes);
-        }
-        for (size_t k = 0; k < n; ++k)
-            if (!live[k])
-                input[k] = std::move(reqs_[k]);
-        reqs_ = std::move(input);
-
-        batcher_.restoreSlots(ck.batcher, reqs_.data());
-        if (ck.cache) {
-            const Checkpoint::Live* base = ck.live.data();
-            cache_ = ck.cache->clone([&](PrefixCache::PinOwner p) {
-                const auto j = static_cast<size_t>(
-                    static_cast<const Checkpoint::Live*>(p) - base);
-                return &reqs_[ck.slotOf(j)];
-            });
-            batcher_.attachPrefixCache(cache_.get());
-        }
-        now_ = ck.now;
-        horizon_ = ck.horizon;
-        delivered_ = ck.delivered;
-        nextArrival_ = ck.nextArrival;
-        nextDown_ = ck.nextDown;
-        nextDrain_ = ck.nextDrain;
-        nextInstant_ = ck.nextInstant;
-        ended_ = ck.ended;
-        iterRng_ = ck.iterRng;
-        lostCacheStats_ = ck.lostCacheStats;
-        res_.timeline = std::move(run_.result.timeline);
-        res_.timeline.truncate(static_cast<size_t>(ck.iterations));
-        res_.iterations = resumedAt_ = ck.iterations;
-        if (eng_.trace_)
-            eng_.trace_->rollback(ck.trace);
-        if (eng_.metrics_)
-            eng_.metrics_->rollback(ck.metrics);
-        const std::vector<dam::Cycle>& anchors = run_.anchors;
-        nextAnchor_ = static_cast<size_t>(
-            std::lower_bound(anchors.begin(), anchors.end(), horizon_) -
-            anchors.begin());
-        resumed_ = true;
-    }
-
-    /**
-     * A loop turn starts. Once the horizon passes an anchor, the last
-     * turn's snapshot was the latest a change at that anchor can resume
-     * from: keep it (anchors in one gap share it). Then snapshot this
-     * turn while anchors remain ahead. Without anchors nothing is taken.
-     */
-    void
-    checkpoint()
-    {
-        const std::vector<dam::Cycle>& anchors = run_.anchors;
-        if (nextAnchor_ < anchors.size() && anchors[nextAnchor_] < horizon_) {
-            if (rolling_)
-                run_.checkpoints_.push_back(std::move(rolling_));
-            nextAnchor_ = static_cast<size_t>(
-                std::lower_bound(anchors.begin() +
-                                     static_cast<ptrdiff_t>(nextAnchor_),
-                                 anchors.end(), horizon_) -
-                anchors.begin());
-        }
-        // A resumed run's first turn is its checkpoint, already kept.
-        if (std::exchange(resumed_, false) || nextAnchor_ == anchors.size())
-            return;
-        rolling_ = snapshot();
-    }
-
-    /** This loop turn's state. */
-    std::unique_ptr<Checkpoint>
-    snapshot()
-    {
-        auto out = std::make_unique<Checkpoint>();
-        Checkpoint& ck = *out;
-        ck.now = now_;
-        ck.horizon = horizon_;
-        ck.delivered = delivered_;
-        ck.nextArrival = nextArrival_;
-        ck.nextDown = nextDown_;
-        ck.nextDrain = nextDrain_;
-        ck.nextInstant = nextInstant_;
-        ck.ended = ended_;
-        ck.iterations = res_.iterations;
-        ck.iterRng = iterRng_;
-        ck.lostCacheStats = lostCacheStats_;
-        ck.batcher = batcher_.slots(reqs_.data());
-        const size_t nlive =
-            ck.batcher.running.size() + ck.batcher.waiting.size();
-        ck.live.reserve(nlive);
-        for (size_t j = 0; j < nlive; ++j) {
-            const Request& r = reqs_[ck.slotOf(j)];
-            ck.live.push_back({r.state, r.prefilledTokens, r.prefillFlopsDone,
-                               r.generated, r.firstTokenAt,
-                               r.cachedPrefixTokens, r.outputLen,
-                               r.blockHashes.size()});
-        }
-        if (cache_)
-            ck.cache = cache_->clone([&](PrefixCache::PinOwner p) {
-                const auto k = static_cast<uint32_t>(
-                    static_cast<const Request*>(p) - reqs_.data());
-                return &ck.live[ck.liveIndexOf(k)];
-            });
-        ck.traced = eng_.trace_ != nullptr;
-        ck.metered = eng_.metrics_ != nullptr;
-        if (eng_.trace_)
-            ck.trace = eng_.trace_->mark();
-        // A later sample lands at or after now_ or at an undelivered
-        // event's cycle.
-        if (eng_.metrics_)
-            ck.metrics = eng_.metrics_->mark(std::min(now_, delivered_));
-        return out;
+        if (ended_ >= reqs_.size() && !cut_)
+            return false;
+        if (res_.iterations >= kMaxIterations)
+            throw stall("iteration bound exceeded without progress");
+        deliverDue();
+        cut_ = false;
+        if (ended_ >= reqs_.size())
+            return false;
+        // Slowdown windows scale the bandwidth pool this iteration
+        // splits (>= 2 so the policy can always split something).
+        const double f = cfg_.faults.bwFactorAt(now_);
+        const auto bw = static_cast<double>(cfg_.totalComputeBw);
+        const int64_t eff_bw =
+            f < 1.0 ? std::max<int64_t>(2, std::llround(bw * f))
+                    : cfg_.totalComputeBw;
+        if (admit(eff_bw))
+            iterate(eff_bw, ws);
+        return true;
     }
 
     /**
@@ -747,7 +570,8 @@ class ServingEngine::Run
                 ? cfg_.clusterInstants[nextInstant_].at
                 : kNone,
             nextDrain_ < drainEdges_.size() ? drainEdges_[nextDrain_] : kNone,
-            nextArrival_ < reqs_.size() ? reqs_[nextArrival_].arrival : kNone,
+            nextArrival_ < order_.size() ? order_[nextArrival_]->arrival
+                                         : kNone,
             nextDown_ < cfg_.faults.downs.size()
                 ? cfg_.faults.downs[nextDown_].failAt
                 : kNone,
@@ -758,13 +582,22 @@ class ServingEngine::Run
                 heads[static_cast<size_t>(Event::Arrival)]};
     }
 
-    /** Replay the events due by now_ earliest-first: an arrival before a
-     *  crash is enqueued (and dies with the replica), one after the
-     *  recovery enqueues into the restarted replica. */
-    void
-    deliverDue()
+    /** The first barrier after now_ (kNone: none left). */
+    dam::Cycle
+    nextBarrier() const
     {
-        for (Due d = nextDue(); d.at <= now_; d = nextDue()) {
+        const auto it = std::ranges::upper_bound(cfg_.barriers, now_);
+        return it == cfg_.barriers.end() ? kNone : *it;
+    }
+
+    /** Replay the events due by now_ (by @p until, when earlier)
+     *  earliest-first: an arrival before a crash is enqueued (and dies
+     *  with the replica), one after the recovery enqueues into the
+     *  restarted replica. A crash moves now_ to its recovery. */
+    void
+    deliverDue(dam::Cycle until = kNone)
+    {
+        for (Due d = nextDue(); d.at <= std::min(until, now_); d = nextDue()) {
             switch (d.kind) {
               case Event::Instant:
                 tel_.clusterInstant(cfg_.clusterInstants[nextInstant_++]);
@@ -774,15 +607,14 @@ class ServingEngine::Run
                 evict(ReqState::Migrated, d.at);
                 break;
               case Event::Arrival:
-                arrive(reqs_[nextArrival_++]);
+                arrive(*order_[nextArrival_++]);
                 break;
               case Event::Crash:
                 crash(cfg_.faults.downs[nextDown_++]);
                 break;
             }
         }
-        delivered_ = now_ + 1;
-        horizon_ = std::max(horizon_, delivered_);
+        horizon_ = std::max(horizon_, std::min(until, now_) + 1);
     }
 
     void
@@ -807,13 +639,15 @@ class ServingEngine::Run
             foldLostCache(lostCacheStats_, cache_->stats());
             restartCache();
         }
-        if (w.recoverAt == 0) {
-            // Dead forever: every remaining arrival is refused. That read
-            // every later arrival, so no checkpoint from here on is valid.
-            while (nextArrival_ < reqs_.size())
-                arrive(reqs_[nextArrival_++]);
-            horizon_ = kNone;
-        } else {
+        // Every arrival until the replica is back (forever, for a
+        // permanent crash) is refused: refuse them all now, so that the
+        // crash's casualties are known when it is delivered.
+        const dam::Cycle back = w.recoverAt == 0 ? kNone : w.recoverAt;
+        while (nextArrival_ < order_.size() &&
+               order_[nextArrival_]->arrival < back)
+            arrive(*order_[nextArrival_++]);
+        horizon_ = std::max(horizon_, back);
+        if (w.recoverAt != 0) {
             // An iteration spanning the whole outage delivers down and
             // up at one boundary; the up is still emitted so the trace's
             // down/up alternation holds.
@@ -844,6 +678,8 @@ class ServingEngine::Run
         r->state = state;
         r->finishedAt = at;
         ++ended_;
+        if (state == ReqState::Failed || state == ReqState::Migrated)
+            casualties_.push_back(r);
         tel_.terminal(*r, kv_tokens);
     }
 
@@ -918,15 +754,17 @@ class ServingEngine::Run
             const dam::Cycle next = nextDue().arrivalAt;
             if (next == kNone)
                 throw stall("idle with unfinished requests");
-            horizon_ = std::max(horizon_, next);
-            now_ = next;
+            // Idle until the next arrival, or the next barrier, where
+            // the run's cluster may append an earlier one.
+            now_ = std::min(next, nextBarrier());
+            horizon_ = std::max(horizon_, now_);
         }
         return false;
     }
 
     /** One batching iteration over the running requests from now_. */
     void
-    iterate(int64_t eff_bw)
+    iterate(int64_t eff_bw, IterationWorkspace& ws)
     {
         LoadSnapshot load;
         load.waitingRequests = batcher_.waitingCount();
@@ -969,9 +807,10 @@ class ServingEngine::Run
             // span, so successive bases stay monotone).
             tel_.graphRunAt(now_);
             static constexpr verify::VerifyOptions kVerifyAll{};
+            const bool recycle = cfg_.recycleGraphs;
             const SimResult sim = runDecoderIteration(
-                dp_, spec, &eng_.sched_, eng_.iterGraph_.get(),
-                eng_.iterGraph_ ? &eng_.rearmHandles_ : nullptr,
+                dp_, spec, &ws.sched, recycle ? &ws.graph : nullptr,
+                recycle ? &ws.rearm : nullptr,
                 cfg_.verifyGraphs ? &kVerifyAll : nullptr);
             s.length = sim.cycles * static_cast<dam::Cycle>(cfg_.numLayers);
             s.usefulFlops = sim.totalFlops * cfg_.numLayers;
@@ -996,8 +835,8 @@ class ServingEngine::Run
 
     /**
      * A prefill-only iteration runs until the head prompt completes, but
-     * wakes exactly on the next scripted event or fault-timeline edge,
-     * so each lands on the cycle it was scripted at.
+     * wakes exactly on the next scripted event, fault-timeline edge or
+     * barrier, so each lands on the cycle it was scripted at.
      */
     dam::Cycle
     prefillOnlyCycles(int64_t prefill_bw) const
@@ -1008,8 +847,8 @@ class ServingEngine::Run
             std::ceil(prefillLeft(*prefills_.front()) /
                       static_cast<double>(prefill_bw)));
         // Delivery left every scripted event strictly after now_.
-        const dam::Cycle wake =
-            std::min(nextDue().at, cfg_.faults.nextEventAfter(now_));
+        const dam::Cycle wake = std::min(
+            {nextDue().at, cfg_.faults.nextEventAfter(now_), nextBarrier()});
         STEP_ASSERT(wake > now_, "event at " << wake << " undelivered");
         return std::min(std::max<dam::Cycle>(1, until_done), wake - now_);
     }
@@ -1096,10 +935,13 @@ class ServingEngine::Run
         return StallError(std::move(d));
     }
 
-    ServingEngine& eng_;
+    const ServingEngine& eng_;
     const EngineConfig& cfg_;
-    ReplicaRun& run_;
-    std::vector<Request>& reqs_; ///< run_.reqs
+    /** Requests by slot; a deque, so appends keep every address. */
+    std::deque<Request> reqs_;
+    /** The requests in delivery order: by arrival, appends after equal
+     *  arrivals. */
+    std::vector<Request*> order_;
     ContinuousBatcher batcher_;
     std::unique_ptr<PrefixCache> cache_;
     Rng iterRng_;
@@ -1108,49 +950,93 @@ class ServingEngine::Run
     EngineResult res_;
     PrefixCacheStats lostCacheStats_; ///< of caches lost to crashes
     std::vector<dam::Cycle> drainEdges_;
-    // Event cursors: next arrival, crash, drain edge, cluster instant.
+    obs::TraceSink* opSink_; ///< the scheduler's, at level >= Op
+    // Event cursors: next arrival (into order_), crash, drain edge,
+    // cluster instant.
     size_t nextArrival_ = 0;
     size_t nextDown_ = 0;
     size_t nextDrain_ = 0;
     size_t nextInstant_ = 0;
     size_t ended_ = 0; ///< requests in a terminal state
     dam::Cycle now_ = 0;
-    /** Events before this cycle have been delivered. */
-    dam::Cycle delivered_ = 0;
     /** The run so far read the event schedule up to here: an arrival
      *  added at or after it cannot have changed anything yet. */
     dam::Cycle horizon_ = 0;
-    // Checkpointing: the next anchor not yet passed, this turn's rolling
-    // snapshot, and the iterations the run resumed past.
-    size_t nextAnchor_ = 0;
-    std::unique_ptr<Checkpoint> rolling_;
-    int64_t resumedAt_ = 0;
-    bool resumed_ = false;
+    /** A barrier delivery stopped short of now_: the next step delivers
+     *  the rest, as the one delivery of a cold run would, even once
+     *  every request has ended. */
+    bool cut_ = false;
+    /** Failed or migrated since takeCasualties() last ran. */
+    std::vector<const Request*> casualties_;
     std::vector<Request*> decodes_; ///< this iteration's, by phase
     std::vector<Request*> prefills_;
 };
 
-void
-ServingEngine::run(ReplicaRun& run, std::vector<Request>&& input,
-                   dam::Cycle changed_from)
+ServingEngine::Run::Run(const ServingEngine& engine, std::vector<Request> input)
+    : impl_(std::make_unique<Impl>(engine, std::move(input)))
 {
-    STEP_ASSERT(std::ranges::is_sorted(input, {}, &Request::arrival),
-                "request trace must be sorted by arrival");
-    Run r(*this, run, std::move(input), changed_from);
-    while (r.step()) {
-    }
-    r.finish();
+}
+
+ServingEngine::Run::~Run() = default;
+ServingEngine::Run::Run(Run&&) noexcept = default;
+ServingEngine::Run& ServingEngine::Run::operator=(Run&&) noexcept = default;
+
+int64_t
+ServingEngine::Run::advance(dam::Cycle until, IterationWorkspace& ws)
+{
+    return impl_->advance(until, ws);
+}
+
+void
+ServingEngine::Run::deliverUntil(dam::Cycle at)
+{
+    impl_->deliverUntil(at);
+}
+
+dam::Cycle
+ServingEngine::Run::horizon() const
+{
+    return impl_->horizon();
+}
+
+void
+ServingEngine::Run::append(Request r)
+{
+    impl_->append(std::move(r));
+}
+
+std::vector<size_t>
+ServingEngine::Run::takeCasualties()
+{
+    return impl_->takeCasualties();
+}
+
+size_t
+ServingEngine::Run::size() const
+{
+    return impl_->size();
+}
+
+const Request&
+ServingEngine::Run::request(size_t slot) const
+{
+    return impl_->request(slot);
+}
+
+EngineResult
+ServingEngine::Run::finish(std::vector<Request>& reqs)
+{
+    return impl_->finish(reqs);
 }
 
 EngineResult
 ServingEngine::run(std::vector<Request>& reqs)
 {
-    // The vector's buffer moves through the run and back, so requests
-    // keep their addresses.
-    ReplicaRun r;
-    run(r, std::move(reqs), 0);
-    reqs = std::move(r.reqs);
-    return std::move(r.result);
+    if (!ws_)
+        ws_ = std::make_unique<IterationWorkspace>();
+    Run r(*this, std::move(reqs));
+    r.advance(kNone, *ws_);
+    return r.finish(reqs);
 }
 
 } // namespace step::runtime

@@ -106,6 +106,14 @@ struct EngineConfig
      * nothing.
      */
     std::vector<ClusterInstant> clusterInstants;
+    /**
+     * Cycles the run must not read past unseen, sorted: a prefill-only
+     * iteration wakes and an idle jump stops at each. A cluster passes
+     * its fault edges here, so that a run stepped up to one has read no
+     * event after it (see ServingEngine::Run). Empty (default) stops
+     * nowhere.
+     */
+    std::vector<dam::Cycle> barriers;
 
     /**
      * Recycle one arena-backed decoder graph across batching iterations
@@ -150,39 +158,6 @@ struct EngineResult
 };
 
 /**
- * One replica's run, kept so that a later run over a grown input can
- * resume instead of replaying from cycle 0 (see ServingEngine::run).
- * Besides the last run's requests and result it holds the checkpoints
- * that run took at loop-turn boundaries, one per anchor cycle: the
- * latest boundary whose run so far no arrival at or after the anchor
- * could have changed. Movable; the checkpoints die with it.
- */
-class ReplicaRun
-{
-  public:
-    ReplicaRun();
-    ~ReplicaRun();
-    ReplicaRun(ReplicaRun&&) noexcept;
-    ReplicaRun& operator=(ReplicaRun&&) noexcept;
-
-    /** Cycles to anchor checkpoints at, sorted ascending. Empty (the
-     *  default) takes none: a re-run then starts from cycle 0. */
-    std::vector<dam::Cycle> anchors;
-    /** The last run's requests, in input order, served in place as
-     *  ServingEngine::run(reqs) serves its argument. */
-    std::vector<Request> reqs;
-    EngineResult result; ///< the last run's
-    /** Iterations the last run executed: result.iterations less those
-     *  it resumed past. */
-    int64_t simulatedIterations = 0;
-
-  private:
-    friend class ServingEngine;
-    struct Checkpoint; ///< engine.cc
-    std::vector<std::unique_ptr<Checkpoint>> checkpoints_;
-};
-
-/**
  * The cycles at which @p cfg's replica can first fail or drain a
  * request — each crash, and each slowdown window's drain trigger — so
  * that every casualty of this replica fails at or after one of them.
@@ -198,6 +173,26 @@ std::vector<dam::Cycle> failureEdges(const EngineConfig& cfg);
  */
 int64_t prefillFlopsPerToken(const ModelConfig& m, int64_t num_layers);
 
+/**
+ * What stepping a run needs besides the run's own state: the scheduler
+ * and the recycled iteration graph with its arena and rearm handles. A
+ * run borrows one per step, so one workspace serves any number of runs
+ * in turn; a cluster keeps one per worker thread and lends it to
+ * whichever replica that worker steps. Sharing never shows in the
+ * output: the decoder's structural key holds no per-replica field, so a
+ * graph one replica built rearms for another, and a rearm is
+ * bit-identical to a cold build.
+ */
+struct IterationWorkspace
+{
+    dam::Scheduler sched;
+    GraphArena arena; ///< backs `graph`; declared first, dies last
+    Graph graph{SimConfig{}, &arena};
+    /** While the structural key is stable — batch and replica changes
+     *  included — iterations patch `graph` in place. */
+    DecoderRearmHandles rearm;
+};
+
 class ServingEngine
 {
   public:
@@ -207,57 +202,42 @@ class ServingEngine
      * Serve @p reqs (mutated in place: states, TTFT/finish stamps) until
      * every request reaches a terminal state — Finished, Failed/Shed
      * under the fault tier, or Migrated when a slowdown drain hands the
-     * request off for the cluster to reschedule. Deterministic for fixed (config, policy,
-     * trace). Throws StallError (with a scheduler-state diagnostic)
-     * when no admission progress is possible, e.g. a head-of-line
-     * request that can never fit the KV budget with no admission policy
-     * attached to shed it.
+     * request off for the cluster to reschedule. Deterministic for fixed
+     * (config, policy, trace). Throws StallError (with a scheduler-state
+     * diagnostic) when no admission progress is possible, e.g. a
+     * head-of-line request that can never fit the KV budget with no
+     * admission policy attached to shed it. The same as a Run over
+     * @p reqs advanced to its end.
      */
     EngineResult run(std::vector<Request>& reqs);
 
-    /**
-     * Serve @p input (sorted by arrival) into @p run, as run(reqs) would
-     * serve it from cycle 0. When @p run ran before, @p input must be its
-     * last input plus arrivals at or after @p changed_from: the run then
-     * resumes from the latest checkpoint those arrivals cannot have
-     * changed, with @p run's requests, result and the attached trace
-     * sink and metrics registry rolled back to it, and only the rest
-     * re-simulates. A fresh @p run starts from the cycle-0 checkpoint.
-     * The attached exporters must be the ones the last run wrote.
-     */
-    void run(ReplicaRun& run, std::vector<Request>&& input,
-             dam::Cycle changed_from);
+    class Run;
 
     /**
-     * Attach (or detach, with nullptr) a trace sink. run() then reports
-     * request lifecycle instants, registers every engine counter —
+     * Attach (or detach, with nullptr) a trace sink. Runs then report
+     * request lifecycle instants, register every engine counter —
      * engine, fault and resilience tiers alike, whether or not the run
-     * uses them — samples them each iteration and snapshots them into
-     * ServingSummary::counters, and at level >= Op forwards the
+     * uses them — sample them each iteration and snapshot them into
+     * ServingSummary::counters, and at level >= Op forward the
      * iteration graphs' scheduler events with the engine clock as time
-     * base. The sink must outlive the engine's runs. A run first rolls
-     * the sink back to the checkpoint it resumes from — to empty for a
-     * start from cycle 0 — so it holds one run's record.
+     * base. The sink must outlive the engine's runs.
      */
     void attachTrace(obs::TraceSink* sink) { trace_ = sink; }
 
     /**
-     * Attach (or detach, with nullptr) a metrics registry. run() then
-     * registers the engine's instrument set (TTFT/TPOT histograms,
+     * Attach (or detach, with nullptr) a metrics registry. Runs then
+     * register the engine's instrument set (TTFT/TPOT histograms,
      * per-iteration gauges, lifecycle event series — see README),
-     * records into it at iteration boundaries and lifecycle events, and
-     * fills the summary's windowed-SLO fields. Quantities both exporters
+     * record into it at iteration boundaries and lifecycle events, and
+     * fill the summary's windowed-SLO fields. Quantities both exporters
      * carry are recorded by one call, so final counters and series
      * agree. Neither exporter influences control flow: attaching one
      * changes no other output byte, and with none attached each hook
      * costs one predicted branch (the hot path stays allocation-free).
-     * Like the trace sink, the registry is rolled back to the run's
-     * starting checkpoint first.
      */
     void attachMetrics(obs::MetricsRegistry* m) { metrics_ = m; }
 
   private:
-    class Run; ///< one run()'s replica state machine (engine.cc)
     EngineConfig cfg_;
     const Policy& policy_;
     DecoderParams baseParams_; ///< cfg_'s iteration-graph params
@@ -265,13 +245,65 @@ class ServingEngine
     double prefillFlopsPerToken_ = 0; ///< of cfg_'s model and layers
     obs::TraceSink* trace_ = nullptr;
     obs::MetricsRegistry* metrics_ = nullptr;
-    dam::Scheduler sched_; ///< reused across per-iteration graphs
-    GraphArena arena_;     ///< backs the recycled iteration graph
-    std::unique_ptr<Graph> iterGraph_; ///< null unless recycling
-    /** Structure-preserving rearm handles for iterGraph_: while the
-     *  structural key is stable — batch changes included — iterations
-     *  patch the recycled graph in place instead of rebuilding it. */
-    DecoderRearmHandles rearmHandles_;
+    /** run()'s, made on first use (a cluster's replicas borrow their
+     *  workers' instead). */
+    std::unique_ptr<IterationWorkspace> ws_;
+};
+
+/**
+ * One replica's run, stepped from outside. A cluster keeps one per
+ * replica for the whole cluster run and advances them epoch by epoch
+ * between its barriers (EngineConfig::barriers, the cluster's fault
+ * edges):
+ *   - advance(E) steps while the clock is before barrier E. Prefill-only
+ *     wakes and idle jumps stop at E, so the run reads no event past it;
+ *   - a replica with a crash or drain at E delivers the events due by E
+ *     (deliverUntil), and its casualties come out of takeCasualties();
+ *   - the coordinator appends each incarnation it grants to its target's
+ *     run. An arrival at or after horizon() cannot have changed anything
+ *     the run did so far, and append() asserts that it is.
+ * So a run that took appends ends exactly as a cold run over its final
+ * input (its requests by arrival, appends after equal arrivals) under
+ * the same barriers would.
+ */
+class ServingEngine::Run
+{
+  public:
+    /** Serve @p input (sorted by arrival) from cycle 0 with @p engine's
+     *  config, policy and exporters; @p engine must outlive the run. */
+    Run(const ServingEngine& engine, std::vector<Request> input);
+    ~Run();
+    Run(Run&&) noexcept;
+    Run& operator=(Run&&) noexcept;
+
+    /** Step on @p ws while the clock is before @p until and a request is
+     *  still open; returns the iterations run. */
+    int64_t advance(dam::Cycle until, IterationWorkspace& ws);
+    /** Deliver the events due by @p at — a barrier the clock has reached
+     *  — as the next step would, but none after it. Nothing once every
+     *  request has ended: a finished run delivers no later fault. */
+    void deliverUntil(dam::Cycle at);
+    /** The run has read its event schedule up to here: delivered, or
+     *  ruled out by a prefill-only wake, an idle jump or the refusals of
+     *  a crash (every arrival before its recovery). */
+    dam::Cycle horizon() const;
+    /** Serve @p r too; it must arrive at or after horizon(), and is
+     *  delivered after every arrival at the same cycle. */
+    void append(Request r);
+    /** The slots of the requests that failed or migrated since the last
+     *  call, ascending. */
+    std::vector<size_t> takeCasualties();
+    /** Requests by slot: the input's positions, then appends in order. */
+    size_t size() const;
+    const Request& request(size_t slot) const;
+    /** Check the teardown invariants (every KV reservation and cache pin
+     *  back) and close the run: its result, and its requests by slot
+     *  into @p reqs. */
+    EngineResult finish(std::vector<Request>& reqs);
+
+  private:
+    class Impl; ///< engine.cc
+    std::unique_ptr<Impl> impl_;
 };
 
 } // namespace step::runtime

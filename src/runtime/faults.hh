@@ -154,7 +154,7 @@ bool parseFaultPlan(std::string_view spec, FaultPlan* out,
 /**
  * Decides whether a request that failed (its replica crashed) is
  * re-submitted, and when. Consulted by ServingCluster on the
- * coordinating thread between failover waves, so implementations need
+ * coordinating thread between failover epochs, so implementations need
  * no synchronization; they must be pure functions of their arguments
  * for the determinism contract to hold.
  */

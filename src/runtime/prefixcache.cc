@@ -128,39 +128,6 @@ PrefixCache::release(const Request& r)
     pinned_.erase(it);
 }
 
-std::unique_ptr<PrefixCache>
-PrefixCache::clone(
-    const std::function<PinOwner(PinOwner)>& remap) const
-{
-    auto out = std::make_unique<PrefixCache>(cfg_);
-    out->stats_ = stats_;
-    out->tick_ = tick_;
-    out->clock_ = clock_;
-    out->nextId_ = nextId_;
-    out->evictQueue_ = evictQueue_;
-    // Depth-first copy; byId_ then maps every id to its copy.
-    std::vector<std::pair<const Node*, Node*>> todo{{&root_, &out->root_}};
-    while (!todo.empty()) {
-        auto [src, dst] = todo.back();
-        todo.pop_back();
-        for (const auto& [hash, child] : src->children) {
-            auto copy = std::make_unique<Node>();
-            copy->hash = child->hash;
-            copy->id = child->id;
-            copy->lastUsed = child->lastUsed;
-            copy->lastTouch = child->lastTouch;
-            copy->pins = child->pins;
-            copy->parent = dst;
-            out->byId_.emplace(copy->id, copy.get());
-            todo.emplace_back(child.get(), copy.get());
-            dst->children.emplace(hash, std::move(copy));
-        }
-    }
-    for (const auto& [owner, node] : pinned_)
-        out->pinned_.emplace(remap(owner), out->byId_.at(node->id));
-    return out;
-}
-
 bool
 PrefixCache::evictOne()
 {

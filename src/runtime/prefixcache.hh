@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -130,18 +129,6 @@ class PrefixCache
      */
     int64_t evictIdle();
 
-    /** What a pin is keyed on: the address of its holder. */
-    using PinOwner = const void*;
-
-    /**
-     * Deep copy — tree, LRU and TTL state, counters — whose pins key on
-     * @p remap of each pin's owner: a checkpoint re-keys them onto its
-     * own records of the running requests, a resumed run back onto its
-     * request slots.
-     */
-    std::unique_ptr<PrefixCache>
-    clone(const std::function<PinOwner(PinOwner)>& remap) const;
-
     const PrefixCacheStats& stats() const { return stats_; }
     int64_t occupancyTokens() const { return stats_.occupancyTokens; }
     int64_t capacityTokens() const { return cfg_.capacityTokens; }
@@ -185,14 +172,9 @@ class PrefixCache
     /** (lastUsed, id) of every unpinned leaf — the eviction frontier. */
     std::set<std::pair<uint64_t, uint64_t>> evictQueue_;
     std::unordered_map<uint64_t, Node*> byId_;
-    /**
-     * Deepest pinned node per admitted request. Pins key on the
-     * incarnation object, not the request id: fault-tier re-simulation
-     * can leave a superseded incarnation and its successor concurrently
-     * admitted on one replica (the phantom-duplicate case the cluster's
-     * accounting drops), and each must hold its own pin.
-     */
-    std::unordered_map<PinOwner, Node*> pinned_;
+    /** Deepest pinned node per admitted request (the incarnation
+     *  object: each incarnation holds its own pin). */
+    std::unordered_map<const Request*, Node*> pinned_;
 };
 
 } // namespace step::runtime

@@ -1,7 +1,7 @@
 /**
  * @file
  * Resilient cluster tier: the recovery/placement policies that turn the
- * fault tier's *detection* machinery (FaultPlan, failover waves) into
+ * fault tier's *detection* machinery (FaultPlan, failover epochs) into
  * graceful degradation. Four pieces, all seeded-deterministic:
  *
  *  - Circuit breakers: per-replica health timelines precomputed from the

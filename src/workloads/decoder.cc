@@ -80,7 +80,6 @@ decoderStructKey(const DecoderParams& p, int64_t /*batch: a rearm payload*/)
     k.kvTileRows = p.kvTileRows;
     k.denseTile = p.denseTile;
     k.weightTileCols = p.weightTileCols;
-    k.seed = p.seed;
     return k;
 }
 

@@ -66,7 +66,9 @@ StreamPort buildDenseProj(Graph& g, const std::string& name,
  * deliberately absent — they are per-iteration state the rearm path
  * patches in place (the batch reaches the graph only through source
  * tokens, channel depths, the attention dispatcher's total and
- * priming, and port shapes that declare it as the symbol B). When the
+ * priming, and port shapes that declare it as the symbol B). The seed
+ * is absent too: a decoder layer runs in timing mode, which draws no
+ * weights, so one graph serves replicas with different seeds. When the
  * key changes (layer config, parallelization or tiling) the graph must
  * be recycled and rebuilt.
  */
@@ -89,7 +91,6 @@ struct DecoderStructKey
     int64_t kvTileRows = 0;
     int64_t denseTile = 0;
     int64_t weightTileCols = 0;
-    uint64_t seed = 0;
 
     bool operator==(const DecoderStructKey&) const = default;
 };

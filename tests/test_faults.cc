@@ -7,16 +7,19 @@
  * accounting, summary merging of the fault counters (NaN-free with
  * zero-fault and fully-failed replicas), thread-count invariance of
  * faulty runs, the structured StallError diagnostic that replaced
- * the engine's fatal idle assert, and checkpoint resume: a replica
- * resumed from any valid checkpoint over a grown input serves exactly
- * what a cold run from cycle 0 serves.
+ * the engine's fatal idle assert, and the live-append contract: a run
+ * advanced to a barrier, given arrivals at or after its horizon and
+ * served to its end, ends exactly as a cold run over the grown input —
+ * and a cluster's replicas end exactly as cold runs over their final
+ * inputs.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <map>
 #include <sstream>
+#include <unordered_map>
 
 #include "obs/export.hh"
 #include "runtime/cluster.hh"
@@ -870,9 +873,11 @@ TEST(ClusterFaults, SeededMtbfPlanConvergesSupersededIncarnations)
     }
 }
 
-// ---- checkpoint resume -------------------------------------------------
+// ---- live append --------------------------------------------------------
 
 namespace {
+
+constexpr dam::Cycle kEnd = ReplicaFaultTimeline::kNoEvent;
 
 /** Everything one engine run shows: its requests, result and exports. */
 struct Served
@@ -880,7 +885,6 @@ struct Served
     std::vector<Request> reqs;
     EngineResult result;
     std::string trace, lifecycles, metrics;
-    int64_t simulated = 0;
 };
 
 /** The exporters every run below attaches. */
@@ -927,70 +931,102 @@ serveCold(const EngineConfig& ec, const Policy& policy,
     ex.attach(engine);
     out.result = engine.run(input);
     out.reqs = std::move(input);
-    out.simulated = out.result.iterations;
     ex.exportInto(out);
     return out;
 }
 
+/** Requests by slot, put in the order a live run delivered them: by
+ *  arrival, appends after equal arrivals. */
+void
+deliveryOrder(std::vector<Request>& reqs)
+{
+    std::ranges::stable_sort(reqs, {}, &Request::arrival);
+}
+
+/** @p ec's fault edges as a cluster's barriers: every crash, recovery
+ *  and drain trigger, sorted. */
+std::vector<dam::Cycle>
+faultBarriers(const EngineConfig& ec)
+{
+    std::vector<dam::Cycle> out = failureEdges(ec);
+    for (const ReplicaFaultTimeline::Down& d : ec.faults.downs)
+        if (d.recoverAt != 0)
+            out.push_back(d.recoverAt);
+    std::ranges::sort(out);
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+}
+
+/** A live run over @p base advanced epoch by epoch, as a cluster does,
+ *  through @p ec's barriers up to @p at: each crash or drain is
+ *  delivered at its barrier. */
+void
+advanceTo(ServingEngine::Run& run, const EngineConfig& ec, dam::Cycle at,
+          IterationWorkspace& ws)
+{
+    const std::vector<dam::Cycle> edges = failureEdges(ec);
+    for (dam::Cycle b : ec.barriers) {
+        if (b > at)
+            break;
+        run.advance(b, ws);
+        if (std::ranges::find(edges, b) != edges.end())
+            run.deliverUntil(b);
+    }
+}
+
 /**
- * @p last served with checkpoints anchored at @p anchors, then @p input
- * (@p last plus arrivals at or after @p changed_from) resumed from the
- * latest checkpoint valid at @p changed_from, each on a fresh engine
- * over the same exporters, as the cluster's waves run.
+ * @p base served by a live run up to barrier @p at (one of @p ec's),
+ * then @p extra appended and the run served to its end: one replica's
+ * epochs and failover appends.
  */
 Served
-serveResumed(const EngineConfig& ec, const Policy& policy,
-             const std::vector<Request>& last,
-             const std::vector<dam::Cycle>& anchors,
-             const std::vector<Request>& input, dam::Cycle changed_from,
-             Exporters ex = Exporters())
+serveAppended(const EngineConfig& ec, const Policy& policy,
+              const std::vector<Request>& base, dam::Cycle at,
+              const std::vector<Request>& extra, Exporters ex = Exporters())
 {
-    ReplicaRun run;
-    run.anchors = anchors;
-    {
-        ServingEngine engine(ec, policy);
-        ex.attach(engine);
-        engine.run(run, std::vector<Request>(last), 0);
-    }
+    EXPECT_TRUE(std::ranges::binary_search(ec.barriers, at));
     ServingEngine engine(ec, policy);
     ex.attach(engine);
-    engine.run(run, std::vector<Request>(input), changed_from);
+    IterationWorkspace ws;
+    ServingEngine::Run run(engine, base);
+    advanceTo(run, ec, at, ws);
+    for (const Request& r : extra)
+        run.append(r);
+    run.advance(kEnd, ws);
     Served out;
-    out.reqs = std::move(run.reqs);
-    out.result = std::move(run.result);
-    out.simulated = run.simulatedIterations;
+    out.result = run.finish(out.reqs);
+    // The summary's samples follow the requests: re-derive them in the
+    // cold run's order.
+    deliveryOrder(out.reqs);
+    resummarize(out.result.summary, out.reqs, ec.slo);
     ex.exportInto(out);
     return out;
 }
 
 void
-expectSameRun(const Served& cold, const Served& resumed)
+expectSameRun(const Served& cold, const Served& live)
 {
-    ASSERT_EQ(cold.reqs.size(), resumed.reqs.size());
+    ASSERT_EQ(cold.reqs.size(), live.reqs.size());
     for (size_t i = 0; i < cold.reqs.size(); ++i)
-        EXPECT_TRUE(cold.reqs[i] == resumed.reqs[i])
-            << "request slot " << i << " (id " << cold.reqs[i].id << ")";
-    EXPECT_TRUE(cold.result.summary == resumed.result.summary);
-    EXPECT_EQ(cold.result.iterations, resumed.result.iterations);
+        EXPECT_TRUE(cold.reqs[i] == live.reqs[i])
+            << "request " << i << " (id " << cold.reqs[i].id << ")";
+    EXPECT_TRUE(cold.result.summary == live.result.summary);
+    EXPECT_EQ(cold.result.iterations, live.result.iterations);
     EXPECT_TRUE(cold.result.timeline.samples() ==
-                resumed.result.timeline.samples());
+                live.result.timeline.samples());
     // Not EXPECT_EQ: gtest would diff the multi-megabyte exports.
-    EXPECT_TRUE(cold.trace == resumed.trace) << "trace JSON differs";
-    EXPECT_TRUE(cold.lifecycles == resumed.lifecycles)
+    EXPECT_TRUE(cold.trace == live.trace) << "trace JSON differs";
+    EXPECT_TRUE(cold.lifecycles == live.lifecycles)
         << "requests JSONL differs";
-    EXPECT_TRUE(cold.metrics == resumed.metrics) << "metrics JSON differs";
+    EXPECT_TRUE(cold.metrics == live.metrics) << "metrics JSON differs";
 }
 
-/** @p base plus @p extra, in the cluster's shard order. */
+/** @p base plus @p extra, in a live run's delivery order. */
 std::vector<Request>
 appended(std::vector<Request> base, const std::vector<Request>& extra)
 {
     base.insert(base.end(), extra.begin(), extra.end());
-    std::stable_sort(base.begin(), base.end(),
-                     [](const Request& a, const Request& b) {
-                         return std::tie(a.arrival, a.id, a.attempt) <
-                                std::tie(b.arrival, b.id, b.attempt);
-                     });
+    deliveryOrder(base);
     return base;
 }
 
@@ -1004,8 +1040,16 @@ incarnation(const Request& r, dam::Cycle at)
     return inc;
 }
 
-/** The cycles a sweep resumes from: cycle 0, every iteration start of
- *  @p res up to @p until, and @p until itself. */
+/** @p ec with a barrier at @p at too. */
+EngineConfig
+withBarrier(EngineConfig ec, dam::Cycle at)
+{
+    ec.barriers.insert(std::ranges::upper_bound(ec.barriers, at), at);
+    return ec;
+}
+
+/** Cycle 0, every iteration start of @p res up to @p until, and
+ *  @p until itself: the barriers a sweep appends at. */
 std::vector<dam::Cycle>
 boundariesUpTo(const EngineResult& res, dam::Cycle until)
 {
@@ -1020,13 +1064,13 @@ boundariesUpTo(const EngineResult& res, dam::Cycle until)
 
 } // namespace
 
-TEST(Resume, ResumeFromEveryValidCheckpointEqualsColdReplay)
+TEST(LiveAppend, AppendingAtSeededBarriersEqualsTheColdRun)
 {
     // Seeded multi-turn traces on a replica with a seeded fault timeline
     // (crashes that recover, drained slowdowns), a prefix cache and
-    // brown-out capping; a few incarnations appended at seeded cycles. Every resume point up to
-    // the earliest appended arrival must reproduce the cold run on the
-    // grown input exactly, checkpoints anchored at every boundary.
+    // brown-out capping; a few incarnations appended at seeded cycles.
+    // Appending them at any barrier up to the earliest of them must end
+    // exactly as the cold run over the grown input under that barrier.
     QueueDepthPolicy policy;
     BrownoutPolicy brownout; // caps outputs (and hash streams) early
     brownout.cfg.queueFullDepth = 4;
@@ -1060,6 +1104,7 @@ TEST(Resume, ResumeFromEveryValidCheckpointEqualsColdReplay)
         ASSERT_FALSE(ec.faults.slowdowns.empty());
         ec.drain.enabled = true;
         ec.drain.detectCycles = span / 40;
+        ec.barriers = faultBarriers(ec);
 
         const Served first = serveCold(ec, policy, base);
         int64_t capped = 0;
@@ -1068,39 +1113,40 @@ TEST(Resume, ResumeFromEveryValidCheckpointEqualsColdReplay)
         EXPECT_GT(capped, 0);
         Rng rng(seed);
         std::vector<Request> extra;
-        dam::Cycle earliest = ReplicaFaultTimeline::kNoEvent;
+        dam::Cycle earliest = kEnd;
         for (int k = 0; k < 3; ++k) {
             const Request& src = base[rng.uniformInt(base.size())];
-            const dam::Cycle at =
+            dam::Cycle at =
                 span / 4 + static_cast<dam::Cycle>(rng.uniformInt(span));
+            // A cluster never places an incarnation on a replica that
+            // is down when it arrives.
+            for (const ReplicaFaultTimeline::Down& d : ec.faults.downs)
+                if (d.failAt <= at && at < d.recoverAt)
+                    at = d.recoverAt;
             extra.push_back(incarnation(src, at));
             earliest = std::min(earliest, at);
         }
         const std::vector<Request> grown = appended(base, extra);
-        const Served cold = serveCold(ec, policy, grown);
-
-        std::vector<dam::Cycle> anchors =
+        const std::vector<dam::Cycle> at_all =
             boundariesUpTo(first.result, earliest);
-        std::set<int64_t> simulated;
-        for (dam::Cycle from : anchors) {
-            SCOPED_TRACE(from);
-            const Served resumed =
-                serveResumed(ec, policy, base, anchors, grown, from);
-            expectSameRun(cold, resumed);
-            simulated.insert(resumed.simulated);
+        // Every fourth boundary, the earliest arrival itself included.
+        for (size_t k = at_all.size(); k-- > 0;) {
+            if ((at_all.size() - 1 - k) % 4 != 0)
+                continue;
+            SCOPED_TRACE(at_all[k]);
+            const EngineConfig eb = withBarrier(ec, at_all[k]);
+            expectSameRun(serveCold(eb, policy, grown),
+                          serveAppended(eb, policy, base, at_all[k], extra));
         }
-        // Each resume point started from a checkpoint of its own.
-        EXPECT_GT(simulated.size(), anchors.size() / 2);
-        EXPECT_LT(*simulated.begin(), cold.result.iterations);
     }
 }
 
-TEST(Resume, ArrivalInsidePrefillOnlyWakeWindowResumesBeforeIt)
+TEST(LiveAppend, PrefillOnlyWakeStopsAtTheBarrierAndTheAppendCutsIt)
 {
     // A lone prompt runs as prefill-only iterations, each waking on the
-    // next scheduled event. An arrival appended inside one of those
-    // windows would have cut it short, so the checkpoint after it is
-    // not valid for that arrival: the resume must start before it.
+    // next scheduled event. Stepped up to a barrier, the wake stops
+    // there, so an arrival appended inside the wake window still cuts
+    // the iteration at its own cycle, as in the cold run.
     StaticSplitPolicy policy(0.3);
     EngineConfig ec;
     const int64_t prompt = 1024;
@@ -1113,31 +1159,27 @@ TEST(Resume, ArrivalInsidePrefillOnlyWakeWindowResumesBeforeIt)
     const dam::Cycle t1 = first.reqs[1].firstTokenAt;
     ASSERT_GT(t1, t0 + 12);
     const dam::Cycle inside = t0 + 10 + (t1 - t0 - 10) / 2;
-
-    const std::vector<Request> grown =
-        appended(base, {incarnation(mkReq(2, 0, 64, 4), inside)});
-    const Served cold = serveCold(ec, policy, grown);
-    int64_t from_window = 0; // cold iterations from the window's start
-    bool cut = false;        // the arrival ended an iteration
-    for (const IterationSample& it : cold.result.timeline.samples()) {
-        from_window += it.start >= t0 + 10;
-        cut |= it.start + it.length == inside;
+    const std::vector<Request> extra = {
+        incarnation(mkReq(2, 0, 64, 4), inside)};
+    const std::vector<Request> grown = appended(base, extra);
+    for (dam::Cycle at : {t0 + 10, inside - 1, inside}) {
+        SCOPED_TRACE(at);
+        const EngineConfig eb = withBarrier(ec, at);
+        const Served cold = serveCold(eb, policy, grown);
+        bool cut = false; // the arrival ended an iteration
+        for (const IterationSample& it : cold.result.timeline.samples())
+            cut |= it.start + it.length == inside;
+        EXPECT_TRUE(cut);
+        expectSameRun(cold, serveAppended(eb, policy, base, at, extra));
     }
-    ASSERT_TRUE(cut);
-    const std::vector<dam::Cycle> anchors = {t0, t0 + 10, inside, t1};
-    const Served resumed =
-        serveResumed(ec, policy, base, anchors, grown, inside);
-    expectSameRun(cold, resumed);
-    // It resumed at the wake window's start, past the first prefill.
-    EXPECT_EQ(resumed.simulated, from_window);
-    EXPECT_LT(resumed.simulated, cold.result.iterations);
 }
 
-TEST(Resume, ArrivalOnACheckpointBoundaryAndEqualArrivalTies)
+TEST(LiveAppend, AppendTiedWithAnArrivalAtTheBarrierIsDeliveredAfterIt)
 {
-    // Appended arrivals exactly on iteration boundaries of the first
-    // run, each tied with an existing arrival at that cycle but carrying
-    // a lower id, so it sorts first among the equal arrivals.
+    // An appended arrival exactly on an iteration boundary of the first
+    // run, tied with an existing arrival at that cycle but carrying a
+    // lower id: appends are delivered after equal arrivals, and the cold
+    // run over that order matches.
     QueueDepthPolicy policy;
     auto base = generateTrace(burstyTrace(16), 7);
     EngineConfig ec;
@@ -1147,25 +1189,24 @@ TEST(Resume, ArrivalOnACheckpointBoundaryAndEqualArrivalTies)
     const dam::Cycle on = samples[samples.size() / 2].start;
     // A tie: the last request moves onto that boundary too.
     base.back().arrival = on;
-    std::stable_sort(base.begin(), base.end(),
-                     [](const Request& a, const Request& b) {
-                         return a.arrival < b.arrival;
-                     });
+    std::ranges::stable_sort(base, {}, &Request::arrival);
     const Served first = serveCold(ec, policy, base);
-    const std::vector<Request> grown =
-        appended(base, {incarnation(base[0], on)}); // id 0 < 15
-    const Served cold = serveCold(ec, policy, grown);
+    const std::vector<Request> extra = {incarnation(base[0], on)};
+    const std::vector<Request> grown = appended(base, extra);
+    ASSERT_EQ(grown.back().id, 0); // id 0 after id 15, both at `on`
+    ASSERT_EQ(grown[grown.size() - 2].arrival, on);
     const std::vector<dam::Cycle> from = boundariesUpTo(first.result, on);
     ASSERT_EQ(from.back(), on);
     for (size_t k = from.size() - std::min<size_t>(from.size(), 4);
          k < from.size(); ++k) {
         SCOPED_TRACE(from[k]);
-        expectSameRun(cold,
-                      serveResumed(ec, policy, base, from, grown, from[k]));
+        const EngineConfig eb = withBarrier(ec, from[k]);
+        expectSameRun(serveCold(eb, policy, grown),
+                      serveAppended(eb, policy, base, from[k], extra));
     }
 }
 
-TEST(Resume, ArrivalAfterACrashWithRecovery)
+TEST(LiveAppend, CrashWithRecoveryRefusesAppendsInsideTheOutage)
 {
     QueueDepthPolicy policy;
     auto base = generateTrace(burstyTrace(30), 11);
@@ -1174,33 +1215,48 @@ TEST(Resume, ArrivalAfterACrashWithRecovery)
     const dam::Cycle down = span / 3, up = span / 2;
     ec.faults.downs.push_back({down, up});
     ec.faults.normalize();
+    ec.barriers = {down, up};
     const Served first = serveCold(ec, policy, base);
     ASSERT_GT(first.result.summary.failedRequests, 0);
     // One incarnation inside the outage (refused) and one after it.
-    const std::vector<Request> grown =
-        appended(base, {incarnation(base[3], (down + up) / 2),
-                        incarnation(base[4], up + 1000)});
+    const std::vector<Request> extra = {incarnation(base[3], (down + up) / 2),
+                                        incarnation(base[4], up + 1000)};
+    const std::vector<Request> grown = appended(base, extra);
     // Narrow windows: the refusals the crash delivery records land in
     // windows before the boundary that delivered them.
     const auto ex = [] {
         return Exporters(size_t{1} << 20, obs::TraceLevel::Request, 20'000);
     };
-    const Served cold = serveCold(ec, policy, grown, ex());
-    for (dam::Cycle from : boundariesUpTo(first.result, (down + up) / 2)) {
-        SCOPED_TRACE(from);
-        expectSameRun(cold, serveResumed(ec, policy, base,
-                                         failureEdges(ec), grown, from,
-                                         ex()));
+    const std::vector<dam::Cycle> from = boundariesUpTo(first.result, down);
+    for (size_t k = 0; k < from.size(); k += 3) {
+        SCOPED_TRACE(from[k]);
+        const EngineConfig eb = withBarrier(ec, from[k]);
+        const Served cold = serveCold(eb, policy, grown, ex());
+        EXPECT_EQ(cold.reqs[std::ranges::find(cold.reqs, 1, &Request::attempt) -
+                            cold.reqs.begin()]
+                      .state,
+                  ReqState::Failed);
+        expectSameRun(cold, serveAppended(eb, policy, base, from[k], extra,
+                                          ex()));
     }
+    // Once the crash is delivered the outage's arrivals have been read
+    // (refused): an append inside it breaks the contract.
+    ServingEngine engine(ec, policy);
+    IterationWorkspace ws;
+    ServingEngine::Run run(engine, base);
+    advanceTo(run, ec, down, ws);
+    EXPECT_EQ(run.horizon(), up);
+    EXPECT_THROW(run.append(extra[0]), PanicError);
+    run.append(extra[1]);
 }
 
-TEST(Resume, CrashDeliveredLateWithARefusalResumesExactly)
+TEST(LiveAppend, CrashDeliveredLateRefusesAtItsBarrier)
 {
     // A crash in the middle of a decode iteration is delivered at the
-    // iteration's end, together with an arrival the outage refuses: the
-    // refusal is recorded at its own cycle, windows before that
-    // boundary. Resuming from the checkpoint at the boundary re-delivers
-    // both and must count each once.
+    // barrier it is on, after the iteration ended, and refuses at once
+    // an arrival the outage covers: both casualties are known at the
+    // barrier, and an incarnation appended after the recovery ends the
+    // run exactly as the cold run over the grown input.
     QueueDepthPolicy policy;
     EngineConfig ec;
     std::vector<Request> base = {mkReq(0, 0, 64, 400)};
@@ -1212,28 +1268,33 @@ TEST(Resume, CrashDeliveredLateWithARefusalResumesExactly)
     const dam::Cycle up = down + 1'000'000;
     ec.faults.downs.push_back({down, up});
     ec.faults.normalize();
+    ec.barriers = {down, up};
     base.push_back(mkReq(1, down + 1, 64, 4)); // refused
-    const std::vector<Request> grown =
-        appended(base, {incarnation(base[0], up + 100)});
+    const std::vector<Request> extra = {incarnation(base[0], up + 100)};
     const auto ex = [] {
         return Exporters(size_t{1} << 20, obs::TraceLevel::Request, 1'000);
     };
-    const Served cold = serveCold(ec, policy, grown, ex());
+    const Served cold = serveCold(ec, policy, appended(base, extra), ex());
     ASSERT_EQ(cold.reqs[1].state, ReqState::Failed);
-    const Served resumed = serveResumed(ec, policy, base, {down}, grown,
-                                        up + 100, ex());
-    expectSameRun(cold, resumed);
-    EXPECT_LT(resumed.simulated, cold.result.iterations);
+    expectSameRun(cold, serveAppended(ec, policy, base, down, extra, ex()));
+
+    ServingEngine engine(ec, policy);
+    IterationWorkspace ws;
+    ServingEngine::Run run(engine, base);
+    advanceTo(run, ec, down, ws);
+    EXPECT_EQ(run.takeCasualties(), (std::vector<size_t>{0, 1}));
+    EXPECT_EQ(run.request(0).finishedAt, mid.start + mid.length);
+    EXPECT_EQ(run.request(1).finishedAt, down + 1);
+    EXPECT_TRUE(run.takeCasualties().empty());
 }
 
-TEST(Resume, LateDrainInAWindowThatAlreadyHoldsAMigration)
+TEST(LiveAppend, LateDrainInAWindowThatAlreadyHoldsAMigration)
 {
     // Two drains migrate a prefilling prompt each while a long decode
-    // runs. The second drain edge falls inside a decode iteration, so it
-    // is delivered at that iteration's end, one metrics window later
-    // than its own cycle, into a window the first migration already
-    // touched. The checkpoint at that boundary must cover the earlier
-    // window, or the resumed run counts the second migration twice.
+    // runs. The second drain edge falls inside a decode iteration, so
+    // its barrier delivers it after that iteration ended, into a metrics
+    // window the first migration already touched; the incarnation
+    // appended there ends the run as the cold run does.
     QueueDepthPolicy policy;
     EngineConfig ec;
     ec.drain.enabled = true;
@@ -1244,8 +1305,6 @@ TEST(Resume, LateDrainInAWindowThatAlreadyHoldsAMigration)
     std::vector<Request> base = {mkReq(0, 0, 64, 400),
                                  mkReq(1, 1'000'000, 1024, 4),
                                  mkReq(2, 3'000'000, 1024, 4)};
-    // Adding the second slowdown inside the iteration that holds its
-    // drain edge leaves everything before that iteration's end as is.
     const Served probe = serveCold(ec, policy, base);
     ASSERT_EQ(probe.reqs[1].state, ReqState::Migrated);
     const IterationSample* it = nullptr;
@@ -1259,50 +1318,48 @@ TEST(Resume, LateDrainInAWindowThatAlreadyHoldsAMigration)
     const dam::Cycle t = it->start + it->length;
     ec.faults.slowdowns.push_back({d2 - 1'000, d2 + 2'000, 0.5});
     ec.faults.normalize();
+    ec.barriers = faultBarriers(ec);
     const auto ex = [&] {
         return Exporters(size_t{1} << 20, obs::TraceLevel::Request,
                          (d2 + t) / 2); // d1, d2 in window 0; t in 1
     };
-    const std::vector<Request> grown =
-        appended(base, {incarnation(base[1], t + 5)});
-    const Served cold = serveCold(ec, policy, grown, ex());
+    const std::vector<Request> extra = {incarnation(base[1], t + 5)};
+    const Served cold = serveCold(ec, policy, appended(base, extra), ex());
     ASSERT_EQ(cold.reqs[2].state, ReqState::Migrated);
     ASSERT_EQ(cold.reqs[2].finishedAt, d2);
-    const Served resumed =
-        serveResumed(ec, policy, base, {d2}, grown, t + 5, ex());
-    expectSameRun(cold, resumed);
-    EXPECT_LT(resumed.simulated, cold.result.iterations);
+    expectSameRun(cold, serveAppended(ec, policy, base, d2, extra, ex()));
 }
 
-TEST(Resume, ArrivalInsideAnIdleGapResumesBeforeTheJump)
+TEST(LiveAppend, IdleJumpStopsAtTheBarrier)
 {
     // With nothing queued the engine jumps its clock to the next
-    // arrival. An arrival appended inside that gap would have ended the
-    // jump early, so the checkpoint at the gap's far end is not valid
-    // for it.
+    // arrival, but not past a barrier: an arrival appended inside the
+    // gap is still ahead of the run.
     QueueDepthPolicy policy;
     EngineConfig ec;
     const std::vector<Request> base = {mkReq(0, 0, 64, 4),
                                        mkReq(1, 50'000'000, 64, 4)};
     const Served first = serveCold(ec, policy, base);
     const dam::Cycle gap_start = first.reqs[0].finishedAt;
-    const dam::Cycle inside = (gap_start + 50'000'000) / 2;
-    const std::vector<Request> grown =
-        appended(base, {incarnation(mkReq(2, 0, 64, 4), inside)});
-    const Served cold = serveCold(ec, policy, grown);
-    const Served resumed = serveResumed(
-        ec, policy, base, {gap_start, inside, 50'000'000}, grown, inside);
-    expectSameRun(cold, resumed);
-    EXPECT_LT(resumed.simulated, cold.result.iterations);
+    const dam::Cycle at = (gap_start + 50'000'000) / 2;
+    const std::vector<Request> extra = {
+        incarnation(mkReq(2, 0, 64, 4), at + 1'000)};
+    const EngineConfig eb = withBarrier(ec, at);
+    expectSameRun(serveCold(eb, policy, appended(base, extra)),
+                  serveAppended(eb, policy, base, at, extra));
+    ServingEngine engine(eb, policy);
+    IterationWorkspace ws;
+    ServingEngine::Run run(engine, base);
+    run.advance(at, ws);
+    EXPECT_EQ(run.horizon(), at);
 }
 
-TEST(Resume, PrefixCachePinsAtTheCheckpointMoveToTheResumedRequests)
+TEST(LiveAppend, AppendWhilePrefixCachePinsAreHeld)
 {
     // Sessions sharing prefixes keep admitted requests pinned in the
-    // cache across most boundaries: the checkpoint's cache clone must
-    // re-key those pins onto the resumed run's requests (the run
-    // asserts every pin comes back by its end). Op-level tracing also
-    // rolls back the switch attribution.
+    // cache across most boundaries; requests keep their addresses while
+    // the run grows (the run asserts every pin comes back by its end).
+    // Op-level tracing records the graphs' scheduler events too.
     QueueDepthPolicy policy;
     TraceConfig tc = burstyTrace(0);
     tc.numSessions = 8;
@@ -1313,40 +1370,190 @@ TEST(Resume, PrefixCachePinsAtTheCheckpointMoveToTheResumedRequests)
     ec.prefixCache.capacityTokens = 1 << 14;
     const Served first = serveCold(ec, policy, base);
     ASSERT_GT(first.result.summary.prefixHitRate, 0.0);
-    const dam::Cycle at = base[base.size() / 2].arrival + 1;
-    const std::vector<Request> grown =
-        appended(base, {incarnation(base[base.size() / 3], at)});
-    const auto level = obs::TraceLevel::Op;
-    const Served cold =
-        serveCold(ec, policy, grown, Exporters(size_t{1} << 22, level));
-    const std::vector<dam::Cycle> anchors =
-        boundariesUpTo(first.result, at);
-    for (size_t k = anchors.size() / 2; k < anchors.size(); ++k) {
-        SCOPED_TRACE(anchors[k]);
-        expectSameRun(cold, serveResumed(ec, policy, base, anchors, grown,
-                                         anchors[k],
-                                         Exporters(size_t{1} << 22, level)));
+    const dam::Cycle last = base[base.size() / 2].arrival + 1;
+    const std::vector<Request> extra = {
+        incarnation(base[base.size() / 3], last)};
+    const std::vector<Request> grown = appended(base, extra);
+    const auto ex = [] {
+        return Exporters(size_t{1} << 22, obs::TraceLevel::Op);
+    };
+    const std::vector<dam::Cycle> from = boundariesUpTo(first.result, last);
+    for (size_t k = from.size() / 2; k < from.size(); k += 4) {
+        SCOPED_TRACE(from[k]);
+        const EngineConfig eb = withBarrier(ec, from[k]);
+        expectSameRun(serveCold(eb, policy, grown, ex()),
+                      serveAppended(eb, policy, base, from[k], extra, ex()));
     }
 }
 
-TEST(Resume, RingThatDroppedEventsSinceACheckpointResumesFromCycleZero)
+namespace {
+
+/** A cluster run with its exports, to compare runs byte for byte. */
+struct ClusterOutcome
 {
-    QueueDepthPolicy policy;
-    auto base = generateTrace(burstyTrace(24), 3);
-    EngineConfig ec;
-    const Served first = serveCold(ec, policy, base);
-    const dam::Cycle at = base[12].arrival;
-    const std::vector<Request> grown =
-        appended(base, {incarnation(base[2], at)});
-    const Served cold = serveCold(ec, policy, grown, Exporters(64));
-    const Served resumed = serveResumed(
-        ec, policy, base, boundariesUpTo(first.result, at), grown, at,
-        Exporters(64));
-    expectSameRun(cold, resumed);
-    EXPECT_EQ(resumed.simulated, resumed.result.iterations);
+    ClusterResult r;
+    std::vector<Request> reqs;
+    std::string trace, lifecycles, metrics;
+};
+
+ClusterOutcome
+runCluster(const ClusterConfig& cc, const Policy& policy,
+           std::vector<Request> reqs)
+{
+    ClusterOutcome o;
+    o.reqs = std::move(reqs);
+    o.r = ServingCluster(cc, policy).run(o.reqs);
+    std::ostringstream t, l, m;
+    obs::writeChromeTrace(t, o.r.traceViews());
+    obs::writeRequestJsonl(l, o.r.traceViews());
+    obs::writeMetricsJson(m, o.r.metricsViews(), o.r.mergedMetrics.get());
+    o.trace = t.str();
+    o.lifecycles = l.str();
+    o.metrics = m.str();
+    return o;
 }
 
-TEST(ClusterFaults, FaultFreeRunIsOneWaveWithNothingResumed)
+/**
+ * Each replica of @p o against a cold ServingEngine run over its final
+ * input — every incarnation it served, rebuilt from @p trace (the
+ * caller's requests before the run) and the incarnation's arrival,
+ * attempt and carried KV — under the configuration it ran with, the
+ * barriers included: requests, iterations and trace and metrics bytes.
+ */
+void
+expectReplicasEqualColdRuns(const ClusterOutcome& o, const ClusterConfig& cc,
+                            const Policy& policy,
+                            const std::vector<Request>& trace)
+{
+    std::unordered_map<int64_t, const Request*> byId;
+    for (const Request& q : trace)
+        byId.emplace(q.id, &q);
+    for (const ReplicaResult& rr : o.r.replicas) {
+        SCOPED_TRACE(rr.replica);
+        std::vector<Request> input;
+        for (const Request& q : rr.requests) {
+            Request in = *byId.at(q.id);
+            in.arrival = q.arrival;
+            in.attempt = q.attempt;
+            in.remoteKvTokens = q.remoteKvTokens;
+            input.push_back(std::move(in));
+        }
+        deliveryOrder(input);
+        Exporters ex(cc.trace.ringCapacity, cc.trace.level,
+                     cc.metrics.windowCycles);
+        Served cold = serveCold(rr.engine, policy, input, std::move(ex));
+        std::vector<Request> live = rr.requests;
+        deliveryOrder(live);
+        ASSERT_EQ(cold.reqs.size(), live.size());
+        for (size_t i = 0; i < live.size(); ++i)
+            EXPECT_TRUE(cold.reqs[i] == live[i])
+                << "request " << live[i].id << " attempt "
+                << live[i].attempt;
+        EXPECT_EQ(cold.result.iterations, rr.result.iterations);
+        EXPECT_TRUE(cold.result.timeline.samples() ==
+                    rr.result.timeline.samples());
+        std::ostringstream t, l, m;
+        obs::writeChromeTrace(t, {o.r.traces[rr.replica].get()});
+        obs::writeRequestJsonl(l, {o.r.traces[rr.replica].get()});
+        obs::writeMetricsJson(m, {o.r.metrics[rr.replica].get()});
+        EXPECT_TRUE(cold.trace == t.str()) << "trace JSON differs";
+        EXPECT_TRUE(cold.lifecycles == l.str()) << "requests JSONL differs";
+        EXPECT_TRUE(cold.metrics == m.str()) << "metrics JSON differs";
+    }
+}
+
+/** Incarnations that arrived with more KV than their predecessor had
+ *  built: what they hold beyond it came from the owner's prefix cache. */
+int64_t
+remotePrefixFetches(const ClusterResult& r)
+{
+    std::map<std::pair<int64_t, int64_t>, const Request*> by;
+    for (const ReplicaResult& rr : r.replicas)
+        for (const Request& q : rr.requests)
+            by[{q.id, q.attempt}] = &q;
+    int64_t n = 0;
+    for (const auto& [key, q] : by)
+        if (q->attempt > 0) {
+            const Request& prev = *by.at({q->id, q->attempt - 1});
+            n += q->remoteKvTokens > carriedKvTokens(prev);
+        }
+    return n;
+}
+
+} // namespace
+
+TEST(ClusterFaults, ReplicasEqualColdRunsOverTheirFinalInputs)
+{
+    // Seeded fault timelines on four replicas: crashes that recover and
+    // one that does not, on the plain tier with retries; and crashes
+    // plus drained slowdowns on the resilience tier with a prefix cache
+    // and remote prefix fetch, under plan- and telemetry-inferred
+    // breakers. Each replica's live run must end exactly as a cold run
+    // over its final input under the same barriers, each replica
+    // iteration must run once, and 1 and 4 threads must give the same
+    // bytes.
+    QueueDepthPolicy policy;
+    TraceConfig tc = burstyTrace(0);
+    tc.arrivalsPerKcycle = 0.0048;
+    tc.numSessions = 24;
+    tc.turnsPerSession = 3;
+    tc.promptSigma = 1.1;
+    tc.outputSigma = 0.9;
+    const std::vector<Request> trace = generateTrace(tc, deriveSeed(2));
+    const dam::Cycle span = trace.back().arrival;
+    for (int variant = 0; variant < 3; ++variant) {
+        SCOPED_TRACE(variant);
+        ClusterConfig cc;
+        cc.replicas = 4;
+        cc.routing = variant == 2 ? RouteKind::PrefixAffinity
+                                  : RouteKind::LeastQueued;
+        FaultPlanConfig fc;
+        fc.mtbfCycles = static_cast<double>(span) / 3;
+        fc.mttrCycles = fc.mtbfCycles / 4;
+        fc.horizonCycles = span;
+        if (variant > 0) {
+            fc.slowdownMtbfCycles = static_cast<double>(span) / 3;
+            fc.slowdownFactor = 0.4;
+            cc.engine.prefixCache.capacityTokens = 1 << 13;
+            cc.resilience.enabled = true;
+            cc.resilience.remotePrefix.enabled = true;
+            if (variant == 2)
+                cc.resilience.breakerSource = BreakerSource::Telemetry;
+        }
+        cc.faults = generateFaultPlan(fc, cc.replicas, deriveSeed(3));
+        std::erase_if(cc.faults.crashes,
+                      [](const FaultEvent& e) { return e.replica == 3; });
+        cc.faults.crashes.push_back({3, span / 2, 0}); // never recovers
+        cc.trace = obs::TraceOptions{obs::TraceLevel::Request,
+                                     size_t{1} << 20};
+        cc.metrics = obs::MetricsConfig{true, 4'000'000};
+        cc.threads = 1;
+        const ClusterOutcome a = runCluster(cc, policy, trace);
+        cc.threads = 4;
+        const ClusterOutcome b = runCluster(cc, policy, trace);
+
+        EXPECT_GT(a.r.epochs, 2);
+        EXPECT_GT(a.r.retriesIssued + a.r.migrationsIssued, 0);
+        if (variant > 0) {
+            EXPECT_GT(a.r.migrationsIssued, 0);
+            EXPECT_GT(remotePrefixFetches(a.r), 0);
+        }
+        EXPECT_EQ(a.r.replicaIterationsSimulated, a.r.totalIterations);
+        expectReplicasEqualColdRuns(a, cc, policy, trace);
+
+        EXPECT_TRUE(a.r.aggregate == b.r.aggregate);
+        EXPECT_EQ(a.r.epochs, b.r.epochs);
+        EXPECT_EQ(a.r.replicaIterationsSimulated,
+                  b.r.replicaIterationsSimulated);
+        EXPECT_TRUE(a.reqs == b.reqs);
+        EXPECT_TRUE(a.trace == b.trace) << "trace JSON differs";
+        EXPECT_TRUE(a.lifecycles == b.lifecycles) << "requests JSONL differs";
+        EXPECT_TRUE(a.metrics == b.metrics) << "metrics JSON differs";
+        expectAllAccounted(a.reqs, a.r.aggregate);
+    }
+}
+
+TEST(ClusterFaults, FaultFreeRunIsOneEpochSimulatedOnce)
 {
     QueueDepthPolicy policy;
     ClusterConfig cc;
@@ -1354,9 +1561,10 @@ TEST(ClusterFaults, FaultFreeRunIsOneWaveWithNothingResumed)
     cc.routing = RouteKind::LeastQueued;
     auto reqs = generateTrace(clusterTrace(60), deriveSeed(2));
     ClusterResult r = ServingCluster(cc, policy).run(reqs);
-    EXPECT_EQ(r.waves, 1);
+    EXPECT_EQ(r.epochs, 1);
     EXPECT_EQ(r.replicaIterationsSimulated, r.totalIterations);
-    EXPECT_EQ(r.replicaIterationsReplayed, r.totalIterations);
+    for (const ReplicaResult& rr : r.replicas)
+        EXPECT_TRUE(rr.engine.barriers.empty());
 }
 
 TEST(ClusterFaults, RetryPolicyThatNeverGivesUpIsAFatalError)
@@ -1364,8 +1572,8 @@ TEST(ClusterFaults, RetryPolicyThatNeverGivesUpIsAFatalError)
     // A lone long prompt on one replica that crashes for one cycle every
     // 1000 cycles: every incarnation dies mid-prefill, and a policy that
     // always retries one cycle later never lets failover converge. That
-    // is a configuration error, reported with the wave count and the
-    // casualties still being re-issued.
+    // is a configuration error, reported once the request reaches the
+    // attempt bound, naming the request and the attempt.
     struct AlwaysRetry : RetryPolicy
     {
         std::optional<dam::Cycle>
@@ -1387,8 +1595,8 @@ TEST(ClusterFaults, RetryPolicyThatNeverGivesUpIsAFatalError)
     } catch (const FatalError& e) {
         const std::string what = e.what();
         EXPECT_NE(what.find("did not converge"), std::string::npos) << what;
-        EXPECT_NE(what.find("after 1024 waves"), std::string::npos) << what;
-        EXPECT_NE(what.find("request 0 attempt 1023"), std::string::npos)
+        EXPECT_NE(what.find("request 0 attempt 1024 after attempt 1023"),
+                  std::string::npos)
             << what;
     }
 }

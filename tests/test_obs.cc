@@ -525,127 +525,3 @@ TEST(UtilizationTimeline, MergedMeansAreLengthWeighted)
     EXPECT_DOUBLE_EQ(a.meanPrefillShare(), 0.75);
     EXPECT_DOUBLE_EQ(a.meanDecodeBatch(), 1.0);
 }
-
-namespace {
-
-/** Every export of @p s, concatenated. */
-std::string
-exportsOf(const TraceSink& s)
-{
-    std::ostringstream os;
-    writeChromeTrace(os, {&s});
-    writeRequestJsonl(os, {&s});
-    printSwitchAttribution(os, {&s});
-    os << s.attributedSwitches() << ' ' << s.droppedEvents();
-    for (const CounterSample& c : s.counters().snapshot())
-        os << ' ' << c.name << '=' << c.value;
-    return os.str();
-}
-
-/** Lifecycle and scheduler traffic for request @p id from @p at. */
-void
-drive(TraceSink& s, int64_t id, dam::Cycle at, bool finish)
-{
-    static const int ctx = 0;
-    s.reqArrived(id, -1, 0, 10, 4, at);
-    s.reqAdmitted(id, 0, 0, at + 1);
-    s.setTimeBase(at + 1);
-    s.schedResume(&ctx, id % 2 ? "attn" : "moe", 0);
-    s.schedFinish(&ctx, id % 2 ? "attn" : "moe", 5);
-    s.counters().add(s.counters().monotonic("tokens"), 3);
-    s.sampleCounters(at + 6);
-    if (finish) {
-        s.reqFirstToken(id, 0, at + 7);
-        s.reqFinished(id, 0, at + 9);
-    }
-}
-
-} // namespace
-
-TEST(ObsTrace, RollbackReturnsToTheMarkedSinkExactly)
-{
-    // Request 1 is closed and request 2 still open at the mark; after
-    // it, request 2 reaches first token and fails, request 3 arrives,
-    // and counters and switch attribution move on. Rolling back must
-    // leave the sink as if none of that happened — and the same later
-    // traffic then produces the same bytes as on a sink that never
-    // rolled back.
-    const TraceOptions opts{TraceLevel::Full, 1 << 12};
-    TraceSink rolled(opts), straight(opts);
-    for (TraceSink* s : {&rolled, &straight}) {
-        drive(*s, 1, 100, true);
-        drive(*s, 2, 200, false);
-    }
-    const TraceSink::Mark m = rolled.mark();
-    rolled.reqFirstToken(2, 0, 300);
-    rolled.reqFailed(2, 0, 310);
-    drive(rolled, 3, 400, true);
-    ASSERT_TRUE(rolled.canRollback(m));
-    rolled.rollback(m);
-    EXPECT_EQ(exportsOf(rolled), exportsOf(straight));
-
-    for (TraceSink* s : {&rolled, &straight}) {
-        s->reqFinished(2, 0, 350);
-        drive(*s, 4, 360, true);
-    }
-    EXPECT_EQ(exportsOf(rolled), exportsOf(straight));
-}
-
-TEST(ObsTrace, RollbackPastRingDropsOnlyToTheEmptyMark)
-{
-    TraceSink s(TraceOptions{TraceLevel::Request, 8});
-    const TraceSink::Mark empty = s.mark();
-    drive(s, 1, 100, false);
-    const TraceSink::Mark m = s.mark();
-    for (int64_t id = 2; id < 10; ++id)
-        drive(s, id, 100 * id, true);
-    ASSERT_GT(s.droppedEvents(), m.dropped);
-    EXPECT_FALSE(s.canRollback(m));
-    ASSERT_TRUE(s.canRollback(empty));
-    s.rollback(empty);
-    // Registrations stay (a resumed engine re-registers the same set).
-    TraceSink fresh(s.options());
-    fresh.counters().monotonic("tokens");
-    EXPECT_EQ(exportsOf(s), exportsOf(fresh));
-}
-
-TEST(ObsMetrics, RollbackDropsEverySampleSinceTheMark)
-{
-    // Samples after the mark land at or after its floor (cycle 1500),
-    // in the floor's window, a later one and a new one; totals and
-    // window histograms must come back exactly.
-    const MetricsConfig cfg{true, 1000};
-    MetricsRegistry rolled(cfg), straight(cfg);
-    for (MetricsRegistry* r : {&rolled, &straight}) {
-        const auto h = r->histogram("ttft");
-        const auto s = r->series("depth");
-        for (dam::Cycle at : {100, 900, 1200, 1600}) {
-            r->record(h, at, at * 7);
-            r->record(s, at, at / 100);
-        }
-    }
-    const MetricsRegistry::Mark m = rolled.mark(1500);
-    for (dam::Cycle at : {1500, 2500, 5100}) {
-        rolled.record(0, at, 1'000'000 + at);
-        rolled.record(1, at, 3);
-    }
-    rolled.rollback(m);
-    const auto json = [](const MetricsRegistry& r) {
-        std::ostringstream os;
-        writeMetricsJson(os, {&r});
-        writeMetricsWindowsJsonl(os, {&r});
-        return os.str();
-    };
-    EXPECT_EQ(json(rolled), json(straight));
-    for (MetricsRegistry* r : {&rolled, &straight})
-        r->record(0, 1700, 42);
-    EXPECT_EQ(json(rolled), json(straight));
-
-    rolled.rollback(MetricsRegistry::Mark{});
-    EXPECT_EQ(json(rolled), json([&] {
-                  MetricsRegistry fresh(cfg);
-                  fresh.histogram("ttft");
-                  fresh.series("depth");
-                  return fresh;
-              }()));
-}

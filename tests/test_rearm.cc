@@ -8,7 +8,9 @@
  * rearm payload, not structure: a walk over 1..64 (single steps, jumps,
  * batches below the attention region count) builds the graph once, and
  * after every rearm the graph's metadata — port shapes, channel depths,
- * priming counts, the verifier's report — equals a fresh build's.
+ * priming counts, the verifier's report — equals a fresh build's. The
+ * seed is not structure either: one graph serves engines (cluster
+ * replicas) with different seeds.
  */
 #include <gtest/gtest.h>
 
@@ -201,6 +203,50 @@ TEST(Rearm, BitIdenticalStaticCoarseAttention)
 TEST(Rearm, BitIdenticalDynamicAttention)
 {
     runComparison(ParStrategy::Dynamic);
+}
+
+TEST(Rearm, GraphBuiltUnderOneSeedRearmsForAnother)
+{
+    // A cluster worker lends one graph to every replica it steps, and
+    // each replica runs under its own seed. A graph built under seed A
+    // and rearmed for an iteration under seed B must run exactly as a
+    // cold build under B, with the same port shapes and channel depths.
+    for (ParStrategy attn : {ParStrategy::StaticInterleaved,
+                             ParStrategy::Dynamic}) {
+        dam::Scheduler sched;
+        GraphArena arena;
+        Graph shared(SimConfig{}, &arena);
+        DecoderRearmHandles handles;
+        DecoderParams a = baseParams(attn);
+        a.seed = 101;
+        a.batch = 6;
+        runDecoderIteration(a, specFor(a, 5, 6), &sched, &shared, &handles);
+
+        for (int64_t B : {6, 3, 17}) {
+            DecoderParams b = baseParams(attn);
+            b.seed = 202 + static_cast<uint64_t>(B);
+            b.batch = B;
+            b.computeBwPerMatmul = 768;
+            b.cfg.moeMatmulBw = b.computeBwPerMatmul;
+            ASSERT_TRUE(decoderStructKey(a, a.batch) ==
+                        decoderStructKey(b, B));
+            const IterationSpec spec = specFor(b, 9 + B, B);
+            const SimResult rearmed =
+                runDecoderIteration(b, spec, &sched, &shared, &handles);
+
+            GraphArena cold_arena;
+            Graph cold(SimConfig{}, &cold_arena);
+            DecoderRearmHandles cold_handles;
+            const SimResult fresh = runDecoderIteration(
+                b, spec, &sched, &cold, &cold_handles);
+            expectIdentical(rearmed, fresh, B, "seed A rearmed vs seed B");
+            EXPECT_EQ(graphMetadata(shared), graphMetadata(cold))
+                << "metadata B=" << B;
+        }
+        // The first build was the only one.
+        EXPECT_EQ(handles.rebuilds, 1u);
+        EXPECT_EQ(handles.rearms, 3u);
+    }
 }
 
 TEST(Rearm, RepeatedRearmWithoutRunIsIdempotent)
