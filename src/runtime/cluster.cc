@@ -1,6 +1,7 @@
 #include "runtime/cluster.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <barrier>
 #include <cmath>
 #include <deque>
@@ -622,15 +623,17 @@ class ServingCluster::Run
     const std::vector<dam::Cycle>& barriers() const { return barriers_; }
 
     /** Advance every replica to @p until (kNoEvent: to its end) on the
-     *  worker pool; replica r runs on worker r mod T, which never
-     *  changes what the (shared-nothing) replica computes. */
+     *  worker pool. Workers take the replicas in index order as they
+     *  come free; which worker steps a (shared-nothing) replica never
+     *  changes what it computes. */
     void
     epoch(dam::Cycle until)
     {
         ++epochs_;
         std::vector<int64_t> iters(R_, 0);
+        std::atomic<size_t> next{0};
         pool_->run([&](size_t t) {
-            for (size_t r = t; r < R_; r += pool_->size())
+            for (size_t r; (r = next.fetch_add(1)) < R_;)
                 iters[r] = runs_[r].advance(until, pool_->workspace(t));
         });
         for (int64_t n : iters)
