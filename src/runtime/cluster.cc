@@ -592,8 +592,6 @@ class ServingCluster::Run
         std::ranges::sort(barriers_);
         barriers_.erase(std::unique(barriers_.begin(), barriers_.end()),
                         barriers_.end());
-        for (EngineConfig& ec : configs_)
-            ec.barriers = barriers_;
 
         // One sink and registry per replica, created before any worker
         // runs; replica r's run is their only writer, and exporting in
@@ -923,8 +921,7 @@ class ServingCluster::Run
     const RetryPolicy* retry_ = nullptr;
     /** Affinity key -> replica with the warm cache; empty off-tier. */
     std::unordered_map<uint64_t, int64_t> owners_;
-    /** Per replica: seed, fault timeline, bandwidth, instants, drain,
-     *  barriers. */
+    /** Per replica: seed, fault timeline, bandwidth, instants, drain. */
     std::vector<EngineConfig> configs_;
     /** Per replica: its crash and drain cycles, sorted. */
     std::vector<std::vector<dam::Cycle>> edges_;

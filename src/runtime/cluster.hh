@@ -154,13 +154,16 @@ struct ReplicaResult
     int64_t assignedRequests = 0;
     EngineResult result;
     /** The engine configuration the replica ran under (seed, fault
-     *  timeline, bandwidth, instants, drain, barriers), for replay. */
+     *  timeline, bandwidth, instants, drain), for replay. */
     EngineConfig engine;
     /** Every incarnation the replica served, by slot: its routed shard
      *  in trace order, then the failover incarnations in the order they
-     *  were appended. A ServingEngine over `engine`, run on these
-     *  requests as they were appended (stable-sorted by arrival),
-     *  reproduces `result` exactly. */
+     *  were appended. A fresh ServingEngine::Run over `engine` on their
+     *  inputs, stable-sorted by arrival and advanced through the
+     *  cluster's barriers, ends with these requests, `result`'s
+     *  iterations and timeline, and the replica's trace and metrics
+     *  bytes. Its summary differs only in sample order and in the
+     *  failover reclassification (retried, denied migrations). */
     std::vector<Request> requests;
 };
 

@@ -438,6 +438,7 @@ class ServingEngine::Run::Impl
     {
         const int64_t before = res_.iterations;
         ws.sched.setTraceSink(opSink_);
+        until_ = until;
         while (now_ < until && step(ws)) {
         }
         return res_.iterations - before;
@@ -535,6 +536,10 @@ class ServingEngine::Run::Impl
         cut_ = false;
         if (ended_ >= reqs_.size())
             return false;
+        // A crash moved the clock to the barrier or past it: admission
+        // waits for the next advance, which knows the next barrier.
+        if (now_ >= until_)
+            return true;
         // Slowdown windows scale the bandwidth pool this iteration
         // splits (>= 2 so the policy can always split something).
         const double f = cfg_.faults.bwFactorAt(now_);
@@ -580,14 +585,6 @@ class ServingEngine::Run::Impl
         const auto first = std::min_element(heads.begin(), heads.end());
         return {*first, static_cast<Event>(first - heads.begin()),
                 heads[static_cast<size_t>(Event::Arrival)]};
-    }
-
-    /** The first barrier after now_ (kNone: none left). */
-    dam::Cycle
-    nextBarrier() const
-    {
-        const auto it = std::ranges::upper_bound(cfg_.barriers, now_);
-        return it == cfg_.barriers.end() ? kNone : *it;
     }
 
     /** Replay the events due by now_ (by @p until, when earlier)
@@ -754,9 +751,9 @@ class ServingEngine::Run::Impl
             const dam::Cycle next = nextDue().arrivalAt;
             if (next == kNone)
                 throw stall("idle with unfinished requests");
-            // Idle until the next arrival, or the next barrier, where
-            // the run's cluster may append an earlier one.
-            now_ = std::min(next, nextBarrier());
+            // Idle until the next arrival, or the barrier the run is
+            // advanced to, where its cluster may append an earlier one.
+            now_ = std::min(next, until_);
             horizon_ = std::max(horizon_, now_);
         }
         return false;
@@ -836,7 +833,8 @@ class ServingEngine::Run::Impl
     /**
      * A prefill-only iteration runs until the head prompt completes, but
      * wakes exactly on the next scripted event, fault-timeline edge or
-     * barrier, so each lands on the cycle it was scripted at.
+     * the barrier the run is advanced to, so each lands on the cycle it
+     * was scripted at.
      */
     dam::Cycle
     prefillOnlyCycles(int64_t prefill_bw) const
@@ -848,7 +846,7 @@ class ServingEngine::Run::Impl
                       static_cast<double>(prefill_bw)));
         // Delivery left every scripted event strictly after now_.
         const dam::Cycle wake = std::min(
-            {nextDue().at, cfg_.faults.nextEventAfter(now_), nextBarrier()});
+            {nextDue().at, cfg_.faults.nextEventAfter(now_), until_});
         STEP_ASSERT(wake > now_, "event at " << wake << " undelivered");
         return std::min(std::max<dam::Cycle>(1, until_done), wake - now_);
     }
@@ -959,6 +957,9 @@ class ServingEngine::Run::Impl
     size_t nextInstant_ = 0;
     size_t ended_ = 0; ///< requests in a terminal state
     dam::Cycle now_ = 0;
+    /** The barrier advance() steps toward: a prefill-only wake or an
+     *  idle jump stops there. */
+    dam::Cycle until_ = kNone;
     /** The run so far read the event schedule up to here: an arrival
      *  added at or after it cannot have changed anything yet. */
     dam::Cycle horizon_ = 0;

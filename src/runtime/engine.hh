@@ -106,14 +106,6 @@ struct EngineConfig
      * nothing.
      */
     std::vector<ClusterInstant> clusterInstants;
-    /**
-     * Cycles the run must not read past unseen, sorted: a prefill-only
-     * iteration wakes and an idle jump stops at each. A cluster passes
-     * its fault edges here, so that a run stepped up to one has read no
-     * event after it (see ServingEngine::Run). Empty (default) stops
-     * nowhere.
-     */
-    std::vector<dam::Cycle> barriers;
 
     /**
      * Recycle one arena-backed decoder graph across batching iterations
@@ -253,8 +245,7 @@ class ServingEngine
 /**
  * One replica's run, stepped from outside. A cluster keeps one per
  * replica for the whole cluster run and advances them epoch by epoch
- * between its barriers (EngineConfig::barriers, the cluster's fault
- * edges):
+ * between its barriers (the cluster's fault edges):
  *   - advance(E) steps while the clock is before barrier E. Prefill-only
  *     wakes and idle jumps stop at E, so the run reads no event past it;
  *   - a replica with a crash or drain at E delivers the events due by E
@@ -262,9 +253,10 @@ class ServingEngine
  *   - the coordinator appends each incarnation it grants to its target's
  *     run. An arrival at or after horizon() cannot have changed anything
  *     the run did so far, and append() asserts that it is.
- * So a run that took appends ends exactly as a cold run over its final
- * input (its requests by arrival, appends after equal arrivals) under
- * the same barriers would.
+ * So a run that took appends ends exactly as a fresh run over its final
+ * input (its requests by arrival, appends after equal arrivals) advanced
+ * through the same barriers, with no delivery or append between them,
+ * would. With no barrier that is ServingEngine::run.
  */
 class ServingEngine::Run
 {
@@ -277,7 +269,8 @@ class ServingEngine::Run
     Run& operator=(Run&&) noexcept;
 
     /** Step on @p ws while the clock is before @p until and a request is
-     *  still open; returns the iterations run. */
+     *  still open; a prefill-only wake or an idle jump stops at
+     *  @p until. Returns the iterations run. */
     int64_t advance(dam::Cycle until, IterationWorkspace& ws);
     /** Deliver the events due by @p at — a barrier the clock has reached
      *  — as the next step would, but none after it. Nothing once every

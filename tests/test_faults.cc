@@ -921,16 +921,34 @@ struct Exporters
     obs::MetricsRegistry registry;
 };
 
-/** @p input served from cycle 0 by ServingEngine::run. */
+/** Cycles a run is advanced through, sorted: a cluster's barriers. */
+using Barriers = std::vector<dam::Cycle>;
+
+/**
+ * @p input served from cycle 0 by a fresh run advanced through
+ * @p barriers, with nothing delivered or appended between them: what a
+ * live run that took appends must end as. With no barrier it is
+ * ServingEngine::run.
+ */
 Served
 serveCold(const EngineConfig& ec, const Policy& policy,
-          std::vector<Request> input, Exporters ex = Exporters())
+          std::vector<Request> input, const Barriers& barriers = {},
+          Exporters ex = Exporters())
 {
     Served out;
     ServingEngine engine(ec, policy);
     ex.attach(engine);
-    out.result = engine.run(input);
-    out.reqs = std::move(input);
+    if (barriers.empty()) {
+        out.result = engine.run(input);
+        out.reqs = std::move(input);
+    } else {
+        IterationWorkspace ws;
+        ServingEngine::Run run(engine, std::move(input));
+        for (dam::Cycle b : barriers)
+            run.advance(b, ws);
+        run.advance(kEnd, ws);
+        out.result = run.finish(out.reqs);
+    }
     ex.exportInto(out);
     return out;
 }
@@ -945,10 +963,10 @@ deliveryOrder(std::vector<Request>& reqs)
 
 /** @p ec's fault edges as a cluster's barriers: every crash, recovery
  *  and drain trigger, sorted. */
-std::vector<dam::Cycle>
+Barriers
 faultBarriers(const EngineConfig& ec)
 {
-    std::vector<dam::Cycle> out = failureEdges(ec);
+    Barriers out = failureEdges(ec);
     for (const ReplicaFaultTimeline::Down& d : ec.faults.downs)
         if (d.recoverAt != 0)
             out.push_back(d.recoverAt);
@@ -957,17 +975,18 @@ faultBarriers(const EngineConfig& ec)
     return out;
 }
 
-/** A live run over @p base advanced epoch by epoch, as a cluster does,
- *  through @p ec's barriers up to @p at: each crash or drain is
- *  delivered at its barrier. */
+/** A live run advanced epoch by epoch, as a cluster does, through the
+ *  @p barriers in [@p from, @p to]: each of @p ec's crashes and drains
+ *  is delivered at its barrier. */
 void
-advanceTo(ServingEngine::Run& run, const EngineConfig& ec, dam::Cycle at,
-          IterationWorkspace& ws)
+advanceThrough(ServingEngine::Run& run, const EngineConfig& ec,
+               const Barriers& barriers, dam::Cycle from, dam::Cycle to,
+               IterationWorkspace& ws)
 {
     const std::vector<dam::Cycle> edges = failureEdges(ec);
-    for (dam::Cycle b : ec.barriers) {
-        if (b > at)
-            break;
+    for (dam::Cycle b : barriers) {
+        if (b < from || b > to)
+            continue;
         run.advance(b, ws);
         if (std::ranges::find(edges, b) != edges.end())
             run.deliverUntil(b);
@@ -975,23 +994,25 @@ advanceTo(ServingEngine::Run& run, const EngineConfig& ec, dam::Cycle at,
 }
 
 /**
- * @p base served by a live run up to barrier @p at (one of @p ec's),
- * then @p extra appended and the run served to its end: one replica's
- * epochs and failover appends.
+ * @p base served by a live run through @p barriers, with @p extra
+ * appended at barrier @p at (one of them): one replica's epochs and
+ * failover appends.
  */
 Served
 serveAppended(const EngineConfig& ec, const Policy& policy,
-              const std::vector<Request>& base, dam::Cycle at,
-              const std::vector<Request>& extra, Exporters ex = Exporters())
+              const std::vector<Request>& base, const Barriers& barriers,
+              dam::Cycle at, const std::vector<Request>& extra,
+              Exporters ex = Exporters())
 {
-    EXPECT_TRUE(std::ranges::binary_search(ec.barriers, at));
+    EXPECT_TRUE(std::ranges::binary_search(barriers, at));
     ServingEngine engine(ec, policy);
     ex.attach(engine);
     IterationWorkspace ws;
     ServingEngine::Run run(engine, base);
-    advanceTo(run, ec, at, ws);
+    advanceThrough(run, ec, barriers, 0, at, ws);
     for (const Request& r : extra)
         run.append(r);
+    advanceThrough(run, ec, barriers, at + 1, kEnd, ws);
     run.advance(kEnd, ws);
     Served out;
     out.result = run.finish(out.reqs);
@@ -1040,12 +1061,13 @@ incarnation(const Request& r, dam::Cycle at)
     return inc;
 }
 
-/** @p ec with a barrier at @p at too. */
-EngineConfig
-withBarrier(EngineConfig ec, dam::Cycle at)
+/** @p barriers with one at @p at too. */
+Barriers
+withBarrier(Barriers barriers, dam::Cycle at)
 {
-    ec.barriers.insert(std::ranges::upper_bound(ec.barriers, at), at);
-    return ec;
+    if (!std::ranges::binary_search(barriers, at))
+        barriers.insert(std::ranges::upper_bound(barriers, at), at);
+    return barriers;
 }
 
 /** Cycle 0, every iteration start of @p res up to @p until, and
@@ -1104,9 +1126,9 @@ TEST(LiveAppend, AppendingAtSeededBarriersEqualsTheColdRun)
         ASSERT_FALSE(ec.faults.slowdowns.empty());
         ec.drain.enabled = true;
         ec.drain.detectCycles = span / 40;
-        ec.barriers = faultBarriers(ec);
+        const Barriers bars = faultBarriers(ec);
 
-        const Served first = serveCold(ec, policy, base);
+        const Served first = serveCold(ec, policy, base, bars);
         int64_t capped = 0;
         for (const Request& r : first.reqs)
             capped += r.outputLen == brownout.cfg.outputCapTokens;
@@ -1127,16 +1149,11 @@ TEST(LiveAppend, AppendingAtSeededBarriersEqualsTheColdRun)
             earliest = std::min(earliest, at);
         }
         const std::vector<Request> grown = appended(base, extra);
-        const std::vector<dam::Cycle> at_all =
-            boundariesUpTo(first.result, earliest);
-        // Every fourth boundary, the earliest arrival itself included.
-        for (size_t k = at_all.size(); k-- > 0;) {
-            if ((at_all.size() - 1 - k) % 4 != 0)
-                continue;
-            SCOPED_TRACE(at_all[k]);
-            const EngineConfig eb = withBarrier(ec, at_all[k]);
-            expectSameRun(serveCold(eb, policy, grown),
-                          serveAppended(eb, policy, base, at_all[k], extra));
+        for (dam::Cycle at : boundariesUpTo(first.result, earliest)) {
+            SCOPED_TRACE(at);
+            const Barriers eb = withBarrier(bars, at);
+            expectSameRun(serveCold(ec, policy, grown, eb),
+                          serveAppended(ec, policy, base, eb, at, extra));
         }
     }
 }
@@ -1164,13 +1181,13 @@ TEST(LiveAppend, PrefillOnlyWakeStopsAtTheBarrierAndTheAppendCutsIt)
     const std::vector<Request> grown = appended(base, extra);
     for (dam::Cycle at : {t0 + 10, inside - 1, inside}) {
         SCOPED_TRACE(at);
-        const EngineConfig eb = withBarrier(ec, at);
-        const Served cold = serveCold(eb, policy, grown);
+        const Barriers eb = {at};
+        const Served cold = serveCold(ec, policy, grown, eb);
         bool cut = false; // the arrival ended an iteration
         for (const IterationSample& it : cold.result.timeline.samples())
             cut |= it.start + it.length == inside;
         EXPECT_TRUE(cut);
-        expectSameRun(cold, serveAppended(eb, policy, base, at, extra));
+        expectSameRun(cold, serveAppended(ec, policy, base, eb, at, extra));
     }
 }
 
@@ -1200,9 +1217,9 @@ TEST(LiveAppend, AppendTiedWithAnArrivalAtTheBarrierIsDeliveredAfterIt)
     for (size_t k = from.size() - std::min<size_t>(from.size(), 4);
          k < from.size(); ++k) {
         SCOPED_TRACE(from[k]);
-        const EngineConfig eb = withBarrier(ec, from[k]);
-        expectSameRun(serveCold(eb, policy, grown),
-                      serveAppended(eb, policy, base, from[k], extra));
+        const Barriers eb = {from[k]};
+        expectSameRun(serveCold(ec, policy, grown, eb),
+                      serveAppended(ec, policy, base, eb, from[k], extra));
     }
 }
 
@@ -1215,8 +1232,8 @@ TEST(LiveAppend, CrashWithRecoveryRefusesAppendsInsideTheOutage)
     const dam::Cycle down = span / 3, up = span / 2;
     ec.faults.downs.push_back({down, up});
     ec.faults.normalize();
-    ec.barriers = {down, up};
-    const Served first = serveCold(ec, policy, base);
+    const Barriers bars = {down, up};
+    const Served first = serveCold(ec, policy, base, bars);
     ASSERT_GT(first.result.summary.failedRequests, 0);
     // One incarnation inside the outage (refused) and one after it.
     const std::vector<Request> extra = {incarnation(base[3], (down + up) / 2),
@@ -1227,24 +1244,25 @@ TEST(LiveAppend, CrashWithRecoveryRefusesAppendsInsideTheOutage)
     const auto ex = [] {
         return Exporters(size_t{1} << 20, obs::TraceLevel::Request, 20'000);
     };
-    const std::vector<dam::Cycle> from = boundariesUpTo(first.result, down);
-    for (size_t k = 0; k < from.size(); k += 3) {
-        SCOPED_TRACE(from[k]);
-        const EngineConfig eb = withBarrier(ec, from[k]);
-        const Served cold = serveCold(eb, policy, grown, ex());
+    // Every boundary before the crash: at its barrier the crash refuses
+    // the outage's arrivals first (checked below).
+    for (dam::Cycle at : boundariesUpTo(first.result, down - 1)) {
+        SCOPED_TRACE(at);
+        const Barriers eb = withBarrier(bars, at);
+        const Served cold = serveCold(ec, policy, grown, eb, ex());
         EXPECT_EQ(cold.reqs[std::ranges::find(cold.reqs, 1, &Request::attempt) -
                             cold.reqs.begin()]
                       .state,
                   ReqState::Failed);
-        expectSameRun(cold, serveAppended(eb, policy, base, from[k], extra,
-                                          ex()));
+        expectSameRun(cold,
+                      serveAppended(ec, policy, base, eb, at, extra, ex()));
     }
     // Once the crash is delivered the outage's arrivals have been read
     // (refused): an append inside it breaks the contract.
     ServingEngine engine(ec, policy);
     IterationWorkspace ws;
     ServingEngine::Run run(engine, base);
-    advanceTo(run, ec, down, ws);
+    advanceThrough(run, ec, bars, 0, down, ws);
     EXPECT_EQ(run.horizon(), up);
     EXPECT_THROW(run.append(extra[0]), PanicError);
     run.append(extra[1]);
@@ -1268,20 +1286,22 @@ TEST(LiveAppend, CrashDeliveredLateRefusesAtItsBarrier)
     const dam::Cycle up = down + 1'000'000;
     ec.faults.downs.push_back({down, up});
     ec.faults.normalize();
-    ec.barriers = {down, up};
+    const Barriers bars = {down, up};
     base.push_back(mkReq(1, down + 1, 64, 4)); // refused
     const std::vector<Request> extra = {incarnation(base[0], up + 100)};
     const auto ex = [] {
         return Exporters(size_t{1} << 20, obs::TraceLevel::Request, 1'000);
     };
-    const Served cold = serveCold(ec, policy, appended(base, extra), ex());
+    const Served cold =
+        serveCold(ec, policy, appended(base, extra), bars, ex());
     ASSERT_EQ(cold.reqs[1].state, ReqState::Failed);
-    expectSameRun(cold, serveAppended(ec, policy, base, down, extra, ex()));
+    expectSameRun(cold,
+                  serveAppended(ec, policy, base, bars, down, extra, ex()));
 
     ServingEngine engine(ec, policy);
     IterationWorkspace ws;
     ServingEngine::Run run(engine, base);
-    advanceTo(run, ec, down, ws);
+    advanceThrough(run, ec, bars, 0, down, ws);
     EXPECT_EQ(run.takeCasualties(), (std::vector<size_t>{0, 1}));
     EXPECT_EQ(run.request(0).finishedAt, mid.start + mid.length);
     EXPECT_EQ(run.request(1).finishedAt, down + 1);
@@ -1318,16 +1338,18 @@ TEST(LiveAppend, LateDrainInAWindowThatAlreadyHoldsAMigration)
     const dam::Cycle t = it->start + it->length;
     ec.faults.slowdowns.push_back({d2 - 1'000, d2 + 2'000, 0.5});
     ec.faults.normalize();
-    ec.barriers = faultBarriers(ec);
+    const Barriers bars = faultBarriers(ec);
     const auto ex = [&] {
         return Exporters(size_t{1} << 20, obs::TraceLevel::Request,
                          (d2 + t) / 2); // d1, d2 in window 0; t in 1
     };
     const std::vector<Request> extra = {incarnation(base[1], t + 5)};
-    const Served cold = serveCold(ec, policy, appended(base, extra), ex());
+    const Served cold =
+        serveCold(ec, policy, appended(base, extra), bars, ex());
     ASSERT_EQ(cold.reqs[2].state, ReqState::Migrated);
     ASSERT_EQ(cold.reqs[2].finishedAt, d2);
-    expectSameRun(cold, serveAppended(ec, policy, base, d2, extra, ex()));
+    expectSameRun(cold,
+                  serveAppended(ec, policy, base, bars, d2, extra, ex()));
 }
 
 TEST(LiveAppend, IdleJumpStopsAtTheBarrier)
@@ -1344,10 +1366,10 @@ TEST(LiveAppend, IdleJumpStopsAtTheBarrier)
     const dam::Cycle at = (gap_start + 50'000'000) / 2;
     const std::vector<Request> extra = {
         incarnation(mkReq(2, 0, 64, 4), at + 1'000)};
-    const EngineConfig eb = withBarrier(ec, at);
-    expectSameRun(serveCold(eb, policy, appended(base, extra)),
-                  serveAppended(eb, policy, base, at, extra));
-    ServingEngine engine(eb, policy);
+    const Barriers eb = {at};
+    expectSameRun(serveCold(ec, policy, appended(base, extra), eb),
+                  serveAppended(ec, policy, base, eb, at, extra));
+    ServingEngine engine(ec, policy);
     IterationWorkspace ws;
     ServingEngine::Run run(engine, base);
     run.advance(at, ws);
@@ -1378,11 +1400,12 @@ TEST(LiveAppend, AppendWhilePrefixCachePinsAreHeld)
         return Exporters(size_t{1} << 22, obs::TraceLevel::Op);
     };
     const std::vector<dam::Cycle> from = boundariesUpTo(first.result, last);
-    for (size_t k = from.size() / 2; k < from.size(); k += 4) {
+    for (size_t k = from.size() / 2; k < from.size(); ++k) {
         SCOPED_TRACE(from[k]);
-        const EngineConfig eb = withBarrier(ec, from[k]);
-        expectSameRun(serveCold(eb, policy, grown, ex()),
-                      serveAppended(eb, policy, base, from[k], extra, ex()));
+        const Barriers eb = {from[k]};
+        expectSameRun(serveCold(ec, policy, grown, eb, ex()),
+                      serveAppended(ec, policy, base, eb, from[k], extra,
+                                    ex()));
     }
 }
 
@@ -1414,11 +1437,11 @@ runCluster(const ClusterConfig& cc, const Policy& policy,
 }
 
 /**
- * Each replica of @p o against a cold ServingEngine run over its final
- * input — every incarnation it served, rebuilt from @p trace (the
- * caller's requests before the run) and the incarnation's arrival,
- * attempt and carried KV — under the configuration it ran with, the
- * barriers included: requests, iterations and trace and metrics bytes.
+ * Each replica of @p o against a cold run over its final input — every
+ * incarnation it served, rebuilt from @p trace (the caller's requests
+ * before the run) and the incarnation's arrival, attempt and carried
+ * KV — under the configuration it ran with, advanced through the
+ * cluster's barriers: requests, iterations and trace and metrics bytes.
  */
 void
 expectReplicasEqualColdRuns(const ClusterOutcome& o, const ClusterConfig& cc,
@@ -1428,6 +1451,11 @@ expectReplicasEqualColdRuns(const ClusterOutcome& o, const ClusterConfig& cc,
     std::unordered_map<int64_t, const Request*> byId;
     for (const Request& q : trace)
         byId.emplace(q.id, &q);
+    Barriers barriers; // every replica's, as the cluster's epochs ran
+    for (const ReplicaResult& rr : o.r.replicas)
+        for (dam::Cycle b : faultBarriers(rr.engine))
+            barriers = withBarrier(std::move(barriers), b);
+    EXPECT_EQ(o.r.epochs, static_cast<int64_t>(barriers.size()) + 1);
     for (const ReplicaResult& rr : o.r.replicas) {
         SCOPED_TRACE(rr.replica);
         std::vector<Request> input;
@@ -1441,7 +1469,8 @@ expectReplicasEqualColdRuns(const ClusterOutcome& o, const ClusterConfig& cc,
         deliveryOrder(input);
         Exporters ex(cc.trace.ringCapacity, cc.trace.level,
                      cc.metrics.windowCycles);
-        Served cold = serveCold(rr.engine, policy, input, std::move(ex));
+        Served cold =
+            serveCold(rr.engine, policy, input, barriers, std::move(ex));
         std::vector<Request> live = rr.requests;
         deliveryOrder(live);
         ASSERT_EQ(cold.reqs.size(), live.size());
@@ -1489,9 +1518,9 @@ TEST(ClusterFaults, ReplicasEqualColdRunsOverTheirFinalInputs)
     // plus drained slowdowns on the resilience tier with a prefix cache
     // and remote prefix fetch, under plan- and telemetry-inferred
     // breakers. Each replica's live run must end exactly as a cold run
-    // over its final input under the same barriers, each replica
-    // iteration must run once, and 1 and 4 threads must give the same
-    // bytes.
+    // over its final input advanced through the same barriers, each
+    // replica iteration must run once, and 1 and 4 threads must give
+    // the same bytes.
     QueueDepthPolicy policy;
     TraceConfig tc = burstyTrace(0);
     tc.arrivalsPerKcycle = 0.0048;
@@ -1564,7 +1593,7 @@ TEST(ClusterFaults, FaultFreeRunIsOneEpochSimulatedOnce)
     EXPECT_EQ(r.epochs, 1);
     EXPECT_EQ(r.replicaIterationsSimulated, r.totalIterations);
     for (const ReplicaResult& rr : r.replicas)
-        EXPECT_TRUE(rr.engine.barriers.empty());
+        EXPECT_TRUE(faultBarriers(rr.engine).empty());
 }
 
 TEST(ClusterFaults, RetryPolicyThatNeverGivesUpIsAFatalError)
