@@ -723,6 +723,7 @@ class ServingCluster::Run
             out.totalIterations += rr.result.iterations;
         }
         out.aggregate = mergeSummaries(parts);
+        scoreSloPerCaller(out.aggregate, reqs_, cfg_.engine.slo);
         // Heterogeneous fleets provision sum(scale_r * bw) FLOPs/cycle;
         // the unscaled expression is kept verbatim so scale-less runs
         // stay bit-identical (no float round-trip).

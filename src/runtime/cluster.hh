@@ -264,7 +264,9 @@ class ServingCluster
      * A request that failed but was retried reports the final
      * incarnation's outcome to the caller (original arrival kept,
      * Request::attempt telling the story); its source replica's summary
-     * reclassifies it failed -> retried. Deterministic for fixed
+     * reclassifies it failed -> retried. The aggregate scores SLO
+     * attainment over these caller copies (scoreSloPerCaller), so a
+     * retry's delay counts against its request. Deterministic for fixed
      * (config, policy, trace, global seed), independent of the thread
      * count.
      */

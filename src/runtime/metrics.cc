@@ -135,6 +135,22 @@ resummarize(ServingSummary& s, const std::vector<Request>& reqs,
     finalizeDerivedStats(s);
 }
 
+void
+scoreSloPerCaller(ServingSummary& s, const std::vector<Request>& callers,
+                  const SloConfig& slo)
+{
+    s.sloCompliant = s.sloGoodTokens = 0;
+    for (const Request& r : callers)
+        if (r.done() && slo.meets(r)) {
+            ++s.sloCompliant;
+            s.sloGoodTokens += r.generated;
+        }
+    s.goodputTokensPerKcycle =
+        s.makespan > 0 ? static_cast<double>(s.sloGoodTokens) /
+                             (static_cast<double>(s.makespan) / 1000.0)
+                       : 0.0;
+}
+
 ServingSummary
 mergeSummaries(const std::vector<ServingSummary>& parts)
 {

@@ -709,6 +709,55 @@ TEST(ClusterFaults, FailoverRetriesRecoverTheCasualties)
     EXPECT_TRUE(saw_retry_attempt);
 }
 
+TEST(ClusterFaults, LateRetryMeetsTheSloOnlyIfItsCallerLevelTtftDoes)
+{
+    // Replica 0 crashes under request 0; its retry re-arrives on
+    // replica 1 after the backoff. Scored from the re-arrival the retry
+    // is fast; the caller waited from the original arrival.
+    QueueDepthPolicy policy;
+    ClusterConfig cc;
+    cc.replicas = 2;
+    cc.routing = RouteKind::RoundRobin;
+    const std::vector<Request> trace = {mkReq(0, 0, 512, 16),
+                                        mkReq(1, 0, 16, 4)};
+    cc.faults.crashes.push_back({0, 1'000, 0});
+    auto run = [&](double ttft_slo) {
+        cc.engine.slo.ttftCycles = ttft_slo;
+        cc.engine.slo.tpotCycles = 1e18;
+        std::vector<Request> reqs = trace;
+        ClusterResult r = ServingCluster(cc, policy).run(reqs);
+        return std::make_pair(std::move(r), std::move(reqs));
+    };
+    auto [probe, probe_reqs] = run(1e18);
+    ASSERT_EQ(probe_reqs[0].state, ReqState::Finished);
+    ASSERT_GT(probe_reqs[0].attempt, 0);
+    const Request* retry = nullptr;
+    for (const Request& q : probe.replicas[1].requests)
+        if (q.id == 0 && q.attempt == probe_reqs[0].attempt)
+            retry = &q;
+    ASSERT_NE(retry, nullptr);
+    const double incarnation = ttft(*retry);
+    const double caller = ttft(probe_reqs[0]);
+    ASSERT_LT(incarnation, caller);
+    ASSERT_LE(ttft(probe_reqs[1]), incarnation);
+
+    // Between the two: the replica that served the retry counts it, the
+    // caller-level aggregate does not.
+    auto [between, b_reqs] = run((incarnation + caller) / 2);
+    EXPECT_EQ(between.replicas[1].result.summary.sloCompliant, 2);
+    EXPECT_EQ(between.aggregate.sloCompliant, 1);
+    EXPECT_EQ(between.aggregate.sloGoodTokens, b_reqs[1].generated);
+    EXPECT_DOUBLE_EQ(between.aggregate.goodputTokensPerKcycle,
+                     double(b_reqs[1].generated) /
+                         (double(between.aggregate.makespan) / 1000.0));
+
+    // At the caller-level TTFT it meets the SLO at both levels.
+    auto [meets, m_reqs] = run(caller);
+    EXPECT_EQ(meets.aggregate.sloCompliant, 2);
+    EXPECT_EQ(meets.aggregate.sloGoodTokens,
+              m_reqs[0].generated + m_reqs[1].generated);
+}
+
 TEST(ClusterFaults, FaultyRunIsThreadCountInvariant)
 {
     TraceConfig tc = clusterTrace(120);
