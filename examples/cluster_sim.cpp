@@ -35,9 +35,10 @@
  * tier's placement scoring.
  *
  * --breaker-source telemetry makes the resilience tier infer each
- * replica's circuit-breaker timeline from an observation pass's
- * windowed metrics (failure counts + TTFT p95) instead of reading the
- * fault plan; see runtime/resilience.hh. Requires --resilience.
+ * replica's circuit-breaker timeline online, from the failures and
+ * first-token latencies (TTFT p95) its own run shows per health window,
+ * instead of reading the fault plan; see runtime/resilience.hh.
+ * Requires --resilience.
  *
  * Fault tier (off by default; without these flags the output is
  * bit-identical to the fault-less build): --mtbf N draws a seeded
@@ -274,8 +275,8 @@ main(int argc, char** argv)
         std::cout << "resilience: migration + breakers + remote prefix "
                      "+ autoscale + brown-out admission\n";
     if (resilience && breaker_source == BreakerSource::Telemetry)
-        std::cout << "breaker source: telemetry (health monitor over an "
-                     "observation pass's windowed metrics)\n";
+        std::cout << "breaker source: telemetry (per-replica health "
+                     "monitors over each live run's windows)\n";
     if (!bw_scales.empty()) {
         std::cout << "heterogeneous fleet: bw scales";
         for (double s : bw_scales)

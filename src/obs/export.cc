@@ -64,6 +64,9 @@ writeChromeTrace(std::ostream& os,
                         "requests+counters");
         appendMetaEvent(buf, "thread_name", pid, kTidSched, "scheduler");
         appendMetaEvent(buf, "thread_name", pid, kTidOps, "ops");
+        if (!sink.breakerFlips().empty())
+            appendMetaEvent(buf, "thread_name", pid, kTidBreakers,
+                            "breakers");
 
         // B spans dropped off the ring front can leave orphan E events;
         // skip those (depth tracking) so every exported track stays
@@ -72,7 +75,7 @@ writeChromeTrace(std::ostream& os,
         int64_t depth = 0;
         dam::Cycle last_sched_ts = 0;
         std::vector<uint32_t> open;
-        sink.forEachEvent([&](const TraceEvent& e) {
+        const auto event = [&](const TraceEvent& e) {
             switch (e.kind) {
               case EventKind::SpanBegin:
                 appendCommonFields(buf, "B", sink.name(e.name), pid,
@@ -125,7 +128,10 @@ writeChromeTrace(std::ostream& os,
                 buf += "}},\n";
                 break;
             }
-        });
+        };
+        sink.forEachEvent(event);
+        for (const TraceEvent& e : sink.breakerFlips())
+            event(e);
         while (!open.empty()) {
             appendCommonFields(buf, "E", sink.name(open.back()), pid,
                                kTidSched, last_sched_ts);

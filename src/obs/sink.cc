@@ -337,6 +337,20 @@ TraceSink::instant(std::string_view name, dam::Cycle at, int64_t arg0,
 }
 
 void
+TraceSink::breakerFlip(std::string_view name, dam::Cycle at, int64_t value)
+{
+    if (opts_.level < TraceLevel::Request)
+        return;
+    TraceEvent e;
+    e.ts = at;
+    e.name = intern(name);
+    e.arg0 = -1;
+    e.arg1 = value;
+    e.tid = kTidBreakers;
+    breakerFlips_.push_back(e);
+}
+
+void
 TraceSink::faultDown(dam::Cycle at, dam::Cycle fail_at,
                      dam::Cycle recover_at)
 {

@@ -141,6 +141,16 @@ class TraceSink
      */
     void instant(std::string_view name, dam::Cycle at, int64_t arg0 = -1,
                  int64_t arg1 = 0);
+    /**
+     * A breaker flip the cluster decided at barrier @p at, exported
+     * after the ring on a track of its own: decided once the replica
+     * ran past @p at, on the lifecycle track it would be clamped.
+     */
+    void breakerFlip(std::string_view name, dam::Cycle at, int64_t value);
+    const std::vector<TraceEvent>& breakerFlips() const
+    {
+        return breakerFlips_;
+    }
 
     // ---- fault hooks (engine-global cycles) --------------------------
     /** Replica crash processed at @p at (scripted cycle @p fail_at;
@@ -220,6 +230,7 @@ class TraceSink
     uint64_t dropped_ = 0;
     /** Per-tid monotone clamp cursor for B/E/i/C appends. */
     dam::Cycle lastTs_[3] = {0, 0, 0};
+    std::vector<TraceEvent> breakerFlips_;
 
     std::vector<RequestLifecycle> requests_;
     /** (id, attempt) -> requests_ slot. Ids are dense trace indices

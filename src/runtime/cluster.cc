@@ -20,13 +20,15 @@ namespace step::runtime {
 
 namespace {
 
+constexpr dam::Cycle kEnd = ReplicaFaultTimeline::kNoEvent;
+
 /**
  * Router-side model of one replica for join-least-work routing. A real
  * ContinuousBatcher (the replica's admission config) tracks the waiting
  * queue and KV reservations; an analytic serial-server drain model
- * estimates when assigned requests leave, so the router never needs
- * feedback from the replica simulations — routing stays a deterministic
- * single-threaded pre-pass over the trace.
+ * estimates when assigned requests leave, so the policy's picks are a
+ * function of the trace alone and can all be made before the replicas
+ * run. Health (faults, breakers, parking) is the remap's to apply.
  */
 struct ShadowReplica
 {
@@ -205,41 +207,15 @@ assignRoutes(const std::vector<Request>& reqs, const ClusterConfig& cfg,
     return out;
 }
 
-/**
- * Plain fault-tier placement: the least-loaded replica (assigned
- * worst-case tokens, ties to the lowest index) alive at @p at, or -1
- * when none is. The resilience tier places through pickResilientTarget
- * instead, and this tier cannot: that function divides load by the
- * slowdown factor, while the telemetry observation pass
- * (ServingCluster::resilientBreakers) runs this tier under slowdown
- * plans — switching would move the inferred breakers and with them
- * every telemetry-driven run's outcomes.
- */
-int64_t
-leastLoadedAlive(const std::vector<int64_t>& load, const FaultPlan& faults,
-                 dam::Cycle at)
-{
-    int64_t best = -1;
-    for (size_t c = 0; c < load.size(); ++c) {
-        if (!faults.aliveAt(static_cast<int64_t>(c), at))
-            continue;
-        if (best < 0 || load[c] < load[static_cast<size_t>(best)])
-            best = static_cast<int64_t>(c);
-    }
-    return best;
-}
-
 /** The one placement the routing remap and failover share: where a
- *  request moving at cycle @p at lands (-1 = nowhere), health-scored on
- *  the resilience tier and least-loaded-alive on the plain one. */
+ *  request moving at cycle @p at lands (-1 = nowhere). Off the
+ *  resilience tier there are no breakers, steps or affinity owner. */
 int64_t
 place(const ClusterConfig& cfg, const std::vector<int64_t>& load,
       const std::vector<BreakerTimeline>& breakers,
       const std::vector<AutoscaleStep>& autoscale, dam::Cycle at,
       int64_t affinityOwner)
 {
-    if (!cfg.resilience.enabled)
-        return leastLoadedAlive(load, cfg.faults, at);
     return pickResilientTarget(
         load, cfg.faults, breakers, autoscale, at, affinityOwner,
         cfg.resilience.remotePrefix.affinityLoadFactor,
@@ -248,51 +224,96 @@ place(const ClusterConfig& cfg, const std::vector<int64_t>& load,
 }
 
 /**
- * Health remap: a request whose replica is down at its arrival — or,
- * on the resilience tier, breaker-open or autoscale-parked for a fresh
- * placement — moves to place()'s pick, if any (a crash mid-flight is
- * still the engine's to discover). The resilience tier also keeps
- * sessions sticky to where their first turn landed, remaps included:
- * the warm cache is there, and cache affinity outranks parking. Off
- * that tier @p breakers and @p autoscale are empty.
+ * The health remap, one arrival at a time in trace order: a request
+ * whose replica is down at its arrival — or, on the resilience tier,
+ * breaker-open or autoscale-parked for a fresh placement — moves to
+ * place()'s pick, if any (a crash mid-flight is still the engine's to
+ * discover). The resilience tier also keeps sessions sticky to where
+ * their first turn landed, remaps included: the warm cache is there,
+ * and cache affinity outranks parking. A probing breaker
+ * (HealthMonitor::probing) instead takes the first arrival free to go
+ * to its replica — not sticky elsewhere — while that replica is up and
+ * active; the caller re-arms @p probes once per window. Off the tier
+ * there are no breakers, steps or probes.
  */
-void
-remapUnhealthy(const std::vector<Request>& reqs, const ClusterConfig& cfg,
-               const std::vector<BreakerTimeline>& breakers,
-               const std::vector<AutoscaleStep>& autoscale,
-               std::vector<int64_t>& out)
+class Router
 {
-    std::vector<int64_t> load(static_cast<size_t>(cfg.replicas), 0);
-    std::unordered_map<uint64_t, size_t> sticky; // key -> owner
-    for (size_t i = 0; i < reqs.size(); ++i) {
-        auto r = static_cast<size_t>(out[i]);
-        const dam::Cycle at = reqs[i].arrival;
-        const uint64_t key =
-            cfg.resilience.enabled ? reqs[i].affinityKey : 0;
-        const auto it = key != 0 ? sticky.find(key) : sticky.end();
-        const bool owned = it != sticky.end();
-        if (owned && it->second != r) {
-            r = it->second;
-            out[i] = static_cast<int64_t>(r);
+  public:
+    explicit Router(size_t replicas) : load_(replicas, 0) {}
+
+    /** Route @p q, which the routing policy sent to @p pick. */
+    int64_t
+    route(const Request& q, int64_t pick, const ClusterConfig& cfg,
+          const std::vector<BreakerTimeline>& breakers,
+          const std::vector<AutoscaleStep>& autoscale,
+          std::vector<bool>& probes)
+    {
+        auto r = static_cast<size_t>(pick);
+        const dam::Cycle at = q.arrival;
+        const uint64_t key = cfg.resilience.enabled ? q.affinityKey : 0;
+        const auto it = key != 0 ? sticky_.find(key) : sticky_.end();
+        const bool owned = it != sticky_.end();
+        if (owned)
+            r = static_cast<size_t>(it->second);
+        const int64_t active = autoscaleActiveAt(autoscale, at, cfg.replicas);
+        int64_t probe = -1;
+        for (int64_t c = 0; c < active && probe < 0; ++c) {
+            const auto p = static_cast<size_t>(c);
+            if (p < probes.size() && probes[p] && (!owned || p == r) &&
+                cfg.faults.aliveAt(c, at))
+                probe = c;
         }
-        const bool parked = static_cast<int64_t>(r) >=
-                            autoscaleActiveAt(autoscale, at, cfg.replicas);
-        const bool unhealthy =
-            !cfg.faults.aliveAt(static_cast<int64_t>(r), at) ||
-            (r < breakers.size() && breakers[r].openAt(at)) ||
-            (parked && !owned);
-        if (unhealthy) {
-            const int64_t best = place(cfg, load, breakers, autoscale, at,
+        if (probe >= 0) {
+            r = static_cast<size_t>(probe);
+            probes[r] = false; // this window's probe
+        } else if (!cfg.faults.aliveAt(static_cast<int64_t>(r), at) ||
+                   (r < breakers.size() && breakers[r].openAt(at)) ||
+                   (static_cast<int64_t>(r) >= active && !owned)) {
+            const int64_t best = place(cfg, load_, breakers, autoscale, at,
                                        /*affinityOwner=*/-1);
-            if (best >= 0) {
+            if (best >= 0)
                 r = static_cast<size_t>(best);
-                out[i] = best;
-            }
         }
         if (key != 0)
-            sticky[key] = r; // remaps move the session's home
-        load[r] += reqs[i].promptLen + reqs[i].outputLen;
+            sticky_[key] = static_cast<int64_t>(r); // remaps move the home
+        load_[r] += q.promptLen + q.outputLen;
+        return static_cast<int64_t>(r);
     }
+
+    /** The replica holding @p key's warm cache: where its session was
+     *  last routed (-1: none; always off the resilience tier). */
+    int64_t
+    owner(uint64_t key) const
+    {
+        const auto it = sticky_.find(key);
+        return it != sticky_.end() ? it->second : -1;
+    }
+
+  private:
+    std::vector<int64_t> load_; ///< routed worst-case tokens
+    std::unordered_map<uint64_t, int64_t> sticky_; ///< key -> home
+};
+
+/** The trace-only autoscale step timeline (empty off the tier). */
+std::vector<AutoscaleStep>
+autoscaleSteps(const ClusterConfig& cfg, const std::vector<Request>& reqs,
+               double prefillFpt)
+{
+    if (!cfg.resilience.enabled)
+        return {};
+    return computeAutoscaleTimeline(cfg.resilience.autoscale, reqs,
+                                    cfg.faults, cfg.replicas, prefillFpt,
+                                    cfg.engine.totalComputeBw);
+}
+
+/** The trace instant a breaker entering @p st is stamped as. */
+ClusterInstant::Kind
+breakerInstant(BreakerState st)
+{
+    using CI = ClusterInstant;
+    return st == BreakerState::Open       ? CI::BreakerOpen
+           : st == BreakerState::HalfOpen ? CI::BreakerHalfOpen
+                                          : CI::BreakerClosed;
 }
 
 /**
@@ -318,15 +339,9 @@ clusterInstants(const std::vector<BreakerTimeline>& breakers,
             }
         std::sort(edges.begin(), edges.end());
         edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-        for (dam::Cycle c : edges) {
-            using CI = ClusterInstant;
-            const BreakerState st = breakers[r].stateAt(c);
-            const CI::Kind kind = st == BreakerState::Open ? CI::BreakerOpen
-                                  : st == BreakerState::HalfOpen
-                                      ? CI::BreakerHalfOpen
-                                      : CI::BreakerClosed;
-            instants[r].push_back({c, kind, static_cast<int64_t>(r)});
-        }
+        for (dam::Cycle c : edges)
+            instants[r].push_back({c, breakerInstant(breakers[r].stateAt(c)),
+                                   static_cast<int64_t>(r)});
     }
     for (const AutoscaleStep& s : autoscale)
         instants[0].push_back(
@@ -374,56 +389,17 @@ ServingCluster::ServingCluster(ClusterConfig cfg, const Policy& policy)
         STEP_ASSERT(s > 0.0, "bwScales entries must be positive");
 }
 
-std::vector<BreakerTimeline>
-ServingCluster::resilientBreakers(const std::vector<Request>& reqs) const
-{
-    const auto R = static_cast<size_t>(cfg_.replicas);
-    std::vector<BreakerTimeline> out(R);
-    if (cfg_.resilience.breakerSource == BreakerSource::Plan) {
-        for (size_t r = 0; r < R; ++r)
-            out[r] = computeBreakerTimeline(
-                cfg_.faults.forReplica(static_cast<int64_t>(r)),
-                cfg_.resilience.breaker);
-        return out;
-    }
-    // Telemetry source: the observation pass (see the declaration) is
-    // itself a deterministic cluster run — with the tier off, so it
-    // cannot recurse — and its inferred timelines are pure data.
-    ClusterConfig oc = cfg_;
-    oc.resilience.enabled = false;
-    oc.trace = obs::TraceOptions{};
-    oc.metrics.enabled = true;
-    oc.metrics.windowCycles = cfg_.resilience.health.windowCycles;
-    std::vector<Request> copy(reqs);
-    ServingCluster observer(std::move(oc), policy_);
-    const ClusterResult watched = observer.run(copy);
-    for (size_t r = 0; r < R; ++r)
-        out[r] = inferBreakerTimeline(*watched.metrics[r],
-                                      cfg_.resilience.health);
-    return out;
-}
-
 std::vector<int64_t>
 ServingCluster::routeTrace(const std::vector<Request>& reqs) const
 {
-    std::vector<BreakerTimeline> breakers;
-    std::vector<AutoscaleStep> autoscale;
-    return route(reqs, breakers, autoscale);
-}
-
-std::vector<int64_t>
-ServingCluster::route(const std::vector<Request>& reqs,
-                      std::vector<BreakerTimeline>& breakers,
-                      std::vector<AutoscaleStep>& autoscale) const
-{
-    if (cfg_.resilience.enabled) {
-        breakers = resilientBreakers(reqs);
-        autoscale = computeAutoscaleTimeline(
-            cfg_.resilience.autoscale, reqs, cfg_.faults, cfg_.replicas,
-            prefillFpt_, cfg_.engine.totalComputeBw);
-    }
     std::vector<int64_t> out = assignRoutes(reqs, cfg_, prefillFpt_);
-    remapUnhealthy(reqs, cfg_, breakers, autoscale, out);
+    const std::vector<AutoscaleStep> autoscale =
+        autoscaleSteps(cfg_, reqs, prefillFpt_);
+    Router router(static_cast<size_t>(cfg_.replicas));
+    std::vector<bool> no_probes;
+    for (size_t i = 0; i < reqs.size(); ++i)
+        out[i] = router.route(reqs[i], out[i], cfg_, {}, autoscale,
+                              no_probes);
     return out;
 }
 
@@ -517,18 +493,13 @@ class WorkerPool
 } // namespace
 
 /**
- * One run()'s epoch loop. The constructor is the pre-pass: it decides
- * the tier, routes the trace, starts one live engine run per replica
- * over its shard, and collects the barriers — every replica's crash,
- * recovery and drain trigger. epoch(E) advances every replica to
- * barrier E on the worker pool; between barriers the replicas share
- * nothing. barrier(E) is the coordinator's turn: the replicas with a
- * crash or drain at E deliver it, and their casualties are offered to
- * the rescheduling policy in (cycle, request, attempt) order, each
- * granted incarnation appended to its target's live run. Every replica
- * iteration is therefore simulated once, and every failover decision
- * sees only what happened up to its barrier. finish() reconciles,
- * reflects and merges.
+ * One run()'s epoch loop (see ServingCluster::run). The constructor
+ * decides the tier, makes the routing policy's picks (a function of
+ * the trace alone), starts one live run per replica, routes the
+ * arrivals up to the first point where a breaker can change, and
+ * collects the fault barriers. epoch(E) advances every replica to E on
+ * the worker pool; barrier(E) is the coordinator's turn; finish()
+ * reconciles, reflects and merges.
  */
 class ServingCluster::Run
 {
@@ -536,30 +507,43 @@ class ServingCluster::Run
     Run(const ServingCluster& cluster, std::vector<Request>& reqs)
         : cfg_(cluster.cfg_), reqs_(reqs),
           R_(static_cast<size_t>(cfg_.replicas)),
-          handoff_(cfg_.resilience.migration), origs_(R_), results_(R_),
+          window_(cfg_.resilience.enabled &&
+                          cfg_.resilience.breakerSource ==
+                              BreakerSource::Telemetry
+                      ? cfg_.resilience.health.windowCycles
+                      : 0),
+          handoff_(cfg_.resilience.migration), router_(R_), origs_(R_),
+          results_(R_),
           traces_(cfg_.trace.level != obs::TraceLevel::Off ? R_ : 0),
           mregs_(cfg_.metrics.enabled ? R_ : 0), load_(R_, 0)
     {
-        // The tier is decided here, once: its timelines (via routing),
-        // its rescheduling policy, its affinity owners and its drain.
-        assignment_ = cluster.route(reqs, breakers_, autoscale_);
         static const ExponentialBackoffRetry default_retry;
         retry_ = cfg_.retry ? cfg_.retry : &default_retry;
         const bool resilient = cfg_.resilience.enabled;
-        if (resilient)
+        if (resilient) {
             retry_ = &handoff_;
-        for (size_t i = 0; resilient && i < reqs.size(); ++i)
-            if (reqs[i].affinityKey != 0) // last sight wins
-                owners_[reqs[i].affinityKey] = assignment_[i];
-        // After routing, whose telemetry observation pass runs a pool of
-        // its own.
+            autoscale_ = autoscaleSteps(cfg_, reqs, cluster.prefillFpt_);
+            breakers_.resize(R_);
+        }
+        if (window_ > 0) { // telemetry breakers start closed
+            for (size_t r = 0; r < R_; ++r)
+                monitors_.emplace_back(cfg_.resilience.health);
+            probes_.assign(R_, false);
+        } else {
+            for (size_t r = 0; r < breakers_.size(); ++r)
+                breakers_[r] = computeBreakerTimeline(
+                    cfg_.faults.forReplica(static_cast<int64_t>(r)),
+                    cfg_.resilience.breaker);
+        }
+        route_ = assignRoutes(reqs, cfg_, cluster.prefillFpt_);
         pool_.emplace(static_cast<size_t>(
             std::min(cfg_.threads > 0 ? cfg_.threads : cfg_.replicas,
                      cfg_.replicas)));
 
         // Seeds, fault timelines and instants are derived on the
         // coordinating thread before any worker runs — the one ordering
-        // the global-seed contract requires (see rng.hh).
+        // the global-seed contract requires (see rng.hh). Telemetry
+        // breaker flips are stamped as the monitors decide them.
         std::vector<std::vector<ClusterInstant>> instants =
             clusterInstants(breakers_, autoscale_, R_);
         configs_.assign(R_, cfg_.engine);
@@ -588,7 +572,7 @@ class ServingCluster::Run
                 if (d.recoverAt != 0)
                     barriers_.push_back(d.recoverAt);
         }
-        // A fault-free plan has no barrier and runs as one epoch.
+        // A fault-free plan has no fault barrier.
         std::ranges::sort(barriers_);
         barriers_.erase(std::unique(barriers_.begin(), barriers_.end()),
                         barriers_.end());
@@ -600,12 +584,6 @@ class ServingCluster::Run
             t = std::make_unique<obs::TraceSink>(cfg_.trace);
         for (auto& m : mregs_)
             m = std::make_unique<obs::MetricsRegistry>(cfg_.metrics);
-        std::vector<std::vector<Request>> shards(R_);
-        for (size_t i = 0; i < reqs.size(); ++i) { // shards stay sorted
-            const auto r = static_cast<size_t>(assignment_[i]);
-            shards[r].push_back(reqs[i]);
-            origs_[r].push_back(i);
-        }
         runs_.reserve(R_);
         for (size_t r = 0; r < R_; ++r) {
             auto& e = engines_.emplace_back(
@@ -614,13 +592,29 @@ class ServingCluster::Run
                 e->attachTrace(traces_[r].get());
             if (!mregs_.empty())
                 e->attachMetrics(mregs_[r].get());
-            runs_.emplace_back(*e, std::move(shards[r]));
+            if (!monitors_.empty())
+                e->attachHealth(&monitors_[r]);
+            runs_.emplace_back(*e, std::vector<Request>{});
         }
+        // Without telemetry breakers, all routing reads is known now.
+        routeUntil(window_ > 0 ? window_ : kEnd);
     }
 
-    const std::vector<dam::Cycle>& barriers() const { return barriers_; }
+    /** The next barrier (kEnd: none): a fault edge, or a window edge
+     *  while an arrival is left to route or a run to serve. */
+    dam::Cycle
+    nextBarrier() const
+    {
+        dam::Cycle next =
+            nextFault_ < barriers_.size() ? barriers_[nextFault_] : kEnd;
+        if (window_ > 0 &&
+            (routed_ < reqs_.size() ||
+             !std::ranges::all_of(runs_, &ServingEngine::Run::ended)))
+            next = std::min(next, nextWindow_);
+        return next;
+    }
 
-    /** Advance every replica to @p until (kNoEvent: to its end) on the
+    /** Advance every replica to @p until (kEnd: to its end) on the
      *  worker pool. Workers take the replicas in index order as they
      *  come free; which worker steps a (shared-nothing) replica never
      *  changes what it computes. */
@@ -639,19 +633,25 @@ class ServingCluster::Run
     }
 
     /**
-     * The coordinator's turn at barrier @p at: the replicas with a crash
-     * or drain there deliver it, and every new casualty is offered to
-     * the rescheduling policy in (fail-cycle, request, attempt) order.
+     * The coordinator's turn at barrier @p at: a window edge closes its
+     * window; then the replicas with a crash or drain there deliver it,
+     * and every new casualty is offered to the rescheduling policy in
+     * (fail-cycle, request, attempt) order.
      */
     void
     barrier(dam::Cycle at)
     {
+        if (nextFault_ < barriers_.size() && barriers_[nextFault_] == at)
+            ++nextFault_;
+        if (window_ > 0 && at == nextWindow_) {
+            closeWindow(at);
+            nextWindow_ += window_;
+        }
         // Placement weighs what was routed to arrive by now, never load
         // assigned later in simulated time.
-        for (; routed_ < reqs_.size() && reqs_[routed_].arrival <= at;
-             ++routed_)
-            load_[static_cast<size_t>(assignment_[routed_])] +=
-                reqs_[routed_].promptLen + reqs_[routed_].outputLen;
+        for (; loaded_ < routed_ && reqs_[loaded_].arrival <= at; ++loaded_)
+            load_[static_cast<size_t>(route_[loaded_])] +=
+                reqs_[loaded_].promptLen + reqs_[loaded_].outputLen;
         std::vector<Casualty> due;
         for (size_t r = 0; r < R_; ++r) {
             if (std::ranges::binary_search(edges_[r], at))
@@ -710,6 +710,8 @@ class ServingCluster::Run
         out.traces = std::move(traces_);
         out.metrics = std::move(mregs_);
         out.breakers = std::move(breakers_);
+        for (size_t r = 0; r < monitors_.size(); ++r)
+            out.breakers[r] = monitors_[r].timeline();
         out.retriesIssued = retriesIssued_;
         out.migrationsIssued = migrationsIssued_;
         out.epochs = epochs_;
@@ -756,6 +758,44 @@ class ServingCluster::Run
      *  request is misconfigured (it must bound attempts). */
     static constexpr int64_t kMaxAttempts = 1024;
 
+    /**
+     * Window edge @p at: the monitors decide on the window that just
+     * ended, a breaker that changed state is stamped on its replica's
+     * trace, probing breakers re-arm, and the next window is routed:
+     * inferred timelines change only on window edges.
+     */
+    void
+    closeWindow(dam::Cycle at)
+    {
+        for (size_t r = 0; r < R_; ++r) {
+            monitors_[r].closeUntil(at);
+            breakers_[r] = monitors_[r].timeline();
+            const BreakerState st = breakers_[r].stateAt(at);
+            if (st != breakers_[r].stateAt(at - window_) && !traces_.empty())
+                traces_[r]->breakerFlip(
+                    clusterInstantName(breakerInstant(st)), at,
+                    static_cast<int64_t>(r));
+            probes_[r] = monitors_[r].probing();
+        }
+        routeUntil(at + window_);
+    }
+
+    /** Route the arrivals before @p end, in trace order, each onto its
+     *  replica's live run. */
+    void
+    routeUntil(dam::Cycle end)
+    {
+        for (; routed_ < reqs_.size() && reqs_[routed_].arrival < end;
+             ++routed_) {
+            const Request& q = reqs_[routed_];
+            route_[routed_] = router_.route(q, route_[routed_], cfg_,
+                                            breakers_, autoscale_, probes_);
+            const auto r = static_cast<size_t>(route_[routed_]);
+            origs_[r].push_back(routed_);
+            runs_[r].append(q);
+        }
+    }
+
     /** A failed or drained incarnation awaiting its failover decision. */
     struct Casualty
     {
@@ -795,8 +835,7 @@ class ServingCluster::Run
                       << " failed on replica " << f.replica << " at cycle "
                       << f.at << " (it must bound attempts)");
         const Request& orig = reqs_[f.orig]; // pristine: never mutated
-        const auto it = owners_.find(orig.affinityKey);
-        const int64_t owner = it != owners_.end() ? it->second : -1;
+        const int64_t owner = router_.owner(orig.affinityKey);
         // With no replica able to take it at the re-arrival cycle the
         // request could only be refused again: the failure stands.
         const int64_t best =
@@ -914,20 +953,31 @@ class ServingCluster::Run
     const ClusterConfig& cfg_;
     std::vector<Request>& reqs_;
     const size_t R_;
+    /** Health-window width with telemetry breakers, else 0. */
+    const dam::Cycle window_;
 
-    std::vector<int64_t> assignment_; ///< routed replica per request
+    /** Per request: the routing policy's pick, then, once routed, its
+     *  replica. */
+    std::vector<int64_t> route_;
+    /** What routing and failover consult: plan-derived, or what the
+     *  monitors have decided so far (empty off the tier). */
     std::vector<BreakerTimeline> breakers_;
     std::vector<AutoscaleStep> autoscale_;
+    /** Per replica, telemetry breakers only: its monitor, and whether
+     *  it takes a probe in the current window. */
+    std::vector<HealthMonitor> monitors_;
+    std::vector<bool> probes_;
     MigrationHandoff handoff_;
     const RetryPolicy* retry_ = nullptr;
-    /** Affinity key -> replica with the warm cache; empty off-tier. */
-    std::unordered_map<uint64_t, int64_t> owners_;
+    Router router_;
     /** Per replica: seed, fault timeline, bandwidth, instants, drain. */
     std::vector<EngineConfig> configs_;
     /** Per replica: its crash and drain cycles, sorted. */
     std::vector<std::vector<dam::Cycle>> edges_;
     /** Every replica's crash, recovery and drain cycle, sorted, unique. */
     std::vector<dam::Cycle> barriers_;
+    size_t nextFault_ = 0; ///< into barriers_
+    dam::Cycle nextWindow_ = window_;
 
     /** Per replica: its engine, and the live run on it. */
     std::vector<std::unique_ptr<ServingEngine>> engines_;
@@ -941,7 +991,8 @@ class ServingCluster::Run
     std::vector<std::unique_ptr<obs::MetricsRegistry>> mregs_;
 
     std::vector<int64_t> load_;
-    size_t routed_ = 0; ///< requests whose arrival load_ holds
+    size_t routed_ = 0; ///< requests routed onto a run
+    size_t loaded_ = 0; ///< requests whose arrival load_ holds
     int64_t retriesIssued_ = 0;
     int64_t migrationsIssued_ = 0;
     int64_t epochs_ = 0;
@@ -957,11 +1008,11 @@ ServingCluster::run(std::vector<Request>& reqs)
                                }),
                 "request trace must be sorted by arrival");
     Run r(*this, reqs);
-    for (dam::Cycle at : r.barriers()) {
+    for (dam::Cycle at; (at = r.nextBarrier()) != kEnd;) {
         r.epoch(at);
         r.barrier(at);
     }
-    r.epoch(ReplicaFaultTimeline::kNoEvent);
+    r.epoch(kEnd);
     return r.finish();
 }
 

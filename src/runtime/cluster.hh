@@ -12,11 +12,12 @@
  * batching serving systems scale out: replicas behind a router, sharing
  * nothing but the request stream.
  *
- * Determinism contract: routing is a pre-pass on the coordinating
- * thread, per-replica seeds are derived before workers spawn
- * (deriveSeed(replica_id)), every replica simulates independently, and
- * merging walks replicas in index order — so the aggregate is
- * bit-identical whether the replicas run on 1 worker thread or N.
+ * Determinism contract: every routing, failover and breaker decision
+ * runs on the coordinating thread between epochs, per-replica seeds
+ * are derived before workers spawn (deriveSeed(replica_id)), every
+ * replica simulates independently within an epoch, and merging walks
+ * replicas in index order — so the aggregate is bit-identical whether
+ * the replicas run on 1 worker thread or N.
  */
 #pragma once
 
@@ -40,8 +41,8 @@ enum class RouteKind {
      * fewest outstanding prompt tokens (waiting, via
      * ContinuousBatcher::waitingPromptTokens, plus admitted-but-
      * unfinished). The router drains its shadow queues with an analytic
-     * service-time model, so decisions need no feedback from the
-     * replica simulations and stay a deterministic pre-pass.
+     * service-time model, so its picks need no feedback from the
+     * replica simulations: they depend on the trace alone.
      */
     LeastQueued,
     /**
@@ -82,9 +83,9 @@ struct ClusterConfig
      * fleet (empty = every replica at 1.0, the default — run() is then
      * bit-identical to a scale-less build). Replica r simulates with
      * round(engine.totalComputeBw * bwScales[r]); the least-queued
-     * router's shadow service times, the resilience tier's
-     * health-scored placement (pickResilientTarget divides load by the
-     * scale), and the merged utilization denominator all honor the
+     * router's shadow service times, remap and failover placement
+     * (pickResilientTarget divides load by the scale), and the merged
+     * utilization denominator all honor the
      * scale. Must be empty or have exactly `replicas` positive entries.
      */
     std::vector<double> bwScales;
@@ -95,9 +96,9 @@ struct ClusterConfig
      * receives its own timeline (FaultPlan::forReplica); the engine
      * template's `faults` field is ignored, like its seed. The router
      * is fault-aware: a request arriving while its chosen replica is
-     * down is re-routed to the least-loaded alive replica before any
-     * simulation runs (a health-checked load balancer), and requests a
-     * crash kills in flight are re-routed through the retry policy.
+     * down is re-routed to the least-loaded alive replica (a
+     * health-checked load balancer), and requests a crash kills in
+     * flight are re-routed through the retry policy.
      */
     FaultPlan faults;
     /**
@@ -113,8 +114,8 @@ struct ClusterConfig
      * Resilience tier (disabled = the default — run() is then
      * bit-identical to the plain fault tier). Enabled, it changes four
      * things (see resilience.hh): the router and failover placement
-     * become health-scored (circuit breakers from the fault plan,
-     * autoscale parking, affinity preference); crash casualties and
+     * become health-scored (circuit breakers, autoscale parking,
+     * affinity preference); crash casualties and
      * slowdown-drained requests *migrate*: the tier's RetryPolicy is a
      * MigrationHandoff, and cfg_.retry is not consulted; migrated or
      * retried requests placed off their cache-affinity replica may
@@ -156,14 +157,14 @@ struct ReplicaResult
     /** The engine configuration the replica ran under (seed, fault
      *  timeline, bandwidth, instants, drain), for replay. */
     EngineConfig engine;
-    /** Every incarnation the replica served, by slot: its routed shard
-     *  in trace order, then the failover incarnations in the order they
-     *  were appended. A fresh ServingEngine::Run over `engine` on their
-     *  inputs, stable-sorted by arrival and advanced through the
-     *  cluster's barriers, ends with these requests, `result`'s
-     *  iterations and timeline, and the replica's trace and metrics
-     *  bytes. Its summary differs only in sample order and in the
-     *  failover reclassification (retried, denied migrations). */
+    /** Every incarnation the replica served, by slot: as appended,
+     *  routed requests and failover incarnations interleaved. A fresh
+     *  ServingEngine::Run over `engine` on their inputs, stable-sorted
+     *  by arrival and advanced through the cluster's barriers (stamping
+     *  telemetry breaker flips at their window edges), ends with these
+     *  requests, `result`'s iterations and timeline, and the replica's
+     *  trace and metrics bytes. Its summary differs only in sample
+     *  order and in the failover reclassification. */
     std::vector<Request> requests;
 };
 
@@ -181,7 +182,8 @@ struct ClusterResult
     /** Migration incarnations the resilience tier issued (0 unless the
      *  tier is enabled and a slowdown drain fired). */
     int64_t migrationsIssued = 0;
-    /** Epochs run: one more than the barriers (1 without faults). */
+    /** Epochs run: one more than the barriers (1 without faults or
+     *  telemetry breakers). */
     int64_t epochs = 0;
     /** Replica iterations the epochs executed, counted as they ran;
      *  equal to totalIterations, since no iteration runs twice. */
@@ -200,10 +202,9 @@ struct ClusterResult
      *  the cluster aggregate's windowed-SLO fields are computed from
      *  this registry. */
     std::unique_ptr<obs::MetricsRegistry> mergedMetrics;
-    /** The breaker timelines the router and failover placement actually
-     *  consulted (empty unless the resilience tier is enabled):
-     *  plan-derived by default, telemetry-inferred under
-     *  BreakerSource::Telemetry. Exposed for tests and tools. */
+    /** The breaker timelines routing and failover consulted (empty off
+     *  the resilience tier): plan-derived, or what the health monitors
+     *  had decided by the run's last window edge. */
     std::vector<BreakerTimeline> breakers;
 
     /** Borrowed views of `traces` in export order (replica order),
@@ -242,69 +243,44 @@ class ServingCluster
      * Requests are mutated in place exactly as ServingEngine::run would
      * (states, TTFT/finish stamps).
      *
-     * Each replica keeps one live ServingEngine::Run for the whole call,
-     * and the cluster advances all of them epoch by epoch between
-     * *barriers*: every replica's crash, recovery and drain trigger.
-     * Inside an epoch the replicas share nothing and step in parallel,
-     * each while its clock is before the next barrier E (prefill-only
-     * wakes and idle jumps stop at E, so no run reads an event past
-     * it). At E the coordinator takes over: each replica with a crash or
-     * drain at E delivers the events due by E, and the casualties —
-     * with a crash, also the arrivals it refuses until its recovery —
-     * are offered to the tier's RetryPolicy in (fail-cycle, request,
-     * attempt) order. Each granted incarnation is placed by the load
-     * routed up to E and appended to its target's live run, at or after
-     * that run's horizon. Every replica iteration is thus simulated
-     * once, each casualty is decided once, and no decision depends on
-     * anything later in simulated time. A fault-free plan has no
-     * barrier and runs as one epoch. A retry policy that keeps granting
-     * attempts raises a FatalError naming the request once it reaches
-     * attempt 1024.
+     * Each replica keeps one live ServingEngine::Run, advanced epoch by
+     * epoch between *barriers*: every crash, recovery and drain
+     * trigger, and with telemetry breakers every health-window edge
+     * while anything is left to route or serve. Inside an epoch the
+     * replicas share nothing and step in parallel, each while its clock
+     * is before the next barrier E. At E the coordinator takes over: at
+     * a window edge the health monitors decide and the next window's
+     * arrivals are routed (otherwise the whole trace is routed before
+     * the first epoch); then the replicas with a crash or drain at E
+     * deliver it, and the casualties — with a crash, also the arrivals
+     * it refuses until its recovery — are offered to the tier's
+     * RetryPolicy in (fail-cycle, request, attempt) order, each granted
+     * incarnation placed by the load routed up to E and appended to its
+     * target's run. Every replica iteration is simulated once, and no
+     * decision depends on anything later in simulated time. A retry
+     * policy that keeps granting attempts raises a FatalError naming
+     * the request once it reaches attempt 1024.
      *
-     * A request that failed but was retried reports the final
-     * incarnation's outcome to the caller (original arrival kept,
-     * Request::attempt telling the story); its source replica's summary
-     * reclassifies it failed -> retried. The aggregate scores SLO
-     * attainment over these caller copies (scoreSloPerCaller), so a
-     * retry's delay counts against its request. Deterministic for fixed
-     * (config, policy, trace, global seed), independent of the thread
-     * count.
+     * A request that failed over reports its final incarnation to the
+     * caller (original arrival kept, Request::attempt telling the
+     * story); its source replica's summary counts it retried. The
+     * aggregate scores SLO attainment over these caller copies.
+     * Deterministic for fixed (config, policy, trace, global seed),
+     * independent of the thread count.
      */
     ClusterResult run(std::vector<Request>& reqs);
 
     /**
-     * The deterministic routing pre-pass alone: replica index per
-     * request, in trace order. Includes the fault-aware remap (requests
-     * arriving into a down replica move to the least-loaded alive one)
-     * — or, with the resilience tier enabled, the health-scored remap
-     * (down, breaker-open, and autoscale-parked replicas stop getting
-     * fresh placements; targets are picked by pickResilientTarget).
-     * Exposed for tests and routing studies.
+     * The routing with every breaker closed: replica per request, in
+     * trace order — the policy's picks through run()'s remap (down and,
+     * on the resilience tier, autoscale-parked replicas are routed
+     * around; sessions stay put). run() also routes around open
+     * breakers. Exposed for tests and routing studies.
      */
     std::vector<int64_t> routeTrace(const std::vector<Request>& reqs) const;
 
   private:
     class Run; ///< one run()'s epoch loop (cluster.cc)
-
-    /**
-     * The breaker timelines the resilience tier will consult, by
-     * ClusterConfig::resilience.breakerSource: plan-derived
-     * (computeBreakerTimeline per replica) or telemetry-inferred — an
-     * observation pass runs the *plain fault tier* on a copy of the
-     * trace (resilience off, traces off, metrics forced on at the
-     * health monitor's window width) and feeds each replica's windowed
-     * failure counts and TTFT p95 to inferBreakerTimeline. Both are
-     * pure pre-passes on the coordinating thread, so routing stays
-     * deterministic and thread-count independent.
-     */
-    std::vector<BreakerTimeline>
-    resilientBreakers(const std::vector<Request>& reqs) const;
-    /** routeTrace, also handing back the breaker and autoscale timelines
-     *  the resilience tier's remap consulted (left empty off the tier),
-     *  so run() shares them with failover placement. */
-    std::vector<int64_t> route(const std::vector<Request>& reqs,
-                               std::vector<BreakerTimeline>& breakers,
-                               std::vector<AutoscaleStep>& autoscale) const;
 
     ClusterConfig cfg_;
     const Policy& policy_;

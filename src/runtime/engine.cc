@@ -99,7 +99,8 @@ static_assert(
  * The engine's one telemetry path. Resolves handles into whichever
  * exporters are attached — the trace sink with its counter registry,
  * the metrics registry — and turns each engine event into lifecycle
- * hooks, counter updates and metric samples as kQuantities declares.
+ * hooks, counter updates and metric samples as kQuantities declares;
+ * failures and first tokens also go to an attached health monitor.
  * With nothing attached each event is one predicted branch and
  * computes nothing.
  */
@@ -107,8 +108,8 @@ class Recorder
 {
   public:
     Recorder(obs::TraceSink* trace, obs::MetricsRegistry* metrics,
-             const SloConfig& slo)
-        : trace_(trace), metrics_(metrics), slo_(slo)
+             HealthMonitor* health, const SloConfig& slo)
+        : trace_(trace), metrics_(metrics), health_(health), slo_(slo)
     {
         if (trace_) {
             obs::CounterRegistry& c = trace_->counters();
@@ -157,12 +158,14 @@ class Recorder
     void
     firstToken(const Request& r)
     {
-        if (!trace_ && !metrics_) [[likely]]
+        if (!trace_ && !metrics_ && !health_) [[likely]]
             return;
+        const dam::Cycle ttft = r.firstTokenAt - r.arrival;
         if (trace_)
             trace_->reqFirstToken(r.id, r.attempt, r.firstTokenAt);
-        record(TtftCycles, r.firstTokenAt,
-               static_cast<int64_t>(r.firstTokenAt - r.arrival));
+        if (health_)
+            health_->firstToken(r.firstTokenAt, ttft);
+        record(TtftCycles, r.firstTokenAt, static_cast<int64_t>(ttft));
     }
 
     /**
@@ -173,7 +176,7 @@ class Recorder
     void
     terminal(const Request& r, int64_t kv_tokens)
     {
-        if (!trace_ && !metrics_) [[likely]]
+        if (!trace_ && !metrics_ && !health_) [[likely]]
             return;
         const dam::Cycle at = r.finishedAt;
         switch (r.state) {
@@ -193,6 +196,8 @@ class Recorder
           case ReqState::Failed:
             if (trace_)
                 trace_->reqFailed(r.id, r.attempt, at);
+            if (health_)
+                health_->failed(at);
             record(RequestsFailed, at, 1);
             break;
           case ReqState::Shed:
@@ -304,6 +309,7 @@ class Recorder
 
     obs::TraceSink* trace_;
     obs::MetricsRegistry* metrics_;
+    HealthMonitor* health_;
     const SloConfig& slo_;
     std::array<obs::CounterRegistry::Handle, kNumQuantities> counter_{};
     std::array<obs::MetricsRegistry::Handle, kNumQuantities> metric_{};
@@ -415,7 +421,8 @@ class ServingEngine::Run::Impl
           reqs_(std::make_move_iterator(input.begin()),
                 std::make_move_iterator(input.end())),
           batcher_(cfg_.batcher), iterRng_(cfg_.seed),
-          tel_(eng.trace_, eng.metrics_, cfg_.slo), dp_(eng.baseParams_),
+          tel_(eng.trace_, eng.metrics_, eng.health_, cfg_.slo),
+          dp_(eng.baseParams_),
           drainEdges_(drainEdges(cfg_)),
           // Scheduler events only matter at trace level >= Op, so the
           // per-resume branch in dam::Scheduler::drain stays cold below.
@@ -447,7 +454,7 @@ class ServingEngine::Run::Impl
     void
     deliverUntil(dam::Cycle at)
     {
-        if (ended_ >= reqs_.size() && !cut_)
+        if (ended())
             return;
         STEP_ASSERT(now_ >= at, "barrier at cycle " << at
                                     << " delivered to a run at cycle "
@@ -458,16 +465,26 @@ class ServingEngine::Run::Impl
 
     dam::Cycle horizon() const { return horizon_; }
 
+    bool ended() const { return ended_ >= reqs_.size() && !cut_; }
+
     void
     append(Request r)
     {
-        STEP_ASSERT(r.arrival >= horizon_,
+        // A delivered crash refused every arrival before its recovery:
+        // one appended inside that outage is refused as it comes.
+        const bool refused =
+            r.arrival < horizon_ && cfg_.faults.downAt(r.arrival);
+        STEP_ASSERT(r.arrival >= horizon_ || refused,
                     "request " << r.id << " (attempt " << r.attempt
                                << ") appended at cycle " << r.arrival
                                << ", before the run's horizon "
                                << horizon_);
         reqs_.push_back(std::move(r));
         Request* p = &reqs_.back();
+        if (refused) {
+            arrive(*p);
+            return;
+        }
         // Everything delivered arrived before the horizon, so the
         // request sorts into the undelivered tail.
         const auto tail =
@@ -528,7 +545,7 @@ class ServingEngine::Run::Impl
     bool
     step(IterationWorkspace& ws)
     {
-        if (ended_ >= reqs_.size() && !cut_)
+        if (ended())
             return false;
         if (res_.iterations >= kMaxIterations)
             throw stall("iteration bound exceeded without progress");
@@ -748,12 +765,13 @@ class ServingEngine::Run::Impl
         if (batcher_.waitingCount() > 0 && adm.shed.empty())
             throw stall("head-of-line request can never be admitted");
         if (batcher_.waitingCount() == 0 && ended_ < reqs_.size()) {
-            const dam::Cycle next = nextDue().arrivalAt;
-            if (next == kNone)
+            const Due next = nextDue();
+            if (next.arrivalAt == kNone)
                 throw stall("idle with unfinished requests");
-            // Idle until the next arrival, or the barrier the run is
-            // advanced to, where its cluster may append an earlier one.
-            now_ = std::min(next, until_);
+            // Idle until the next scripted event (delivered on its own
+            // cycle even by a run appended to after it ended), or the
+            // barrier, where its cluster may append an earlier arrival.
+            now_ = std::min(next.at, until_);
             horizon_ = std::max(horizon_, now_);
         }
         return false;
@@ -1004,6 +1022,12 @@ void
 ServingEngine::Run::append(Request r)
 {
     impl_->append(std::move(r));
+}
+
+bool
+ServingEngine::Run::ended() const
+{
+    return impl_->ended();
 }
 
 std::vector<size_t>

@@ -229,6 +229,11 @@ class ServingEngine
      */
     void attachMetrics(obs::MetricsRegistry* m) { metrics_ = m; }
 
+    /** Attach (or detach) a health monitor, which runs then report
+     *  each failed request and first token to; like the exporters, it
+     *  never changes what they do. It must outlive the runs. */
+    void attachHealth(HealthMonitor* h) { health_ = h; }
+
   private:
     EngineConfig cfg_;
     const Policy& policy_;
@@ -237,6 +242,7 @@ class ServingEngine
     double prefillFlopsPerToken_ = 0; ///< of cfg_'s model and layers
     obs::TraceSink* trace_ = nullptr;
     obs::MetricsRegistry* metrics_ = nullptr;
+    HealthMonitor* health_ = nullptr;
     /** run()'s, made on first use (a cluster's replicas borrow their
      *  workers' instead). */
     std::unique_ptr<IterationWorkspace> ws_;
@@ -256,7 +262,10 @@ class ServingEngine
  * So a run that took appends ends exactly as a fresh run over its final
  * input (its requests by arrival, appends after equal arrivals) advanced
  * through the same barriers, with no delivery or append between them,
- * would. With no barrier that is ServingEngine::run.
+ * would. With no barrier that is ServingEngine::run. One exception: an
+ * append inside an outage the run already delivered is refused when
+ * appended, where the fresh run refuses it with the crash, so its trace
+ * records come later.
  */
 class ServingEngine::Run
 {
@@ -281,8 +290,13 @@ class ServingEngine::Run
      *  a crash (every arrival before its recovery). */
     dam::Cycle horizon() const;
     /** Serve @p r too; it must arrive at or after horizon(), and is
-     *  delivered after every arrival at the same cycle. */
+     *  delivered after every arrival at the same cycle — unless it
+     *  arrives inside an outage whose crash the run delivered, which
+     *  refuses it at once. */
     void append(Request r);
+    /** Every request has ended and no delivery waits: the run steps
+     *  again only once appended to. */
+    bool ended() const;
     /** The slots of the requests that failed or migrated since the last
      *  call, ascending. */
     std::vector<size_t> takeCasualties();

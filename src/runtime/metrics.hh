@@ -48,13 +48,9 @@ struct ServingSummary
     double ttftP50 = 0, ttftP95 = 0, ttftP99 = 0, ttftMean = 0;
     double tpotP50 = 0, tpotP95 = 0, tpotP99 = 0, tpotMean = 0;
 
-    /**
-     * Completed requests meeting the SLO, and their tokens. A replica's
-     * summary scores each incarnation it served from that incarnation's
-     * own arrival, so a retry's latency there starts at its re-arrival;
-     * a cluster aggregate scores each caller request once, from its
-     * original arrival (scoreSloPerCaller).
-     */
+    /** Completed requests meeting the SLO, and their tokens. A replica
+     *  scores each incarnation from its own (re-)arrival; a cluster
+     *  aggregate each caller request, from its original arrival. */
     int64_t sloCompliant = 0;
     int64_t sloGoodTokens = 0;
     /** Generated tokens per kilocycle, all completed requests. */
@@ -167,12 +163,9 @@ ServingSummary summarize(const std::vector<Request>& reqs,
 void resummarize(ServingSummary& s, const std::vector<Request>& reqs,
                  const SloConfig& slo);
 
-/**
- * Re-score @p s's SLO fields (sloCompliant, sloGoodTokens and the
- * goodput rate over s.makespan) over @p callers: the requests as their
- * callers see them, each once, with the original arrival, so a request
- * that failed over counts its retry and handoff delays.
- */
+/** Re-score @p s's SLO fields (and goodput over s.makespan) over
+ *  @p callers: each request once, as its caller sees it, so one that
+ *  failed over counts its retry and handoff delays. */
 void scoreSloPerCaller(ServingSummary& s, const std::vector<Request>& callers,
                        const SloConfig& slo);
 

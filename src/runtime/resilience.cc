@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.hh"
 #include "support/error.hh"
 
 namespace step::runtime {
@@ -84,6 +83,39 @@ parseBreakerSource(std::string_view s, BreakerSource* out)
 }
 
 void
+HealthMonitor::expectOpen(dam::Cycle at) const
+{
+    STEP_ASSERT(int64_t(at / cfg_.windowCycles) >= window_,
+                "telemetry at cycle " << at
+                                      << " reported after its window closed");
+}
+
+void
+HealthMonitor::failed(dam::Cycle at)
+{
+    expectOpen(at);
+    failures_.record(at, 1);
+}
+
+void
+HealthMonitor::firstToken(dam::Cycle at, uint64_t ttft)
+{
+    expectOpen(at);
+    ttft_.record(at, ttft);
+}
+
+void
+HealthMonitor::closeUntil(dam::Cycle edge)
+{
+    while (dam::Cycle(window_ + 1) * cfg_.windowCycles <= edge) {
+        const auto w = size_t(window_);
+        const obs::LogHistogram* h = ttft_.windowHistogram(w);
+        observeWindow(failures_.window(w).count, h ? h->count() : 0,
+                      h ? h->percentile(95.0) : 0);
+    }
+}
+
+void
 HealthMonitor::observeWindow(uint64_t failed, uint64_t first_tokens,
                              uint64_t p95_ttft)
 {
@@ -119,64 +151,36 @@ HealthMonitor::observeWindow(uint64_t failed, uint64_t first_tokens,
     }
     if (error || degraded) {
         healthy_ = 0;
+        quiet_ = 0;
         return;
     }
-    if (healthy && ++healthy_ >= cfg_.closeAfterHealthy) {
+    if (!healthy) {
+        ++quiet_;
+        return;
+    }
+    if (++healthy_ >= cfg_.closeAfterHealthy) {
+        // Probation ends on a window edge, like every other decision.
+        const dam::Cycle w = cfg_.windowCycles;
+        const dam::Cycle probation =
+            std::max<dam::Cycle>(1, (cfg_.cooldownCycles + w - 1) / w) * w;
         tl_.open.push_back({openAt_, close_at});
-        tl_.halfOpen.push_back(
-            {close_at, close_at + cfg_.cooldownCycles});
+        tl_.halfOpen.push_back({close_at, close_at + probation});
         open_ = false;
         healthy_ = 0;
+        quiet_ = 0;
     }
 }
 
 BreakerTimeline
-HealthMonitor::finish()
+HealthMonitor::timeline() const
 {
+    BreakerTimeline tl = tl_;
     if (open_) {
-        // Still open when the telemetry ends: permanent, like a
+        // Still open: permanent until a later window closes it, like a
         // plan-derived breaker for an unrecovered crash.
-        tl_.open.push_back({openAt_, 0});
-        open_ = false;
+        tl.open.push_back({openAt_, 0});
     }
-    return std::move(tl_);
-}
-
-BreakerTimeline
-inferBreakerTimeline(const obs::MetricsRegistry& m,
-                     const HealthMonitorConfig& cfg)
-{
-    STEP_ASSERT(m.config().windowCycles == cfg.windowCycles,
-                "health monitor window ("
-                    << cfg.windowCycles
-                    << ") does not match the metrics registry's ("
-                    << m.config().windowCycles << ")");
-    HealthMonitor hm(cfg);
-    const obs::MetricsRegistry::Instrument* fail =
-        m.find("requests_failed");
-    const obs::MetricsRegistry::Instrument* ttft =
-        m.find("ttft_cycles");
-    size_t slots = 0;
-    if (fail)
-        slots = std::max(slots, fail->series.windowSlots());
-    if (ttft)
-        slots = std::max(slots, ttft->series.windowSlots());
-    for (size_t w = 0; w < slots; ++w) {
-        const uint64_t failed =
-            fail ? fail->series.window(w).count : 0;
-        uint64_t first_tokens = 0;
-        uint64_t p95 = 0;
-        if (ttft) {
-            if (const obs::LogHistogram* h =
-                    ttft->series.windowHistogram(w);
-                h && !h->empty()) {
-                first_tokens = h->count();
-                p95 = h->percentile(95.0);
-            }
-        }
-        hm.observeWindow(failed, first_tokens, p95);
-    }
-    return hm.finish();
+    return tl;
 }
 
 // ---- live request migration -------------------------------------------

@@ -30,11 +30,12 @@
  *    bandwidth degradation, plus a utilization-driven replica
  *    autoscaler whose step timeline restricts fresh placements.
  *
- * Everything here is a pure pre-pass or a pure function of its
- * arguments: breaker timelines, autoscale steps, and placement
- * decisions are computed on the coordinating thread before (or
- * between) replica simulations, so faulty runs stay bit-identical
- * across replays and worker-thread counts.
+ * Placement decisions, autoscale steps and plan-derived breaker
+ * timelines are pure functions of their arguments, computed on the
+ * coordinating thread before (or between) replica epochs; telemetry
+ * breakers are state machines the coordinator steps at window edges.
+ * Faulty runs thus stay bit-identical across replays and worker-thread
+ * counts.
  */
 #pragma once
 
@@ -42,12 +43,9 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/timeseries.hh"
 #include "runtime/faults.hh"
 #include "runtime/request.hh"
-
-namespace step::obs {
-class MetricsRegistry;
-}
 
 namespace step::runtime {
 
@@ -78,8 +76,9 @@ struct BreakerConfig
 };
 
 /**
- * One replica's breaker timeline, precomputed from its fault timeline —
- * data, like the plan itself, so every consultation is a pure lookup.
+ * One replica's breaker timeline, derived from its fault timeline or
+ * inferred by a HealthMonitor — data, so every consultation is a pure
+ * lookup.
  * Open intervals are half-open [start, end) with end 0 = forever;
  * half-open probation intervals likewise. Open wins over HalfOpen
  * where they overlap; everything else is Closed.
@@ -110,13 +109,12 @@ BreakerTimeline computeBreakerTimeline(const ReplicaFaultTimeline& t,
 /**
  * Where the cluster's breaker timelines come from. Plan (the default)
  * derives them from the fault plan's ground truth via
- * computeBreakerTimeline. Telemetry infers them *online* from each
- * replica's windowed metrics — failed-request counts and windowed p95
- * TTFT — the production-faithful variant: it only knows what a client-
- * side monitor could observe, so it detects crashes one window late,
- * needs consecutive evidence for slowdowns, can miss a fault an idle
- * replica never surfaces, and can open on load-induced latency the
- * plan never scripted (the divergence-under-noise the tests pin).
+ * computeBreakerTimeline. Telemetry infers them *online* with one
+ * HealthMonitor per replica — the production-faithful variant: it only
+ * knows what a client-side monitor could observe, so it detects
+ * crashes one window late, needs consecutive evidence for slowdowns,
+ * can miss a fault an idle replica never surfaces, and can open on
+ * load-induced latency the plan never scripted.
  */
 enum class BreakerSource : uint8_t { Plan, Telemetry };
 
@@ -127,7 +125,8 @@ bool parseBreakerSource(std::string_view s, BreakerSource* out);
  * Health-monitor thresholds for telemetry-inferred breakers. All
  * decisions land on window-close edges (cycle (w+1)*windowCycles), so
  * the inferred timeline is causal: it only uses windows that had
- * fully closed by the decision cycle.
+ * fully closed by the decision cycle. Probation ends on a window edge
+ * too, so every edge of an inferred timeline is one.
  */
 struct HealthMonitorConfig
 {
@@ -141,54 +140,70 @@ struct HealthMonitorConfig
     /** Failed requests in one window that open it immediately (the
      *  crash signal; 0 disables error-triggered opens). */
     int64_t openOnErrors = 1;
-    /** Consecutive healthy windows (>= 1 first token, p95 within
-     *  threshold, no failures) before an open breaker closes. Windows
-     *  with no evidence either way — an opened replica is routed
-     *  around, so its windows go quiet — neither close nor extend. */
+    /**
+     * Consecutive healthy windows (>= 1 first token, p95 within
+     * threshold, no failures) before an open breaker closes; quiet
+     * windows neither close nor extend. An open breaker's replica is
+     * routed around, so its windows go quiet: after this many quiet
+     * windows since the last bad one the breaker *probes* — the router
+     * lets one arrival per window through while the replica is up —
+     * until healthy windows close it. A probe records no edge.
+     */
     int64_t closeAfterHealthy = 2;
-    /** Half-open probation length after an inferred close. */
+    /** Half-open probation length after an inferred close, rounded up
+     *  to whole windows (at least one). */
     dam::Cycle cooldownCycles = 2'000'000;
 };
 
 /**
- * Streaming per-replica breaker-state machine over closed telemetry
- * windows. Feed windows in increasing index order (one observeWindow
- * per window, empty ones included); finish() seals a still-open
- * breaker as permanent and returns the inferred timeline. Pure state
- * machine over its inputs — bit-deterministic like the plan pre-pass.
+ * Streaming per-replica breaker-state machine over telemetry windows. A
+ * replica's live run reports each failed request and first token as it
+ * records it, into the window its cycle falls in (a report into a
+ * window already closed is a causality bug and panics); closeUntil
+ * decides on every window that has ended, in order, empty ones
+ * included, from its failure count and its p95 TTFT through the
+ * metrics registry's own windowed histograms. Bit-deterministic.
  */
 class HealthMonitor
 {
   public:
     explicit HealthMonitor(HealthMonitorConfig cfg) : cfg_(cfg) {}
 
+    void failed(dam::Cycle at);
+    void firstToken(dam::Cycle at, uint64_t ttft);
+    /** Decide every window ending by @p edge. */
+    void closeUntil(dam::Cycle edge);
+
     /** One closed window: failed-request count, first-token count, and
      *  windowed p95 TTFT (ignored when @p first_tokens is 0). */
     void observeWindow(uint64_t failed, uint64_t first_tokens,
                        uint64_t p95_ttft);
 
-    BreakerTimeline finish();
+    /** Open, and quiet long enough to take a probe (see
+     *  HealthMonitorConfig::closeAfterHealthy). */
+    bool probing() const
+    {
+        return open_ && quiet_ >= cfg_.closeAfterHealthy;
+    }
+
+    /** The timeline decided so far, a still-open breaker sealed as
+     *  permanent: what the breaker says until the next decision. */
+    BreakerTimeline timeline() const;
 
   private:
+    void expectOpen(dam::Cycle at) const;
+
     HealthMonitorConfig cfg_;
     BreakerTimeline tl_;
-    int64_t window_ = 0;
+    obs::TimeSeries failures_{cfg_.windowCycles, false};
+    obs::TimeSeries ttft_{cfg_.windowCycles, true};
+    int64_t window_ = 0; ///< the next window to close
     int64_t degraded_ = 0;
     int64_t healthy_ = 0;
+    int64_t quiet_ = 0; ///< open: quiet windows since the last bad one
     bool open_ = false;
     dam::Cycle openAt_ = 0;
 };
-
-/**
- * Infer one replica's breaker timeline from its metrics registry
- * (instruments `requests_failed` and `ttft_cycles`; the registry's
- * window width must equal cfg.windowCycles). This is the ROADMAP's
- * "breaker feedback from observed latency" follow-on: the cluster runs
- * an observation pass with metrics on, infers timelines per replica,
- * and the resilient run consults them exactly like plan-derived ones.
- */
-BreakerTimeline inferBreakerTimeline(const obs::MetricsRegistry& m,
-                                     const HealthMonitorConfig& cfg);
 
 // ---- live request migration -------------------------------------------
 
@@ -409,15 +424,12 @@ struct ResilienceConfig
     AutoscaleConfig autoscale;
     /**
      * Plan: breakers from computeBreakerTimeline (ground truth).
-     * Telemetry: the cluster first runs an observation pass (the plain
-     * fault tier, metrics force-enabled at health.windowCycles, no
-     * resilience machinery) and infers each replica's timeline with
-     * inferBreakerTimeline; the resilient run then consults the
-     * inferred timelines everywhere the plan-derived ones are used.
-     * Engine-side slowdown drains stay plan-driven either way — they
-     * model the replica's own local detection, not the cluster
-     * monitor. Plan-source runs are byte-identical to builds without
-     * this knob.
+     * Telemetry: one HealthMonitor per replica, fed by its live run;
+     * every health.windowCycles edge is a cluster barrier where the
+     * monitors decide, and routing and failover consult what they know
+     * there, arrivals routed one window ahead. Engine-side slowdown
+     * drains stay plan-driven either way — they model the replica's own
+     * local detection, not the cluster monitor.
      */
     BreakerSource breakerSource = BreakerSource::Plan;
     HealthMonitorConfig health;

@@ -1307,13 +1307,20 @@ TEST(LiveAppend, CrashWithRecoveryRefusesAppendsInsideTheOutage)
                       serveAppended(ec, policy, base, eb, at, extra, ex()));
     }
     // Once the crash is delivered the outage's arrivals have been read
-    // (refused): an append inside it breaks the contract.
+    // (refused): an append inside it is refused at once, as they were,
+    // and one before the crash breaks the contract.
     ServingEngine engine(ec, policy);
     IterationWorkspace ws;
     ServingEngine::Run run(engine, base);
     advanceThrough(run, ec, bars, 0, down, ws);
     EXPECT_EQ(run.horizon(), up);
-    EXPECT_THROW(run.append(extra[0]), PanicError);
+    (void)run.takeCasualties();
+    run.append(extra[0]);
+    const std::vector<size_t> refused = run.takeCasualties();
+    ASSERT_EQ(refused, std::vector<size_t>{base.size()});
+    EXPECT_EQ(run.request(base.size()).state, ReqState::Failed);
+    EXPECT_EQ(run.request(base.size()).finishedAt, extra[0].arrival);
+    EXPECT_THROW(run.append(incarnation(base[5], down - 1)), PanicError);
     run.append(extra[1]);
 }
 
@@ -1491,6 +1498,9 @@ runCluster(const ClusterConfig& cc, const Policy& policy,
  * before the run) and the incarnation's arrival, attempt and carried
  * KV — under the configuration it ran with, advanced through the
  * cluster's barriers: requests, iterations and trace and metrics bytes.
+ * With telemetry breakers the barriers include the health-window edges
+ * the cluster ran (the first ones, as many as its epochs count), and the
+ * cold run's trace gets the replica's breaker flips at them.
  */
 void
 expectReplicasEqualColdRuns(const ClusterOutcome& o, const ClusterConfig& cc,
@@ -1504,6 +1514,16 @@ expectReplicasEqualColdRuns(const ClusterOutcome& o, const ClusterConfig& cc,
     for (const ReplicaResult& rr : o.r.replicas)
         for (dam::Cycle b : faultBarriers(rr.engine))
             barriers = withBarrier(std::move(barriers), b);
+    Barriers windows;
+    if (cc.resilience.enabled &&
+        cc.resilience.breakerSource == BreakerSource::Telemetry) {
+        const dam::Cycle w = cc.resilience.health.windowCycles;
+        while (static_cast<int64_t>(barriers.size()) + 1 < o.r.epochs) {
+            windows.push_back(w * (windows.size() + 1));
+            barriers = withBarrier(std::move(barriers), windows.back());
+        }
+        EXPECT_GT(windows.size(), 10u);
+    }
     EXPECT_EQ(o.r.epochs, static_cast<int64_t>(barriers.size()) + 1);
     for (const ReplicaResult& rr : o.r.replicas) {
         SCOPED_TRACE(rr.replica);
@@ -1518,6 +1538,19 @@ expectReplicasEqualColdRuns(const ClusterOutcome& o, const ClusterConfig& cc,
         deliveryOrder(input);
         Exporters ex(cc.trace.ringCapacity, cc.trace.level,
                      cc.metrics.windowCycles);
+        // A flip wherever the breaker's final timeline changes state at
+        // a window edge: its earlier edges never move.
+        BreakerState last = BreakerState::Closed;
+        for (dam::Cycle at : windows) {
+            const BreakerState st = o.r.breakers[rr.replica].stateAt(at);
+            if (st != last)
+                ex.sink.breakerFlip(st == BreakerState::Open ? "breaker.open"
+                                    : st == BreakerState::HalfOpen
+                                        ? "breaker.half_open"
+                                        : "breaker.closed",
+                                    at, rr.replica);
+            last = st;
+        }
         Served cold =
             serveCold(rr.engine, policy, input, barriers, std::move(ex));
         std::vector<Request> live = rr.requests;

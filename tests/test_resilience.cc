@@ -868,7 +868,7 @@ TEST(HealthMonitor, ErrorWindowOpensAtItsCloseEdgeAndHealthyStreakCloses)
     hm.observeWindow(3, 2, 100);  // w1 errors -> open at close (2000)
     hm.observeWindow(0, 8, 100);  // w2 healthy (streak 1)
     hm.observeWindow(0, 9, 100);  // w3 healthy (streak 2) -> close @4000
-    BreakerTimeline tl = hm.finish();
+    BreakerTimeline tl = hm.timeline();
 
     ASSERT_EQ(tl.open.size(), 1u);
     EXPECT_EQ(tl.open[0].start, 2'000u);
@@ -892,7 +892,7 @@ TEST(HealthMonitor, DegradedStreakOpensAfterConsecutiveWindowsOnly)
     hm.observeWindow(0, 5, 100); // w1 healthy resets the streak
     hm.observeWindow(0, 5, 900); // w2 degraded (streak 1)
     hm.observeWindow(0, 5, 900); // w3 degraded (streak 2) -> open @4000
-    BreakerTimeline tl = hm.finish();
+    BreakerTimeline tl = hm.timeline();
 
     // Never recovered: finish() seals the breaker open forever.
     ASSERT_EQ(tl.open.size(), 1u);
@@ -917,7 +917,7 @@ TEST(HealthMonitor, QuietWindowsAreNeutralInBothDirections)
     hm.observeWindow(0, 5, 100); // w3 healthy (streak 1)
     hm.observeWindow(0, 0, 0);   // w4 quiet: healthy streak survives
     hm.observeWindow(0, 5, 100); // w5 healthy (streak 2) -> close @6000
-    BreakerTimeline tl = hm.finish();
+    BreakerTimeline tl = hm.timeline();
 
     ASSERT_EQ(tl.open.size(), 1u);
     EXPECT_EQ(tl.open[0].start, 3'000u);
@@ -938,30 +938,28 @@ TEST(HealthMonitor, InferredTimelineDivergesFromPlanUnderShallowSlowdown)
 
     // ...but the telemetry monitor only sees the latency it causes:
     // enough consecutive windows over the TTFT threshold open the
-    // inferred breaker the plan never scripted.
-    obs::MetricsConfig mc;
-    mc.enabled = true;
-    mc.windowCycles = 1'000;
-    obs::MetricsRegistry m(mc);
-    const auto ttft = m.histogram("ttft_cycles");
-    (void)m.series("requests_failed");
-    for (uint64_t w : {0u, 1u}) // healthy lead-in
-        for (int i = 0; i < 8; ++i)
-            m.record(ttft, w * 1'000 + 100 + uint64_t(i), 100);
-    for (uint64_t w : {2u, 3u, 4u}) // slowdown inflates windowed p95
-        for (int i = 0; i < 8; ++i)
-            m.record(ttft, w * 1'000 + 100 + uint64_t(i), 900);
-    for (uint64_t w : {5u, 6u}) // back to healthy
-        for (int i = 0; i < 8; ++i)
-            m.record(ttft, w * 1'000 + 100 + uint64_t(i), 100);
-
+    // inferred breaker the plan never scripted. The first tokens come
+    // in as a replica's live run reports them, and each window closes
+    // at its edge.
     HealthMonitorConfig hc;
     hc.windowCycles = 1'000;
     hc.degradedTtftCycles = 500.0;
     hc.openAfterDegraded = 2;
     hc.closeAfterHealthy = 2;
     hc.cooldownCycles = 2'000;
-    BreakerTimeline tl = inferBreakerTimeline(m, hc);
+    HealthMonitor hm(hc);
+    auto window = [&](uint64_t w, uint64_t ttft) {
+        for (int i = 0; i < 8; ++i)
+            hm.firstToken(w * 1'000 + 100 + uint64_t(i), ttft);
+        hm.closeUntil((w + 1) * 1'000);
+    };
+    for (uint64_t w : {0u, 1u}) // healthy lead-in
+        window(w, 100);
+    for (uint64_t w : {2u, 3u, 4u}) // slowdown inflates windowed p95
+        window(w, 900);
+    for (uint64_t w : {5u, 6u}) // back to healthy
+        window(w, 100);
+    BreakerTimeline tl = hm.timeline();
 
     ASSERT_EQ(tl.open.size(), 1u);
     EXPECT_EQ(tl.open[0].start, 4'000u); // close of the 2nd degraded window
@@ -1122,6 +1120,106 @@ TEST(TelemetryBreaker, TelemetryRunIsThreadCountInvariantAndReplays)
         EXPECT_EQ(q1[i].finishedAt, q1b[i].finishedAt);
     }
     expectAccountingCloses(r1.aggregate, int64_t(q1.size()));
+}
+
+TEST(TelemetryBreaker, OpenBreakerProbesAndClosesAfterRecovery)
+{
+    // Replica 1 crashes and recovers. Its breaker opens on the crash's
+    // failures, and the router then sends it nothing but probes: at
+    // most one arrival per window, and only once it is back up. Their
+    // healthy first tokens close the breaker soon after the recovery.
+    TraceConfig tc;
+    tc.numRequests = 200;
+    tc.arrivalsPerKcycle = 0.002; // ~4 arrivals per 2M-cycle window
+    QueueDepthPolicy policy;
+    ClusterConfig cc;
+    cc.replicas = 2;
+    cc.routing = RouteKind::RoundRobin;
+    const dam::Cycle fail_at = 20'000'000, recover_at = 40'000'000;
+    cc.faults.crashes.push_back({1, fail_at, recover_at});
+    cc.resilience.enabled = true;
+    cc.resilience.breakerSource = BreakerSource::Telemetry;
+    cc.resilience.health.degradedTtftCycles = 1e18; // errors only
+    auto reqs = generateTrace(tc, deriveSeed(2));
+    ASSERT_GT(reqs.back().arrival, recover_at + 20'000'000);
+    ClusterResult r = ServingCluster(cc, policy).run(reqs);
+    expectAccountingCloses(r.aggregate, int64_t(reqs.size()));
+
+    const dam::Cycle W = cc.resilience.health.windowCycles;
+    const BreakerTimeline& b = r.breakers[1];
+    ASSERT_EQ(b.open.size(), 1u);
+    EXPECT_GT(b.open[0].start, fail_at);
+    EXPECT_LE(b.open[0].start, fail_at + 2 * W);
+    ASSERT_NE(b.open[0].end, 0u) << "the breaker never closed";
+    EXPECT_GE(b.open[0].end, recover_at);
+    // Two quiet windows arm the probes during the outage; the first
+    // windows after the recovery take a probe each, and two healthy
+    // ones close the breaker.
+    EXPECT_LE(b.open[0].end, recover_at + 4 * W);
+    EXPECT_EQ(b.open[0].end % W, 0u);
+    EXPECT_TRUE(r.breakers[0].open.empty());
+
+    std::vector<int64_t> probes_per_window(
+        static_cast<size_t>(b.open[0].end / W), 0);
+    for (const Request& q : r.replicas[1].requests)
+        if (q.arrival >= b.open[0].start && q.arrival < b.open[0].end)
+            ++probes_per_window[static_cast<size_t>(q.arrival / W)];
+    int64_t probes = 0;
+    for (size_t w = 0; w < probes_per_window.size(); ++w) {
+        EXPECT_LE(probes_per_window[w], 1) << "window " << w;
+        if (dam::Cycle(w + 1) * W <= recover_at)
+            EXPECT_EQ(probes_per_window[w], 0) << "window " << w;
+        probes += probes_per_window[w];
+    }
+    EXPECT_GE(probes, 2);
+}
+
+TEST(TelemetryBreaker, BreakerEdgesBeforeAWindowEdgeIgnoreLaterArrivals)
+{
+    // Causality: cutting the trace at a window edge W changes nothing a
+    // breaker decided before W. Autoscale stays off: its steps are
+    // computed from the whole trace up front.
+    TraceConfig tc = sessionClusterTrace(24, 3);
+    QueueDepthPolicy policy;
+    ClusterConfig cc;
+    cc.replicas = 4;
+    cc.routing = RouteKind::LeastQueued;
+    cc.engine.prefixCache.capacityTokens = 1 << 18;
+    auto full = generateTrace(tc, deriveSeed(2));
+    const dam::Cycle last = full.back().arrival;
+    cc.faults.crashes.push_back({1, last / 4, last / 2});
+    cc.faults.slowdowns.push_back({2, last / 3, last * 2 / 3, 0.5});
+    cc.resilience.enabled = true;
+    cc.resilience.breakerSource = BreakerSource::Telemetry;
+    cc.resilience.remotePrefix.enabled = true;
+    const dam::Cycle width = cc.resilience.health.windowCycles;
+    const dam::Cycle W = last * 3 / 4 / width * width;
+    auto cut = full;
+    std::erase_if(cut, [&](const Request& q) { return q.arrival >= W; });
+    ASSERT_LT(cut.size(), full.size());
+
+    const ClusterResult a = ServingCluster(cc, policy).run(full);
+    const ClusterResult b = ServingCluster(cc, policy).run(cut);
+    auto edges_before = [&](const BreakerTimeline& t) {
+        std::vector<std::pair<dam::Cycle, int>> out;
+        for (const auto* windows : {&t.open, &t.halfOpen})
+            for (const BreakerTimeline::Window& w : *windows) {
+                const int kind = windows == &t.open ? 0 : 2;
+                if (w.start < W)
+                    out.push_back({w.start, kind});
+                if (w.end != 0 && w.end < W)
+                    out.push_back({w.end, kind + 1});
+            }
+        std::ranges::sort(out);
+        return out;
+    };
+    size_t edges = 0;
+    for (size_t r = 0; r < a.breakers.size(); ++r) {
+        SCOPED_TRACE(r);
+        EXPECT_EQ(edges_before(a.breakers[r]), edges_before(b.breakers[r]));
+        edges += edges_before(a.breakers[r]).size();
+    }
+    EXPECT_GT(edges, 0u) << "no breaker moved before the cut";
 }
 
 TEST(Resilience, EpochsSimulateEachIterationOnceAndStayThreadInvariant)
