@@ -3,9 +3,14 @@
 
 Usage:
     check_trace.py TRACE.json [REQUESTS.jsonl] [--expect-faults]
+                   [--breaker-window N]
 
 --expect-faults makes an entirely fault-free trace a failure: use it on
 runs that injected faults, so a silently ignored fault plan cannot pass.
+
+--breaker-window N requires every breaker flip to land on a multiple of
+N cycles: use it on telemetry-breaker runs with health window N, whose
+monitors decide only at window-close edges.
 
 Checks, in order:
   1. the file parses as JSON and has a "traceEvents" array;
@@ -37,8 +42,13 @@ Fault instants in the trace (fault.replica_down / fault.replica_up /
 req.retry / req.failed / req.shed / req.migrated) must alternate sanely
 per track: a replica_up only after a replica_down, and their totals are
 reported so CI can assert a faulty run actually recorded faults.
-Resilience decision instants (breaker.*, autoscale.active, req.capped)
-ride along under the generic instant checks.
+Breaker flips (breaker.open / breaker.half_open / breaker.closed) must
+follow each replica's breaker state machine, starting closed:
+closed -> open, open -> half_open, half_open -> closed or open. A flip
+to the state the breaker is already in is a re-stamp, not a flip (a
+plan-derived timeline stamps every edge of overlapping windows), and is
+skipped. Other resilience decision instants (autoscale.active,
+req.capped) ride along under the generic instant checks.
 
 Exit status 0 on success, 1 on any violation (with a message naming
 the first offending event).
@@ -54,7 +64,14 @@ def fail(msg):
     sys.exit(1)
 
 
-def check_trace(path):
+BREAKER_FLIPS = {
+    "closed": ("open",),
+    "open": ("half_open",),
+    "half_open": ("closed", "open"),
+}
+
+
+def check_trace(path, breaker_window=None):
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -68,6 +85,8 @@ def check_trace(path):
     last_ts = defaultdict(lambda: None)
     depth = defaultdict(int)
     down = defaultdict(bool)
+    breaker = defaultdict(lambda: "closed")
+    flips = 0
     fault_counts = defaultdict(int)
     substantive = 0
 
@@ -113,6 +132,25 @@ def check_trace(path):
                 "req.migrated",
             ):
                 fault_counts[name] += 1
+            if name.startswith("breaker."):
+                state = name[len("breaker."):]
+                if state not in BREAKER_FLIPS:
+                    fail(f"event {i}: unknown breaker state '{name}'")
+                if breaker_window and ts % breaker_window != 0:
+                    fail(
+                        f"event {i}: replica {e['pid']} breaker flip "
+                        f"'{name}' at {ts} is off the {breaker_window}-"
+                        f"cycle window edges"
+                    )
+                was = breaker[e["pid"]]
+                if state != was:
+                    if state not in BREAKER_FLIPS[was]:
+                        fail(
+                            f"event {i}: replica {e['pid']} breaker "
+                            f"flips {was} -> {state} at {ts}"
+                        )
+                    breaker[e["pid"]] = state
+                    flips += 1
             if name == "fault.replica_down":
                 if down[e["pid"]]:
                     fail(
@@ -144,10 +182,11 @@ def check_trace(path):
         if faults
         else ""
     )
+    breaker_note = f"; {flips} breaker flips valid" if flips else ""
     print(
         f"check_trace: {path}: {substantive} events on "
         f"{len(last_ts)} tracks, spans balanced, timestamps monotone"
-        f"{fault_note}"
+        f"{fault_note}{breaker_note}"
     )
     return faults
 
@@ -267,12 +306,25 @@ def check_jsonl(path):
 
 
 def main():
-    args = [a for a in sys.argv[1:] if a != "--expect-faults"]
-    expect_faults = "--expect-faults" in sys.argv[1:]
+    argv = sys.argv[1:]
+    breaker_window = None
+    if "--breaker-window" in argv:
+        k = argv.index("--breaker-window")
+        try:
+            breaker_window = int(argv[k + 1])
+        except (IndexError, ValueError):
+            breaker_window = 0
+        if breaker_window <= 0:
+            print("--breaker-window needs a positive cycle count",
+                  file=sys.stderr)
+            sys.exit(2)
+        del argv[k:k + 2]
+    args = [a for a in argv if a != "--expect-faults"]
+    expect_faults = "--expect-faults" in argv
     if len(args) < 1 or len(args) > 2:
         print(__doc__, file=sys.stderr)
         sys.exit(2)
-    faults = check_trace(args[0])
+    faults = check_trace(args[0], breaker_window)
     if expect_faults and not faults:
         fail(f"{args[0]}: --expect-faults but no fault/retry/shed events")
     if len(args) == 2:
