@@ -956,7 +956,7 @@ class ServingEngine::Run::Impl
     /** Requests by slot; a deque, so appends keep every address. */
     std::deque<Request> reqs_;
     /** The requests in delivery order: by arrival, appends after equal
-     *  arrivals. */
+     *  arrivals (an append refused on arrival is not in it). */
     std::vector<Request*> order_;
     ContinuousBatcher batcher_;
     std::unique_ptr<PrefixCache> cache_;
