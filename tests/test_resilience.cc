@@ -1174,6 +1174,38 @@ TEST(TelemetryBreaker, OpenBreakerProbesAndClosesAfterRecovery)
     EXPECT_GE(probes, 2);
 }
 
+TEST(TelemetryBreaker, ArrivalsIntoADeliveredOutageAreRefusedWhenRouted)
+{
+    // One replica, so nothing is up during its outage. With telemetry
+    // breakers the outage's arrivals are routed at window edges after
+    // the crash was delivered: each is refused on its arrival, as a
+    // crash refuses the arrivals it already holds.
+    TraceConfig tc;
+    tc.numRequests = 60;
+    tc.arrivalsPerKcycle = 0.002;
+    QueueDepthPolicy policy;
+    ClusterConfig cc;
+    cc.replicas = 1;
+    const dam::Cycle fail_at = 8'000'000, recover_at = 16'000'000;
+    cc.faults.crashes.push_back({0, fail_at, recover_at});
+    cc.resilience.enabled = true;
+    cc.resilience.breakerSource = BreakerSource::Telemetry;
+    auto reqs = generateTrace(tc, deriveSeed(2));
+    ClusterResult r = ServingCluster(cc, policy).run(reqs);
+    expectAccountingCloses(r.aggregate, int64_t(reqs.size()));
+
+    int64_t refused = 0;
+    for (const Request& q : r.replicas[0].requests)
+        if (q.attempt == 0 &&
+            q.arrival >= fail_at + cc.resilience.health.windowCycles &&
+            q.arrival < recover_at) {
+            EXPECT_EQ(q.state, ReqState::Failed) << "request " << q.id;
+            EXPECT_EQ(q.finishedAt, q.arrival) << "request " << q.id;
+            ++refused;
+        }
+    EXPECT_GT(refused, 0);
+}
+
 TEST(TelemetryBreaker, BreakerEdgesBeforeAWindowEdgeIgnoreLaterArrivals)
 {
     // Causality: cutting the trace at a window edge W changes nothing a
