@@ -9,17 +9,6 @@ namespace step::runtime {
 
 // ---- circuit breakers --------------------------------------------------
 
-const char*
-breakerStateName(BreakerState s)
-{
-    switch (s) {
-    case BreakerState::Closed: return "closed";
-    case BreakerState::Open: return "open";
-    case BreakerState::HalfOpen: return "half-open";
-    }
-    return "?";
-}
-
 BreakerState
 BreakerTimeline::stateAt(dam::Cycle c) const
 {

@@ -53,8 +53,6 @@ namespace step::runtime {
 
 enum class BreakerState : uint8_t { Closed, Open, HalfOpen };
 
-const char* breakerStateName(BreakerState s);
-
 struct BreakerConfig
 {
     /**
@@ -161,8 +159,8 @@ struct HealthMonitorConfig
  * records it, into the window its cycle falls in (a report into a
  * window already closed is a causality bug and panics); closeUntil
  * decides on every window that has ended, in order, empty ones
- * included, from its failure count and its p95 TTFT through the
- * metrics registry's own windowed histograms. Bit-deterministic.
+ * included, from its failure count and its p95 TTFT (windowed in an
+ * obs::TimeSeries, as the metrics registry does). Bit-deterministic.
  */
 class HealthMonitor
 {
