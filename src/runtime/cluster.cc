@@ -596,7 +596,8 @@ class ServingCluster::Run
                 e->attachHealth(&monitors_[r]);
             runs_.emplace_back(*e, std::vector<Request>{});
         }
-        // Without telemetry breakers, all routing reads is known now.
+        // Without telemetry breakers all that routing reads is known
+        // now: the whole trace is routed.
         routeUntil(window_ > 0 ? window_ : kEnd);
     }
 
@@ -710,8 +711,6 @@ class ServingCluster::Run
         out.traces = std::move(traces_);
         out.metrics = std::move(mregs_);
         out.breakers = std::move(breakers_);
-        for (size_t r = 0; r < monitors_.size(); ++r)
-            out.breakers[r] = monitors_[r].timeline();
         out.retriesIssued = retriesIssued_;
         out.migrationsIssued = migrationsIssued_;
         out.epochs = epochs_;
