@@ -526,6 +526,7 @@ class ServingCluster::Run
             breakers_.resize(R_);
         }
         if (window_ > 0) { // telemetry breakers start closed
+            monitors_.reserve(R_);
             for (size_t r = 0; r < R_; ++r)
                 monitors_.emplace_back(cfg_.resilience.health);
             probes_.assign(R_, false);
