@@ -1167,8 +1167,9 @@ TEST(TelemetryBreaker, OpenBreakerProbesAndClosesAfterRecovery)
     int64_t probes = 0;
     for (size_t w = 0; w < probes_per_window.size(); ++w) {
         EXPECT_LE(probes_per_window[w], 1) << "window " << w;
-        if (dam::Cycle(w + 1) * W <= recover_at)
+        if (dam::Cycle(w + 1) * W <= recover_at) {
             EXPECT_EQ(probes_per_window[w], 0) << "window " << w;
+        }
         probes += probes_per_window[w];
     }
     EXPECT_GE(probes, 2);
