@@ -42,13 +42,14 @@ Fault instants in the trace (fault.replica_down / fault.replica_up /
 req.retry / req.failed / req.shed / req.migrated) must alternate sanely
 per track: a replica_up only after a replica_down, and their totals are
 reported so CI can assert a faulty run actually recorded faults.
+Cluster decisions (breaker flips and autoscale.active steps) must sit
+on the cluster track (tid 3), where the cluster stamps each once.
 Breaker flips (breaker.open / breaker.half_open / breaker.closed) must
 follow each replica's breaker state machine, starting closed:
 closed -> open, open -> half_open, half_open -> closed or open. A flip
-to the state the breaker is already in is a re-stamp, not a flip (a
-plan-derived timeline stamps every edge of overlapping windows), and is
-skipped. Other resilience decision instants (autoscale.active,
-req.capped) ride along under the generic instant checks.
+to the state the breaker is already in fails: a flip is stamped only
+where the state changes. Other resilience decision instants
+(req.capped) ride along under the generic instant checks.
 
 Exit status 0 on success, 1 on any violation (with a message naming
 the first offending event).
@@ -63,6 +64,8 @@ def fail(msg):
     print(f"check_trace: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
 
+
+CLUSTER_TID = 3
 
 BREAKER_FLIPS = {
     "closed": ("open",),
@@ -132,6 +135,13 @@ def check_trace(path, breaker_window=None):
                 "req.migrated",
             ):
                 fault_counts[name] += 1
+            if (
+                name.startswith("breaker.") or name == "autoscale.active"
+            ) and e["tid"] != CLUSTER_TID:
+                fail(
+                    f"event {i}: '{name}' on track {key}, off the "
+                    f"cluster track (tid {CLUSTER_TID})"
+                )
             if name.startswith("breaker."):
                 state = name[len("breaker."):]
                 if state not in BREAKER_FLIPS:
@@ -143,14 +153,13 @@ def check_trace(path, breaker_window=None):
                         f"cycle window edges"
                     )
                 was = breaker[e["pid"]]
-                if state != was:
-                    if state not in BREAKER_FLIPS[was]:
-                        fail(
-                            f"event {i}: replica {e['pid']} breaker "
-                            f"flips {was} -> {state} at {ts}"
-                        )
-                    breaker[e["pid"]] = state
-                    flips += 1
+                if state not in BREAKER_FLIPS[was]:
+                    fail(
+                        f"event {i}: replica {e['pid']} breaker "
+                        f"flips {was} -> {state} at {ts}"
+                    )
+                breaker[e["pid"]] = state
+                flips += 1
             if name == "fault.replica_down":
                 if down[e["pid"]]:
                     fail(

@@ -362,8 +362,8 @@ main(int argc, char** argv)
     for (const ReplicaResult& rr : least_queued.replicas) {
         per.row()
             .cell(rr.replica)
-            .cell(rr.seed)
-            .cell(rr.assignedRequests)
+            .cell(rr.engine.seed)
+            .cell(rr.requests.size())
             .cell(rr.result.iterations)
             .cell(static_cast<int64_t>(rr.result.summary.makespan))
             .cellF(rr.result.summary.ttftP99 / 1000.0, 0)

@@ -64,9 +64,8 @@ writeChromeTrace(std::ostream& os,
                         "requests+counters");
         appendMetaEvent(buf, "thread_name", pid, kTidSched, "scheduler");
         appendMetaEvent(buf, "thread_name", pid, kTidOps, "ops");
-        if (!sink.breakerFlips().empty())
-            appendMetaEvent(buf, "thread_name", pid, kTidBreakers,
-                            "breakers");
+        if (!sink.clusterTrack().empty())
+            appendMetaEvent(buf, "thread_name", pid, kTidCluster, "cluster");
 
         // B spans dropped off the ring front can leave orphan E events;
         // skip those (depth tracking) so every exported track stays
@@ -130,7 +129,7 @@ writeChromeTrace(std::ostream& os,
             }
         };
         sink.forEachEvent(event);
-        for (const TraceEvent& e : sink.breakerFlips())
+        for (const TraceEvent& e : sink.clusterTrack())
             event(e);
         while (!open.empty()) {
             appendCommonFields(buf, "E", sink.name(open.back()), pid,

@@ -329,15 +329,8 @@ TraceSink::reqCapped(int64_t id, dam::Cycle at, int64_t cap)
 }
 
 void
-TraceSink::instant(std::string_view name, dam::Cycle at, int64_t arg0,
-                   int64_t arg1)
-{
-    if (opts_.level >= TraceLevel::Request)
-        lifecycle(intern(name), at, arg0, arg1);
-}
-
-void
-TraceSink::breakerFlip(std::string_view name, dam::Cycle at, int64_t value)
+TraceSink::clusterInstant(std::string_view name, dam::Cycle at,
+                          int64_t value)
 {
     if (opts_.level < TraceLevel::Request)
         return;
@@ -346,8 +339,8 @@ TraceSink::breakerFlip(std::string_view name, dam::Cycle at, int64_t value)
     e.name = intern(name);
     e.arg0 = -1;
     e.arg1 = value;
-    e.tid = kTidBreakers;
-    breakerFlips_.push_back(e);
+    e.tid = kTidCluster;
+    clusterTrack_.push_back(e);
 }
 
 void

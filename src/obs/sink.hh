@@ -134,22 +134,16 @@ class TraceSink
     void reqCapped(int64_t id, dam::Cycle at, int64_t cap);
 
     /**
-     * Generic named instant on the lifecycle track — cluster-scope
-     * decisions (breaker flips, autoscale steps) the engine emits on
-     * the coordinator's behalf. Unknown names pass the trace validator
-     * untouched (it ignores instants it has no rules for).
+     * A cluster-scope decision (breaker flip, autoscale step) at @p at,
+     * stamped by the cluster's coordinator once the replica's run is
+     * over and exported after the ring on a track of its own, unclamped:
+     * on the lifecycle track it would be dragged past its cycle.
      */
-    void instant(std::string_view name, dam::Cycle at, int64_t arg0 = -1,
-                 int64_t arg1 = 0);
-    /**
-     * A breaker flip the cluster decided at barrier @p at, exported
-     * after the ring on a track of its own: decided once the replica
-     * ran past @p at, on the lifecycle track it would be clamped.
-     */
-    void breakerFlip(std::string_view name, dam::Cycle at, int64_t value);
-    const std::vector<TraceEvent>& breakerFlips() const
+    void clusterInstant(std::string_view name, dam::Cycle at,
+                        int64_t value);
+    const std::vector<TraceEvent>& clusterTrack() const
     {
-        return breakerFlips_;
+        return clusterTrack_;
     }
 
     // ---- fault hooks (engine-global cycles) --------------------------
@@ -230,7 +224,7 @@ class TraceSink
     uint64_t dropped_ = 0;
     /** Per-tid monotone clamp cursor for B/E/i/C appends. */
     dam::Cycle lastTs_[3] = {0, 0, 0};
-    std::vector<TraceEvent> breakerFlips_;
+    std::vector<TraceEvent> clusterTrack_;
 
     std::vector<RequestLifecycle> requests_;
     /** (id, attempt) -> requests_ slot. Ids are dense trace indices

@@ -70,7 +70,7 @@ enum : uint8_t {
     kTidLifecycle = 0, ///< request instants + counter samples
     kTidSched = 1,     ///< per-resume spans (Full)
     kTidOps = 2,       ///< per-op lifetime Complete spans (Op+)
-    kTidBreakers = 3,  ///< breaker flips decided at cluster barriers
+    kTidCluster = 3,   ///< cluster decisions: breaker flips, autoscale
 };
 
 /**

@@ -306,54 +306,6 @@ autoscaleSteps(const ClusterConfig& cfg, const std::vector<Request>& reqs,
                                     cfg.engine.totalComputeBw);
 }
 
-/** The trace instant a breaker entering @p st is stamped as. */
-ClusterInstant::Kind
-breakerInstant(BreakerState st)
-{
-    using CI = ClusterInstant;
-    return st == BreakerState::Open       ? CI::BreakerOpen
-           : st == BreakerState::HalfOpen ? CI::BreakerHalfOpen
-                                          : CI::BreakerClosed;
-}
-
-/**
- * The per-replica cluster-instant lists the engines stamp onto their
- * traces: each breaker-state flip at its edge, named by the state after
- * the edge, and every autoscale step on replica 0's list (they are
- * cluster-scope, and one writer per sink means the coordinator cannot
- * stamp them). Both inputs are empty off the resilience tier.
- */
-std::vector<std::vector<ClusterInstant>>
-clusterInstants(const std::vector<BreakerTimeline>& breakers,
-                const std::vector<AutoscaleStep>& autoscale, size_t R)
-{
-    std::vector<std::vector<ClusterInstant>> instants(R);
-    for (size_t r = 0; r < breakers.size(); ++r) {
-        std::vector<dam::Cycle> edges;
-        for (const auto* windows :
-             {&breakers[r].open, &breakers[r].halfOpen})
-            for (const BreakerTimeline::Window& w : *windows) {
-                edges.push_back(w.start);
-                if (w.end != 0)
-                    edges.push_back(w.end);
-            }
-        std::sort(edges.begin(), edges.end());
-        edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-        for (dam::Cycle c : edges)
-            instants[r].push_back({c, breakerInstant(breakers[r].stateAt(c)),
-                                   static_cast<int64_t>(r)});
-    }
-    for (const AutoscaleStep& s : autoscale)
-        instants[0].push_back(
-            {s.at, ClusterInstant::AutoscaleActive, s.active});
-    for (std::vector<ClusterInstant>& list : instants)
-        std::sort(list.begin(), list.end(),
-                  [](const ClusterInstant& a, const ClusterInstant& b) {
-                      return std::tie(a.at, a.kind) < std::tie(b.at, b.kind);
-                  });
-    return instants;
-}
-
 } // namespace
 
 std::string
@@ -370,6 +322,49 @@ routeKindName(RouteKind k)
         return "prefix-affinity";
     }
     return "?";
+}
+
+void
+stampClusterTrack(obs::TraceSink& sink, const ClusterResult& r,
+                  int64_t replica)
+{
+    struct Stamp
+    {
+        dam::Cycle at;
+        const char* name;
+        int64_t value;
+    };
+    std::vector<Stamp> stamps;
+    const auto rep = static_cast<size_t>(replica);
+    if (rep < r.breakers.size()) {
+        const BreakerTimeline& b = r.breakers[rep];
+        std::vector<dam::Cycle> edges;
+        for (const auto* windows : {&b.open, &b.halfOpen})
+            for (const BreakerTimeline::Window& w : *windows) {
+                edges.push_back(w.start);
+                if (w.end != 0)
+                    edges.push_back(w.end);
+            }
+        std::ranges::sort(edges);
+        BreakerState last = BreakerState::Closed;
+        for (dam::Cycle c : edges) {
+            const BreakerState st = b.stateAt(c);
+            if (st != last)
+                stamps.push_back({c,
+                                  st == BreakerState::Open ? "breaker.open"
+                                  : st == BreakerState::HalfOpen
+                                      ? "breaker.half_open"
+                                      : "breaker.closed",
+                                  replica});
+            last = st;
+        }
+    }
+    if (replica == 0)
+        for (const AutoscaleStep& s : r.autoscale)
+            stamps.push_back({s.at, "autoscale.active", s.active});
+    std::ranges::stable_sort(stamps, {}, &Stamp::at);
+    for (const Stamp& s : stamps)
+        sink.clusterInstant(s.name, s.at, s.value);
 }
 
 ServingCluster::ServingCluster(ClusterConfig cfg, const Policy& policy)
@@ -541,12 +536,9 @@ class ServingCluster::Run
             std::min(cfg_.threads > 0 ? cfg_.threads : cfg_.replicas,
                      cfg_.replicas)));
 
-        // Seeds, fault timelines and instants are derived on the
-        // coordinating thread before any worker runs — the one ordering
-        // the global-seed contract requires (see rng.hh). Telemetry
-        // breaker flips are stamped as the monitors decide them.
-        std::vector<std::vector<ClusterInstant>> instants =
-            clusterInstants(breakers_, autoscale_, R_);
+        // Seeds and fault timelines are derived on the coordinating
+        // thread before any worker runs — the one ordering the
+        // global-seed contract requires (see rng.hh).
         configs_.assign(R_, cfg_.engine);
         for (size_t r = 0; r < R_; ++r) {
             EngineConfig& ec = configs_[r];
@@ -556,7 +548,6 @@ class ServingCluster::Run
                 ec.totalComputeBw = static_cast<int64_t>(std::llround(
                     static_cast<double>(cfg_.engine.totalComputeBw) *
                     cfg_.bwScales[r]));
-            ec.clusterInstants = std::move(instants[r]);
             if (resilient) {
                 // The drain fires on the edge that opens the breaker:
                 // one detection signal for routing and migration.
@@ -680,8 +671,6 @@ class ServingCluster::Run
             ReplicaResult& out = results_[r];
             out.result = runs_[r].finish(served[r]);
             out.replica = static_cast<int64_t>(r);
-            out.seed = configs_[r].seed;
-            out.assignedRequests = static_cast<int64_t>(served[r].size());
             out.engine = std::move(configs_[r]);
         }
         // Every original request reports its *final* incarnation
@@ -717,6 +706,10 @@ class ServingCluster::Run
         out.epochs = epochs_;
         out.replicaIterationsSimulated = simulated_;
         out.autoscale = std::move(autoscale_);
+        // Cluster decisions are stamped once, from what routing and
+        // failover consulted, now that no replica records any more.
+        for (size_t r = 0; r < out.traces.size(); ++r)
+            stampClusterTrack(*out.traces[r], out, static_cast<int64_t>(r));
         std::vector<ServingSummary> parts;
         parts.reserve(R_);
         for (const ReplicaResult& rr : out.replicas) {
@@ -760,8 +753,7 @@ class ServingCluster::Run
 
     /**
      * Window edge @p at: the monitors decide on the window that just
-     * ended, a breaker that changed state is stamped on its replica's
-     * trace, probing breakers re-arm, and the next window is routed:
+     * ended, probing breakers re-arm, and the next window is routed:
      * inferred timelines change only on window edges.
      */
     void
@@ -770,11 +762,6 @@ class ServingCluster::Run
         for (size_t r = 0; r < R_; ++r) {
             monitors_[r].closeUntil(at);
             breakers_[r] = monitors_[r].timeline();
-            const BreakerState st = breakers_[r].stateAt(at);
-            if (st != breakers_[r].stateAt(at - window_) && !traces_.empty())
-                traces_[r]->breakerFlip(
-                    clusterInstantName(breakerInstant(st)), at,
-                    static_cast<int64_t>(r));
             probes_[r] = monitors_[r].probing();
         }
         routeUntil(at + window_);
@@ -970,7 +957,7 @@ class ServingCluster::Run
     MigrationHandoff handoff_;
     const RetryPolicy* retry_ = nullptr;
     Router router_;
-    /** Per replica: seed, fault timeline, bandwidth, instants, drain. */
+    /** Per replica: seed, fault timeline, bandwidth, drain. */
     std::vector<EngineConfig> configs_;
     /** Per replica: its crash and drain cycles, sorted. */
     std::vector<std::vector<dam::Cycle>> edges_;

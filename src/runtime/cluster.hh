@@ -132,7 +132,8 @@ struct ClusterConfig
      * hands them back in ClusterResult::traces, replica-index order.
      * Exporting that vector yields bytes independent of the thread
      * count. Each replica's run records once, in simulated-time order,
-     * so the exported traces describe the final timelines.
+     * so the exported traces describe the final timelines; the cluster
+     * decisions go on last (stampClusterTrack).
      */
     obs::TraceOptions trace;
     /**
@@ -151,20 +152,19 @@ struct ClusterConfig
 struct ReplicaResult
 {
     int64_t replica = 0;
-    uint64_t seed = 0; ///< deriveSeed(replica), recorded for replay
-    int64_t assignedRequests = 0;
     EngineResult result;
-    /** The engine configuration the replica ran under (seed, fault
-     *  timeline, bandwidth, instants, drain), for replay. */
+    /** The engine configuration the replica ran under (seed
+     *  deriveSeed(replica), fault timeline, bandwidth, drain), for
+     *  replay. */
     EngineConfig engine;
     /** Every incarnation the replica served, by slot: as appended,
      *  routed requests and failover incarnations interleaved. A fresh
      *  ServingEngine::Run over `engine` on their inputs, stable-sorted
-     *  by arrival and advanced through the cluster's barriers (stamping
-     *  telemetry breaker flips at their window edges), ends with these
-     *  requests, `result`'s iterations and timeline, and the replica's
-     *  trace and metrics bytes. Its summary differs only in sample
-     *  order and in the failover reclassification. */
+     *  by arrival and advanced through the cluster's barriers, ends
+     *  with these requests, `result`'s iterations and timeline, and —
+     *  once stampClusterTrack has stamped its sink — the replica's trace
+     *  and metrics bytes. Its summary differs only in sample order and
+     *  in the failover reclassification. */
     std::vector<Request> requests;
 };
 
@@ -231,6 +231,19 @@ struct ClusterResult
         return out;
     }
 };
+
+/**
+ * Stamp replica @p replica's cluster-scope decisions in @p r on
+ * @p sink's cluster track, in cycle order: a breaker.* instant at each
+ * edge where r.breakers[replica] changes state, named by the new state
+ * (value: the replica), and on replica 0 one autoscale.active instant
+ * per step of r.autoscale (value: the active count). run() stamps each
+ * replica's sink this way once every run has ended, so a trace shows
+ * exactly the breakers and steps routing consulted; a replay stamps its
+ * cold run's sink the same way.
+ */
+void stampClusterTrack(obs::TraceSink& sink, const ClusterResult& r,
+                       int64_t replica);
 
 class ServingCluster
 {

@@ -231,14 +231,6 @@ class Recorder
             trace_->faultUp(at);
     }
 
-    void
-    clusterInstant(const ClusterInstant& ci)
-    {
-        if (trace_) [[unlikely]]
-            trace_->instant(clusterInstantName(ci.kind), ci.at, -1,
-                            ci.value);
-    }
-
     /** Anchor the next graph run's graph-local event stamps at @p at. */
     void
     graphRunAt(dam::Cycle at)
@@ -570,16 +562,16 @@ class ServingEngine::Run::Impl
     }
 
     /**
-     * Scripted event kinds in tie order: resilience events first, so the
-     * trace stamps the cause (breaker flip, drain trigger) before its
-     * effects, then arrivals, then crashes.
+     * Scripted event kinds in tie order: the drain trigger first, so the
+     * trace stamps the cause before its effects, then arrivals, then
+     * crashes.
      */
-    enum class Event : uint8_t { Instant, Drain, Arrival, Crash };
+    enum class Event : uint8_t { Drain, Arrival, Crash };
 
     struct Due
     {
         dam::Cycle at = kNone; ///< the earliest event; kNone if none left
-        Event kind = Event::Instant;
+        Event kind = Event::Drain;
         dam::Cycle arrivalAt = kNone; ///< the next arrival on its own
     };
 
@@ -587,10 +579,7 @@ class ServingEngine::Run::Impl
     Due
     nextDue() const
     {
-        const std::array<dam::Cycle, 4> heads = {
-            nextInstant_ < cfg_.clusterInstants.size()
-                ? cfg_.clusterInstants[nextInstant_].at
-                : kNone,
+        const std::array<dam::Cycle, 3> heads = {
             nextDrain_ < drainEdges_.size() ? drainEdges_[nextDrain_] : kNone,
             nextArrival_ < order_.size() ? order_[nextArrival_]->arrival
                                          : kNone,
@@ -613,9 +602,6 @@ class ServingEngine::Run::Impl
     {
         for (Due d = nextDue(); d.at <= std::min(until, now_); d = nextDue()) {
             switch (d.kind) {
-              case Event::Instant:
-                tel_.clusterInstant(cfg_.clusterInstants[nextInstant_++]);
-                break;
               case Event::Drain:
                 ++nextDrain_;
                 evict(ReqState::Migrated, d.at);
@@ -967,12 +953,10 @@ class ServingEngine::Run::Impl
     PrefixCacheStats lostCacheStats_; ///< of caches lost to crashes
     std::vector<dam::Cycle> drainEdges_;
     obs::TraceSink* opSink_; ///< the scheduler's, at level >= Op
-    // Event cursors: next arrival (into order_), crash, drain edge,
-    // cluster instant.
+    // Event cursors: next arrival (into order_), crash, drain edge.
     size_t nextArrival_ = 0;
     size_t nextDown_ = 0;
     size_t nextDrain_ = 0;
-    size_t nextInstant_ = 0;
     size_t ended_ = 0; ///< requests in a terminal state
     dam::Cycle now_ = 0;
     /** The barrier advance() steps toward: a prefill-only wake or an

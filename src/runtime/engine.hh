@@ -98,14 +98,6 @@ struct EngineConfig
      * drain-less build.
      */
     SlowdownDrainConfig drain;
-    /**
-     * Cluster-scope instants (breaker flips, autoscale steps) for this
-     * replica's trace, sorted by cycle. The engine emits each from its
-     * own loop when the clock passes it — the sink is single-writer, so
-     * the coordinator cannot append them itself. Empty (default) emits
-     * nothing.
-     */
-    std::vector<ClusterInstant> clusterInstants;
 
     /**
      * Recycle one arena-backed decoder graph across batching iterations

@@ -403,18 +403,4 @@ pickResilientTarget(const std::vector<int64_t>& load,
     return best;
 }
 
-// ---- cluster-level instants -------------------------------------------
-
-const char*
-clusterInstantName(ClusterInstant::Kind k)
-{
-    switch (k) {
-    case ClusterInstant::BreakerOpen: return "breaker.open";
-    case ClusterInstant::BreakerHalfOpen: return "breaker.half_open";
-    case ClusterInstant::BreakerClosed: return "breaker.closed";
-    case ClusterInstant::AutoscaleActive: return "autoscale.active";
-    }
-    return "?";
-}
-
 } // namespace step::runtime

@@ -35,7 +35,9 @@
  * coordinating thread before (or between) replica epochs; telemetry
  * breakers are state machines the coordinator steps at window edges.
  * Faulty runs thus stay bit-identical across replays and worker-thread
- * counts.
+ * counts. No engine sees a breaker flip or an autoscale step: once the
+ * run ends, the coordinator stamps the ones routing consulted on each
+ * replica's cluster trace track (stampClusterTrack, cluster.hh).
  */
 #pragma once
 
@@ -378,32 +380,6 @@ int64_t pickResilientTarget(
     int64_t affinityOwner, double affinityLoadFactor,
     double halfOpenLoadPenalty,
     const std::vector<double>* bwScales = nullptr);
-
-// ---- cluster-level instants -------------------------------------------
-
-/**
- * Cluster-scope decisions stamped onto a replica's trace. The
- * coordinating thread cannot append to a replica's TraceSink (one
- * writer per sink; the monotone per-track clamp would also drag engine
- * events forward), so the cluster hands each engine the instants that
- * concern it — breaker flips, autoscale steps — and the engine emits
- * them in cycle order from its own loop.
- */
-struct ClusterInstant
-{
-    enum Kind : uint8_t {
-        BreakerOpen,
-        BreakerHalfOpen,
-        BreakerClosed,
-        AutoscaleActive,
-    };
-    dam::Cycle at = 0;
-    Kind kind = BreakerOpen;
-    int64_t value = 0; ///< AutoscaleActive: the active replica count
-};
-
-/** The instant's trace name ("breaker.open", "autoscale.active", ...). */
-const char* clusterInstantName(ClusterInstant::Kind k);
 
 // ---- the master switch -------------------------------------------------
 

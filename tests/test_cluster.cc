@@ -105,9 +105,10 @@ TEST(Cluster, AggregateBitIdenticalAcrossWorkerThreadCounts)
         EXPECT_EQ(serial.timeline.totalUsefulFlops(),
                   four.timeline.totalUsefulFlops());
         for (size_t r = 0; r < serial.replicas.size(); ++r) {
-            EXPECT_EQ(serial.replicas[r].seed, four.replicas[r].seed);
-            EXPECT_EQ(serial.replicas[r].assignedRequests,
-                      four.replicas[r].assignedRequests);
+            EXPECT_EQ(serial.replicas[r].engine.seed,
+                      four.replicas[r].engine.seed);
+            EXPECT_EQ(serial.replicas[r].requests.size(),
+                      four.replicas[r].requests.size());
             EXPECT_EQ(serial.replicas[r].result.summary.makespan,
                       four.replicas[r].result.summary.makespan);
         }
@@ -125,10 +126,10 @@ TEST(Cluster, CompletesEveryRequestAndReflectsStateToCaller)
     ClusterResult r = cluster.run(reqs);
 
     EXPECT_EQ(r.aggregate.completed, 96);
-    int64_t assigned = 0;
+    size_t assigned = 0;
     for (const ReplicaResult& rr : r.replicas)
-        assigned += rr.assignedRequests;
-    EXPECT_EQ(assigned, 96);
+        assigned += rr.requests.size();
+    EXPECT_EQ(assigned, 96u);
     for (const Request& req : reqs) {
         EXPECT_TRUE(req.done());
         EXPECT_EQ(req.generated, req.outputLen);
@@ -287,7 +288,7 @@ TEST(Cluster, MoreReplicasThanRequestsLeavesIdleReplicasWellFormed)
     ClusterResult r = cluster.run(reqs);
 
     EXPECT_EQ(r.aggregate.completed, 3);
-    EXPECT_EQ(r.replicas[3].assignedRequests, 0);
+    EXPECT_TRUE(r.replicas[3].requests.empty());
     EXPECT_EQ(r.replicas[3].result.summary.completed, 0);
     EXPECT_EQ(r.replicas[3].result.summary.makespan, 0u);
     for (double v :
@@ -379,8 +380,9 @@ TEST(Cluster, PerReplicaSeedsDeriveFromReplicaIdAndDecorrelate)
 
     std::set<uint64_t> seeds;
     for (const ReplicaResult& rr : r.replicas) {
-        EXPECT_EQ(rr.seed, deriveSeed(static_cast<uint64_t>(rr.replica)));
-        seeds.insert(rr.seed);
+        EXPECT_EQ(rr.engine.seed,
+                  deriveSeed(static_cast<uint64_t>(rr.replica)));
+        seeds.insert(rr.engine.seed);
     }
     EXPECT_EQ(seeds.size(), 4u); // decorrelated, not copies of the base
 }

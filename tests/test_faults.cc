@@ -1499,8 +1499,9 @@ runCluster(const ClusterConfig& cc, const Policy& policy,
  * KV — under the configuration it ran with, advanced through the
  * cluster's barriers: requests, iterations and trace and metrics bytes.
  * With telemetry breakers the barriers include the health-window edges
- * the cluster ran (the first ones, as many as its epochs count), and the
- * cold run's trace gets the replica's breaker flips at them.
+ * the cluster ran (the first ones, as many as its epochs count). The
+ * cold run's sink gets the replica's cluster track from the one stamp
+ * function the cluster uses, for plan and telemetry breakers alike.
  */
 void
 expectReplicasEqualColdRuns(const ClusterOutcome& o, const ClusterConfig& cc,
@@ -1538,19 +1539,7 @@ expectReplicasEqualColdRuns(const ClusterOutcome& o, const ClusterConfig& cc,
         deliveryOrder(input);
         Exporters ex(cc.trace.ringCapacity, cc.trace.level,
                      cc.metrics.windowCycles);
-        // A flip wherever the breaker's final timeline changes state at
-        // a window edge: its earlier edges never move.
-        BreakerState last = BreakerState::Closed;
-        for (dam::Cycle at : windows) {
-            const BreakerState st = o.r.breakers[rr.replica].stateAt(at);
-            if (st != last)
-                ex.sink.breakerFlip(st == BreakerState::Open ? "breaker.open"
-                                    : st == BreakerState::HalfOpen
-                                        ? "breaker.half_open"
-                                        : "breaker.closed",
-                                    at, rr.replica);
-            last = st;
-        }
+        stampClusterTrack(ex.sink, o.r, rr.replica);
         Served cold =
             serveCold(rr.engine, policy, input, barriers, std::move(ex));
         std::vector<Request> live = rr.requests;

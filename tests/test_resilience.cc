@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "obs/export.hh"
 #include "runtime/cluster.hh"
@@ -1336,4 +1338,127 @@ TEST(Resilience, EpochsSimulateEachIterationOnceAndStayThreadInvariant)
     EXPECT_TRUE(a.lifecycles == b.lifecycles) << "requests JSONL differs";
     EXPECT_TRUE(a.metrics == b.metrics) << "metrics JSON differs";
     expectAccountingCloses(a.r.aggregate, int64_t(a.reqs.size()));
+}
+
+namespace {
+
+/** One cluster-decision instant read back from an exported trace. */
+struct Stamped
+{
+    int64_t pid = 0, tid = 0;
+    dam::Cycle ts = 0;
+    std::string name;
+    int64_t value = 0;
+
+    bool operator==(const Stamped&) const = default;
+};
+
+/** The integer after @p key ("\"ts\":") in one exported event line. */
+int64_t
+traceField(const std::string& line, const std::string& key)
+{
+    const size_t at = line.find(key);
+    EXPECT_NE(at, std::string::npos) << key << " missing in " << line;
+    return at == std::string::npos
+               ? -1
+               : std::stoll(line.substr(at + key.size()));
+}
+
+/** Every breaker.* and autoscale.active instant in @p json, in export
+ *  order (the exporter writes one event per line). */
+std::vector<Stamped>
+clusterDecisions(const std::string& json)
+{
+    std::vector<Stamped> out;
+    std::istringstream in(json);
+    for (std::string line; std::getline(in, line);) {
+        const std::string tag = "\"ph\":\"i\",\"name\":\"";
+        const size_t at = line.find(tag);
+        if (at == std::string::npos)
+            continue;
+        const size_t from = at + tag.size();
+        std::string name = line.substr(from, line.find('"', from) - from);
+        if (!name.starts_with("breaker.") && name != "autoscale.active")
+            continue;
+        out.push_back({traceField(line, "\"pid\":"),
+                       traceField(line, "\"tid\":"),
+                       static_cast<dam::Cycle>(traceField(line, "\"ts\":")),
+                       std::move(name), traceField(line, "\"v\":")});
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(Resilience, TraceHoldsExactlyTheBreakersAndStepsRoutingConsulted)
+{
+    // Plan breakers with the autoscaler on: replica 1 crashes and
+    // recovers, and replica 2's deep slowdown outlives its last request,
+    // so its breaker half-opens and closes after its run went quiet.
+    // Each replica's exported breaker flips are the state changes of
+    // the timeline routing consulted, on their exact cycles, and
+    // replica 0's autoscale instants are the step timeline — all on the
+    // cluster track, none on the lifecycle track.
+    TraceConfig tc = sessionClusterTrace(24, 3);
+    QueueDepthPolicy policy;
+    std::vector<Request> reqs = generateTrace(tc, deriveSeed(2));
+    const dam::Cycle span = reqs.back().arrival;
+    ClusterConfig cc;
+    cc.replicas = 4;
+    cc.routing = RouteKind::LeastQueued;
+    cc.resilience.enabled = true;
+    cc.resilience.autoscale.enabled = true;
+    cc.faults.crashes.push_back({1, span / 4, span / 2});
+    cc.faults.slowdowns.push_back({2, span / 3, span * 3, 0.4});
+    cc.trace = obs::TraceOptions{obs::TraceLevel::Request, size_t{1} << 20};
+    const ClusterResult r = ServingCluster(cc, policy).run(reqs);
+    std::ostringstream json;
+    obs::writeChromeTrace(json, r.traceViews());
+    const std::vector<Stamped> got = clusterDecisions(json.str());
+    for (const Stamped& s : got)
+        EXPECT_EQ(s.tid, 3) << s.name << " at " << s.ts << " on replica "
+                            << s.pid;
+
+    ASSERT_EQ(r.breakers.size(), 4u);
+    ASSERT_FALSE(r.autoscale.empty());
+    dam::Cycle quiet = 0; // replica 2's last request event
+    for (const Request& q : r.replicas[2].requests)
+        quiet = std::max(quiet, q.finishedAt);
+    bool after_quiet = false;
+    for (int64_t p = 0; p < 4; ++p) {
+        SCOPED_TRACE(p);
+        // A state change is a cycle whose state differs from the one
+        // before it; only window edges can be one.
+        const BreakerTimeline& b = r.breakers[static_cast<size_t>(p)];
+        std::vector<dam::Cycle> edges;
+        for (const auto* windows : {&b.open, &b.halfOpen})
+            for (const BreakerTimeline::Window& w : *windows)
+                edges.insert(edges.end(), {w.start, w.end});
+        std::ranges::sort(edges);
+        edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+        std::vector<Stamped> want;
+        for (dam::Cycle c : edges) {
+            const BreakerState st = b.stateAt(c);
+            if (c == 0 || st == b.stateAt(c - 1))
+                continue;
+            want.push_back({p, 3, c,
+                            st == BreakerState::Open       ? "breaker.open"
+                            : st == BreakerState::HalfOpen ? "breaker.half_open"
+                                                           : "breaker.closed",
+                            p});
+            after_quiet |= p == 2 && c > quiet;
+        }
+        if (p == 0)
+            for (const AutoscaleStep& s : r.autoscale)
+                want.push_back({0, 3, s.at, "autoscale.active", s.active});
+        std::ranges::stable_sort(want, {}, &Stamped::ts);
+        std::vector<Stamped> mine;
+        std::ranges::copy_if(got, std::back_inserter(mine),
+                             [&](const Stamped& s) { return s.pid == p; });
+        EXPECT_EQ(want.empty(), p == 3); // replica 3 never faults
+        EXPECT_TRUE(mine == want) << mine.size() << " cluster-track "
+                                  << "instants, " << want.size()
+                                  << " decisions";
+    }
+    EXPECT_TRUE(after_quiet) << "no breaker edge after replica 2 went quiet";
 }
