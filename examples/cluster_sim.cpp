@@ -212,8 +212,9 @@ main(int argc, char** argv)
         FaultPlanConfig fc;
         fc.mtbfCycles = mtbf;
         fc.mttrCycles = mtbf / 4;
-        // Windows long enough for the breaker's detection lag and deep
-        // enough (factor <= openBelowFactor) to trip it, so the
+        // The default windows (factor 0.5, 2M cycles on average) are
+        // deep and long enough to trip the breaker (slowdownTrips:
+        // factor <= 0.75, longer than the detection lag), so the
         // resilience tier's slowdown drain has something to drain.
         fc.slowdownMtbfCycles = slowdown_mtbf;
         fc.horizonCycles =

@@ -207,30 +207,14 @@ assignRoutes(const std::vector<Request>& reqs, const ClusterConfig& cfg,
     return out;
 }
 
-/** The one placement the routing remap and failover share: where a
- *  request moving at cycle @p at lands (-1 = nowhere). Off the
- *  resilience tier there are no breakers, steps or affinity owner. */
-int64_t
-place(const ClusterConfig& cfg, const std::vector<int64_t>& load,
-      const std::vector<BreakerTimeline>& breakers,
-      const std::vector<AutoscaleStep>& autoscale, dam::Cycle at,
-      int64_t affinityOwner)
-{
-    return pickResilientTarget(
-        load, cfg.faults, breakers, autoscale, at, affinityOwner,
-        cfg.resilience.remotePrefix.affinityLoadFactor,
-        cfg.resilience.breaker.halfOpenLoadPenalty,
-        cfg.bwScales.empty() ? nullptr : &cfg.bwScales);
-}
-
 /**
  * The health remap, one arrival at a time in trace order: a request
  * whose replica is down at its arrival — or, on the resilience tier,
  * breaker-open or autoscale-parked for a fresh placement — moves to
- * place()'s pick, if any (a crash mid-flight is still the engine's to
- * discover). The resilience tier also keeps sessions sticky to where
- * their first turn landed, remaps included: the warm cache is there,
- * and cache affinity outranks parking. A probing breaker
+ * pickResilientTarget's pick, if any (a crash mid-flight is still the
+ * engine's to discover). The resilience tier also keeps sessions sticky
+ * to where their first turn landed, remaps included: the warm cache is
+ * there, and cache affinity outranks parking. A probing breaker
  * (HealthMonitor::probing) instead takes the first arrival free to go
  * to its replica — not sticky elsewhere — while that replica is up and
  * active; the caller re-arms @p probes once per window. Off the tier
@@ -239,38 +223,43 @@ place(const ClusterConfig& cfg, const std::vector<int64_t>& load,
 class Router
 {
   public:
-    explicit Router(size_t replicas) : load_(replicas, 0) {}
+    Router(const ClusterConfig& cfg,
+           const std::vector<ReplicaFaultTimeline>& faults)
+        : cfg_(cfg), faults_(faults), load_(faults.size(), 0)
+    {}
 
     /** Route @p q, which the routing policy sent to @p pick. */
     int64_t
-    route(const Request& q, int64_t pick, const ClusterConfig& cfg,
+    route(const Request& q, int64_t pick,
           const std::vector<BreakerTimeline>& breakers,
           const std::vector<AutoscaleStep>& autoscale,
           std::vector<bool>& probes)
     {
         auto r = static_cast<size_t>(pick);
         const dam::Cycle at = q.arrival;
-        const uint64_t key = cfg.resilience.enabled ? q.affinityKey : 0;
+        const uint64_t key = cfg_.resilience.enabled ? q.affinityKey : 0;
         const auto it = key != 0 ? sticky_.find(key) : sticky_.end();
         const bool owned = it != sticky_.end();
         if (owned)
             r = static_cast<size_t>(it->second);
-        const int64_t active = autoscaleActiveAt(autoscale, at, cfg.replicas);
+        const int64_t active =
+            autoscaleActiveAt(autoscale, at, cfg_.replicas);
         int64_t probe = -1;
         for (int64_t c = 0; c < active && probe < 0; ++c) {
             const auto p = static_cast<size_t>(c);
             if (p < probes.size() && probes[p] && (!owned || p == r) &&
-                cfg.faults.aliveAt(c, at))
+                !faults_[p].downAt(at))
                 probe = c;
         }
         if (probe >= 0) {
             r = static_cast<size_t>(probe);
             probes[r] = false; // this window's probe
-        } else if (!cfg.faults.aliveAt(static_cast<int64_t>(r), at) ||
+        } else if (faults_[r].downAt(at) ||
                    (r < breakers.size() && breakers[r].openAt(at)) ||
                    (static_cast<int64_t>(r) >= active && !owned)) {
-            const int64_t best = place(cfg, load_, breakers, autoscale, at,
-                                       /*affinityOwner=*/-1);
+            const int64_t best =
+                pickResilientTarget(load_, faults_, breakers, autoscale, at,
+                                    /*affinityOwner=*/-1, cfg_.bwScales);
             if (best >= 0)
                 r = static_cast<size_t>(best);
         }
@@ -290,20 +279,22 @@ class Router
     }
 
   private:
+    const ClusterConfig& cfg_;
+    const std::vector<ReplicaFaultTimeline>& faults_;
     std::vector<int64_t> load_; ///< routed worst-case tokens
     std::unordered_map<uint64_t, int64_t> sticky_; ///< key -> home
 };
 
 /** The trace-only autoscale step timeline (empty off the tier). */
 std::vector<AutoscaleStep>
-autoscaleSteps(const ClusterConfig& cfg, const std::vector<Request>& reqs,
-               double prefillFpt)
+autoscaleSteps(const ClusterConfig& cfg,
+               const std::vector<ReplicaFaultTimeline>& faults,
+               const std::vector<Request>& reqs, double prefillFpt)
 {
     if (!cfg.resilience.enabled)
         return {};
-    return computeAutoscaleTimeline(cfg.resilience.autoscale, reqs,
-                                    cfg.faults, cfg.replicas, prefillFpt,
-                                    cfg.engine.totalComputeBw);
+    return computeAutoscaleTimeline(cfg.resilience.autoscale, reqs, faults,
+                                    prefillFpt, cfg.engine.totalComputeBw);
 }
 
 } // namespace
@@ -382,6 +373,8 @@ ServingCluster::ServingCluster(ClusterConfig cfg, const Policy& policy)
                 "bwScales must be empty or one entry per replica");
     for (double s : cfg_.bwScales)
         STEP_ASSERT(s > 0.0, "bwScales entries must be positive");
+    for (int64_t r = 0; r < cfg_.replicas; ++r)
+        faults_.push_back(cfg_.faults.forReplica(r));
 }
 
 std::vector<int64_t>
@@ -389,12 +382,11 @@ ServingCluster::routeTrace(const std::vector<Request>& reqs) const
 {
     std::vector<int64_t> out = assignRoutes(reqs, cfg_, prefillFpt_);
     const std::vector<AutoscaleStep> autoscale =
-        autoscaleSteps(cfg_, reqs, prefillFpt_);
-    Router router(static_cast<size_t>(cfg_.replicas));
+        autoscaleSteps(cfg_, faults_, reqs, prefillFpt_);
+    Router router(cfg_, faults_);
     std::vector<bool> no_probes;
     for (size_t i = 0; i < reqs.size(); ++i)
-        out[i] = router.route(reqs[i], out[i], cfg_, {}, autoscale,
-                              no_probes);
+        out[i] = router.route(reqs[i], out[i], {}, autoscale, no_probes);
     return out;
 }
 
@@ -500,14 +492,15 @@ class ServingCluster::Run
 {
   public:
     Run(const ServingCluster& cluster, std::vector<Request>& reqs)
-        : cfg_(cluster.cfg_), reqs_(reqs),
+        : cfg_(cluster.cfg_), faults_(cluster.faults_), reqs_(reqs),
           R_(static_cast<size_t>(cfg_.replicas)),
           window_(cfg_.resilience.enabled &&
                           cfg_.resilience.breakerSource ==
                               BreakerSource::Telemetry
                       ? cfg_.resilience.health.windowCycles
                       : 0),
-          handoff_(cfg_.resilience.migration), router_(R_), origs_(R_),
+          handoff_(cfg_.resilience.migration), router_(cfg_, faults_),
+          origs_(R_),
           results_(R_),
           traces_(cfg_.trace.level != obs::TraceLevel::Off ? R_ : 0),
           mregs_(cfg_.metrics.enabled ? R_ : 0), load_(R_, 0)
@@ -517,7 +510,8 @@ class ServingCluster::Run
         const bool resilient = cfg_.resilience.enabled;
         if (resilient) {
             retry_ = &handoff_;
-            autoscale_ = autoscaleSteps(cfg_, reqs, cluster.prefillFpt_);
+            autoscale_ =
+                autoscaleSteps(cfg_, faults_, reqs, cluster.prefillFpt_);
             breakers_.resize(R_);
         }
         if (window_ > 0) { // telemetry breakers start closed
@@ -528,41 +522,35 @@ class ServingCluster::Run
         } else {
             for (size_t r = 0; r < breakers_.size(); ++r)
                 breakers_[r] = computeBreakerTimeline(
-                    cfg_.faults.forReplica(static_cast<int64_t>(r)),
-                    cfg_.resilience.breaker);
+                    faults_[r], cfg_.resilience.breaker);
         }
         route_ = assignRoutes(reqs, cfg_, cluster.prefillFpt_);
         pool_.emplace(static_cast<size_t>(
             std::min(cfg_.threads > 0 ? cfg_.threads : cfg_.replicas,
                      cfg_.replicas)));
 
-        // Seeds and fault timelines are derived on the coordinating
-        // thread before any worker runs — the one ordering the
-        // global-seed contract requires (see rng.hh).
+        // Seeds are derived on the coordinating thread before any
+        // worker runs — the one ordering the global-seed contract
+        // requires (see rng.hh).
         configs_.assign(R_, cfg_.engine);
         for (size_t r = 0; r < R_; ++r) {
             EngineConfig& ec = configs_[r];
             ec.seed = deriveSeed(static_cast<uint64_t>(r));
-            ec.faults = cfg_.faults.forReplica(static_cast<int64_t>(r));
+            ec.faults = faults_[r];
             if (!cfg_.bwScales.empty())
                 ec.totalComputeBw = static_cast<int64_t>(std::llround(
                     static_cast<double>(cfg_.engine.totalComputeBw) *
                     cfg_.bwScales[r]));
-            if (resilient) {
-                // The drain fires on the edge that opens the breaker:
-                // one detection signal for routing and migration.
-                ec.drain.enabled = true;
-                ec.drain.detectCycles = cfg_.resilience.breaker.detectCycles;
-                ec.drain.openBelowFactor =
-                    cfg_.resilience.breaker.openBelowFactor;
-            }
+            // The drain fires on the edge that opens the breaker: one
+            // detection signal for routing and migration.
+            if (resilient)
+                for (const auto& w :
+                     slowdownTrips(ec.faults, cfg_.resilience.breaker))
+                    ec.drainAt.push_back(w.start);
             edges_.push_back(failureEdges(ec));
             std::ranges::sort(edges_.back());
-            barriers_.insert(barriers_.end(), edges_.back().begin(),
-                             edges_.back().end());
-            for (const auto& d : ec.faults.downs)
-                if (d.recoverAt != 0)
-                    barriers_.push_back(d.recoverAt);
+            const std::vector<dam::Cycle> own = faultBarriers(ec);
+            barriers_.insert(barriers_.end(), own.begin(), own.end());
         }
         // A fault-free plan has no fault barrier.
         std::ranges::sort(barriers_);
@@ -775,8 +763,8 @@ class ServingCluster::Run
         for (; routed_ < reqs_.size() && reqs_[routed_].arrival < end;
              ++routed_) {
             const Request& q = reqs_[routed_];
-            route_[routed_] = router_.route(q, route_[routed_], cfg_,
-                                            breakers_, autoscale_, probes_);
+            route_[routed_] = router_.route(q, route_[routed_], breakers_,
+                                            autoscale_, probes_);
             const auto r = static_cast<size_t>(route_[routed_]);
             origs_[r].push_back(routed_);
             runs_[r].append(q);
@@ -825,8 +813,8 @@ class ServingCluster::Run
         const int64_t owner = router_.owner(orig.affinityKey);
         // With no replica able to take it at the re-arrival cycle the
         // request could only be refused again: the failure stands.
-        const int64_t best =
-            place(cfg_, load_, breakers_, autoscale_, *re, owner);
+        const int64_t best = pickResilientTarget(
+            load_, faults_, breakers_, autoscale_, *re, owner, cfg_.bwScales);
         if (best < 0)
             return;
         const auto tgt = static_cast<size_t>(best);
@@ -859,7 +847,7 @@ class ServingCluster::Run
         const auto ow = static_cast<size_t>(owner);
         const dam::Cycle at = inc.arrival;
         dam::Cycle wiped = ReplicaFaultTimeline::kNoEvent; // last crash
-        for (const auto& d : configs_[ow].faults.downs)
+        for (const auto& d : faults_[ow].downs)
             if (d.failAt <= at && (wiped == ReplicaFaultTimeline::kNoEvent ||
                                    d.failAt > wiped))
                 wiped = d.failAt;
@@ -938,6 +926,8 @@ class ServingCluster::Run
     }
 
     const ClusterConfig& cfg_;
+    /** Per replica: its fault timeline (ServingCluster::faults_). */
+    const std::vector<ReplicaFaultTimeline>& faults_;
     std::vector<Request>& reqs_;
     const size_t R_;
     /** Health-window width with telemetry breakers, else 0. */
@@ -957,7 +947,7 @@ class ServingCluster::Run
     MigrationHandoff handoff_;
     const RetryPolicy* retry_ = nullptr;
     Router router_;
-    /** Per replica: seed, fault timeline, bandwidth, drain. */
+    /** Per replica: seed, fault timeline, bandwidth, drain cycles. */
     std::vector<EngineConfig> configs_;
     /** Per replica: its crash and drain cycles, sorted. */
     std::vector<std::vector<dam::Cycle>> edges_;

@@ -92,9 +92,10 @@ struct ClusterConfig
     RouteKind routing = RouteKind::RoundRobin;
     /**
      * Cluster-wide fault plan (empty = fault-free, the default — run()
-     * is then bit-identical to a fault-less build). Each replica
-     * receives its own timeline (FaultPlan::forReplica); the engine
-     * template's `faults` field is ignored, like its seed. The router
+     * is then bit-identical to a fault-less build). The constructor
+     * splits it once into the per-replica timelines (forReplica) that
+     * engines, routing, placement, breakers and autoscaler read; the
+     * engine template's `faults` is ignored, like its seed. The router
      * is fault-aware: a request arriving while its chosen replica is
      * down is re-routed to the least-loaded alive replica (a
      * health-checked load balancer), and requests a crash kills in
@@ -120,8 +121,8 @@ struct ClusterConfig
      * MigrationHandoff, and cfg_.retry is not consulted; migrated or
      * retried requests placed off their cache-affinity replica may
      * fetch their prefix from the owner's cache at a modeled transfer
-     * cost; and each engine runs the slowdown drain with the breaker's
-     * detection parameters.
+     * cost; and each engine drains at the starts of its replica's
+     * slowdown trips (slowdownTrips, the breakers' trip rule).
      */
     ResilienceConfig resilience;
     /**
@@ -154,8 +155,8 @@ struct ReplicaResult
     int64_t replica = 0;
     EngineResult result;
     /** The engine configuration the replica ran under (seed
-     *  deriveSeed(replica), fault timeline, bandwidth, drain), for
-     *  replay. */
+     *  deriveSeed(replica), fault timeline, bandwidth, drain cycles),
+     *  for replay. */
     EngineConfig engine;
     /** Every incarnation the replica served, by slot: as appended,
      *  routed requests and failover incarnations interleaved. A fresh
@@ -300,6 +301,8 @@ class ServingCluster
     /** Analytic prefill FLOPs per prompt token across the engine's
      *  layers: the router's and autoscaler's service-time proxy. */
     double prefillFpt_;
+    /** Per replica: its slice of cfg_.faults, normalized once. */
+    std::vector<ReplicaFaultTimeline> faults_;
 };
 
 } // namespace step::runtime

@@ -319,28 +319,26 @@ foldLostCache(PrefixCacheStats& acc, const PrefixCacheStats& lost)
         std::max(acc.peakOccupancyTokens, lost.peakOccupancyTokens);
 }
 
-/** When each of @p cfg's qualifying slowdown windows has been observed
- *  long enough to trigger live migration. */
-std::vector<dam::Cycle>
-drainEdges(const EngineConfig& cfg)
-{
-    std::vector<dam::Cycle> out;
-    if (cfg.drain.enabled)
-        for (const auto& s : cfg.faults.slowdowns)
-            if (s.factor <= cfg.drain.openBelowFactor &&
-                s.end - s.start > cfg.drain.detectCycles)
-                out.push_back(s.start + cfg.drain.detectCycles);
-    return out;
-}
-
 } // namespace
 
 std::vector<dam::Cycle>
 failureEdges(const EngineConfig& cfg)
 {
-    std::vector<dam::Cycle> out = drainEdges(cfg);
+    std::vector<dam::Cycle> out = cfg.drainAt;
     for (const auto& d : cfg.faults.downs)
         out.push_back(d.failAt);
+    return out;
+}
+
+std::vector<dam::Cycle>
+faultBarriers(const EngineConfig& cfg)
+{
+    std::vector<dam::Cycle> out = failureEdges(cfg);
+    for (const auto& d : cfg.faults.downs)
+        if (d.recoverAt != 0)
+            out.push_back(d.recoverAt);
+    std::ranges::sort(out);
+    out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
 }
 
@@ -372,6 +370,8 @@ ServingEngine::ServingEngine(EngineConfig cfg, const Policy& policy)
     STEP_ASSERT(cfg_.totalComputeBw >= 2,
                 "bandwidth pool too small to split");
     STEP_ASSERT(cfg_.numLayers > 0, "layer count must be positive");
+    STEP_ASSERT(std::ranges::is_sorted(cfg_.drainAt),
+                "drain cycles must be sorted");
 
     // Iteration-graph parameters shared across iterations; the per-
     // iteration pieces are the batch's KV lengths, the expert trace, and
@@ -415,7 +415,6 @@ class ServingEngine::Run::Impl
           batcher_(cfg_.batcher), iterRng_(cfg_.seed),
           tel_(eng.trace_, eng.metrics_, eng.health_, cfg_.slo),
           dp_(eng.baseParams_),
-          drainEdges_(drainEdges(cfg_)),
           // Scheduler events only matter at trace level >= Op, so the
           // per-resume branch in dam::Scheduler::drain stays cold below.
           opSink_(eng.trace_ && eng.trace_->level() >= obs::TraceLevel::Op
@@ -562,7 +561,7 @@ class ServingEngine::Run::Impl
     }
 
     /**
-     * Scripted event kinds in tie order: the drain trigger first, so the
+     * Scripted event kinds in tie order: the drain first, so the
      * trace stamps the cause before its effects, then arrivals, then
      * crashes.
      */
@@ -580,7 +579,8 @@ class ServingEngine::Run::Impl
     nextDue() const
     {
         const std::array<dam::Cycle, 3> heads = {
-            nextDrain_ < drainEdges_.size() ? drainEdges_[nextDrain_] : kNone,
+            nextDrain_ < cfg_.drainAt.size() ? cfg_.drainAt[nextDrain_]
+                                             : kNone,
             nextArrival_ < order_.size() ? order_[nextArrival_]->arrival
                                          : kNone,
             nextDown_ < cfg_.faults.downs.size()
@@ -951,9 +951,8 @@ class ServingEngine::Run::Impl
     DecoderParams dp_; ///< per-iteration fields patched each decode
     EngineResult res_;
     PrefixCacheStats lostCacheStats_; ///< of caches lost to crashes
-    std::vector<dam::Cycle> drainEdges_;
     obs::TraceSink* opSink_; ///< the scheduler's, at level >= Op
-    // Event cursors: next arrival (into order_), crash, drain edge.
+    // Event cursors: next arrival (into order_), crash, drain.
     size_t nextArrival_ = 0;
     size_t nextDown_ = 0;
     size_t nextDrain_ = 0;

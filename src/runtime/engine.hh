@@ -89,15 +89,14 @@ struct EngineConfig
     const AdmissionPolicy* admission = nullptr;
 
     /**
-     * Engine-side live-migration trigger (see SlowdownDrainConfig):
-     * when a deep slowdown window has run for the detection lag, queued
-     * and prefilling requests leave in state Migrated (with finishedAt
-     * and their prefill progress as the KV tokens to hand off) instead
-     * of grinding through the degraded window; the cluster reschedules
-     * them. Disabled (default) the engine is bit-identical to a
-     * drain-less build.
+     * Live-migration drain cycles, sorted (empty = none, the default).
+     * At each, queued and prefilling requests leave in state Migrated
+     * (with finishedAt and their prefill progress as the KV tokens to
+     * hand off) for the cluster to reschedule; decoding requests stay
+     * and finish locally. Executed like the crashes in `faults`: a
+     * resilient cluster fills it from its slowdownTrips' starts.
      */
-    SlowdownDrainConfig drain;
+    std::vector<dam::Cycle> drainAt;
 
     /**
      * Recycle one arena-backed decoder graph across batching iterations
@@ -143,10 +142,14 @@ struct EngineResult
 
 /**
  * The cycles at which @p cfg's replica can first fail or drain a
- * request — each crash, and each slowdown window's drain trigger — so
- * that every casualty of this replica fails at or after one of them.
+ * request — each crash and each drain — so that every casualty of this
+ * replica fails at or after one of them.
  */
 std::vector<dam::Cycle> failureEdges(const EngineConfig& cfg);
+
+/** @p cfg's fault edges as a cluster's barriers: its failureEdges and
+ *  each recovery, sorted and unique. */
+std::vector<dam::Cycle> faultBarriers(const EngineConfig& cfg);
 
 /**
  * Analytic prefill cost of one prompt token across @p num_layers layers

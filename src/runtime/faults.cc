@@ -1,6 +1,7 @@
 #include "runtime/faults.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 
@@ -108,16 +109,6 @@ FaultPlan::forReplica(int64_t r) const
     return t;
 }
 
-bool
-FaultPlan::aliveAt(int64_t r, dam::Cycle c) const
-{
-    for (const FaultEvent& e : crashes)
-        if (e.replica == r && c >= e.failAt &&
-            (e.recoverAt == 0 || c < e.recoverAt))
-            return false;
-    return true;
-}
-
 // ---- generation --------------------------------------------------------
 
 namespace {
@@ -181,6 +172,22 @@ generateFaultPlan(const FaultPlanConfig& cfg, int64_t replicas,
 
 // ---- parsing -----------------------------------------------------------
 
+namespace {
+
+/** Parse @p s, blanks around it aside, as a whole unsigned decimal:
+ *  no sign, no fraction, nothing after the digits. */
+bool
+parseUnsigned(std::string_view s, uint64_t* out)
+{
+    s.remove_prefix(std::min(s.find_first_not_of(" \t"), s.size()));
+    s = s.substr(0, s.find_last_not_of(" \t") + 1);
+    const char* end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+}
+
+} // namespace
+
 bool
 parseFaultPlan(std::string_view spec, FaultPlan* out, std::string* err)
 {
@@ -190,36 +197,28 @@ parseFaultPlan(std::string_view spec, FaultPlan* out, std::string* err)
         return false;
     };
     FaultPlan plan;
-    size_t pos = 0;
-    while (pos < spec.size()) {
-        size_t end = spec.find_first_of(",;", pos);
-        std::string_view tok = spec.substr(
-            pos, end == std::string_view::npos ? std::string_view::npos
-                                               : end - pos);
-        pos = end == std::string_view::npos ? spec.size() : end + 1;
+    for (size_t pos = 0; pos < spec.size();) {
+        const size_t end = std::min(spec.find_first_of(",;", pos), spec.size());
+        const std::string_view tok = spec.substr(pos, end - pos);
+        pos = end + 1;
         if (tok.empty())
             continue;
         size_t at = tok.find('@');
         if (at == std::string_view::npos)
             return fail("fault event '" + std::string(tok) +
                         "' has no '@' (want REPLICA@FAIL[:RECOVER])");
+        const std::string_view times = tok.substr(at + 1);
+        const size_t colon = times.find(':');
+        uint64_t replica = 0;
         FaultEvent e;
-        try {
-            e.replica = std::stoll(std::string(tok.substr(0, at)));
-            std::string_view times = tok.substr(at + 1);
-            size_t colon = times.find(':');
-            e.failAt = static_cast<dam::Cycle>(
-                std::stoull(std::string(times.substr(0, colon))));
-            if (colon != std::string_view::npos)
-                e.recoverAt = static_cast<dam::Cycle>(
-                    std::stoull(std::string(times.substr(colon + 1))));
-        } catch (const std::exception&) {
+        if (!parseUnsigned(tok.substr(0, at), &replica) ||
+            replica > uint64_t(std::numeric_limits<int64_t>::max()) ||
+            !parseUnsigned(times.substr(0, colon), &e.failAt) ||
+            (colon != std::string_view::npos &&
+             !parseUnsigned(times.substr(colon + 1), &e.recoverAt)))
             return fail("fault event '" + std::string(tok) +
                         "' has a malformed number");
-        }
-        if (e.replica < 0)
-            return fail("fault event '" + std::string(tok) +
-                        "' names a negative replica");
+        e.replica = int64_t(replica);
         if (e.recoverAt != 0 && e.recoverAt <= e.failAt)
             return fail("fault event '" + std::string(tok) +
                         "' recovers before it fails");

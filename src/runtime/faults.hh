@@ -107,11 +107,9 @@ struct FaultPlan
 
     bool empty() const { return crashes.empty() && slowdowns.empty(); }
 
-    /** Extract (and normalize) replica @p r's timeline. */
+    /** Extract (and normalize) replica @p r's timeline: the one view
+     *  of the plan every consumer reads. */
     ReplicaFaultTimeline forReplica(int64_t r) const;
-
-    /** Is replica @p r up at cycle @p c? (Router-side helper.) */
-    bool aliveAt(int64_t r, dam::Cycle c) const;
 };
 
 /** Seeded-random plan generation: per-replica Poisson failure/repair
@@ -143,7 +141,8 @@ FaultPlan generateFaultPlan(const FaultPlanConfig& cfg, int64_t replicas,
 /**
  * Parse a scripted plan: comma- or semicolon-separated events, each
  * "REPLICA@FAIL_AT[:RECOVER_AT]" (cycles; recovery omitted = permanent),
- * e.g. "1@8000000:12000000,2@5000000". Returns false with a message in
+ * e.g. "1@8000000:12000000,2@5000000". Every number is a whole unsigned
+ * decimal (blanks around it allowed). Returns false with a message in
  * @p err on malformed input.
  */
 bool parseFaultPlan(std::string_view spec, FaultPlan* out,

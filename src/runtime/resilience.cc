@@ -21,10 +21,26 @@ BreakerTimeline::stateAt(dam::Cycle c) const
     return BreakerState::Closed;
 }
 
+std::vector<BreakerTimeline::Window>
+slowdownTrips(const ReplicaFaultTimeline& t, const BreakerConfig& cfg)
+{
+    constexpr double kDeepFactor = 0.75; // at or below: a deep slowdown
+    std::vector<BreakerTimeline::Window> trips;
+    for (const auto& s : t.slowdowns) {
+        // Only a *sustained* deep slowdown trips, and only after the
+        // detection lag — the health scorer needs to observe the
+        // degradation before it can act on it.
+        if (s.factor <= kDeepFactor && s.end - s.start > cfg.detectCycles)
+            trips.push_back({s.start + cfg.detectCycles, s.end});
+    }
+    return trips;
+}
+
 BreakerTimeline
 computeBreakerTimeline(const ReplicaFaultTimeline& t,
                        const BreakerConfig& cfg)
 {
+    constexpr dam::Cycle kCooldownCycles = 2'000'000; // half-open probation
     BreakerTimeline b;
     for (const auto& d : t.downs) {
         // A crash opens the breaker for the whole outage; recovery
@@ -33,18 +49,11 @@ computeBreakerTimeline(const ReplicaFaultTimeline& t,
         b.open.push_back({d.failAt, d.recoverAt});
         if (d.recoverAt != 0)
             b.halfOpen.push_back(
-                {d.recoverAt, d.recoverAt + cfg.cooldownCycles});
+                {d.recoverAt, d.recoverAt + kCooldownCycles});
     }
-    for (const auto& s : t.slowdowns) {
-        // Only a *sustained* deep slowdown trips the breaker, and only
-        // after the detection lag — the health scorer needs to observe
-        // the degradation before it can act on it.
-        if (s.factor > cfg.openBelowFactor)
-            continue;
-        if (s.end - s.start <= cfg.detectCycles)
-            continue;
-        b.open.push_back({s.start + cfg.detectCycles, s.end});
-        b.halfOpen.push_back({s.end, s.end + cfg.cooldownCycles});
+    for (const auto& w : slowdownTrips(t, cfg)) {
+        b.open.push_back(w);
+        b.halfOpen.push_back({w.end, w.end + kCooldownCycles});
     }
     auto byStart = [](const BreakerTimeline::Window& a,
                       const BreakerTimeline::Window& b) {
@@ -113,8 +122,8 @@ HealthMonitor::observeWindow(uint64_t failed, uint64_t first_tokens,
     const dam::Cycle close_at =
         dam::Cycle(window_ + 1) * cfg_.windowCycles;
     ++window_;
-    const bool error =
-        cfg_.openOnErrors > 0 && failed >= uint64_t(cfg_.openOnErrors);
+    constexpr uint64_t kOpenOnErrors = 1; // failures: the crash signal
+    const bool error = failed >= kOpenOnErrors;
     const bool degraded =
         !error && first_tokens > 0 &&
         double(p95_ttft) > cfg_.degradedTtftCycles;
@@ -240,23 +249,19 @@ BrownoutPolicy::outputCap(const Request& r,
 std::vector<AutoscaleStep>
 computeAutoscaleTimeline(const AutoscaleConfig& cfg,
                          const std::vector<Request>& reqs,
-                         const FaultPlan& plan, int64_t replicas,
+                         const std::vector<ReplicaFaultTimeline>& faults,
                          double flopsPerToken, int64_t perReplicaBw)
 {
+    constexpr double kScaleUpUtil = 0.75;   // above: one replica activates
+    constexpr double kScaleDownUtil = 0.30; // below: one parks
     std::vector<AutoscaleStep> steps;
     if (!cfg.enabled || cfg.evalIntervalCycles <= 0 || reqs.empty() ||
         perReplicaBw <= 0 || flopsPerToken <= 0)
         return steps;
 
-    const int64_t maxR =
-        cfg.maxReplicas > 0 ? std::min(cfg.maxReplicas, replicas)
-                            : replicas;
-    const int64_t minR =
-        std::clamp<int64_t>(cfg.minReplicas, 1, maxR);
-
-    int64_t active = std::clamp<int64_t>(replicas, minR, maxR);
-    if (active != replicas)
-        steps.push_back({0, active});
+    // Every replica starts active; one always stays.
+    const auto replicas = int64_t(faults.size());
+    int64_t active = replicas;
 
     dam::Cycle horizon = 0;
     for (const auto& r : reqs)
@@ -279,7 +284,7 @@ computeAutoscaleTimeline(const AutoscaleConfig& cfg,
         }
         int64_t aliveActive = 0;
         for (int64_t r = 0; r < active; ++r)
-            if (plan.aliveAt(r, t))
+            if (!faults[size_t(r)].downAt(t))
                 ++aliveActive;
         const double capacity = double(aliveActive) *
                                 double(perReplicaBw) *
@@ -288,10 +293,10 @@ computeAutoscaleTimeline(const AutoscaleConfig& cfg,
             capacity > 0 ? offered / capacity
                          : (offered > 0 ? 1.0 : 0.0);
         int64_t next = active;
-        if (util > cfg.scaleUpUtil)
-            next = std::min(active + 1, maxR);
-        else if (util < cfg.scaleDownUtil)
-            next = std::max(active - 1, minR);
+        if (util > kScaleUpUtil)
+            next = std::min<int64_t>(active + 1, replicas);
+        else if (util < kScaleDownUtil)
+            next = std::max<int64_t>(active - 1, 1);
         if (next != active) {
             active = next;
             steps.push_back({t + cfg.evalIntervalCycles, active});
@@ -315,38 +320,25 @@ autoscaleActiveAt(const std::vector<AutoscaleStep>& steps, dam::Cycle c,
 
 // ---- health-scored placement ------------------------------------------
 
-namespace {
-
-double
-slowFactorAt(const FaultPlan& plan, int64_t r, dam::Cycle c)
-{
-    double f = 1.0;
-    for (const auto& w : plan.slowdowns)
-        if (w.replica == r && w.start <= c && c < w.end)
-            f *= w.bwFactor;
-    return f <= 0.0 ? 1.0 : f;
-}
-
-} // namespace
-
 int64_t
 pickResilientTarget(const std::vector<int64_t>& load,
-                    const FaultPlan& plan,
+                    const std::vector<ReplicaFaultTimeline>& faults,
                     const std::vector<BreakerTimeline>& breakers,
                     const std::vector<AutoscaleStep>& autoscale,
                     dam::Cycle at, int64_t affinityOwner,
-                    double affinityLoadFactor,
-                    double halfOpenLoadPenalty,
-                    const std::vector<double>* bwScales)
+                    const std::vector<double>& bwScales)
 {
+    constexpr double kAffinityLoadFactor = 1.5;  // the owner's allowance
+    constexpr double kHalfOpenLoadPenalty = 2.0; // probation's load scale
     const int64_t n = int64_t(load.size());
     const int64_t active = autoscaleActiveAt(autoscale, at, n);
+    STEP_ASSERT(faults.size() >= load.size(), "a fault timeline per replica");
 
     auto candidates = [&](bool requireActive,
                           bool requireBreaker) {
         std::vector<int64_t> c;
         for (int64_t r = 0; r < n; ++r) {
-            if (!plan.aliveAt(r, at))
+            if (faults[size_t(r)].downAt(at))
                 continue;
             if (requireActive && r >= active)
                 continue;
@@ -378,7 +370,7 @@ pickResilientTarget(const std::vector<int64_t>& load,
         std::find(cand.begin(), cand.end(), affinityOwner) !=
             cand.end() &&
         double(load[affinityOwner]) <=
-            affinityLoadFactor * double(minLoad))
+            kAffinityLoadFactor * double(minLoad))
         return affinityOwner;
 
     int64_t best = -1;
@@ -387,14 +379,13 @@ pickResilientTarget(const std::vector<int64_t>& load,
         // Effective bandwidth factor: transient slowdown x static
         // capacity scale — a half-speed replica should absorb half
         // the queue, whichever way it got slow.
-        double factor = slowFactorAt(plan, r, at);
-        if (bwScales && r < int64_t(bwScales->size()) &&
-            (*bwScales)[size_t(r)] > 0.0)
-            factor *= (*bwScales)[size_t(r)];
+        double factor = faults[size_t(r)].bwFactorAt(at);
+        if (r < int64_t(bwScales.size()) && bwScales[size_t(r)] > 0.0)
+            factor *= bwScales[size_t(r)];
         double score = double(load[r]) / factor;
         if (r < int64_t(breakers.size()) &&
             breakers[r].stateAt(at) == BreakerState::HalfOpen)
-            score *= halfOpenLoadPenalty;
+            score *= kHalfOpenLoadPenalty;
         if (best < 0 || score < bestScore) {
             best = r;
             bestScore = score;

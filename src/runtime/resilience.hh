@@ -4,18 +4,19 @@
  * fault tier's *detection* machinery (FaultPlan, failover epochs) into
  * graceful degradation. Four pieces, all seeded-deterministic:
  *
- *  - Circuit breakers: per-replica health timelines precomputed from the
- *    fault plan. A breaker opens on a crash or on a sustained deep
- *    slowdown (after a detection lag), half-opens deterministically
- *    after a cooldown, and closes again; the router and the failover
- *    target selection consult it, so a degraded replica stops receiving
- *    traffic *before* it drowns.
+ *  - Circuit breakers: per-replica health timelines precomputed from
+ *    each replica's fault timeline (FaultPlan::forReplica). A breaker
+ *    opens on a crash or on a sustained deep slowdown (slowdownTrips),
+ *    half-opens deterministically after a cooldown, and closes again;
+ *    the router and the failover target selection consult it, so a
+ *    degraded replica stops receiving traffic *before* it drowns.
  *
- *  - Live request migration: on a crash or a breaker-opening slowdown,
+ *  - Live request migration: on a crash or a tripping slowdown,
  *    in-flight (prefilling) and queued requests move to a healthy
  *    replica instead of failing, paying a modeled KV-handoff cost
  *    (fixed handshake + tokens x per-token transfer cycles). A
- *    hard-down source loses its KV, so crash casualties re-prefill.
+ *    hard-down source loses its KV, so crash casualties re-prefill. A
+ *    drain is data to the engine (EngineConfig::drainAt), like a crash.
  *
  *  - Cross-replica prefix reuse: a migrated or retried request placed
  *    off its cache-affinity replica can still use that replica's radix
@@ -58,21 +59,11 @@ enum class BreakerState : uint8_t { Closed, Open, HalfOpen };
 struct BreakerConfig
 {
     /**
-     * A slowdown window must run this long (and dip to or below
-     * openBelowFactor) before the breaker opens — transient stragglers
-     * do not trip it. Crashes open the breaker immediately.
+     * A deep slowdown window must run longer than this before the
+     * breaker opens — transient stragglers do not trip it (see
+     * slowdownTrips). Crashes open the breaker immediately.
      */
     dam::Cycle detectCycles = 500'000;
-    /** Slowdowns at or below this bandwidth factor count as degraded. */
-    double openBelowFactor = 0.75;
-    /** Half-open probation length after the degradation ends. */
-    dam::Cycle cooldownCycles = 2'000'000;
-    /**
-     * Load multiplier a half-open replica carries in health-scored
-     * target selection: it takes traffic again, but only when clearly
-     * the best choice.
-     */
-    double halfOpenLoadPenalty = 2.0;
 };
 
 /**
@@ -100,7 +91,17 @@ struct BreakerTimeline
     }
 };
 
-/** Derive a replica's breaker timeline from its fault timeline. */
+/**
+ * The trip rule: each slowdown of @p t at factor <= 0.75 that lasts
+ * longer than cfg.detectCycles, in order, as the window it holds the
+ * breaker open — from detectCycles after its start to its end. A
+ * resilient cluster also drains the replica at each window's start.
+ */
+std::vector<BreakerTimeline::Window>
+slowdownTrips(const ReplicaFaultTimeline& t, const BreakerConfig& cfg);
+
+/** Derive a replica's breaker timeline from its fault timeline: open
+ *  for each outage and slowdown trip, then half-open for 2M cycles. */
 BreakerTimeline computeBreakerTimeline(const ReplicaFaultTimeline& t,
                                        const BreakerConfig& cfg);
 
@@ -135,11 +136,9 @@ struct HealthMonitorConfig
     /** A window is degraded when its p95 TTFT exceeds this. The
      *  default matches SloConfig::ttftCycles. */
     double degradedTtftCycles = 5e6;
-    /** Consecutive degraded windows before the breaker opens. */
+    /** Consecutive degraded windows before the breaker opens (one
+     *  with a failed request, the crash signal, opens it at once). */
     int64_t openAfterDegraded = 2;
-    /** Failed requests in one window that open it immediately (the
-     *  crash signal; 0 disables error-triggered opens). */
-    int64_t openOnErrors = 1;
     /**
      * Consecutive healthy windows (>= 1 first token, p95 within
      * threshold, no failures) before an open breaker closes; quiet
@@ -238,23 +237,6 @@ class MigrationHandoff : public RetryPolicy
                                          dam::Cycle failed_at) const override;
 };
 
-/**
- * Engine-side half of slowdown migration: when a slowdown window at or
- * below openBelowFactor has run for detectCycles (the same edge that
- * opens the breaker), the engine drains its queued and prefilling
- * requests — they leave in state Migrated, carrying their prefill
- * progress as the KV tokens the handoff must move. Decoding requests
- * stay: their batch finishes locally at the degraded bandwidth rather
- * than shipping a half-generated stream. Disabled (the default) the
- * engine is bit-identical to a drain-less build.
- */
-struct SlowdownDrainConfig
-{
-    bool enabled = false;
-    dam::Cycle detectCycles = 500'000;
-    double openBelowFactor = 0.75;
-};
-
 // ---- cross-replica prefix reuse ---------------------------------------
 
 struct RemotePrefixConfig
@@ -264,12 +246,6 @@ struct RemotePrefixConfig
     dam::Cycle lookupCycles = 20'000;
     /** Per-token cost of fetching remote KV into local memory. */
     dam::Cycle perTokenFetchCycles = 150;
-    /**
-     * Failover placement prefers the cache-affinity owner while its
-     * load is at most this multiple of the least-loaded candidate's —
-     * a warm cache is worth a moderately longer queue, not any queue.
-     */
-    double affinityLoadFactor = 1.5;
 };
 
 // ---- overload brown-out ------------------------------------------------
@@ -321,13 +297,6 @@ struct AutoscaleConfig
     bool enabled = false;
     /** Utilization is evaluated once per interval. */
     dam::Cycle evalIntervalCycles = 4'000'000;
-    /** Offered-load utilization above which one replica activates. */
-    double scaleUpUtil = 0.75;
-    /** Below which one replica parks. */
-    double scaleDownUtil = 0.30;
-    int64_t minReplicas = 1;
-    /** 0 = the cluster's replica count. */
-    int64_t maxReplicas = 0;
 };
 
 /** One autoscaler decision: @p active replicas from cycle @p at on. */
@@ -338,20 +307,22 @@ struct AutoscaleStep
 };
 
 /**
- * Precompute the autoscaler's step timeline from the offered load: per
- * evaluation interval, the arriving work (prompt + output tokens,
- * weighted by the analytic per-token cost) against the capacity of the
- * currently active *alive* replicas; above scaleUpUtil one replica
- * activates, below scaleDownUtil one parks (hysteresis band between).
- * A pure function of (cfg, trace, plan, ...) — the timeline, like the
- * fault plan, is data fixed before any simulation runs. Parked
- * replicas stop receiving fresh placements; sticky sessions already
- * owned by a parked replica stay (cache affinity outranks parking).
+ * Precompute the autoscaler's step timeline for a cluster of
+ * faults.size() replicas from the offered load: per evaluation
+ * interval, the arriving work (prompt + output tokens, weighted by the
+ * analytic per-token cost) against the capacity of the currently
+ * active *alive* replicas; above 0.75 utilization one replica
+ * activates, below 0.30 one parks (hysteresis band between), and at
+ * least one stays active. A pure function of (cfg, trace, fault
+ * timelines, ...) — the timeline, like the fault plan, is data fixed
+ * before any simulation runs. Parked replicas stop receiving fresh
+ * placements; sticky sessions already owned by a parked replica stay
+ * (cache affinity outranks parking).
  */
 std::vector<AutoscaleStep>
 computeAutoscaleTimeline(const AutoscaleConfig& cfg,
                          const std::vector<Request>& reqs,
-                         const FaultPlan& plan, int64_t replicas,
+                         const std::vector<ReplicaFaultTimeline>& faults,
                          double flopsPerToken, int64_t perReplicaBw);
 
 /** Active replica count at cycle @p c (replicas when steps empty). */
@@ -361,25 +332,26 @@ int64_t autoscaleActiveAt(const std::vector<AutoscaleStep>& steps,
 // ---- health-scored placement ------------------------------------------
 
 /**
- * Pick the failover/migration target among @p n replicas at cycle
- * @p at: candidates must be alive, breaker-not-open, and autoscale-
- * active (the active restriction is waived when it would leave no
- * candidate). The cache-affinity owner wins while its load is at most
- * affinityLoadFactor x the least-loaded candidate's; otherwise the
- * lowest health-scored load wins, where a candidate's score is its
- * assigned load scaled up by its current slowdown (1/bwFactor) and the
- * half-open penalty, and scaled down by its static capacity scale
- * (@p bwScales; null or short = 1.0 — a 2x replica absorbs 2x the
- * queue). Ties break to the lowest index. Returns -1 when no replica
- * is alive. Pure function of its arguments.
+ * Pick the placement target among load.size() replicas at cycle @p at —
+ * the one placement the cluster's routing remap and failover share:
+ * candidates must be alive (@p faults, one per replica),
+ * breaker-not-open, and autoscale-active (the active restriction is
+ * waived when it would leave no candidate, then the breaker). The
+ * cache-affinity owner wins while its load is at most 1.5x the
+ * least-loaded candidate's — a warm cache is worth a moderately longer
+ * queue, not any queue; otherwise the lowest health-scored load wins,
+ * where a candidate's score is its assigned load scaled up by its
+ * current slowdown (1/bwFactor) and by 2x while half-open, and scaled
+ * down by its static capacity scale (@p bwScales; short = 1.0 — a 2x
+ * replica absorbs 2x the queue). Ties break to the lowest index.
+ * Returns -1 when no replica is alive. Pure function of its arguments.
  */
 int64_t pickResilientTarget(
-    const std::vector<int64_t>& load, const FaultPlan& plan,
+    const std::vector<int64_t>& load,
+    const std::vector<ReplicaFaultTimeline>& faults,
     const std::vector<BreakerTimeline>& breakers,
     const std::vector<AutoscaleStep>& autoscale, dam::Cycle at,
-    int64_t affinityOwner, double affinityLoadFactor,
-    double halfOpenLoadPenalty,
-    const std::vector<double>* bwScales = nullptr);
+    int64_t affinityOwner, const std::vector<double>& bwScales = {});
 
 // ---- the master switch -------------------------------------------------
 

@@ -132,12 +132,15 @@ TEST(FaultPlan, ParseSpecAndRejectMalformed)
     EXPECT_EQ(p.crashes[0].recoverAt, 12'000'000u);
     EXPECT_EQ(p.crashes[1].replica, 2);
     EXPECT_EQ(p.crashes[1].recoverAt, 0u);
-    EXPECT_FALSE(p.aliveAt(1, 9'000'000));
-    EXPECT_TRUE(p.aliveAt(1, 12'000'000)); // half-open window
-    EXPECT_TRUE(p.aliveAt(0, 9'000'000));
+    EXPECT_TRUE(p.forReplica(1).downAt(9'000'000));
+    EXPECT_FALSE(p.forReplica(1).downAt(12'000'000)); // half-open window
+    EXPECT_FALSE(p.forReplica(0).downAt(9'000'000));
 
+    // Every number parses whole and unsigned: no trailing junk, no
+    // fraction, no minus sign wrapping to a huge cycle.
     for (const char* bad :
-         {"nonsense", "1@", "@5", "1@10:5", "-2@100", "1@x:y"}) {
+         {"nonsense", "1@", "@5", "1@10:5", "-2@100", "1@x:y", "1x@5",
+          "1@5x", "1@5:9z", "1.5@5", "1@-5", "1@5:-9"}) {
         FaultPlan q;
         EXPECT_FALSE(parseFaultPlan(bad, &q, &err)) << bad;
         EXPECT_FALSE(err.empty());
@@ -486,17 +489,16 @@ TEST(EngineFaults, PrefillOnlyIterationsWakeExactlyOnScriptedEdges)
     const dam::Cycle full_bw = prefill_bw(1.0);
     const dam::Cycle t0 = ceil_div(work, full_bw); // unperturbed prefill
 
-    // Request 0: a shallow slowdown (above the drain threshold) starts
-    // halfway through its prefill.
+    // Request 0: a slowdown with no drain starts halfway through its
+    // prefill.
     const dam::Cycle slow_at = t0 / 2;
     ec.faults.slowdowns.push_back({slow_at, 4 * t0, 0.8});
     // Request 1: a deep slowdown starts a quarter in; the drain fires
-    // a detection lag later, still mid-prefill.
+    // a quarter prefill later, still mid-prefill.
     const dam::Cycle a1 = 5 * t0;
     const dam::Cycle deep_at = a1 + t0 / 4;
     ec.faults.slowdowns.push_back({deep_at, deep_at + 10 * t0, 0.5});
-    ec.drain.enabled = true;
-    ec.drain.detectCycles = t0 / 4;
+    ec.drainAt = {deep_at + t0 / 4};
     // Request 2: the replica crashes halfway through its prefill.
     const dam::Cycle a2 = deep_at + 11 * t0;
     const dam::Cycle crash_at = a2 + t0 / 2;
@@ -518,7 +520,7 @@ TEST(EngineFaults, PrefillOnlyIterationsWakeExactlyOnScriptedEdges)
     EXPECT_GT(reqs[0].firstTokenAt, t0) << "the slowdown must cost cycles";
 
     ASSERT_EQ(reqs[1].state, ReqState::Migrated);
-    EXPECT_EQ(reqs[1].finishedAt, deep_at + ec.drain.detectCycles);
+    EXPECT_EQ(reqs[1].finishedAt, ec.drainAt[0]);
     EXPECT_GT(reqs[1].prefilledTokens, 0);
     EXPECT_LT(reqs[1].prefilledTokens, prompt);
 
@@ -1010,20 +1012,6 @@ deliveryOrder(std::vector<Request>& reqs)
     std::ranges::stable_sort(reqs, {}, &Request::arrival);
 }
 
-/** @p ec's fault edges as a cluster's barriers: every crash, recovery
- *  and drain trigger, sorted. */
-Barriers
-faultBarriers(const EngineConfig& ec)
-{
-    Barriers out = failureEdges(ec);
-    for (const ReplicaFaultTimeline::Down& d : ec.faults.downs)
-        if (d.recoverAt != 0)
-            out.push_back(d.recoverAt);
-    std::ranges::sort(out);
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-}
-
 /** A live run advanced epoch by epoch, as a cluster does, through the
  *  @p barriers in [@p from, @p to]: each of @p ec's crashes and drains
  *  is delivered at its barrier. */
@@ -1173,8 +1161,10 @@ TEST(LiveAppend, AppendingAtSeededBarriersEqualsTheColdRun)
         ec.faults = generateFaultPlan(fc, 1, seed).forReplica(0);
         ASSERT_FALSE(ec.faults.downs.empty());
         ASSERT_FALSE(ec.faults.slowdowns.empty());
-        ec.drain.enabled = true;
-        ec.drain.detectCycles = span / 40;
+        BreakerConfig bc;
+        bc.detectCycles = span / 40;
+        for (const auto& w : slowdownTrips(ec.faults, bc))
+            ec.drainAt.push_back(w.start);
         const Barriers bars = faultBarriers(ec);
 
         const Served first = serveCold(ec, policy, base, bars);
@@ -1373,11 +1363,10 @@ TEST(LiveAppend, LateDrainInAWindowThatAlreadyHoldsAMigration)
     // appended there ends the run as the cold run does.
     QueueDepthPolicy policy;
     EngineConfig ec;
-    ec.drain.enabled = true;
-    ec.drain.detectCycles = 1'000;
     const dam::Cycle d1 = 2'000'000; // first drain edge
     ec.faults.slowdowns.push_back({d1 - 1'000, d1 + 2'000, 0.5});
     ec.faults.normalize();
+    ec.drainAt = {d1};
     std::vector<Request> base = {mkReq(0, 0, 64, 400),
                                  mkReq(1, 1'000'000, 1024, 4),
                                  mkReq(2, 3'000'000, 1024, 4)};
@@ -1394,6 +1383,7 @@ TEST(LiveAppend, LateDrainInAWindowThatAlreadyHoldsAMigration)
     const dam::Cycle t = it->start + it->length;
     ec.faults.slowdowns.push_back({d2 - 1'000, d2 + 2'000, 0.5});
     ec.faults.normalize();
+    ec.drainAt.push_back(d2);
     const Barriers bars = faultBarriers(ec);
     const auto ex = [&] {
         return Exporters(size_t{1} << 20, obs::TraceLevel::Request,

@@ -83,7 +83,7 @@ TEST(Breaker, CrashOpensImmediatelyAndRecoveryHalfOpens)
 
 TEST(Breaker, OnlySustainedDeepSlowdownsTripAfterTheDetectionLag)
 {
-    BreakerConfig bc; // detect 500k, openBelow 0.75, cooldown 2M
+    BreakerConfig bc; // detect 500k; deep is <= 0.75, cooldown 2M
     // Deep and long: trips, but only detectCycles after onset.
     ReplicaFaultTimeline deep;
     deep.slowdowns.push_back({1'000'000, 4'000'000, 0.5});
@@ -100,11 +100,39 @@ TEST(Breaker, OnlySustainedDeepSlowdownsTripAfterTheDetectionLag)
     EXPECT_TRUE(bb.open.empty());
     EXPECT_TRUE(bb.halfOpen.empty());
 
-    // Long but shallow (above openBelowFactor): never trips.
+    // Long but shallow (factor above 0.75): never trips.
     ReplicaFaultTimeline shallow;
     shallow.slowdowns.push_back({1'000'000, 9'000'000, 0.9});
     BreakerTimeline bs = computeBreakerTimeline(shallow, bc);
     EXPECT_TRUE(bs.open.empty());
+    EXPECT_TRUE(slowdownTrips(shallow, bc).empty());
+
+    // The trip windows are the breaker's slowdown opens.
+    const auto trips = slowdownTrips(deep, bc);
+    ASSERT_EQ(trips.size(), 1u);
+    EXPECT_EQ(trips[0].start, 1'500'000u);
+    EXPECT_EQ(trips[0].end, 4'000'000u);
+
+    // Exactly detectCycles long: the window ends as the lag does, so it
+    // never trips.
+    ReplicaFaultTimeline edge;
+    edge.slowdowns.push_back({1'000'000, 1'500'000, 0.5});
+    EXPECT_TRUE(slowdownTrips(edge, bc).empty());
+    BreakerTimeline be = computeBreakerTimeline(edge, bc);
+    EXPECT_TRUE(be.open.empty());
+    EXPECT_TRUE(be.halfOpen.empty());
+
+    // Exactly at factor 0.75: deep enough, so it trips.
+    ReplicaFaultTimeline at_factor;
+    at_factor.slowdowns.push_back({1'000'000, 4'000'000, 0.75});
+    const auto at_trips = slowdownTrips(at_factor, bc);
+    ASSERT_EQ(at_trips.size(), 1u);
+    EXPECT_EQ(at_trips[0].start, 1'500'000u);
+    EXPECT_EQ(at_trips[0].end, 4'000'000u);
+    BreakerTimeline ba = computeBreakerTimeline(at_factor, bc);
+    EXPECT_EQ(ba.stateAt(1'499'999), BreakerState::Closed);
+    EXPECT_EQ(ba.stateAt(1'500'000), BreakerState::Open);
+    EXPECT_EQ(ba.stateAt(4'000'000), BreakerState::HalfOpen);
 }
 
 TEST(Breaker, PermanentCrashOpensForeverWithNoProbation)
@@ -221,7 +249,6 @@ TEST(Autoscale, ParksIdleReplicasAndReactivatesUnderLoad)
     AutoscaleConfig ac;
     ac.enabled = true;
     ac.evalIntervalCycles = 1'000'000;
-    ac.minReplicas = 1;
 
     // A long quiet stretch, then a heavy burst: the scaler should park
     // replicas early and win them back when the burst lands.
@@ -238,7 +265,8 @@ TEST(Autoscale, ParksIdleReplicasAndReactivatesUnderLoad)
     // flopsPerToken sized so the burst saturates one active replica
     // (38 reqs x ~1152 tok x 200k flops vs 8192 flops/cyc x 1M cyc)
     // but not the full fleet — exercising both scaler directions.
-    const auto steps = computeAutoscaleTimeline(ac, reqs, {}, 4,
+    const std::vector<ReplicaFaultTimeline> healthy(4);
+    const auto steps = computeAutoscaleTimeline(ac, reqs, healthy,
                                                 /*flopsPerToken=*/200'000,
                                                 /*perReplicaBw=*/8192);
     ASSERT_FALSE(steps.empty());
@@ -266,30 +294,45 @@ TEST(Autoscale, ParksIdleReplicasAndReactivatesUnderLoad)
               steps.back().active);
 
     // Disabled or empty input: no timeline at all.
-    EXPECT_TRUE(computeAutoscaleTimeline({}, reqs, {}, 4, 5'000, 8192)
+    EXPECT_TRUE(computeAutoscaleTimeline({}, reqs, healthy, 5'000, 8192)
                     .empty());
-    EXPECT_TRUE(computeAutoscaleTimeline(ac, {}, {}, 4, 5'000, 8192)
+    EXPECT_TRUE(computeAutoscaleTimeline(ac, {}, healthy, 5'000, 8192)
                     .empty());
 }
 
 // ---- health-scored placement ------------------------------------------
 
+namespace {
+
+/** @p plan split per replica, as a cluster hands it to placement. */
+std::vector<ReplicaFaultTimeline>
+timelines(const FaultPlan& plan, int64_t replicas = 4)
+{
+    std::vector<ReplicaFaultTimeline> out;
+    for (int64_t r = 0; r < replicas; ++r)
+        out.push_back(plan.forReplica(r));
+    return out;
+}
+
+const std::vector<ReplicaFaultTimeline> kHealthy(4);
+
+} // namespace
+
 TEST(Placement, PicksLeastLoadedAliveWithTiesToLowestIndex)
 {
     const std::vector<int64_t> load{50, 20, 20, 90};
-    EXPECT_EQ(pickResilientTarget(load, {}, {}, {}, 0, -1, 1.5, 2.0), 1);
+    EXPECT_EQ(pickResilientTarget(load, kHealthy, {}, {}, 0, -1), 1);
 
     FaultPlan plan;
     plan.crashes.push_back({1, 0, 0}); // best candidate is dead
-    EXPECT_EQ(pickResilientTarget(load, plan, {}, {}, 0, -1, 1.5, 2.0),
-              2);
+    EXPECT_EQ(pickResilientTarget(load, timelines(plan), {}, {}, 0, -1), 2);
 
     // Everyone dead: no target.
     FaultPlan all_dead;
     for (int64_t r = 0; r < 4; ++r)
         all_dead.crashes.push_back({r, 0, 0});
     EXPECT_EQ(
-        pickResilientTarget(load, all_dead, {}, {}, 0, -1, 1.5, 2.0), -1);
+        pickResilientTarget(load, timelines(all_dead), {}, {}, 0, -1), -1);
 }
 
 TEST(Placement, OpenBreakerExcludesUnlessNoAlternative)
@@ -303,16 +346,14 @@ TEST(Placement, OpenBreakerExcludesUnlessNoAlternative)
     // Replica 0 is cheap but breaker-open: traffic shifts to 1.
     const dam::Cycle at = 1'000'000;
     ASSERT_TRUE(breakers[0].openAt(at));
-    EXPECT_EQ(pickResilientTarget(load, {}, breakers, {}, at, -1, 1.5,
-                                  2.0),
-              1);
+    EXPECT_EQ(pickResilientTarget(load, kHealthy, breakers, {}, at, -1), 1);
     // With replica 1 dead, the open breaker is waived — an open breaker
     // beats a dead cluster.
     FaultPlan plan;
     plan.crashes.push_back({1, 0, 0});
-    EXPECT_EQ(pickResilientTarget(load, plan, breakers, {}, at, -1, 1.5,
-                                  2.0),
-              0);
+    EXPECT_EQ(
+        pickResilientTarget(load, timelines(plan), breakers, {}, at, -1),
+        0);
 }
 
 TEST(Placement, HalfOpenPenaltyAndSlowdownScaleTheScore)
@@ -326,49 +367,43 @@ TEST(Placement, HalfOpenPenaltyAndSlowdownScaleTheScore)
         computeBreakerTimeline(recovered, bc), BreakerTimeline{}};
     const dam::Cycle at = 2'000; // inside the cooldown
     ASSERT_EQ(breakers[0].stateAt(at), BreakerState::HalfOpen);
-    EXPECT_EQ(pickResilientTarget({10, 15}, {}, breakers, {}, at, -1,
-                                  1.5, 2.0),
-              1);
+    EXPECT_EQ(
+        pickResilientTarget({10, 15}, kHealthy, breakers, {}, at, -1), 1);
     // A shallow slowdown (not breaker-worthy) still inflates the score:
     // replica 0 at factor 0.8 scores 10 / 0.8 = 12.5 > 11.
     FaultPlan plan;
     plan.slowdowns.push_back({0, 0, 10'000, 0.8});
     EXPECT_EQ(
-        pickResilientTarget({10, 11}, plan, {}, {}, 0, -1, 1.5, 2.0), 1);
+        pickResilientTarget({10, 11}, timelines(plan), {}, {}, 0, -1), 1);
 }
 
 TEST(Placement, AffinityOwnerWinsWithinItsLoadFactor)
 {
     // Owner (replica 2) carries 30 against a minimum of 25: within the
     // 1.5x allowance, the warm cache wins.
-    EXPECT_EQ(pickResilientTarget({40, 25, 30}, {}, {}, {}, 0, 2, 1.5,
-                                  2.0),
-              2);
+    EXPECT_EQ(pickResilientTarget({40, 25, 30}, kHealthy, {}, {}, 0, 2), 2);
     // At 60 it is past the allowance: least-loaded wins instead.
-    EXPECT_EQ(pickResilientTarget({40, 25, 60}, {}, {}, {}, 0, 2, 1.5,
-                                  2.0),
-              1);
+    EXPECT_EQ(pickResilientTarget({40, 25, 60}, kHealthy, {}, {}, 0, 2), 1);
     // A dead owner never wins, whatever its load.
     FaultPlan plan;
     plan.crashes.push_back({2, 0, 0});
-    EXPECT_EQ(pickResilientTarget({40, 25, 0}, plan, {}, {}, 0, 2, 1.5,
-                                  2.0),
-              1);
+    EXPECT_EQ(
+        pickResilientTarget({40, 25, 0}, timelines(plan), {}, {}, 0, 2), 1);
 }
 
 TEST(Placement, AutoscaleParkingRestrictsAndIsWaivedWhenEmpty)
 {
     std::vector<AutoscaleStep> steps{{0, 2}};
     // Replicas 2 and 3 are parked: the cheap parked replica is skipped.
-    EXPECT_EQ(pickResilientTarget({50, 40, 5, 5}, {}, {}, steps, 100, -1,
-                                  1.5, 2.0),
-              1);
+    EXPECT_EQ(
+        pickResilientTarget({50, 40, 5, 5}, kHealthy, {}, steps, 100, -1),
+        1);
     // Both active replicas dead: parking is waived rather than failing.
     FaultPlan plan;
     plan.crashes.push_back({0, 0, 0});
     plan.crashes.push_back({1, 0, 0});
-    EXPECT_EQ(pickResilientTarget({50, 40, 5, 5}, plan, {}, steps, 100,
-                                  -1, 1.5, 2.0),
+    EXPECT_EQ(pickResilientTarget({50, 40, 5, 5}, timelines(plan), {}, steps,
+                                  100, -1),
               2);
 }
 
@@ -461,17 +496,19 @@ TEST(EngineDrain, DeepSlowdownMigratesQueuedAndPrefillingWork)
     ServingEngine probe(ec, policy);
     const dam::Cycle makespan = probe.run(probe_reqs).summary.makespan;
 
-    // A deep slowdown covering the back half of the run, with the drain
-    // armed at the breaker's detection parameters.
+    // A deep slowdown covering the back half of the run, drained where
+    // it trips the breaker.
     const dam::Cycle start = makespan / 3;
     ec.faults.slowdowns.push_back({start, makespan * 2, 0.5});
-    ec.drain.enabled = true;
+    const auto trips = slowdownTrips(ec.faults, BreakerConfig{});
+    ASSERT_EQ(trips.size(), 1u);
+    ec.drainAt = {trips[0].start};
     auto reqs = generateTrace(tc, 5);
     ServingEngine engine(ec, policy);
     EngineResult r = engine.run(reqs);
 
     EXPECT_GT(r.summary.migratedRequests, 0);
-    const dam::Cycle edge = start + ec.drain.detectCycles;
+    const dam::Cycle edge = start + BreakerConfig{}.detectCycles;
     int64_t migrated = 0;
     for (const Request& q : reqs) {
         EXPECT_TRUE(q.terminal());
@@ -488,9 +525,9 @@ TEST(EngineDrain, DeepSlowdownMigratesQueuedAndPrefillingWork)
     EXPECT_EQ(migrated, r.summary.migratedRequests);
     EXPECT_GT(r.summary.completed, 0) << "pre-window work should finish";
 
-    // Drain disabled (the default): the same plan migrates nothing.
+    // No drain (the default): the same plan migrates nothing.
     EngineConfig plain = ec;
-    plain.drain.enabled = false;
+    plain.drainAt.clear();
     auto reqs2 = generateTrace(tc, 5);
     ServingEngine engine2(plain, policy);
     EXPECT_EQ(engine2.run(reqs2).summary.migratedRequests, 0);
@@ -862,7 +899,6 @@ TEST(HealthMonitor, ErrorWindowOpensAtItsCloseEdgeAndHealthyStreakCloses)
 {
     HealthMonitorConfig hc;
     hc.windowCycles = 1'000;
-    hc.openOnErrors = 1;
     hc.closeAfterHealthy = 2;
     hc.cooldownCycles = 5'000;
     HealthMonitor hm(hc);
@@ -931,11 +967,11 @@ TEST(HealthMonitor, QuietWindowsAreNeutralInBothDirections)
 
 TEST(HealthMonitor, InferredTimelineDivergesFromPlanUnderShallowSlowdown)
 {
-    // A shallow slowdown (factor above BreakerConfig::openBelowFactor)
-    // never trips the plan-derived breaker...
+    // A shallow slowdown (factor above slowdownTrips' 0.75) never
+    // trips the plan-derived breaker...
     ReplicaFaultTimeline ft;
     ft.slowdowns.push_back({2'000, 5'000, 0.85});
-    BreakerConfig bc; // openBelowFactor 0.75
+    BreakerConfig bc;
     EXPECT_TRUE(computeBreakerTimeline(ft, bc).open.empty());
 
     // ...but the telemetry monitor only sees the latency it causes:
