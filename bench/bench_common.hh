@@ -55,7 +55,10 @@ class JsonReport
     void
     set(const std::string& key, const std::string& v)
     {
-        kv_.emplace_back(key, "\"" + obs::jsonEscape(v) + "\"");
+        std::string quoted = "\"";
+        quoted += obs::jsonEscape(v);
+        quoted += '"';
+        kv_.emplace_back(key, std::move(quoted));
     }
 
     bool

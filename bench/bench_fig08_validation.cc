@@ -37,9 +37,13 @@ main()
             traffic_ok &= match;
             hdl_cycles.push_back(static_cast<double>(hdl.cycles));
             step_cycles.push_back(static_cast<double>(stp.cycles));
+            std::string tiles = "(";
+            tiles += std::to_string(bt);
+            tiles += ",256,";
+            tiles += std::to_string(it);
+            tiles += ')';
             t.row()
-                .cell("(" + std::to_string(bt) + ",256," +
-                      std::to_string(it) + ")")
+                .cell(tiles)
                 .cell(hdl.cycles)
                 .cell(stp.cycles)
                 .cellF(static_cast<double>(stp.cycles) /

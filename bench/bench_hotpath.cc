@@ -175,7 +175,9 @@ buildMapPipeline(Graph& g, int n)
     };
     StreamPort cur = src.out();
     for (int s = 0; s < 4; ++s) {
-        auto& m = g.add<MapOp>("m" + std::to_string(s),
+        std::string name = "m";
+        name += std::to_string(s);
+        auto& m = g.add<MapOp>(name,
                                std::vector<StreamPort>{cur}, id, 64,
                                DataType::tile(32, 64));
         cur = m.out();
@@ -417,7 +419,8 @@ runServing(int reps)
                                                &res.allocCheckEvents);
     }
     {
-        // Recycle + rebuild every iteration (the PR-2 path).
+        // Recycle + rebuild every iteration: a call without rearm
+        // handles.
         GraphArena arena;
         Graph g(SimConfig{}, &arena);
         runDecoderIteration(p, spec, &sched, &g); // warmup
@@ -427,6 +430,8 @@ runServing(int reps)
         res.recycledItersPerSec = reps / seconds(t0, Clk::now());
     }
     {
+        // Cold build every iteration: a call without a graph builds on
+        // a fresh arena-backed one.
         runDecoderIteration(p, spec, &sched); // warmup
         auto t0 = Clk::now();
         for (int r = 0; r < reps; ++r)

@@ -59,7 +59,9 @@ BM_MapPipeline(benchmark::State& state)
         };
         StreamPort cur = src.out();
         for (int s = 0; s < 4; ++s) {
-            auto& m = g.add<MapOp>("m" + std::to_string(s),
+            std::string name = "m";
+            name += std::to_string(s);
+            auto& m = g.add<MapOp>(name,
                                    std::vector<StreamPort>{cur}, id, 64,
                                    DataType::tile(32, 64));
             cur = m.out();
@@ -92,7 +94,9 @@ BM_SymbolicMetricFold(benchmark::State& state)
     for (auto _ : state) {
         sym::Expr total;
         for (int i = 0; i < 256; ++i) {
-            sym::Expr d = sym::Expr::sym("D" + std::to_string(i % 16));
+            std::string name = "D";
+            name += std::to_string(i % 16);
+            sym::Expr d = sym::Expr::sym(name);
             total += sym::ceilDiv(d, sym::Expr(4)) * sym::Expr(4096);
         }
         benchmark::DoNotOptimize(total.toString());

@@ -50,13 +50,4 @@ figure1Bars()
     };
 }
 
-/** Roofline attainable throughput (FLOP/s-like units). */
-inline double
-rooflineAttainable(double peak_compute, double peak_bw,
-                   double op_intensity)
-{
-    double mem_bound = peak_bw * op_intensity;
-    return mem_bound < peak_compute ? mem_bound : peak_compute;
-}
-
 } // namespace step

@@ -84,15 +84,6 @@ StreamShape::numel() const
     return sym::product(sizes);
 }
 
-bool
-StreamShape::allStatic() const
-{
-    for (const auto& d : dims_)
-        if (!d.isStatic())
-            return false;
-    return true;
-}
-
 std::string
 StreamShape::toString() const
 {

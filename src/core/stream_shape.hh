@@ -99,9 +99,6 @@ class StreamShape
     /** Product of all dimension sizes (the stream cardinality ||X||). */
     sym::Expr numel() const;
 
-    /** True if every dim is static-regular. */
-    bool allStatic() const;
-
     /** "[2, 2, D0]" (outermost first, as in the paper). */
     std::string toString() const;
 

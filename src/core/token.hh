@@ -66,9 +66,11 @@ class Token
     {
         if (isData())
             return value_.toString();
-        if (isStop())
-            return "S" + std::to_string(level_);
-        return "D";
+        if (!isStop())
+            return "D";
+        std::string s = "S";
+        s += std::to_string(level_);
+        return s;
     }
 
   private:

@@ -30,7 +30,6 @@ Scratchpad::alloc(StoredBuffer buf)
     liveBytes_ += buf.payloadBytes;
     liveAllocated_ += alloc_bytes;
     liveMeta_ += meta_bytes;
-    peakBytes_ = std::max(peakBytes_, liveBytes_);
     peakAllocated_ = std::max(peakAllocated_, liveAllocated_);
     peakMeta_ = std::max(peakMeta_, liveMeta_);
     allocPages_[id] = pages;

@@ -65,7 +65,6 @@ class Scratchpad
     int64_t liveMetaBytes() const { return liveMeta_; }
 
     /** High-water marks over the run (on-chip memory requirement). */
-    int64_t peakBytes() const { return peakBytes_; }
     int64_t peakAllocatedBytes() const { return peakAllocated_; }
     int64_t peakMetaBytes() const { return peakMeta_; }
 
@@ -82,7 +81,6 @@ class Scratchpad
         liveBytes_ = 0;
         liveAllocated_ = 0;
         liveMeta_ = 0;
-        peakBytes_ = 0;
         peakAllocated_ = 0;
         peakMeta_ = 0;
     }
@@ -99,7 +97,6 @@ class Scratchpad
     int64_t liveBytes_ = 0;
     int64_t liveAllocated_ = 0;
     int64_t liveMeta_ = 0;
-    int64_t peakBytes_ = 0;
     int64_t peakAllocated_ = 0;
     int64_t peakMeta_ = 0;
 };

@@ -152,7 +152,6 @@ class OpBase : public dam::Context
     // Runtime measurements, populated during simulation.
     int64_t measuredFlops() const { return flops_; }
     int64_t measuredOnChipPeakBytes() const { return onChipPeak_; }
-    uint64_t processedElements() const { return elements_; }
     dam::Cycle busyCycles() const { return busy_; }
 
     Graph& graph() const { return graph_; }
@@ -224,7 +223,6 @@ class OpBase : public dam::Context
     Graph& graph_;
     int64_t flops_ = 0;
     int64_t onChipPeak_ = 0;
-    uint64_t elements_ = 0;
     dam::Cycle busy_ = 0;
 
   private:

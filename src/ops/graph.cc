@@ -73,7 +73,6 @@ OpBase::rearm(const RearmSpec&)
 {
     flops_ = 0;
     onChipPeak_ = 0;
-    elements_ = 0;
     busy_ = 0;
     // Invalidate the roofline memo: a rearm may change the operator's
     // compute bandwidth, which the memo key deliberately omits.
@@ -103,7 +102,9 @@ OpBase::rooflineCycles(int64_t in_bytes, int64_t flops, int64_t out_bytes,
 }
 
 Graph::Graph(SimConfig cfg, GraphArena* arena)
-    : cfg_(cfg), arena_(arena),
+    : cfg_(cfg),
+      ownArena_(arena ? nullptr : std::make_unique<GraphArena>()),
+      arena_(arena ? arena : ownArena_.get()),
       mem_(std::make_unique<SimpleBwModel>(cfg.offChipBwBytesPerCycle,
                                            cfg.offChipLatency))
 {}
@@ -117,13 +118,9 @@ void
 Graph::destroyOps()
 {
     // Reverse construction order, mirroring what member unique_ptrs in
-    // a struct would do.
-    for (size_t i = ops_.size(); i-- > 0;) {
-        if (arena_)
-            ops_[i]->~OpBase(); // virtual dtor; storage stays in arena
-        else
-            delete ops_[i];
-    }
+    // a struct would do. Virtual dtor; the storage stays in the arena.
+    for (size_t i = ops_.size(); i-- > 0;)
+        ops_[i]->~OpBase();
     ops_.clear();
 }
 
@@ -132,8 +129,7 @@ Graph::makeChannel(std::string_view name, size_t capacity_override)
 {
     size_t cap = capacity_override ? capacity_override
                                    : cfg_.channelCapacity;
-    if (arena_)
-        name = arena_->names.intern(name);
+    name = arena_->names.intern(name);
     std::unique_ptr<dam::Channel> ch;
     if (!channelPool_.empty()) {
         ch = std::move(channelPool_.back());
@@ -152,7 +148,6 @@ Graph::makeChannel(std::string_view name, size_t capacity_override)
 void
 Graph::recycle(const SimConfig& cfg)
 {
-    STEP_ASSERT(arena_, "Graph::recycle requires an arena-backed graph");
     destroyOps();
     arena_->mem.reset();
     ports_.clear();
@@ -165,20 +160,7 @@ Graph::recycle(const SimConfig& cfg)
         channelPool_.push_back(std::move(channelStore_.back()));
         channelStore_.pop_back();
     }
-    cfg_ = cfg;
-    if (customMem_) {
-        // A user-installed model is reset in place; it does not derive
-        // from SimConfig.
-        mem_->reset();
-    } else {
-        // Re-arm the default model with the new config's parameters in
-        // place (no allocation) so a recycled build matches a fresh
-        // Graph(cfg) exactly even when off-chip parameters change.
-        static_cast<SimpleBwModel*>(mem_.get())
-            ->reinit(cfg_.offChipBwBytesPerCycle, cfg_.offChipLatency);
-    }
-    spad_.reset();
-    ran_ = false;
+    resetRun(cfg);
 }
 
 void
@@ -188,20 +170,31 @@ Graph::rearm(const SimConfig& cfg)
     STEP_ASSERT(cfg.channelLatency == cfg_.channelLatency,
                 "channel latency is structural: recycle and rebuild "
                 "instead of rearming");
-    cfg_ = cfg;
+    resetRun(cfg);
     for (size_t i = 0; i < channels_.size(); ++i)
         channels_[i]->rearm(configSized_[i] ? cfg_.channelCapacity
                                             : channels_[i]->capacity());
+    for (OpBase* op : ops_)
+        op->rearm(RearmSpec{});
+}
+
+void
+Graph::resetRun(const SimConfig& cfg)
+{
+    cfg_ = cfg;
     if (customMem_) {
+        // A user-installed model is reset in place; it does not derive
+        // from SimConfig.
         mem_->reset();
     } else {
+        // Re-arm the default model with the new config's parameters in
+        // place (no allocation) so a reused build matches a fresh
+        // Graph(cfg) exactly even when off-chip parameters change.
         static_cast<SimpleBwModel*>(mem_.get())
             ->reinit(cfg_.offChipBwBytesPerCycle, cfg_.offChipLatency);
     }
     spad_.reset();
     ran_ = false;
-    for (OpBase* op : ops_)
-        op->rearm(RearmSpec{});
 }
 
 uint64_t

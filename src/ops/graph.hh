@@ -65,11 +65,13 @@ class Graph
 {
   public:
     /**
+     * Every graph is arena-backed: operators are bump-allocated from
+     * the arena, channel names are interned in it, and recycle()
+     * rewinds the whole build.
+     *
      * @param cfg   timing parameters
-     * @param arena optional recycling backend. When set, operators are
-     *              bump-allocated from it, channel names are interned in
-     *              it, and recycle() rewinds the whole build; the arena
-     *              must outlive the graph.
+     * @param arena arena to build in, which must outlive the graph; a
+     *              graph given none owns one
      */
     explicit Graph(SimConfig cfg = {}, GraphArena* arena = nullptr);
     ~Graph();
@@ -84,13 +86,8 @@ class Graph
     OpT&
     add(Args&&... args)
     {
-        OpT* op;
-        if (arena_) {
-            void* p = arena_->mem.allocate(sizeof(OpT), alignof(OpT));
-            op = new (p) OpT(*this, std::forward<Args>(args)...);
-        } else {
-            op = new OpT(*this, std::forward<Args>(args)...);
-        }
+        void* p = arena_->mem.allocate(sizeof(OpT), alignof(OpT));
+        OpT* op = new (p) OpT(*this, std::forward<Args>(args)...);
         ops_.push_back(op);
         return *op;
     }
@@ -100,8 +97,8 @@ class Graph
                               size_t capacity_override = 0);
 
     /**
-     * Tear down the current build for reuse (arena-backed graphs only):
-     * operator destructors run in reverse order, the arena rewinds,
+     * Tear down the current build for reuse: operator destructors run
+     * in reverse order, the arena rewinds,
      * channels return to a pool for reinit, and the memory models reset.
      * The next build bump-allocates through the retained blocks, reuses
      * pooled channel storage, and hits the interned name pool — so
@@ -178,9 +175,13 @@ class Graph
     friend class OpBase;
 
     void destroyOps();
+    /** Config, memory model, scratchpad and run flag: the run state
+     *  recycle() and rearm() both reset. */
+    void resetRun(const SimConfig& cfg);
 
     SimConfig cfg_;
-    GraphArena* arena_ = nullptr;
+    std::unique_ptr<GraphArena> ownArena_; ///< set when none was lent
+    GraphArena* arena_;
     std::vector<OpBase*> ops_;
     /**
      * Every operator's port table, back to back in construction order

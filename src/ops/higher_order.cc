@@ -54,7 +54,6 @@ MapOp::run()
                         "Map inputs misaligned in " << name() << ": "
                         << t0.toString() << " vs " << t1.toString());
             if (t0.isData()) {
-                ++elements_;
                 int64_t flops = 0;
                 // In-place assignment (not clear+push) so the scratch
                 // slots move-assign same-kind values with no
@@ -85,7 +84,6 @@ MapOp::run()
                 continue;
             }
         } else if (t0.isData()) {
-            ++elements_;
             int64_t flops = 0;
             if (argScratch_.size() != 1)
                 argScratch_.resize(1);
@@ -147,7 +145,6 @@ AccumOp::run()
             STEP_EMIT(out_.ch, coal_.flush());
         Token t = co_await in_.ch->read(*this);
         if (t.isData()) {
-            ++elements_;
             saw_data = true;
             int64_t flops = 0;
             int64_t in_bytes = t.value().bytes();
@@ -210,7 +207,6 @@ ScanOp::run()
     while (true) {
         Token t = co_await in_.ch->read(*this);
         if (t.isData()) {
-            ++elements_;
             int64_t flops = 0;
             int64_t in_bytes = t.value().bytes();
             state = update_(t.value(), std::move(state), flops);
@@ -269,7 +265,6 @@ FlatMapOp::run()
             STEP_EMIT(out_.ch, coal_.flush());
         Token t = co_await in_.ch->read(*this);
         if (t.isData()) {
-            ++elements_;
             int64_t flops = 0;
             expScratch_.clear();
             fn_(t.value(), expScratch_, flops);
@@ -341,30 +336,6 @@ matmulBT()
                     out[i * b.rows() + j] = acc;
                 }
         });
-    };
-}
-
-MapFn
-addFn()
-{
-    return [](const std::vector<Value>& args, int64_t& flops) -> Value {
-        return step::add(args[0].tile(), args[1].tile(), &flops);
-    };
-}
-
-MapFn
-mulFn()
-{
-    return [](const std::vector<Value>& args, int64_t& flops) -> Value {
-        return step::elemMul(args[0].tile(), args[1].tile(), &flops);
-    };
-}
-
-MapFn
-siluFn()
-{
-    return [](const std::vector<Value>& args, int64_t& flops) -> Value {
-        return step::silu(args[0].tile(), &flops);
     };
 }
 

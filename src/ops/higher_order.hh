@@ -181,12 +181,6 @@ namespace fns {
 MapFn matmul();
 /** C = A x B^T (scores = q x K^T in attention). */
 MapFn matmulBT();
-/** Elementwise sum of a 2-input map. */
-MapFn addFn();
-/** Elementwise product of a 2-input map (SwiGLU gating). */
-MapFn mulFn();
-/** SiLU activation. */
-MapFn siluFn();
 /** SwiGLU combine: silu(gate) * up over a tuple (gate, up). */
 MapFn swigluFn();
 

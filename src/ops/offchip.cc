@@ -92,7 +92,6 @@ LinearOffChipLoadOp::run()
             STEP_EMIT(out_.ch, coal_.flush());
         Token t = co_await ref_.ch->read(*this);
         if (t.isData()) {
-            ++elements_;
             for (int64_t i = 0; i < outShape_[0]; ++i) {
                 for (int64_t j = 0; j < outShape_[1]; ++j) {
                     int64_t li = i * stride_[0] + j * stride_[1];
@@ -150,7 +149,6 @@ LinearOffChipStoreOp::run()
     while (true) {
         Token t = co_await in_.ch->read(*this);
         if (t.isData()) {
-            ++elements_;
             int64_t bytes = t.value().bytes();
             dam::Cycle done_at = graph_.memModel().access(
                 base_ + static_cast<uint64_t>(cursor_), bytes, now(), true);
@@ -222,7 +220,6 @@ RandomOffChipLoadOp::run()
             STEP_EMIT(out_.ch, coal_.flush());
         Token t = co_await addr_.ch->read(*this);
         if (t.isData()) {
-            ++elements_;
             int64_t idx = addrIndexOf(t.value());
             uint64_t block_base = tensor_.baseAddr +
                 static_cast<uint64_t>(idx * blockStride_);
@@ -301,7 +298,6 @@ RandomOffChipStoreOp::run()
                     (!ta.isStop() || ta.level() == td.level()),
                     "waddr/wdata streams misaligned in " << name());
         if (ta.isData()) {
-            ++elements_;
             int64_t idx = RandomOffChipLoadOp::addrIndexOf(ta.value());
             int64_t bytes = td.value().bytes();
             dam::Cycle done_at = graph_.memModel().access(

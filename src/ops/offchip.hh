@@ -33,11 +33,6 @@ struct OffChipTensor
     std::shared_ptr<const std::vector<float>> payload;
 
     int64_t tileBytes() const { return tileRows * tileCols * elemBytes; }
-    int64_t
-    tensorBytes() const
-    {
-        return inShapeTiles[0] * inShapeTiles[1] * tileBytes();
-    }
 
     /** Functional tensor from row-major data (tile grid inferred). */
     static OffChipTensor fromData(uint64_t base, int64_t rows, int64_t cols,

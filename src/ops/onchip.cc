@@ -86,7 +86,6 @@ BufferizeOp::run()
             STEP_EMIT(out_.ch, coal_.flush());
         Token t = co_await in_.ch->read(*this);
         if (t.isData()) {
-            ++elements_;
             int64_t bytes = t.value().bytes();
             payload += bytes;
             busyAdvance(std::max<dam::Cycle>(
@@ -174,7 +173,6 @@ StreamifyOp::run()
             STEP_EMIT(out_.ch, coal_.flush());
         Token t = co_await ref_.ch->read(*this);
         if (t.isData()) {
-            ++elements_;
             while (!cur) {
                 Token ti = co_await in_.ch->read(*this);
                 STEP_ASSERT(!ti.isDone(),

@@ -59,7 +59,6 @@ PartitionOp::run()
         }
         Token ts = co_await sel_.ch->read(*this);
         if (ts.isData()) {
-            ++elements_;
             const auto& sel = ts.value().selector().indices;
             for (uint32_t i : sel)
                 STEP_ASSERT(i < outs_.size(), "selector index " << i
@@ -158,7 +157,6 @@ ReassembleOp::run()
             STEP_EMIT(out_.ch, coal_.flush());
         Token ts = co_await sel_.ch->read(*this);
         if (ts.isData()) {
-            ++elements_;
             const auto& picked = ts.value().selector().indices;
             selScratch_.assign(picked.begin(), picked.end());
             std::vector<uint32_t>& sel = selScratch_;
@@ -316,7 +314,6 @@ EagerMergeOp::run()
             continue;
         }
         // One chunk from the picked input.
-        ++elements_;
         STEP_EMIT_RAW(selOut_.ch, Token::data(
             Selector::oneHot(static_cast<uint32_t>(pick))));
         if (b == 0) {
@@ -414,7 +411,6 @@ DispatcherOp::run()
         if (!t.isData())
             continue;
         ++issued;
-        ++elements_;
         busyAdvance(1);
         STEP_EMIT_RAW(out_.ch, Token::data(t.takeValue()));
     }

@@ -29,7 +29,6 @@ FlattenOp::run()
         Token t = co_await in_.ch->read(*this);
         busyAdvance(1);
         if (t.isData()) {
-            ++elements_;
             STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
         } else if (t.isStop()) {
             uint32_t l = t.level();
@@ -93,7 +92,6 @@ ReshapeOp::run()
         Token t = co_await in_.ch->read(*this);
         busyAdvance(1);
         if (t.isData()) {
-            ++elements_;
             if (b == 0) {
                 STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
                 if (padOut_.ch) {
@@ -199,7 +197,6 @@ PromoteOp::run()
         Token t = co_await in_.ch->read(*this);
         busyAdvance(1);
         if (t.isData()) {
-            ++elements_;
             seen = true;
             STEP_EMIT(out_.ch, coal.onData(t.takeValue()));
         } else if (t.isStop()) {
@@ -241,7 +238,6 @@ ExpandOp::run()
         Token t = co_await ref_.ch->read(*this);
         busyAdvance(1);
         if (t.isData()) {
-            ++elements_;
             while (!cur) {
                 Token ti = co_await in_.ch->read(*this);
                 STEP_ASSERT(!ti.isDone(), "Expand input ended before ref "
@@ -292,7 +288,6 @@ ExpandStaticOp::run()
         Token t = co_await in_.ch->read(*this);
         busyAdvance(1);
         if (t.isData()) {
-            ++elements_;
             for (int64_t i = 0; i + 1 < count_; ++i)
                 STEP_EMIT_RAW(out_.ch, t);
             STEP_EMIT_RAW(out_.ch, std::move(t)); // last use
@@ -330,7 +325,6 @@ RepeatOp::run()
         Token t = co_await in_.ch->read(*this);
         busyAdvance(1);
         if (t.isData()) {
-            ++elements_;
             // Copies for all but the last repetition, which takes the
             // spent token's value.
             for (int64_t i = 0; i + 1 < count_; ++i)
@@ -385,7 +379,6 @@ ZipOp::run()
                         << ts[0].toString() << " vs " << ts[i].toString());
         }
         if (ts[0].isData()) {
-            ++elements_;
             STEP_EMIT_RAW(out_.ch, Token::data(TupleVal::make(
                 ts.size(),
                 [&](size_t i) -> Value&& { return ts[i].takeValue(); })));
@@ -428,7 +421,6 @@ FilterOp::run()
                     (!t.isStop() || t.level() == m.level()),
                     "Filter mask misaligned in " << name());
         if (t.isData()) {
-            ++elements_;
             bool padded = m.value().tile().hasData() &&
                           m.value().tile().at(0, 0) != 0.0f;
             if (!padded)

@@ -53,17 +53,14 @@ SinkOp::run()
 {
     while (true) {
         Token t = co_await in_.ch->read(*this);
-        if (t.isData()) {
+        if (t.isData())
             ++dataCount_;
-            ++elements_;
-        }
         bool done = t.isDone();
         if (capture_)
             captured_.push_back(std::move(t));
         if (done)
             break;
     }
-    finish_ = now();
     co_return;
 }
 
@@ -73,7 +70,6 @@ SinkOp::rearm(const RearmSpec& spec)
     OpBase::rearm(spec);
     captured_.clear();
     dataCount_ = 0;
-    finish_ = 0;
 }
 
 RelayOp::RelayOp(Graph& g, const std::string& name, StreamPort in,
@@ -91,8 +87,6 @@ RelayOp::run()
     while (true) {
         Token t = co_await in_.ch->read(*this);
         bool done = t.isDone();
-        if (t.isData())
-            ++elements_;
         co_await target_->write(*this, std::move(t));
         if (done)
             break;
@@ -118,8 +112,6 @@ BroadcastOp::run()
     while (true) {
         Token t = co_await in_.ch->read(*this);
         bool done = t.isDone();
-        if (t.isData())
-            ++elements_;
         // Copies for all but the last output, which takes the token.
         for (size_t o = 0; o + 1 < outs_.size(); ++o)
             STEP_EMIT_RAW(outs_[o].ch, t);

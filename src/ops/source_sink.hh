@@ -55,8 +55,6 @@ class SinkOp : public OpBase
     /** Captured tokens (only if capture=true). */
     const std::vector<Token>& tokens() const { return captured_; }
     uint64_t dataCount() const { return dataCount_; }
-    /** Local clock when Done was received. */
-    dam::Cycle finishTime() const { return finish_; }
 
     void rearm(const RearmSpec& spec) override;
 
@@ -65,7 +63,6 @@ class SinkOp : public OpBase
     bool capture_;
     std::vector<Token> captured_;
     uint64_t dataCount_ = 0;
-    dam::Cycle finish_ = 0;
 };
 
 /**

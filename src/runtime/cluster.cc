@@ -841,8 +841,10 @@ class ServingCluster::Run
     void
     fetchRemotePrefix(Request& inc, int64_t owner, size_t tgt) const
     {
-        const RemotePrefixConfig& rp = cfg_.resilience.remotePrefix;
-        if (!rp.enabled || owner < 0 || static_cast<size_t>(owner) == tgt)
+        constexpr dam::Cycle kLookupCycles = 20'000; // once per fetch
+        constexpr dam::Cycle kPerTokenFetchCycles = 150;
+        if (!cfg_.resilience.remotePrefix.enabled || owner < 0 ||
+            static_cast<size_t>(owner) == tgt)
             return;
         const auto ow = static_cast<size_t>(owner);
         const dam::Cycle at = inc.arrival;
@@ -868,8 +870,8 @@ class ServingCluster::Run
         if (credit <= kv)
             return;
         const dam::Cycle fetched =
-            at + rp.lookupCycles +
-            static_cast<dam::Cycle>(credit - kv) * rp.perTokenFetchCycles;
+            at + kLookupCycles +
+            static_cast<dam::Cycle>(credit - kv) * kPerTokenFetchCycles;
         if (inc.deadlineAt == 0 || fetched <= inc.deadlineAt) {
             inc.arrival = fetched;
             inc.remoteKvTokens = credit;

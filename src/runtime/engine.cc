@@ -808,10 +808,8 @@ class ServingEngine::Run::Impl
             // span, so successive bases stay monotone).
             tel_.graphRunAt(now_);
             static constexpr verify::VerifyOptions kVerifyAll{};
-            const bool recycle = cfg_.recycleGraphs;
             const SimResult sim = runDecoderIteration(
-                dp_, spec, &ws.sched, recycle ? &ws.graph : nullptr,
-                recycle ? &ws.rearm : nullptr,
+                dp_, spec, &ws.sched, &ws.graph, &ws.rearm,
                 cfg_.verifyGraphs ? &kVerifyAll : nullptr);
             s.length = sim.cycles * static_cast<dam::Cycle>(cfg_.numLayers);
             s.usefulFlops = sim.totalFlops * cfg_.numLayers;

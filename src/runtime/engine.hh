@@ -99,14 +99,6 @@ struct EngineConfig
     std::vector<dam::Cycle> drainAt;
 
     /**
-     * Recycle one arena-backed decoder graph across batching iterations
-     * instead of rebuilding from the heap each time (see
-     * Graph::recycle). Metrics are identical either way; the rebuild
-     * path remains for A/B verification.
-     */
-    bool recycleGraphs = true;
-
-    /**
      * Statically verify every freshly built iteration graph — the first
      * build, and a rebuild after a structural-key change; batch changes
      * rearm a graph whose symbolic shapes the first verification
@@ -173,8 +165,7 @@ int64_t prefillFlopsPerToken(const ModelConfig& m, int64_t num_layers);
 struct IterationWorkspace
 {
     dam::Scheduler sched;
-    GraphArena arena; ///< backs `graph`; declared first, dies last
-    Graph graph{SimConfig{}, &arena};
+    Graph graph; ///< owns its arena
     /** While the structural key is stable — batch and replica changes
      *  included — iterations patch `graph` in place. */
     DecoderRearmHandles rearm;

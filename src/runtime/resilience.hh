@@ -242,10 +242,6 @@ class MigrationHandoff : public RetryPolicy
 struct RemotePrefixConfig
 {
     bool enabled = false;
-    /** Remote lookup round trip, paid once per remote hit. */
-    dam::Cycle lookupCycles = 20'000;
-    /** Per-token cost of fetching remote KV into local memory. */
-    dam::Cycle perTokenFetchCycles = 150;
 };
 
 // ---- overload brown-out ------------------------------------------------

@@ -49,9 +49,6 @@ class Table
     /** Print aligned columns to @p os. */
     void print(std::ostream& os = std::cout) const;
 
-    /** Print as CSV to @p os. */
-    void printCsv(std::ostream& os) const;
-
   private:
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;
@@ -77,19 +74,6 @@ Table::print(std::ostream& os) const
     for (size_t c = 0; c < header_.size(); ++c)
         os << std::string(width[c], '-') << "  ";
     os << "\n";
-    for (const auto& r : rows_)
-        emit(r);
-}
-
-inline void
-Table::printCsv(std::ostream& os) const
-{
-    auto emit = [&](const std::vector<std::string>& r) {
-        for (size_t c = 0; c < r.size(); ++c)
-            os << (c ? "," : "") << r[c];
-        os << "\n";
-    };
-    emit(header_);
     for (const auto& r : rows_)
         emit(r);
 }

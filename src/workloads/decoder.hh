@@ -174,22 +174,25 @@ void rearmDecoderLayer(Graph& g, const DecoderRearmHandles& h,
                        const DecoderParams& p, const IterationSpec& spec);
 
 /**
- * Build and simulate one decoder-layer iteration. When @p sched is
- * non-null the externally owned scheduler is reused (reset + run), so a
- * long-lived engine pays no scheduler setup per iteration. When
- * @p reuse is non-null it must be an arena-backed Graph owned by the
- * caller: the previous build is recycled in place and the new iteration
- * graph reuses its operator storage, pooled channels, and interned
- * names (see Graph::recycle). When @p rearm is also non-null and the
- * structural key matches the previous build, even the rebuild is
- * skipped: the recycled graph is patched in place (rearmDecoderLayer)
- * — the fast path the serving engine runs on, batch changes included.
- * Only the first build and a key change (layer config, parallelization
- * or tiling) recycle, rebuild and refresh the handles.
+ * Build and simulate one decoder-layer iteration. There is one build
+ * path: when @p rearm holds valid handles whose structural key matches,
+ * the graph is patched in place (rearmDecoderLayer) — the fast path the
+ * serving engine runs on, batch changes included; otherwise the graph
+ * is recycled (see Graph::recycle), rebuilt, and the handles are
+ * refreshed. The modes differ only in what the caller lends:
+ *  - @p reuse: the caller's graph, whose operator storage, pooled
+ *    channels and interned names the next build reuses; null builds on
+ *    a fresh local graph (a cold build);
+ *  - @p rearm: the caller's handles into @p reuse (null: a local empty
+ *    set, so every call rebuilds). With a fixed layer config only the
+ *    first call and a key change (layer config, parallelization or
+ *    tiling) rebuild.
+ * When @p sched is non-null the externally owned scheduler is reused
+ * (reset + run), so a long-lived engine pays no scheduler setup per
+ * iteration.
  *
- * When @p vopts is non-null every fresh build — the cold path, the
- * first build and a key change, but not the structure-preserving rearm
- * itself — is statically verified (Graph::verify) before it runs; an
+ * When @p vopts is non-null every build — but not a rearm — is
+ * statically verified (Graph::verify) before it runs; an
  * error-severity finding raises FatalError with the rendered report.
  * A built graph declares the batch symbolically, so its verification
  * holds for every batch it is rearmed to. Verification is read-only,

@@ -396,7 +396,7 @@ buildMoeLayer(Graph& g, const MoeParams& p, const ExpertTrace& trace,
             std::vector<StreamPort> pad_streams;
             for (int64_t k = 0; k < experts_per_region; ++k) {
                 PackedRows pr = packExpertRows(
-                    g, p, nm(name, "e" + std::to_string(k)),
+                    g, p, nm(name, "e") + std::to_string(k),
                     part.out(static_cast<size_t>(e0 + k)), rearm);
                 packed_streams.push_back(pr.packed);
                 pad_streams.push_back(pr.pad);
@@ -560,17 +560,6 @@ moeUsefulFlops(const MoeParams& p, const ExpertTrace& trace)
     int64_t per_row = 2 * p.cfg.hidden * p.cfg.moeIntermediate * 2 +
                       2 * p.cfg.moeIntermediate * p.cfg.hidden;
     return assignments * per_row;
-}
-
-int64_t
-moeStaticWeightTraffic(const MoeParams& p, const ExpertTrace& trace,
-                       int64_t tile)
-{
-    int64_t weight_bytes = 3 * p.cfg.hidden * p.cfg.moeIntermediate * 2;
-    int64_t traffic = 0;
-    for (int64_t c : trace.binCounts())
-        traffic += ((c + tile - 1) / tile) * weight_bytes;
-    return traffic;
 }
 
 } // namespace step

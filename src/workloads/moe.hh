@@ -129,8 +129,4 @@ std::vector<Token> rowStreamTokens(
 /** FLOPs of the un-padded MoE computation (3 matmuls per assignment). */
 int64_t moeUsefulFlops(const MoeParams& p, const ExpertTrace& trace);
 
-/** Total weight traffic a static tiling of @p tile incurs, in bytes. */
-int64_t moeStaticWeightTraffic(const MoeParams& p, const ExpertTrace& trace,
-                               int64_t tile);
-
 } // namespace step

