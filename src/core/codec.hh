@@ -113,7 +113,12 @@ class StopCoalescer
             return std::launder(reinterpret_cast<const Token*>(buf_)) + i;
         }
 
-        void push(Token&& t) { new (slot(n_++)) Token(std::move(t)); }
+        // Each token is built in place in its slot.
+        void pushStop(uint32_t level)
+        {
+            new (slot(n_++)) Token(Token::stop(level));
+        }
+        void pushDone() { new (slot(n_++)) Token(Token::done()); }
         void
         pushData(Value&& v)
         {
@@ -162,9 +167,12 @@ class StopCoalescer
     onDone()
     {
         Emit out = flush();
-        out.push(Token::done());
+        out.pushDone();
         return out;
     }
+
+    /** Whether a stop is buffered (flush() would emit it). */
+    bool pending() const { return pending_ != 0; }
 
     /** Drop any buffered stop: back to the freshly-built state (rearm). */
     void reset() { pending_ = 0; }
@@ -175,7 +183,7 @@ class StopCoalescer
     {
         Emit out;
         if (pending_ != 0) {
-            out.push(Token::stop(pending_));
+            out.pushStop(pending_);
             pending_ = 0;
         }
         return out;

@@ -70,7 +70,7 @@ class Tile
         STEP_ASSERT(rows >= 0 && cols >= 0, "negative tile shape");
         rep_.rows = rows;
         rep_.cols = cols;
-        rep_.elemBytes = elem_bytes;
+        rep_.elemDelta = elem_bytes - kDefaultElemBytes;
     }
 
     /** Tile with payload (functional mode); data.size()==rows*cols. */
@@ -130,9 +130,9 @@ class Tile
 
     int64_t rows() const { return rep_.rows; }
     int64_t cols() const { return rep_.cols; }
-    int elemBytes() const { return rep_.elemBytes; }
+    int elemBytes() const { return kDefaultElemBytes + rep_.elemDelta; }
     int64_t numel() const { return rep_.rows * rep_.cols; }
-    int64_t bytes() const { return numel() * rep_.elemBytes; }
+    int64_t bytes() const { return numel() * elemBytes(); }
     bool hasData() const { return rep_.store != Store::None; }
     /** A payload-free Tile::zeros fill: at() reads 0, values() is
      *  unavailable. */
@@ -175,7 +175,9 @@ class Tile
         float* floats() { return reinterpret_cast<float*>(this + 1); }
     };
 
-    /** Everything a tile holds, as one trivially copyable record. */
+    /** Everything a tile holds, as one trivially copyable record. The
+     *  element size is kept relative to kDefaultElemBytes, so an empty
+     *  0x0 tile is all-zero bytes (Value::setEmpty relies on it). */
     struct Rep
     {
         int64_t rows = 0;
@@ -184,7 +186,7 @@ class Tile
             float inl[kInlineFloats];
             Block* block = nullptr;
         };
-        int32_t elemBytes = kDefaultElemBytes;
+        int32_t elemDelta = 0;
         Store store = Store::None;
     };
 

@@ -35,9 +35,20 @@ class Token
         : value_(relocate, o.value_), level_(o.level_), kind_(o.kind_)
     {}
 
-    /** Data token; an rvalue is relocated straight into the token. */
-    static Token data(Value&& v) noexcept { return Token(std::move(v)); }
-    static Token data(const Value& v) noexcept { return Token(Value(v)); }
+    /** Relocate out of @p o, leaving it a husk (see HuskTag). */
+    Token(HuskTag, Token& o) noexcept
+        : value_(husk, o.value_), level_(o.level_), kind_(o.kind_)
+    {}
+
+    /** Data token whose value is built in place from @p v: a Value (an
+     *  rvalue is relocated in), or a Tile, Selector, BufferRef or
+     *  TupleVal, with no intermediate Value. */
+    template <typename V>
+    static Token
+    data(V&& v) noexcept
+    {
+        return Token(DataTag{}, std::forward<V>(v));
+    }
     static Token stop(uint32_t level) noexcept { return Token(level); }
     static Token done() noexcept { return Token(); }
 
@@ -74,8 +85,11 @@ class Token
     }
 
   private:
-    explicit Token(Value&& v) noexcept
-        : value_(std::move(v)), kind_(Kind::Data)
+    struct DataTag {};
+
+    template <typename V>
+    Token(DataTag, V&& v) noexcept
+        : value_(std::forward<V>(v)), kind_(Kind::Data)
     {}
     explicit Token(uint32_t level) noexcept
         : level_(level), kind_(Kind::Stop)

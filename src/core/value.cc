@@ -49,13 +49,26 @@ TupleVal::freeBlock(Block* b) noexcept
     FramePool::deallocate(b);
 }
 
-int64_t
-TupleVal::bytes() const
+void
+Value::retainBlock() const noexcept
 {
-    int64_t n = 0;
-    for (const Value& e : elems())
-        n += e.bytes();
-    return n;
+    switch (kind_) {
+    case Kind::Tile:      tile_.retain(); break;
+    case Kind::Selector:  sel_.indices.retain(); break;
+    case Kind::Tuple:     tup_.retain(); break;
+    case Kind::BufferRef: break;
+    }
+}
+
+void
+Value::releaseBlock() noexcept
+{
+    switch (kind_) {
+    case Kind::Tile:      tile_.~Tile(); break;
+    case Kind::Selector:  sel_.~Selector(); break;
+    case Kind::Tuple:     tup_.~TupleVal(); break;
+    case Kind::BufferRef: break;
+    }
 }
 
 Value

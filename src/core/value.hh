@@ -198,6 +198,19 @@ struct RelocateTag
 inline constexpr RelocateTag relocate{};
 
 /**
+ * Tag selecting a husking relocation, `T(husk, src)`: like relocate, but
+ * @p src is left a husk instead of dead. A husk may be destroyed or
+ * assigned to, and must not be read. Only a channel's write path husks
+ * (the writer's token is spent by then); std::move still leaves an
+ * empty value.
+ */
+struct HuskTag
+{
+    explicit HuskTag() = default;
+};
+inline constexpr HuskTag husk{};
+
+/**
  * Tuple payload (from Zip): one refcounted block holding the elements,
  * drawn from the per-thread FramePool freelists, so building a tuple on
  * the hot path does not touch the heap once the pool is warm.
@@ -241,7 +254,7 @@ class TupleVal
     template <typename F> static TupleVal make(size_t n, F&& fn);
 
     std::span<const Value> elems() const;
-    int64_t bytes() const;
+    int64_t bytes() const { return block_ ? block_->bytes : 0; }
 
   private:
     friend class Value;
@@ -250,6 +263,8 @@ class TupleVal
     {
         detail::RefCount rc;
         uint32_t n = 0;
+        /** Sum of the elements' bytes(), kept by make(). */
+        int64_t bytes = 0;
 
         Value* elems() { return reinterpret_cast<Value*>(this + 1); }
     };
@@ -281,31 +296,40 @@ class TupleVal
  * holds at most one pointer to an immutable refcounted block and no
  * pointer into itself. Copy is therefore a POD copy plus at most one
  * refcount increment, move is a bytewise relocation that leaves the
- * source an empty tile, and destroy is at most one release. In timing
- * mode no alternative owns a block, so values travel through channels
- * without touching the allocator.
+ * source an empty tile, and destroy is at most one release. A flag
+ * records whether the alternative holds a block, so copying or
+ * destroying a value that holds none is one test. In timing mode no
+ * alternative owns a block, so values travel through channels without
+ * touching the allocator.
  */
 class Value
 {
   public:
     Value() noexcept : tile_() {}
-    Value(Tile t) noexcept                          // NOLINT implicit
-        : tile_(std::move(t))
+    Value(const Tile& t) noexcept                   // NOLINT implicit
+        : tile_(t), owns_(tile_.rep_.store == Tile::Store::Block)
+    {}
+    Value(Tile&& t) noexcept                        // NOLINT implicit
+        : tile_(std::move(t)),
+          owns_(tile_.rep_.store == Tile::Store::Block)
     {}
     Value(Selector s) noexcept                      // NOLINT implicit
-        : sel_(std::move(s)), kind_(Kind::Selector)
+        : sel_(std::move(s)), kind_(Kind::Selector),
+          owns_(sel_.indices.spilled())
     {}
     Value(BufferRef b) noexcept                     // NOLINT implicit
         : buf_(b), kind_(Kind::BufferRef)
     {}
     Value(TupleVal t) noexcept                      // NOLINT implicit
-        : tup_(std::move(t)), kind_(Kind::Tuple)
+        : tup_(std::move(t)), kind_(Kind::Tuple),
+          owns_(tup_.block_ != nullptr)
     {}
 
     Value(const Value& o) noexcept
     {
         relocateFrom(o);
-        retain();
+        if (owns_)
+            retainBlock();
     }
 
     Value(Value&& o) noexcept
@@ -316,6 +340,14 @@ class Value
 
     /** Relocate out of @p o, leaving it dead (see RelocateTag). */
     Value(RelocateTag, Value& o) noexcept { relocateFrom(o); }
+
+    /** Relocate out of @p o, leaving it a husk (see HuskTag): it no
+     *  longer owns the block, so it releases nothing. */
+    Value(HuskTag, Value& o) noexcept
+    {
+        relocateFrom(o);
+        o.owns_ = false;
+    }
 
     Value&
     operator=(const Value& o) noexcept
@@ -329,14 +361,19 @@ class Value
     operator=(Value&& o) noexcept
     {
         if (this != &o) {
-            release();
+            if (owns_)
+                releaseBlock();
             relocateFrom(o);
             o.setEmpty();
         }
         return *this;
     }
 
-    ~Value() { release(); }
+    ~Value()
+    {
+        if (owns_)
+            releaseBlock();
+    }
 
     /** Tuple of copies of @p elems (TupleVal::make builds one from
      *  values moved in). */
@@ -370,35 +407,18 @@ class Value
                     sizeof(Value));
     }
 
-    /** Forget the payload without releasing it (it was relocated). */
+    /** Forget the payload without releasing it (it was relocated):
+     *  an empty 0x0 tile is all-zero bytes (see Tile::Rep). */
     void
     setEmpty() noexcept
     {
-        new (&tile_) Tile();
-        kind_ = Kind::Tile;
+        std::memset(static_cast<void*>(this), 0, sizeof(Value));
     }
 
-    void
-    retain() const noexcept
-    {
-        switch (kind_) {
-        case Kind::Tile:      tile_.retain(); break;
-        case Kind::Selector:  sel_.indices.retain(); break;
-        case Kind::Tuple:     tup_.retain(); break;
-        case Kind::BufferRef: break;
-        }
-    }
-
-    void
-    release() noexcept
-    {
-        switch (kind_) {
-        case Kind::Tile:      tile_.~Tile(); break;
-        case Kind::Selector:  sel_.~Selector(); break;
-        case Kind::Tuple:     tup_.~TupleVal(); break;
-        case Kind::BufferRef: break;
-        }
-    }
+    /** Refcount traffic of a value whose owns_ is set (out of line:
+     *  only values that hold a block get here). */
+    void retainBlock() const noexcept;
+    void releaseBlock() noexcept;
 
     union {
         Tile tile_;
@@ -407,6 +427,11 @@ class Value
         TupleVal tup_;
     };
     Kind kind_ = Kind::Tile;
+    /** The alternative holds a refcounted block (a husk never does). */
+    bool owns_ = false;
+
+    static_assert(Kind::Tile == Kind{} && Tile::Store::None == Tile::Store{},
+                  "setEmpty writes an empty tile as zero bytes");
 };
 
 static_assert(sizeof(Tile) <= 32 && sizeof(Selector) <= 32 &&
@@ -471,6 +496,7 @@ TupleVal::make(size_t n, F&& fn)
     for (size_t i = 0; i < n; ++i) {
         new (e + i) Value(fn(i));
         t.block_->n = static_cast<uint32_t>(i + 1);
+        t.block_->bytes += e[i].bytes();
     }
     return t;
 }

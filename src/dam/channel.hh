@@ -17,11 +17,12 @@
  * The hot path (push/pop/suspend) performs no heap allocation: entry and
  * credit storage are rings that grow to the occupancy high-water mark,
  * and blocking records a tagged BlockInfo instead of formatting a
- * string. Entry slots are raw storage: push constructs the token in a
- * dead slot and pop relocates it out bytewise, leaving the slot dead, so
- * a hop costs one construction and one relocation and never leaves an
- * empty shell to release. Tokens still queued when the channel is
- * rearmed, re-initialized or destroyed are destroyed there.
+ * string. Entry slots are raw storage: push relocates the writer's token
+ * into a dead slot, leaving the writer's copy a husk (see HuskTag), or
+ * copies an lvalue token there, and pop relocates it out bytewise,
+ * leaving the slot dead. A hop therefore costs two relocations and
+ * never empties or releases a shell. Tokens still queued when the
+ * channel is rearmed, re-initialized or destroyed are destroyed there.
  */
 #pragma once
 
@@ -29,6 +30,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/token.hh"
@@ -106,7 +108,9 @@ class Channel
      * into the awaiter. A temporary in a co_await expression lives in
      * the coroutine frame until the expression completes (across
      * suspension), so the pointer stays valid and the steady-state write
-     * costs exactly one token move (into the FIFO slot).
+     * costs exactly one relocation (into the FIFO slot). The caller's
+     * token is a husk afterwards: it may be destroyed or assigned to,
+     * not read.
      */
     struct WriteAwaiter
     {
@@ -117,20 +121,26 @@ class Channel
 
         bool await_ready() const { return ch.hasCredit(); }
         void await_suspend(std::coroutine_handle<>) const;
-        void await_resume() { ch.push(writer, std::move(*tok), minReady); }
+        void await_resume() { ch.push(writer, minReady, husk, *tok); }
     };
 
-    /** Lvalue write path: owns a copy (Broadcast re-emits one token). */
+    /**
+     * Lvalue write path (Broadcast re-emits one token): views the
+     * caller's token like WriteAwaiter and copies it straight into the
+     * FIFO slot, so the token must not change until the write
+     * completes. Coroutine locals qualify: their coroutine is the one
+     * suspended.
+     */
     struct WriteCopyAwaiter
     {
         Channel& ch;
         Context& writer;
-        Token tok;
+        const Token* tok;
         Cycle minReady = 0;
 
         bool await_ready() const { return ch.hasCredit(); }
         void await_suspend(std::coroutine_handle<>) const;
-        void await_resume() { ch.push(writer, std::move(tok), minReady); }
+        void await_resume() { ch.push(writer, minReady, *tok); }
     };
 
     /** co_await ch.read(self) -> Token. */
@@ -145,7 +155,7 @@ class Channel
     WriteCopyAwaiter
     write(Context& writer, const Token& t)
     {
-        return WriteCopyAwaiter{*this, writer, t};
+        return WriteCopyAwaiter{*this, writer, &t};
     }
 
     /**
@@ -161,7 +171,7 @@ class Channel
     WriteCopyAwaiter
     writeAt(Context& writer, const Token& t, Cycle min_ready)
     {
-        return WriteCopyAwaiter{*this, writer, t, min_ready};
+        return WriteCopyAwaiter{*this, writer, &t, min_ready};
     }
 
     /** Register/unregister a multi-channel waiter (see WaitAny). */
@@ -176,9 +186,14 @@ class Channel
     friend struct WriteAwaiter;
     friend struct WriteCopyAwaiter;
 
-    // Inline (header) definitions: push/pop run once per simulated
-    // token and must inline into the operator coroutines.
-    void push(Context& writer, Token&& t, Cycle min_ready = 0);
+    // Defined inline below, so the compiler may inline them; g++ 12 at
+    // -O3 keeps both out of line in the operator coroutines, and forcing
+    // them inline (always_inline) measured slower on the serving
+    // benchmarks: the larger coroutine bodies cost more than the calls.
+    // push builds the FIFO slot's token from @p tok: (husk, t) relocates
+    // t and leaves it a husk, (t) copies a const token.
+    template <typename... TokArgs>
+    void push(Context& writer, Cycle min_ready, TokArgs&&... tok);
     Token pop(Context& reader);
 
     std::string name_;
@@ -187,7 +202,10 @@ class Channel
 
     struct Entry
     {
-        Entry(Cycle r, Token&& t) noexcept : ready(r), tok(std::move(t)) {}
+        template <typename... TokArgs>
+        Entry(Cycle r, TokArgs&&... t) noexcept
+            : ready(r), tok(std::forward<TokArgs>(t)...)
+        {}
 
         Cycle ready;
         Token tok;
@@ -298,8 +316,9 @@ struct Yield
 } // namespace step::dam
 
 // ---- hot-path inline definitions --------------------------------------
-// push/pop and the blocking hooks are defined here (after Scheduler is
-// visible) so the per-token path fully inlines into operator bodies.
+// push/pop and the blocking hooks are defined here, after Scheduler is
+// visible. Being inline lets the small hooks inline into the awaiters;
+// push/pop stay out-of-line calls in optimized builds (see push).
 
 #include "dam/scheduler.hh"
 
@@ -317,8 +336,9 @@ Context::bindConsumer(Channel& ch)
     ch.consumer_ = this;
 }
 
+template <typename... TokArgs>
 inline void
-Channel::push(Context& writer, Token&& t, Cycle min_ready)
+Channel::push(Context& writer, Cycle min_ready, TokArgs&&... tok)
 {
     STEP_ASSERT(hasCredit(), "push without credit on " << name_);
     // The implicit t=0 credits sit at the front of the credit FIFO:
@@ -338,7 +358,7 @@ Channel::push(Context& writer, Token&& t, Cycle min_ready)
     // against back().ready exactly).
     ready = std::max(ready, lastReady_);
     lastReady_ = ready;
-    entries_.emplace_back(ready, std::move(t));
+    entries_.emplace_back(ready, std::forward<TokArgs>(tok)...);
     ++totalPushed_;
     if (waitingReader_) {
         Context* r = waitingReader_;

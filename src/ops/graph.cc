@@ -129,7 +129,6 @@ Graph::makeChannel(std::string_view name, size_t capacity_override)
 {
     size_t cap = capacity_override ? capacity_override
                                    : cfg_.channelCapacity;
-    name = arena_->names.intern(name);
     std::unique_ptr<dam::Channel> ch;
     if (!channelPool_.empty()) {
         ch = std::move(channelPool_.back());

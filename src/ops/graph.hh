@@ -66,8 +66,8 @@ class Graph
   public:
     /**
      * Every graph is arena-backed: operators are bump-allocated from
-     * the arena, channel names are interned in it, and recycle()
-     * rewinds the whole build.
+     * the arena, and recycle() rewinds the whole build (its channels
+     * return to a pool and keep their name buffers).
      *
      * @param cfg   timing parameters
      * @param arena arena to build in, which must outlive the graph; a

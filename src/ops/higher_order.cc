@@ -142,7 +142,7 @@ AccumOp::run()
     const bool full_reduce = rank_ == in_.rank();
     while (true) {
         if (in_.ch->empty())
-            STEP_EMIT(out_.ch, coal_.flush());
+            STEP_FLUSH(out_.ch, coal_);
         Token t = co_await in_.ch->read(*this);
         if (t.isData()) {
             saw_data = true;
@@ -262,7 +262,7 @@ FlatMapOp::run()
     const auto b = static_cast<uint32_t>(rank_);
     while (true) {
         if (in_.ch->empty())
-            STEP_EMIT(out_.ch, coal_.flush());
+            STEP_FLUSH(out_.ch, coal_);
         Token t = co_await in_.ch->read(*this);
         if (t.isData()) {
             int64_t flops = 0;

@@ -89,7 +89,7 @@ LinearOffChipLoadOp::run()
 {
     while (true) {
         if (ref_.ch->empty())
-            STEP_EMIT(out_.ch, coal_.flush());
+            STEP_FLUSH(out_.ch, coal_);
         Token t = co_await ref_.ch->read(*this);
         if (t.isData()) {
             for (int64_t i = 0; i < outShape_[0]; ++i) {
@@ -102,7 +102,7 @@ LinearOffChipLoadOp::run()
                     dam::Cycle done_at = graph_.memModel().access(
                         addr, tensor_.tileBytes(), now(), false);
                     busyAdvance(1);
-                    STEP_EMIT(out_.ch, coal_.flush());
+                    STEP_FLUSH(out_.ch, coal_);
                     co_await out_.ch->writeAt(
                         *this, Token::data(tensor_.tileAt(ti, tj)),
                         done_at);
@@ -217,7 +217,7 @@ RandomOffChipLoadOp::run()
 {
     while (true) {
         if (addr_.ch->empty())
-            STEP_EMIT(out_.ch, coal_.flush());
+            STEP_FLUSH(out_.ch, coal_);
         Token t = co_await addr_.ch->read(*this);
         if (t.isData()) {
             int64_t idx = addrIndexOf(t.value());
@@ -240,7 +240,7 @@ RandomOffChipLoadOp::run()
                               j % tensor_.inShapeTiles[1])
                         : Tile(tensor_.tileRows, tensor_.tileCols,
                                tensor_.elemBytes);
-                    STEP_EMIT(out_.ch, coal_.flush());
+                    STEP_FLUSH(out_.ch, coal_);
                     co_await out_.ch->writeAt(
                         *this, Token::data(std::move(tile)), done_at);
                 }

@@ -83,7 +83,7 @@ BufferizeOp::run()
 
     while (true) {
         if (in_.ch->empty())
-            STEP_EMIT(out_.ch, coal_.flush());
+            STEP_FLUSH(out_.ch, coal_);
         Token t = co_await in_.ch->read(*this);
         if (t.isData()) {
             int64_t bytes = t.value().bytes();
@@ -170,7 +170,7 @@ StreamifyOp::run()
 
     while (true) {
         if (ref_.ch->empty())
-            STEP_EMIT(out_.ch, coal_.flush());
+            STEP_FLUSH(out_.ch, coal_);
         Token t = co_await ref_.ch->read(*this);
         if (t.isData()) {
             while (!cur) {

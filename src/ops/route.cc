@@ -55,7 +55,7 @@ PartitionOp::run()
     while (true) {
         if (sel_.ch->empty()) {
             for (size_t o = 0; o < outs_.size(); ++o)
-                STEP_EMIT(outs_[o].ch, coals_[o].flush());
+                STEP_FLUSH(outs_[o].ch, coals_[o]);
         }
         Token ts = co_await sel_.ch->read(*this);
         if (ts.isData()) {
@@ -154,7 +154,7 @@ ReassembleOp::run()
     const auto b = static_cast<uint32_t>(rank_);
     while (true) {
         if (sel_.ch->empty())
-            STEP_EMIT(out_.ch, coal_.flush());
+            STEP_FLUSH(out_.ch, coal_);
         Token ts = co_await sel_.ch->read(*this);
         if (ts.isData()) {
             const auto& picked = ts.value().selector().indices;
@@ -188,7 +188,7 @@ ReassembleOp::run()
                     busyAdvance(routeCost(
                         t, graph_.config().onChipBwBytesPerCycle));
                     if (t.isData()) {
-                        STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
+                        STEP_PASS(out_.ch, coal_, t);
                     } else if (t.level() < b) {
                         STEP_EMIT(out_.ch, coal_.onStop(t.level()));
                     } else {
@@ -281,7 +281,7 @@ EagerMergeOp::run()
     while (remaining > 0) {
         int pick = pickAvailable(done);
         if (pick < 0) {
-            STEP_EMIT(out_.ch, coal_.flush());
+            STEP_FLUSH(out_.ch, coal_);
             waitScratch_.clear();
             for (size_t i = 0; i < ins_.size(); ++i)
                 if (!done[i])
@@ -320,7 +320,7 @@ EagerMergeOp::run()
             Token t = co_await ins_[pi].ch->read(*this);
             busyAdvance(routeCost(
                 t, graph_.config().onChipBwBytesPerCycle));
-            STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
+            STEP_PASS(out_.ch, coal_, t);
             continue;
         }
         while (true) {
@@ -328,7 +328,7 @@ EagerMergeOp::run()
             busyAdvance(routeCost(
                 t, graph_.config().onChipBwBytesPerCycle));
             if (t.isData()) {
-                STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
+                STEP_PASS(out_.ch, coal_, t);
             } else if (t.isStop() && t.level() < b) {
                 STEP_EMIT(out_.ch, coal_.onStop(t.level()));
             } else if (t.isStop()) {

@@ -22,23 +22,31 @@ FlattenOp::FlattenOp(Graph& g, const std::string& name, StreamPort in,
 dam::SimTask
 FlattenOp::run()
 {
+    const auto lo = static_cast<uint32_t>(lo_);
     const auto drop = static_cast<uint32_t>(hi_ - lo_);
+    // Whether the open element of dimension lo holds anything yet.
+    bool open = false;
     while (true) {
         if (in_.ch->empty())
-            STEP_EMIT(out_.ch, coal_.flush());
+            STEP_FLUSH(out_.ch, coal_);
         Token t = co_await in_.ch->read(*this);
         busyAdvance(1);
         if (t.isData()) {
-            STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
+            open = true;
+            STEP_PASS(out_.ch, coal_, t);
         } else if (t.isStop()) {
             uint32_t l = t.level();
-            if (l <= lo_) {
+            if (l <= lo) {
                 STEP_EMIT(out_.ch, coal_.onStop(l));
             } else if (l <= hi_) {
-                // separator inside the flattened range: dissolves
+                // A separator inside the flattened range dissolves, but
+                // it still ends a non-empty element of dimension lo.
+                if (lo > 0 && open)
+                    STEP_EMIT(out_.ch, coal_.onStop(lo));
             } else {
                 STEP_EMIT(out_.ch, coal_.onStop(l - drop));
             }
+            open = l < lo;
         } else {
             STEP_EMIT(out_.ch, coal_.onDone());
             break;
@@ -85,15 +93,15 @@ ReshapeOp::run()
     int64_t count = 0; // elements (rank 0) or chunks (rank b) seen
     while (true) {
         if (in_.ch->empty()) {
-            STEP_EMIT(out_.ch, coal_.flush());
+            STEP_FLUSH(out_.ch, coal_);
             if (padOut_.ch)
-                STEP_EMIT(padOut_.ch, padCoal_.flush());
+                STEP_FLUSH(padOut_.ch, padCoal_);
         }
         Token t = co_await in_.ch->read(*this);
         busyAdvance(1);
         if (t.isData()) {
             if (b == 0) {
-                STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
+                STEP_PASS(out_.ch, coal_, t);
                 if (padOut_.ch) {
                     STEP_EMIT(padOut_.ch, padCoal_.onData(
                         Tile::withData(1, 1, {0.0f}, 1)));
@@ -104,7 +112,7 @@ ReshapeOp::run()
                         STEP_EMIT(padOut_.ch, padCoal_.onStop(1));
                 }
             } else {
-                STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
+                STEP_PASS(out_.ch, coal_, t);
             }
         } else if (t.isStop()) {
             uint32_t l = t.level();
@@ -193,12 +201,12 @@ PromoteOp::run()
     StopCoalescer coal;
     while (true) {
         if (in_.ch->empty())
-            STEP_EMIT(out_.ch, coal.flush());
+            STEP_FLUSH(out_.ch, coal);
         Token t = co_await in_.ch->read(*this);
         busyAdvance(1);
         if (t.isData()) {
             seen = true;
-            STEP_EMIT(out_.ch, coal.onData(t.takeValue()));
+            STEP_PASS(out_.ch, coal, t);
         } else if (t.isStop()) {
             seen = true;
             STEP_EMIT(out_.ch, coal.onStop(t.level()));
@@ -234,7 +242,7 @@ ExpandOp::run()
     std::optional<Value> cur;
     while (true) {
         if (ref_.ch->empty())
-            STEP_EMIT(out_.ch, coal.flush());
+            STEP_FLUSH(out_.ch, coal);
         Token t = co_await ref_.ch->read(*this);
         busyAdvance(1);
         if (t.isData()) {
@@ -321,7 +329,7 @@ RepeatOp::run()
 {
     while (true) {
         if (in_.ch->empty())
-            STEP_EMIT(out_.ch, coal_.flush());
+            STEP_FLUSH(out_.ch, coal_);
         Token t = co_await in_.ch->read(*this);
         busyAdvance(1);
         if (t.isData()) {
@@ -329,7 +337,7 @@ RepeatOp::run()
             // spent token's value.
             for (int64_t i = 0; i + 1 < count_; ++i)
                 STEP_EMIT(out_.ch, coal_.onData(t.value()));
-            STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
+            STEP_PASS(out_.ch, coal_, t);
             STEP_EMIT(out_.ch, coal_.onStop(1));
         } else if (t.isStop()) {
             STEP_EMIT(out_.ch, coal_.onStop(t.level() + 1));
@@ -413,7 +421,7 @@ FilterOp::run()
 {
     while (true) {
         if (in_.ch->empty())
-            STEP_EMIT(out_.ch, coal_.flush());
+            STEP_FLUSH(out_.ch, coal_);
         Token t = co_await in_.ch->read(*this);
         Token m = co_await mask_.ch->read(*this);
         busyAdvance(1);
@@ -424,7 +432,7 @@ FilterOp::run()
             bool padded = m.value().tile().hasData() &&
                           m.value().tile().at(0, 0) != 0.0f;
             if (!padded)
-                STEP_EMIT(out_.ch, coal_.onData(t.takeValue()));
+                STEP_PASS(out_.ch, coal_, t);
         } else if (t.isStop()) {
             STEP_EMIT(out_.ch, coal_.onStop(t.level()));
         } else {

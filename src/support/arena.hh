@@ -1,12 +1,11 @@
 /**
  * @file
- * Monotonic arena + name interner backing graph recycling. The serving
- * engine rebuilds a structurally identical decoder graph every batching
- * iteration; allocating operator objects from a bump arena and interning
- * channel names lets Graph::recycle() release a whole iteration's nodes
- * by running destructors and resetting an offset — the blocks and the
- * interned strings are reused by the next build, so steady-state graph
- * reconstruction performs no large allocations.
+ * Monotonic arena backing graph recycling. Allocating operator objects
+ * from a bump arena lets Graph::recycle() release a whole build's nodes
+ * by running destructors and resetting an offset; the blocks are reused
+ * by the next build, so rebuilding a graph performs no large
+ * allocations. Channel names need no arena: a pooled channel keeps its
+ * own name string and reuses its buffer (dam::Channel::reinit).
  */
 #pragma once
 
@@ -14,9 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <string_view>
-#include <unordered_set>
 #include <vector>
 
 namespace step {
@@ -92,54 +88,10 @@ class MonotonicArena
     size_t cur_ = 0;
 };
 
-/**
- * String interner for channel/operator names. Rebuilding the same graph
- * produces the same names, so after the first build every lookup hits
- * and returns a stable reference with no allocation. Interned strings
- * survive recycle() by design (they key the reuse).
- */
-class NameInterner
-{
-  public:
-    std::string_view
-    intern(std::string_view s)
-    {
-        auto it = pool_.find(s);
-        if (it != pool_.end())
-            return *it;
-        return *pool_.emplace(s).first;
-    }
-
-    size_t size() const { return pool_.size(); }
-
-  private:
-    struct Hash
-    {
-        using is_transparent = void;
-        size_t
-        operator()(std::string_view s) const
-        {
-            return std::hash<std::string_view>{}(s);
-        }
-    };
-    struct Eq
-    {
-        using is_transparent = void;
-        bool
-        operator()(std::string_view a, std::string_view b) const
-        {
-            return a == b;
-        }
-    };
-
-    std::unordered_set<std::string, Hash, Eq> pool_;
-};
-
 /** Everything a recyclable graph retains across iterations. */
 struct GraphArena
 {
     MonotonicArena mem;
-    NameInterner names;
 };
 
 } // namespace step

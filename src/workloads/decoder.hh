@@ -180,9 +180,9 @@ void rearmDecoderLayer(Graph& g, const DecoderRearmHandles& h,
  * serving engine runs on, batch changes included; otherwise the graph
  * is recycled (see Graph::recycle), rebuilt, and the handles are
  * refreshed. The modes differ only in what the caller lends:
- *  - @p reuse: the caller's graph, whose operator storage, pooled
- *    channels and interned names the next build reuses; null builds on
- *    a fresh local graph (a cold build);
+ *  - @p reuse: the caller's graph, whose operator storage and pooled
+ *    channels the next build reuses; null builds on a fresh local
+ *    graph (a cold build);
  *  - @p rearm: the caller's handles into @p reuse (null: a local empty
  *    set, so every call rebuilds). With a fixed layer config only the
  *    first call and a key change (layer config, parallelization or

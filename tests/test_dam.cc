@@ -1015,5 +1015,56 @@ TEST(ChannelSlots, RingGrowthWithLiveEntriesKeepsOrderAndPayloads)
     EXPECT_EQ(ch.totalPushed(), 14u);
 }
 
+/**
+ * Writes two tuple-valued tokens through one local. Each write leaves
+ * the local a husk: the first is assigned over, the second destroyed.
+ */
+class HuskWriter : public Context
+{
+  public:
+    HuskWriter(Channel& ch, const Tile& payload)
+        : Context("husk"), ch_(ch), payload_(payload)
+    {}
+
+    SimTask
+    run() override
+    {
+        Token t = Token::data(Value::tuple({payload_, payload_}));
+        co_await ch_.write(*this, std::move(t));
+        t = Token::data(Value::tuple({payload_})); // assign over a husk
+        co_await ch_.write(*this, std::move(t));
+        co_await ch_.write(*this, Token::done());
+        co_return; // destroys the second husk
+    }
+
+  private:
+    Channel& ch_;
+    Tile payload_;
+};
+
+TEST(ChannelSlots, WriterHuskReleasesNothing)
+{
+    const Tile payload = Tile::withData(1, 3, {1.0f, 2.0f, 3.0f});
+    {
+        Channel ch("husk", 4, 1);
+        HuskWriter w(ch, payload);
+        ValueCollector c(ch);
+        Scheduler s;
+        s.add(&w);
+        s.add(&c);
+        s.run();
+        ASSERT_EQ(c.got.size(), 2u);
+        ASSERT_EQ(c.got[0].tupleElems().size(), 2u);
+        ASSERT_EQ(c.got[1].tupleElems().size(), 1u);
+        for (const Value& v : c.got)
+            for (const Value& e : v.tupleElems())
+                EXPECT_TRUE(e.tile().equals(payload));
+        // The test, the writer and three tuple elements hold the block.
+        EXPECT_EQ(payload.useCount(), 5u);
+    }
+    // Each tuple was released exactly once, by its reader.
+    EXPECT_EQ(payload.useCount(), 1u);
+}
+
 } // namespace
 } // namespace step::dam

@@ -5,7 +5,9 @@
  * shape inference must agree with the observed token stream — same
  * rank, and equal extents wherever the inferred dimension is static.
  * Also checks stream conservation laws (Partition/Reassemble round
- * trips preserve multisets; EagerMerge preserves chunk contents).
+ * trips preserve multisets; EagerMerge preserves chunk contents), and
+ * that chains of the pass-through operators leave a stream exactly as
+ * the codec reference says.
  */
 #include <gtest/gtest.h>
 
@@ -237,6 +239,165 @@ TEST_P(RoutingConservation, EagerMergePreservesChunkMultiset)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingConservation,
                          ::testing::Range<uint64_t>(1, 21));
+
+// ---- pass-through operators preserve the stream ------------------------
+
+/** @p n with every leaf replaced by fn(leaf). */
+template <typename F>
+Nested
+mapLeaves(const Nested& n, F&& fn)
+{
+    if (n.isLeaf())
+        return fn(n);
+    std::vector<Nested> kids;
+    for (const auto& c : n.children())
+        kids.push_back(mapLeaves(c, fn));
+    return Nested::list(std::move(kids));
+}
+
+/** Append to @p out, in order, the nodes @p levels list levels below
+ *  @p n's children (its children when @p levels is 0). */
+void
+gatherLevel(const Nested& n, size_t levels, std::vector<Nested>& out)
+{
+    for (const auto& c : n.children()) {
+        if (levels == 0)
+            out.push_back(c);
+        else
+            gatherLevel(c, levels - 1, out);
+    }
+}
+
+/** Reference Flatten(lo, hi) of a rank-@p rank tree: the lists of
+ *  dimensions lo..hi (0 = innermost) merge into one. */
+Nested
+flattenRef(const Nested& n, size_t rank, size_t lo, size_t hi,
+           size_t depth = 0)
+{
+    if (n.isLeaf())
+        return n;
+    const size_t inner = rank - 1 - depth;
+    std::vector<Nested> kids;
+    if (inner == hi) {
+        gatherLevel(n, hi - lo, kids);
+        return Nested::list(std::move(kids));
+    }
+    for (const auto& c : n.children())
+        kids.push_back(flattenRef(c, rank, lo, hi, depth + 1));
+    return Nested::list(std::move(kids));
+}
+
+/**
+ * Random ragged tree of depth @p depth with empty groups anywhere but at
+ * the end of a group: a group that may not be empty (@p nonEmpty) gets
+ * at least one child, and every group's last child is such a group.
+ */
+Nested
+randomStreamTree(Rng& rng, size_t depth, bool nonEmpty, float& counter)
+{
+    if (depth == 0)
+        return Nested(test::val(counter++));
+    size_t n = rng.uniformInt(4);
+    if (nonEmpty && n == 0)
+        n = 1;
+    std::vector<Nested> kids;
+    for (size_t i = 0; i < n; ++i)
+        kids.push_back(randomStreamTree(rng, depth - 1, i + 1 == n,
+                                        counter));
+    return Nested::list(std::move(kids));
+}
+
+class PassThrough : public ::testing::TestWithParam<uint64_t> {};
+
+/**
+ * Random nested streams (ragged groups, empty groups, coinciding group
+ * ends, so runs of nested stops) through a random chain of the
+ * operators that forward popped data tokens: Flatten, Repeat(1), Filter
+ * with a mask that keeps every element, Promote. The output must be the
+ * codec's encoding of the reference tree.
+ *
+ * The FIFOs are deep, so a stop stays pending in an operator's
+ * coalescer when the next data token arrives. Two stream features are
+ * left out because these operators do not preserve them:
+ *  - a trailing empty group (encoded as an ascending stop run such as
+ *    S1, S2): a forwarding coalescer upgrades the first stop into the
+ *    second and drops the group;
+ *  - a FIFO that runs empty mid-stream: the operators flush a pending
+ *    stop when their input is empty, which splits coinciding group ends
+ *    into an empty group (ROADMAP item 5's flush rule).
+ */
+TEST_P(PassThrough, ChainPreservesTheStream)
+{
+    Rng rng(GetParam() + 2000);
+    size_t rank = 2 + rng.uniformInt(2);
+    float counter = 1.0f;
+    Nested want = randomStreamTree(rng, rank, false, counter);
+
+    SimConfig sc;
+    sc.channelCapacity = 256;
+    Graph g(sc);
+    auto anyShape = [](size_t r) {
+        return StreamShape(std::vector<Dim>(r, Dim::ragged()));
+    };
+    StreamPort cur = g.add<SourceOp>("src", encodeNested(want, rank),
+                                     anyShape(rank), scalarTile()).out();
+    std::string chain;
+    const size_t n_ops = 1 + rng.uniformInt(4);
+    for (size_t i = 0; i < n_ops; ++i) {
+        std::string name = "op" + std::to_string(i);
+        switch (rng.uniformInt(4)) {
+          case 0: { // Flatten a random range
+            size_t lo = rng.uniformInt(rank);
+            size_t hi = lo + rng.uniformInt(rank - lo);
+            cur = g.add<FlattenOp>(name, cur, lo, hi).out();
+            want = flattenRef(want, rank, lo, hi);
+            rank -= hi - lo;
+            chain += " flatten(" + std::to_string(lo) + "," +
+                     std::to_string(hi) + ")";
+            break;
+          }
+          case 1:
+            cur = g.add<RepeatOp>(name, cur, 1).out();
+            want = mapLeaves(want, [](const Nested& l) {
+                return Nested::list({l});
+            });
+            ++rank;
+            chain += " repeat(1)";
+            break;
+          case 2: { // a zero mask value keeps the element
+            Nested keep = mapLeaves(
+                want, [](const Nested&) { return test::leaf(0.0f); });
+            auto& mask = g.add<SourceOp>(
+                name + ".mask", encodeNested(keep, rank), anyShape(rank),
+                scalarTile());
+            cur = g.add<FilterOp>(name, cur, mask.out()).out();
+            chain += " filter";
+            break;
+          }
+          default:
+            cur = g.add<PromoteOp>(name, cur).out();
+            if (!want.children().empty())
+                want = Nested::list({want});
+            ++rank;
+            chain += " promote";
+            break;
+        }
+    }
+    auto& sink = g.add<SinkOp>("sink", cur, true);
+    (void)g.run();
+
+    const std::vector<Token> expect = encodeNested(want, rank);
+    ASSERT_FALSE(checkWellFormed(sink.tokens(), rank).has_value())
+        << chain << ": " << tokensToString(sink.tokens());
+    EXPECT_EQ(tokensToString(sink.tokens()), tokensToString(expect))
+        << chain;
+    EXPECT_EQ(decodeNested(sink.tokens(), rank).toString(),
+              decodeNested(expect, rank).toString())
+        << chain;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PassThrough,
+                         ::testing::Range<uint64_t>(1, 41));
 
 } // namespace
 } // namespace step

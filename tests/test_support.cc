@@ -205,7 +205,7 @@ TEST(IndexVec, SpillsBeyondTwoAndCompares)
     EXPECT_EQ(sum, 15u);
 }
 
-// ---- MonotonicArena / NameInterner ------------------------------------
+// ---- MonotonicArena --------------------------------------------------
 
 TEST(Arena, BumpAllocatesAlignedAndReuses)
 {
@@ -230,18 +230,6 @@ TEST(Arena, OversizedAllocationGetsOwnBlock)
     EXPECT_NE(big, nullptr);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(big) % 16, 0u);
     EXPECT_GE(a.retainedBytes(), 4096u);
-}
-
-TEST(Interner, StableAcrossRepeats)
-{
-    NameInterner names;
-    std::string_view a = names.intern("qkv.mm.out");
-    std::string_view b = names.intern("qkv.mm.out");
-    EXPECT_EQ(a.data(), b.data()); // same pooled string
-    EXPECT_EQ(names.size(), 1u);
-    std::string_view c = names.intern("other");
-    EXPECT_NE(a.data(), c.data());
-    EXPECT_EQ(names.size(), 2u);
 }
 
 // ---- FramePool (thread-local freelists) -------------------------------
