@@ -174,9 +174,6 @@ class StopCoalescer
     /** Whether a stop is buffered (flush() would emit it). */
     bool pending() const { return pending_ != 0; }
 
-    /** Drop any buffered stop: back to the freshly-built state (rearm). */
-    void reset() { pending_ = 0; }
-
     /** Force out any buffered stop (used before Done or at barriers). */
     Emit
     flush()

@@ -61,12 +61,6 @@ WaitUntil::await_suspend(std::coroutine_handle<>) const
     self.scheduler()->suspendUntil(&self, deadline);
 }
 
-void
-Yield::await_suspend(std::coroutine_handle<>) const
-{
-    self.scheduler()->yieldRunning(&self);
-}
-
 /** Dynamics-only reset for the rearm path (see header). */
 void
 Channel::rearm(size_t capacity)

@@ -303,16 +303,6 @@ struct WaitUntil
     }
 };
 
-/** Reschedules the context, letting lower-clock contexts run first. */
-struct Yield
-{
-    Context& self;
-
-    bool await_ready() const { return false; }
-    void await_suspend(std::coroutine_handle<>) const;
-    void await_resume() const {}
-};
-
 } // namespace step::dam
 
 // ---- hot-path inline definitions --------------------------------------

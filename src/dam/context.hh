@@ -56,7 +56,6 @@ class Context
     const std::string& name() const { return name_; }
     Cycle now() const { return now_; }
     CtxState state() const { return state_; }
-    const BlockInfo& blockInfo() const { return block_; }
 
     /** Local time bump: the block was busy for @p dt cycles. */
     void advance(Cycle dt) { now_ += dt; }
@@ -83,7 +82,7 @@ class Context
      * Return the context to its pre-registration state so it can be
      * re-added to a scheduler and re-run: clock zeroed, coroutine frame
      * destroyed (its block returns to the FramePool), block info
-     * cleared. The rearm path (OpBase::rearm) calls this so a recycled
+     * cleared. Graph::rearm calls this for every operator so a built
      * graph re-runs without reconstructing its operators.
      */
     void
@@ -101,7 +100,6 @@ class Context
     friend class Channel;
     friend struct WaitAny;
     friend struct WaitUntil;
-    friend struct Yield;
 
     std::string name_;
     Cycle now_ = 0;

@@ -44,15 +44,6 @@ Scheduler::suspendUntil(Context* ctx, Cycle t)
     enqueueAt(ctx, t);
 }
 
-void
-Scheduler::yieldRunning(Context* ctx)
-{
-    STEP_ASSERT(ctx->state_ == CtxState::Running,
-                "yield from non-running context");
-    ctx->state_ = CtxState::Ready;
-    enqueue(ctx);
-}
-
 std::optional<Cycle>
 Scheduler::minReadyClock(const Context* self) const
 {
@@ -91,8 +82,8 @@ Scheduler::drain()
 {
     while (finished_ < contexts_.size()) {
         // The head key is the scheduler's virtual time: it never runs
-        // backwards (wakes and yields always re-key at or after the
-        // current head), so it is the monotone stamp tracing wants.
+        // backwards (wakes and timed waits always re-key at or after
+        // the current head), so it is the monotone stamp tracing wants.
         Cycle vnow = 0;
         Context* ctx = nullptr;
         if (sweeping()) {
@@ -135,12 +126,12 @@ Scheduler::drain()
                 trace_->schedFinish(ctx, ctx->name(), ctx->now());
         } else if (ctx->state_ == CtxState::Running) {
             // Suspended without blocking (shouldn't happen: every
-            // suspension point marks Blocked or yields).
+            // suspension point marks Blocked).
             stepPanic("context " << ctx->name()
                       << " suspended in Running state");
         } else if (trace_) [[unlikely]] {
-            // Blocked (read/write/select/timed-wait) or yielded; the
-            // block record is still intact either way.
+            // Blocked (read/write/select/timed-wait); the block record
+            // is still intact.
             trace_->schedSuspend(ctx, std::max(vnow, ctx->now()),
                                  static_cast<uint8_t>(ctx->block_.kind),
                                  ctx->block_.ch);

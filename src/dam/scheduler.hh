@@ -91,9 +91,6 @@ class Scheduler
      */
     void makeReadyAt(Context* ctx, Cycle t);
 
-    /** Requeue the currently running context (used by Yield). */
-    void yieldRunning(Context* ctx);
-
     /**
      * Time-indexed suspension: park the running context in the ready
      * heap keyed at cycle @p t instead of its own clock. It is resumed
@@ -123,7 +120,6 @@ class Scheduler
      * cost with no sink attached is one predicted branch per event.
      */
     void setTraceSink(obs::TraceSink* sink) { trace_ = sink; }
-    obs::TraceSink* traceSink() const { return trace_; }
 
     /**
      * Earliest next-resume key in the ready queue (start queue first,
@@ -137,8 +133,6 @@ class Scheduler
      * result; the parameter is asserted against the head defensively.
      */
     std::optional<Cycle> minReadyClock(const Context* self) const;
-
-    size_t numContexts() const { return contexts_.size(); }
 
   private:
     static constexpr uint32_t kNotQueued = ~uint32_t{0};

@@ -42,8 +42,9 @@ parseTraceLevel(std::string_view s, TraceLevel* out)
 const char*
 blockKindName(uint8_t kind)
 {
-    // Mirrors dam::BlockInfo::Kind ordinals; "yield" is the None case
-    // (the context gave up the core without blocking on anything).
+    // Mirrors dam::BlockInfo::Kind ordinals. The None case ends a
+    // context's last span (it finished, blocked on nothing); its
+    // export name "yield" is kept so traces stay byte-stable.
     switch (kind) {
       case 0:
         return "yield";

@@ -86,7 +86,6 @@ class TraceSink
      * scheduler events land on the serving timeline.
      */
     void setTimeBase(dam::Cycle base) { base_ = base; }
-    dam::Cycle timeBase() const { return base_; }
 
     // ---- scheduler hooks (graph-local cycles; base applied) ----------
     /**
@@ -96,7 +95,7 @@ class TraceSink
      */
     void schedResume(const void* ctx, const std::string& ctx_name,
                      dam::Cycle at);
-    /** The resumed context suspended (blocked or yielded) at @p at. */
+    /** The resumed context blocked at @p at. */
     void schedSuspend(const void* ctx, dam::Cycle at, uint8_t block_kind,
                       const dam::Channel* ch);
     /** The resumed context ran to completion at @p at. */

@@ -51,7 +51,6 @@ class TimeSeries
     void merge(const TimeSeries& o);
 
     dam::Cycle windowCycles() const { return window_; }
-    bool withHistograms() const { return withHists_; }
 
     /** Number of dense window slots (== highest touched window + 1). */
     size_t windowSlots() const { return windows_.size(); }

@@ -89,7 +89,8 @@ struct TraceEvent
     uint8_t detail = 0; ///< SpanEnd: dam::BlockInfo::Kind of the suspend
 };
 
-/** Render a BlockInfo::Kind ordinal for export ("yield", "read", ...). */
+/** Render a BlockInfo::Kind ordinal for export ("read", "write", ...;
+ *  None, which ends a finished context's span, renders "yield"). */
 const char* blockKindName(uint8_t kind);
 
 } // namespace step::obs

@@ -86,30 +86,6 @@ struct PortDecl
     const DataType& dtype() const { return view->dtype; }
 };
 
-struct OffChipTensor;
-
-/**
- * Per-iteration payload handed to OpBase::rearm(). Only the fields an
- * operator understands are consumed; everything else is ignored. The
- * default-constructed spec means "reset run state only" and is what
- * Graph::rearm() passes to every operator; workload-level rearm
- * functions then re-invoke rearm on the operators that carry
- * per-iteration data (source token streams, off-chip tensor metadata,
- * policy-assigned compute bandwidths).
- */
-struct RearmSpec
-{
-    /** New source token stream (consumed by move; SourceOp). */
-    std::vector<Token>* tokens = nullptr;
-    /** New off-chip tensor metadata (off-chip load operators). */
-    const OffChipTensor* tensor = nullptr;
-    /** New allocated compute bandwidth; < 0 keeps the current value. */
-    int64_t computeBw = -1;
-    /** New element count of a counted generator (DispatcherOp's
-     *  selector total); < 0 keeps the current value. */
-    int64_t total = -1;
-};
-
 /**
  * Base class for every STeP operator. An operator is a DAM context (its
  * run() coroutine implements the streaming semantics and the timing
@@ -118,19 +94,8 @@ struct RearmSpec
 class OpBase : public dam::Context
 {
   public:
-    OpBase(Graph& g, std::string name);
-
-    /**
-     * Structure-preserving re-arm: reset all per-run state (local
-     * clock, coroutine frame, measured metrics, roofline memo) and
-     * apply the per-iteration payload in @p spec, so the operator can
-     * re-run inside a recycled graph without being reconstructed.
-     * Subclasses with run-state members (stop coalescers, exhaustion
-     * flags, cursors) or rearm-able parameters override this and call
-     * the base. Metrics after a rearmed run are bit-identical to a
-     * rebuilt graph's.
-     */
-    virtual void rearm(const RearmSpec& spec);
+    /** @p compute_bw: allocated compute bandwidth (FLOPs/cycle). */
+    OpBase(Graph& g, std::string name, int64_t compute_bw = 0);
 
     /** Off-chip traffic in bytes (zero except off-chip operators). */
     virtual sym::Expr offChipTrafficExpr() const { return sym::Expr(0); }
@@ -139,7 +104,11 @@ class OpBase : public dam::Context
     virtual sym::Expr onChipMemExpr() const { return sym::Expr(0); }
 
     /** Compute bandwidth allocated to this operator (FLOPs/cycle). */
-    virtual int64_t allocatedComputeBw() const { return 0; }
+    int64_t allocatedComputeBw() const { return computeBw_; }
+
+    /** Re-allocate compute bandwidth for the next run of a rearmed
+     *  graph (a per-iteration policy split). */
+    void setComputeBw(int64_t bw) { computeBw_ = bw; }
 
     /**
      * Every stream endpoint this operator bound, in binding order. The
@@ -180,7 +149,7 @@ class OpBase : public dam::Context
     void bindOutputInto(dam::Channel* ch, const StreamPort& view);
 
     /** Re-set the priming count recorded for the bound output @p out
-     *  (a rearm payload, e.g. DispatcherOp's min(regions, total)). */
+     *  (e.g. DispatcherOp's min(regions, total) after setTotal). */
     void setPriming(const StreamPort& out, int64_t priming);
 
     /** advance() that also accrues busy-cycle statistics. */
@@ -221,17 +190,28 @@ class OpBase : public dam::Context
     }
 
     Graph& graph_;
+    int64_t computeBw_;
     int64_t flops_ = 0;
     int64_t onChipPeak_ = 0;
     dam::Cycle busy_ = 0;
 
   private:
+    friend class Graph;
+
     // Operators set endpoints only through the helpers above, which
     // record the port.
     using dam::Context::bindConsumer;
     using dam::Context::bindProducer;
 
     void recordPort(const PortDecl& port);
+
+    /**
+     * Graph::rearm's per-operator reset: measured metrics, roofline
+     * memo and the context (clock, coroutine frame). Everything else an
+     * operator needs for a run starts in its run() coroutine: locals,
+     * or members its prologue re-initialises.
+     */
+    void resetForRun();
 
     /** This op's slice of the graph's port storage (see Graph). */
     uint32_t firstPort_ = 0;

@@ -4,8 +4,8 @@
 
 namespace step {
 
-OpBase::OpBase(Graph& g, std::string name)
-    : dam::Context(std::move(name)), graph_(g)
+OpBase::OpBase(Graph& g, std::string name, int64_t compute_bw)
+    : dam::Context(std::move(name)), graph_(g), computeBw_(compute_bw)
 {}
 
 std::span<const PortDecl>
@@ -69,13 +69,13 @@ OpBase::setPriming(const StreamPort& out, int64_t priming)
 }
 
 void
-OpBase::rearm(const RearmSpec&)
+OpBase::resetForRun()
 {
     flops_ = 0;
     onChipPeak_ = 0;
     busy_ = 0;
-    // Invalidate the roofline memo: a rearm may change the operator's
-    // compute bandwidth, which the memo key deliberately omits.
+    // Invalidate the roofline memo: a rearmed run may use a new compute
+    // bandwidth (setComputeBw), which the memo key deliberately omits.
     memoIn_ = -1;
     memoFlops_ = -1;
     memoOut_ = -1;
@@ -174,7 +174,7 @@ Graph::rearm(const SimConfig& cfg)
         channels_[i]->rearm(configSized_[i] ? cfg_.channelCapacity
                                             : channels_[i]->capacity());
     for (OpBase* op : ops_)
-        op->rearm(RearmSpec{});
+        op->resetForRun();
 }
 
 void

@@ -100,8 +100,8 @@ class Graph
      * Tear down the current build for reuse: operator destructors run
      * in reverse order, the arena rewinds,
      * channels return to a pool for reinit, and the memory models reset.
-     * The next build bump-allocates through the retained blocks, reuses
-     * pooled channel storage, and hits the interned name pool — so
+     * The next build bump-allocates through the retained blocks and
+     * reuses pooled channel storage (name and ring buffers) — so
      * steady-state rebuilds of a structurally stable graph stop paying
      * per-node heap allocation.
      */
@@ -112,7 +112,10 @@ class Graph
      * the current build alive and reset only their run-time state
      * (clocks, coroutine frames, FIFO contents, measured metrics,
      * memory models), so the same graph can run again after its
-     * per-iteration parameters are patched through OpBase::rearm().
+     * per-iteration parameters are patched through the operators'
+     * typed setters (SourceOp::setTokens, RandomOffChipLoadOp::
+     * setTensor, DispatcherOp::setTotal, OpBase::setComputeBw). An
+     * operator's own run state starts in its run() coroutine.
      * This skips the ~190 operator constructors a recycle+rebuild pays
      * and is valid only while the graph structure (operator set,
      * channel wiring and latency) is unchanged — callers key on a

@@ -12,8 +12,7 @@ namespace step {
 
 MapOp::MapOp(Graph& g, const std::string& name, std::vector<StreamPort> ins,
              MapFn fn, int64_t compute_bw, DataType out_dtype)
-    : OpBase(g, name), ins_(std::move(ins)), fn_(std::move(fn)),
-      computeBw_(compute_bw)
+    : OpBase(g, name, compute_bw), ins_(std::move(ins)), fn_(std::move(fn))
 {
     STEP_ASSERT(ins_.size() == 1 || ins_.size() == 2,
                 "Map takes 1 or 2 inputs");
@@ -108,14 +107,6 @@ MapOp::run()
     co_return;
 }
 
-void
-MapOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    if (spec.computeBw >= 0)
-        computeBw_ = spec.computeBw;
-}
-
 // ---------------------------------------------------------------------
 // AccumOp
 // ---------------------------------------------------------------------
@@ -123,8 +114,8 @@ MapOp::rearm(const RearmSpec& spec)
 AccumOp::AccumOp(Graph& g, const std::string& name, StreamPort in,
                  size_t rank, AccumInitFn init, AccumUpdateFn update,
                  int64_t compute_bw, DataType out_dtype)
-    : OpBase(g, name), in_(in), rank_(rank), init_(std::move(init)),
-      update_(std::move(update)), computeBw_(compute_bw)
+    : OpBase(g, name, compute_bw), in_(in), rank_(rank),
+      init_(std::move(init)), update_(std::move(update))
 {
     STEP_ASSERT(rank_ >= 1 && rank_ <= in_.rank(),
                 "Accum rank " << rank_ << " vs input rank " << in_.rank()
@@ -140,9 +131,10 @@ AccumOp::run()
     Value state = init_();
     bool saw_data = false;
     const bool full_reduce = rank_ == in_.rank();
+    StopCoalescer coal;
     while (true) {
         if (in_.ch->empty())
-            STEP_FLUSH(out_.ch, coal_);
+            STEP_FLUSH(out_.ch, coal);
         Token t = co_await in_.ch->read(*this);
         if (t.isData()) {
             saw_data = true;
@@ -157,31 +149,22 @@ AccumOp::run()
             busyAdvance(dt);
         } else if (t.isStop()) {
             if (t.level() >= rank_) {
-                STEP_EMIT(out_.ch, coal_.onData(std::move(state)));
+                STEP_EMIT(out_.ch, coal.onData(std::move(state)));
                 state = init_();
                 if (t.level() > rank_) {
-                    STEP_EMIT(out_.ch, coal_.onStop(
+                    STEP_EMIT(out_.ch, coal.onStop(
                         t.level() - static_cast<uint32_t>(rank_)));
                 }
             }
             busyAdvance(1);
         } else {
             if (full_reduce && saw_data)
-                STEP_EMIT(out_.ch, coal_.onData(std::move(state)));
-            STEP_EMIT(out_.ch, coal_.onDone());
+                STEP_EMIT(out_.ch, coal.onData(std::move(state)));
+            STEP_EMIT(out_.ch, coal.onDone());
             break;
         }
     }
     co_return;
-}
-
-void
-AccumOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    coal_.reset();
-    if (spec.computeBw >= 0)
-        computeBw_ = spec.computeBw;
 }
 
 // ---------------------------------------------------------------------
@@ -191,8 +174,8 @@ AccumOp::rearm(const RearmSpec& spec)
 ScanOp::ScanOp(Graph& g, const std::string& name, StreamPort in, size_t rank,
                AccumInitFn init, AccumUpdateFn update, int64_t compute_bw,
                DataType out_dtype)
-    : OpBase(g, name), in_(in), rank_(rank), init_(std::move(init)),
-      update_(std::move(update)), computeBw_(compute_bw)
+    : OpBase(g, name, compute_bw), in_(in), rank_(rank),
+      init_(std::move(init)), update_(std::move(update))
 {
     STEP_ASSERT(rank_ >= 1 && rank_ <= in_.rank(),
                 "Scan rank " << rank_ << " vs input rank " << in_.rank());
@@ -230,14 +213,6 @@ ScanOp::run()
     co_return;
 }
 
-void
-ScanOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    if (spec.computeBw >= 0)
-        computeBw_ = spec.computeBw;
-}
-
 // ---------------------------------------------------------------------
 // FlatMapOp
 // ---------------------------------------------------------------------
@@ -245,8 +220,8 @@ ScanOp::rearm(const RearmSpec& spec)
 FlatMapOp::FlatMapOp(Graph& g, const std::string& name, StreamPort in,
                      FlatMapFn fn, StreamShape fn_dims, DataType out_dtype,
                      int64_t compute_bw)
-    : OpBase(g, name), in_(in), fn_(std::move(fn)), rank_(fn_dims.rank()),
-      computeBw_(compute_bw)
+    : OpBase(g, name, compute_bw), in_(in), fn_(std::move(fn)),
+      rank_(fn_dims.rank())
 {
     STEP_ASSERT(rank_ >= 1, "FlatMap expansion rank must be >= 1");
     bindInput(in_);
@@ -260,9 +235,10 @@ dam::SimTask
 FlatMapOp::run()
 {
     const auto b = static_cast<uint32_t>(rank_);
+    StopCoalescer coal;
     while (true) {
         if (in_.ch->empty())
-            STEP_FLUSH(out_.ch, coal_);
+            STEP_FLUSH(out_.ch, coal);
         Token t = co_await in_.ch->read(*this);
         if (t.isData()) {
             int64_t flops = 0;
@@ -278,27 +254,18 @@ FlatMapOp::run()
                             et.level() < b),
                             "FlatMap fn emitted token beyond rank "
                             << rank_);
-                STEP_EMIT(out_.ch, coal_.onToken(std::move(et)));
+                STEP_EMIT(out_.ch, coal.onToken(std::move(et)));
             }
-            STEP_EMIT(out_.ch, coal_.onStop(b));
+            STEP_EMIT(out_.ch, coal.onStop(b));
         } else if (t.isStop()) {
             busyAdvance(1);
-            STEP_EMIT(out_.ch, coal_.onStop(t.level() + b));
+            STEP_EMIT(out_.ch, coal.onStop(t.level() + b));
         } else {
-            STEP_EMIT(out_.ch, coal_.onDone());
+            STEP_EMIT(out_.ch, coal.onDone());
             break;
         }
     }
     co_return;
-}
-
-void
-FlatMapOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    coal_.reset();
-    if (spec.computeBw >= 0)
-        computeBw_ = spec.computeBw;
 }
 
 // ---------------------------------------------------------------------

@@ -47,7 +47,6 @@ class MapOp : public OpBase
 
     dam::SimTask run() override;
 
-    int64_t allocatedComputeBw() const override { return computeBw_; }
     sym::Expr onChipMemExpr() const override { return onChipExpr_; }
 
     /**
@@ -57,12 +56,9 @@ class MapOp : public OpBase
      */
     void setMatmulMemSpec(size_t weight_input);
 
-    void rearm(const RearmSpec& spec) override;
-
   private:
     std::vector<StreamPort> ins_;
     MapFn fn_;
-    int64_t computeBw_;
     StreamPort out_;
     int weightInput_ = -1;
     sym::Expr onChipExpr_ = sym::Expr(0);
@@ -87,7 +83,6 @@ class AccumOp : public OpBase
 
     dam::SimTask run() override;
 
-    int64_t allocatedComputeBw() const override { return computeBw_; }
     /** |output dtype| (section 4.2). */
     sym::Expr
     onChipMemExpr() const override
@@ -95,16 +90,12 @@ class AccumOp : public OpBase
         return out_.dtype.sizeBytes();
     }
 
-    void rearm(const RearmSpec& spec) override;
-
   private:
     StreamPort in_;
     size_t rank_;
     AccumInitFn init_;
     AccumUpdateFn update_;
-    int64_t computeBw_;
     StreamPort out_;
-    StopCoalescer coal_;
 };
 
 /** Scan: like Accum but emits the running state on every element. */
@@ -119,21 +110,17 @@ class ScanOp : public OpBase
 
     dam::SimTask run() override;
 
-    int64_t allocatedComputeBw() const override { return computeBw_; }
     sym::Expr
     onChipMemExpr() const override
     {
         return out_.dtype.sizeBytes();
     }
 
-    void rearm(const RearmSpec& spec) override;
-
   private:
     StreamPort in_;
     size_t rank_;
     AccumInitFn init_;
     AccumUpdateFn update_;
-    int64_t computeBw_;
     StreamPort out_;
 };
 
@@ -156,17 +143,11 @@ class FlatMapOp : public OpBase
 
     dam::SimTask run() override;
 
-    int64_t allocatedComputeBw() const override { return computeBw_; }
-
-    void rearm(const RearmSpec& spec) override;
-
   private:
     StreamPort in_;
     FlatMapFn fn_;
     size_t rank_;
-    int64_t computeBw_;
     StreamPort out_;
-    StopCoalescer coal_;
     /** Expansion scratch (capacity reused across events). */
     std::vector<Token> expScratch_;
 };

@@ -87,9 +87,10 @@ LinearOffChipLoadOp::LinearOffChipLoadOp(Graph& g, const std::string& name,
 dam::SimTask
 LinearOffChipLoadOp::run()
 {
+    StopCoalescer coal;
     while (true) {
         if (ref_.ch->empty())
-            STEP_FLUSH(out_.ch, coal_);
+            STEP_FLUSH(out_.ch, coal);
         Token t = co_await ref_.ch->read(*this);
         if (t.isData()) {
             for (int64_t i = 0; i < outShape_[0]; ++i) {
@@ -102,18 +103,18 @@ LinearOffChipLoadOp::run()
                     dam::Cycle done_at = graph_.memModel().access(
                         addr, tensor_.tileBytes(), now(), false);
                     busyAdvance(1);
-                    STEP_FLUSH(out_.ch, coal_);
+                    STEP_FLUSH(out_.ch, coal);
                     co_await out_.ch->writeAt(
                         *this, Token::data(tensor_.tileAt(ti, tj)),
                         done_at);
                 }
-                STEP_EMIT(out_.ch, coal_.onStop(1));
+                STEP_EMIT(out_.ch, coal.onStop(1));
             }
-            STEP_EMIT(out_.ch, coal_.onStop(2));
+            STEP_EMIT(out_.ch, coal.onStop(2));
         } else if (t.isStop()) {
-            STEP_EMIT(out_.ch, coal_.onStop(t.level() + 2));
+            STEP_EMIT(out_.ch, coal.onStop(t.level() + 2));
         } else {
-            STEP_EMIT(out_.ch, coal_.onDone());
+            STEP_EMIT(out_.ch, coal.onDone());
             break;
         }
     }
@@ -146,6 +147,8 @@ LinearOffChipStoreOp::LinearOffChipStoreOp(Graph& g, const std::string& name,
 dam::SimTask
 LinearOffChipStoreOp::run()
 {
+    cursor_ = 0;
+    lastWrite_ = 0;
     while (true) {
         Token t = co_await in_.ch->read(*this);
         if (t.isData()) {
@@ -215,9 +218,10 @@ RandomOffChipLoadOp::addrIndexOf(const Value& v)
 dam::SimTask
 RandomOffChipLoadOp::run()
 {
+    StopCoalescer coal;
     while (true) {
         if (addr_.ch->empty())
-            STEP_FLUSH(out_.ch, coal_);
+            STEP_FLUSH(out_.ch, coal);
         Token t = co_await addr_.ch->read(*this);
         if (t.isData()) {
             int64_t idx = addrIndexOf(t.value());
@@ -240,20 +244,20 @@ RandomOffChipLoadOp::run()
                               j % tensor_.inShapeTiles[1])
                         : Tile(tensor_.tileRows, tensor_.tileCols,
                                tensor_.elemBytes);
-                    STEP_FLUSH(out_.ch, coal_);
+                    STEP_FLUSH(out_.ch, coal);
                     co_await out_.ch->writeAt(
                         *this, Token::data(std::move(tile)), done_at);
                 }
                 if (gridMode_)
-                    STEP_EMIT(out_.ch, coal_.onStop(1));
+                    STEP_EMIT(out_.ch, coal.onStop(1));
             }
             if (gridMode_)
-                STEP_EMIT(out_.ch, coal_.onStop(2));
+                STEP_EMIT(out_.ch, coal.onStop(2));
         } else if (t.isStop()) {
             STEP_EMIT(out_.ch,
-                      coal_.onStop(t.level() + (gridMode_ ? 2 : 0)));
+                      coal.onStop(t.level() + (gridMode_ ? 2 : 0)));
         } else {
-            STEP_EMIT(out_.ch, coal_.onDone());
+            STEP_EMIT(out_.ch, coal.onDone());
             break;
         }
     }
@@ -326,37 +330,6 @@ sym::Expr
 RandomOffChipStoreOp::onChipMemExpr() const
 {
     return wdata_.dtype.sizeBytes() * sym::Expr(2);
-}
-
-
-// ---------------------------------------------------------------------
-// rearm overrides
-// ---------------------------------------------------------------------
-
-void
-LinearOffChipLoadOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    coal_.reset();
-    if (spec.tensor)
-        tensor_ = *spec.tensor;
-}
-
-void
-LinearOffChipStoreOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    cursor_ = 0;
-    lastWrite_ = 0;
-}
-
-void
-RandomOffChipLoadOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    coal_.reset();
-    if (spec.tensor)
-        tensor_ = *spec.tensor;
 }
 
 } // namespace step

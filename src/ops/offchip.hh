@@ -71,16 +71,12 @@ class LinearOffChipLoadOp : public OpBase
     sym::Expr offChipTrafficExpr() const override;
     sym::Expr onChipMemExpr() const override;
 
-    /** spec.tensor swaps in new tensor metadata (same tile geometry). */
-    void rearm(const RearmSpec& spec) override;
-
   private:
     StreamPort ref_;
     OffChipTensor tensor_;
     std::array<int64_t, 2> stride_;
     std::array<int64_t, 2> outShape_;
     StreamPort out_;
-    StopCoalescer coal_;
 };
 
 /** LinearOffChipStore: writes the input tiles linearly from baseAddr. */
@@ -99,11 +95,11 @@ class LinearOffChipStoreOp : public OpBase
     dam::Cycle lastWrite() const { return lastWrite_; }
     int64_t bytesStored() const { return cursor_; }
 
-    void rearm(const RearmSpec& spec) override;
-
   private:
     StreamPort in_;
     uint64_t base_;
+    /** Bytes stored and last completion of the latest run; run() zeroes
+     *  them. */
     int64_t cursor_ = 0;
     dam::Cycle lastWrite_ = 0;
 };
@@ -134,9 +130,9 @@ class RandomOffChipLoadOp : public OpBase
     /** Interpret an address-stream element as a block index. */
     static int64_t addrIndexOf(const Value& v);
 
-    /** spec.tensor swaps in new tensor metadata (e.g. per-iteration KV
-     *  extents); the block stride and output grid stay as built. */
-    void rearm(const RearmSpec& spec) override;
+    /** Swap in new tensor metadata for the next run (e.g. per-iteration
+     *  KV extents); the block stride and output grid stay as built. */
+    void setTensor(const OffChipTensor& tensor) { tensor_ = tensor; }
 
   private:
     StreamPort addr_;
@@ -145,7 +141,6 @@ class RandomOffChipLoadOp : public OpBase
     std::array<int64_t, 2> outShape_;
     bool gridMode_;
     StreamPort out_;
-    StopCoalescer coal_;
 };
 
 /**

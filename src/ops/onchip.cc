@@ -68,6 +68,7 @@ BufferizeOp::run()
     const bool full = rank_ == in_.rank();
     std::vector<Token> toks;
     int64_t payload = 0;
+    StopCoalescer coal;
     auto flush_buffer = [&]() -> Token {
         StoredBuffer buf;
         buf.payloadBytes = payload;
@@ -83,7 +84,7 @@ BufferizeOp::run()
 
     while (true) {
         if (in_.ch->empty())
-            STEP_FLUSH(out_.ch, coal_);
+            STEP_FLUSH(out_.ch, coal);
         Token t = co_await in_.ch->read(*this);
         if (t.isData()) {
             int64_t bytes = t.value().bytes();
@@ -97,18 +98,18 @@ BufferizeOp::run()
             busyAdvance(1);
             if (t.level() >= b) {
                 Token buf = flush_buffer();
-                STEP_EMIT(out_.ch, coal_.onData(buf.takeValue()));
+                STEP_EMIT(out_.ch, coal.onData(buf.takeValue()));
                 if (t.level() > b)
-                    STEP_EMIT(out_.ch, coal_.onStop(t.level() - b));
+                    STEP_EMIT(out_.ch, coal.onStop(t.level() - b));
             } else {
                 toks.push_back(std::move(t));
             }
         } else {
             if (full && (!toks.empty() || payload > 0)) {
                 Token buf = flush_buffer();
-                STEP_EMIT(out_.ch, coal_.onData(buf.takeValue()));
+                STEP_EMIT(out_.ch, coal.onData(buf.takeValue()));
             }
-            STEP_EMIT(out_.ch, coal_.onDone());
+            STEP_EMIT(out_.ch, coal.onDone());
             break;
         }
     }
@@ -160,6 +161,7 @@ StreamifyOp::run()
     const auto c = static_cast<uint32_t>(refInnerRank_);
     std::optional<uint64_t> cur;
     auto bw = graph_.config().onChipBwBytesPerCycle;
+    StopCoalescer coal;
 
     auto release_current = [&]() {
         if (cur) {
@@ -170,7 +172,7 @@ StreamifyOp::run()
 
     while (true) {
         if (ref_.ch->empty())
-            STEP_FLUSH(out_.ch, coal_);
+            STEP_FLUSH(out_.ch, coal);
         Token t = co_await ref_.ch->read(*this);
         if (t.isData()) {
             while (!cur) {
@@ -204,29 +206,29 @@ StreamifyOp::run()
                         busyAdvance(std::max<dam::Cycle>(
                             1, static_cast<dam::Cycle>(
                                 (v.bytes() + bw - 1) / bw)));
-                        STEP_EMIT(out_.ch, coal_.onData(v));
+                        STEP_EMIT(out_.ch, coal.onData(v));
                     }
-                    STEP_EMIT(out_.ch, coal_.onStop(1));
+                    STEP_EMIT(out_.ch, coal.onStop(1));
                 }
-                STEP_EMIT(out_.ch, coal_.onStop(2));
+                STEP_EMIT(out_.ch, coal.onStop(2));
             } else {
                 for (const auto& bt : buf.toks) {
                     if (bt.isData()) {
                         busyAdvance(std::max<dam::Cycle>(
                             1, static_cast<dam::Cycle>(
                                 (bt.value().bytes() + bw - 1) / bw)));
-                        STEP_EMIT(out_.ch, coal_.onData(bt.value()));
+                        STEP_EMIT(out_.ch, coal.onData(bt.value()));
                     } else {
-                        STEP_EMIT(out_.ch, coal_.onStop(bt.level()));
+                        STEP_EMIT(out_.ch, coal.onStop(bt.level()));
                     }
                 }
-                STEP_EMIT(out_.ch, coal_.onStop(added));
+                STEP_EMIT(out_.ch, coal.onStop(added));
             }
             if (c == 0)
                 release_current();
         } else if (t.isStop()) {
             busyAdvance(1);
-            STEP_EMIT(out_.ch, coal_.onStop(t.level() + added));
+            STEP_EMIT(out_.ch, coal.onStop(t.level() + added));
             if (t.level() >= c && c > 0)
                 release_current();
         } else {
@@ -239,26 +241,11 @@ StreamifyOp::run()
                     graph_.scratchpad().release(
                         ti.value().bufferRef().id);
             }
-            STEP_EMIT(out_.ch, coal_.onDone());
+            STEP_EMIT(out_.ch, coal.onDone());
             break;
         }
     }
     co_return;
-}
-
-
-void
-BufferizeOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    coal_.reset();
-}
-
-void
-StreamifyOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    coal_.reset();
 }
 
 } // namespace step

@@ -29,13 +29,10 @@ class BufferizeOp : public OpBase
     /** |in dtype| + ||buffer|| * |in dtype| * 2 (double buffering). */
     sym::Expr onChipMemExpr() const override;
 
-    void rearm(const RearmSpec& spec) override;
-
   private:
     StreamPort in_;
     size_t rank_;
     StreamPort out_;
-    StopCoalescer coal_;
 };
 
 /** Affine-read parameters for regular buffers (tile-grid indices). */
@@ -63,7 +60,6 @@ class StreamifyOp : public OpBase
     StreamPort out() const { return out_; }
 
     dam::SimTask run() override;
-    void rearm(const RearmSpec& spec) override;
 
   private:
     size_t addedRank() const;
@@ -73,7 +69,6 @@ class StreamifyOp : public OpBase
     size_t refInnerRank_;
     std::optional<StreamifyAffine> affine_;
     StreamPort out_;
-    StopCoalescer coal_;
 };
 
 } // namespace step

@@ -52,6 +52,7 @@ dam::SimTask
 PartitionOp::run()
 {
     const auto p = static_cast<uint32_t>(rank_);
+    coals_.assign(outs_.size(), StopCoalescer{});
     while (true) {
         if (sel_.ch->empty()) {
             for (size_t o = 0; o < outs_.size(); ++o)
@@ -115,14 +116,6 @@ PartitionOp::run()
     co_return;
 }
 
-void
-PartitionOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    for (auto& c : coals_)
-        c.reset();
-}
-
 // ---------------------------------------------------------------------
 // Reassemble
 // ---------------------------------------------------------------------
@@ -152,9 +145,10 @@ dam::SimTask
 ReassembleOp::run()
 {
     const auto b = static_cast<uint32_t>(rank_);
+    StopCoalescer coal;
     while (true) {
         if (sel_.ch->empty())
-            STEP_FLUSH(out_.ch, coal_);
+            STEP_FLUSH(out_.ch, coal);
         Token ts = co_await sel_.ch->read(*this);
         if (ts.isData()) {
             const auto& picked = ts.value().selector().indices;
@@ -188,38 +182,31 @@ ReassembleOp::run()
                     busyAdvance(routeCost(
                         t, graph_.config().onChipBwBytesPerCycle));
                     if (t.isData()) {
-                        STEP_PASS(out_.ch, coal_, t);
+                        STEP_PASS(out_.ch, coal, t);
                     } else if (t.level() < b) {
-                        STEP_EMIT(out_.ch, coal_.onStop(t.level()));
+                        STEP_EMIT(out_.ch, coal.onStop(t.level()));
                     } else {
                         break; // chunk terminator consumed
                     }
                 }
                 if (si + 1 < sel.size())
-                    STEP_EMIT(out_.ch, coal_.onStop(b));
+                    STEP_EMIT(out_.ch, coal.onStop(b));
             }
-            STEP_EMIT(out_.ch, coal_.onStop(b + 1));
+            STEP_EMIT(out_.ch, coal.onStop(b + 1));
         } else if (ts.isStop()) {
             busyAdvance(1);
-            STEP_EMIT(out_.ch, coal_.onStop(b + 1 + ts.level()));
+            STEP_EMIT(out_.ch, coal.onStop(b + 1 + ts.level()));
         } else {
             for (size_t i = 0; i < ins_.size(); ++i) {
                 Token t = co_await ins_[i].ch->read(*this);
                 STEP_ASSERT(t.isDone(), "trailing tokens on reassemble "
                             << "input " << i << ": " << t.toString());
             }
-            STEP_EMIT(out_.ch, coal_.onDone());
+            STEP_EMIT(out_.ch, coal.onDone());
             break;
         }
     }
     co_return;
-}
-
-void
-ReassembleOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    coal_.reset();
 }
 
 // ---------------------------------------------------------------------
@@ -242,9 +229,9 @@ EagerMergeOp::EagerMergeOp(Graph& g, const std::string& name,
     bindOutput(out_, name + ".out", std::move(out_shape), ins_[0].dtype);
     bindOutput(selOut_, name + ".sel", StreamShape({Dim::ragged()}),
                DataType::selector(static_cast<int64_t>(ins_.size())));
-    // Reserve at build time so re-blocking never allocates.
+    // Reserve at build time so re-blocking and run() never allocate.
     waitScratch_.reserve(ins_.size());
-    done_.assign(ins_.size(), false);
+    done_.reserve(ins_.size());
 }
 
 int
@@ -264,24 +251,18 @@ EagerMergeOp::pickAvailable(const std::vector<bool>& done) const
     return best;
 }
 
-void
-EagerMergeOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    coal_.reset();
-    done_.assign(ins_.size(), false);
-}
-
 dam::SimTask
 EagerMergeOp::run()
 {
     const auto b = static_cast<uint32_t>(rank_);
     std::vector<bool>& done = done_;
+    done.assign(ins_.size(), false);
     size_t remaining = ins_.size();
+    StopCoalescer coal;
     while (remaining > 0) {
         int pick = pickAvailable(done);
         if (pick < 0) {
-            STEP_FLUSH(out_.ch, coal_);
+            STEP_FLUSH(out_.ch, coal);
             waitScratch_.clear();
             for (size_t i = 0; i < ins_.size(); ++i)
                 if (!done[i])
@@ -320,7 +301,7 @@ EagerMergeOp::run()
             Token t = co_await ins_[pi].ch->read(*this);
             busyAdvance(routeCost(
                 t, graph_.config().onChipBwBytesPerCycle));
-            STEP_PASS(out_.ch, coal_, t);
+            STEP_PASS(out_.ch, coal, t);
             continue;
         }
         while (true) {
@@ -328,21 +309,21 @@ EagerMergeOp::run()
             busyAdvance(routeCost(
                 t, graph_.config().onChipBwBytesPerCycle));
             if (t.isData()) {
-                STEP_PASS(out_.ch, coal_, t);
+                STEP_PASS(out_.ch, coal, t);
             } else if (t.isStop() && t.level() < b) {
-                STEP_EMIT(out_.ch, coal_.onStop(t.level()));
+                STEP_EMIT(out_.ch, coal.onStop(t.level()));
             } else if (t.isStop()) {
-                STEP_EMIT(out_.ch, coal_.onStop(b));
+                STEP_EMIT(out_.ch, coal.onStop(b));
                 break;
             } else {
-                STEP_EMIT(out_.ch, coal_.onStop(b));
+                STEP_EMIT(out_.ch, coal.onStop(b));
                 done[pi] = true;
                 --remaining;
                 break;
             }
         }
     }
-    STEP_EMIT(out_.ch, coal_.onDone());
+    STEP_EMIT(out_.ch, coal.onDone());
     STEP_EMIT_RAW(selOut_.ch, Token::done());
     co_return;
 }
@@ -376,17 +357,15 @@ DispatcherOp::DispatcherOp(Graph& g, const std::string& name,
 }
 
 void
-DispatcherOp::rearm(const RearmSpec& spec)
+DispatcherOp::setTotal(uint64_t total)
 {
-    OpBase::rearm(spec);
-    if (spec.total < 0)
-        return;
     const Dim& extent = out_.shape.outer(0);
-    STEP_ASSERT(!extent.isStatic() || extent.size.equals(spec.total),
+    STEP_ASSERT(!extent.isStatic() ||
+                extent.size.equals(static_cast<int64_t>(total)),
                 name() << " declares the static extent "
                        << extent.toString() << "; rebuild it to change "
-                       << "its total to " << spec.total);
-    total_ = static_cast<uint64_t>(spec.total);
+                       << "its total to " << total);
+    total_ = total;
     setPriming(out_, dispatcherPriming(regions_, total_));
 }
 

@@ -25,16 +25,15 @@ class PartitionOp : public OpBase
                 StreamPort sel, size_t rank, size_t num_consumers);
 
     StreamPort out(size_t i) const { return outs_.at(i); }
-    size_t numOuts() const { return outs_.size(); }
 
     dam::SimTask run() override;
-    void rearm(const RearmSpec& spec) override;
 
   private:
     StreamPort in_;
     StreamPort sel_;
     size_t rank_;
     std::vector<StreamPort> outs_;
+    /** One per output, re-initialised by run(). */
     std::vector<StopCoalescer> coals_;
 };
 
@@ -54,14 +53,12 @@ class ReassembleOp : public OpBase
     StreamPort out() const { return out_; }
 
     dam::SimTask run() override;
-    void rearm(const RearmSpec& spec) override;
 
   private:
     std::vector<StreamPort> ins_;
     StreamPort sel_;
     size_t rank_;
     StreamPort out_;
-    StopCoalescer coal_;
     /** Per-selection scratch (capacity reused across events). */
     std::vector<uint32_t> selScratch_;
 };
@@ -81,7 +78,6 @@ class EagerMergeOp : public OpBase
     StreamPort selOut() const { return selOut_; }
 
     dam::SimTask run() override;
-    void rearm(const RearmSpec& spec) override;
 
   private:
     /** Pick the available input with the earliest head token. */
@@ -91,10 +87,9 @@ class EagerMergeOp : public OpBase
     size_t rank_;
     StreamPort out_;
     StreamPort selOut_;
-    StopCoalescer coal_;
     /** Re-block scratch for WaitAny (capacity reused across events). */
     std::vector<dam::Channel*> waitScratch_;
-    /** Per-input exhaustion flags; sized at build (run() runs once). */
+    /** Per-input exhaustion flags, re-initialised by run(). */
     std::vector<bool> done_;
 };
 
@@ -107,9 +102,9 @@ class EagerMergeOp : public OpBase
  * selectors are emitted before any completion is read, so the output is
  * bound with min(regions, total) priming tokens: the initial tokens
  * that keep the feedback cycle live. The output declares @p extent as
- * its length: Dim::fixed(total), or a symbol when the builder rearms the
- * total (RearmSpec::total), since a static extent cannot follow a new
- * total.
+ * its length: Dim::fixed(total), or a symbol when the builder re-sets
+ * the total on a rearmed graph (setTotal), since a static extent cannot
+ * follow a new total.
  */
 class DispatcherOp : public OpBase
 {
@@ -120,7 +115,13 @@ class DispatcherOp : public OpBase
     StreamPort out() const { return out_; }
 
     dam::SimTask run() override;
-    void rearm(const RearmSpec& spec) override;
+
+    /**
+     * Emit @p total selectors on the next run and re-prime the output
+     * to min(regions, total). Asserts when the output declares a static
+     * extent other than @p total.
+     */
+    void setTotal(uint64_t total);
 
   private:
     StreamPort completions_;

@@ -26,29 +26,30 @@ FlattenOp::run()
     const auto drop = static_cast<uint32_t>(hi_ - lo_);
     // Whether the open element of dimension lo holds anything yet.
     bool open = false;
+    StopCoalescer coal;
     while (true) {
         if (in_.ch->empty())
-            STEP_FLUSH(out_.ch, coal_);
+            STEP_FLUSH(out_.ch, coal);
         Token t = co_await in_.ch->read(*this);
         busyAdvance(1);
         if (t.isData()) {
             open = true;
-            STEP_PASS(out_.ch, coal_, t);
+            STEP_PASS(out_.ch, coal, t);
         } else if (t.isStop()) {
             uint32_t l = t.level();
             if (l <= lo) {
-                STEP_EMIT(out_.ch, coal_.onStop(l));
+                STEP_EMIT(out_.ch, coal.onStop(l));
             } else if (l <= hi_) {
                 // A separator inside the flattened range dissolves, but
                 // it still ends a non-empty element of dimension lo.
                 if (lo > 0 && open)
-                    STEP_EMIT(out_.ch, coal_.onStop(lo));
+                    STEP_EMIT(out_.ch, coal.onStop(lo));
             } else {
-                STEP_EMIT(out_.ch, coal_.onStop(l - drop));
+                STEP_EMIT(out_.ch, coal.onStop(l - drop));
             }
             open = l < lo;
         } else {
-            STEP_EMIT(out_.ch, coal_.onDone());
+            STEP_EMIT(out_.ch, coal.onDone());
             break;
         }
     }
@@ -91,28 +92,30 @@ ReshapeOp::run()
 {
     const auto b = static_cast<uint32_t>(rank_);
     int64_t count = 0; // elements (rank 0) or chunks (rank b) seen
+    StopCoalescer coal;
+    StopCoalescer pad_coal;
     while (true) {
         if (in_.ch->empty()) {
-            STEP_FLUSH(out_.ch, coal_);
+            STEP_FLUSH(out_.ch, coal);
             if (padOut_.ch)
-                STEP_FLUSH(padOut_.ch, padCoal_);
+                STEP_FLUSH(padOut_.ch, pad_coal);
         }
         Token t = co_await in_.ch->read(*this);
         busyAdvance(1);
         if (t.isData()) {
             if (b == 0) {
-                STEP_PASS(out_.ch, coal_, t);
+                STEP_PASS(out_.ch, coal, t);
                 if (padOut_.ch) {
-                    STEP_EMIT(padOut_.ch, padCoal_.onData(
+                    STEP_EMIT(padOut_.ch, pad_coal.onData(
                         Tile::withData(1, 1, {0.0f}, 1)));
                 }
                 if (++count % chunk_ == 0) {
-                    STEP_EMIT(out_.ch, coal_.onStop(1));
+                    STEP_EMIT(out_.ch, coal.onStop(1));
                     if (padOut_.ch)
-                        STEP_EMIT(padOut_.ch, padCoal_.onStop(1));
+                        STEP_EMIT(padOut_.ch, pad_coal.onStop(1));
                 }
             } else {
-                STEP_PASS(out_.ch, coal_, t);
+                STEP_PASS(out_.ch, coal, t);
             }
         } else if (t.isStop()) {
             uint32_t l = t.level();
@@ -122,24 +125,24 @@ ReshapeOp::run()
                                 << " not divisible by " << chunk_
                                 << " and no pad value in " << name());
                     while (count % chunk_ != 0) {
-                        STEP_EMIT(out_.ch, coal_.onData(*pad_));
+                        STEP_EMIT(out_.ch, coal.onData(*pad_));
                         if (padOut_.ch) {
-                            STEP_EMIT(padOut_.ch, padCoal_.onData(
+                            STEP_EMIT(padOut_.ch, pad_coal.onData(
                                 Tile::withData(1, 1, {1.0f}, 1)));
                         }
                         ++count;
                     }
                 }
                 count = 0;
-                STEP_EMIT(out_.ch, coal_.onStop(l + 1));
+                STEP_EMIT(out_.ch, coal.onStop(l + 1));
                 if (padOut_.ch)
-                    STEP_EMIT(padOut_.ch, padCoal_.onStop(l + 1));
+                    STEP_EMIT(padOut_.ch, pad_coal.onStop(l + 1));
             } else {
                 if (l < b) {
-                    STEP_EMIT(out_.ch, coal_.onStop(l));
+                    STEP_EMIT(out_.ch, coal.onStop(l));
                 } else if (l == b) {
                     ++count;
-                    STEP_EMIT(out_.ch, coal_.onStop(
+                    STEP_EMIT(out_.ch, coal.onStop(
                         count % chunk_ == 0 ? b + 1 : b));
                 } else {
                     STEP_ASSERT(count % chunk_ == 0,
@@ -147,7 +150,7 @@ ReshapeOp::run()
                                 << " chunks) not divisible by " << chunk_
                                 << " in " << name());
                     count = 0;
-                    STEP_EMIT(out_.ch, coal_.onStop(l + 1));
+                    STEP_EMIT(out_.ch, coal.onStop(l + 1));
                 }
             }
         } else {
@@ -158,20 +161,20 @@ ReshapeOp::run()
                             << " not divisible by " << chunk_
                             << " and no pad value in " << name());
                 while (count % chunk_ != 0) {
-                    STEP_EMIT(out_.ch, coal_.onData(*pad_));
+                    STEP_EMIT(out_.ch, coal.onData(*pad_));
                     if (padOut_.ch) {
-                        STEP_EMIT(padOut_.ch, padCoal_.onData(
+                        STEP_EMIT(padOut_.ch, pad_coal.onData(
                             Tile::withData(1, 1, {1.0f}, 1)));
                     }
                     ++count;
                 }
-                STEP_EMIT(out_.ch, coal_.onStop(1));
+                STEP_EMIT(out_.ch, coal.onStop(1));
                 if (padOut_.ch)
-                    STEP_EMIT(padOut_.ch, padCoal_.onStop(1));
+                    STEP_EMIT(padOut_.ch, pad_coal.onStop(1));
             }
-            STEP_EMIT(out_.ch, coal_.onDone());
+            STEP_EMIT(out_.ch, coal.onDone());
             if (padOut_.ch)
-                STEP_EMIT(padOut_.ch, padCoal_.onDone());
+                STEP_EMIT(padOut_.ch, pad_coal.onDone());
             break;
         }
     }
@@ -327,22 +330,23 @@ RepeatOp::RepeatOp(Graph& g, const std::string& name, StreamPort in,
 dam::SimTask
 RepeatOp::run()
 {
+    StopCoalescer coal;
     while (true) {
         if (in_.ch->empty())
-            STEP_FLUSH(out_.ch, coal_);
+            STEP_FLUSH(out_.ch, coal);
         Token t = co_await in_.ch->read(*this);
         busyAdvance(1);
         if (t.isData()) {
             // Copies for all but the last repetition, which takes the
             // spent token's value.
             for (int64_t i = 0; i + 1 < count_; ++i)
-                STEP_EMIT(out_.ch, coal_.onData(t.value()));
-            STEP_PASS(out_.ch, coal_, t);
-            STEP_EMIT(out_.ch, coal_.onStop(1));
+                STEP_EMIT(out_.ch, coal.onData(t.value()));
+            STEP_PASS(out_.ch, coal, t);
+            STEP_EMIT(out_.ch, coal.onStop(1));
         } else if (t.isStop()) {
-            STEP_EMIT(out_.ch, coal_.onStop(t.level() + 1));
+            STEP_EMIT(out_.ch, coal.onStop(t.level() + 1));
         } else {
-            STEP_EMIT(out_.ch, coal_.onDone());
+            STEP_EMIT(out_.ch, coal.onDone());
             break;
         }
     }
@@ -419,9 +423,10 @@ FilterOp::FilterOp(Graph& g, const std::string& name, StreamPort in,
 dam::SimTask
 FilterOp::run()
 {
+    StopCoalescer coal;
     while (true) {
         if (in_.ch->empty())
-            STEP_FLUSH(out_.ch, coal_);
+            STEP_FLUSH(out_.ch, coal);
         Token t = co_await in_.ch->read(*this);
         Token m = co_await mask_.ch->read(*this);
         busyAdvance(1);
@@ -432,49 +437,15 @@ FilterOp::run()
             bool padded = m.value().tile().hasData() &&
                           m.value().tile().at(0, 0) != 0.0f;
             if (!padded)
-                STEP_PASS(out_.ch, coal_, t);
+                STEP_PASS(out_.ch, coal, t);
         } else if (t.isStop()) {
-            STEP_EMIT(out_.ch, coal_.onStop(t.level()));
+            STEP_EMIT(out_.ch, coal.onStop(t.level()));
         } else {
-            STEP_EMIT(out_.ch, coal_.onDone());
+            STEP_EMIT(out_.ch, coal.onDone());
             break;
         }
     }
     co_return;
-}
-
-
-// ---------------------------------------------------------------------
-// rearm overrides: reset the stop-coalescing state machines
-// ---------------------------------------------------------------------
-
-void
-FlattenOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    coal_.reset();
-}
-
-void
-ReshapeOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    coal_.reset();
-    padCoal_.reset();
-}
-
-void
-RepeatOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    coal_.reset();
-}
-
-void
-FilterOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    coal_.reset();
 }
 
 } // namespace step

@@ -24,14 +24,12 @@ class FlattenOp : public OpBase
 
     StreamPort out() const { return out_; }
     dam::SimTask run() override;
-    void rearm(const RearmSpec& spec) override;
 
   private:
     StreamPort in_;
     size_t lo_;
     size_t hi_;
     StreamPort out_;
-    StopCoalescer coal_;
 };
 
 /**
@@ -49,10 +47,8 @@ class ReshapeOp : public OpBase
     StreamPort out() const { return out_; }
     /** Padding indicator stream (only when a pad value was supplied). */
     StreamPort padOut() const { return padOut_; }
-    bool hasPadStream() const { return padOut_.ch != nullptr; }
 
     dam::SimTask run() override;
-    void rearm(const RearmSpec& spec) override;
 
   private:
     StreamPort in_;
@@ -61,8 +57,6 @@ class ReshapeOp : public OpBase
     std::optional<Value> pad_;
     StreamPort out_;
     StreamPort padOut_;
-    StopCoalescer coal_;
-    StopCoalescer padCoal_;
 };
 
 /** Promote adds a new outermost dimension of extent (D_a > 0 ? 1 : 0). */
@@ -125,13 +119,11 @@ class RepeatOp : public OpBase
 
     StreamPort out() const { return out_; }
     dam::SimTask run() override;
-    void rearm(const RearmSpec& spec) override;
 
   private:
     StreamPort in_;
     int64_t count_;
     StreamPort out_;
-    StopCoalescer coal_;
 };
 
 /** Zip groups 2+ same-shape streams into a tuple-typed stream. */
@@ -163,13 +155,11 @@ class FilterOp : public OpBase
 
     StreamPort out() const { return out_; }
     dam::SimTask run() override;
-    void rearm(const RearmSpec& spec) override;
 
   private:
     StreamPort in_;
     StreamPort mask_;
     StreamPort out_;
-    StopCoalescer coal_;
 };
 
 } // namespace step

@@ -7,10 +7,9 @@ namespace step {
 SourceOp::SourceOp(Graph& g, const std::string& name,
                    std::vector<Token> toks, StreamShape shape,
                    DataType dtype, dam::Cycle ii)
-    : OpBase(g, name), toks_(std::move(toks)), ii_(ii)
+    : OpBase(g, name), ii_(ii)
 {
-    STEP_ASSERT(!toks_.empty() && toks_.back().isDone(),
-                "source stream must end in Done: " << name);
+    setTokens(std::move(toks));
     bindOutput(out_, name + ".out", std::move(shape), std::move(dtype));
 }
 
@@ -18,10 +17,10 @@ dam::SimTask
 SourceOp::run()
 {
     STEP_ASSERT(armed_, "source " << name() << " re-run without a "
-                "fresh token stream (rearm spec missing tokens)");
+                "fresh token stream (setTokens)");
     armed_ = false;
     // A run consumes the pre-materialized tokens, so they can be moved
-    // out instead of copied; rearm() installs the next stream.
+    // out instead of copied; setTokens() installs the next stream.
     for (auto& t : toks_) {
         busyAdvance(ii_);
         STEP_EMIT_RAW(out_.ch, std::move(t));
@@ -30,15 +29,12 @@ SourceOp::run()
 }
 
 void
-SourceOp::rearm(const RearmSpec& spec)
+SourceOp::setTokens(std::vector<Token> toks)
 {
-    OpBase::rearm(spec);
-    if (spec.tokens) {
-        STEP_ASSERT(!spec.tokens->empty() && spec.tokens->back().isDone(),
-                    "rearm stream must end in Done: " << name());
-        toks_ = std::move(*spec.tokens);
-        armed_ = true;
-    }
+    STEP_ASSERT(!toks.empty() && toks.back().isDone(),
+                "source stream must end in Done: " << name());
+    toks_ = std::move(toks);
+    armed_ = true;
 }
 
 SinkOp::SinkOp(Graph& g, const std::string& name, StreamPort in,
@@ -51,6 +47,8 @@ SinkOp::SinkOp(Graph& g, const std::string& name, StreamPort in,
 dam::SimTask
 SinkOp::run()
 {
+    captured_.clear();
+    dataCount_ = 0;
     while (true) {
         Token t = co_await in_.ch->read(*this);
         if (t.isData())
@@ -62,14 +60,6 @@ SinkOp::run()
             break;
     }
     co_return;
-}
-
-void
-SinkOp::rearm(const RearmSpec& spec)
-{
-    OpBase::rearm(spec);
-    captured_.clear();
-    dataCount_ = 0;
 }
 
 RelayOp::RelayOp(Graph& g, const std::string& name, StreamPort in,

@@ -30,12 +30,11 @@ class SourceOp : public OpBase
     dam::SimTask run() override;
 
     /**
-     * Requires spec.tokens when re-arming for a new run: the previous
-     * stream was moved out during emission. Graph::rearm's generic
-     * pass (null tokens) leaves the source disarmed; running a
-     * disarmed source asserts.
+     * Install the stream (ending in Done) for the next run. A run moves
+     * its stream out, so a rearmed graph's sources need fresh tokens;
+     * re-running a source without them asserts.
      */
-    void rearm(const RearmSpec& spec) override;
+    void setTokens(std::vector<Token> toks);
 
   private:
     std::vector<Token> toks_;
@@ -56,11 +55,10 @@ class SinkOp : public OpBase
     const std::vector<Token>& tokens() const { return captured_; }
     uint64_t dataCount() const { return dataCount_; }
 
-    void rearm(const RearmSpec& spec) override;
-
   private:
     StreamPort in_;
     bool capture_;
+    /** What the latest run consumed; run() clears both. */
     std::vector<Token> captured_;
     uint64_t dataCount_ = 0;
 };

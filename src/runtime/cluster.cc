@@ -361,9 +361,7 @@ stampClusterTrack(obs::TraceSink& sink, const ClusterResult& r,
 ServingCluster::ServingCluster(ClusterConfig cfg, const Policy& policy)
     : cfg_(std::move(cfg)), policy_(policy),
       prefillFpt_(static_cast<double>(prefillFlopsPerToken(
-          cfg_.engine.model, cfg_.engine.numLayers > 0
-                                 ? cfg_.engine.numLayers
-                                 : cfg_.engine.model.numLayers)))
+          cfg_.engine.model, cfg_.engine.model.numLayers)))
 {
     STEP_ASSERT(cfg_.replicas >= 1, "cluster needs at least one replica");
     STEP_ASSERT(cfg_.threads >= 0, "negative worker-thread count");

@@ -349,13 +349,13 @@ decoderParams(const EngineConfig& cfg)
 {
     DecoderParams p;
     p.cfg = cfg.model;
-    p.attnStrategy = cfg.attnStrategy;
-    p.attnRegions = cfg.attnRegions;
-    p.kvTileRows = cfg.kvTileRows;
-    p.moeRegions = cfg.moeRegions;
-    p.moeTile = cfg.moeTile;
-    p.denseTile = cfg.denseTile;
-    p.weightTileCols = cfg.weightTileCols;
+    p.attnStrategy = EngineConfig::attnStrategy;
+    p.attnRegions = EngineConfig::attnRegions;
+    p.kvTileRows = EngineConfig::kvTileRows;
+    p.moeRegions = EngineConfig::moeRegions;
+    p.moeTile = EngineConfig::moeTile;
+    p.denseTile = EngineConfig::denseTile;
+    p.weightTileCols = EngineConfig::weightTileCols;
     p.seed = cfg.seed;
     return p;
 }
@@ -363,13 +363,11 @@ decoderParams(const EngineConfig& cfg)
 ServingEngine::ServingEngine(EngineConfig cfg, const Policy& policy)
     : cfg_(std::move(cfg)), policy_(policy)
 {
-    if (cfg_.numLayers == 0)
-        cfg_.numLayers = cfg_.model.numLayers;
     if (cfg_.batcher.kvBytesPerToken == 0)
         cfg_.batcher.kvBytesPerToken = cfg_.model.kvBytesPerToken();
     STEP_ASSERT(cfg_.totalComputeBw >= 2,
                 "bandwidth pool too small to split");
-    STEP_ASSERT(cfg_.numLayers > 0, "layer count must be positive");
+    STEP_ASSERT(cfg_.model.numLayers > 0, "layer count must be positive");
     STEP_ASSERT(std::ranges::is_sorted(cfg_.drainAt),
                 "drain cycles must be sorted");
 
@@ -379,11 +377,9 @@ ServingEngine::ServingEngine(EngineConfig cfg, const Policy& policy)
     baseParams_ = decoderParams(cfg_);
     // Matmul pipelines the decode share is spread over: the two dense
     // projections, the attention regions, and the MoE regions.
-    decodeUnits_ = 2 + cfg_.attnRegions +
-                   (cfg_.moeRegions > 0 ? cfg_.moeRegions
-                                        : cfg_.model.numExperts);
+    decodeUnits_ = 2 + EngineConfig::attnRegions + EngineConfig::moeRegions;
     prefillFlopsPerToken_ = static_cast<double>(
-        prefillFlopsPerToken(cfg_.model, cfg_.numLayers));
+        prefillFlopsPerToken(cfg_.model, cfg_.model.numLayers));
 }
 
 int64_t
@@ -811,8 +807,9 @@ class ServingEngine::Run::Impl
             const SimResult sim = runDecoderIteration(
                 dp_, spec, &ws.sched, &ws.graph, &ws.rearm,
                 cfg_.verifyGraphs ? &kVerifyAll : nullptr);
-            s.length = sim.cycles * static_cast<dam::Cycle>(cfg_.numLayers);
-            s.usefulFlops = sim.totalFlops * cfg_.numLayers;
+            s.length =
+                sim.cycles * static_cast<dam::Cycle>(cfg_.model.numLayers);
+            s.usefulFlops = sim.totalFlops * cfg_.model.numLayers;
             switches = sim.contextSwitches;
         } else {
             s.length = prefillOnlyCycles(split.prefillBw);

@@ -39,20 +39,19 @@ namespace step::runtime {
 
 struct EngineConfig
 {
+    /** Its numLayers scale the per-layer iteration cycles. */
     ModelConfig model;
-    /** Layers the per-layer iteration cycles scale by; 0 = model value. */
-    int64_t numLayers = 0;
     /** Compute-bandwidth pool the policy splits (FLOPs/cycle). */
     int64_t totalComputeBw = 8192;
 
-    // ---- iteration-graph knobs (see DecoderParams) -------------------
-    ParStrategy attnStrategy = ParStrategy::Dynamic;
-    int64_t attnRegions = 4;
-    int64_t kvTileRows = 32;
-    int64_t moeRegions = 4;
-    int64_t moeTile = 16;
-    int64_t denseTile = 16;
-    int64_t weightTileCols = 64;
+    // ---- iteration-graph layout (see DecoderParams), fixed -----------
+    static constexpr ParStrategy attnStrategy = ParStrategy::Dynamic;
+    static constexpr int64_t attnRegions = 4;
+    static constexpr int64_t kvTileRows = 32;
+    static constexpr int64_t moeRegions = 4;
+    static constexpr int64_t moeTile = 16;
+    static constexpr int64_t denseTile = 16;
+    static constexpr int64_t weightTileCols = 64;
 
     BatcherConfig batcher; ///< kvBytesPerToken 0 = derive from model
     /**

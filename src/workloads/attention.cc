@@ -359,48 +359,26 @@ rearmAttentionLayer(const AttnRearmHandles& h, const AttnParams& p,
     OffChipTensor kt;
     OffChipTensor vt;
     kvShapeTensors(tot_tiles, Tk, d, &kt, &vt);
-    {
-        RearmSpec s;
-        s.tensor = &kt;
-        for (RandomOffChipLoadOp* op : h.kLoads)
-            op->rearm(s);
-        s.tensor = &vt;
-        for (RandomOffChipLoadOp* op : h.vLoads)
-            op->rearm(s);
-    }
+    for (RandomOffChipLoadOp* op : h.kLoads)
+        op->setTensor(kt);
+    for (RandomOffChipLoadOp* op : h.vLoads)
+        op->setTensor(vt);
 
-    if (h.meta) {
-        std::vector<Token> toks = attnMetaTokens(kv_lens, base_tile, Tk);
-        RearmSpec s;
-        s.tokens = &toks;
-        h.meta->rearm(s);
-    }
+    if (h.meta)
+        h.meta->setTokens(attnMetaTokens(kv_lens, base_tile, Tk));
     if (h.selA || h.selB) {
         auto assign = staticAssignment(p);
-        RearmSpec s;
-        std::vector<Token> ta = assignSelTokens(assign);
-        std::vector<Token> tb = assignSelTokens(assign);
-        if (h.selA) {
-            s.tokens = &ta;
-            h.selA->rearm(s);
-        }
-        if (h.selB) {
-            s.tokens = &tb;
-            h.selB->rearm(s);
-        }
+        if (h.selA)
+            h.selA->setTokens(assignSelTokens(assign));
+        if (h.selB)
+            h.selB->setTokens(assignSelTokens(assign));
     }
-    for (const auto& [op, div] : h.bwOps) {
-        RearmSpec s;
-        s.computeBw = p.computeBw / div;
-        op->rearm(s);
-    }
+    for (const auto& [op, div] : h.bwOps)
+        op->setComputeBw(p.computeBw / div);
     for (dam::Channel* ch : h.compChans)
         ch->rearm(completionCapacity(B));
-    if (h.disp) {
-        RearmSpec s;
-        s.total = B;
-        h.disp->rearm(s);
-    }
+    if (h.disp)
+        h.disp->setTotal(static_cast<uint64_t>(B));
 }
 
 std::vector<std::vector<float>>

@@ -223,16 +223,9 @@ rearmDecoderLayer(Graph& g, const DecoderRearmHandles& h,
                 "trace/kv batch mismatch");
     g.rearm(iterationSimConfig(B));
 
-    std::vector<Token> in_toks = rowStreamTokens(B, p.cfg.hidden);
-    RearmSpec s;
-    s.tokens = &in_toks;
-    h.layerIn->rearm(s);
-
-    for (const auto& [op, div] : h.denseBwOps) {
-        RearmSpec bs;
-        bs.computeBw = p.computeBwPerMatmul / div;
-        op->rearm(bs);
-    }
+    h.layerIn->setTokens(rowStreamTokens(B, p.cfg.hidden));
+    for (const auto& [op, div] : h.denseBwOps)
+        op->setComputeBw(p.computeBwPerMatmul / div);
     rearmAttentionLayer(h.attn, attnParamsFor(p, B), spec.kvLens);
     rearmMoeLayer(h.moe, moeParamsFor(p, B), spec.trace);
 }

@@ -500,29 +500,16 @@ rearmMoeLayer(const MoeRearmHandles& h, const MoeParams& p,
     STEP_ASSERT(!p.functional,
                 "rearm supports timing mode only (functional payloads "
                 "require a rebuild)");
-    RearmSpec s;
-    if (h.selA) {
-        std::vector<Token> toks = moeSelTokens(trace);
-        s.tokens = &toks;
-        h.selA->rearm(s);
-    }
-    if (h.selB) {
-        std::vector<Token> toks = moeSelTokens(trace);
-        s.tokens = &toks;
-        h.selB->rearm(s);
-    }
+    if (h.selA)
+        h.selA->setTokens(moeSelTokens(trace));
+    if (h.selB)
+        h.selB->setTokens(moeSelTokens(trace));
 
     const int64_t region_bw = moeRegionBw(p);
-    for (const auto& [op, div] : h.regionBwOps) {
-        RearmSpec bs;
-        bs.computeBw = region_bw / div;
-        op->rearm(bs);
-    }
-    for (const auto& [op, div] : h.baseBwOps) {
-        RearmSpec bs;
-        bs.computeBw = p.computeBwPerMatmul / div;
-        op->rearm(bs);
-    }
+    for (const auto& [op, div] : h.regionBwOps)
+        op->setComputeBw(region_bw / div);
+    for (const auto& [op, div] : h.baseBwOps)
+        op->setComputeBw(p.computeBwPerMatmul / div);
 }
 
 std::vector<std::vector<float>>

@@ -310,34 +310,33 @@ TEST(Dam, WaitAnyWakeHonorsAvailabilityOrder)
     ASSERT_EQ(sc.order, "bbaa");
 }
 
-/** Yielding context that is sole-ready resumes and terminates. */
-class Yielder : public Context
+/** Requeues itself @p n times with a timed wait at its own clock. */
+class Requeuer : public Context
 {
   public:
-    explicit Yielder(int n) : Context("yielder"), n_(n) {}
+    explicit Requeuer(int n) : Context("requeuer"), n_(n) {}
 
     SimTask
     run() override
     {
         for (int i = 0; i < n_; ++i) {
             advance(1);
-            co_await Yield{*this};
+            WaitUntil tick{{}, *this, now()};
+            co_await tick;
         }
         co_return;
     }
-
-    int resumed = 0;
 
   private:
     int n_;
 };
 
-TEST(Dam, YieldRequeuesWithoutStaleEntries)
+TEST(Dam, TimedWaitRequeuesWithoutStaleEntries)
 {
-    // Two yielding contexts interleave by clock; the index-tracked heap
-    // must requeue each yield without duplicating entries.
-    Yielder a(50);
-    Yielder b(50);
+    // Two requeueing contexts interleave by clock; the index-tracked
+    // heap must requeue each wait without duplicating entries.
+    Requeuer a(50);
+    Requeuer b(50);
     Scheduler s;
     s.add(&a);
     s.add(&b);
@@ -505,7 +504,8 @@ class DelayedProducer : public Context
     Cycle at_;
 };
 
-/** Advances to t=500, yields, then raises a flag when next resumed. */
+/** Advances to t=500, parks there, then raises a flag when next
+ *  resumed. */
 class FlagAt500 : public Context
 {
   public:
@@ -515,7 +515,8 @@ class FlagAt500 : public Context
     run() override
     {
         advance(500);
-        co_await Yield{*this};
+        WaitUntil park{{}, *this, 500};
+        co_await park;
         flag = true;
         co_return;
     }
@@ -743,7 +744,7 @@ struct QueueModel
 };
 
 /**
- * Performs @p steps seeded random queue operations: yield, timed wait
+ * Performs @p steps seeded random queue operations: timed wait
  * (pure timer), park (select over no channels), wake another context
  * at a random time (makeReadyAt), and probe minReadyClock. Wakes every
  * parked context when it finishes, so no run deadlocks.
@@ -769,16 +770,8 @@ class ScriptedCtx : public Context
             wake(m_.ctx.size() - 1, 0);
         }
         for (int k = 0; k < steps_; ++k) {
-            switch (rng_.uniformInt(6)) {
-            case 0:
-            case 1: {
-                advance(static_cast<Cycle>(rng_.uniformRange(0, 5)));
-                m_.push(idx_, now(), St::Queued);
-                co_await Yield{*this};
-                m_.resumed(idx_);
-                break;
-            }
-            case 2: {
+            switch (rng_.uniformInt(4)) {
+            case 0: {
                 Cycle deadline =
                     now() + static_cast<Cycle>(rng_.uniformRange(0, 30));
                 m_.push(idx_, deadline, St::Timed);
@@ -787,7 +780,7 @@ class ScriptedCtx : public Context
                 m_.resumed(idx_);
                 break;
             }
-            case 3: {
+            case 1: {
                 if (!m_.canPark(idx_))
                     break;
                 m_.st[idx_] = St::Parked;
@@ -796,7 +789,7 @@ class ScriptedCtx : public Context
                 m_.resumed(idx_);
                 break;
             }
-            case 4:
+            case 2:
                 wake(rng_.uniformInt(m_.ctx.size()),
                      static_cast<Cycle>(rng_.uniformRange(0, 60)));
                 break;

@@ -307,13 +307,8 @@ TEST(Dispatcher, RearmTakesNewTotalAndPriming)
 
     // A total below the region count primes fewer selectors.
     g.rearm(g.config());
-    std::vector<Token> toks = completions();
-    RearmSpec src;
-    src.tokens = &toks;
-    csrc.rearm(src);
-    RearmSpec total;
-    total.total = 1;
-    disp.rearm(total);
+    csrc.setTokens(completions());
+    disp.setTotal(1);
     EXPECT_EQ(disp.ports()[1].priming, 1);
     (void)g.run();
     EXPECT_EQ(sink.dataCount(), 1u);
@@ -328,12 +323,8 @@ TEST(Dispatcher, RearmRejectsNewTotalUnderStaticExtent)
     auto& disp = g.add<DispatcherOp>("disp", csrc.out(), 2, 3,
                                      Dim::fixed(3));
     g.add<SinkOp>("sink", disp.out());
-    RearmSpec same;
-    same.total = 3;
-    EXPECT_NO_THROW(disp.rearm(same));
-    RearmSpec other;
-    other.total = 4;
-    EXPECT_THROW(disp.rearm(other), PanicError);
+    EXPECT_NO_THROW(disp.setTotal(3));
+    EXPECT_THROW(disp.setTotal(4), PanicError);
 }
 
 } // namespace

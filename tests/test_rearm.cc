@@ -10,21 +10,35 @@
  * after every rearm the graph's metadata — port shapes, channel depths,
  * priming counts, the verifier's report — equals a fresh build's. The
  * seed is not structure either: one graph serves engines (cluster
- * replicas) with different seeds.
+ * replicas) with different seeds. Below the decoder, every operator
+ * type with run state re-runs from a fresh state after Graph::rearm.
  */
 #include <gtest/gtest.h>
 
 #include <map>
 #include <regex>
 
+#include "ops/higher_order.hh"
+#include "ops/offchip.hh"
+#include "ops/onchip.hh"
+#include "ops/route.hh"
+#include "ops/shape_ops.hh"
+#include "ops/source_sink.hh"
 #include "support/framepool.hh"
 #include "support/rng.hh"
 #include "trace/trace.hh"
 #include "verify/verifier.hh"
 #include "workloads/decoder.hh"
 
+#include "helpers.hh"
+
 namespace step {
 namespace {
+
+using test::list;
+using test::scalarTile;
+using test::val;
+using test::vec;
 
 DecoderParams
 baseParams(ParStrategy attn)
@@ -267,6 +281,319 @@ TEST(Rearm, RepeatedRearmWithoutRunIsIdempotent)
         rearmDecoderLayer(g, h, p, spec);
     SimResult again = runDecoderIteration(p, spec, &sched, &g, &h);
     expectIdentical(first, again, 0, "after repeated rearm");
+}
+
+/** A selector stream: one multi-hot selector per group, then Done. */
+std::vector<Token>
+selectors(std::initializer_list<std::initializer_list<uint32_t>> sels)
+{
+    std::vector<Token> toks;
+    for (auto sel : sels)
+        toks.push_back(Token::data(Selector(std::vector<uint32_t>(sel))));
+    toks.push_back(Token::done());
+    return toks;
+}
+
+/**
+ * A small graph that records its sources' streams and its capturing
+ * sinks, so it can be run, rearmed, re-fed and run again.
+ */
+class RerunGraph
+{
+  public:
+    StreamPort
+    source(const std::string& name, std::vector<Token> toks,
+           StreamShape shape, DataType dtype, dam::Cycle ii = 1)
+    {
+        auto& op = g.add<SourceOp>(name, toks, std::move(shape),
+                                   std::move(dtype), ii);
+        sources_.emplace_back(&op, std::move(toks));
+        return op.out();
+    }
+
+    void
+    sink(const std::string& name, const StreamPort& in)
+    {
+        sinks_.push_back(&g.add<SinkOp>(name, in, true));
+    }
+
+    void
+    store(const std::string& name, const StreamPort& in)
+    {
+        store_ = &g.add<LinearOffChipStoreOp>(name, in, 0x1000);
+    }
+
+    /** Everything a run leaves behind that the test compares. */
+    struct Observed
+    {
+        SimResult res;
+        std::vector<std::string> out;
+    };
+
+    Observed
+    run()
+    {
+        Observed o;
+        o.res = g.run();
+        for (const SinkOp* s : sinks_)
+            o.out.push_back(s->name() + ": " + tokensToString(s->tokens()) +
+                            " (" + std::to_string(s->dataCount()) +
+                            " data)");
+        if (store_)
+            o.out.push_back("store: " +
+                            std::to_string(store_->bytesStored()) +
+                            " bytes, last write " +
+                            std::to_string(store_->lastWrite()));
+        return o;
+    }
+
+    /** Graph::rearm, then give every source its stream again. */
+    void
+    rearm()
+    {
+        g.rearm(g.config());
+        for (auto& [op, toks] : sources_)
+            op->setTokens(toks);
+    }
+
+    Graph g;
+
+  private:
+    std::vector<std::pair<SourceOp*, std::vector<Token>>> sources_;
+    std::vector<SinkOp*> sinks_;
+    LinearOffChipStoreOp* store_ = nullptr;
+};
+
+/** An operator type with run state, built into a small graph. */
+struct OperatorCase
+{
+    const char* name;
+    void (*build)(RerunGraph&);
+};
+
+const OperatorCase kOperatorCases[] = {
+    {"Flatten",
+     [](RerunGraph& r) {
+         Nested n = list({list({vec({1, 2}), vec({3})}),
+                          list({vec({4}), vec({5, 6, 7})})});
+         StreamPort in = r.source(
+             "in", encodeNested(n, 3),
+             StreamShape({Dim::fixed(2), Dim::fixed(2), Dim::ragged()}),
+             scalarTile());
+         r.sink("out", r.g.add<FlattenOp>("fl", in, 0, 1).out());
+     }},
+    {"ReshapeWithPad",
+     [](RerunGraph& r) {
+         StreamPort in = r.source(
+             "in", encodeNested(list({vec({1, 2, 3, 4, 5})}), 2),
+             StreamShape({Dim::fixed(1), Dim::ragged()}), scalarTile());
+         auto& rs = r.g.add<ReshapeOp>("rs", in, 0, 2,
+                                       std::optional<Value>(val(0)));
+         r.sink("out", rs.out());
+         r.sink("pad", rs.padOut());
+     }},
+    {"Repeat",
+     [](RerunGraph& r) {
+         StreamPort in = r.source("in", encodeNested(vec({1, 2}), 1),
+                                  StreamShape::fixed({2}), scalarTile());
+         r.sink("out", r.g.add<RepeatOp>("rp", in, 3).out());
+     }},
+    {"Filter",
+     [](RerunGraph& r) {
+         StreamPort d = r.source(
+             "d", encodeNested(list({vec({1, 2, 3, 4})}), 2),
+             StreamShape::fixed({1, 4}), scalarTile());
+         StreamPort m = r.source(
+             "m", encodeNested(list({vec({0, 1, 0, 1})}), 2),
+             StreamShape::fixed({1, 4}), scalarTile());
+         r.sink("out", r.g.add<FilterOp>("f", d, m).out());
+     }},
+    {"Promote",
+     [](RerunGraph& r) {
+         StreamPort in = r.source("in", encodeNested(vec({1, 2}), 1),
+                                  StreamShape::fixed({2}), scalarTile());
+         r.sink("out", r.g.add<PromoteOp>("pr", in).out());
+     }},
+    {"Expand",
+     [](RerunGraph& r) {
+         Nested in = list({list({vec({7})}), list({vec({9})})});
+         Nested ref = list({list({vec({0, 0}), vec({0, 0})}),
+                            list({vec({0, 0})})});
+         StreamPort si = r.source("in", encodeNested(in, 3),
+                                  StreamShape::fixed({2, 1, 1}),
+                                  scalarTile());
+         StreamPort sr = r.source(
+             "ref", encodeNested(ref, 3),
+             StreamShape({Dim::fixed(2), Dim::ragged(), Dim::fixed(2)}),
+             scalarTile());
+         r.sink("out", r.g.add<ExpandOp>("ex", si, sr, 2).out());
+     }},
+    {"Bufferize",
+     [](RerunGraph& r) {
+         StreamPort in = r.source(
+             "in", encodeNested(list({vec({1, 2}), vec({3})}), 2),
+             StreamShape({Dim::fixed(2), Dim::ragged()}), scalarTile());
+         r.sink("out", r.g.add<BufferizeOp>("buf", in, 1).out());
+     }},
+    {"Streamify",
+     [](RerunGraph& r) {
+         StreamPort in = r.source(
+             "in", encodeNested(list({vec({1, 2, 3}), vec({4})}), 2),
+             StreamShape({Dim::fixed(2), Dim::ragged()}), scalarTile());
+         auto& buf = r.g.add<BufferizeOp>("buf", in, 1);
+         StreamPort ref = r.source(
+             "ref", encodeNested(list({vec({0, 0}), vec({0})}), 2),
+             StreamShape({Dim::fixed(2), Dim::ragged()}), scalarTile());
+         r.sink("out",
+                r.g.add<StreamifyOp>("sf", buf.out(), ref, 1).out());
+     }},
+    {"Partition",
+     [](RerunGraph& r) {
+         Nested n = list({vec({1}), vec({2, 3}), vec({4})});
+         StreamPort in = r.source(
+             "in", encodeNested(n, 2),
+             StreamShape({Dim::fixed(3), Dim::ragged()}), scalarTile());
+         StreamPort sel = r.source("sel", selectors({{0, 1}, {1}, {0}}),
+                                   StreamShape({Dim::fixed(3)}),
+                                   DataType::selector(2));
+         auto& part = r.g.add<PartitionOp>("part", in, sel, 1, 2);
+         r.sink("out0", part.out(0));
+         r.sink("out1", part.out(1));
+     }},
+    {"Reassemble",
+     [](RerunGraph& r) {
+         Nested n = list({vec({1}), vec({2}), vec({3}), vec({4})});
+         StreamPort in = r.source("in", encodeNested(n, 2),
+                                  StreamShape::fixed({4, 1}),
+                                  scalarTile());
+         const std::vector<Token> sels =
+             selectors({{0}, {2}, {1}, {0}});
+         StreamPort sel_a = r.source("selA", sels,
+                                     StreamShape({Dim::fixed(4)}),
+                                     DataType::selector(3));
+         StreamPort sel_b = r.source("selB", sels,
+                                     StreamShape({Dim::fixed(4)}),
+                                     DataType::selector(3));
+         auto& part = r.g.add<PartitionOp>("part", in, sel_a, 1, 3);
+         auto& re = r.g.add<ReassembleOp>(
+             "re",
+             std::vector<StreamPort>{part.out(0), part.out(1),
+                                     part.out(2)},
+             sel_b, 1);
+         r.sink("out", re.out());
+     }},
+    {"EagerMerge",
+     [](RerunGraph& r) {
+         const StreamShape shape({Dim::ragged(), Dim::ragged()});
+         StreamPort slow = r.source(
+             "slow", encodeNested(list({vec({100}), vec({101})}), 2),
+             shape, scalarTile(), 7);
+         StreamPort fast = r.source(
+             "fast", encodeNested(list({vec({1, 2}), vec({3})}), 2),
+             shape, scalarTile());
+         auto& em = r.g.add<EagerMergeOp>(
+             "em", std::vector<StreamPort>{slow, fast}, 1);
+         r.sink("out", em.out());
+         r.sink("sel", em.selOut());
+     }},
+    {"Dispatcher",
+     [](RerunGraph& r) {
+         StreamPort comps = r.source("comps", selectors({{1}, {1}, {0}}),
+                                     StreamShape({Dim::ragged()}),
+                                     DataType::selector(2));
+         r.sink("out", r.g.add<DispatcherOp>("disp", comps, 2, 5,
+                                             Dim::fixed(5))
+                           .out());
+     }},
+    {"Accum",
+     [](RerunGraph& r) {
+         StreamPort in = r.source(
+             "in", encodeNested(list({vec({1, 2}), vec({3, 4, 5})}), 2),
+             StreamShape({Dim::fixed(2), Dim::ragged()}), scalarTile());
+         r.sink("out", r.g.add<AccumOp>("acc", in, 1,
+                                        fns::zeroInit(1, 1, 1),
+                                        fns::addUpdate(), 16,
+                                        scalarTile())
+                           .out());
+     }},
+    {"Scan",
+     [](RerunGraph& r) {
+         StreamPort in = r.source(
+             "in", encodeNested(list({vec({1, 2, 3}), vec({10})}), 2),
+             StreamShape({Dim::fixed(2), Dim::ragged()}), scalarTile());
+         r.sink("out", r.g.add<ScanOp>("scan", in, 1,
+                                       fns::zeroInit(1, 1, 1),
+                                       fns::addUpdate(), 16,
+                                       scalarTile())
+                           .out());
+     }},
+    {"FlatMap",
+     [](RerunGraph& r) {
+         Nested n = list({Nested(Value(Tile::withData(2, 1, {1, 2}))),
+                          Nested(Value(Tile::withData(2, 1, {3, 4})))});
+         StreamPort in = r.source("in", encodeNested(n, 1),
+                                  StreamShape::fixed({2}),
+                                  DataType::tile(2, 1));
+         r.sink("out", r.g.add<FlatMapOp>("fm", in,
+                                          fns::retileStreamify(1),
+                                          StreamShape({Dim::ragged()}),
+                                          DataType::tile(1, 1), 4)
+                           .out());
+     }},
+    {"LinearOffChipLoad",
+     [](RerunGraph& r) {
+         std::vector<float> data(16);
+         for (size_t i = 0; i < data.size(); ++i)
+             data[i] = static_cast<float>(i);
+         OffChipTensor t =
+             OffChipTensor::fromData(0, 4, 4, 2, 2, data, 1);
+         StreamPort ref = r.source("ref", encodeNested(vec({0, 0}), 1),
+                                   StreamShape::fixed({2}),
+                                   scalarTile());
+         r.sink("out", r.g.add<LinearOffChipLoadOp>(
+                           "ld", ref, t, std::array<int64_t, 2>{2, 1},
+                           std::array<int64_t, 2>{2, 2})
+                           .out());
+     }},
+    {"RandomOffChipLoad",
+     [](RerunGraph& r) {
+         OffChipTensor t = OffChipTensor::shapeOnly(0, 16, 4, 2, 2);
+         StreamPort addr = r.source(
+             "addr", encodeNested(list({vec({1, 0}), vec({3})}), 2),
+             StreamShape({Dim::fixed(2), Dim::ragged()}), scalarTile());
+         r.sink("out", r.g.add<RandomOffChipLoadOp>(
+                           "ld", addr, t, 2 * t.tileBytes(),
+                           std::array<int64_t, 2>{1, 2}, true)
+                           .out());
+     }},
+    {"LinearOffChipStore",
+     [](RerunGraph& r) {
+         Nested n = list({Nested(Value(Tile(4, 4, 2))),
+                          Nested(Value(Tile(2, 4, 2)))});
+         r.store("st", r.source("in", encodeNested(n, 1),
+                                StreamShape::fixed({2}),
+                                DataType::tile(4, 4)));
+     }},
+};
+
+TEST(Rearm, EveryOperatorReRunsFromAFreshState)
+{
+    // A rearmed operator starts its run where a freshly built one does:
+    // run state lives in run() (coroutine locals, or members its
+    // prologue re-initialises), so a second run after Graph::rearm and
+    // fresh source streams must repeat the first exactly — the sinks'
+    // (and the store's) captures and every SimResult figure.
+    for (const auto& [name, build] : kOperatorCases) {
+        SCOPED_TRACE(name);
+        RerunGraph r;
+        build(r);
+        const RerunGraph::Observed first = r.run();
+        r.rearm();
+        RerunGraph::Observed second;
+        ASSERT_NO_THROW(second = r.run());
+        EXPECT_EQ(second.out, first.out);
+        expectIdentical(second.res, first.res, 1, name);
+    }
 }
 
 TEST(Rearm, FramePoolRecyclesFrames)
