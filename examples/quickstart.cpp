@@ -49,15 +49,11 @@ main()
 
     // Input stream: [10, 1] of [1,8] row tiles (Figure 6's left edge).
     std::vector<Token> in_toks;
-    StopCoalescer coal;
     for (const auto& r : rows) {
-        for (auto& t : coal.onData(Value(Tile::withData(1, hidden, r))))
-            in_toks.push_back(t);
-        for (auto& t : coal.onStop(1))
-            in_toks.push_back(t);
+        in_toks.push_back(Token::data(Tile::withData(1, hidden, r)));
+        in_toks.push_back(Token::stop(1));
     }
-    for (auto& t : coal.onDone())
-        in_toks.push_back(t);
+    in_toks.push_back(Token::done());
     auto& in = g.add<SourceOp>("in", in_toks,
                                StreamShape::fixed({batch, 1}),
                                DataType::tile(1, hidden));

@@ -27,12 +27,9 @@ main()
     const int64_t rows_today = 24; // today's runtime value of D
 
     std::vector<Token> toks;
-    StopCoalescer coal;
     for (int64_t i = 0; i < rows_today; ++i)
-        for (auto& t : coal.onData(Value(Tile(1, 64))))
-            toks.push_back(t);
-    for (auto& t : coal.onDone())
-        toks.push_back(t);
+        toks.push_back(Token::data(Tile(1, 64)));
+    toks.push_back(Token::done());
     // Declare the batch dimension as dynamic: shape [D].
     Dim d = Dim::dynamic("D");
     auto& src = g.add<SourceOp>("rows", toks, StreamShape({d}),

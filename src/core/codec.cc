@@ -32,14 +32,22 @@ Nested::toString() const
 
 namespace {
 
+/** Append @p coal's held stop, if any. */
+void
+flushStop(StopCoalescer& coal, std::vector<Token>& out)
+{
+    if (coal.pending())
+        out.push_back(Token::stop(coal.take()));
+}
+
 void
 encodeRec(const Nested& n, size_t depth, StopCoalescer& coal,
           std::vector<Token>& out)
 {
     if (depth == 0) {
         STEP_ASSERT(n.isLeaf(), "nested value deeper than declared rank");
-        for (auto& t : coal.onData(n.leaf()))
-            out.push_back(std::move(t));
+        flushStop(coal, out);
+        out.push_back(Token::data(n.leaf()));
         return;
     }
     STEP_ASSERT(!n.isLeaf(), "leaf at depth " << depth
@@ -47,8 +55,8 @@ encodeRec(const Nested& n, size_t depth, StopCoalescer& coal,
     for (const auto& c : n.children()) {
         encodeRec(c, depth - 1, coal, out);
         if (depth - 1 >= 1) {
-            for (auto& t : coal.onStop(static_cast<uint32_t>(depth - 1)))
-                out.push_back(std::move(t));
+            if (uint32_t l = coal.stop(static_cast<uint32_t>(depth - 1)))
+                out.push_back(Token::stop(l));
         }
     }
 }
@@ -62,8 +70,8 @@ encodeNested(const Nested& n, size_t rank)
     std::vector<Token> out;
     StopCoalescer coal;
     encodeRec(n, rank, coal, out);
-    for (auto& t : coal.onDone())
-        out.push_back(std::move(t));
+    flushStop(coal, out);
+    out.push_back(Token::done());
     return out;
 }
 

@@ -10,9 +10,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <optional>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -59,135 +59,36 @@ class Nested
 };
 
 /**
- * Writer-side stop coalescing: buffers the most recent stop and upgrades
- * it when a higher-level stop closes the same position, so "only the
- * highest-level stop token" is emitted at nested dimension ends, while
- * stops at the same-or-lower level flush through (empty groups).
- *
- * Coroutine-friendly: each call returns the tokens to physically emit.
- * One writer event emits at most two tokens (a flushed stop plus the
- * new token), so the result is an inline fixed-capacity range — the
- * coalescer sits on every operator's emit path and must not allocate.
- * Its slots are raw storage: only the tokens an event actually emits
- * are constructed, and a data token is built in place from the value.
+ * Writer-side stop coalescing: at the end of nested dimensions only the
+ * highest-level stop is written (section 3.1). The coalescer holds back
+ * the most recent stop. A higher-level stop closing the same position
+ * upgrades it; a stop of the same or lower level releases it, since the
+ * new stop then closes an empty group. A writer passes each stop it
+ * would write through stop(), writes the stop that returns, and writes
+ * take() before its next data or Done token (STEP_STOP, STEP_FLUSH and
+ * STEP_PASS in ops/common.hh).
  */
 class StopCoalescer
 {
   public:
-    /** Up to two tokens produced by one coalescer event; no heap. */
-    class Emit
+    /** Hold stop @p level. Returns the stop to write now, or 0 when
+     *  none was held or @p level upgraded the held one. */
+    uint32_t
+    stop(uint32_t level)
     {
-      public:
-        Emit() noexcept = default;
-        Emit(Emit&& o) noexcept : n_(o.n_)
-        {
-            for (uint8_t i = 0; i < n_; ++i)
-                new (slot(i)) Token(std::move(*o.slot(i)));
-        }
-        Emit& operator=(Emit&&) = delete;
-        ~Emit()
-        {
-            for (uint8_t i = 0; i < n_; ++i)
-                slot(i)->~Token();
-        }
-
-        Token* begin() { return slot(0); }
-        Token* end() { return slot(n_); }
-        const Token* begin() const { return slot(0); }
-        const Token* end() const { return slot(n_); }
-        size_t size() const { return n_; }
-        bool empty() const { return n_ == 0; }
-        const Token& operator[](size_t i) const { return *slot(i); }
-
-      private:
-        friend class StopCoalescer;
-
-        Token*
-        slot(size_t i)
-        {
-            return std::launder(reinterpret_cast<Token*>(buf_)) + i;
-        }
-        const Token*
-        slot(size_t i) const
-        {
-            return std::launder(reinterpret_cast<const Token*>(buf_)) + i;
-        }
-
-        // Each token is built in place in its slot.
-        void pushStop(uint32_t level)
-        {
-            new (slot(n_++)) Token(Token::stop(level));
-        }
-        void pushDone() { new (slot(n_++)) Token(Token::done()); }
-        void
-        pushData(Value&& v)
-        {
-            new (slot(n_++)) Token(Token::data(std::move(v)));
-        }
-
-        alignas(Token) std::byte buf_[2 * sizeof(Token)];
-        uint8_t n_ = 0;
-    };
-
-    /** A data value; an rvalue reaches its Emit slot with one
-     *  relocation. */
-    Emit
-    onData(Value&& v)
-    {
-        Emit out = flush();
-        out.pushData(std::move(v));
-        return out;
-    }
-    Emit onData(const Value& v) { return onData(Value(v)); }
-
-    /** Re-emit a spent token, moving its value. */
-    Emit
-    onToken(Token&& t)
-    {
-        if (t.isData())
-            return onData(t.takeValue());
-        if (t.isStop())
-            return onStop(t.level());
-        return onDone();
-    }
-
-    Emit
-    onStop(uint32_t level)
-    {
-        if (pending_ != 0 && pending_ < level) {
-            pending_ = level;           // upgrade: nested ends coincide
-            return Emit();
-        }
-        Emit out = flush();             // same/lower level: genuine stop
+        const uint32_t out = pending_ < level ? 0 : pending_;
         pending_ = level;
         return out;
     }
 
-    Emit
-    onDone()
-    {
-        Emit out = flush();
-        out.pushDone();
-        return out;
-    }
-
-    /** Whether a stop is buffered (flush() would emit it). */
+    /** Whether a stop is held. */
     bool pending() const { return pending_ != 0; }
 
-    /** Force out any buffered stop (used before Done or at barriers). */
-    Emit
-    flush()
-    {
-        Emit out;
-        if (pending_ != 0) {
-            out.pushStop(pending_);
-            pending_ = 0;
-        }
-        return out;
-    }
+    /** Return the held stop (0 if none) and stop holding it. */
+    uint32_t take() { return std::exchange(pending_, 0); }
 
   private:
-    /** Buffered stop level; 0 = none (stop levels start at 1). */
+    /** Held stop level; 0 = none (stop levels start at 1). */
     uint32_t pending_ = 0;
 };
 

@@ -222,32 +222,34 @@ class OpBase : public dam::Context
     dam::Cycle memoDt_ = 0;
 };
 
-/** Emit every token of a StopCoalescer result (coroutine bodies only). */
-#define STEP_EMIT(chan, toks)                                                \
-    for (auto& _step_tok : (toks))                                           \
-        co_await (chan)->write(*this, std::move(_step_tok))
-
 /** Emit a single raw token. */
 #define STEP_EMIT_RAW(chan, tok) co_await (chan)->write(*this, (tok))
 
-/** Emit coalescer @p coal's pending stop, if any (a flush() that skips
- *  building an empty result). */
+/** Write coalescer @p coal's held stop, if any. */
 #define STEP_FLUSH(chan, coal)                                               \
     do {                                                                     \
         if ((coal).pending())                                                \
-            STEP_EMIT(chan, (coal).flush());                                 \
+            STEP_EMIT_RAW(chan, Token::stop((coal).take()));                 \
+    } while (0)
+
+/** Pass stop @p level through coalescer @p coal: write the stop it
+ *  releases, if any. */
+#define STEP_STOP(chan, coal, level)                                         \
+    do {                                                                     \
+        if (const uint32_t _step_lvl = (coal).stop(level))                   \
+            STEP_EMIT_RAW(chan, Token::stop(_step_lvl));                     \
     } while (0)
 
 /**
- * Pass the popped data token @p tok through coalescer @p coal: flush any
- * pending stop, then write the token itself. The stream equals
- * STEP_EMIT(chan, coal.onData(tok.takeValue())), with one relocation
- * fewer per token.
+ * Write the rvalue data or Done token @p tok after coalescer @p coal's
+ * held stop, if any. Branch rather than put a conditional expression
+ * that creates a temporary in @p tok (`c ? Value(v) : t.takeValue()`):
+ * g++ 12 corrupts that temporary across the write's suspension.
  */
 #define STEP_PASS(chan, coal, tok)                                           \
     do {                                                                     \
         STEP_FLUSH(chan, coal);                                              \
-        STEP_EMIT_RAW(chan, std::move(tok));                                 \
+        STEP_EMIT_RAW(chan, tok);                                            \
     } while (0)
 
 } // namespace step

@@ -149,18 +149,18 @@ AccumOp::run()
             busyAdvance(dt);
         } else if (t.isStop()) {
             if (t.level() >= rank_) {
-                STEP_EMIT(out_.ch, coal.onData(std::move(state)));
+                STEP_PASS(out_.ch, coal, Token::data(std::move(state)));
                 state = init_();
                 if (t.level() > rank_) {
-                    STEP_EMIT(out_.ch, coal.onStop(
-                        t.level() - static_cast<uint32_t>(rank_)));
+                    STEP_STOP(out_.ch, coal,
+                              t.level() - static_cast<uint32_t>(rank_));
                 }
             }
             busyAdvance(1);
         } else {
             if (full_reduce && saw_data)
-                STEP_EMIT(out_.ch, coal.onData(std::move(state)));
-            STEP_EMIT(out_.ch, coal.onDone());
+                STEP_PASS(out_.ch, coal, Token::data(std::move(state)));
+            STEP_PASS(out_.ch, coal, Token::done());
             break;
         }
     }
@@ -254,14 +254,17 @@ FlatMapOp::run()
                             et.level() < b),
                             "FlatMap fn emitted token beyond rank "
                             << rank_);
-                STEP_EMIT(out_.ch, coal.onToken(std::move(et)));
+                if (et.isData())
+                    STEP_PASS(out_.ch, coal, std::move(et));
+                else
+                    STEP_STOP(out_.ch, coal, et.level());
             }
-            STEP_EMIT(out_.ch, coal.onStop(b));
+            STEP_STOP(out_.ch, coal, b);
         } else if (t.isStop()) {
             busyAdvance(1);
-            STEP_EMIT(out_.ch, coal.onStop(t.level() + b));
+            STEP_STOP(out_.ch, coal, t.level() + b);
         } else {
-            STEP_EMIT(out_.ch, coal.onDone());
+            STEP_PASS(out_.ch, coal, Token::done());
             break;
         }
     }

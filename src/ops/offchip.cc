@@ -108,13 +108,13 @@ LinearOffChipLoadOp::run()
                         *this, Token::data(tensor_.tileAt(ti, tj)),
                         done_at);
                 }
-                STEP_EMIT(out_.ch, coal.onStop(1));
+                STEP_STOP(out_.ch, coal, 1);
             }
-            STEP_EMIT(out_.ch, coal.onStop(2));
+            STEP_STOP(out_.ch, coal, 2);
         } else if (t.isStop()) {
-            STEP_EMIT(out_.ch, coal.onStop(t.level() + 2));
+            STEP_STOP(out_.ch, coal, t.level() + 2);
         } else {
-            STEP_EMIT(out_.ch, coal.onDone());
+            STEP_PASS(out_.ch, coal, Token::done());
             break;
         }
     }
@@ -249,15 +249,14 @@ RandomOffChipLoadOp::run()
                         *this, Token::data(std::move(tile)), done_at);
                 }
                 if (gridMode_)
-                    STEP_EMIT(out_.ch, coal.onStop(1));
+                    STEP_STOP(out_.ch, coal, 1);
             }
             if (gridMode_)
-                STEP_EMIT(out_.ch, coal.onStop(2));
+                STEP_STOP(out_.ch, coal, 2);
         } else if (t.isStop()) {
-            STEP_EMIT(out_.ch,
-                      coal.onStop(t.level() + (gridMode_ ? 2 : 0)));
+            STEP_STOP(out_.ch, coal, t.level() + (gridMode_ ? 2 : 0));
         } else {
-            STEP_EMIT(out_.ch, coal.onDone());
+            STEP_PASS(out_.ch, coal, Token::done());
             break;
         }
     }

@@ -98,18 +98,18 @@ BufferizeOp::run()
             busyAdvance(1);
             if (t.level() >= b) {
                 Token buf = flush_buffer();
-                STEP_EMIT(out_.ch, coal.onData(buf.takeValue()));
+                STEP_PASS(out_.ch, coal, Token::data(buf.takeValue()));
                 if (t.level() > b)
-                    STEP_EMIT(out_.ch, coal.onStop(t.level() - b));
+                    STEP_STOP(out_.ch, coal, t.level() - b);
             } else {
                 toks.push_back(std::move(t));
             }
         } else {
             if (full && (!toks.empty() || payload > 0)) {
                 Token buf = flush_buffer();
-                STEP_EMIT(out_.ch, coal.onData(buf.takeValue()));
+                STEP_PASS(out_.ch, coal, Token::data(buf.takeValue()));
             }
-            STEP_EMIT(out_.ch, coal.onDone());
+            STEP_PASS(out_.ch, coal, Token::done());
             break;
         }
     }
@@ -206,29 +206,29 @@ StreamifyOp::run()
                         busyAdvance(std::max<dam::Cycle>(
                             1, static_cast<dam::Cycle>(
                                 (v.bytes() + bw - 1) / bw)));
-                        STEP_EMIT(out_.ch, coal.onData(v));
+                        STEP_PASS(out_.ch, coal, Token::data(v));
                     }
-                    STEP_EMIT(out_.ch, coal.onStop(1));
+                    STEP_STOP(out_.ch, coal, 1);
                 }
-                STEP_EMIT(out_.ch, coal.onStop(2));
+                STEP_STOP(out_.ch, coal, 2);
             } else {
                 for (const auto& bt : buf.toks) {
                     if (bt.isData()) {
                         busyAdvance(std::max<dam::Cycle>(
                             1, static_cast<dam::Cycle>(
                                 (bt.value().bytes() + bw - 1) / bw)));
-                        STEP_EMIT(out_.ch, coal.onData(bt.value()));
+                        STEP_PASS(out_.ch, coal, Token::data(bt.value()));
                     } else {
-                        STEP_EMIT(out_.ch, coal.onStop(bt.level()));
+                        STEP_STOP(out_.ch, coal, bt.level());
                     }
                 }
-                STEP_EMIT(out_.ch, coal.onStop(added));
+                STEP_STOP(out_.ch, coal, added);
             }
             if (c == 0)
                 release_current();
         } else if (t.isStop()) {
             busyAdvance(1);
-            STEP_EMIT(out_.ch, coal.onStop(t.level() + added));
+            STEP_STOP(out_.ch, coal, t.level() + added);
             if (t.level() >= c && c > 0)
                 release_current();
         } else {
@@ -241,7 +241,7 @@ StreamifyOp::run()
                     graph_.scratchpad().release(
                         ti.value().bufferRef().id);
             }
-            STEP_EMIT(out_.ch, coal.onDone());
+            STEP_PASS(out_.ch, coal, Token::done());
             break;
         }
     }

@@ -76,26 +76,28 @@ PartitionOp::run()
                     // takes the spent token's value.
                     for (size_t k = 0; k < sel.size(); ++k) {
                         const uint32_t i = sel[k];
-                        STEP_EMIT(outs_[i].ch, coals_[i].onData(
-                            k + 1 < sel.size() ? Value(t.value())
-                                               : t.takeValue()));
+                        if (k + 1 < sel.size())
+                            STEP_PASS(outs_[i].ch, coals_[i],
+                                      Token::data(t.value()));
+                        else
+                            STEP_PASS(outs_[i].ch, coals_[i],
+                                      Token::data(t.takeValue()));
                     }
                 } else if (t.level() < p) {
                     for (uint32_t i : sel)
-                        STEP_EMIT(outs_[i].ch,
-                                  coals_[i].onStop(t.level()));
+                        STEP_STOP(outs_[i].ch, coals_[i], t.level());
                 } else {
                     // Chunk terminator; levels above p close selector
                     // dims and broadcast to every output.
                     for (uint32_t i : sel)
-                        STEP_EMIT(outs_[i].ch, coals_[i].onStop(t.level()));
+                        STEP_STOP(outs_[i].ch, coals_[i], t.level());
                     if (t.level() > p) {
                         for (size_t o = 0; o < outs_.size(); ++o) {
                             if (std::find(sel.begin(), sel.end(),
                                           static_cast<uint32_t>(o)) ==
                                 sel.end()) {
-                                STEP_EMIT(outs_[o].ch,
-                                          coals_[o].onStop(t.level()));
+                                STEP_STOP(outs_[o].ch, coals_[o],
+                                          t.level());
                             }
                         }
                     }
@@ -109,7 +111,7 @@ PartitionOp::run()
             STEP_ASSERT(t.isDone(), "input/selector length mismatch in "
                         << name() << ": leftover " << t.toString());
             for (size_t o = 0; o < outs_.size(); ++o)
-                STEP_EMIT(outs_[o].ch, coals_[o].onDone());
+                STEP_PASS(outs_[o].ch, coals_[o], Token::done());
             break;
         }
     }
@@ -182,27 +184,27 @@ ReassembleOp::run()
                     busyAdvance(routeCost(
                         t, graph_.config().onChipBwBytesPerCycle));
                     if (t.isData()) {
-                        STEP_PASS(out_.ch, coal, t);
+                        STEP_PASS(out_.ch, coal, std::move(t));
                     } else if (t.level() < b) {
-                        STEP_EMIT(out_.ch, coal.onStop(t.level()));
+                        STEP_STOP(out_.ch, coal, t.level());
                     } else {
                         break; // chunk terminator consumed
                     }
                 }
                 if (si + 1 < sel.size())
-                    STEP_EMIT(out_.ch, coal.onStop(b));
+                    STEP_STOP(out_.ch, coal, b);
             }
-            STEP_EMIT(out_.ch, coal.onStop(b + 1));
+            STEP_STOP(out_.ch, coal, b + 1);
         } else if (ts.isStop()) {
             busyAdvance(1);
-            STEP_EMIT(out_.ch, coal.onStop(b + 1 + ts.level()));
+            STEP_STOP(out_.ch, coal, b + 1 + ts.level());
         } else {
             for (size_t i = 0; i < ins_.size(); ++i) {
                 Token t = co_await ins_[i].ch->read(*this);
                 STEP_ASSERT(t.isDone(), "trailing tokens on reassemble "
                             << "input " << i << ": " << t.toString());
             }
-            STEP_EMIT(out_.ch, coal.onDone());
+            STEP_PASS(out_.ch, coal, Token::done());
             break;
         }
     }
@@ -301,7 +303,7 @@ EagerMergeOp::run()
             Token t = co_await ins_[pi].ch->read(*this);
             busyAdvance(routeCost(
                 t, graph_.config().onChipBwBytesPerCycle));
-            STEP_PASS(out_.ch, coal, t);
+            STEP_PASS(out_.ch, coal, std::move(t));
             continue;
         }
         while (true) {
@@ -309,21 +311,21 @@ EagerMergeOp::run()
             busyAdvance(routeCost(
                 t, graph_.config().onChipBwBytesPerCycle));
             if (t.isData()) {
-                STEP_PASS(out_.ch, coal, t);
+                STEP_PASS(out_.ch, coal, std::move(t));
             } else if (t.isStop() && t.level() < b) {
-                STEP_EMIT(out_.ch, coal.onStop(t.level()));
+                STEP_STOP(out_.ch, coal, t.level());
             } else if (t.isStop()) {
-                STEP_EMIT(out_.ch, coal.onStop(b));
+                STEP_STOP(out_.ch, coal, b);
                 break;
             } else {
-                STEP_EMIT(out_.ch, coal.onStop(b));
+                STEP_STOP(out_.ch, coal, b);
                 done[pi] = true;
                 --remaining;
                 break;
             }
         }
     }
-    STEP_EMIT(out_.ch, coal.onDone());
+    STEP_PASS(out_.ch, coal, Token::done());
     STEP_EMIT_RAW(selOut_.ch, Token::done());
     co_return;
 }

@@ -34,22 +34,22 @@ FlattenOp::run()
         busyAdvance(1);
         if (t.isData()) {
             open = true;
-            STEP_PASS(out_.ch, coal, t);
+            STEP_PASS(out_.ch, coal, std::move(t));
         } else if (t.isStop()) {
             uint32_t l = t.level();
             if (l <= lo) {
-                STEP_EMIT(out_.ch, coal.onStop(l));
+                STEP_STOP(out_.ch, coal, l);
             } else if (l <= hi_) {
                 // A separator inside the flattened range dissolves, but
                 // it still ends a non-empty element of dimension lo.
                 if (lo > 0 && open)
-                    STEP_EMIT(out_.ch, coal.onStop(lo));
+                    STEP_STOP(out_.ch, coal, lo);
             } else {
-                STEP_EMIT(out_.ch, coal.onStop(l - drop));
+                STEP_STOP(out_.ch, coal, l - drop);
             }
             open = l < lo;
         } else {
-            STEP_EMIT(out_.ch, coal.onDone());
+            STEP_PASS(out_.ch, coal, Token::done());
             break;
         }
     }
@@ -87,6 +87,18 @@ ReshapeOp::ReshapeOp(Graph& g, const std::string& name, StreamPort in,
                    DataType::tile(1, 1, 1));
 }
 
+namespace {
+
+/** One token of Reshape's pad-flag stream: 1 marks a pad element. A
+ *  function, since g++ rejects a braced list inside a co_await. */
+Token
+padFlag(bool padded)
+{
+    return Token::data(Tile::withData(1, 1, {padded ? 1.0f : 0.0f}, 1));
+}
+
+} // namespace
+
 dam::SimTask
 ReshapeOp::run()
 {
@@ -104,18 +116,17 @@ ReshapeOp::run()
         busyAdvance(1);
         if (t.isData()) {
             if (b == 0) {
-                STEP_PASS(out_.ch, coal, t);
+                STEP_PASS(out_.ch, coal, std::move(t));
                 if (padOut_.ch) {
-                    STEP_EMIT(padOut_.ch, pad_coal.onData(
-                        Tile::withData(1, 1, {0.0f}, 1)));
+                    STEP_PASS(padOut_.ch, pad_coal, padFlag(false));
                 }
                 if (++count % chunk_ == 0) {
-                    STEP_EMIT(out_.ch, coal.onStop(1));
+                    STEP_STOP(out_.ch, coal, 1);
                     if (padOut_.ch)
-                        STEP_EMIT(padOut_.ch, pad_coal.onStop(1));
+                        STEP_STOP(padOut_.ch, pad_coal, 1);
                 }
             } else {
-                STEP_PASS(out_.ch, coal, t);
+                STEP_PASS(out_.ch, coal, std::move(t));
             }
         } else if (t.isStop()) {
             uint32_t l = t.level();
@@ -125,32 +136,31 @@ ReshapeOp::run()
                                 << " not divisible by " << chunk_
                                 << " and no pad value in " << name());
                     while (count % chunk_ != 0) {
-                        STEP_EMIT(out_.ch, coal.onData(*pad_));
+                        STEP_PASS(out_.ch, coal, Token::data(*pad_));
                         if (padOut_.ch) {
-                            STEP_EMIT(padOut_.ch, pad_coal.onData(
-                                Tile::withData(1, 1, {1.0f}, 1)));
+                            STEP_PASS(padOut_.ch, pad_coal, padFlag(true));
                         }
                         ++count;
                     }
                 }
                 count = 0;
-                STEP_EMIT(out_.ch, coal.onStop(l + 1));
+                STEP_STOP(out_.ch, coal, l + 1);
                 if (padOut_.ch)
-                    STEP_EMIT(padOut_.ch, pad_coal.onStop(l + 1));
+                    STEP_STOP(padOut_.ch, pad_coal, l + 1);
             } else {
                 if (l < b) {
-                    STEP_EMIT(out_.ch, coal.onStop(l));
+                    STEP_STOP(out_.ch, coal, l);
                 } else if (l == b) {
                     ++count;
-                    STEP_EMIT(out_.ch, coal.onStop(
-                        count % chunk_ == 0 ? b + 1 : b));
+                    STEP_STOP(out_.ch, coal,
+                              count % chunk_ == 0 ? b + 1 : b);
                 } else {
                     STEP_ASSERT(count % chunk_ == 0,
                                 "dim at rank " << rank_ << " (" << count
                                 << " chunks) not divisible by " << chunk_
                                 << " in " << name());
                     count = 0;
-                    STEP_EMIT(out_.ch, coal.onStop(l + 1));
+                    STEP_STOP(out_.ch, coal, l + 1);
                 }
             }
         } else {
@@ -161,20 +171,19 @@ ReshapeOp::run()
                             << " not divisible by " << chunk_
                             << " and no pad value in " << name());
                 while (count % chunk_ != 0) {
-                    STEP_EMIT(out_.ch, coal.onData(*pad_));
+                    STEP_PASS(out_.ch, coal, Token::data(*pad_));
                     if (padOut_.ch) {
-                        STEP_EMIT(padOut_.ch, pad_coal.onData(
-                            Tile::withData(1, 1, {1.0f}, 1)));
+                        STEP_PASS(padOut_.ch, pad_coal, padFlag(true));
                     }
                     ++count;
                 }
-                STEP_EMIT(out_.ch, coal.onStop(1));
+                STEP_STOP(out_.ch, coal, 1);
                 if (padOut_.ch)
-                    STEP_EMIT(padOut_.ch, pad_coal.onStop(1));
+                    STEP_STOP(padOut_.ch, pad_coal, 1);
             }
-            STEP_EMIT(out_.ch, coal.onDone());
+            STEP_PASS(out_.ch, coal, Token::done());
             if (padOut_.ch)
-                STEP_EMIT(padOut_.ch, pad_coal.onDone());
+                STEP_PASS(padOut_.ch, pad_coal, Token::done());
             break;
         }
     }
@@ -209,14 +218,14 @@ PromoteOp::run()
         busyAdvance(1);
         if (t.isData()) {
             seen = true;
-            STEP_PASS(out_.ch, coal, t);
+            STEP_PASS(out_.ch, coal, std::move(t));
         } else if (t.isStop()) {
             seen = true;
-            STEP_EMIT(out_.ch, coal.onStop(t.level()));
+            STEP_STOP(out_.ch, coal, t.level());
         } else {
             if (seen)
-                STEP_EMIT(out_.ch, coal.onStop(r));
-            STEP_EMIT(out_.ch, coal.onDone());
+                STEP_STOP(out_.ch, coal, r);
+            STEP_PASS(out_.ch, coal, Token::done());
             break;
         }
     }
@@ -256,11 +265,11 @@ ExpandOp::run()
                 if (ti.isData())
                     cur = ti.takeValue();
             }
-            STEP_EMIT(out_.ch, coal.onData(*cur));
+            STEP_PASS(out_.ch, coal, Token::data(*cur));
         } else if (t.isStop()) {
             if (t.level() >= rank_)
                 cur.reset(); // next outer element -> next input value
-            STEP_EMIT(out_.ch, coal.onStop(t.level()));
+            STEP_STOP(out_.ch, coal, t.level());
         } else {
             // Drain the input's trailing stops and Done.
             while (true) {
@@ -268,7 +277,7 @@ ExpandOp::run()
                 if (ti.isDone())
                     break;
             }
-            STEP_EMIT(out_.ch, coal.onDone());
+            STEP_PASS(out_.ch, coal, Token::done());
             break;
         }
     }
@@ -340,13 +349,13 @@ RepeatOp::run()
             // Copies for all but the last repetition, which takes the
             // spent token's value.
             for (int64_t i = 0; i + 1 < count_; ++i)
-                STEP_EMIT(out_.ch, coal.onData(t.value()));
-            STEP_PASS(out_.ch, coal, t);
-            STEP_EMIT(out_.ch, coal.onStop(1));
+                STEP_PASS(out_.ch, coal, Token::data(t.value()));
+            STEP_PASS(out_.ch, coal, std::move(t));
+            STEP_STOP(out_.ch, coal, 1);
         } else if (t.isStop()) {
-            STEP_EMIT(out_.ch, coal.onStop(t.level() + 1));
+            STEP_STOP(out_.ch, coal, t.level() + 1);
         } else {
-            STEP_EMIT(out_.ch, coal.onDone());
+            STEP_PASS(out_.ch, coal, Token::done());
             break;
         }
     }
@@ -437,11 +446,11 @@ FilterOp::run()
             bool padded = m.value().tile().hasData() &&
                           m.value().tile().at(0, 0) != 0.0f;
             if (!padded)
-                STEP_PASS(out_.ch, coal, t);
+                STEP_PASS(out_.ch, coal, std::move(t));
         } else if (t.isStop()) {
-            STEP_EMIT(out_.ch, coal.onStop(t.level()));
+            STEP_STOP(out_.ch, coal, t.level());
         } else {
-            STEP_EMIT(out_.ch, coal.onDone());
+            STEP_PASS(out_.ch, coal, Token::done());
             break;
         }
     }

@@ -51,14 +51,11 @@ attnMetaTokens(const std::vector<int64_t>& kv_lens,
                const std::vector<int64_t>& base_tile, int64_t Tk)
 {
     std::vector<Token> toks;
-    StopCoalescer coal;
     for (size_t r = 0; r < kv_lens.size(); ++r) {
-        for (auto& tk : coal.onData(Value(metaTile(
-                 kv_lens, base_tile, Tk, static_cast<int64_t>(r)))))
-            toks.push_back(std::move(tk));
+        toks.push_back(Token::data(metaTile(kv_lens, base_tile, Tk,
+                                            static_cast<int64_t>(r))));
     }
-    for (auto& tk : coal.onDone())
-        toks.push_back(std::move(tk));
+    toks.push_back(Token::done());
     return toks;
 }
 
@@ -101,18 +98,14 @@ attnReqTokens(const std::vector<int64_t>& kv_lens,
               const std::vector<std::vector<float>>* qs)
 {
     std::vector<Token> toks;
-    StopCoalescer coal;
     for (size_t r = 0; r < kv_lens.size(); ++r) {
         Tile q = qs ? Tile::withData(1, d, (*qs)[r]) : Tile(1, d);
-        for (auto& tk : coal.onData(Value::tuple(
-                 {std::move(q), metaTile(kv_lens, base_tile, Tk,
-                                         static_cast<int64_t>(r))})))
-            toks.push_back(std::move(tk));
-        for (auto& tk : coal.onStop(1))
-            toks.push_back(std::move(tk));
+        toks.push_back(Token::data(Value::tuple(
+            {std::move(q), metaTile(kv_lens, base_tile, Tk,
+                                    static_cast<int64_t>(r))})));
+        toks.push_back(Token::stop(1));
     }
-    for (auto& tk : coal.onDone())
-        toks.push_back(std::move(tk));
+    toks.push_back(Token::done());
     return toks;
 }
 

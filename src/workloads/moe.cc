@@ -227,18 +227,14 @@ rowStreamTokens(int64_t batch, int64_t hidden,
                 const std::vector<std::vector<float>>* rows)
 {
     std::vector<Token> toks;
-    StopCoalescer coal;
     for (int64_t t = 0; t < batch; ++t) {
         Tile row = rows
             ? Tile::withData(1, hidden, (*rows)[static_cast<size_t>(t)])
             : Tile(1, hidden);
-        for (auto& tk : coal.onData(Value(std::move(row))))
-            toks.push_back(std::move(tk));
-        for (auto& tk : coal.onStop(1))
-            toks.push_back(std::move(tk));
+        toks.push_back(Token::data(std::move(row)));
+        toks.push_back(Token::stop(1));
     }
-    for (auto& tk : coal.onDone())
-        toks.push_back(std::move(tk));
+    toks.push_back(Token::done());
     return toks;
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "support/rng.hh"
+#include "workloads/moe.hh"
 
 #include "helpers.hh"
 
@@ -93,34 +94,88 @@ TEST(Codec, RaggedRoundTrip)
     EXPECT_EQ(back.children()[2].children().size(), 0u);
 }
 
+/** Writes through a StopCoalescer the way the STEP_STOP, STEP_FLUSH
+ *  and STEP_PASS operator macros do. */
+struct CoalescingWriter
+{
+    StopCoalescer coal;
+    std::vector<Token> out;
+
+    void
+    flush()
+    {
+        if (coal.pending())
+            out.push_back(Token::stop(coal.take()));
+    }
+    void
+    data(float v)
+    {
+        flush();
+        out.push_back(Token::data(test::val(v)));
+    }
+    void
+    stop(uint32_t level)
+    {
+        if (uint32_t l = coal.stop(level))
+            out.push_back(Token::stop(l));
+    }
+    void
+    done()
+    {
+        flush();
+        out.push_back(Token::done());
+    }
+};
+
 TEST(Codec, CoalescerUpgradesNestedEnds)
 {
-    StopCoalescer c;
-    std::vector<Token> out;
-    auto push = [&](auto&& ts) {
-        for (auto& t : ts)
-            out.push_back(std::move(t));
-    };
-    push(c.onData(test::val(1)));
-    push(c.onStop(1));
-    push(c.onStop(2)); // upgrades the pending S1
-    push(c.onDone());
-    EXPECT_EQ(tokensToString(out), "Tile[1x1]{1}, S2, D");
+    CoalescingWriter w;
+    w.data(1);
+    w.stop(1);
+    w.stop(2); // upgrades the held S1
+    w.done();
+    EXPECT_EQ(tokensToString(w.out), "Tile[1x1]{1}, S2, D");
 }
 
 TEST(Codec, CoalescerKeepsEmptyGroups)
 {
+    CoalescingWriter w;
+    w.stop(1);
+    w.stop(1); // same level: releases the first (empty group)
+    w.data(1);
+    w.done();
+    EXPECT_EQ(tokensToString(w.out), "S1, S1, Tile[1x1]{1}, D");
+}
+
+TEST(Codec, CoalescerStopReturnsTheStopToWrite)
+{
     StopCoalescer c;
-    std::vector<Token> out;
-    auto push = [&](auto&& ts) {
-        for (auto& t : ts)
-            out.push_back(std::move(t));
-    };
-    push(c.onStop(1));
-    push(c.onStop(1)); // same level: flushes the first (empty group)
-    push(c.onData(test::val(1)));
-    push(c.onDone());
-    EXPECT_EQ(tokensToString(out), "S1, S1, Tile[1x1]{1}, D");
+    EXPECT_FALSE(c.pending());
+    EXPECT_EQ(c.stop(1), 0u); // nothing held
+    EXPECT_EQ(c.stop(2), 0u); // upgrade
+    EXPECT_EQ(c.stop(2), 2u); // same level releases the held S2
+    EXPECT_EQ(c.stop(1), 2u); // lower level too
+    EXPECT_TRUE(c.pending());
+    EXPECT_EQ(c.take(), 1u);
+    EXPECT_FALSE(c.pending());
+    EXPECT_EQ(c.take(), 0u);
+}
+
+TEST(Codec, HandWrittenRowStreamMatchesTheCodec)
+{
+    // rowStreamTokens writes [B, 1] of rows without a coalescer; it must
+    // equal the codec's rank-2 encoding of one row per group.
+    const int64_t hidden = 4;
+    for (int64_t batch : {1, 3}) {
+        std::vector<Nested> groups;
+        for (int64_t t = 0; t < batch; ++t)
+            groups.push_back(list({Nested(Value(Tile(1, hidden)))}));
+        auto want = encodeNested(Nested::list(groups), 2);
+        auto got = rowStreamTokens(batch, hidden);
+        EXPECT_EQ(tokensToString(got), tokensToString(want))
+            << "batch " << batch;
+        EXPECT_FALSE(checkWellFormed(got, 2).has_value());
+    }
 }
 
 TEST(Codec, WellFormedAcceptsValid)
