@@ -56,8 +56,6 @@ WaitAny::await_suspend(std::coroutine_handle<>) const
 void
 WaitUntil::await_suspend(std::coroutine_handle<>) const
 {
-    for (Channel* c : chans)
-        c->setWaitingReader(&self);
     self.scheduler()->suspendUntil(&self, deadline);
 }
 

@@ -264,43 +264,20 @@ struct WaitAny
 };
 
 /**
- * Timed wait with channel wake: suspends until simulated time reaches
- * @p deadline — the context parks in the scheduler's ready heap keyed at
- * the deadline, so it resumes exactly when no other runnable context is
- * earlier — or until any of the given channels receives a token,
- * whichever the deterministic heap order reaches first. Availability-
- * ordered merges wait out arrival races with it in one suspension.
- *
- * Like WaitAny, the channel list is viewed, not copied, and must
- * outlive the co_await (operator members and coroutine locals qualify).
- * The list may be empty for a pure timer.
+ * Timed wait: suspends until simulated time reaches @p deadline. The
+ * context parks in the scheduler's ready heap keyed at the deadline, so
+ * it resumes exactly when no other runnable context is earlier.
+ * Availability-ordered merges wait out arrival races with it in one
+ * suspension.
  */
 struct WaitUntil
 {
-    std::span<Channel* const> chans;
     Context& self;
     Cycle deadline;
 
-    bool
-    await_ready() const
-    {
-        // A token already visible on a listed channel satisfies the
-        // wait immediately (mirrors WaitAny); an empty list is a pure
-        // timer.
-        for (const Channel* c : chans)
-            if (!c->empty())
-                return true;
-        return false;
-    }
-
+    bool await_ready() const { return false; }
     void await_suspend(std::coroutine_handle<>) const;
-
-    void
-    await_resume() const
-    {
-        for (Channel* c : chans)
-            c->setWaitingReader(nullptr);
-    }
+    void await_resume() const {}
 };
 
 } // namespace step::dam

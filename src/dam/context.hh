@@ -99,7 +99,6 @@ class Context
     friend class Scheduler;
     friend class Channel;
     friend struct WaitAny;
-    friend struct WaitUntil;
 
     std::string name_;
     Cycle now_ = 0;

@@ -97,8 +97,7 @@ Scheduler::drain()
         }
         if (ctx->state_ == CtxState::Blocked) {
             // Timed-wait deadline reached: every other ready context's
-            // key is at or past it, so the waiter proceeds. The channel
-            // registrations are cleared by WaitUntil::await_resume.
+            // key is at or past it, so the waiter proceeds.
             STEP_ASSERT(ctx->block_.kind == BlockInfo::Kind::TimedWait,
                         "blocked context " << ctx->name()
                         << " in ready heap");

@@ -95,8 +95,8 @@ class Scheduler
      * Time-indexed suspension: park the running context in the ready
      * heap keyed at cycle @p t instead of its own clock. It is resumed
      * exactly when no other ready context has an earlier key — i.e.
-     * once simulated time has caught up to @p t — or earlier, if a
-     * channel wake (makeReady) re-keys it to its own clock first. The
+     * once simulated time has caught up to @p t — or earlier, if
+     * makeReadyAt re-keys it to an earlier time first. The
      * context is marked Blocked with a TimedWait record so drain() can
      * tell a timer expiry from a corrupted heap. This is the primitive
      * behind WaitUntil.
@@ -224,8 +224,8 @@ Scheduler::enqueueAt(Context* ctx, Cycle t)
 {
     const uint32_t p = pos_[ctx->id_];
     if (p != kNotQueued) {
-        // Re-key in place. Live path: a channel wake re-keys a timed
-        // waiter from its deadline down to its own clock.
+        // Re-key in place: makeReadyAt pulls a timed waiter's key down
+        // from its deadline.
         heap_[p].time = t;
         heap_[p].seq = seq_++;
         siftUp(p);
@@ -260,10 +260,9 @@ Scheduler::makeReadyAt(Context* ctx, Cycle t)
             t = ctx->now();
         const uint32_t p = pos_[ctx->id_];
         if (p != kNotQueued) {
-            // A timed waiter woken by channel activity: pull its heap
+            // A timed waiter woken before its deadline: pull its heap
             // key down when the wake time is earlier than the
-            // remaining deadline, so the new input is considered as
-            // soon as the waiter would naturally run.
+            // remaining deadline.
             if (t < heap_[p].time)
                 enqueueAt(ctx, t);
             return;

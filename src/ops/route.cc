@@ -282,10 +282,9 @@ EagerMergeOp::run()
         std::optional<dam::Cycle> other = scheduler()->minReadyClock(this);
         if (other && *other < avail) {
             // One time-indexed suspension until simulated time catches
-            // up to the candidate's availability. A pure timer: anything
-            // pushed in the meantime is visible at the re-pick after the
-            // deadline pop, so a channel wake would only add resumes.
-            dam::WaitUntil until_waiter{{}, *this, avail};
+            // up to the candidate's availability. Anything pushed in the
+            // meantime is visible at the re-pick after the deadline pop.
+            dam::WaitUntil until_waiter{*this, avail};
             co_await until_waiter;
             continue;
         }

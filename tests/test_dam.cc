@@ -321,7 +321,7 @@ class Requeuer : public Context
     {
         for (int i = 0; i < n_; ++i) {
             advance(1);
-            WaitUntil tick{{}, *this, now()};
+            WaitUntil tick{*this, now()};
             co_await tick;
         }
         co_return;
@@ -480,124 +480,6 @@ TEST(Dam, ChannelReinitRestoresFreshSemantics)
         EXPECT_EQ(c.got.size(), 6u);
         EXPECT_EQ(c.now(), 14u); // last sent t=12, +1 latency, +1 consume
     }
-}
-
-/** Pushes one token once its clock reaches @p at. */
-class DelayedProducer : public Context
-{
-  public:
-    DelayedProducer(Channel& ch, Cycle at)
-        : Context("delayedproducer"), ch_(ch), at_(at)
-    {}
-
-    SimTask
-    run() override
-    {
-        advance(at_);
-        co_await ch_.write(*this, Token::data(test::val(1.0f)));
-        co_await ch_.write(*this, Token::done());
-        co_return;
-    }
-
-  private:
-    Channel& ch_;
-    Cycle at_;
-};
-
-/** Advances to t=500, parks there, then raises a flag when next
- *  resumed. */
-class FlagAt500 : public Context
-{
-  public:
-    FlagAt500() : Context("flag") {}
-
-    SimTask
-    run() override
-    {
-        advance(500);
-        WaitUntil park{{}, *this, 500};
-        co_await park;
-        flag = true;
-        co_return;
-    }
-
-    bool flag = false;
-};
-
-/**
- * WaitUntil with a channel list and a far deadline; records whether the
- * flag context (parked at t=500) had already run when the wait ended,
- * which distinguishes an early channel wake from a deadline expiry.
- */
-class TimedChannelWaiter : public Context
-{
-  public:
-    TimedChannelWaiter(Channel& ch, const FlagAt500& flagger)
-        : Context("timedwaiter"), ch_(ch), flagger_(flagger)
-    {}
-
-    SimTask
-    run() override
-    {
-        Channel* chans[1] = {&ch_};
-        WaitUntil waiter{chans, *this, 1000};
-        co_await waiter;
-        sawFlag = flagger_.flag;
-        tokenAtWake = !ch_.empty();
-        Token t = co_await ch_.read(*this);
-        got = t.isData();
-        co_await ch_.read(*this); // Done
-        co_return;
-    }
-
-    bool sawFlag = false;
-    bool tokenAtWake = false;
-    bool got = false;
-
-  private:
-    Channel& ch_;
-    const FlagAt500& flagger_;
-};
-
-TEST(Dam, WaitUntilWakesEarlyOnChannelPush)
-{
-    // Producer pushes at t=5 (visible at 6), far before the t=1000
-    // deadline: the waiter must be re-keyed to the token's ready time
-    // and resume before the t=500 flag context runs.
-    Channel ch("ch", 4, 1);
-    DelayedProducer prod(ch, 5);
-    FlagAt500 flagger;
-    TimedChannelWaiter waiter(ch, flagger);
-    Scheduler s;
-    s.add(&waiter); // registers first, then the producer pushes
-    s.add(&prod);
-    s.add(&flagger);
-    s.run();
-    EXPECT_TRUE(waiter.got);
-    EXPECT_TRUE(waiter.tokenAtWake);
-    EXPECT_FALSE(waiter.sawFlag);
-    EXPECT_EQ(waiter.now(), 6u);
-}
-
-TEST(Dam, WaitUntilHoldsDeadlineAgainstLaterInput)
-{
-    // Producer's token becomes visible only at t=2001, after the
-    // t=1000 deadline: the channel wake must NOT pull the waiter's key
-    // below its deadline (2001 > 1000 keeps 1000), so the waiter
-    // resumes at the deadline — after the t=500 flag context — and its
-    // read then joins to the token's ready time.
-    Channel ch("ch", 4, 1);
-    DelayedProducer prod(ch, 2000);
-    FlagAt500 flagger;
-    TimedChannelWaiter waiter(ch, flagger);
-    Scheduler s;
-    s.add(&waiter);
-    s.add(&prod);
-    s.add(&flagger);
-    s.run();
-    EXPECT_TRUE(waiter.got);
-    EXPECT_TRUE(waiter.sawFlag);
-    EXPECT_EQ(waiter.now(), 2001u);
 }
 
 /**
@@ -775,7 +657,7 @@ class ScriptedCtx : public Context
                 Cycle deadline =
                     now() + static_cast<Cycle>(rng_.uniformRange(0, 30));
                 m_.push(idx_, deadline, St::Timed);
-                WaitUntil timer{{}, *this, deadline};
+                WaitUntil timer{*this, deadline};
                 co_await timer;
                 m_.resumed(idx_);
                 break;
