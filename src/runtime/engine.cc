@@ -729,12 +729,6 @@ class ServingEngine::Run::Impl
         actx.prefillFlopsPerToken = eng_.prefillFlopsPerToken_;
         actx.totalComputeBw = eff_bw;
         actx.nominalComputeBw = cfg_.totalComputeBw;
-        // Idle-TTL sweep first: entries that expire this round cannot
-        // be hit by this round's lookups (TTL 0 = off).
-        if (cache_ && cfg_.prefixCache.idleTtlCycles > 0) {
-            cache_->setClock(now_);
-            cache_->evictIdle();
-        }
         const ContinuousBatcher::AdmitResult adm =
             batcher_.admit(cfg_.admission, actx);
         for (Request* r : adm.shed)

@@ -107,7 +107,6 @@ PrefixCache::acquire(Request& r)
         evictRemove(n);
         ++n->pins;
         n->lastUsed = ++tick_;
-        n->lastTouch = clock_;
     }
     STEP_ASSERT(pinned_.find(&r) == pinned_.end(),
                 "request " << r.id << " acquired the prefix cache twice");
@@ -146,29 +145,6 @@ PrefixCache::evictOne()
     ++stats_.evictedBlocks;
     evictAddIfEligible(parent); // may have just become an unpinned leaf
     return true;
-}
-
-int64_t
-PrefixCache::evictIdle()
-{
-    if (cfg_.idleTtlCycles == 0)
-        return 0;
-    int64_t evicted = 0;
-    // The queue is ordered by (lastUsed tick, id) and ticks are handed
-    // out in clock order, so the front is always the stalest unpinned
-    // leaf: stop at the first fresh one.
-    while (!evictQueue_.empty()) {
-        auto it = byId_.find(evictQueue_.begin()->second);
-        STEP_ASSERT(it != byId_.end(),
-                    "evict queue references unknown node");
-        if (it->second->lastTouch + cfg_.idleTtlCycles > clock_)
-            break;
-        bool ok = evictOne();
-        STEP_ASSERT(ok, "idle eviction failed on a queued leaf");
-        ++evicted;
-    }
-    stats_.ttlEvictedBlocks += evicted;
-    return evicted;
 }
 
 void
@@ -218,7 +194,6 @@ PrefixCache::insert(const std::vector<uint64_t>& block_hashes,
         evictRemove(child);
         ++child->pins;
         child->lastUsed = ++tick_;
-        child->lastTouch = clock_;
         path.push_back(child);
         n = child;
     }

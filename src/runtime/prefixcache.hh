@@ -41,17 +41,6 @@ struct PrefixCacheConfig
      * Occupancy is counted in whole blocks of kPrefixBlockTokens.
      */
     int64_t capacityTokens = 0;
-    /**
-     * Idle TTL in cycles; 0 (default) disables — entries then live
-     * until capacity pressure evicts them, bit-identical to previous
-     * builds. With a TTL, unpinned entries untouched for this long are
-     * evicted by the engine's per-iteration evictIdle() sweep, so a
-     * long-lived sim stops carrying dead sessions. Ages come from the
-     * engine-supplied clock (setClock), not wall time, and the LRU
-     * queue's tick order equals clock order, so the sweep is
-     * deterministic for a fixed call sequence.
-     */
-    dam::Cycle idleTtlCycles = 0;
 };
 
 /** Monotone counters + occupancy snapshot; engine copies the totals
@@ -66,8 +55,6 @@ struct PrefixCacheStats
     /** Blocks an insert wanted but could not place because capacity was
      *  exhausted by pinned content (never silently exceeds capacity). */
     int64_t skippedBlocks = 0;
-    /** Subset of evictedBlocks dropped by the idle-TTL sweep. */
-    int64_t ttlEvictedBlocks = 0;
     int64_t occupancyTokens = 0;
     int64_t peakOccupancyTokens = 0;
 };
@@ -116,19 +103,6 @@ class PrefixCache
      */
     void insert(const std::vector<uint64_t>& block_hashes, int64_t nblocks);
 
-    /** Advance the cache's notion of simulated time (engine `now`).
-     *  Monotone by construction of the engine loop; only read by the
-     *  TTL sweep, so a TTL-less cache ignores it entirely. */
-    void setClock(dam::Cycle now) { clock_ = now; }
-
-    /**
-     * Idle-TTL sweep: evict unpinned leaves untouched for
-     * idleTtlCycles, oldest first (the LRU queue front IS the
-     * oldest-touched entry — tick order equals clock order). Returns
-     * blocks evicted; no-op when the TTL is 0.
-     */
-    int64_t evictIdle();
-
     const PrefixCacheStats& stats() const { return stats_; }
     int64_t occupancyTokens() const { return stats_.occupancyTokens; }
     int64_t capacityTokens() const { return cfg_.capacityTokens; }
@@ -145,7 +119,6 @@ class PrefixCache
         uint64_t hash = 0;
         uint64_t id = 0;       ///< creation order; deterministic tiebreak
         uint64_t lastUsed = 0;    ///< LRU stamp (monotone operation tick)
-        dam::Cycle lastTouch = 0; ///< simulated cycle of the last touch
         int64_t pins = 0;      ///< in-flight references incl. descendants
         Node* parent = nullptr;
         /** Ordered map: child iteration (destruction, debug) is
@@ -167,7 +140,6 @@ class PrefixCache
     PrefixCacheStats stats_;
     mutable Node root_; ///< sentinel: depth 0, never evicted
     uint64_t tick_ = 0;
-    dam::Cycle clock_ = 0; ///< simulated time, for the TTL sweep
     uint64_t nextId_ = 1;
     /** (lastUsed, id) of every unpinned leaf — the eviction frontier. */
     std::set<std::pair<uint64_t, uint64_t>> evictQueue_;

@@ -4,7 +4,7 @@
  * (detection lag, cooldown, permanent crashes), the brown-out admission
  * ladder's pressure rungs, the autoscaler's step timeline, health-scored
  * placement (affinity preference, half-open penalty, parking waivers),
- * prefix-cache idle-TTL eviction, the engine's slowdown-drain migration,
+ * the engine's slowdown-drain migration,
  * and the cluster acceptance criteria: under a crash+slowdown plan the
  * tier beats plain failover on tail latency without losing availability,
  * stays thread-count invariant, and — disabled — leaves the plain fault
@@ -405,78 +405,6 @@ TEST(Placement, AutoscaleParkingRestrictsAndIsWaivedWhenEmpty)
     EXPECT_EQ(pickResilientTarget({50, 40, 5, 5}, timelines(plan), {}, steps,
                                   100, -1),
               2);
-}
-
-// ---- prefix-cache idle TTL ---------------------------------------------
-
-namespace {
-
-/** Chained block hashes for a synthetic n-block stream. */
-std::vector<uint64_t>
-chainedHashes(uint64_t salt, int64_t nblocks)
-{
-    std::vector<uint64_t> h;
-    uint64_t acc = salt;
-    for (int64_t i = 0; i < nblocks; ++i) {
-        acc = prefixHashMix(acc, uint64_t(i) + 1);
-        h.push_back(acc);
-    }
-    return h;
-}
-
-} // namespace
-
-TEST(PrefixCacheTtl, IdleSweepEvictsColdEntriesButNeverPinnedOnes)
-{
-    PrefixCacheConfig pc;
-    pc.capacityTokens = 1 << 16;
-    pc.idleTtlCycles = 1'000'000;
-    PrefixCache cache(pc);
-
-    // Session A: inserted at t=0 then never touched again.
-    const auto cold = chainedHashes(1, 4);
-    cache.setClock(0);
-    cache.insert(cold, 4);
-    // Session B: inserted at t=0 and pinned by an admitted request.
-    Request hot;
-    hot.id = 7;
-    hot.blockHashes = chainedHashes(2, 4);
-    hot.promptBlocks = 4;
-    hot.promptLen = 4 * kPrefixBlockTokens;
-    cache.insert(hot.blockHashes, 4);
-    ASSERT_EQ(cache.matchTokens(hot), hot.promptLen - 1);
-    cache.acquire(hot);
-
-    // Sweep before the TTL elapses: nothing moves.
-    cache.setClock(999'999);
-    EXPECT_EQ(cache.evictIdle(), 0);
-
-    // Past the TTL: the cold path is swept, the pinned path survives.
-    cache.setClock(2'000'000);
-    const int64_t swept = cache.evictIdle();
-    EXPECT_EQ(swept, 4);
-    EXPECT_EQ(cache.stats().ttlEvictedBlocks, 4);
-    Request probe_cold;
-    probe_cold.blockHashes = cold;
-    probe_cold.promptBlocks = 4;
-    probe_cold.promptLen = 4 * kPrefixBlockTokens;
-    EXPECT_EQ(cache.matchTokens(probe_cold), 0);
-    EXPECT_EQ(cache.matchTokens(hot), hot.promptLen - 1);
-
-    // Released (session over), the next sweep reclaims it too.
-    cache.release(hot);
-    cache.setClock(4'000'000);
-    EXPECT_GT(cache.evictIdle(), 0);
-    EXPECT_EQ(cache.matchTokens(hot), 0);
-    EXPECT_EQ(cache.pinnedRequests(), 0);
-    EXPECT_EQ(cache.occupancyTokens(), 0);
-
-    // TTL 0 (the default) never sweeps, whatever the clock says.
-    PrefixCache no_ttl(PrefixCacheConfig{1 << 16, 0});
-    no_ttl.insert(cold, 4);
-    no_ttl.setClock(ReplicaFaultTimeline::kNoEvent - 1);
-    EXPECT_EQ(no_ttl.evictIdle(), 0);
-    EXPECT_EQ(no_ttl.stats().ttlEvictedBlocks, 0);
 }
 
 // ---- engine slowdown drain ---------------------------------------------
