@@ -317,9 +317,14 @@ class Value
         : sel_(std::move(s)), kind_(Kind::Selector),
           owns_(sel_.indices.spilled())
     {}
+    /** Built over an empty tile, so the union bytes a BufferRef leaves
+     *  unused are zero: g++ with ASan otherwise flags them as maybe
+     *  uninitialized where a kind test inlines. */
     Value(BufferRef b) noexcept                     // NOLINT implicit
-        : buf_(b), kind_(Kind::BufferRef)
-    {}
+        : tile_(), kind_(Kind::BufferRef)
+    {
+        new (&buf_) BufferRef(b);
+    }
     Value(TupleVal t) noexcept                      // NOLINT implicit
         : tup_(std::move(t)), kind_(Kind::Tuple),
           owns_(tup_.block_ != nullptr)

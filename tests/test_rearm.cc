@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <regex>
 
 #include "ops/higher_order.hh"
 #include "ops/offchip.hh"
@@ -106,28 +105,44 @@ batchWalk(uint64_t seed, size_t n)
 }
 
 /**
- * A port shape's (or dtype's) text with fresh symbols (ragged "R12", dynamic "D3")
- * renamed by first appearance in @p names, so two builds of one graph
- * compare equal whatever the global symbol counter stood at. Named
- * symbols such as the batch extent "B" are kept.
+ * A port shape's (or dtype's) text with fresh symbols (ragged "R12",
+ * dynamic "D3": a maximal letter run followed by a digit run) renamed
+ * by first appearance in @p names, so two builds of one graph compare
+ * equal whatever the global symbol counter stood at. Named symbols such
+ * as the batch extent "B" are kept.
  */
 std::string
 canonicalShape(const std::string& shape,
                std::map<std::string, std::string>& names)
 {
-    static const std::regex kFresh("[A-Za-z]+[0-9]+");
+    auto letter = [](char c) {
+        return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z');
+    };
+    auto digit = [](char c) { return c >= '0' && c <= '9'; };
     std::string out;
-    auto it = std::sregex_iterator(shape.begin(), shape.end(), kFresh);
-    size_t pos = 0;
-    for (; it != std::sregex_iterator(); ++it) {
-        out += shape.substr(pos, static_cast<size_t>(it->position()) - pos);
-        auto [slot, fresh] = names.try_emplace(it->str(), "");
-        if (fresh)
-            slot->second = "s" + std::to_string(names.size() - 1);
-        out += slot->second;
-        pos = static_cast<size_t>(it->position() + it->length());
+    size_t i = 0;
+    while (i < shape.size()) {
+        if (!letter(shape[i])) {
+            out += shape[i++];
+            continue;
+        }
+        size_t j = i;
+        while (j < shape.size() && letter(shape[j]))
+            ++j;
+        size_t k = j;
+        while (k < shape.size() && digit(shape[k]))
+            ++k;
+        if (k == j) {
+            out.append(shape, i, j - i); // a named symbol
+        } else {
+            auto [slot, fresh] = names.try_emplace(shape.substr(i, k - i));
+            if (fresh)
+                slot->second = "s" + std::to_string(names.size() - 1);
+            out += slot->second;
+        }
+        i = k;
     }
-    return out + shape.substr(pos);
+    return out;
 }
 
 /** Every op's ports (direction, canonical shape, dtype, priming) and
