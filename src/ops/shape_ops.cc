@@ -117,9 +117,8 @@ ReshapeOp::run()
         if (t.isData()) {
             if (b == 0) {
                 STEP_PASS(out_.ch, coal, std::move(t));
-                if (padOut_.ch) {
+                if (padOut_.ch)
                     STEP_PASS(padOut_.ch, pad_coal, padFlag(false));
-                }
                 if (++count % chunk_ == 0) {
                     STEP_STOP(out_.ch, coal, 1);
                     if (padOut_.ch)
@@ -137,9 +136,8 @@ ReshapeOp::run()
                                 << " and no pad value in " << name());
                     while (count % chunk_ != 0) {
                         STEP_PASS(out_.ch, coal, Token::data(*pad_));
-                        if (padOut_.ch) {
+                        if (padOut_.ch)
                             STEP_PASS(padOut_.ch, pad_coal, padFlag(true));
-                        }
                         ++count;
                     }
                 }
@@ -172,9 +170,8 @@ ReshapeOp::run()
                             << " and no pad value in " << name());
                 while (count % chunk_ != 0) {
                     STEP_PASS(out_.ch, coal, Token::data(*pad_));
-                    if (padOut_.ch) {
+                    if (padOut_.ch)
                         STEP_PASS(padOut_.ch, pad_coal, padFlag(true));
-                    }
                     ++count;
                 }
                 STEP_STOP(out_.ch, coal, 1);
