@@ -43,11 +43,10 @@ const char*
 blockKindName(uint8_t kind)
 {
     // Mirrors dam::BlockInfo::Kind ordinals. The None case ends a
-    // context's last span (it finished, blocked on nothing); its
-    // export name "yield" is kept so traces stay byte-stable.
+    // context's last span: it finished, blocked on nothing.
     switch (kind) {
       case 0:
-        return "yield";
+        return "done";
       case 1:
         return "read";
       case 2:

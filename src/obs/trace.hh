@@ -90,7 +90,7 @@ struct TraceEvent
 };
 
 /** Render a BlockInfo::Kind ordinal for export ("read", "write", ...;
- *  None, which ends a finished context's span, renders "yield"). */
+ *  None, which ends a finished context's span, renders "done"). */
 const char* blockKindName(uint8_t kind);
 
 } // namespace step::obs
