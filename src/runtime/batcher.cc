@@ -11,7 +11,6 @@ ContinuousBatcher::ContinuousBatcher(BatcherConfig cfg) : cfg_(cfg)
 {
     STEP_ASSERT(cfg_.kvBudgetBytes > 0, "KV budget must be positive");
     STEP_ASSERT(cfg_.kvBytesPerToken > 0, "KV token size must be positive");
-    STEP_ASSERT(cfg_.maxRunning > 0, "batch cap must be positive");
 }
 
 void
@@ -32,7 +31,7 @@ ContinuousBatcher::admit(const AdmissionPolicy* policy,
 {
     AdmitResult out;
     while (!waiting_.empty() &&
-           static_cast<int64_t>(running_.size()) < cfg_.maxRunning) {
+           static_cast<int64_t>(running_.size()) < kMaxRunning) {
         Request* r = waiting_.front();
         // Size the reservation against the uncached suffix: tokens the
         // prefix cache already holds are pinned there, not re-reserved

@@ -28,8 +28,6 @@ struct BatcherConfig
     int64_t kvBudgetBytes = int64_t{1} << 26;
     /** KV bytes per cached token (model-dependent; see ModelConfig). */
     int64_t kvBytesPerToken = 256;
-    /** Maximum concurrently running requests. */
-    int64_t maxRunning = 64;
 };
 
 class PrefixCache;
@@ -37,6 +35,9 @@ class PrefixCache;
 class ContinuousBatcher
 {
   public:
+    /** Maximum concurrently running requests. */
+    static constexpr int64_t kMaxRunning = 64;
+
     explicit ContinuousBatcher(BatcherConfig cfg);
 
     /**

@@ -497,17 +497,18 @@ class ServingCluster::Run
                               BreakerSource::Telemetry
                       ? cfg_.resilience.health.windowCycles
                       : 0),
-          handoff_(cfg_.resilience.migration), router_(cfg_, faults_),
+          router_(cfg_, faults_),
           origs_(R_),
           results_(R_),
           traces_(cfg_.trace.level != obs::TraceLevel::Off ? R_ : 0),
           mregs_(cfg_.metrics.enabled ? R_ : 0), load_(R_, 0)
     {
         static const ExponentialBackoffRetry default_retry;
+        static const MigrationHandoff handoff;
         retry_ = cfg_.retry ? cfg_.retry : &default_retry;
         const bool resilient = cfg_.resilience.enabled;
         if (resilient) {
-            retry_ = &handoff_;
+            retry_ = &handoff;
             autoscale_ =
                 autoscaleSteps(cfg_, faults_, reqs, cluster.prefillFpt_);
             breakers_.resize(R_);
@@ -519,8 +520,7 @@ class ServingCluster::Run
             probes_.assign(R_, false);
         } else {
             for (size_t r = 0; r < breakers_.size(); ++r)
-                breakers_[r] = computeBreakerTimeline(
-                    faults_[r], cfg_.resilience.breaker);
+                breakers_[r] = computeBreakerTimeline(faults_[r]);
         }
         route_ = assignRoutes(reqs, cfg_, cluster.prefillFpt_);
         pool_.emplace(static_cast<size_t>(
@@ -542,8 +542,7 @@ class ServingCluster::Run
             // The drain fires on the edge that opens the breaker: one
             // detection signal for routing and migration.
             if (resilient)
-                for (const auto& w :
-                     slowdownTrips(ec.faults, cfg_.resilience.breaker))
+                for (const auto& w : slowdownTrips(ec.faults))
                     ec.drainAt.push_back(w.start);
             edges_.push_back(failureEdges(ec));
             std::ranges::sort(edges_.back());
@@ -704,7 +703,7 @@ class ServingCluster::Run
             out.totalIterations += rr.result.iterations;
         }
         out.aggregate = mergeSummaries(parts);
-        scoreSloPerCaller(out.aggregate, reqs_, cfg_.engine.slo);
+        scoreSloPerCaller(out.aggregate, reqs_);
         // Heterogeneous fleets provision sum(scale_r * bw) FLOPs/cycle;
         // the unscaled expression is kept verbatim so scale-less runs
         // stay bit-identical (no float round-trip).
@@ -726,7 +725,7 @@ class ServingCluster::Run
                 std::make_unique<obs::MetricsRegistry>(cfg_.metrics);
             for (const auto& m : out.metrics)
                 merged->mergeFrom(*m);
-            applySloWindows(out.aggregate, *merged, cfg_.engine.slo);
+            applySloWindows(out.aggregate, *merged);
             out.mergedMetrics = std::move(merged);
         }
         return out;
@@ -920,7 +919,7 @@ class ServingCluster::Run
             if (!changed)
                 continue;
             ServingSummary& s = results_[r].result.summary;
-            resummarize(s, view, cfg_.engine.slo);
+            resummarize(s, view);
             s.retriedRequests = retried;
         }
     }
@@ -944,7 +943,6 @@ class ServingCluster::Run
      *  it takes a probe in the current window. */
     std::vector<HealthMonitor> monitors_;
     std::vector<bool> probes_;
-    MigrationHandoff handoff_;
     const RetryPolicy* retry_ = nullptr;
     Router router_;
     /** Per replica: seed, fault timeline, bandwidth, drain cycles. */

@@ -108,8 +108,8 @@ class Recorder
 {
   public:
     Recorder(obs::TraceSink* trace, obs::MetricsRegistry* metrics,
-             HealthMonitor* health, const SloConfig& slo)
-        : trace_(trace), metrics_(metrics), health_(health), slo_(slo)
+             HealthMonitor* health)
+        : trace_(trace), metrics_(metrics), health_(health)
     {
         if (trace_) {
             obs::CounterRegistry& c = trace_->counters();
@@ -189,7 +189,7 @@ class Recorder
                 record(RequestsFinished, at, 1);
                 if (r.outputLen > 1)
                     record(TpotCycles, at, std::llround(tpot(r)));
-                if (slo_.meets(r))
+                if (meetsSlo(r))
                     record(SloGoodTokens, at, r.generated);
             }
             break;
@@ -277,7 +277,7 @@ class Recorder
         if (trace_)
             s.counters = trace_->counters().snapshot();
         if (metrics_)
-            applySloWindows(s, *metrics_, slo_);
+            applySloWindows(s, *metrics_);
     }
 
   private:
@@ -302,7 +302,6 @@ class Recorder
     obs::TraceSink* trace_;
     obs::MetricsRegistry* metrics_;
     HealthMonitor* health_;
-    const SloConfig& slo_;
     std::array<obs::CounterRegistry::Handle, kNumQuantities> counter_{};
     std::array<obs::MetricsRegistry::Handle, kNumQuantities> metric_{};
 };
@@ -409,7 +408,7 @@ class ServingEngine::Run::Impl
           reqs_(std::make_move_iterator(input.begin()),
                 std::make_move_iterator(input.end())),
           batcher_(cfg_.batcher), iterRng_(cfg_.seed),
-          tel_(eng.trace_, eng.metrics_, eng.health_, cfg_.slo),
+          tel_(eng.trace_, eng.metrics_, eng.health_),
           dp_(eng.baseParams_),
           // Scheduler events only matter at trace level >= Op, so the
           // per-resume branch in dam::Scheduler::drain stays cold below.
@@ -521,7 +520,7 @@ class ServingEngine::Run::Impl
             // A single engine is its own busiest replica.
             s.prefixPeakOccupancyMaxReplica = st.peakOccupancyTokens;
         }
-        resummarize(s, reqs, cfg_.slo);
+        resummarize(s, reqs);
         tel_.summarize(s);
         return std::move(res_);
     }

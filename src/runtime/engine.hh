@@ -63,7 +63,6 @@ struct EngineConfig
      * Each run() starts with a cold cache so replays stay seeded.
      */
     PrefixCacheConfig prefixCache;
-    SloConfig slo;
     uint64_t seed = 42;
 
     /**

@@ -129,6 +129,8 @@ FaultPlan
 generateFaultPlan(const FaultPlanConfig& cfg, int64_t replicas,
                   uint64_t seed)
 {
+    constexpr double kSlowdownMeanCycles = 2'000'000; // window length
+    constexpr double kSlowdownFactor = 0.5; // bandwidth inside a window
     FaultPlan plan;
     if (cfg.horizonCycles == 0)
         return plan;
@@ -160,9 +162,8 @@ generateFaultPlan(const FaultPlanConfig& cfg, int64_t replicas,
                 if (t >= cfg.horizonCycles)
                     break;
                 dam::Cycle end =
-                    t + expoCycles(rng, cfg.slowdownMeanCycles);
-                plan.slowdowns.push_back(
-                    {r, t, end, cfg.slowdownFactor});
+                    t + expoCycles(rng, kSlowdownMeanCycles);
+                plan.slowdowns.push_back({r, t, end, kSlowdownFactor});
                 t = end;
             }
         }
@@ -234,10 +235,10 @@ std::optional<dam::Cycle>
 ExponentialBackoffRetry::reschedule(const Request& r, int64_t attempt,
                                     dam::Cycle failed_at) const
 {
-    if (attempt > maxRetries)
+    if (attempt > kMaxRetries)
         return std::nullopt;
-    double delay = static_cast<double>(backoffBaseCycles) *
-                   std::pow(backoffMult, static_cast<double>(attempt - 1));
+    double delay = static_cast<double>(kBackoffBaseCycles) *
+                   std::pow(kBackoffMult, static_cast<double>(attempt - 1));
     auto rearrive = failed_at + static_cast<dam::Cycle>(
                                     std::max(1.0, std::ceil(delay)));
     // Never retry after the deadline: the re-submitted request could

@@ -113,7 +113,8 @@ struct FaultPlan
 };
 
 /** Seeded-random plan generation: per-replica Poisson failure/repair
- *  processes, the classic MTBF/MTTR model. */
+ *  processes, the classic MTBF/MTTR model. Slowdown windows last 2M
+ *  cycles on average, at bandwidth factor 0.5. */
 struct FaultPlanConfig
 {
     /** Mean cycles between crashes per replica; 0 = no crashes. */
@@ -122,10 +123,6 @@ struct FaultPlanConfig
     double mttrCycles = 0;
     /** Mean cycles between slowdown windows per replica; 0 = none. */
     double slowdownMtbfCycles = 0;
-    /** Mean slowdown-window length. */
-    double slowdownMeanCycles = 2'000'000;
-    /** Bandwidth factor inside slowdown windows. */
-    double slowdownFactor = 0.5;
     /** Events are generated up to this cycle. */
     dam::Cycle horizonCycles = 0;
 };
@@ -175,18 +172,18 @@ class RetryPolicy
 };
 
 /**
- * Standard client behavior: up to maxRetries re-submissions, each
- * delayed by backoffBase * backoffMult^(attempt-1) cycles of modeled
- * backoff — and never a retry whose re-arrival would already be past
- * the request's deadline (retrying a sure loser only adds load where
- * the cluster is weakest).
+ * Standard client behavior: up to kMaxRetries re-submissions, each
+ * delayed by kBackoffBaseCycles * kBackoffMult^(attempt-1) cycles of
+ * modeled backoff — and never a retry whose re-arrival would already be
+ * past the request's deadline (retrying a sure loser only adds load
+ * where the cluster is weakest).
  */
 class ExponentialBackoffRetry : public RetryPolicy
 {
   public:
-    int64_t maxRetries = 3;
-    dam::Cycle backoffBaseCycles = 1'000'000;
-    double backoffMult = 2.0;
+    static constexpr int64_t kMaxRetries = 3;
+    static constexpr dam::Cycle kBackoffBaseCycles = 1'000'000;
+    static constexpr double kBackoffMult = 2.0;
 
     std::optional<dam::Cycle> reschedule(const Request& r, int64_t attempt,
                                          dam::Cycle failed_at) const override;

@@ -82,18 +82,16 @@ refreshAvailability(ServingSummary& s)
 }
 
 ServingSummary
-summarize(const std::vector<Request>& reqs, dam::Cycle makespan,
-          const SloConfig& slo)
+summarize(const std::vector<Request>& reqs, dam::Cycle makespan)
 {
     ServingSummary s;
     s.makespan = makespan;
-    resummarize(s, reqs, slo);
+    resummarize(s, reqs);
     return s;
 }
 
 void
-resummarize(ServingSummary& s, const std::vector<Request>& reqs,
-            const SloConfig& slo)
+resummarize(ServingSummary& s, const std::vector<Request>& reqs)
 {
     s.completed = s.generatedTokens = s.promptTokens = s.sloCompliant =
         s.sloGoodTokens = s.failedRequests = s.retriedRequests =
@@ -127,7 +125,7 @@ resummarize(ServingSummary& s, const std::vector<Request>& reqs,
         s.ttftSamples.push_back(ttft(r));
         if (r.outputLen > 1)
             s.tpotSamples.push_back(tpot(r));
-        if (slo.meets(r)) {
+        if (meetsSlo(r)) {
             ++s.sloCompliant;
             s.sloGoodTokens += r.generated;
         }
@@ -136,12 +134,11 @@ resummarize(ServingSummary& s, const std::vector<Request>& reqs,
 }
 
 void
-scoreSloPerCaller(ServingSummary& s, const std::vector<Request>& callers,
-                  const SloConfig& slo)
+scoreSloPerCaller(ServingSummary& s, const std::vector<Request>& callers)
 {
     s.sloCompliant = s.sloGoodTokens = 0;
     for (const Request& r : callers)
-        if (r.done() && slo.meets(r)) {
+        if (r.done() && meetsSlo(r)) {
             ++s.sloCompliant;
             s.sloGoodTokens += r.generated;
         }
@@ -266,7 +263,7 @@ printSummary(const ServingSummary& s, std::ostream& os)
 }
 
 SloWindowStats
-computeSloWindows(const obs::MetricsRegistry& m, const SloConfig& slo)
+computeSloWindows(const obs::MetricsRegistry& m)
 {
     SloWindowStats st;
     const obs::MetricsRegistry::Instrument* ttft_i =
@@ -292,12 +289,12 @@ computeSloWindows(const obs::MetricsRegistry& m, const SloConfig& slo)
         if (th && !th->empty()) {
             const uint64_t p95 = th->percentile(95.0);
             st.worstP95Ttft = std::max(st.worstP95Ttft, p95);
-            ok = ok && static_cast<double>(p95) <= slo.ttftCycles;
+            ok = ok && static_cast<double>(p95) <= kSloTtftCycles;
         }
         if (ph && !ph->empty()) {
             const uint64_t p95 = ph->percentile(95.0);
             st.worstP95Tpot = std::max(st.worstP95Tpot, p95);
-            ok = ok && static_cast<double>(p95) <= slo.tpotCycles;
+            ok = ok && static_cast<double>(p95) <= kSloTpotCycles;
         }
         if (miss_i && miss_i->series.window(w).count > 0)
             ok = false;
@@ -308,10 +305,9 @@ computeSloWindows(const obs::MetricsRegistry& m, const SloConfig& slo)
 }
 
 void
-applySloWindows(ServingSummary& s, const obs::MetricsRegistry& m,
-                const SloConfig& slo)
+applySloWindows(ServingSummary& s, const obs::MetricsRegistry& m)
 {
-    const SloWindowStats st = computeSloWindows(m, slo);
+    const SloWindowStats st = computeSloWindows(m);
     s.sloWindows = st.windows;
     s.sloWindowsAttained = st.attained;
     s.sloWorstWindowP95Ttft = st.worstP95Ttft;

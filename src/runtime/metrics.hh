@@ -25,19 +25,18 @@ double ttft(const Request& r);
 /** Mean decode latency per token after the first; 0 if outputLen == 1. */
 double tpot(const Request& r);
 
-/** Latency service-level objective used to gate goodput. */
-struct SloConfig
-{
-    double ttftCycles = 5e6;
-    double tpotCycles = 1.5e6;
+/** The latency service-level objective that gates goodput (cycles). */
+constexpr double kSloTtftCycles = 5e6;
+constexpr double kSloTpotCycles = 1.5e6;
 
-    bool
-    meets(const Request& r) const
-    {
-        return ttft(r) <= ttftCycles &&
-               (r.outputLen <= 1 || tpot(r) <= tpotCycles);
-    }
-};
+/** @p r met the SLO: TTFT within kSloTtftCycles and, past one output
+ *  token, TPOT within kSloTpotCycles. */
+inline bool
+meetsSlo(const Request& r)
+{
+    return ttft(r) <= kSloTtftCycles &&
+           (r.outputLen <= 1 || tpot(r) <= kSloTpotCycles);
+}
 
 struct ServingSummary
 {
@@ -152,7 +151,7 @@ struct ServingSummary
  * engine runs traces to a terminal state, so normally none).
  */
 ServingSummary summarize(const std::vector<Request>& reqs,
-                         dam::Cycle makespan, const SloConfig& slo);
+                         dam::Cycle makespan);
 
 /**
  * summarize() in place over s.makespan: recompute every request-derived
@@ -160,14 +159,13 @@ ServingSummary summarize(const std::vector<Request>& reqs,
  * computeUtilization, the prefix-cache counters (the hit-rate and
  * savings ratios are re-derived from them), counters, slo windows.
  */
-void resummarize(ServingSummary& s, const std::vector<Request>& reqs,
-                 const SloConfig& slo);
+void resummarize(ServingSummary& s, const std::vector<Request>& reqs);
 
 /** Re-score @p s's SLO fields (and goodput over s.makespan) over
  *  @p callers: each request once, as its caller sees it, so one that
  *  failed over counts its retry and handoff delays. */
-void scoreSloPerCaller(ServingSummary& s, const std::vector<Request>& callers,
-                       const SloConfig& slo);
+void scoreSloPerCaller(ServingSummary& s,
+                       const std::vector<Request>& callers);
 
 /** Re-derive availability from the summary's terminal counts (1.0 when
  *  none — never NaN). Called by summarize/mergeSummaries. */
@@ -196,7 +194,7 @@ void printSummary(const ServingSummary& s, std::ostream& os);
  * `ttft_cycles` / `tpot_cycles` histogram deltas and `deadline_misses`
  * series. A window is monitored when either latency instrument saw a
  * sample; it is attained when every present signal met its target
- * (p95 TTFT <= slo.ttftCycles, p95 TPOT <= slo.tpotCycles, zero
+ * (p95 TTFT <= kSloTtftCycles, p95 TPOT <= kSloTpotCycles, zero
  * deadline misses). Deterministic: percentiles are bucket
  * representatives, windows are walked in index order.
  */
@@ -208,11 +206,9 @@ struct SloWindowStats
     uint64_t worstP95Tpot = 0;
 };
 
-SloWindowStats computeSloWindows(const obs::MetricsRegistry& m,
-                                 const SloConfig& slo);
+SloWindowStats computeSloWindows(const obs::MetricsRegistry& m);
 
 /** Fold computeSloWindows into the summary's slo* fields. */
-void applySloWindows(ServingSummary& s, const obs::MetricsRegistry& m,
-                     const SloConfig& slo);
+void applySloWindows(ServingSummary& s, const obs::MetricsRegistry& m);
 
 } // namespace step::runtime

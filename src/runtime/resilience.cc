@@ -22,7 +22,7 @@ BreakerTimeline::stateAt(dam::Cycle c) const
 }
 
 std::vector<BreakerTimeline::Window>
-slowdownTrips(const ReplicaFaultTimeline& t, const BreakerConfig& cfg)
+slowdownTrips(const ReplicaFaultTimeline& t)
 {
     constexpr double kDeepFactor = 0.75; // at or below: a deep slowdown
     std::vector<BreakerTimeline::Window> trips;
@@ -30,15 +30,14 @@ slowdownTrips(const ReplicaFaultTimeline& t, const BreakerConfig& cfg)
         // Only a *sustained* deep slowdown trips, and only after the
         // detection lag — the health scorer needs to observe the
         // degradation before it can act on it.
-        if (s.factor <= kDeepFactor && s.end - s.start > cfg.detectCycles)
-            trips.push_back({s.start + cfg.detectCycles, s.end});
+        if (s.factor <= kDeepFactor && s.end - s.start > kBreakerDetectCycles)
+            trips.push_back({s.start + kBreakerDetectCycles, s.end});
     }
     return trips;
 }
 
 BreakerTimeline
-computeBreakerTimeline(const ReplicaFaultTimeline& t,
-                       const BreakerConfig& cfg)
+computeBreakerTimeline(const ReplicaFaultTimeline& t)
 {
     constexpr dam::Cycle kCooldownCycles = 2'000'000; // half-open probation
     BreakerTimeline b;
@@ -51,7 +50,7 @@ computeBreakerTimeline(const ReplicaFaultTimeline& t,
             b.halfOpen.push_back(
                 {d.recoverAt, d.recoverAt + kCooldownCycles});
     }
-    for (const auto& w : slowdownTrips(t, cfg)) {
+    for (const auto& w : slowdownTrips(t)) {
         b.open.push_back(w);
         b.halfOpen.push_back({w.end, w.end + kCooldownCycles});
     }
@@ -193,11 +192,11 @@ std::optional<dam::Cycle>
 MigrationHandoff::reschedule(const Request& r, int64_t attempt,
                              dam::Cycle failed_at) const
 {
+    // The router cannot deliver a request at the cycle it failed.
+    static_assert(kFixedCycles > 0, "a handoff must take time");
     const auto kv = static_cast<dam::Cycle>(carriedKvTokens(r));
-    const dam::Cycle handoff =
-        cfg.fixedHandoffCycles + kv * cfg.perTokenTransferCycles;
-    const dam::Cycle rearrive = failed_at + std::max<dam::Cycle>(1, handoff);
-    if (attempt > cfg.maxMigrations ||
+    const dam::Cycle rearrive = failed_at + kFixedCycles + kv * kPerTokenCycles;
+    if (attempt > kMaxMigrations ||
         (r.deadlineAt != 0 && rearrive > r.deadlineAt))
         return std::nullopt;
     return rearrive;
@@ -206,13 +205,9 @@ MigrationHandoff::reschedule(const Request& r, int64_t attempt,
 // ---- overload brown-out ------------------------------------------------
 
 double
-BrownoutPolicy::pressure(const AdmissionContext& ctx,
-                         const BrownoutConfig& cfg)
+BrownoutPolicy::pressure(const AdmissionContext& ctx)
 {
-    double p = 0.0;
-    if (cfg.queueFullDepth > 0)
-        p = std::max(p, double(ctx.waitingRequests) /
-                            double(cfg.queueFullDepth));
+    double p = double(ctx.waitingRequests) / double(kQueueFullDepth);
     if (ctx.kvBudgetBytes > 0)
         p = std::max(p, double(ctx.kvReservedBytes) /
                             double(ctx.kvBudgetBytes));
@@ -226,10 +221,10 @@ bool
 BrownoutPolicy::shouldShed(const Request& r,
                            const AdmissionContext& ctx) const
 {
-    double p = pressure(ctx, cfg);
-    if (p >= cfg.refuseAt && r.priority != ReqPriority::High)
+    double p = pressure(ctx);
+    if (p >= kRefuseAt && r.priority != ReqPriority::High)
         return true;
-    if (p >= cfg.shedLowAt && r.priority == ReqPriority::Low)
+    if (p >= kShedLowAt && r.priority == ReqPriority::Low)
         return true;
     return fallback && fallback->shouldShed(r, ctx);
 }
@@ -238,9 +233,8 @@ int64_t
 BrownoutPolicy::outputCap(const Request& r,
                           const AdmissionContext& ctx) const
 {
-    if (r.priority != ReqPriority::High &&
-        pressure(ctx, cfg) >= cfg.capAt)
-        return cfg.outputCapTokens;
+    if (r.priority != ReqPriority::High && pressure(ctx) >= kCapAt)
+        return kOutputCapTokens;
     return fallback ? fallback->outputCap(r, ctx) : 0;
 }
 
@@ -254,9 +248,10 @@ computeAutoscaleTimeline(const AutoscaleConfig& cfg,
 {
     constexpr double kScaleUpUtil = 0.75;   // above: one replica activates
     constexpr double kScaleDownUtil = 0.30; // below: one parks
+    constexpr dam::Cycle kIntervalCycles = 4'000'000; // one evaluation
     std::vector<AutoscaleStep> steps;
-    if (!cfg.enabled || cfg.evalIntervalCycles <= 0 || reqs.empty() ||
-        perReplicaBw <= 0 || flopsPerToken <= 0)
+    if (!cfg.enabled || reqs.empty() || perReplicaBw <= 0 ||
+        flopsPerToken <= 0)
         return steps;
 
     // Every replica starts active; one always stays.
@@ -273,10 +268,10 @@ computeAutoscaleTimeline(const AutoscaleConfig& cfg,
     // tokens both priced at the prefill cost, a deliberate lower bound
     // that keeps the scaler from thrashing on decode-heavy noise.
     size_t cursor = 0;
-    for (dam::Cycle t = 0; t <= horizon; t += cfg.evalIntervalCycles) {
+    for (dam::Cycle t = 0; t <= horizon; t += kIntervalCycles) {
         double offered = 0.0;
         while (cursor < reqs.size() &&
-               reqs[cursor].arrival < t + cfg.evalIntervalCycles) {
+               reqs[cursor].arrival < t + kIntervalCycles) {
             offered += double(reqs[cursor].promptLen +
                               reqs[cursor].outputLen) *
                        flopsPerToken;
@@ -288,7 +283,7 @@ computeAutoscaleTimeline(const AutoscaleConfig& cfg,
                 ++aliveActive;
         const double capacity = double(aliveActive) *
                                 double(perReplicaBw) *
-                                double(cfg.evalIntervalCycles);
+                                double(kIntervalCycles);
         const double util =
             capacity > 0 ? offered / capacity
                          : (offered > 0 ? 1.0 : 0.0);
@@ -299,7 +294,7 @@ computeAutoscaleTimeline(const AutoscaleConfig& cfg,
             next = std::max<int64_t>(active - 1, 1);
         if (next != active) {
             active = next;
-            steps.push_back({t + cfg.evalIntervalCycles, active});
+            steps.push_back({t + kIntervalCycles, active});
         }
     }
     return steps;

@@ -48,6 +48,7 @@
 
 #include "obs/timeseries.hh"
 #include "runtime/faults.hh"
+#include "runtime/metrics.hh"
 #include "runtime/request.hh"
 
 namespace step::runtime {
@@ -55,16 +56,6 @@ namespace step::runtime {
 // ---- circuit breakers --------------------------------------------------
 
 enum class BreakerState : uint8_t { Closed, Open, HalfOpen };
-
-struct BreakerConfig
-{
-    /**
-     * A deep slowdown window must run longer than this before the
-     * breaker opens — transient stragglers do not trip it (see
-     * slowdownTrips). Crashes open the breaker immediately.
-     */
-    dam::Cycle detectCycles = 500'000;
-};
 
 /**
  * One replica's breaker timeline, derived from its fault timeline or
@@ -92,18 +83,25 @@ struct BreakerTimeline
 };
 
 /**
+ * The detection lag: a deep slowdown must run longer than this before
+ * the breaker opens — transient stragglers do not trip it. Crashes
+ * open the breaker immediately.
+ */
+constexpr dam::Cycle kBreakerDetectCycles = 500'000;
+
+/**
  * The trip rule: each slowdown of @p t at factor <= 0.75 that lasts
- * longer than cfg.detectCycles, in order, as the window it holds the
- * breaker open — from detectCycles after its start to its end. A
- * resilient cluster also drains the replica at each window's start.
+ * longer than kBreakerDetectCycles, in order, as the window it holds
+ * the breaker open — from kBreakerDetectCycles after its start to its
+ * end. A resilient cluster also drains the replica at each window's
+ * start.
  */
 std::vector<BreakerTimeline::Window>
-slowdownTrips(const ReplicaFaultTimeline& t, const BreakerConfig& cfg);
+slowdownTrips(const ReplicaFaultTimeline& t);
 
 /** Derive a replica's breaker timeline from its fault timeline: open
  *  for each outage and slowdown trip, then half-open for 2M cycles. */
-BreakerTimeline computeBreakerTimeline(const ReplicaFaultTimeline& t,
-                                       const BreakerConfig& cfg);
+BreakerTimeline computeBreakerTimeline(const ReplicaFaultTimeline& t);
 
 // ---- telemetry-inferred breakers ---------------------------------------
 
@@ -134,8 +132,8 @@ struct HealthMonitorConfig
     /** Telemetry aggregation window; also the detection quantum. */
     dam::Cycle windowCycles = 2'000'000;
     /** A window is degraded when its p95 TTFT exceeds this. The
-     *  default matches SloConfig::ttftCycles. */
-    double degradedTtftCycles = 5e6;
+     *  default is the SLO's TTFT target. */
+    double degradedTtftCycles = kSloTtftCycles;
     /** Consecutive degraded windows before the breaker opens (one
      *  with a failed request, the crash signal, opens it at once). */
     int64_t openAfterDegraded = 2;
@@ -206,33 +204,28 @@ class HealthMonitor
 
 // ---- live request migration -------------------------------------------
 
-struct MigrationConfig
-{
-    /** Fixed handoff cost per migration (handshake + metadata). */
-    dam::Cycle fixedHandoffCycles = 50'000;
-    /** KV-shard transfer cost per token moved (soft drain only — a
-     *  hard-down source lost its KV and the request re-prefills). */
-    dam::Cycle perTokenTransferCycles = 100;
-    /** Migrations per request before the cluster gives up (the retry
-     *  policy's maxRetries analogue). */
-    int64_t maxMigrations = 3;
-};
-
 /** KV tokens a handoff of @p r carries: its prefill progress after a
  *  soft drain (Migrated), none after a crash (the KV died with it). */
 int64_t carriedKvTokens(const Request& r);
 
 /**
  * The resilience tier's RetryPolicy, i.e. the migration cost model: up to
- * maxMigrations attempts, each re-arriving max(1, fixedHandoffCycles +
- * carriedKvTokens(r) * perTokenTransferCycles) cycles after the failure,
- * and never past the request's deadline.
+ * kMaxMigrations attempts, each re-arriving kFixedCycles +
+ * carriedKvTokens(r) * kPerTokenCycles cycles after the failure, and
+ * never past the request's deadline.
  */
 class MigrationHandoff : public RetryPolicy
 {
   public:
-    explicit MigrationHandoff(const MigrationConfig& cfg) : cfg(cfg) {}
-    MigrationConfig cfg;
+    /** Fixed handoff cost per migration (handshake + metadata). */
+    static constexpr dam::Cycle kFixedCycles = 50'000;
+    /** KV-shard transfer cost per token moved (soft drain only — a
+     *  hard-down source lost its KV and the request re-prefills). */
+    static constexpr dam::Cycle kPerTokenCycles = 100;
+    /** Migrations per request before the cluster gives up
+     *  (ExponentialBackoffRetry::kMaxRetries' analogue). */
+    static constexpr int64_t kMaxMigrations = 3;
+
     std::optional<dam::Cycle> reschedule(const Request& r, int64_t attempt,
                                          dam::Cycle failed_at) const override;
 };
@@ -246,23 +239,9 @@ struct RemotePrefixConfig
 
 // ---- overload brown-out ------------------------------------------------
 
-struct BrownoutConfig
-{
-    /** Waiting requests at which queue pressure saturates to 1.0. */
-    int64_t queueFullDepth = 64;
-    /** Pressure at which low-priority requests shed (rung 1). */
-    double shedLowAt = 0.5;
-    /** Pressure at which output lengths cap (rung 2). */
-    double capAt = 0.75;
-    int64_t outputCapTokens = 32;
-    /** Pressure at which all but high-priority requests are refused
-     *  (rung 3). */
-    double refuseAt = 0.95;
-};
-
 /**
  * Graceful-degradation admission ladder. Pressure is the worst of
- * queue depth (vs queueFullDepth), KV reservation occupancy, and
+ * queue depth (vs kQueueFullDepth), KV reservation occupancy, and
  * bandwidth degradation (1 - effective/nominal, the slowdown signal the
  * breakers read) — so the same health signal drives shedding that
  * drives routing. Rungs engage in order: shed low-priority, cap output
@@ -272,13 +251,22 @@ struct BrownoutConfig
 class BrownoutPolicy : public AdmissionPolicy
 {
   public:
-    BrownoutConfig cfg;
+    /** Waiting requests at which queue pressure saturates to 1.0. */
+    static constexpr int64_t kQueueFullDepth = 64;
+    /** Pressure at which low-priority requests shed (rung 1). */
+    static constexpr double kShedLowAt = 0.5;
+    /** Pressure at which output lengths cap (rung 2), and the cap. */
+    static constexpr double kCapAt = 0.75;
+    static constexpr int64_t kOutputCapTokens = 32;
+    /** Pressure at which all but high-priority requests are refused
+     *  (rung 3). */
+    static constexpr double kRefuseAt = 0.95;
+
     /** Consulted first when set (e.g. DeadlineAwareShedPolicy). */
     const AdmissionPolicy* fallback = nullptr;
 
     /** The ladder's drive signal, exposed for tests. */
-    static double pressure(const AdmissionContext& ctx,
-                           const BrownoutConfig& cfg);
+    static double pressure(const AdmissionContext& ctx);
 
     bool shouldShed(const Request& r,
                     const AdmissionContext& ctx) const override;
@@ -291,8 +279,6 @@ class BrownoutPolicy : public AdmissionPolicy
 struct AutoscaleConfig
 {
     bool enabled = false;
-    /** Utilization is evaluated once per interval. */
-    dam::Cycle evalIntervalCycles = 4'000'000;
 };
 
 /** One autoscaler decision: @p active replicas from cycle @p at on. */
@@ -304,7 +290,7 @@ struct AutoscaleStep
 
 /**
  * Precompute the autoscaler's step timeline for a cluster of
- * faults.size() replicas from the offered load: per evaluation
+ * faults.size() replicas from the offered load: per 4M-cycle evaluation
  * interval, the arriving work (prompt + output tokens, weighted by the
  * analytic per-token cost) against the capacity of the currently
  * active *alive* replicas; above 0.75 utilization one replica
@@ -360,8 +346,6 @@ int64_t pickResilientTarget(
 struct ResilienceConfig
 {
     bool enabled = false;
-    MigrationConfig migration;
-    BreakerConfig breaker;
     RemotePrefixConfig remotePrefix;
     AutoscaleConfig autoscale;
     /**

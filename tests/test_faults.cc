@@ -304,23 +304,24 @@ TEST(FaultPlan, NextEventAfterAlwaysAdvancesToNoEvent)
 
 TEST(Retry, ExponentialBackoffBoundsAttemptsAndRespectsDeadline)
 {
-    ExponentialBackoffRetry rp;
-    rp.maxRetries = 2;
-    rp.backoffBaseCycles = 1000;
-    rp.backoffMult = 2.0;
+    // Up to 3 retries after 1M, 2M and 4M cycles of backoff.
+    const ExponentialBackoffRetry rp;
     Request r = mkReq(0, 0, 10, 5);
 
     auto a1 = rp.reschedule(r, 1, 5000);
     auto a2 = rp.reschedule(r, 2, 5000);
+    auto a3 = rp.reschedule(r, 3, 5000);
     ASSERT_TRUE(a1.has_value());
     ASSERT_TRUE(a2.has_value());
-    EXPECT_EQ(*a1, 6000u);
-    EXPECT_EQ(*a2, 7000u); // backoff doubles
-    EXPECT_FALSE(rp.reschedule(r, 3, 5000).has_value()); // > maxRetries
+    ASSERT_TRUE(a3.has_value());
+    EXPECT_EQ(*a1, 1'005'000u);
+    EXPECT_EQ(*a2, 2'005'000u); // backoff doubles
+    EXPECT_EQ(*a3, 4'005'000u);
+    EXPECT_FALSE(rp.reschedule(r, 4, 5000).has_value()); // > kMaxRetries
 
-    r.deadlineAt = 5500; // re-arrival 6000 would already be too late
+    r.deadlineAt = 505'000; // re-arrival 1'005'000 would be too late
     EXPECT_FALSE(rp.reschedule(r, 1, 5000).has_value());
-    r.deadlineAt = 6000;
+    r.deadlineAt = 1'005'000;
     EXPECT_TRUE(rp.reschedule(r, 1, 5000).has_value());
 
     EXPECT_FALSE(NoRetryPolicy{}.reschedule(r, 1, 0).has_value());
@@ -714,38 +715,52 @@ TEST(ClusterFaults, FailoverRetriesRecoverTheCasualties)
 TEST(ClusterFaults, LateRetryMeetsTheSloOnlyIfItsCallerLevelTtftDoes)
 {
     // Replica 0 crashes under request 0; its retry re-arrives on
-    // replica 1 after the backoff. Scored from the re-arrival the retry
-    // is fast; the caller waited from the original arrival.
+    // replica 1 after the policy's delay. Scored from the re-arrival the
+    // retry is fast; the caller waited from the original arrival.
+    struct FixedDelayRetry : RetryPolicy
+    {
+        dam::Cycle delay = 0;
+        std::optional<dam::Cycle>
+        reschedule(const Request&, int64_t attempt,
+                   dam::Cycle failed_at) const override
+        {
+            if (attempt > 1)
+                return std::nullopt;
+            return failed_at + delay;
+        }
+    } retry_policy;
     QueueDepthPolicy policy;
     ClusterConfig cc;
     cc.replicas = 2;
     cc.routing = RouteKind::RoundRobin;
+    cc.retry = &retry_policy;
     const std::vector<Request> trace = {mkReq(0, 0, 512, 16),
                                         mkReq(1, 0, 16, 4)};
     cc.faults.crashes.push_back({0, 1'000, 0});
-    auto run = [&](double ttft_slo) {
-        cc.engine.slo.ttftCycles = ttft_slo;
-        cc.engine.slo.tpotCycles = 1e18;
+    auto run = [&](dam::Cycle delay) {
+        retry_policy.delay = delay;
         std::vector<Request> reqs = trace;
         ClusterResult r = ServingCluster(cc, policy).run(reqs);
         return std::make_pair(std::move(r), std::move(reqs));
     };
-    auto [probe, probe_reqs] = run(1e18);
-    ASSERT_EQ(probe_reqs[0].state, ReqState::Finished);
-    ASSERT_GT(probe_reqs[0].attempt, 0);
+
+    // A retry delayed by the whole TTFT target: the SLO falls between
+    // the incarnation's TTFT and the caller's. The replica that served
+    // the retry counts it, the caller-level aggregate does not.
+    const auto slo_delay = static_cast<dam::Cycle>(kSloTtftCycles);
+    auto [between, b_reqs] = run(slo_delay);
+    ASSERT_EQ(b_reqs[0].state, ReqState::Finished);
+    ASSERT_EQ(b_reqs[0].attempt, 1);
     const Request* retry = nullptr;
-    for (const Request& q : probe.replicas[1].requests)
-        if (q.id == 0 && q.attempt == probe_reqs[0].attempt)
+    for (const Request& q : between.replicas[1].requests)
+        if (q.id == 0 && q.attempt == 1)
             retry = &q;
     ASSERT_NE(retry, nullptr);
-    const double incarnation = ttft(*retry);
-    const double caller = ttft(probe_reqs[0]);
-    ASSERT_LT(incarnation, caller);
-    ASSERT_LE(ttft(probe_reqs[1]), incarnation);
-
-    // Between the two: the replica that served the retry counts it, the
-    // caller-level aggregate does not.
-    auto [between, b_reqs] = run((incarnation + caller) / 2);
+    ASSERT_LT(ttft(*retry), kSloTtftCycles);
+    ASSERT_GT(ttft(b_reqs[0]), kSloTtftCycles);
+    ASSERT_LE(ttft(b_reqs[1]), ttft(*retry));
+    for (const Request& q : {*retry, b_reqs[1]})
+        ASSERT_LE(tpot(q), kSloTpotCycles);
     EXPECT_EQ(between.replicas[1].result.summary.sloCompliant, 2);
     EXPECT_EQ(between.aggregate.sloCompliant, 1);
     EXPECT_EQ(between.aggregate.sloGoodTokens, b_reqs[1].generated);
@@ -753,8 +768,12 @@ TEST(ClusterFaults, LateRetryMeetsTheSloOnlyIfItsCallerLevelTtftDoes)
                      double(b_reqs[1].generated) /
                          (double(between.aggregate.makespan) / 1000.0));
 
-    // At the caller-level TTFT it meets the SLO at both levels.
-    auto [meets, m_reqs] = run(caller);
+    // A prompt retry keeps the caller-level TTFT within the target: it
+    // meets the SLO at both levels.
+    auto [meets, m_reqs] = run(1);
+    ASSERT_EQ(m_reqs[0].attempt, 1);
+    ASSERT_LE(ttft(m_reqs[0]), kSloTtftCycles);
+    EXPECT_EQ(meets.replicas[1].result.summary.sloCompliant, 2);
     EXPECT_EQ(meets.aggregate.sloCompliant, 2);
     EXPECT_EQ(meets.aggregate.sloGoodTokens,
               m_reqs[0].generated + m_reqs[1].generated);
@@ -838,9 +857,8 @@ TEST(Metrics, MergeFaultCountersAcrossHealthyAndDeadReplicas)
         r.finishedAt = 50;
         dead.push_back(r);
     }
-    SloConfig slo;
-    ServingSummary a = summarize(healthy, 1000, slo);
-    ServingSummary b = summarize(dead, 1000, slo);
+    ServingSummary a = summarize(healthy, 1000);
+    ServingSummary b = summarize(dead, 1000);
     EXPECT_DOUBLE_EQ(a.availability, 1.0);
     EXPECT_DOUBLE_EQ(b.availability, 0.0);
     EXPECT_EQ(b.completed, 0);
@@ -1056,7 +1074,7 @@ serveAppended(const EngineConfig& ec, const Policy& policy,
     // The summary's samples follow the requests: re-derive them in the
     // cold run's order.
     deliveryOrder(out.reqs);
-    resummarize(out.result.summary, out.reqs, ec.slo);
+    resummarize(out.result.summary, out.reqs);
     ex.exportInto(out);
     return out;
 }
@@ -1131,15 +1149,11 @@ TEST(LiveAppend, AppendingAtSeededBarriersEqualsTheColdRun)
     // Appending them at any barrier up to the earliest of them must end
     // exactly as the cold run over the grown input under that barrier.
     QueueDepthPolicy policy;
-    BrownoutPolicy brownout; // caps outputs (and hash streams) early
-    brownout.cfg.queueFullDepth = 4;
-    brownout.cfg.capAt = 0.25;
-    brownout.cfg.outputCapTokens = 8;
-    brownout.cfg.shedLowAt = 0.9;
-    brownout.cfg.refuseAt = 2.0;
+    BrownoutPolicy brownout; // caps outputs (and hash streams)
     for (uint64_t seed : {1, 2, 3}) {
         SCOPED_TRACE(seed);
         TraceConfig tc = burstyTrace(0);
+        tc.arrivalsPerKcycle = 0.0048; // sessions overlap: KV pressure
         tc.numSessions = 6;
         tc.turnsPerSession = 3;
         tc.lowPriorityFrac = 0.3;
@@ -1150,27 +1164,28 @@ TEST(LiveAppend, AppendingAtSeededBarriersEqualsTheColdRun)
         EngineConfig ec;
         ec.seed = seed;
         ec.prefixCache.capacityTokens = 1 << 12;
+        // A 768-token KV budget: overlapping sessions' reservations
+        // push the brown-out ladder to its output cap.
+        ec.batcher.kvBudgetBytes = 768 * ec.batcher.kvBytesPerToken;
         ec.admission = &brownout;
         FaultPlanConfig fc; // a seeded timeline: crashes that recover,
         fc.mtbfCycles = static_cast<double>(span) / 4; // deep slowdowns
         fc.mttrCycles = static_cast<double>(span) / 20;
         fc.slowdownMtbfCycles = static_cast<double>(span) / 4;
-        fc.slowdownMeanCycles = static_cast<double>(span) / 10;
-        fc.slowdownFactor = 0.4;
         fc.horizonCycles = span;
         ec.faults = generateFaultPlan(fc, 1, seed).forReplica(0);
         ASSERT_FALSE(ec.faults.downs.empty());
         ASSERT_FALSE(ec.faults.slowdowns.empty());
-        BreakerConfig bc;
-        bc.detectCycles = span / 40;
-        for (const auto& w : slowdownTrips(ec.faults, bc))
+        for (const auto& w : slowdownTrips(ec.faults))
             ec.drainAt.push_back(w.start);
         const Barriers bars = faultBarriers(ec);
 
         const Served first = serveCold(ec, policy, base, bars);
+        // Capped: admitted with its output budget cut to the cap.
         int64_t capped = 0;
         for (const Request& r : first.reqs)
-            capped += r.outputLen == brownout.cfg.outputCapTokens;
+            capped += r.outputLen == BrownoutPolicy::kOutputCapTokens &&
+                      base[size_t(r.id)].outputLen > r.outputLen;
         EXPECT_GT(capped, 0);
         Rng rng(seed);
         std::vector<Request> extra;
@@ -1603,7 +1618,6 @@ TEST(ClusterFaults, ReplicasEqualColdRunsOverTheirFinalInputs)
         fc.horizonCycles = span;
         if (variant > 0) {
             fc.slowdownMtbfCycles = static_cast<double>(span) / 3;
-            fc.slowdownFactor = 0.4;
             cc.engine.prefixCache.capacityTokens = 1 << 13;
             cc.resilience.enabled = true;
             cc.resilience.remotePrefix.enabled = true;
@@ -1611,6 +1625,8 @@ TEST(ClusterFaults, ReplicasEqualColdRunsOverTheirFinalInputs)
                 cc.resilience.breakerSource = BreakerSource::Telemetry;
         }
         cc.faults = generateFaultPlan(fc, cc.replicas, deriveSeed(3));
+        for (SlowdownWindow& w : cc.faults.slowdowns)
+            w.bwFactor = 0.4; // deeper than the generated 0.5
         std::erase_if(cc.faults.crashes,
                       [](const FaultEvent& e) { return e.replica == 3; });
         cc.faults.crashes.push_back({3, span / 2, 0}); // never recovers

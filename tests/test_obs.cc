@@ -278,7 +278,7 @@ TEST(ObsEngine, CountersAgreeWithMetricsOnAFaultyRun)
 
     ec.faults.downs.push_back({makespan / 5, makespan / 3});
     ec.faults.slowdowns.push_back({makespan / 2, makespan * 3 / 4, 0.2});
-    for (const auto& w : slowdownTrips(ec.faults, BreakerConfig{}))
+    for (const auto& w : slowdownTrips(ec.faults))
         ec.drainAt.push_back(w.start);
     DeadlineAwareShedPolicy shed;
     ec.admission = &shed;

@@ -68,8 +68,7 @@ TEST(Breaker, CrashOpensImmediatelyAndRecoveryHalfOpens)
 {
     ReplicaFaultTimeline t;
     t.downs.push_back({1'000'000, 3'000'000});
-    BreakerConfig bc; // cooldown 2'000'000
-    BreakerTimeline b = computeBreakerTimeline(t, bc);
+    BreakerTimeline b = computeBreakerTimeline(t); // cooldown 2'000'000
 
     EXPECT_EQ(b.stateAt(999'999), BreakerState::Closed);
     EXPECT_EQ(b.stateAt(1'000'000), BreakerState::Open);
@@ -83,11 +82,12 @@ TEST(Breaker, CrashOpensImmediatelyAndRecoveryHalfOpens)
 
 TEST(Breaker, OnlySustainedDeepSlowdownsTripAfterTheDetectionLag)
 {
-    BreakerConfig bc; // detect 500k; deep is <= 0.75, cooldown 2M
-    // Deep and long: trips, but only detectCycles after onset.
+    // Detect 500k; deep is <= 0.75, cooldown 2M.
+    ASSERT_EQ(kBreakerDetectCycles, 500'000u);
+    // Deep and long: trips, but only kBreakerDetectCycles after onset.
     ReplicaFaultTimeline deep;
     deep.slowdowns.push_back({1'000'000, 4'000'000, 0.5});
-    BreakerTimeline b = computeBreakerTimeline(deep, bc);
+    BreakerTimeline b = computeBreakerTimeline(deep);
     EXPECT_EQ(b.stateAt(1'000'000), BreakerState::Closed); // lag
     EXPECT_EQ(b.stateAt(1'500'000), BreakerState::Open);
     EXPECT_EQ(b.stateAt(4'000'000), BreakerState::HalfOpen);
@@ -96,40 +96,40 @@ TEST(Breaker, OnlySustainedDeepSlowdownsTripAfterTheDetectionLag)
     // Deep but shorter than the detection lag: never trips.
     ReplicaFaultTimeline blip;
     blip.slowdowns.push_back({1'000'000, 1'400'000, 0.5});
-    BreakerTimeline bb = computeBreakerTimeline(blip, bc);
+    BreakerTimeline bb = computeBreakerTimeline(blip);
     EXPECT_TRUE(bb.open.empty());
     EXPECT_TRUE(bb.halfOpen.empty());
 
     // Long but shallow (factor above 0.75): never trips.
     ReplicaFaultTimeline shallow;
     shallow.slowdowns.push_back({1'000'000, 9'000'000, 0.9});
-    BreakerTimeline bs = computeBreakerTimeline(shallow, bc);
+    BreakerTimeline bs = computeBreakerTimeline(shallow);
     EXPECT_TRUE(bs.open.empty());
-    EXPECT_TRUE(slowdownTrips(shallow, bc).empty());
+    EXPECT_TRUE(slowdownTrips(shallow).empty());
 
     // The trip windows are the breaker's slowdown opens.
-    const auto trips = slowdownTrips(deep, bc);
+    const auto trips = slowdownTrips(deep);
     ASSERT_EQ(trips.size(), 1u);
     EXPECT_EQ(trips[0].start, 1'500'000u);
     EXPECT_EQ(trips[0].end, 4'000'000u);
 
-    // Exactly detectCycles long: the window ends as the lag does, so it
-    // never trips.
+    // Exactly kBreakerDetectCycles long: the window ends as the lag
+    // does, so it never trips.
     ReplicaFaultTimeline edge;
     edge.slowdowns.push_back({1'000'000, 1'500'000, 0.5});
-    EXPECT_TRUE(slowdownTrips(edge, bc).empty());
-    BreakerTimeline be = computeBreakerTimeline(edge, bc);
+    EXPECT_TRUE(slowdownTrips(edge).empty());
+    BreakerTimeline be = computeBreakerTimeline(edge);
     EXPECT_TRUE(be.open.empty());
     EXPECT_TRUE(be.halfOpen.empty());
 
     // Exactly at factor 0.75: deep enough, so it trips.
     ReplicaFaultTimeline at_factor;
     at_factor.slowdowns.push_back({1'000'000, 4'000'000, 0.75});
-    const auto at_trips = slowdownTrips(at_factor, bc);
+    const auto at_trips = slowdownTrips(at_factor);
     ASSERT_EQ(at_trips.size(), 1u);
     EXPECT_EQ(at_trips[0].start, 1'500'000u);
     EXPECT_EQ(at_trips[0].end, 4'000'000u);
-    BreakerTimeline ba = computeBreakerTimeline(at_factor, bc);
+    BreakerTimeline ba = computeBreakerTimeline(at_factor);
     EXPECT_EQ(ba.stateAt(1'499'999), BreakerState::Closed);
     EXPECT_EQ(ba.stateAt(1'500'000), BreakerState::Open);
     EXPECT_EQ(ba.stateAt(4'000'000), BreakerState::HalfOpen);
@@ -139,7 +139,7 @@ TEST(Breaker, PermanentCrashOpensForeverWithNoProbation)
 {
     ReplicaFaultTimeline t;
     t.downs.push_back({500, 0});
-    BreakerTimeline b = computeBreakerTimeline(t, BreakerConfig{});
+    BreakerTimeline b = computeBreakerTimeline(t);
     EXPECT_EQ(b.stateAt(499), BreakerState::Closed);
     EXPECT_EQ(b.stateAt(500), BreakerState::Open);
     EXPECT_EQ(b.stateAt(ReplicaFaultTimeline::kNoEvent - 1),
@@ -177,24 +177,24 @@ reqWithPriority(ReqPriority p)
 
 TEST(Brownout, PressureIsTheWorstOfQueueKvAndBandwidthSignals)
 {
-    BrownoutConfig bc; // queueFullDepth 64
+    ASSERT_EQ(BrownoutPolicy::kQueueFullDepth, 64);
     AdmissionContext ctx = ctxWithQueue(32);
-    EXPECT_DOUBLE_EQ(BrownoutPolicy::pressure(ctx, bc), 0.5);
+    EXPECT_DOUBLE_EQ(BrownoutPolicy::pressure(ctx), 0.5);
     ctx.kvReservedBytes = 800; // KV signal 0.8 dominates
-    EXPECT_DOUBLE_EQ(BrownoutPolicy::pressure(ctx, bc), 0.8);
+    EXPECT_DOUBLE_EQ(BrownoutPolicy::pressure(ctx), 0.8);
     ctx.totalComputeBw = 819; // 90% degraded dominates everything
-    EXPECT_NEAR(BrownoutPolicy::pressure(ctx, bc), 0.9, 1e-3);
+    EXPECT_NEAR(BrownoutPolicy::pressure(ctx), 0.9, 1e-3);
     // An engine that predates the nominal-bandwidth signal reports 0
     // for it; degradation then reads as "not degraded", never negative.
     ctx.nominalComputeBw = 0;
     ctx.kvReservedBytes = 0;
     ctx.waitingRequests = 0;
-    EXPECT_DOUBLE_EQ(BrownoutPolicy::pressure(ctx, bc), 0.0);
+    EXPECT_DOUBLE_EQ(BrownoutPolicy::pressure(ctx), 0.0);
 }
 
 TEST(Brownout, LadderRungsEngageInPriorityOrder)
 {
-    BrownoutPolicy pol; // shedLowAt .5, capAt .75, refuseAt .95
+    BrownoutPolicy pol; // shed low at .5, cap at .75, refuse at .95
     const Request low = reqWithPriority(ReqPriority::Low);
     const Request normal = reqWithPriority(ReqPriority::Normal);
     const Request high = reqWithPriority(ReqPriority::High);
@@ -214,8 +214,8 @@ TEST(Brownout, LadderRungsEngageInPriorityOrder)
     // Rung 2: output caps engage for everyone below High.
     AdmissionContext hot = ctxWithQueue(52); // pressure ~0.81
     EXPECT_FALSE(pol.shouldShed(normal, hot));
-    EXPECT_EQ(pol.outputCap(normal, hot), pol.cfg.outputCapTokens);
-    EXPECT_EQ(pol.outputCap(low, hot), pol.cfg.outputCapTokens);
+    EXPECT_EQ(pol.outputCap(normal, hot), BrownoutPolicy::kOutputCapTokens);
+    EXPECT_EQ(pol.outputCap(low, hot), BrownoutPolicy::kOutputCapTokens);
     EXPECT_EQ(pol.outputCap(high, hot), 0);
 
     // Rung 3: everything but High refused.
@@ -248,7 +248,6 @@ TEST(Autoscale, ParksIdleReplicasAndReactivatesUnderLoad)
 {
     AutoscaleConfig ac;
     ac.enabled = true;
-    ac.evalIntervalCycles = 1'000'000;
 
     // A long quiet stretch, then a heavy burst: the scaler should park
     // replicas early and win them back when the burst lands.
@@ -257,17 +256,18 @@ TEST(Autoscale, ParksIdleReplicasAndReactivatesUnderLoad)
         Request r;
         r.id = i;
         // 2 light early arrivals, then 38 heavy ones late.
-        r.arrival = i < 2 ? i * 500'000 : 20'000'000 + i * 10'000;
+        r.arrival = i < 2 ? i * 2'000'000 : 80'000'000 + i * 40'000;
         r.promptLen = i < 2 ? 16 : 1024;
         r.outputLen = i < 2 ? 4 : 128;
         reqs.push_back(r);
     }
     // flopsPerToken sized so the burst saturates one active replica
-    // (38 reqs x ~1152 tok x 200k flops vs 8192 flops/cyc x 1M cyc)
-    // but not the full fleet — exercising both scaler directions.
+    // over one 4M-cycle evaluation interval (38 reqs x ~1152 tok x 800k
+    // flops vs 8192 flops/cyc x 4M cyc) but not the full fleet —
+    // exercising both scaler directions.
     const std::vector<ReplicaFaultTimeline> healthy(4);
     const auto steps = computeAutoscaleTimeline(ac, reqs, healthy,
-                                                /*flopsPerToken=*/200'000,
+                                                /*flopsPerToken=*/800'000,
                                                 /*perReplicaBw=*/8192);
     ASSERT_FALSE(steps.empty());
     int64_t min_active = 4, max_after_park = 0;
@@ -340,9 +340,8 @@ TEST(Placement, OpenBreakerExcludesUnlessNoAlternative)
     const std::vector<int64_t> load{10, 80};
     ReplicaFaultTimeline slow;
     slow.slowdowns.push_back({0, 10'000'000, 0.5});
-    BreakerConfig bc;
-    std::vector<BreakerTimeline> breakers{
-        computeBreakerTimeline(slow, bc), BreakerTimeline{}};
+    std::vector<BreakerTimeline> breakers{computeBreakerTimeline(slow),
+                                          BreakerTimeline{}};
     // Replica 0 is cheap but breaker-open: traffic shifts to 1.
     const dam::Cycle at = 1'000'000;
     ASSERT_TRUE(breakers[0].openAt(at));
@@ -362,9 +361,8 @@ TEST(Placement, HalfOpenPenaltyAndSlowdownScaleTheScore)
     // Replica 1: load 15, closed (score 15). 1 wins despite more load.
     ReplicaFaultTimeline recovered;
     recovered.downs.push_back({0, 1'000});
-    BreakerConfig bc;
-    std::vector<BreakerTimeline> breakers{
-        computeBreakerTimeline(recovered, bc), BreakerTimeline{}};
+    std::vector<BreakerTimeline> breakers{computeBreakerTimeline(recovered),
+                                          BreakerTimeline{}};
     const dam::Cycle at = 2'000; // inside the cooldown
     ASSERT_EQ(breakers[0].stateAt(at), BreakerState::HalfOpen);
     EXPECT_EQ(
@@ -428,7 +426,7 @@ TEST(EngineDrain, DeepSlowdownMigratesQueuedAndPrefillingWork)
     // it trips the breaker.
     const dam::Cycle start = makespan / 3;
     ec.faults.slowdowns.push_back({start, makespan * 2, 0.5});
-    const auto trips = slowdownTrips(ec.faults, BreakerConfig{});
+    const auto trips = slowdownTrips(ec.faults);
     ASSERT_EQ(trips.size(), 1u);
     ec.drainAt = {trips[0].start};
     auto reqs = generateTrace(tc, 5);
@@ -436,7 +434,7 @@ TEST(EngineDrain, DeepSlowdownMigratesQueuedAndPrefillingWork)
     EngineResult r = engine.run(reqs);
 
     EXPECT_GT(r.summary.migratedRequests, 0);
-    const dam::Cycle edge = start + BreakerConfig{}.detectCycles;
+    const dam::Cycle edge = start + kBreakerDetectCycles;
     int64_t migrated = 0;
     for (const Request& q : reqs) {
         EXPECT_TRUE(q.terminal());
@@ -547,7 +545,7 @@ TEST(Resilience, DisabledTierLeavesThePlainFaultTierUntouched)
     cc.resilience.enabled = false;
     cc.resilience.remotePrefix.enabled = true;
     cc.resilience.autoscale.enabled = true;
-    cc.resilience.migration.maxMigrations = 99;
+    cc.resilience.breakerSource = BreakerSource::Telemetry;
     auto off_reqs = generateTrace(tc, deriveSeed(2));
     ClusterResult off = ServingCluster(cc, policy).run(off_reqs);
 
@@ -618,11 +616,11 @@ TEST(Resilience, FaultyResilientRunIsThreadCountInvariantAndReplays)
 
 TEST(Migration, HandoffBoundsAttemptsRespectsDeadlineAndCarriesDrainedKv)
 {
-    MigrationConfig mc;
-    mc.fixedHandoffCycles = 1000;
-    mc.perTokenTransferCycles = 10;
-    mc.maxMigrations = 2;
-    const MigrationHandoff handoff(mc);
+    // 50k cycles fixed, 100 per carried token, at most 3 migrations.
+    ASSERT_EQ(MigrationHandoff::kFixedCycles, 50'000u);
+    ASSERT_EQ(MigrationHandoff::kPerTokenCycles, 100u);
+    ASSERT_EQ(MigrationHandoff::kMaxMigrations, 3);
+    const MigrationHandoff handoff;
 
     Request drained;
     drained.promptLen = 100;
@@ -640,23 +638,16 @@ TEST(Migration, HandoffBoundsAttemptsRespectsDeadlineAndCarriesDrainedKv)
     auto hard = handoff.reschedule(crashed, 1, 5000);
     ASSERT_TRUE(soft.has_value());
     ASSERT_TRUE(hard.has_value());
-    EXPECT_EQ(*soft, 5000u + 1000u + 40u * 10u);
-    EXPECT_EQ(*hard, 6000u);
+    EXPECT_EQ(*soft, 5000u + 50'000u + 40u * 100u);
+    EXPECT_EQ(*hard, 55'000u);
 
-    EXPECT_TRUE(handoff.reschedule(crashed, 2, 5000).has_value());
-    EXPECT_FALSE(handoff.reschedule(crashed, 3, 5000).has_value());
+    EXPECT_TRUE(handoff.reschedule(crashed, 3, 5000).has_value());
+    EXPECT_FALSE(handoff.reschedule(crashed, 4, 5000).has_value());
 
-    crashed.deadlineAt = 6000; // landing exactly on the deadline is fine
+    crashed.deadlineAt = 55'000; // landing exactly on the deadline is fine
     EXPECT_TRUE(handoff.reschedule(crashed, 1, 5000).has_value());
-    crashed.deadlineAt = 5999;
+    crashed.deadlineAt = 54'999;
     EXPECT_FALSE(handoff.reschedule(crashed, 1, 5000).has_value());
-
-    // A free handoff still takes one cycle: the router cannot deliver
-    // a request at the cycle it failed.
-    mc.fixedHandoffCycles = 0;
-    auto instant = MigrationHandoff(mc).reschedule(crashed, 1, 5000);
-    ASSERT_TRUE(instant.has_value());
-    EXPECT_EQ(*instant, 5001u);
 }
 
 namespace {
@@ -665,8 +656,9 @@ namespace {
  * A two-replica resilient cluster with single-token prefill-only work
  * (StaticSplitPolicy(0.3)), tracing at request level so each
  * incarnation's arrival is observable. t0 is one 1024-token prompt's
- * unperturbed prefill time; the breaker (and with it the engine drain)
- * detects a deep slowdown after t0 / 4.
+ * unperturbed prefill time (about 6.2M cycles); the breaker (and with
+ * it the engine drain) detects a deep slowdown kBreakerDetectCycles
+ * (500k) after it starts.
  */
 struct HandoffRig
 {
@@ -684,7 +676,6 @@ struct HandoffRig
         fpt = static_cast<dam::Cycle>(prefillFlopsPerToken(
             cc.engine.model, cc.engine.model.numLayers));
         t0 = (kPrompt * fpt + prefillBw(1.0) - 1) / prefillBw(1.0);
-        cc.resilience.breaker.detectCycles = t0 / 4;
     }
 
     dam::Cycle
@@ -702,7 +693,7 @@ struct HandoffRig
     {
         const dam::Cycle flops =
             (slow_at - a) * prefillBw(1.0) +
-            cc.resilience.breaker.detectCycles * prefillBw(0.4);
+            kBreakerDetectCycles * prefillBw(0.4);
         return static_cast<int64_t>(flops / fpt);
     }
 
@@ -752,8 +743,7 @@ TEST(Resilience, DrainedRequestReArrivesAfterItsKvHandoff)
     // the request migrates to replica 1 carrying its prefilled KV.
     HandoffRig rig;
     const dam::Cycle slow_at = rig.t0 / 4;
-    const dam::Cycle edge =
-        slow_at + rig.cc.resilience.breaker.detectCycles;
+    const dam::Cycle edge = slow_at + kBreakerDetectCycles;
     rig.cc.faults.slowdowns.push_back(
         {0, slow_at, slow_at + 20 * rig.t0, 0.4});
     std::vector<Request> reqs = {prefillOnly(0, 0)};
@@ -764,7 +754,7 @@ TEST(Resilience, DrainedRequestReArrivesAfterItsKvHandoff)
     ASSERT_EQ(reqs[0].state, ReqState::Finished);
     EXPECT_EQ(reqs[0].attempt, 1);
     const int64_t kv = rig.prefilledAtDrain(0, slow_at);
-    EXPECT_EQ(kv, 358);
+    EXPECT_EQ(kv, 288);
     EXPECT_EQ(reqs[0].remoteKvTokens, kv);
 
     const obs::RequestLifecycle* src = HandoffRig::find(res, 0, 0, 0);
@@ -773,10 +763,10 @@ TEST(Resilience, DrainedRequestReArrivesAfterItsKvHandoff)
     ASSERT_NE(inc, nullptr);
     EXPECT_TRUE(src->migrated);
     EXPECT_EQ(src->migratedAt, edge);
-    const MigrationConfig& mc = rig.cc.resilience.migration;
     EXPECT_EQ(inc->arrival,
-              edge + mc.fixedHandoffCycles +
-                  static_cast<dam::Cycle>(kv) * mc.perTokenTransferCycles);
+              edge + MigrationHandoff::kFixedCycles +
+                  static_cast<dam::Cycle>(kv) *
+                      MigrationHandoff::kPerTokenCycles);
 }
 
 TEST(Resilience, RemotePrefixFetchChargesLookupAndTheUncarriedTokens)
@@ -790,8 +780,7 @@ TEST(Resilience, RemotePrefixFetchChargesLookupAndTheUncarriedTokens)
     rig.cc.resilience.remotePrefix.enabled = true;
     const dam::Cycle a1 = 2 * rig.t0;
     const dam::Cycle slow_at = a1 + rig.t0 / 4;
-    const dam::Cycle edge =
-        slow_at + rig.cc.resilience.breaker.detectCycles;
+    const dam::Cycle edge = slow_at + kBreakerDetectCycles;
     rig.cc.faults.slowdowns.push_back(
         {0, slow_at, slow_at + 20 * rig.t0, 0.4});
     std::vector<Request> reqs = {sessionTurn(0, 0, 0),
@@ -806,13 +795,12 @@ TEST(Resilience, RemotePrefixFetchChargesLookupAndTheUncarriedTokens)
     const obs::RequestLifecycle* inc = HandoffRig::find(res, 1, 1, 1);
     ASSERT_NE(inc, nullptr);
 
-    const MigrationConfig& mc = rig.cc.resilience.migration;
     const int64_t kv = rig.prefilledAtDrain(a1, slow_at);
     const int64_t credit = HandoffRig::kPrompt - 1; // whole prompt cached
-    EXPECT_EQ(kv, 358);
+    EXPECT_EQ(kv, 288);
     const dam::Cycle handed =
-        edge + mc.fixedHandoffCycles +
-        static_cast<dam::Cycle>(kv) * mc.perTokenTransferCycles;
+        edge + MigrationHandoff::kFixedCycles +
+        static_cast<dam::Cycle>(kv) * MigrationHandoff::kPerTokenCycles;
     // One 20,000-cycle lookup plus 150 cycles per fetched token.
     const dam::Cycle fetched =
         handed + 20'000 + static_cast<dam::Cycle>(credit - kv) * 150;
@@ -898,8 +886,7 @@ TEST(HealthMonitor, InferredTimelineDivergesFromPlanUnderShallowSlowdown)
     // trips the plan-derived breaker...
     ReplicaFaultTimeline ft;
     ft.slowdowns.push_back({2'000, 5'000, 0.85});
-    BreakerConfig bc;
-    EXPECT_TRUE(computeBreakerTimeline(ft, bc).open.empty());
+    EXPECT_TRUE(computeBreakerTimeline(ft).open.empty());
 
     // ...but the telemetry monitor only sees the latency it causes:
     // enough consecutive windows over the TTFT threshold open the
@@ -967,8 +954,7 @@ TEST(TelemetryBreaker, InferredCrashEdgesTrackThePlanWithinDetectionLag)
 
     const dam::Cycle W = cc.resilience.health.windowCycles;
     const BreakerTimeline plan =
-        computeBreakerTimeline(cc.faults.forReplica(1),
-                               cc.resilience.breaker);
+        computeBreakerTimeline(cc.faults.forReplica(1));
     ASSERT_EQ(plan.open.size(), 1u); // ground truth: [fail_at, recover_at)
 
     const BreakerTimeline& inf = r.breakers[1];
@@ -1055,8 +1041,8 @@ TEST(TelemetryBreaker, TelemetryRunIsThreadCountInvariantAndReplays)
     auto [r4, q4] = run_with(4);
     auto [r1b, q1b] = run_with(1); // same seed replays bit-identically
 
-    // The observation pass and the inferred timelines are coordinator
-    // pre-passes: identical breaker windows whatever the thread count.
+    // The monitors decide on the coordinating thread at each window
+    // edge: identical breaker windows whatever the thread count.
     ASSERT_EQ(r1.breakers.size(), r4.breakers.size());
     for (size_t i = 0; i < r1.breakers.size(); ++i) {
         ASSERT_EQ(r1.breakers[i].open.size(),
@@ -1223,7 +1209,7 @@ TEST(TelemetryBreaker, BreakerEdgesBeforeAWindowEdgeIgnoreLaterArrivals)
 TEST(Resilience, EpochsSimulateEachIterationOnceAndStayThreadInvariant)
 {
     // A seeded crash+slowdown plan on the full tier, telemetry breakers
-    // (whose observation pass runs epochs of its own), a prefix cache
+    // (whose window edges are cluster barriers too), a prefix cache
     // and remote prefix fetch, traced and metered: failover runs epoch
     // by epoch between the fault edges, simulates every replica
     // iteration exactly once, and stays byte-identical across

@@ -49,7 +49,6 @@ TEST(Batcher, AdmitsUnderKvBudgetInFifoOrder)
     BatcherConfig bc;
     bc.kvBudgetBytes = 40 * 256; // 40 KV tokens
     bc.kvBytesPerToken = 256;
-    bc.maxRunning = 10;
     ContinuousBatcher b(bc);
 
     // 15 + 15 tokens fit; the 20-token third request would overflow.
@@ -85,13 +84,15 @@ TEST(Batcher, RespectsBatchCap)
     BatcherConfig bc;
     bc.kvBudgetBytes = int64_t{1} << 30;
     bc.kvBytesPerToken = 256;
-    bc.maxRunning = 2;
     ContinuousBatcher b(bc);
-    Request r0 = mkReq(0, 0, 4, 4), r1 = mkReq(1, 0, 4, 4),
-            r2 = mkReq(2, 0, 4, 4);
-    for (Request* r : {&r0, &r1, &r2})
-        b.enqueue(r);
-    EXPECT_EQ(b.admit().admitted.size(), 2u);
+    // One more request than the cap: the last one waits.
+    std::vector<Request> reqs;
+    for (int64_t i = 0; i <= ContinuousBatcher::kMaxRunning; ++i)
+        reqs.push_back(mkReq(i, 0, 4, 4));
+    for (Request& r : reqs)
+        b.enqueue(&r);
+    EXPECT_EQ(int64_t(b.admit().admitted.size()),
+              ContinuousBatcher::kMaxRunning);
     EXPECT_EQ(b.waitingCount(), 1);
 }
 
@@ -197,44 +198,42 @@ TEST(Policy, QueueDepthReallocates)
 
 TEST(Metrics, HandComputedThreeRequestTrace)
 {
-    // r0: TTFT 100, single-token (no TPOT).
-    // r1: TTFT 200, TPOT (1050-250)/4 = 200.
-    // r2: TTFT 600, TPOT (1100-700)/2 = 200.
+    // Against the 5M-cycle TTFT and 1.5M-cycle TPOT SLO:
+    // r0: TTFT 1M, single-token (no TPOT).
+    // r1: TTFT 2M, TPOT (6.5M-2.5M)/4 = 1M.
+    // r2: TTFT 6M, TPOT (9M-7M)/2 = 1M.
     std::vector<Request> reqs(3);
     reqs[0] = mkReq(0, 0, 10, 1);
-    reqs[0].firstTokenAt = 100;
-    reqs[0].finishedAt = 100;
+    reqs[0].firstTokenAt = 1'000'000;
+    reqs[0].finishedAt = 1'000'000;
     reqs[0].generated = 1;
-    reqs[1] = mkReq(1, 50, 10, 5);
-    reqs[1].firstTokenAt = 250;
-    reqs[1].finishedAt = 1050;
+    reqs[1] = mkReq(1, 500'000, 10, 5);
+    reqs[1].firstTokenAt = 2'500'000;
+    reqs[1].finishedAt = 6'500'000;
     reqs[1].generated = 5;
-    reqs[2] = mkReq(2, 100, 10, 3);
-    reqs[2].firstTokenAt = 700;
-    reqs[2].finishedAt = 1100;
+    reqs[2] = mkReq(2, 1'000'000, 10, 3);
+    reqs[2].firstTokenAt = 7'000'000;
+    reqs[2].finishedAt = 9'000'000;
     reqs[2].generated = 3;
     for (auto& r : reqs)
         r.state = ReqState::Finished;
 
-    SloConfig slo;
-    slo.ttftCycles = 250;
-    slo.tpotCycles = 300;
-    ServingSummary s = summarize(reqs, 1100, slo);
+    ServingSummary s = summarize(reqs, 9'000'000);
 
     EXPECT_EQ(s.completed, 3);
     EXPECT_EQ(s.generatedTokens, 9);
-    EXPECT_DOUBLE_EQ(ttft(reqs[2]), 600.0);
-    EXPECT_DOUBLE_EQ(tpot(reqs[1]), 200.0);
-    // Nearest-rank percentiles over {100, 200, 600} and {200, 200}.
-    EXPECT_DOUBLE_EQ(s.ttftP50, 200.0);
-    EXPECT_DOUBLE_EQ(s.ttftP99, 600.0);
-    EXPECT_DOUBLE_EQ(s.ttftMean, 300.0);
-    EXPECT_DOUBLE_EQ(s.tpotP50, 200.0);
-    EXPECT_DOUBLE_EQ(s.tpotP99, 200.0);
+    EXPECT_DOUBLE_EQ(ttft(reqs[2]), 6e6);
+    EXPECT_DOUBLE_EQ(tpot(reqs[1]), 1e6);
+    // Nearest-rank percentiles over {1M, 2M, 6M} and {1M, 1M}.
+    EXPECT_DOUBLE_EQ(s.ttftP50, 2e6);
+    EXPECT_DOUBLE_EQ(s.ttftP99, 6e6);
+    EXPECT_DOUBLE_EQ(s.ttftMean, 3e6);
+    EXPECT_DOUBLE_EQ(s.tpotP50, 1e6);
+    EXPECT_DOUBLE_EQ(s.tpotP99, 1e6);
     // r2 misses the TTFT SLO; 1 + 5 tokens remain good.
     EXPECT_EQ(s.sloCompliant, 2);
-    EXPECT_DOUBLE_EQ(s.throughputTokensPerKcycle, 9.0 / 1.1);
-    EXPECT_DOUBLE_EQ(s.goodputTokensPerKcycle, 6.0 / 1.1);
+    EXPECT_DOUBLE_EQ(s.throughputTokensPerKcycle, 9.0 / 9000.0);
+    EXPECT_DOUBLE_EQ(s.goodputTokensPerKcycle, 6.0 / 9000.0);
 }
 
 // ---- per-iteration graphs & scheduler reuse ---------------------------

@@ -408,28 +408,26 @@ TEST(Metrics, SloWindowAttainmentFromSyntheticRegistry)
     const auto ttft = reg.histogram("ttft_cycles");
     const auto tpot = reg.histogram("tpot_cycles");
     const auto miss = reg.series("deadline_misses");
-    SloConfig slo;
-    slo.ttftCycles = 500;
-    slo.tpotCycles = 100;
 
-    // Window 0: healthy. Window 1: TTFT blows the target. Window 2:
-    // latency fine but a deadline miss lands. Window 4: healthy again
-    // (window 3 stays empty and must not count).
-    reg.record(ttft, 100, 400);
-    reg.record(tpot, 150, 50);
-    reg.record(ttft, 1100, 9000);
-    reg.record(tpot, 1150, 50);
-    reg.record(ttft, 2100, 300);
+    // Against the 5M-cycle TTFT and 1.5M-cycle TPOT targets. Window 0:
+    // healthy. Window 1: TTFT blows the target. Window 2: latency fine
+    // but a deadline miss lands. Window 4: healthy again (window 3
+    // stays empty and must not count).
+    reg.record(ttft, 100, 4'000'000);
+    reg.record(tpot, 150, 750'000);
+    reg.record(ttft, 1100, 90'000'000);
+    reg.record(tpot, 1150, 750'000);
+    reg.record(ttft, 2100, 3'000'000);
     reg.record(miss, 2200, 1);
-    reg.record(ttft, 4500, 200);
+    reg.record(ttft, 4500, 2'000'000);
 
-    const SloWindowStats s = computeSloWindows(reg, slo);
+    const SloWindowStats s = computeSloWindows(reg);
     EXPECT_EQ(s.windows, 4);  // empty window 3 is not monitored
     EXPECT_EQ(s.attained, 2); // windows 0 and 4
-    EXPECT_GE(s.worstP95Ttft, uint64_t(slo.ttftCycles));
+    EXPECT_GE(s.worstP95Ttft, uint64_t(kSloTtftCycles));
 
     ServingSummary sum;
-    applySloWindows(sum, reg, slo);
+    applySloWindows(sum, reg);
     EXPECT_EQ(sum.sloWindows, 4);
     EXPECT_EQ(sum.sloWindowsAttained, 2);
     EXPECT_EQ(sum.sloWorstWindowP95Ttft, s.worstP95Ttft);
@@ -496,8 +494,7 @@ TEST(Metrics, ClusterMergedRegistryEqualsIndexOrderFold)
     EXPECT_EQ(with_merge.str(), self_fold.str());
 
     // Aggregate SLO windows come from the merged registry.
-    const SloWindowStats s =
-        computeSloWindows(*r.mergedMetrics, cc.engine.slo);
+    const SloWindowStats s = computeSloWindows(*r.mergedMetrics);
     EXPECT_EQ(r.aggregate.sloWindows, s.windows);
     EXPECT_EQ(r.aggregate.sloWindowsAttained, s.attained);
     // Merged instrument totals equal the sum of the replicas'.
