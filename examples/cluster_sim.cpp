@@ -62,10 +62,13 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "obs/export.hh"
 #include "runtime/cluster.hh"
 #include "support/error.hh"
+#include "support/parse.hh"
 #include "support/rng.hh"
 #include "support/table.hh"
 
@@ -95,6 +98,11 @@ main(int argc, char** argv)
     std::string scales_spec;
     std::string breaker_source_spec;
     bool verify_graphs = false;
+    const std::pair<std::string_view, int64_t*> counts[] = {
+        {"--threads", &threads},
+        {"--mtbf", &mtbf},
+        {"--slowdown-mtbf", &slowdown_mtbf},
+        {"--deadline", &deadline}};
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--resilience")
@@ -103,29 +111,19 @@ main(int argc, char** argv)
             verify_graphs = true;
         if (i + 1 >= argc)
             break;
-        if (a == "--threads")
-            threads = std::atoll(argv[i + 1]);
-        else if (a == "--mtbf")
-            mtbf = std::atoll(argv[i + 1]);
-        else if (a == "--slowdown-mtbf")
-            slowdown_mtbf = std::atoll(argv[i + 1]);
-        else if (a == "--fault-plan")
+        for (const auto& [flag, value] : counts)
+            if (a == flag && !parseUnsigned(argv[i + 1], value)) {
+                std::cerr << "cluster_sim: " << a
+                          << " takes a whole non-negative number, got '"
+                          << argv[i + 1] << "'\n";
+                return 2;
+            }
+        if (a == "--fault-plan")
             plan_spec = argv[i + 1];
-        else if (a == "--deadline")
-            deadline = std::atoll(argv[i + 1]);
         else if (a == "--bw-scales")
             scales_spec = argv[i + 1];
         else if (a == "--breaker-source")
             breaker_source_spec = argv[i + 1];
-    }
-    if (threads < 0) {
-        std::cerr << "cluster_sim: --threads must be >= 0\n";
-        return 2;
-    }
-    if (mtbf < 0 || slowdown_mtbf < 0 || deadline < 0) {
-        std::cerr << "cluster_sim: --mtbf/--slowdown-mtbf/--deadline "
-                     "must be >= 0\n";
-        return 2;
     }
     if ((mtbf > 0 || slowdown_mtbf > 0) && !plan_spec.empty()) {
         std::cerr << "cluster_sim: --mtbf/--slowdown-mtbf and "

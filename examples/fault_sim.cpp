@@ -28,12 +28,12 @@
  * JSONL — the crash, the failover burst, and the recovery are all
  * visible as windowed failure counts and TTFT spikes.
  */
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <utility>
 
 #include "runtime/cluster.hh"
+#include "support/parse.hh"
 #include "support/rng.hh"
 #include "support/table.hh"
 
@@ -78,12 +78,13 @@ main(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) == "--verify")
             verify_graphs = true;
-        else if (std::string(argv[i]) == "--threads" && i + 1 < argc)
-            threads = std::atoll(argv[i + 1]);
-    }
-    if (threads < 0) {
-        std::cerr << "fault_sim: --threads must be >= 0\n";
-        return 2;
+        else if (std::string(argv[i]) == "--threads" && i + 1 < argc &&
+                 !parseUnsigned(argv[i + 1], &threads)) {
+            std::cerr << "fault_sim: --threads takes a whole non-negative "
+                         "number, got '"
+                      << argv[i + 1] << "'\n";
+            return 2;
+        }
     }
 
     TraceConfig tc;

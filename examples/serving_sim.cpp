@@ -28,7 +28,6 @@
  * per-resume scheduler spans at `full`. The trace is Perfetto-loadable
  * Chrome JSON; a per-request JSONL lands next to it.
  */
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -36,6 +35,7 @@
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "runtime/engine.hh"
+#include "support/parse.hh"
 #include "support/rng.hh"
 
 using namespace step;
@@ -60,12 +60,14 @@ main(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) == "--verify")
             verify_graphs = true;
-        else if (std::string(argv[i]) == "--requests" && i + 1 < argc)
-            num_requests = std::atoll(argv[i + 1]);
-    }
-    if (num_requests < 1) {
-        std::cerr << "serving_sim: --requests must be positive\n";
-        return 2;
+        else if (std::string(argv[i]) == "--requests" && i + 1 < argc &&
+                 (!parseUnsigned(argv[i + 1], &num_requests) ||
+                  num_requests < 1)) {
+            std::cerr << "serving_sim: --requests takes a whole positive "
+                         "number, got '"
+                      << argv[i + 1] << "'\n";
+            return 2;
+        }
     }
 
     TraceConfig tc;

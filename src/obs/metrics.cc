@@ -1,11 +1,11 @@
 #include "obs/metrics.hh"
 
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 
 #include "obs/json.hh"
 #include "support/error.hh"
+#include "support/parse.hh"
 
 namespace step::obs {
 
@@ -313,15 +313,14 @@ parseMetricsCli(int argc, char** argv)
             } else {
                 v = a.substr(17);
             }
-            const long long parsed = std::atoll(v.c_str());
-            if (parsed <= 0) {
+            if (!parseUnsigned(v, &cli.windowCycles) ||
+                cli.windowCycles == 0) {
                 cli.error = true;
                 cli.errorMsg = "--metrics-window must be a positive "
-                               "cycle count, got '" +
+                               "whole cycle count, got '" +
                                v + "'";
                 return cli;
             }
-            cli.windowCycles = dam::Cycle(parsed);
         }
     }
     if (cli.path.empty() && cli.windowCycles > 0) {

@@ -1,10 +1,10 @@
 #include "runtime/faults.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <sstream>
 
+#include "support/parse.hh"
 #include "support/rng.hh"
 
 namespace step::runtime {
@@ -173,22 +173,6 @@ generateFaultPlan(const FaultPlanConfig& cfg, int64_t replicas,
 
 // ---- parsing -----------------------------------------------------------
 
-namespace {
-
-/** Parse @p s, blanks around it aside, as a whole unsigned decimal:
- *  no sign, no fraction, nothing after the digits. */
-bool
-parseUnsigned(std::string_view s, uint64_t* out)
-{
-    s.remove_prefix(std::min(s.find_first_not_of(" \t"), s.size()));
-    s = s.substr(0, s.find_last_not_of(" \t") + 1);
-    const char* end = s.data() + s.size();
-    const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
-    return ec == std::errc() && ptr == end;
-}
-
-} // namespace
-
 bool
 parseFaultPlan(std::string_view spec, FaultPlan* out, std::string* err)
 {
@@ -210,16 +194,13 @@ parseFaultPlan(std::string_view spec, FaultPlan* out, std::string* err)
                         "' has no '@' (want REPLICA@FAIL[:RECOVER])");
         const std::string_view times = tok.substr(at + 1);
         const size_t colon = times.find(':');
-        uint64_t replica = 0;
         FaultEvent e;
-        if (!parseUnsigned(tok.substr(0, at), &replica) ||
-            replica > uint64_t(std::numeric_limits<int64_t>::max()) ||
+        if (!parseUnsigned(tok.substr(0, at), &e.replica) ||
             !parseUnsigned(times.substr(0, colon), &e.failAt) ||
             (colon != std::string_view::npos &&
              !parseUnsigned(times.substr(colon + 1), &e.recoverAt)))
             return fail("fault event '" + std::string(tok) +
                         "' has a malformed number");
-        e.replica = int64_t(replica);
         if (e.recoverAt != 0 && e.recoverAt <= e.failAt)
             return fail("fault event '" + std::string(tok) +
                         "' recovers before it fails");

@@ -325,9 +325,11 @@ TEST(Metrics, ParseCliVariantsAndErrors)
         MetricsCli cli = parseMetricsCli(3, const_cast<char**>(argv));
         EXPECT_TRUE(cli.error); // window without a path
     }
-    {
+    // A window is a whole positive cycle count: "4e6" is not 4 cycles.
+    for (const char* bad : {"0", "4e6", "4000000x", "-5"}) {
+        SCOPED_TRACE(bad);
         const char* argv[] = {"sim", "--metrics", "m.json",
-                              "--metrics-window", "0"};
+                              "--metrics-window", bad};
         MetricsCli cli = parseMetricsCli(5, const_cast<char**>(argv));
         EXPECT_TRUE(cli.error);
     }
