@@ -245,6 +245,8 @@ class OpBase : public dam::Context
  * held stop, if any. Branch rather than put a conditional expression
  * that creates a temporary in @p tok (`c ? Value(v) : t.takeValue()`):
  * g++ 12 corrupts that temporary across the write's suspension.
+ * tools/check_awaited_writes.py rejects a `?` in the argument of any
+ * awaited write.
  */
 #define STEP_PASS(chan, coal, tok)                                           \
     do {                                                                     \
