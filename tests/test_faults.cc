@@ -137,10 +137,11 @@ TEST(FaultPlan, ParseSpecAndRejectMalformed)
     EXPECT_FALSE(p.forReplica(0).downAt(9'000'000));
 
     // Every number parses whole and unsigned: no trailing junk, no
-    // fraction, no minus sign wrapping to a huge cycle.
+    // fraction or exponent, no sign, no replica past int64_t.
     for (const char* bad :
          {"nonsense", "1@", "@5", "1@10:5", "-2@100", "1@x:y", "1x@5",
-          "1@5x", "1@5:9z", "1.5@5", "1@-5", "1@5:-9"}) {
+          "1@5x", "1@5:9z", "1.5@5", "1@-5", "1@5:-9", "1@4e6", "+1@5",
+          "9223372036854775808@5"}) {
         FaultPlan q;
         EXPECT_FALSE(parseFaultPlan(bad, &q, &err)) << bad;
         EXPECT_FALSE(err.empty());

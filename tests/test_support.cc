@@ -25,7 +25,6 @@
 #include "support/arena.hh"
 #include "support/error.hh"
 #include "support/framepool.hh"
-#include "support/parse.hh"
 #include "support/ring.hh"
 #include "support/rng.hh"
 #include "support/smallvec.hh"
@@ -35,24 +34,6 @@ namespace step {
 namespace {
 
 // ---- Ring -------------------------------------------------------------
-
-TEST(Parse, UnsignedTakesOnlyAWholeDecimalThatFits)
-{
-    uint64_t u = 7;
-    EXPECT_TRUE(parseUnsigned(" 4000000 ", &u));
-    EXPECT_EQ(u, 4'000'000u);
-    for (const char* bad : {"", " ", "4e6", "4000000x", "-5", "+5", "1.5",
-                            "18446744073709551616"}) {
-        SCOPED_TRACE(bad);
-        EXPECT_FALSE(parseUnsigned(bad, &u));
-        EXPECT_EQ(u, 4'000'000u); // untouched on failure
-    }
-    int64_t i = 0;
-    EXPECT_TRUE(parseUnsigned("9223372036854775807", &i));
-    EXPECT_EQ(i, INT64_MAX);
-    EXPECT_FALSE(parseUnsigned("9223372036854775808", &i));
-    EXPECT_EQ(i, INT64_MAX);
-}
 
 TEST(Ring, FifoOrderAcrossWrap)
 {
