@@ -48,10 +48,12 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "bench_common.hh"
 #include "runtime/cluster.hh"
 #include "runtime/faults.hh"
+#include "support/parse.hh"
 #include "support/rng.hh"
 #include "support/table.hh"
 
@@ -68,15 +70,20 @@ main(int argc, char** argv)
     RouteKind routing = RouteKind::LeastQueued;
     int64_t mtbf = 0;
     std::string plan_spec;
+    const std::pair<const char*, int64_t*> counts[] = {
+        {"--requests", &requests},
+        {"--replicas", &replicas},
+        {"--threads", &threads},
+        {"--mtbf", &mtbf}};
     for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--requests") == 0)
-            requests = std::strtoll(argv[i + 1], nullptr, 0);
-        if (std::strcmp(argv[i], "--replicas") == 0)
-            replicas = std::strtoll(argv[i + 1], nullptr, 0);
-        if (std::strcmp(argv[i], "--threads") == 0)
-            threads = std::strtoll(argv[i + 1], nullptr, 0);
-        if (std::strcmp(argv[i], "--mtbf") == 0)
-            mtbf = std::strtoll(argv[i + 1], nullptr, 0);
+        for (const auto& [flag, value] : counts)
+            if (std::strcmp(argv[i], flag) == 0 &&
+                !parseUnsigned(argv[i + 1], value)) {
+                std::cerr << "bench_serving_load: " << flag
+                          << " takes a whole non-negative number, got '"
+                          << argv[i + 1] << "'\n";
+                return 2;
+            }
         if (std::strcmp(argv[i], "--fault-plan") == 0)
             plan_spec = argv[i + 1];
         if (std::strcmp(argv[i], "--routing") == 0) {
@@ -91,10 +98,6 @@ main(int argc, char** argv)
         bench::jsonFlagPath(argc, argv, "BENCH_serving_load.json");
     if (replicas < 1)
         replicas = 1;
-    if (mtbf < 0) {
-        std::cerr << "bench_serving_load: --mtbf must be >= 0\n";
-        return 2;
-    }
     if (mtbf > 0 && !plan_spec.empty()) {
         std::cerr << "bench_serving_load: --mtbf and --fault-plan are "
                      "mutually exclusive\n";

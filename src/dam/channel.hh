@@ -265,7 +265,7 @@ struct WaitAny
 
 /**
  * Timed wait: suspends until simulated time reaches @p deadline. The
- * context parks in the scheduler's ready heap keyed at the deadline, so
+ * context parks in the scheduler's ready queue keyed at the deadline, so
  * it resumes exactly when no other runnable context is earlier.
  * Availability-ordered merges wait out arrival races with it in one
  * suspension.

@@ -1,5 +1,6 @@
 #include "dam/scheduler.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "dam/channel.hh"
@@ -16,22 +17,6 @@ Scheduler::add(Context* ctx)
     ctx->sched_ = this;
     ctx->id_ = static_cast<uint32_t>(contexts_.size());
     contexts_.push_back(ctx);
-    pos_.push_back(kNotQueued);
-}
-
-Context*
-Scheduler::popMin()
-{
-    STEP_ASSERT(!heap_.empty(), "popMin on empty ready heap");
-    const uint32_t id = heap_.front().id;
-    pos_[id] = kNotQueued;
-    const HeapEntry last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-        heap_.front() = last;
-        siftDown(0);
-    }
-    return contexts_[id];
 }
 
 void
@@ -44,36 +29,66 @@ Scheduler::suspendUntil(Context* ctx, Cycle t)
     enqueueAt(ctx, t);
 }
 
+void
+Scheduler::insertBehindHead(const ReadyEntry& e)
+{
+    if (ready_.size() == ready_.capacity() && head_ > 0) {
+        // Out of room at the tail: move the live entries down over the
+        // popped ones rather than reallocate.
+        ready_.erase(ready_.begin(), ready_.begin() + head_);
+        head_ = 0;
+    }
+    // The new seq is the largest, so e goes behind every entry whose
+    // time is not later than its own.
+    size_t i = ready_.size();
+    ready_.push_back(e);
+    while (i > head_ && ready_[i - 1].time > e.time) {
+        ready_[i] = ready_[i - 1];
+        --i;
+    }
+    ready_[i] = e;
+}
+
+void
+Scheduler::wakeTimedWaiter(Context* ctx, Cycle t)
+{
+    ctx->state_ = CtxState::Ready;
+    ctx->block_ = BlockInfo{};
+    // A timed waiter is already queued at its deadline: pull its key
+    // down when the wake time is earlier.
+    auto it = std::find_if(ready_.begin() + head_, ready_.end(),
+                           [&](const ReadyEntry& q) {
+                               return q.id == ctx->id_;
+                           });
+    STEP_ASSERT(it != ready_.end(),
+                "timed waiter " << ctx->name() << " not in ready queue");
+    if (t < it->time) {
+        ready_.erase(it);
+        enqueueAt(ctx, t);
+    }
+}
+
 std::optional<Cycle>
 Scheduler::minReadyClock(const Context* self) const
 {
-    if (sweeping()) {
-        STEP_ASSERT(startQueue_[startHead_] != self->id_,
-                    "minReadyClock caller is on the start queue");
-        return Cycle{0};
-    }
-    if (heap_.empty())
+    if (head_ == ready_.size())
         return std::nullopt;
-    STEP_ASSERT(heap_.front().id != self->id_,
-                "minReadyClock caller is in the ready heap");
-    return heap_.front().time;
+    STEP_ASSERT(ready_[head_].id != self->id_,
+                "minReadyClock caller is in the ready queue");
+    return ready_[head_].time;
 }
 
 void
 Scheduler::start()
 {
     finished_ = 0;
-    heap_.reserve(contexts_.size());
-    startQueue_.clear();
-    startQueue_.reserve(contexts_.size());
-    startHead_ = 0;
+    // Each context is queued at most once, so twice that many slots
+    // leave room for at least as many tail pushes between compactions.
+    ready_.reserve(2 * contexts_.size());
     for (Context* ctx : contexts_) {
         ctx->task_ = ctx->run();
         ctx->state_ = CtxState::Ready;
-        if (ctx->now() == 0)
-            startQueue_.push_back(ctx->id_);
-        else
-            enqueue(ctx);
+        enqueueAt(ctx, ctx->now());
     }
 }
 
@@ -84,35 +99,24 @@ Scheduler::drain()
         // The head key is the scheduler's virtual time: it never runs
         // backwards (wakes and timed waits always re-key at or after
         // the current head), so it is the monotone stamp tracing wants.
-        Cycle vnow = 0;
-        Context* ctx = nullptr;
-        if (sweeping()) {
-            // Initial sweep: key (0, start order), ahead of the heap.
-            ctx = contexts_[startQueue_[startHead_++]];
-        } else {
-            if (heap_.empty())
-                stepFatal("simulation deadlock:\n" << deadlockReport());
-            vnow = heap_.front().time;
-            ctx = popMin();
-        }
+        if (head_ == ready_.size())
+            stepFatal("simulation deadlock:\n" << deadlockReport());
+        const Cycle vnow = ready_[head_].time;
+        Context* ctx = contexts_[ready_[head_++].id];
         if (ctx->state_ == CtxState::Blocked) {
             // Timed-wait deadline reached: every other ready context's
             // key is at or past it, so the waiter proceeds.
             STEP_ASSERT(ctx->block_.kind == BlockInfo::Kind::TimedWait,
                         "blocked context " << ctx->name()
-                        << " in ready heap");
+                        << " in ready queue");
             ctx->state_ = CtxState::Ready;
             ctx->block_ = BlockInfo{};
         }
         STEP_ASSERT(ctx->state_ == CtxState::Ready,
                     "non-ready context " << ctx->name()
-                    << " in ready heap");
+                    << " in ready queue");
         ctx->state_ = CtxState::Running;
         ++switches_;
-#ifdef STEP_SWITCH_TRACE
-        extern void stepSwitchTraceHook(const char*);
-        stepSwitchTraceHook(ctx->name().c_str());
-#endif
         if (trace_) [[unlikely]]
             trace_->schedResume(ctx, ctx->name(), vnow);
         ctx->task_.resume();
@@ -150,15 +154,12 @@ Scheduler::reset()
 {
     // Deliberately no per-context bookkeeping: after an abnormal run
     // (deadlock throw) the caller may have destroyed the contexts still
-    // sitting in the heap, so their pointers must not be dereferenced.
-    // Heap slots live in pos_, indexed by the ids add() hands out, so
-    // dropping the heap, the slot map and the start queue wholesale is
-    // safe.
+    // sitting in the ready queue, so their pointers must not be
+    // dereferenced. Queue entries hold only ids, so dropping the queue
+    // wholesale is safe.
     contexts_.clear();
-    heap_.clear();
-    pos_.clear();
-    startQueue_.clear();
-    startHead_ = 0;
+    ready_.clear();
+    head_ = 0;
     seq_ = 0;
     finished_ = 0;
     switches_ = 0;

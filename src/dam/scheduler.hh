@@ -5,21 +5,17 @@
  * together (important for shared-resource contention modeling and for
  * availability-ordered merges) and makes runs deterministic.
  *
- * The ready queue is an index-tracking 4-ary min-heap over (time, seq)
- * keys. Entries carry the context's dense index, and a scheduler-owned
- * array maps each index to its heap slot, so there are never stale
- * entries, re-keying is O(log n), sifts touch only the heap and that
- * array (never the scattered Context objects), and the minimum ready
- * clock is an O(1) root read. Keys are unique, so any correct priority
- * queue over them pops the same sequence: the arity is a host-cost
- * choice, not a semantic one.
- *
- * The initial sweep bypasses the heap: start() puts every context whose
- * clock is 0 on a start queue, resumed in start order. Their keys
- * (0, start order) precede every key the heap can hold (anything
- * enqueued later draws a larger seq, and a context started with a
- * nonzero clock sorts after time 0), so serving the start queue first
- * pops exactly the sequence one heap would.
+ * The ready queue is one vector of (time, seq, id) entries kept sorted
+ * by (time, seq) and consumed from a head index. Keys are unique, so
+ * any correct priority queue over them pops the same sequence; a sorted
+ * vector suits the queue the simulator actually runs (a few dozen live
+ * entries at most on the serving workloads), where a push lands a few
+ * entries from the tail or right at the head. A new key draws the
+ * largest seq, so it goes behind every entry of an equal time: a push
+ * ahead of the head fills the slot the last pop freed, any other push
+ * scans back from the tail. start() enqueues every context in start
+ * order, so the clock-0 contexts form the initial sweep at the front.
+ * The minimum ready clock is an O(1) head read.
  */
 #pragma once
 
@@ -74,11 +70,8 @@ class Scheduler
     /** Makespan: max local clock over all contexts after run(). */
     Cycle elapsed() const;
 
-    /** Wake a blocked context (channel push/pop side effects). */
-    void makeReady(Context* ctx);
-
     /**
-     * Wake a blocked context but park it in the ready heap no earlier
+     * Wake a blocked context but park it in the ready queue no earlier
      * than cycle @p t (clamped up to the context's own clock). Channels
      * use this to wake a reader at the pushed token's ready time and a
      * writer at the released credit's time: the woken context cannot
@@ -93,13 +86,13 @@ class Scheduler
 
     /**
      * Time-indexed suspension: park the running context in the ready
-     * heap keyed at cycle @p t instead of its own clock. It is resumed
+     * queue keyed at cycle @p t instead of its own clock. It is resumed
      * exactly when no other ready context has an earlier key — i.e.
      * once simulated time has caught up to @p t — or earlier, if
      * makeReadyAt re-keys it to an earlier time first. The
-     * context is marked Blocked with a TimedWait record so drain() can
-     * tell a timer expiry from a corrupted heap. This is the primitive
-     * behind WaitUntil.
+     * context is marked Blocked with a TimedWait record, which is how
+     * makeReadyAt knows it is queued and drain() tells a timer expiry
+     * from a corrupted queue. This is the primitive behind WaitUntil.
      */
     void suspendUntil(Context* ctx, Cycle t);
 
@@ -122,57 +115,34 @@ class Scheduler
     void setTraceSink(obs::TraceSink* sink) { trace_ = sink; }
 
     /**
-     * Earliest next-resume key in the ready queue (start queue first,
-     * then heap), or nullopt when both are empty. This is NOT
-     * necessarily any context's clock: the
-     * heap also holds timed waiters keyed at their deadlines
-     * (suspendUntil) and contexts parked at the token-ready/credit
-     * time that woke them (makeReadyAt), so the value is "no runnable
-     * context can act before this cycle". Meaningful from a running
-     * context (which is never queued), so @p self never shadows the
-     * result; the parameter is asserted against the head defensively.
+     * Earliest next-resume key in the ready queue, or nullopt when it is
+     * empty. This is NOT necessarily any context's clock: the queue
+     * also holds timed waiters keyed at their deadlines (suspendUntil)
+     * and contexts parked at the token-ready/credit time that woke them
+     * (makeReadyAt), so the value is "no runnable context can act
+     * before this cycle". Meaningful from a running context (which is
+     * never queued), so @p self never shadows the result; the
+     * parameter is asserted against the head defensively.
      */
     std::optional<Cycle> minReadyClock(const Context* self) const;
 
   private:
-    static constexpr uint32_t kNotQueued = ~uint32_t{0};
-    static constexpr size_t kArity = 4;
-
-    void enqueue(Context* ctx);
-    void enqueueAt(Context* ctx, Cycle t);
-    Context* popMin();
-    void siftUp(size_t i);
-    void siftDown(size_t i);
-    bool sweeping() const { return startHead_ < startQueue_.size(); }
-    std::string deadlockReport() const;
-
-    struct HeapEntry
+    struct ReadyEntry
     {
         Cycle time;
         uint64_t seq;
-        uint32_t id; ///< Context::id_, an index into contexts_ and pos_
-        bool
-        operator<(const HeapEntry& o) const
-        {
-            return time != o.time ? time < o.time : seq < o.seq;
-        }
+        uint32_t id; ///< Context::id_, an index into contexts_
     };
 
-    void
-    place(const HeapEntry& e, size_t i)
-    {
-        heap_[i] = e;
-        pos_[e.id] = static_cast<uint32_t>(i);
-    }
+    void enqueueAt(Context* ctx, Cycle t);
+    void insertBehindHead(const ReadyEntry& e);
+    void wakeTimedWaiter(Context* ctx, Cycle t);
+    std::string deadlockReport() const;
 
     std::vector<Context*> contexts_;
-    std::vector<HeapEntry> heap_;
-    /** Heap slot of each context, by id; kNotQueued when absent. */
-    std::vector<uint32_t> pos_;
-    /** Ids of the contexts start() queued at clock 0, in start order;
-     *  entries before startHead_ have been resumed. */
-    std::vector<uint32_t> startQueue_;
-    size_t startHead_ = 0;
+    /** Sorted by (time, seq); entries before head_ have been popped. */
+    std::vector<ReadyEntry> ready_;
+    size_t head_ = 0;
     uint64_t seq_ = 0;
     size_t finished_ = 0;
     uint64_t switches_ = 0;
@@ -180,95 +150,38 @@ class Scheduler
 };
 
 // ---- hot-path inline definitions --------------------------------------
-// makeReady runs on every channel wake; keep it and the heap primitives
-// header-inline so the wake path costs a few stores plus a sift.
-
-inline void
-Scheduler::siftUp(size_t i)
-{
-    const HeapEntry e = heap_[i];
-    while (i > 0) {
-        size_t parent = (i - 1) / kArity;
-        if (!(e < heap_[parent]))
-            break;
-        place(heap_[parent], i);
-        i = parent;
-    }
-    place(e, i);
-}
-
-inline void
-Scheduler::siftDown(size_t i)
-{
-    const HeapEntry e = heap_[i];
-    const size_t n = heap_.size();
-    while (true) {
-        size_t first = kArity * i + 1;
-        if (first >= n)
-            break;
-        size_t last = std::min(first + kArity, n);
-        size_t best = first;
-        for (size_t c = first + 1; c < last; ++c)
-            if (heap_[c] < heap_[best])
-                best = c;
-        if (!(heap_[best] < e))
-            break;
-        place(heap_[best], i);
-        i = best;
-    }
-    place(e, i);
-}
+// makeReadyAt and enqueueAt run on every channel wake; keep them
+// header-inline so a wake ahead of every queued key costs a few stores.
+// The tail insert and the timed waiter's re-key stay out of line.
 
 inline void
 Scheduler::enqueueAt(Context* ctx, Cycle t)
 {
-    const uint32_t p = pos_[ctx->id_];
-    if (p != kNotQueued) {
-        // Re-key in place: makeReadyAt pulls a timed waiter's key down
-        // from its deadline.
-        heap_[p].time = t;
-        heap_[p].seq = seq_++;
-        siftUp(p);
-        siftDown(pos_[ctx->id_]);
+    const ReadyEntry e{t, seq_++, ctx->id_};
+    if (head_ > 0 && (head_ == ready_.size() || t < ready_[head_].time)) {
+        // Ahead of every queued key: take the slot the last pop freed.
+        ready_[--head_] = e;
         return;
     }
-    heap_.push_back(HeapEntry{t, seq_++, ctx->id_});
-    siftUp(heap_.size() - 1);
-}
-
-inline void
-Scheduler::enqueue(Context* ctx)
-{
-    enqueueAt(ctx, ctx->now());
-}
-
-inline void
-Scheduler::makeReady(Context* ctx)
-{
-    makeReadyAt(ctx, ctx->now());
+    insertBehindHead(e);
 }
 
 inline void
 Scheduler::makeReadyAt(Context* ctx, Cycle t)
 {
-    // Only Blocked contexts wake: a context still on the start queue is
-    // Ready, so waking it is a no-op, as it was when it sat in the heap.
-    if (ctx->state_ == CtxState::Blocked) {
-        ctx->state_ = CtxState::Ready;
-        ctx->block_ = BlockInfo{};
-        if (t < ctx->now())
-            t = ctx->now();
-        const uint32_t p = pos_[ctx->id_];
-        if (p != kNotQueued) {
-            // A timed waiter woken before its deadline: pull its heap
-            // key down when the wake time is earlier than the
-            // remaining deadline.
-            if (t < heap_[p].time)
-                enqueueAt(ctx, t);
-            return;
-        }
-        enqueueAt(ctx, t);
+    // Only Blocked contexts wake: a context still queued from start()
+    // is Ready, so waking it is a no-op.
+    if (ctx->state_ != CtxState::Blocked)
+        return;
+    if (t < ctx->now())
+        t = ctx->now();
+    if (ctx->block_.kind == BlockInfo::Kind::TimedWait) [[unlikely]] {
+        wakeTimedWaiter(ctx, t);
+        return;
     }
+    ctx->state_ = CtxState::Ready;
+    ctx->block_ = BlockInfo{};
+    enqueueAt(ctx, t);
 }
 
 } // namespace step::dam

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 
 #include "support/error.hh"
+#include "support/parse.hh"
 
 namespace step {
 
@@ -40,14 +42,35 @@ deriveSeed(uint64_t stream_id)
     return mix.next();
 }
 
+namespace {
+
+/** Apply @p text as the global seed, or exit 2 naming @p source. */
+void
+setSeedOrExit(const char* prog, const char* source, const char* text)
+{
+    uint64_t seed = 0;
+    if (!parseUnsigned(text, &seed)) {
+        std::cerr << prog << ": " << source
+                  << " takes a whole unsigned decimal, got '" << text
+                  << "'\n";
+        std::exit(2);
+    }
+    setGlobalSeed(seed);
+}
+
+} // namespace
+
 uint64_t
 seedFromArgsOrEnv(int argc, char** argv)
 {
+    const char* prog = argc > 0 ? argv[0] : "step";
+    if (const char* slash = std::strrchr(prog, '/'))
+        prog = slash + 1;
     if (const char* env = std::getenv("STEP_SEED"))
-        setGlobalSeed(std::strtoull(env, nullptr, 0));
+        setSeedOrExit(prog, "STEP_SEED", env);
     for (int i = 1; i + 1 < argc; ++i) {
         if (std::strcmp(argv[i], "--seed") == 0)
-            setGlobalSeed(std::strtoull(argv[i + 1], nullptr, 0));
+            setSeedOrExit(prog, "--seed", argv[i + 1]);
     }
     return globalSeed();
 }

@@ -104,7 +104,9 @@ uint64_t deriveSeed(uint64_t stream_id);
 
 /**
  * Bench entry point: apply `--seed N` from @p argv or the STEP_SEED
- * environment variable (flag wins) to the global seed; returns it.
+ * environment variable (flag wins) to the global seed; returns it. A
+ * value that is not a whole unsigned decimal ("3e7", "abc", "0x10")
+ * prints a message naming the flag and the value and exits 2.
  */
 uint64_t seedFromArgsOrEnv(int argc, char** argv);
 

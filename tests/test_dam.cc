@@ -270,7 +270,7 @@ TEST(Dam, ElapsedIsMaxClock)
  * Both producers become visible before the selector runs again: the
  * first push wakes the select-blocked consumer (Blocked -> Ready), the
  * second push must treat the already-Ready consumer's still-registered
- * waitingReader as a no-op — a single resume, no duplicate heap entry.
+ * waitingReader as a no-op — a single resume, no duplicate queue entry.
  */
 TEST(Dam, DoubleWakeFromSelectIsSingleResume)
 {
@@ -333,8 +333,8 @@ class Requeuer : public Context
 
 TEST(Dam, TimedWaitRequeuesWithoutStaleEntries)
 {
-    // Two requeueing contexts interleave by clock; the index-tracked
-    // heap must requeue each wait without duplicating entries.
+    // Two requeueing contexts interleave by clock; the ready queue
+    // must requeue each wait without duplicating entries.
     Requeuer a(50);
     Requeuer b(50);
     Scheduler s;
@@ -553,8 +553,8 @@ TEST(Dam, TimedWaitMergeKeepsPinnedTimingAndAThirdOfPollSwitches)
 
 /**
  * Reference ready queue: one ordered set of (time, seq) keys. Starting
- * contexts take seqs 0..n-1 in start order, exactly as if every one
- * entered a single heap; the scripted contexts below mirror each queue
+ * contexts take seqs 0..n-1 in start order, as start() queues them;
+ * the scripted contexts below mirror each queue
  * operation they perform into it, and each resume pops its minimum.
  */
 struct QueueModel
@@ -569,11 +569,20 @@ struct QueueModel
     uint64_t seq = 0;
     std::vector<size_t> expected;
     std::vector<size_t> actual;
+    /** Pushes that land ahead of every queued key, pushes that land
+     *  behind the head, and timed waiters re-keyed by an early wake. */
+    size_t fronts = 0;
+    size_t behind = 0;
+    size_t rekeys = 0;
 
     void
     push(size_t i, Cycle t, St s)
     {
         key[i] = {t, seq++};
+        if (!keys.empty() && key[i] < keys.begin()->first)
+            ++fronts;
+        else
+            ++behind;
         keys.emplace(key[i], i);
         st[i] = s;
     }
@@ -600,6 +609,7 @@ struct QueueModel
             if (t < key[o].first) {
                 keys.erase(key[o]);
                 push(o, t, St::Queued);
+                ++rekeys;
             }
             return;
         }
@@ -709,10 +719,18 @@ class ScriptedCtx : public Context
 
 TEST(ReadyQueue, PopOrderMatchesAReferenceOrderedSetOfKeys)
 {
-    for (uint64_t seed = 1; seed <= 300; ++seed) {
+    // Seeds 1-300 run 2-40 contexts. Seeds 301-316 run 300-600, half of
+    // them started with a nonzero clock, so start() inserts those
+    // between clock-0 entries; their runs push far more than twice as
+    // many keys behind the head as there are contexts, so the queue
+    // compacts its consumed head, and they push ahead of the head and
+    // wake timed waiters early (re-keys) many times over.
+    for (uint64_t seed = 1; seed <= 316; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
+        const bool wide = seed > 300;
         Rng rng(seed);
-        const size_t n = 2 + rng.uniformInt(39);
+        const size_t n =
+            wide ? 300 + rng.uniformInt(301) : 2 + rng.uniformInt(39);
         QueueModel m;
         m.st.assign(n, QueueModel::St::Queued);
         m.key.resize(n);
@@ -721,11 +739,11 @@ TEST(ReadyQueue, PopOrderMatchesAReferenceOrderedSetOfKeys)
         for (size_t i = 0; i < n; ++i) {
             ctxs.push_back(std::make_unique<ScriptedCtx>(
                 m, rng, i, static_cast<int>(rng.uniformRange(1, 30))));
-            // Some contexts start with a nonzero clock: they enter the
-            // heap, behind the whole clock-0 start sweep.
-            if (i != 0 && i != n - 1 && rng.uniformInt(4) == 0)
+            // Some contexts start with a nonzero clock: start() queues
+            // them in key order, behind every clock-0 context.
+            if (i != 0 && i != n - 1 && rng.uniformInt(wide ? 2 : 4) == 0)
                 ctxs[i]->advance(static_cast<Cycle>(
-                    rng.uniformRange(1, 10)));
+                    rng.uniformRange(1, wide ? 40 : 10)));
             m.ctx.push_back(ctxs[i].get());
             s.add(ctxs[i].get());
         }
@@ -735,6 +753,11 @@ TEST(ReadyQueue, PopOrderMatchesAReferenceOrderedSetOfKeys)
         EXPECT_EQ(m.actual, m.expected);
         EXPECT_TRUE(m.keys.empty());
         EXPECT_EQ(s.contextSwitches(), m.actual.size());
+        if (wide) {
+            EXPECT_GT(m.behind, 4 * n);
+            EXPECT_GT(m.fronts, n / 4);
+            EXPECT_GT(m.rekeys, n / 20);
+        }
     }
 }
 

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -338,6 +339,50 @@ TEST(Rng, UniformIntStaysInRangeAndHitsEveryResidue)
     Rng a(13), b(13);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(a.uniformInt(97), b.uniformInt(97));
+}
+
+/** seedFromArgsOrEnv over @p args, as a program's main would call it. */
+uint64_t
+seedFromArgs(std::vector<std::string> args)
+{
+    std::vector<char*> argv;
+    for (std::string& a : args)
+        argv.push_back(a.data());
+    return seedFromArgsOrEnv(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(SeedFlagsDeathTest, MalformedSeedExitsTwoNamingTheFlagAndTheValue)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const uint64_t saved = globalSeed();
+    ::unsetenv("STEP_SEED");
+    EXPECT_EQ(seedFromArgs({"serving_sim", "--seed", "3"}), 3u);
+    EXPECT_EQ(seedFromArgs({"serving_sim", "--seed", "18446744073709551615"}),
+              ~uint64_t{0});
+    // A number's prefix is not a seed: each of these used to run as
+    // seed 3, 0, 16 or 2^64 - 1.
+    for (const char* bad : {"3e7", "abc", "0x10", "-1", ""}) {
+        SCOPED_TRACE(bad);
+        EXPECT_EXIT(seedFromArgs({"/bin/serving_sim", "--seed", bad}),
+                    testing::ExitedWithCode(2),
+                    std::string("serving_sim: --seed takes a whole "
+                                "unsigned decimal, got '") +
+                        bad + "'");
+    }
+    EXPECT_EXIT(
+        {
+            ::setenv("STEP_SEED", "7x", 1);
+            seedFromArgs({"bench_fig14_dynpar_kvvar"});
+        },
+        testing::ExitedWithCode(2),
+        "bench_fig14_dynpar_kvvar: STEP_SEED takes a whole unsigned "
+        "decimal, got '7x'");
+    // The flag still wins over a well-formed environment seed.
+    ::setenv("STEP_SEED", "5", 1);
+    EXPECT_EQ(seedFromArgs({"sim"}), 5u);
+    EXPECT_EQ(seedFromArgs({"sim", "--seed", "9"}), 9u);
+    ::unsetenv("STEP_SEED");
+    setGlobalSeed(saved);
 }
 
 // ---- STEP_ASSERT ------------------------------------------------------
