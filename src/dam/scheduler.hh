@@ -8,8 +8,8 @@
  * The ready queue is one vector of (time, seq, id) entries kept sorted
  * by (time, seq) and consumed from a head index. Keys are unique, so
  * any correct priority queue over them pops the same sequence; a sorted
- * vector suits the queue the simulator actually runs (a few dozen live
- * entries at most on the serving workloads), where a push lands a few
+ * vector suits the queue the simulator actually runs (under ten live
+ * entries on average in a serving iteration), where a push lands a few
  * entries from the tail or right at the head. A new key draws the
  * largest seq, so it goes behind every entry of an equal time: a push
  * ahead of the head fills the slot the last pop freed, any other push
