@@ -83,23 +83,6 @@ class JsonReport
     std::vector<std::pair<std::string, std::string>> kv_;
 };
 
-/**
- * Parse a `--json[=path]` flag: returns the output path ("" = flag
- * absent). A bare `--json` defaults to @p default_path.
- */
-inline std::string
-jsonFlagPath(int argc, char** argv, const std::string& default_path)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--json")
-            return default_path;
-        if (a.rfind("--json=", 0) == 0)
-            return a.substr(7);
-    }
-    return "";
-}
-
 /** One MoE-layer simulation under the given tiling/regions. */
 inline SimResult
 runMoe(const ModelConfig& cfg, int64_t batch, Tiling tiling, int64_t tile,

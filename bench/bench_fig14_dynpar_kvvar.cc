@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "support/cli.hh"
 #include "support/rng.hh"
 #include "support/stats.hh"
 
@@ -18,7 +19,10 @@ using namespace step::bench;
 int
 main(int argc, char** argv)
 {
-    uint64_t seed = seedFromArgsOrEnv(argc, argv);
+    Cli cli(argc, argv);
+    uint64_t seed = 0;
+    cli.seed(&seed);
+    cli.parse();
     banner("Figure 14: dynamic vs static-interleaved attention "
            "parallelization (batch=64)");
     std::cout << "base seed: " << seed << "\n";

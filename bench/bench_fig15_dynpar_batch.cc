@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "support/cli.hh"
 #include "support/rng.hh"
 
 using namespace step;
@@ -17,7 +18,10 @@ using namespace step::bench;
 int
 main(int argc, char** argv)
 {
-    uint64_t seed = seedFromArgsOrEnv(argc, argv);
+    Cli cli(argc, argv);
+    uint64_t seed = 0;
+    cli.seed(&seed);
+    cli.parse();
     banner("Figure 15: coarse-grained vs dynamic parallelization across "
            "batch sizes");
     std::cout << "base seed: " << seed << "\n";

@@ -34,6 +34,7 @@
 #include "ops/shape_ops.hh"
 #include "ops/source_sink.hh"
 #include "runtime/engine.hh"
+#include "support/cli.hh"
 #include "support/rng.hh"
 #include "workloads/decoder.hh"
 
@@ -455,8 +456,10 @@ int
 main(int argc, char** argv)
 {
     using namespace step;
-    std::string json_path =
-        bench::jsonFlagPath(argc, argv, "BENCH_hotpath.json");
+    Cli cli(argc, argv);
+    std::string json_path;
+    cli.json(&json_path, "BENCH_hotpath.json");
+    cli.parse();
 
     bench::banner("DAM hot path");
 

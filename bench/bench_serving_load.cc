@@ -45,7 +45,6 @@
  */
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -53,7 +52,7 @@
 #include "bench_common.hh"
 #include "runtime/cluster.hh"
 #include "runtime/faults.hh"
-#include "support/parse.hh"
+#include "support/cli.hh"
 #include "support/rng.hh"
 #include "support/table.hh"
 
@@ -63,60 +62,40 @@ using namespace step::runtime;
 int
 main(int argc, char** argv)
 {
-    uint64_t seed = seedFromArgsOrEnv(argc, argv);
+    Cli cli(argc, argv);
+    uint64_t seed = 0;
     int64_t requests = 160;
     int64_t replicas = 1;
     int64_t threads = 0; // 0 = one per replica
     RouteKind routing = RouteKind::LeastQueued;
     int64_t mtbf = 0;
     std::string plan_spec;
-    const std::pair<const char*, int64_t*> counts[] = {
-        {"--requests", &requests},
-        {"--replicas", &replicas},
-        {"--threads", &threads},
-        {"--mtbf", &mtbf}};
-    for (int i = 1; i + 1 < argc; ++i) {
-        for (const auto& [flag, value] : counts)
-            if (std::strcmp(argv[i], flag) == 0 &&
-                !parseUnsigned(argv[i + 1], value)) {
-                std::cerr << "bench_serving_load: " << flag
-                          << " takes a whole non-negative number, got '"
-                          << argv[i + 1] << "'\n";
-                return 2;
-            }
-        if (std::strcmp(argv[i], "--fault-plan") == 0)
-            plan_spec = argv[i + 1];
-        if (std::strcmp(argv[i], "--routing") == 0) {
-            std::string r = argv[i + 1];
-            routing = r == "rr"       ? RouteKind::RoundRobin
-                      : r == "hash"   ? RouteKind::HashAffinity
-                      : r == "prefix" ? RouteKind::PrefixAffinity
-                                      : RouteKind::LeastQueued;
-        }
-    }
-    const std::string json_path =
-        bench::jsonFlagPath(argc, argv, "BENCH_serving_load.json");
-    if (replicas < 1)
-        replicas = 1;
-    if (mtbf > 0 && !plan_spec.empty()) {
-        std::cerr << "bench_serving_load: --mtbf and --fault-plan are "
-                     "mutually exclusive\n";
-        return 2;
-    }
+    std::string json_path;
+    cli.seed(&seed);
+    cli.number("--requests", &requests, 1);
+    cli.number("--replicas", &replicas, 1);
+    cli.number("--threads", &threads);
+    cli.choice("--routing",
+               {{"rr", RouteKind::RoundRobin},
+                {"lq", RouteKind::LeastQueued},
+                {"hash", RouteKind::HashAffinity},
+                {"prefix", RouteKind::PrefixAffinity}},
+               &routing);
+    cli.number("--mtbf", &mtbf);
+    cli.text("--fault-plan", &plan_spec);
+    cli.json(&json_path, "BENCH_serving_load.json");
+    cli.parse();
+    if (mtbf > 0 && !plan_spec.empty())
+        cli.fail("--mtbf and --fault-plan are mutually exclusive");
     const bool faulty = mtbf > 0 || !plan_spec.empty();
-    if (faulty && replicas < 2) {
-        std::cerr << "bench_serving_load: fault injection needs the "
-                     "cluster path; use --replicas >= 2\n";
-        return 2;
-    }
+    if (faulty && replicas < 2)
+        cli.fail("--mtbf and --fault-plan need the cluster path; use "
+                 "--replicas >= 2");
     FaultPlan explicit_plan;
     if (!plan_spec.empty()) {
         std::string err;
-        if (!parseFaultPlan(plan_spec, &explicit_plan, &err)) {
-            std::cerr << "bench_serving_load: --fault-plan: " << err
-                      << "\n";
-            return 2;
-        }
+        if (!parseFaultPlan(plan_spec, &explicit_plan, &err))
+            cli.fail("--fault-plan: " + err);
     }
     // Mirror the cluster's own clamp so the printed configuration is the
     // one that actually ran.

@@ -59,16 +59,14 @@
  * check (completed + failed + shed == submitted) runs on every
  * configuration, silently when it holds.
  */
-#include <cstdlib>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "obs/export.hh"
 #include "runtime/cluster.hh"
+#include "support/cli.hh"
 #include "support/error.hh"
-#include "support/parse.hh"
 #include "support/rng.hh"
 #include "support/table.hh"
 
@@ -78,92 +76,36 @@ using namespace step::runtime;
 int
 main(int argc, char** argv)
 {
-    uint64_t seed = seedFromArgsOrEnv(argc, argv);
-    obs::TraceCli trace_cli = obs::parseTraceCli(argc, argv);
-    if (trace_cli.error) {
-        std::cerr << "cluster_sim: " << trace_cli.errorMsg << "\n";
-        return 2;
-    }
-    obs::MetricsCli metrics_cli = obs::parseMetricsCli(argc, argv);
-    if (metrics_cli.error) {
-        std::cerr << "cluster_sim: " << metrics_cli.errorMsg << "\n";
-        return 2;
-    }
-    int64_t threads = 0;
+    Cli cli(argc, argv);
+    uint64_t seed = 0;
     int64_t mtbf = 0;
     int64_t slowdown_mtbf = 0;
     int64_t deadline = 0;
     bool resilience = false;
     std::string plan_spec;
-    std::string scales_spec;
-    std::string breaker_source_spec;
-    bool verify_graphs = false;
-    const std::pair<std::string_view, int64_t*> counts[] = {
-        {"--threads", &threads},
-        {"--mtbf", &mtbf},
-        {"--slowdown-mtbf", &slowdown_mtbf},
-        {"--deadline", &deadline}};
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--resilience")
-            resilience = true;
-        if (a == "--verify")
-            verify_graphs = true;
-        if (i + 1 >= argc)
-            break;
-        for (const auto& [flag, value] : counts)
-            if (a == flag && !parseUnsigned(argv[i + 1], value)) {
-                std::cerr << "cluster_sim: " << a
-                          << " takes a whole non-negative number, got '"
-                          << argv[i + 1] << "'\n";
-                return 2;
-            }
-        if (a == "--fault-plan")
-            plan_spec = argv[i + 1];
-        else if (a == "--bw-scales")
-            scales_spec = argv[i + 1];
-        else if (a == "--breaker-source")
-            breaker_source_spec = argv[i + 1];
-    }
-    if ((mtbf > 0 || slowdown_mtbf > 0) && !plan_spec.empty()) {
-        std::cerr << "cluster_sim: --mtbf/--slowdown-mtbf and "
-                     "--fault-plan are mutually exclusive\n";
-        return 2;
-    }
-    BreakerSource breaker_source = BreakerSource::Plan;
-    if (!breaker_source_spec.empty()) {
-        if (!parseBreakerSource(breaker_source_spec, &breaker_source)) {
-            std::cerr << "cluster_sim: --breaker-source must be 'plan' "
-                         "or 'telemetry', got '"
-                      << breaker_source_spec << "'\n";
-            return 2;
-        }
-        if (!resilience) {
-            std::cerr << "cluster_sim: --breaker-source requires "
-                         "--resilience\n";
-            return 2;
-        }
-    }
-    std::vector<double> bw_scales;
-    if (!scales_spec.empty()) {
-        std::string rest = scales_spec;
-        while (!rest.empty()) {
-            const size_t comma = rest.find(',');
-            const std::string tok = rest.substr(0, comma);
-            char* end = nullptr;
-            const double v = std::strtod(tok.c_str(), &end);
-            if (tok.empty() || end == nullptr || *end != '\0' ||
-                v <= 0.0) {
-                std::cerr << "cluster_sim: --bw-scales wants positive "
-                             "comma-separated factors, got '"
-                          << scales_spec << "'\n";
-                return 2;
-            }
-            bw_scales.push_back(v);
-            rest = comma == std::string::npos ? std::string{}
-                                              : rest.substr(comma + 1);
-        }
-    }
+    ClusterConfig cc;
+    cli.seed(&seed);
+    obs::TraceCli trace_cli(cli);
+    obs::MetricsCli metrics_cli(cli);
+    cli.number("--threads", &cc.threads);
+    cli.number("--mtbf", &mtbf);
+    cli.number("--slowdown-mtbf", &slowdown_mtbf);
+    cli.number("--deadline", &deadline);
+    cli.flag("--resilience", &resilience);
+    // Static graph verification on every replica engine (read-only;
+    // output bytes are identical with and without the flag).
+    cli.flag("--verify", &cc.engine.verifyGraphs);
+    cli.text("--fault-plan", &plan_spec);
+    cli.factors("--bw-scales", &cc.bwScales);
+    cli.choice("--breaker-source",
+               {{"plan", BreakerSource::Plan},
+                {"telemetry", BreakerSource::Telemetry}},
+               &cc.resilience.breakerSource);
+    cli.needs("--breaker-source", "--resilience");
+    cli.parse();
+    if ((mtbf > 0 || slowdown_mtbf > 0) && !plan_spec.empty())
+        cli.fail("--mtbf/--slowdown-mtbf and --fault-plan are mutually "
+                 "exclusive");
 
     TraceConfig tc;
     tc.numRequests = 480;
@@ -180,30 +122,17 @@ main(int argc, char** argv)
     if (deadline > 0)
         tc.deadlineCycles = deadline;
 
-    ClusterConfig cc;
     cc.replicas = 4;
-    cc.threads = threads;
-    if (!bw_scales.empty()) {
-        if (bw_scales.size() != static_cast<size_t>(cc.replicas)) {
-            std::cerr << "cluster_sim: --bw-scales wants "
-                      << cc.replicas << " factors, got "
-                      << bw_scales.size() << "\n";
-            return 2;
-        }
-        cc.bwScales = bw_scales;
-    }
-    // Static graph verification on every replica engine (read-only;
-    // output bytes are identical with and without the flag).
-    if (verify_graphs)
-        cc.engine.verifyGraphs = true;
+    if (!cc.bwScales.empty() &&
+        cc.bwScales.size() != static_cast<size_t>(cc.replicas))
+        cli.fail("--bw-scales wants " + std::to_string(cc.replicas) +
+                 " factors, got " + std::to_string(cc.bwScales.size()));
 
     FaultPlan plan;
     if (!plan_spec.empty()) {
         std::string err;
-        if (!parseFaultPlan(plan_spec, &plan, &err)) {
-            std::cerr << "cluster_sim: --fault-plan: " << err << "\n";
-            return 2;
-        }
+        if (!parseFaultPlan(plan_spec, &plan, &err))
+            cli.fail("--fault-plan: " + err);
     } else if (mtbf > 0 || slowdown_mtbf > 0) {
         // Horizon: twice the trace span, so late crashes are possible.
         const auto probe = generateTrace(tc, deriveSeed(2));
@@ -230,7 +159,6 @@ main(int argc, char** argv)
     BrownoutPolicy brownout;
     if (resilience) {
         cc.resilience.enabled = true;
-        cc.resilience.breakerSource = breaker_source;
         cc.resilience.remotePrefix.enabled = true;
         cc.resilience.autoscale.enabled = true;
         tc.lowPriorityFrac = 0.2;
@@ -273,12 +201,12 @@ main(int argc, char** argv)
     if (resilience)
         std::cout << "resilience: migration + breakers + remote prefix "
                      "+ autoscale + brown-out admission\n";
-    if (resilience && breaker_source == BreakerSource::Telemetry)
+    if (cc.resilience.breakerSource == BreakerSource::Telemetry)
         std::cout << "breaker source: telemetry (per-replica health "
                      "monitors over each live run's windows)\n";
-    if (!bw_scales.empty()) {
+    if (!cc.bwScales.empty()) {
         std::cout << "heterogeneous fleet: bw scales";
-        for (double s : bw_scales)
+        for (double s : cc.bwScales)
             std::cout << " " << s;
         std::cout << "\n";
     }
@@ -305,7 +233,7 @@ main(int argc, char** argv)
         // Trace and meter the least-queued run, one sink/registry per
         // replica.
         cc.trace = routing == RouteKind::LeastQueued && trace_cli.enabled()
-                       ? trace_cli.options()
+                       ? trace_cli.options
                        : obs::TraceOptions{};
         cc.metrics =
             routing == RouteKind::LeastQueued && metrics_cli.enabled()
@@ -376,7 +304,7 @@ main(int argc, char** argv)
 
     if (!least_queued.traces.empty()) {
         const auto views = least_queued.traceViews();
-        if (trace_cli.level >= obs::TraceLevel::Op) {
+        if (trace_cli.options.level >= obs::TraceLevel::Op) {
             std::cout << "\n";
             obs::printSwitchAttribution(std::cout, views);
         }
@@ -390,7 +318,7 @@ main(int argc, char** argv)
             std::cerr << "cluster_sim: cannot write " << jsonl << "\n";
             return 1;
         }
-        std::cout << "\ntrace (" << obs::traceLevelName(trace_cli.level)
+        std::cout << "\ntrace (" << obs::traceLevelName(trace_cli.options.level)
                   << ", " << views.size()
                   << " replica tracks, least-queued run) -> "
                   << trace_cli.path << "\nrequest lifecycle -> " << jsonl

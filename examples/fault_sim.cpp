@@ -33,7 +33,7 @@
 #include <utility>
 
 #include "runtime/cluster.hh"
-#include "support/parse.hh"
+#include "support/cli.hh"
 #include "support/rng.hh"
 #include "support/table.hh"
 
@@ -67,25 +67,14 @@ runOnce(const ClusterConfig& cc, const TraceConfig& tc, const Policy& pol)
 int
 main(int argc, char** argv)
 {
-    const uint64_t seed = seedFromArgsOrEnv(argc, argv);
-    obs::MetricsCli metrics_cli = obs::parseMetricsCli(argc, argv);
-    if (metrics_cli.error) {
-        std::cerr << "fault_sim: " << metrics_cli.errorMsg << "\n";
-        return 2;
-    }
-    int64_t threads = 0;
-    bool verify_graphs = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--verify")
-            verify_graphs = true;
-        else if (std::string(argv[i]) == "--threads" && i + 1 < argc &&
-                 !parseUnsigned(argv[i + 1], &threads)) {
-            std::cerr << "fault_sim: --threads takes a whole non-negative "
-                         "number, got '"
-                      << argv[i + 1] << "'\n";
-            return 2;
-        }
-    }
+    Cli cli(argc, argv);
+    uint64_t seed = 0;
+    ClusterConfig cc;
+    cli.seed(&seed);
+    cli.number("--threads", &cc.threads);
+    cli.flag("--verify", &cc.engine.verifyGraphs);
+    obs::MetricsCli metrics_cli(cli);
+    cli.parse();
 
     TraceConfig tc;
     tc.numRequests = 320;
@@ -96,12 +85,8 @@ main(int argc, char** argv)
     tc.promptSigma = 1.1;
     tc.outputSigma = 0.9;
 
-    ClusterConfig cc;
     cc.replicas = 4;
-    cc.threads = threads;
     cc.routing = RouteKind::LeastQueued;
-    if (verify_graphs)
-        cc.engine.verifyGraphs = true;
 
     QueueDepthPolicy policy;
 

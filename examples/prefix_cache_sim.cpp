@@ -25,6 +25,7 @@
 
 #include "obs/export.hh"
 #include "runtime/cluster.hh"
+#include "support/cli.hh"
 #include "support/rng.hh"
 #include "support/table.hh"
 
@@ -52,12 +53,11 @@ conversationTrace()
 int
 main(int argc, char** argv)
 {
-    uint64_t seed = seedFromArgsOrEnv(argc, argv);
-    obs::TraceCli trace_cli = obs::parseTraceCli(argc, argv);
-    if (trace_cli.error) {
-        std::cerr << "prefix_cache_sim: " << trace_cli.errorMsg << "\n";
-        return 2;
-    }
+    Cli cli(argc, argv);
+    uint64_t seed = 0;
+    cli.seed(&seed);
+    obs::TraceCli trace_cli(cli);
+    cli.parse();
     TraceConfig tc = conversationTrace();
 
     std::cout << "multi-turn workload: " << tc.numSessions
@@ -78,7 +78,7 @@ main(int argc, char** argv)
         // carry per-request cached-prefix-token annotations.
         std::unique_ptr<obs::TraceSink> sink;
         if (capacity && trace_cli.enabled()) {
-            sink = std::make_unique<obs::TraceSink>(trace_cli.options());
+            sink = std::make_unique<obs::TraceSink>(trace_cli.options);
             engine.attachTrace(sink.get());
         }
         EngineResult r = engine.run(reqs);

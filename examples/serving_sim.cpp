@@ -35,7 +35,7 @@
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "runtime/engine.hh"
-#include "support/parse.hh"
+#include "support/cli.hh"
 #include "support/rng.hh"
 
 using namespace step;
@@ -44,43 +44,24 @@ using namespace step::runtime;
 int
 main(int argc, char** argv)
 {
-    uint64_t seed = seedFromArgsOrEnv(argc, argv);
-    obs::TraceCli trace_cli = obs::parseTraceCli(argc, argv);
-    if (trace_cli.error) {
-        std::cerr << "serving_sim: " << trace_cli.errorMsg << "\n";
-        return 2;
-    }
-    obs::MetricsCli metrics_cli = obs::parseMetricsCli(argc, argv);
-    if (metrics_cli.error) {
-        std::cerr << "serving_sim: " << metrics_cli.errorMsg << "\n";
-        return 2;
-    }
-    int64_t num_requests = 240;
-    bool verify_graphs = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--verify")
-            verify_graphs = true;
-        else if (std::string(argv[i]) == "--requests" && i + 1 < argc &&
-                 (!parseUnsigned(argv[i + 1], &num_requests) ||
-                  num_requests < 1)) {
-            std::cerr << "serving_sim: --requests takes a whole positive "
-                         "number, got '"
-                      << argv[i + 1] << "'\n";
-            return 2;
-        }
-    }
-
+    Cli cli(argc, argv);
+    uint64_t seed = 0;
     TraceConfig tc;
-    tc.numRequests = num_requests;
+    tc.numRequests = 240;
+    EngineConfig ec;
+    cli.seed(&seed);
+    cli.number("--requests", &tc.numRequests, 1);
+    cli.flag("--verify", &ec.verifyGraphs);
+    obs::TraceCli trace_cli(cli);
+    obs::MetricsCli metrics_cli(cli);
+    cli.parse();
+
     tc.arrivalsPerKcycle = 0.0012;
     tc.burstPeriod = 16'000'000;
     tc.burstDuty = 0.3;
     tc.burstFactor = 4.0;
 
-    EngineConfig ec;
     ec.seed = deriveSeed(1);
-    if (verify_graphs)
-        ec.verifyGraphs = true;
 
     std::cout << "serving " << tc.numRequests
               << " requests (Poisson with on/off bursts, seed " << seed
@@ -101,7 +82,7 @@ main(int argc, char** argv)
         // other tooling (cluster, prefix cache) builds on.
         std::unique_ptr<obs::TraceSink> sink;
         if (dynamic && trace_cli.enabled()) {
-            sink = std::make_unique<obs::TraceSink>(trace_cli.options());
+            sink = std::make_unique<obs::TraceSink>(trace_cli.options);
             engine.attachTrace(sink.get());
         }
         // Meter the dynamic-policy run for the same reason.

@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "obs/json.hh"
+#include "support/cli.hh"
 #include "support/table.hh"
 
 namespace step::obs {
@@ -284,48 +285,16 @@ requestJsonlPath(const std::string& trace_path)
     return stem + ".requests.jsonl";
 }
 
-TraceCli
-parseTraceCli(int argc, char** argv)
+TraceCli::TraceCli(Cli& cli)
 {
-    TraceCli cli;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--trace") {
-            if (i + 1 >= argc) {
-                cli.error = true;
-                cli.errorMsg = "--trace requires a path";
-                return cli;
-            }
-            cli.path = argv[++i];
-        } else if (a.rfind("--trace=", 0) == 0) {
-            cli.path = a.substr(8);
-        } else if (a == "--trace-level" || a.rfind("--trace-level=", 0) ==
-                                               0) {
-            std::string v;
-            if (a == "--trace-level") {
-                if (i + 1 >= argc) {
-                    cli.error = true;
-                    cli.errorMsg = "--trace-level requires a value";
-                    return cli;
-                }
-                v = argv[++i];
-            } else {
-                v = a.substr(14);
-            }
-            if (!parseTraceLevel(v, &cli.level)) {
-                cli.error = true;
-                cli.errorMsg = "unknown trace level '" + v +
-                               "' (off|request|op|full)";
-                return cli;
-            }
-        }
-    }
-    if (cli.path.empty() && cli.level != TraceLevel::Request &&
-        cli.level != TraceLevel::Off) {
-        cli.error = true;
-        cli.errorMsg = "--trace-level given without --trace <path>";
-    }
-    return cli;
+    cli.text("--trace", &path);
+    cli.choice("--trace-level",
+               {{"off", TraceLevel::Off},
+                {"request", TraceLevel::Request},
+                {"op", TraceLevel::Op},
+                {"full", TraceLevel::Full}},
+               &options.level);
+    cli.needs("--trace-level", "--trace");
 }
 
 } // namespace step::obs

@@ -20,6 +20,10 @@
 
 #include "obs/sink.hh"
 
+namespace step {
+class Cli;
+}
+
 namespace step::obs {
 
 /**
@@ -62,37 +66,22 @@ void printSwitchAttribution(std::ostream& os,
  *  "out.json" -> "out.requests.jsonl". */
 std::string requestJsonlPath(const std::string& trace_path);
 
-/** Parsed `--trace` / `--trace-level` flags. */
+/** The `--trace <path>` and `--trace-level off|request|op|full` flags. */
 struct TraceCli
 {
-    std::string path;  ///< empty = tracing not requested
-    TraceLevel level = TraceLevel::Request;
-    bool error = false;
-    std::string errorMsg;
+    std::string path; ///< empty = tracing not requested
+    TraceOptions options{TraceLevel::Request}; ///< level: --trace-level
 
-    /** Tracing requested: a path was given, the level is not `off`,
-     *  and parsing succeeded. */
+    /** Declare both flags on @p cli; `--trace-level` needs `--trace`.
+     *  The fields hold the values once @p cli has parsed. */
+    explicit TraceCli(Cli& cli);
+
+    /** Tracing requested: a path was given and the level is not `off`. */
     bool
     enabled() const
     {
-        return !path.empty() && level != TraceLevel::Off && !error;
-    }
-
-    TraceOptions
-    options() const
-    {
-        TraceOptions o;
-        o.level = level;
-        return o;
+        return !path.empty() && options.level != TraceLevel::Off;
     }
 };
-
-/**
- * Scan argv for `--trace <path>` (or `--trace=<path>`) and
- * `--trace-level <off|request|op|full>`. Unrelated flags are ignored —
- * the sims parse their own. A level without a path is an error (there
- * would be nowhere to write), as is an unknown level.
- */
-TraceCli parseTraceCli(int argc, char** argv);
 
 } // namespace step::obs

@@ -4,8 +4,8 @@
 #include <ostream>
 
 #include "obs/json.hh"
+#include "support/cli.hh"
 #include "support/error.hh"
-#include "support/parse.hh"
 
 namespace step::obs {
 
@@ -285,49 +285,11 @@ metricsJsonlPath(const std::string& metrics_path)
     return stem + ".windows.jsonl";
 }
 
-MetricsCli
-parseMetricsCli(int argc, char** argv)
+MetricsCli::MetricsCli(Cli& cli)
 {
-    MetricsCli cli;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--metrics") {
-            if (i + 1 >= argc) {
-                cli.error = true;
-                cli.errorMsg = "--metrics requires a path";
-                return cli;
-            }
-            cli.path = argv[++i];
-        } else if (a.rfind("--metrics=", 0) == 0) {
-            cli.path = a.substr(10);
-        } else if (a == "--metrics-window" ||
-                   a.rfind("--metrics-window=", 0) == 0) {
-            std::string v;
-            if (a == "--metrics-window") {
-                if (i + 1 >= argc) {
-                    cli.error = true;
-                    cli.errorMsg = "--metrics-window requires a value";
-                    return cli;
-                }
-                v = argv[++i];
-            } else {
-                v = a.substr(17);
-            }
-            if (!parseUnsigned(v, &cli.windowCycles) ||
-                cli.windowCycles == 0) {
-                cli.error = true;
-                cli.errorMsg = "--metrics-window must be a positive "
-                               "whole cycle count, got '" +
-                               v + "'";
-                return cli;
-            }
-        }
-    }
-    if (cli.path.empty() && cli.windowCycles > 0) {
-        cli.error = true;
-        cli.errorMsg = "--metrics-window given without --metrics <path>";
-    }
-    return cli;
+    cli.text("--metrics", &path);
+    cli.number("--metrics-window", &windowCycles, 1);
+    cli.needs("--metrics-window", "--metrics");
 }
 
 } // namespace step::obs

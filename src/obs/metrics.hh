@@ -30,6 +30,10 @@
 #include "obs/histogram.hh"
 #include "obs/timeseries.hh"
 
+namespace step {
+class Cli;
+}
+
 namespace step::obs {
 
 struct MetricsConfig
@@ -123,33 +127,20 @@ bool writeMetricsWindowsJsonlFile(
  *  "out.json" -> "out.windows.jsonl". */
 std::string metricsJsonlPath(const std::string& metrics_path);
 
-/** Parsed `--metrics` / `--metrics-window` flags. */
+/** The `--metrics <path>` and `--metrics-window <cycles>` flags. */
 struct MetricsCli
 {
     std::string path; ///< empty = metrics not requested
-    dam::Cycle windowCycles = 0; ///< 0 = keep the MetricsConfig default
-    bool error = false;
-    std::string errorMsg;
+    dam::Cycle windowCycles = MetricsConfig{}.windowCycles;
 
-    bool enabled() const { return !path.empty() && !error; }
+    /** Declare both flags on @p cli; the window is a whole positive
+     *  cycle count and needs `--metrics`. The fields hold the values
+     *  once @p cli has parsed. */
+    explicit MetricsCli(Cli& cli);
 
-    MetricsConfig
-    config() const
-    {
-        MetricsConfig c;
-        c.enabled = enabled();
-        if (windowCycles > 0)
-            c.windowCycles = windowCycles;
-        return c;
-    }
+    bool enabled() const { return !path.empty(); }
+
+    MetricsConfig config() const { return {enabled(), windowCycles}; }
 };
-
-/**
- * Scan argv for `--metrics <path>` (or `--metrics=<path>`) and
- * `--metrics-window <cycles>`. Unrelated flags are ignored — the sims
- * parse their own. A window without a path is an error, as is a
- * non-positive window.
- */
-MetricsCli parseMetricsCli(int argc, char** argv);
 
 } // namespace step::obs

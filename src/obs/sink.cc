@@ -23,22 +23,6 @@ traceLevelName(TraceLevel level)
     return "?";
 }
 
-bool
-parseTraceLevel(std::string_view s, TraceLevel* out)
-{
-    if (s == "off")
-        *out = TraceLevel::Off;
-    else if (s == "request")
-        *out = TraceLevel::Request;
-    else if (s == "op")
-        *out = TraceLevel::Op;
-    else if (s == "full")
-        *out = TraceLevel::Full;
-    else
-        return false;
-    return true;
-}
-
 const char*
 blockKindName(uint8_t kind)
 {

@@ -37,9 +37,6 @@ enum class TraceLevel : uint8_t { Off = 0, Request = 1, Op = 2, Full = 3 };
 
 const char* traceLevelName(TraceLevel level);
 
-/** Parse "off"/"request"/"op"/"full"; returns false on anything else. */
-bool parseTraceLevel(std::string_view s, TraceLevel* out);
-
 struct TraceOptions
 {
     TraceLevel level = TraceLevel::Off;

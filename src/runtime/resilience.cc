@@ -65,20 +65,6 @@ computeBreakerTimeline(const ReplicaFaultTimeline& t)
 
 // ---- telemetry-inferred breakers ---------------------------------------
 
-bool
-parseBreakerSource(std::string_view s, BreakerSource* out)
-{
-    if (s == "plan") {
-        *out = BreakerSource::Plan;
-        return true;
-    }
-    if (s == "telemetry") {
-        *out = BreakerSource::Telemetry;
-        return true;
-    }
-    return false;
-}
-
 void
 HealthMonitor::expectOpen(dam::Cycle at) const
 {

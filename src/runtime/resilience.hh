@@ -117,9 +117,6 @@ BreakerTimeline computeBreakerTimeline(const ReplicaFaultTimeline& t);
  */
 enum class BreakerSource : uint8_t { Plan, Telemetry };
 
-/** Parse "plan" / "telemetry"; returns false on anything else. */
-bool parseBreakerSource(std::string_view s, BreakerSource* out);
-
 /**
  * Health-monitor thresholds for telemetry-inferred breakers. All
  * decisions land on window-close edges (cycle (w+1)*windowCycles), so

@@ -2,12 +2,8 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <iostream>
 
 #include "support/error.hh"
-#include "support/parse.hh"
 
 namespace step {
 
@@ -40,39 +36,6 @@ deriveSeed(uint64_t stream_id)
     // One SplitMix64 step over (seed, stream) decorrelates nearby ids.
     Rng mix(globalSeed() ^ (stream_id * 0xd1342543de82ef95ULL));
     return mix.next();
-}
-
-namespace {
-
-/** Apply @p text as the global seed, or exit 2 naming @p source. */
-void
-setSeedOrExit(const char* prog, const char* source, const char* text)
-{
-    uint64_t seed = 0;
-    if (!parseUnsigned(text, &seed)) {
-        std::cerr << prog << ": " << source
-                  << " takes a whole unsigned decimal, got '" << text
-                  << "'\n";
-        std::exit(2);
-    }
-    setGlobalSeed(seed);
-}
-
-} // namespace
-
-uint64_t
-seedFromArgsOrEnv(int argc, char** argv)
-{
-    const char* prog = argc > 0 ? argv[0] : "step";
-    if (const char* slash = std::strrchr(prog, '/'))
-        prog = slash + 1;
-    if (const char* env = std::getenv("STEP_SEED"))
-        setSeedOrExit(prog, "STEP_SEED", env);
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--seed") == 0)
-            setSeedOrExit(prog, "--seed", argv[i + 1]);
-    }
-    return globalSeed();
 }
 
 uint64_t

@@ -3,9 +3,9 @@
  * Deterministic random number generation and the distributions used by the
  * synthetic trace substrate. All experiments must be reproducible from a
  * seed. Rng instances never touch shared state; the one process-wide
- * value is the explicit base seed below (default 42), which benches set
- * once at startup from --seed/STEP_SEED and every component then derives
- * its per-stream seeds from.
+ * value is the explicit base seed below (default 42), which a program
+ * that takes --seed sets once at startup (Cli::seed, support/cli.hh)
+ * and every component then derives its per-stream seeds from.
  */
 #pragma once
 
@@ -79,9 +79,10 @@ class Rng
 
 /**
  * Process-wide base seed for experiment reproducibility. Every bench and
- * example derives its per-component Rng seeds from this value, so one
- * `--seed N` flag (or the STEP_SEED environment variable) reseeds a whole
- * sweep while run-to-run results stay bit-identical for a fixed seed.
+ * example derives its per-component Rng seeds from this value, so in a
+ * program that takes it, one `--seed N` flag (or the STEP_SEED
+ * environment variable) reseeds a whole sweep while run-to-run results
+ * stay bit-identical for a fixed seed.
  * Defaults to 42.
  *
  * Thread-safety contract: the seed is stored atomically, so concurrent
@@ -101,13 +102,5 @@ uint64_t globalSeed();
  * workers start.
  */
 uint64_t deriveSeed(uint64_t stream_id);
-
-/**
- * Bench entry point: apply `--seed N` from @p argv or the STEP_SEED
- * environment variable (flag wins) to the global seed; returns it. A
- * value that is not a whole unsigned decimal ("3e7", "abc", "0x10")
- * prints a message naming the flag and the value and exits 2.
- */
-uint64_t seedFromArgsOrEnv(int argc, char** argv);
 
 } // namespace step

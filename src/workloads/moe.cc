@@ -249,9 +249,9 @@ moeRegionBw(const MoeParams& p)
     const int64_t experts_per_region = E / regions;
     if (experts_per_region <= 1)
         return p.computeBwPerMatmul;
+    constexpr double kRegionBwBeta = 1.0;
     auto factor = static_cast<int64_t>(std::ceil(
-        p.regionBwBeta *
-        std::sqrt(static_cast<double>(experts_per_region))));
+        kRegionBwBeta * std::sqrt(static_cast<double>(experts_per_region))));
     return p.computeBwPerMatmul * std::min(experts_per_region, factor);
 }
 

@@ -40,14 +40,6 @@ struct MoeParams
      * expert (no time-multiplexing).
      */
     int64_t parallelRegions = 0;
-    /**
-     * Region compute oversubscription: a region serving E experts is
-     * provisioned min(E, ceil(beta*sqrt(E))) x the per-expert matmul
-     * bandwidth — enough to keep a time-multiplexed region at the
-     * memory-bound knee (reproduces the paper's 54-62% compute savings
-     * at comparable cycles).
-     */
-    double regionBwBeta = 1.0;
     /** Build payload-carrying tiles for functional checking. */
     bool functional = false;
     uint64_t seed = 42;
@@ -80,9 +72,12 @@ struct MoeRearmHandles
 };
 
 /**
- * Compute bandwidth provisioned to one expert region (the
- * oversubscription rule of MoeParams::regionBwBeta). Shared by the
- * builder and the rearm path so both assign identical bandwidths.
+ * Compute bandwidth provisioned to one expert region. Region compute is
+ * oversubscribed: a region serving E experts gets min(E, ceil(beta *
+ * sqrt(E))) x the per-expert matmul bandwidth, beta = 1 — enough to
+ * keep a time-multiplexed region at the memory-bound knee (reproduces
+ * the paper's 54-62% compute savings at comparable cycles). Shared by
+ * the builder and the rearm path so both assign identical bandwidths.
  */
 int64_t moeRegionBw(const MoeParams& p);
 

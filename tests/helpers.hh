@@ -2,18 +2,20 @@
  * @file
  * Shared test helpers: compact constructors for value tokens and a
  * one-operator harness that runs Source -> Op -> Sink and returns the
- * captured output stream.
+ * captured output stream; a command line to hand to a Cli.
  */
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/codec.hh"
 #include "core/token.hh"
 #include "ops/graph.hh"
 #include "ops/source_sink.hh"
+#include "support/cli.hh"
 
 namespace step::test {
 
@@ -82,6 +84,32 @@ struct SingleOpResult
 {
     std::vector<Token> toks;
     SimResult sim;
+};
+
+/** A command line that owns its strings, as main's argv would. */
+class Args
+{
+  public:
+    explicit Args(std::vector<std::string> args) : strings_(std::move(args))
+    {
+        for (std::string& s : strings_)
+            argv_.push_back(s.data());
+    }
+
+    // argv_ points into strings_.
+    Args(const Args&) = delete;
+    Args& operator=(const Args&) = delete;
+
+    /** A parser over this command line; it must not outlive *this. */
+    Cli
+    cli()
+    {
+        return Cli(static_cast<int>(argv_.size()), argv_.data());
+    }
+
+  private:
+    std::vector<std::string> strings_;
+    std::vector<char*> argv_;
 };
 
 } // namespace step::test

@@ -23,6 +23,8 @@
 #include "runtime/engine.hh"
 #include "support/rng.hh"
 
+#include "helpers.hh"
+
 using namespace step;
 using namespace step::obs;
 using namespace step::runtime;
@@ -76,14 +78,25 @@ exportJsonl(const TraceSink& sink)
 
 TEST(ObsTrace, LevelParseAndNamesRoundTrip)
 {
+    // --trace-level accepts exactly the names traceLevelName prints.
+    auto parse = [](std::string level, TraceLevel* out) {
+        test::Args a({"sim", "--trace", "t.json", "--trace-level", level});
+        Cli cli = a.cli();
+        TraceCli trace(cli);
+        const std::string error = cli.tryParse();
+        *out = trace.options.level;
+        return error;
+    };
     for (TraceLevel l : {TraceLevel::Off, TraceLevel::Request,
                          TraceLevel::Op, TraceLevel::Full}) {
         TraceLevel parsed = TraceLevel::Off;
-        EXPECT_TRUE(parseTraceLevel(traceLevelName(l), &parsed));
+        EXPECT_EQ(parse(traceLevelName(l), &parsed), "");
         EXPECT_EQ(parsed, l);
     }
     TraceLevel parsed = TraceLevel::Off;
-    EXPECT_FALSE(parseTraceLevel("verbose", &parsed));
+    EXPECT_EQ(parse("verbose", &parsed),
+              "--trace-level takes one of off|request|op|full, got "
+              "'verbose'");
     EXPECT_LT(TraceLevel::Off, TraceLevel::Request);
     EXPECT_LT(TraceLevel::Request, TraceLevel::Op);
     EXPECT_LT(TraceLevel::Op, TraceLevel::Full);

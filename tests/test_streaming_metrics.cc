@@ -24,6 +24,8 @@
 #include "support/rng.hh"
 #include "support/stats.hh"
 
+#include "helpers.hh"
+
 using namespace step;
 using namespace step::obs;
 using namespace step::runtime;
@@ -305,33 +307,41 @@ TEST(Metrics, PercentilesBatchMatchesPerQuantileCalls)
 TEST(Metrics, ParseCliVariantsAndErrors)
 {
     {
-        const char* argv[] = {"sim", "--metrics", "out.json",
-                              "--metrics-window", "500000"};
-        MetricsCli cli = parseMetricsCli(5, const_cast<char**>(argv));
-        EXPECT_TRUE(cli.enabled());
-        EXPECT_EQ(cli.path, "out.json");
-        EXPECT_EQ(cli.config().windowCycles, dam::Cycle(500000));
+        test::Args a({"sim", "--metrics", "out.json", "--metrics-window",
+                      "500000"});
+        Cli cli = a.cli();
+        MetricsCli m(cli);
+        EXPECT_EQ(cli.tryParse(), "");
+        EXPECT_TRUE(m.enabled());
+        EXPECT_EQ(m.path, "out.json");
+        EXPECT_EQ(m.config().windowCycles, dam::Cycle(500000));
     }
     {
-        const char* argv[] = {"sim", "--metrics=m.json"};
-        MetricsCli cli = parseMetricsCli(2, const_cast<char**>(argv));
-        EXPECT_TRUE(cli.enabled());
-        EXPECT_EQ(cli.path, "m.json");
+        test::Args a({"sim", "--metrics=m.json"});
+        Cli cli = a.cli();
+        MetricsCli m(cli);
+        EXPECT_EQ(cli.tryParse(), "");
+        EXPECT_TRUE(m.enabled());
+        EXPECT_EQ(m.path, "m.json");
         // Default window survives when the flag is absent.
-        EXPECT_EQ(cli.config().windowCycles, MetricsConfig{}.windowCycles);
+        EXPECT_EQ(m.config().windowCycles, MetricsConfig{}.windowCycles);
     }
     {
-        const char* argv[] = {"sim", "--metrics-window", "100"};
-        MetricsCli cli = parseMetricsCli(3, const_cast<char**>(argv));
-        EXPECT_TRUE(cli.error); // window without a path
+        test::Args a({"sim", "--metrics-window", "100"});
+        Cli cli = a.cli();
+        MetricsCli m(cli);
+        EXPECT_EQ(cli.tryParse(), "--metrics-window needs --metrics");
     }
     // A window is a whole positive cycle count: "4e6" is not 4 cycles.
     for (const char* bad : {"0", "4e6", "4000000x", "-5"}) {
         SCOPED_TRACE(bad);
-        const char* argv[] = {"sim", "--metrics", "m.json",
-                              "--metrics-window", bad};
-        MetricsCli cli = parseMetricsCli(5, const_cast<char**>(argv));
-        EXPECT_TRUE(cli.error);
+        test::Args a({"sim", "--metrics", "m.json", "--metrics-window", bad});
+        Cli cli = a.cli();
+        MetricsCli m(cli);
+        EXPECT_EQ(cli.tryParse(),
+                  std::string("--metrics-window takes a whole unsigned "
+                              "decimal >= 1, got '") +
+                      bad + "'");
     }
     EXPECT_EQ(metricsJsonlPath("out.json"), "out.windows.jsonl");
     EXPECT_EQ(metricsJsonlPath("out"), "out.windows.jsonl");

@@ -4,7 +4,7 @@
  * zero-allocation DAM work: the channel ring buffer, the small-buffer
  * vector behind stream shapes, the selector index store, the monotonic
  * arena + name interner behind graph recycling, and the STEP_ASSERT
- * failure path.
+ * failure path; also the command-line parser and the seed flags.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,12 +25,15 @@
 #include "ops/higher_order.hh"
 #include "ops/source_sink.hh"
 #include "support/arena.hh"
+#include "support/cli.hh"
 #include "support/error.hh"
 #include "support/framepool.hh"
 #include "support/ring.hh"
 #include "support/rng.hh"
 #include "support/smallvec.hh"
 #include "support/stats.hh"
+
+#include "helpers.hh"
 
 namespace step {
 namespace {
@@ -341,14 +345,140 @@ TEST(Rng, UniformIntStaysInRangeAndHitsEveryResidue)
         EXPECT_EQ(a.uniformInt(97), b.uniformInt(97));
 }
 
-/** seedFromArgsOrEnv over @p args, as a program's main would call it. */
-uint64_t
-seedFromArgs(std::vector<std::string> args)
+// ---- Cli --------------------------------------------------------------
+
+enum class Mode : uint8_t { A, B };
+
+/** One program's flags, one of each kind, and their values as text. */
+struct TestFlags
 {
-    std::vector<char*> argv;
-    for (std::string& a : args)
-        argv.push_back(a.data());
-    return seedFromArgsOrEnv(static_cast<int>(argv.size()), argv.data());
+    bool on = false;
+    int64_t count = 0;
+    int64_t window = 0;
+    std::string path;
+    Mode mode = Mode::A;
+    std::vector<double> scales;
+    std::string json;
+
+    /** Parse @p args after a program name; returns tryParse's error. */
+    std::string
+    parse(std::vector<std::string> args)
+    {
+        args.insert(args.begin(), "prog");
+        test::Args a(std::move(args));
+        Cli cli = a.cli();
+        cli.flag("--on", &on);
+        cli.number("--count", &count);
+        cli.number("--window", &window, 1);
+        cli.text("--path", &path);
+        cli.choice("--mode", {{"a", Mode::A}, {"b", Mode::B}}, &mode);
+        cli.factors("--scales", &scales);
+        cli.json(&json, "def.json");
+        cli.needs("--window", "--path");
+        return cli.tryParse();
+    }
+
+    std::string
+    values() const
+    {
+        std::ostringstream os;
+        os << "on=" << on << " count=" << count << " window=" << window
+           << " path=" << path << " mode=" << (mode == Mode::A ? "a" : "b")
+           << " scales=";
+        for (double x : scales)
+            os << x << ";";
+        os << " json=" << json;
+        return os.str();
+    }
+};
+
+TEST(Cli, EveryFlagKindAndEveryWayToGetOneWrong)
+{
+    using Case = std::pair<std::vector<std::string>, std::string>;
+    auto show = [](const std::vector<std::string>& args) {
+        std::string line = "prog";
+        for (const std::string& a : args)
+            line += " " + a;
+        return line;
+    };
+    // Command lines that parse, and the values they set.
+    const Case parses[] = {
+        {{}, "on=0 count=0 window=0 path= mode=a scales= json="},
+        {{"--on", "--count", "7", "--window", "3", "--path", "p", "--mode",
+          "b", "--scales", "1,0.5,2e1", "--json"},
+         "on=1 count=7 window=3 path=p mode=b scales=1;0.5;20; "
+         "json=def.json"},
+        // The attached form; a value may hold '='.
+        {{"--count=7", "--window=3", "--path=a=b", "--mode=b",
+          "--scales=2", "--json=x.json"},
+         "on=0 count=7 window=3 path=a=b mode=b scales=2; json=x.json"},
+        // A repeated flag takes its last value.
+        {{"--count", "1", "--count=2", "--mode", "b", "--mode", "a"},
+         "on=0 count=2 window=0 path= mode=a scales= json="},
+    };
+    for (const auto& [args, values] : parses) {
+        SCOPED_TRACE(show(args));
+        TestFlags f;
+        EXPECT_EQ(f.parse(args), "");
+        EXPECT_EQ(f.values(), values);
+    }
+    // Command lines that do not, and how each message starts.
+    const Case errors[] = {
+        // Unknown flags, attached values and stray words alike.
+        {{"--nope"},
+         "--nope is not a flag of this program (flags: --on --count "
+         "--window --path --mode --scales --json)"},
+        {{"--nope=1"}, "--nope is not a flag"},
+        {{"--on", "stray"}, "stray is not a flag"},
+        {{"-on"}, "-on is not a flag"},
+        // Missing values: at the end, empty, or attached and empty.
+        {{"--count"}, "--count needs a value"},
+        {{"--path", ""}, "--path needs a value"},
+        {{"--path="}, "--path needs a value"},
+        {{"--json="}, "--json needs a value"},
+        {{"--on=1"}, "--on takes no value"},
+        // Malformed whole numbers: a prefix of a number is not one.
+        {{"--count", "3e7"},
+         "--count takes a whole unsigned decimal, got '3e7'"},
+        {{"--count", "-1"}, "--count takes a whole unsigned decimal"},
+        {{"--count", "0x10"}, "--count takes a whole unsigned decimal"},
+        {{"--count=4000000x"}, "--count takes a whole unsigned decimal"},
+        {{"--count", "9223372036854775808"},
+         "--count takes a whole unsigned decimal"},
+        {{"--path", "p", "--window", "0"},
+         "--window takes a whole unsigned decimal >= 1, got '0'"},
+        // A name outside the choice table.
+        {{"--mode", "c"}, "--mode takes one of a|b, got 'c'"},
+        {{"--mode", "A"}, "--mode takes one of a|b, got 'A'"},
+        // Factors are positive and finite, every one of them.
+        {{"--scales", "nan,1,1,1"},
+         "--scales takes comma-separated positive finite decimals, got "
+         "'nan,1,1,1'"},
+        {{"--scales", "1,inf"}, "--scales takes comma-separated"},
+        {{"--scales", "1,0"}, "--scales takes comma-separated"},
+        {{"--scales", "-1"}, "--scales takes comma-separated"},
+        {{"--scales", "1,,2"}, "--scales takes comma-separated"},
+        {{"--scales", "1,"}, "--scales takes comma-separated"},
+        {{"--scales", "0.5x"}, "--scales takes comma-separated"},
+        // A flag that needs another.
+        {{"--window", "5"}, "--window needs --path"},
+    };
+    for (const auto& [args, error] : errors) {
+        SCOPED_TRACE(show(args));
+        TestFlags f;
+        const std::string got = f.parse(args);
+        EXPECT_TRUE(got.starts_with(error)) << got;
+    }
+}
+
+/** Parse @p args with only Cli::seed declared; returns the error. */
+std::string
+parseSeed(std::vector<std::string> args, uint64_t* seed)
+{
+    test::Args a(std::move(args));
+    Cli cli = a.cli();
+    cli.seed(seed);
+    return cli.tryParse();
 }
 
 TEST(SeedFlagsDeathTest, MalformedSeedExitsTwoNamingTheFlagAndTheValue)
@@ -356,31 +486,53 @@ TEST(SeedFlagsDeathTest, MalformedSeedExitsTwoNamingTheFlagAndTheValue)
     testing::FLAGS_gtest_death_test_style = "threadsafe";
     const uint64_t saved = globalSeed();
     ::unsetenv("STEP_SEED");
-    EXPECT_EQ(seedFromArgs({"serving_sim", "--seed", "3"}), 3u);
-    EXPECT_EQ(seedFromArgs({"serving_sim", "--seed", "18446744073709551615"}),
-              ~uint64_t{0});
+    uint64_t seed = 0;
+    EXPECT_EQ(parseSeed({"serving_sim", "--seed", "3"}, &seed), "");
+    EXPECT_EQ(seed, 3u);
+    EXPECT_EQ(globalSeed(), 3u);
+    EXPECT_EQ(parseSeed({"sim", "--seed=18446744073709551615"}, &seed), "");
+    EXPECT_EQ(seed, ~uint64_t{0});
     // A number's prefix is not a seed: each of these used to run as
     // seed 3, 0, 16 or 2^64 - 1.
-    for (const char* bad : {"3e7", "abc", "0x10", "-1", ""}) {
+    for (const char* bad : {"3e7", "abc", "0x10", "-1"}) {
         SCOPED_TRACE(bad);
-        EXPECT_EXIT(seedFromArgs({"/bin/serving_sim", "--seed", bad}),
-                    testing::ExitedWithCode(2),
-                    std::string("serving_sim: --seed takes a whole "
-                                "unsigned decimal, got '") +
-                        bad + "'");
+        EXPECT_EQ(parseSeed({"sim", "--seed", bad}, &seed),
+                  std::string("--seed takes a whole unsigned decimal, "
+                              "got '") +
+                      bad + "'");
     }
+    EXPECT_EQ(parseSeed({"sim", "--seed", ""}, &seed),
+              "--seed needs a value");
+    // parse() prints the error after the program's base name, exits 2.
     EXPECT_EXIT(
         {
-            ::setenv("STEP_SEED", "7x", 1);
-            seedFromArgs({"bench_fig14_dynpar_kvvar"});
+            test::Args a({"/bin/serving_sim", "--seed", "3e7"});
+            Cli cli = a.cli();
+            cli.seed(&seed);
+            cli.parse();
         },
         testing::ExitedWithCode(2),
-        "bench_fig14_dynpar_kvvar: STEP_SEED takes a whole unsigned "
-        "decimal, got '7x'");
+        "^serving_sim: --seed takes a whole unsigned decimal, got '3e7'\n$");
+    // STEP_SEED is outside input too, even when the flag is given.
+    ::setenv("STEP_SEED", "7x", 1);
+    EXPECT_EQ(parseSeed({"sim", "--seed", "9"}, &seed),
+              "STEP_SEED takes a whole unsigned decimal, got '7x'");
+    EXPECT_EXIT(
+        {
+            test::Args a({"bench_fig14_dynpar_kvvar"});
+            Cli cli = a.cli();
+            cli.seed(&seed);
+            cli.parse();
+        },
+        testing::ExitedWithCode(2),
+        "^bench_fig14_dynpar_kvvar: STEP_SEED takes a whole unsigned "
+        "decimal, got '7x'\n$");
     // The flag still wins over a well-formed environment seed.
     ::setenv("STEP_SEED", "5", 1);
-    EXPECT_EQ(seedFromArgs({"sim"}), 5u);
-    EXPECT_EQ(seedFromArgs({"sim", "--seed", "9"}), 9u);
+    EXPECT_EQ(parseSeed({"sim"}, &seed), "");
+    EXPECT_EQ(seed, 5u);
+    EXPECT_EQ(parseSeed({"sim", "--seed", "9"}, &seed), "");
+    EXPECT_EQ(seed, 9u);
     ::unsetenv("STEP_SEED");
     setGlobalSeed(saved);
 }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "ops/source_sink.hh"
+#include "support/cli.hh"
 #include "support/rng.hh"
 #include "support/table.hh"
 #include "trace/trace.hh"
@@ -130,17 +131,10 @@ registry()
 int
 main(int argc, char** argv)
 {
+    Cli cli(argc, argv);
     bool json = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--json") {
-            json = true;
-        } else {
-            std::cerr << "step_lint: unknown argument '" << a
-                      << "' (usage: step_lint [--json])\n";
-            return 2;
-        }
-    }
+    cli.flag("--json", &json);
+    cli.parse();
 
     const verify::VerifyOptions opts; // all passes
     size_t dirty = 0;
