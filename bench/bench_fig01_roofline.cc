@@ -9,13 +9,15 @@
 #include <iostream>
 
 #include "analysis/roofline.hh"
+#include "support/cli.hh"
 #include "support/table.hh"
 
 using namespace step;
 
 int
-main()
+main(int argc, char** argv)
 {
+    Cli(argc, argv).parse(); // no flags: any argument exits 2
     std::cout << "=== Figure 1: SDA vs GPU effective bandwidth (TB/s) "
                  "===\n\n";
     Table t({"Workload", "Platform", "PeakHBM(TB/s)", "FracOfPeak",

@@ -9,14 +9,16 @@
 #include <iostream>
 
 #include "hdlref/swiglu.hh"
+#include "support/cli.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
 
 using namespace step;
 
 int
-main()
+main(int argc, char** argv)
 {
+    Cli(argc, argv).parse(); // no flags: any argument exits 2
     std::cout << "=== Figure 8: STeP simulator vs cycle-level reference, "
                  "SwiGLU (batch=64, hidden=256, inter=512) ===\n\n";
     Table t({"TileSize(B,H,I)", "HDL cycles", "STeP cycles", "ratio",

@@ -7,13 +7,15 @@
  * (PID 1.33x / 2.11x on their testbed).
  */
 #include "moe_sweep.hh"
+#include "support/cli.hh"
 
 using namespace step;
 using namespace step::bench;
 
 int
-main()
+main(int argc, char** argv)
 {
+    Cli(argc, argv).parse(); // no flags: any argument exits 2
     banner("Figure 9 / Figure 19: dynamic tiling, batch = 64");
     bool ok = true;
     ok &= tilingSweep(mixtral8x7b(), 64, {8, 16, 32, 64}, 1009);

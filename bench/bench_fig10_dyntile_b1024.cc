@@ -6,13 +6,15 @@
  * static tile (paper PIDs 1.86x / 1.87x).
  */
 #include "moe_sweep.hh"
+#include "support/cli.hh"
 
 using namespace step;
 using namespace step::bench;
 
 int
-main()
+main(int argc, char** argv)
 {
+    Cli(argc, argv).parse(); // no flags: any argument exits 2
     banner("Figure 10 / Figure 20: dynamic tiling, batch = 1024");
     bool ok = true;
     ok &= tilingSweep(mixtral8x7b(), 1024, {16, 64, 256, 1024}, 2003);

@@ -10,13 +10,15 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "support/cli.hh"
 
 using namespace step;
 using namespace step::bench;
 
 int
-main()
+main(int argc, char** argv)
 {
+    Cli(argc, argv).parse(); // no flags: any argument exits 2
     banner("Figure 13: time-multiplexing resource usage, Qwen3-30B-A3B "
            "MoE (tile=32, batch=64)");
     ModelConfig cfg = qwen3_30b_a3b();

@@ -20,6 +20,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "support/cli.hh"
 #include "workloads/decoder.hh"
 
 using namespace step;
@@ -79,8 +80,9 @@ runConfig(const ModelConfig& cfg, Tiling tiling, int64_t tile,
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    Cli(argc, argv).parse(); // no flags: any argument exits 2
     banner("Figure 17: end-to-end decoder stacks (batch=64)");
     const int64_t layers = 6; // homogeneous layers; ratios unaffected
     bool ok = true;

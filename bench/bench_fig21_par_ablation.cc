@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "support/cli.hh"
 #include "support/stats.hh"
 
 using namespace step;
@@ -44,8 +45,9 @@ interleaveAssign(const std::vector<int64_t>& micro_batches,
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    Cli(argc, argv).parse(); // no flags: any argument exits 2
     banner("Figure 21: parallelization ablation (normalized cycles, "
            "geomean of 3 batches)");
     ModelConfig cfg = qwen3_30b_a3b();

@@ -1,8 +1,7 @@
 /**
  * @file
  * Hot-path benchmark for the DAM substrate and the serving engine's
- * graph-recycling path. Reports, for several substrate workloads at
- * bench_micro_substrate scale:
+ * graph-recycling path. Reports, for several substrate workloads:
  *
  *  - events/sec (an event = one token pushed through a channel),
  *  - steady-state heap allocations per event, measured with a counting

@@ -8,13 +8,15 @@
 #include <iostream>
 
 #include "analysis/landscape.hh"
+#include "support/cli.hh"
 #include "support/table.hh"
 
 using namespace step;
 
 int
-main()
+main(int argc, char** argv)
 {
+    Cli(argc, argv).parse(); // no flags: any argument exits 2
     std::cout << "=== Table 1: Landscape of programming abstractions for "
                  "SDAs ===\n\n";
     auto yn = [](bool b) { return b ? "yes" : "-"; };

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "ops/source_sink.hh"
+#include "support/cli.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
 #include "trace/trace.hh"
@@ -41,8 +42,9 @@ runStrategy(const ModelConfig& cfg, const std::vector<int64_t>& lens,
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    Cli(argc, argv).parse(); // no flags: any argument exits 2
     ModelConfig cfg = qwen3_30b_a3b();
     std::cout << "Decode attention, batch 64 over 4 parallel regions, "
               << "KV width " << cfg.numKvHeads * cfg.headDim << "\n\n";

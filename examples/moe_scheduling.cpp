@@ -10,6 +10,7 @@
 
 #include "analysis/pareto.hh"
 #include "ops/source_sink.hh"
+#include "support/cli.hh"
 #include "support/table.hh"
 #include "trace/trace.hh"
 #include "workloads/moe.hh"
@@ -40,8 +41,9 @@ runConfig(const ModelConfig& cfg, const ExpertTrace& trace, Tiling tiling,
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    Cli(argc, argv).parse(); // no flags: any argument exits 2
     ModelConfig cfg = qwen3_30b_a3b();
     ExpertTrace trace = representativeExpertTrace(99, 64, cfg.numExperts,
                                                   cfg.topK);

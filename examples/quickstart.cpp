@@ -15,13 +15,15 @@
 #include "ops/route.hh"
 #include "ops/shape_ops.hh"
 #include "ops/source_sink.hh"
+#include "support/cli.hh"
 #include "support/rng.hh"
 
 using namespace step;
 
 int
-main()
+main(int argc, char** argv)
 {
+    Cli(argc, argv).parse(); // no flags: any argument exits 2
     const int64_t batch = 10;  // rows
     const int64_t hidden = 8;  // row width
     const int64_t inter = 8;   // expert output width

@@ -14,12 +14,14 @@
 #include "ops/onchip.hh"
 #include "ops/shape_ops.hh"
 #include "ops/source_sink.hh"
+#include "support/cli.hh"
 
 using namespace step;
 
 int
-main()
+main(int argc, char** argv)
 {
+    Cli(argc, argv).parse(); // no flags: any argument exits 2
     // A stream of D (data-dependent) rows is bufferized, and a weight
     // tensor is re-read once per buffered group: the traffic expression
     // contains the symbolic group count.

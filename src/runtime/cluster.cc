@@ -697,9 +697,11 @@ class ServingCluster::Run
             stampClusterTrack(*out.traces[r], out, static_cast<int64_t>(r));
         std::vector<ServingSummary> parts;
         parts.reserve(R_);
+        int64_t useful = 0;
         for (const ReplicaResult& rr : out.replicas) {
             parts.push_back(rr.result.summary);
-            out.timeline.merge(rr.result.timeline);
+            for (const IterationSample& it : rr.result.samples)
+                useful += it.usefulFlops;
             out.totalIterations += rr.result.iterations;
         }
         out.aggregate = mergeSummaries(parts);
@@ -715,8 +717,10 @@ class ServingCluster::Run
                        cfg_.bwScales[r];
             provisioned = static_cast<int64_t>(std::llround(cap));
         }
-        out.aggregate.computeUtilization =
-            out.timeline.computeUtilization(provisioned);
+        // The merged makespan is the latest replica's, which is where
+        // the last sample of any replica ends.
+        out.aggregate.computeUtilization = computeUtilization(
+            useful, out.aggregate.makespan, provisioned);
         // The aggregate's windowed-SLO view comes from the replica-
         // index-order merge of the registries (mergeSummaries leaves
         // the window fields zero).

@@ -162,7 +162,7 @@ struct ReplicaResult
      *  routed requests and failover incarnations interleaved. A fresh
      *  ServingEngine::Run over `engine` on their inputs, stable-sorted
      *  by arrival and advanced through the cluster's barriers, ends
-     *  with these requests, `result`'s iterations and timeline, and —
+     *  with these requests, `result`'s iterations and samples, and —
      *  once stampClusterTrack has stamped its sink — the replica's trace
      *  and metrics bytes. Its summary differs only in sample order and
      *  in the failover reclassification. */
@@ -172,10 +172,9 @@ struct ReplicaResult
 struct ClusterResult
 {
     /** Raw-sample merge of the per-replica summaries (mergeSummaries);
-     *  computeUtilization is against replicas * totalComputeBw. */
+     *  computeUtilization is the replicas' summed sample FLOPs over the
+     *  merged makespan times sum(scale_r * totalComputeBw). */
     ServingSummary aggregate;
-    /** Union of the per-replica iteration samples. */
-    UtilizationTimeline timeline;
     std::vector<ReplicaResult> replicas;
     int64_t totalIterations = 0;
     /** Retry incarnations failover issued (0 without faults). */

@@ -507,9 +507,15 @@ class ServingEngine::Run::Impl
         reqs.assign(std::make_move_iterator(reqs_.begin()),
                     std::make_move_iterator(reqs_.end()));
         ServingSummary& s = res_.summary;
-        s.makespan = res_.timeline.span();
+        dam::Cycle span = 0;
+        int64_t useful = 0;
+        for (const IterationSample& it : res_.samples) {
+            span = std::max(span, it.start + it.length);
+            useful += it.usefulFlops;
+        }
+        s.makespan = span;
         s.computeUtilization =
-            res_.timeline.computeUtilization(cfg_.totalComputeBw);
+            computeUtilization(useful, span, cfg_.totalComputeBw);
         if (cache_) {
             PrefixCacheStats st = cache_->stats();
             foldLostCache(st, lostCacheStats_);
@@ -816,7 +822,7 @@ class ServingEngine::Run::Impl
             if (r->generated >= r->outputLen)
                 terminal(r, ReqState::Finished, now_ + s.length);
         }
-        res_.timeline.record(s);
+        res_.samples.push_back(s);
         ++res_.iterations;
         now_ += s.length;
         tel_.iteration(s, first_tokens, switches, batcher_, cache_.get());

@@ -20,7 +20,6 @@
 #include <memory>
 #include <vector>
 
-#include "analysis/utilization.hh"
 #include "runtime/batcher.hh"
 #include "runtime/faults.hh"
 #include "runtime/metrics.hh"
@@ -123,10 +122,25 @@ struct EngineConfig
  */
 DecoderParams decoderParams(const EngineConfig& cfg);
 
+/** One batching iteration: its bandwidth split, batch and useful work. */
+struct IterationSample
+{
+    dam::Cycle start = 0;
+    dam::Cycle length = 0;
+    int64_t prefillBw = 0;      ///< FLOPs/cycle given to prefill
+    int64_t decodeBw = 0;       ///< FLOPs/cycle given to decode
+    int64_t usefulFlops = 0;    ///< prefill + decode FLOPs this iteration
+    int64_t decodeBatch = 0;    ///< decode requests in the batch
+    int64_t prefillTokens = 0;  ///< prompt tokens prefilled this iteration
+
+    bool operator==(const IterationSample&) const = default;
+};
+
 struct EngineResult
 {
     ServingSummary summary;
-    UtilizationTimeline timeline;
+    /** Every iteration the run executed, in record order. */
+    std::vector<IterationSample> samples;
     int64_t iterations = 0;
 };
 

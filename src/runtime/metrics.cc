@@ -148,6 +148,16 @@ scoreSloPerCaller(ServingSummary& s, const std::vector<Request>& callers)
                        : 0.0;
 }
 
+double
+computeUtilization(int64_t useful_flops, dam::Cycle span,
+                   int64_t provisioned_bw)
+{
+    if (!span || provisioned_bw <= 0)
+        return 0.0;
+    return static_cast<double>(useful_flops) /
+           (static_cast<double>(span) * static_cast<double>(provisioned_bw));
+}
+
 ServingSummary
 mergeSummaries(const std::vector<ServingSummary>& parts)
 {

@@ -182,10 +182,16 @@ void refreshAvailability(ServingSummary& s);
  * means are recomputed from the concatenated raw sample vectors, never
  * from the per-replica statistics. computeUtilization is left 0 — it
  * needs the cluster's provisioned bandwidth, which the caller applies
- * from the merged utilization timeline. Deterministic in the order of
- * @p parts.
+ * over the merged makespan from the replicas' summed useful FLOPs.
+ * Deterministic in the order of @p parts.
  */
 ServingSummary mergeSummaries(const std::vector<ServingSummary>& parts);
+
+/** @p useful_flops over the capacity @p provisioned_bw FLOPs/cycle
+ *  offers across @p span cycles; 0 over an empty span or a
+ *  non-positive bandwidth. */
+double computeUtilization(int64_t useful_flops, dam::Cycle span,
+                          int64_t provisioned_bw);
 
 void printSummary(const ServingSummary& s, std::ostream& os);
 

@@ -116,7 +116,8 @@ Cli::tryParse()
             std::string known;
             for (const Flag& k : flags_)
                 known.append(" ").append(k.name);
-            return name + " is not a flag of this program (flags:" + known +
+            return name + " is not a flag of this program (" +
+                   (known.empty() ? "it takes none" : "flags:" + known) +
                    ")";
         }
         if (eq != arg.npos && f->arity == Arity::None)

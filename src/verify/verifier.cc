@@ -1,8 +1,8 @@
 /**
  * @file
- * GraphVerifier implementation: three read-only analysis passes over the
- * channel endpoint tables and operator port tables, plus the text
- * and JSON finding renderers. Findings are emitted in deterministic
+ * Graph::verify: three read-only analysis passes over the channel
+ * endpoint tables and operator port tables, plus the text and JSON
+ * finding renderers. Findings are emitted in deterministic
  * graph order (ops, then channels, in creation order), so verifier
  * output is replay-stable like everything else in the simulator.
  */
@@ -444,22 +444,6 @@ deadlockPass(const View& v, std::vector<Finding>& out)
 
 } // namespace
 
-VerifyReport
-GraphVerifier::run(const VerifyOptions& opts) const
-{
-    View v(g_);
-    VerifyReport r;
-    r.opsChecked = g_.ops().size();
-    r.channelsChecked = g_.channels().size();
-    if (opts.structural)
-        structuralPass(v, r.findings);
-    if (opts.shapeFlow)
-        shapeFlowPass(v, r.findings);
-    if (opts.deadlock)
-        deadlockPass(v, r.findings);
-    return r;
-}
-
 } // namespace step::verify
 
 namespace step {
@@ -467,7 +451,17 @@ namespace step {
 verify::VerifyReport
 Graph::verify(const verify::VerifyOptions& opts) const
 {
-    return verify::GraphVerifier(*this).run(opts);
+    verify::View v(*this);
+    verify::VerifyReport r;
+    r.opsChecked = ops().size();
+    r.channelsChecked = channels().size();
+    if (opts.structural)
+        verify::structuralPass(v, r.findings);
+    if (opts.shapeFlow)
+        verify::shapeFlowPass(v, r.findings);
+    if (opts.deadlock)
+        verify::deadlockPass(v, r.findings);
+    return r;
 }
 
 } // namespace step

@@ -36,11 +36,7 @@
 #include <string>
 #include <vector>
 
-namespace step {
-
-class Graph;
-
-namespace verify {
+namespace step::verify {
 
 enum class Severity
 {
@@ -97,21 +93,4 @@ struct VerifyReport
     [[nodiscard]] std::string toJson() const;
 };
 
-/**
- * Analyzes a built graph without executing it. The graph must outlive
- * the verifier. Verification is read-only: a verifier-on run is
- * byte-identical to a verifier-off run.
- */
-class GraphVerifier
-{
-  public:
-    explicit GraphVerifier(const Graph& g) : g_(g) {}
-
-    [[nodiscard]] VerifyReport run(const VerifyOptions& opts = {}) const;
-
-  private:
-    const Graph& g_;
-};
-
-} // namespace verify
-} // namespace step
+} // namespace step::verify

@@ -101,10 +101,9 @@ TEST(Cluster, AggregateBitIdenticalAcrossWorkerThreadCounts)
         expectSummariesBitIdentical(serial.aggregate, two.aggregate);
         expectSummariesBitIdentical(serial.aggregate, four.aggregate);
         EXPECT_EQ(serial.totalIterations, four.totalIterations);
-        EXPECT_EQ(serial.timeline.span(), four.timeline.span());
-        EXPECT_EQ(serial.timeline.totalUsefulFlops(),
-                  four.timeline.totalUsefulFlops());
         for (size_t r = 0; r < serial.replicas.size(); ++r) {
+            EXPECT_TRUE(serial.replicas[r].result.samples ==
+                        four.replicas[r].result.samples);
             EXPECT_EQ(serial.replicas[r].engine.seed,
                       four.replicas[r].engine.seed);
             EXPECT_EQ(serial.replicas[r].requests.size(),
@@ -436,22 +435,43 @@ TEST(Cluster, MixedFleetRunsThreadInvariantAndUnitScalesAreIdentity)
         cc.routing = RouteKind::LeastQueued;
         cc.bwScales = std::move(scales);
         auto reqs = generateTrace(tc, deriveSeed(2));
-        return ServingCluster(cc, policy).run(reqs).aggregate;
+        return ServingCluster(cc, policy).run(reqs);
     };
+
+    // The aggregate utilization is every replica's useful FLOPs over
+    // the merged span (the last end of any replica's samples) times
+    // the fleet's provisioned bandwidth, sum(scale_r * bw).
+    auto expect_utilization = [](const ClusterResult& r, double bw_sum) {
+        int64_t flops = 0;
+        dam::Cycle span = 0;
+        for (const ReplicaResult& rr : r.replicas)
+            for (const IterationSample& s : rr.result.samples) {
+                flops += s.usefulFlops;
+                span = std::max(span, s.start + s.length);
+            }
+        EXPECT_EQ(r.aggregate.makespan, span);
+        EXPECT_GT(flops, 0);
+        EXPECT_EQ(r.aggregate.computeUtilization,
+                  static_cast<double>(flops) /
+                      (static_cast<double>(span) * bw_sum));
+    };
+    const double bw = static_cast<double>(EngineConfig().totalComputeBw);
 
     // All-unit scales are the documented identity: bit-identical to a
     // scale-less fleet, not just close.
-    const ServingSummary plain = run_with({}, 1);
-    const ServingSummary ones = run_with({1.0, 1.0, 1.0, 1.0}, 1);
-    expectSummariesBitIdentical(plain, ones);
+    const ClusterResult plain = run_with({}, 1);
+    const ClusterResult ones = run_with({1.0, 1.0, 1.0, 1.0}, 1);
+    expectSummariesBitIdentical(plain.aggregate, ones.aggregate);
+    expect_utilization(plain, 4 * bw);
 
     // A genuinely mixed fleet still merges bit-identically whatever
     // the worker-thread count, and slower hardware shows up in the
     // makespan-level numbers rather than breaking accounting.
-    const ServingSummary m1 = run_with({2.0, 1.0, 0.5, 0.25}, 1);
-    const ServingSummary m4 = run_with({2.0, 1.0, 0.5, 0.25}, 4);
-    expectSummariesBitIdentical(m1, m4);
-    EXPECT_EQ(m1.completed, plain.completed);
+    const ClusterResult m1 = run_with({2.0, 1.0, 0.5, 0.25}, 1);
+    const ClusterResult m4 = run_with({2.0, 1.0, 0.5, 0.25}, 4);
+    expectSummariesBitIdentical(m1.aggregate, m4.aggregate);
+    EXPECT_EQ(m1.aggregate.completed, plain.aggregate.completed);
+    expect_utilization(m1, (2.0 + 1.0 + 0.5 + 0.25) * bw);
 
     // Config validation: the scale vector must match the fleet size
     // and stay positive.

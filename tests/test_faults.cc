@@ -1091,8 +1091,7 @@ expectSameRun(const Served& cold, const Served& live)
             << "request " << i << " (id " << cold.reqs[i].id << ")";
     EXPECT_TRUE(cold.result.summary == live.result.summary);
     EXPECT_EQ(cold.result.iterations, live.result.iterations);
-    EXPECT_TRUE(cold.result.timeline.samples() ==
-                live.result.timeline.samples());
+    EXPECT_TRUE(cold.result.samples == live.result.samples);
     // Not EXPECT_EQ: gtest would diff the multi-megabyte exports.
     EXPECT_TRUE(cold.trace == live.trace) << "trace JSON differs";
     EXPECT_TRUE(cold.lifecycles == live.lifecycles)
@@ -1134,7 +1133,7 @@ std::vector<dam::Cycle>
 boundariesUpTo(const EngineResult& res, dam::Cycle until)
 {
     std::vector<dam::Cycle> out = {0, until};
-    for (const IterationSample& s : res.timeline.samples())
+    for (const IterationSample& s : res.samples)
         if (s.start <= until)
             out.push_back(s.start);
     std::sort(out.begin(), out.end());
@@ -1241,7 +1240,7 @@ TEST(LiveAppend, PrefillOnlyWakeStopsAtTheBarrierAndTheAppendCutsIt)
         const Barriers eb = {at};
         const Served cold = serveCold(ec, policy, grown, eb);
         bool cut = false; // the arrival ended an iteration
-        for (const IterationSample& it : cold.result.timeline.samples())
+        for (const IterationSample& it : cold.result.samples)
             cut |= it.start + it.length == inside;
         EXPECT_TRUE(cut);
         expectSameRun(cold, serveAppended(ec, policy, base, eb, at, extra));
@@ -1258,7 +1257,7 @@ TEST(LiveAppend, AppendTiedWithAnArrivalAtTheBarrierIsDeliveredAfterIt)
     auto base = generateTrace(burstyTrace(16), 7);
     EngineConfig ec;
     const std::vector<IterationSample> samples =
-        serveCold(ec, policy, base).result.timeline.samples();
+        serveCold(ec, policy, base).result.samples;
     ASSERT_GT(samples.size(), 10u);
     const dam::Cycle on = samples[samples.size() / 2].start;
     // A tie: the last request moves onto that boundary too.
@@ -1344,7 +1343,7 @@ TEST(LiveAppend, CrashDeliveredLateRefusesAtItsBarrier)
     std::vector<Request> base = {mkReq(0, 0, 64, 400)};
     const Served probe = serveCold(ec, policy, base);
     const IterationSample mid =
-        probe.result.timeline.samples()[probe.result.iterations / 2];
+        probe.result.samples[probe.result.iterations / 2];
     ASSERT_GT(mid.length, 4'000u);
     const dam::Cycle down = mid.start + mid.length / 2;
     const dam::Cycle up = down + 1'000'000;
@@ -1391,7 +1390,7 @@ TEST(LiveAppend, LateDrainInAWindowThatAlreadyHoldsAMigration)
     const Served probe = serveCold(ec, policy, base);
     ASSERT_EQ(probe.reqs[1].state, ReqState::Migrated);
     const IterationSample* it = nullptr;
-    for (const IterationSample& x : probe.result.timeline.samples())
+    for (const IterationSample& x : probe.result.samples)
         if (x.start > 3'000'000 && x.decodeBatch > 0 && x.length > 8'000) {
             it = &x;
             break;
@@ -1558,8 +1557,7 @@ expectReplicasEqualColdRuns(const ClusterOutcome& o, const ClusterConfig& cc,
                 << "request " << live[i].id << " attempt "
                 << live[i].attempt;
         EXPECT_EQ(cold.result.iterations, rr.result.iterations);
-        EXPECT_TRUE(cold.result.timeline.samples() ==
-                    rr.result.timeline.samples());
+        EXPECT_TRUE(cold.result.samples == rr.result.samples);
         std::ostringstream t, l, m;
         obs::writeChromeTrace(t, {o.r.traces[rr.replica].get()});
         obs::writeRequestJsonl(l, {o.r.traces[rr.replica].get()});

@@ -7,14 +7,12 @@
  * interning, counter change-sampling and merge semantics, ring-buffer
  * bounding, span balance and per-track monotonicity, request-lifecycle
  * ordering, JSON escaping, the per-replica peak-occupancy merge fix,
- * the UtilizationTimeline accessors, and rollback to a mark (what a
- * resumed replica run does to its sink).
+ * and rollback to a mark (what a resumed replica run does to its sink).
  */
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "analysis/utilization.hh"
 #include "obs/export.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
@@ -485,57 +483,4 @@ TEST(ObsMerge, CountersSumMonotonicAndMaxGauges)
     EXPECT_EQ(m.counters[1].value, 11);
     EXPECT_EQ(m.counters[2].name, "iterations");
     EXPECT_EQ(m.counters[2].value, 5);
-}
-
-// ---- UtilizationTimeline accessors (satellite) ------------------------
-
-TEST(UtilizationTimeline, EmptyTimelineIsAllZero)
-{
-    UtilizationTimeline t;
-    EXPECT_EQ(t.span(), 0u);
-    EXPECT_EQ(t.iterations(), 0u);
-    EXPECT_DOUBLE_EQ(t.meanDecodeBatch(), 0.0);
-    EXPECT_DOUBLE_EQ(t.meanPrefillShare(), 0.0);
-    EXPECT_DOUBLE_EQ(t.computeUtilization(1024), 0.0);
-}
-
-TEST(UtilizationTimeline, SingleSampleAccessors)
-{
-    UtilizationTimeline t;
-    IterationSample s;
-    s.start = 100;
-    s.length = 50;
-    s.prefillBw = 256;
-    s.decodeBw = 768; // prefill share = 0.25
-    s.usefulFlops = 1000;
-    s.decodeBatch = 8;
-    t.record(s);
-    EXPECT_EQ(t.span(), 150u);
-    EXPECT_DOUBLE_EQ(t.meanDecodeBatch(), 8.0);
-    EXPECT_DOUBLE_EQ(t.meanPrefillShare(), 0.25);
-}
-
-TEST(UtilizationTimeline, MergedMeansAreLengthWeighted)
-{
-    UtilizationTimeline a, b;
-    IterationSample s1;
-    s1.start = 0;
-    s1.length = 30;
-    s1.prefillBw = 1024;
-    s1.decodeBw = 0; // share 1.0
-    s1.decodeBatch = 0;
-    a.record(s1);
-    IterationSample s2;
-    s2.start = 30;
-    s2.length = 10;
-    s2.prefillBw = 0;
-    s2.decodeBw = 1024; // share 0.0
-    s2.decodeBatch = 4;
-    b.record(s2);
-    a.merge(b);
-    EXPECT_EQ(a.span(), 40u);
-    EXPECT_EQ(a.iterations(), 2u);
-    // Length-weighted: (30*1.0 + 10*0.0) / 40 and (30*0 + 10*4) / 40.
-    EXPECT_DOUBLE_EQ(a.meanPrefillShare(), 0.75);
-    EXPECT_DOUBLE_EQ(a.meanDecodeBatch(), 1.0);
 }

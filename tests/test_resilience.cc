@@ -1267,11 +1267,12 @@ TEST(Resilience, EpochsSimulateEachIterationOnceAndStayThreadInvariant)
     EXPECT_EQ(a.r.replicaIterationsSimulated, a.r.totalIterations);
 
     EXPECT_TRUE(a.r.aggregate == b.r.aggregate);
-    EXPECT_TRUE(a.r.timeline.samples() == b.r.timeline.samples());
     ASSERT_EQ(a.r.replicas.size(), b.r.replicas.size());
     for (size_t i = 0; i < a.r.replicas.size(); ++i) {
         EXPECT_TRUE(a.r.replicas[i].result.summary ==
                     b.r.replicas[i].result.summary);
+        EXPECT_TRUE(a.r.replicas[i].result.samples ==
+                    b.r.replicas[i].result.samples);
         EXPECT_EQ(a.r.replicas[i].result.iterations,
                   b.r.replicas[i].result.iterations);
     }

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 
 #include "runtime/engine.hh"
 #include "support/error.hh"
@@ -380,9 +381,17 @@ TEST(Engine, CompletesAllRequestsAndStampsLatencies)
     }
     EXPECT_GT(r.summary.computeUtilization, 0.0);
     EXPECT_LE(r.summary.computeUtilization, 1.0);
-    EXPECT_EQ(r.timeline.span(), r.summary.makespan);
-    EXPECT_EQ(static_cast<int64_t>(r.timeline.iterations()),
-              r.iterations);
+    dam::Cycle span = 0;
+    int64_t flops = 0;
+    for (const IterationSample& s : r.samples) {
+        span = std::max(span, s.start + s.length);
+        flops += s.usefulFlops;
+    }
+    EXPECT_EQ(span, r.summary.makespan);
+    EXPECT_EQ(r.summary.computeUtilization,
+              computeUtilization(flops, span, ec.totalComputeBw));
+    EXPECT_EQ(computeUtilization(flops, 0, ec.totalComputeBw), 0.0);
+    EXPECT_EQ(static_cast<int64_t>(r.samples.size()), r.iterations);
 }
 
 TEST(Engine, DeterministicReplayWithRecycledGraphs)

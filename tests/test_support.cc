@@ -469,6 +469,12 @@ TEST(Cli, EveryFlagKindAndEveryWayToGetOneWrong)
         const std::string got = f.parse(args);
         EXPECT_TRUE(got.starts_with(error)) << got;
     }
+    // A program that declares no flags takes no arguments.
+    test::Args bare({"prog"});
+    EXPECT_EQ(bare.cli().tryParse(), "");
+    test::Args seeded({"prog", "--seed", "7"});
+    EXPECT_EQ(seeded.cli().tryParse(),
+              "--seed is not a flag of this program (it takes none)");
 }
 
 /** Parse @p args with only Cli::seed declared; returns the error. */
