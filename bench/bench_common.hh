@@ -19,8 +19,7 @@
 #include "ops/source_sink.hh"
 #include "support/table.hh"
 #include "trace/trace.hh"
-#include "workloads/attention.hh"
-#include "workloads/moe.hh"
+#include "workloads/decoder.hh"
 
 namespace step::bench {
 
@@ -96,9 +95,7 @@ runMoe(const ModelConfig& cfg, int64_t batch, Tiling tiling, int64_t tile,
     p.tileRows = tile;
     p.parallelRegions = regions;
     p.computeBwPerMatmul = cfg.moeMatmulBw;
-    SimConfig sc;
-    sc.channelCapacity = static_cast<size_t>(batch) + 32;
-    Graph g(sc);
+    Graph g(iterationSimConfig(batch));
     MoeBuild mb = buildMoeLayer(g, p, trace);
     g.add<SinkOp>("out", mb.out);
     if (useful_flops)
@@ -122,9 +119,7 @@ runAttention(const ModelConfig& cfg, const std::vector<int64_t>& lens,
     p.coarseBlock = std::max<int64_t>(1, p.batch / regions);
     if (assign)
         p.staticAssign = *assign;
-    SimConfig sc;
-    sc.channelCapacity = static_cast<size_t>(p.batch) + 32;
-    Graph g(sc);
+    Graph g(iterationSimConfig(p.batch));
     AttnBuild ab = buildAttentionLayer(g, p, lens);
     g.add<SinkOp>("out", ab.out);
     return g.run();

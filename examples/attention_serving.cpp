@@ -13,7 +13,7 @@
 #include "support/stats.hh"
 #include "support/table.hh"
 #include "trace/trace.hh"
-#include "workloads/attention.hh"
+#include "workloads/decoder.hh"
 
 using namespace step;
 
@@ -31,9 +31,7 @@ runStrategy(const ModelConfig& cfg, const std::vector<int64_t>& lens,
     p.kvTileRows = 32;
     p.computeBw = 1024;
     p.coarseBlock = p.batch / p.regions;
-    SimConfig sc;
-    sc.channelCapacity = static_cast<size_t>(p.batch) + 32;
-    Graph g(sc);
+    Graph g(iterationSimConfig(p.batch));
     AttnBuild ab = buildAttentionLayer(g, p, lens);
     g.add<SinkOp>("out", ab.out);
     return g.run();

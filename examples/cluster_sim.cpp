@@ -302,49 +302,21 @@ main(int argc, char** argv)
               << least_queued.aggregate.ttftSamples.size()
               << " TTFT samples), never from per-replica percentiles.\n";
 
-    if (!least_queued.traces.empty()) {
-        const auto views = least_queued.traceViews();
-        if (trace_cli.options.level >= obs::TraceLevel::Op) {
-            std::cout << "\n";
-            obs::printSwitchAttribution(std::cout, views);
-        }
-        if (!obs::writeChromeTraceFile(trace_cli.path, views)) {
-            std::cerr << "cluster_sim: cannot write trace to "
-                      << trace_cli.path << "\n";
-            return 1;
-        }
-        const std::string jsonl = obs::requestJsonlPath(trace_cli.path);
-        if (!obs::writeRequestJsonlFile(jsonl, views)) {
-            std::cerr << "cluster_sim: cannot write " << jsonl << "\n";
-            return 1;
-        }
-        std::cout << "\ntrace (" << obs::traceLevelName(trace_cli.options.level)
-                  << ", " << views.size()
-                  << " replica tracks, least-queued run) -> "
-                  << trace_cli.path << "\nrequest lifecycle -> " << jsonl
-                  << "\n";
-    }
+    if (!least_queued.traces.empty() &&
+        !trace_cli.write(std::cout, least_queued.traceViews(),
+                         std::to_string(least_queued.traces.size()) +
+                             " replica tracks, least-queued run"))
+        return 1;
 
     if (!least_queued.metrics.empty()) {
-        const auto views = least_queued.metricsViews();
-        const obs::MetricsRegistry* merged =
-            least_queued.mergedMetrics.get();
-        if (!obs::writeMetricsJsonFile(metrics_cli.path, views,
-                                       merged)) {
-            std::cerr << "cluster_sim: cannot write metrics to "
-                      << metrics_cli.path << "\n";
+        if (!metrics_cli.write(std::cout, least_queued.metricsViews(),
+                               least_queued.mergedMetrics.get(),
+                               std::to_string(least_queued.metrics.size()) +
+                                   " replica registries + merge, "
+                                   "least-queued run"))
             return 1;
-        }
-        const std::string mw = obs::metricsJsonlPath(metrics_cli.path);
-        if (!obs::writeMetricsWindowsJsonlFile(mw, views, merged)) {
-            std::cerr << "cluster_sim: cannot write " << mw << "\n";
-            return 1;
-        }
         const ServingSummary& ls = least_queued.aggregate;
-        std::cout << "\nmetrics (" << views.size()
-                  << " replica registries + merge, least-queued run) -> "
-                  << metrics_cli.path << "\nper-window series -> " << mw
-                  << "\nslo windows (least-queued): "
+        std::cout << "slo windows (least-queued): "
                   << ls.sloWindowsAttained << "/" << ls.sloWindows
                   << " attained\n";
     }

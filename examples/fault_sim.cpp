@@ -30,7 +30,6 @@
  */
 #include <iostream>
 #include <string>
-#include <utility>
 
 #include "runtime/cluster.hh"
 #include "support/cli.hh"
@@ -42,24 +41,12 @@ using namespace step::runtime;
 
 namespace {
 
-struct RunOutcome
-{
-    ServingSummary summary;
-    int64_t retries = 0;
-    /** Per-replica registries + merge, non-empty only for the one
-     *  scenario the CLI meters. */
-    std::vector<std::unique_ptr<obs::MetricsRegistry>> metrics;
-    std::unique_ptr<obs::MetricsRegistry> mergedMetrics;
-};
-
-RunOutcome
+ClusterResult
 runOnce(const ClusterConfig& cc, const TraceConfig& tc, const Policy& pol)
 {
     auto reqs = generateTrace(tc, deriveSeed(2));
     ServingCluster cluster(cc, pol);
-    ClusterResult r = cluster.run(reqs);
-    return {r.aggregate, r.retriesIssued, std::move(r.metrics),
-            std::move(r.mergedMetrics)};
+    return cluster.run(reqs);
 }
 
 } // namespace
@@ -97,28 +84,29 @@ main(int argc, char** argv)
 
     // Baseline pass fixes the crash cycle: 40% into the fault-free
     // makespan, squarely inside the serving window.
-    const RunOutcome base = runOnce(cc, tc, policy);
+    const ClusterResult base = runOnce(cc, tc, policy);
     const auto crash_at = static_cast<dam::Cycle>(
-        static_cast<double>(base.summary.makespan) * 0.4);
-    const dam::Cycle recover_at = crash_at + base.summary.makespan / 5;
-    std::cout << "fault-free makespan " << base.summary.makespan
+        static_cast<double>(base.aggregate.makespan) * 0.4);
+    const dam::Cycle recover_at = crash_at + base.aggregate.makespan / 5;
+    std::cout << "fault-free makespan " << base.aggregate.makespan
               << " cycles -> replica 1 crashes @" << crash_at
               << " (recovery variant: up @" << recover_at << ")\n\n";
 
     Table t({"scenario", "completed", "failed", "retried", "shed",
              "ddl miss", "retries", "avail %", "TTFT p99", "goodput"});
-    auto report = [&](const std::string& name, const RunOutcome& o) {
+    auto report = [&](const std::string& name, const ClusterResult& r) {
+        const ServingSummary& s = r.aggregate;
         t.row()
             .cell(name)
-            .cell(o.summary.completed)
-            .cell(o.summary.failedRequests)
-            .cell(o.summary.retriedRequests)
-            .cell(o.summary.shedRequests)
-            .cell(o.summary.deadlineMisses)
-            .cell(o.retries)
-            .cellF(100.0 * o.summary.availability, 2)
-            .cellF(o.summary.ttftP99 / 1000.0, 0)
-            .cellF(o.summary.goodputTokensPerKcycle, 4);
+            .cell(s.completed)
+            .cell(s.failedRequests)
+            .cell(s.retriedRequests)
+            .cell(s.shedRequests)
+            .cell(s.deadlineMisses)
+            .cell(r.retriesIssued)
+            .cellF(100.0 * s.availability, 2)
+            .cellF(s.ttftP99 / 1000.0, 0)
+            .cellF(s.goodputTokensPerKcycle, 4);
     };
     report("fault-free", base);
 
@@ -140,7 +128,7 @@ main(int argc, char** argv)
     cc.faults = FaultPlan{};
     cc.faults.crashes.push_back({1, crash_at, recover_at});
     cc.metrics = metrics_cli.config();
-    const RunOutcome recovery = runOnce(cc, tc, policy);
+    const ClusterResult recovery = runOnce(cc, tc, policy);
     report("kill + recovery", recovery);
     cc.metrics = obs::MetricsConfig{};
 
@@ -150,12 +138,12 @@ main(int argc, char** argv)
     cc.faults = FaultPlan{};
     cc.faults.crashes.push_back({1, crash_at, 0});
     TraceConfig dtc = tc;
-    dtc.deadlineCycles = base.summary.makespan / 4;
+    dtc.deadlineCycles = base.aggregate.makespan / 4;
     DeadlineAwareShedPolicy shed;
     // Arm the shed bound with the observed decode pace: without it the
     // optimistic estimate is prefill-only and never trips.
     shed.safetyDecodeCyclesPerToken =
-        static_cast<int64_t>(base.summary.tpotP50);
+        static_cast<int64_t>(base.aggregate.tpotP50);
     cc.engine.admission = &shed;
     report("kill + deadline shed", runOnce(cc, dtc, policy));
     cc.engine.admission = nullptr;
@@ -167,28 +155,12 @@ main(int argc, char** argv)
            "not failed, so transparent failover keeps\navailability at "
            "100 %.\n";
 
-    if (!recovery.metrics.empty()) {
-        std::vector<const obs::MetricsRegistry*> views;
-        views.reserve(recovery.metrics.size());
-        for (const auto& m : recovery.metrics)
-            views.push_back(m.get());
-        const obs::MetricsRegistry* merged =
-            recovery.mergedMetrics.get();
-        if (!obs::writeMetricsJsonFile(metrics_cli.path, views,
-                                       merged)) {
-            std::cerr << "fault_sim: cannot write metrics to "
-                      << metrics_cli.path << "\n";
-            return 1;
-        }
-        const std::string mw = obs::metricsJsonlPath(metrics_cli.path);
-        if (!obs::writeMetricsWindowsJsonlFile(mw, views, merged)) {
-            std::cerr << "fault_sim: cannot write " << mw << "\n";
-            return 1;
-        }
-        std::cout << "\nmetrics (kill + recovery scenario, "
-                  << views.size() << " replica registries + merge) -> "
-                  << metrics_cli.path << "\nper-window series -> " << mw
-                  << "\n";
-    }
+    if (!recovery.metrics.empty() &&
+        !metrics_cli.write(std::cout, recovery.metricsViews(),
+                           recovery.mergedMetrics.get(),
+                           "kill + recovery scenario, " +
+                               std::to_string(recovery.metrics.size()) +
+                               " replica registries + merge"))
+        return 1;
     return 0;
 }

@@ -13,7 +13,7 @@
 #include "support/cli.hh"
 #include "support/table.hh"
 #include "trace/trace.hh"
-#include "workloads/moe.hh"
+#include "workloads/decoder.hh"
 
 using namespace step;
 
@@ -30,9 +30,7 @@ runConfig(const ModelConfig& cfg, const ExpertTrace& trace, Tiling tiling,
     p.tileRows = tile;
     p.parallelRegions = regions;
     p.computeBwPerMatmul = cfg.moeMatmulBw;
-    SimConfig sc;
-    sc.channelCapacity = static_cast<size_t>(p.batch) + 32;
-    Graph g(sc);
+    Graph g(iterationSimConfig(p.batch));
     MoeBuild mb = buildMoeLayer(g, p, trace);
     g.add<SinkOp>("out", mb.out);
     return g.run();

@@ -88,31 +88,11 @@ main(int argc, char** argv)
             std::cout << " (" << capacity << " KV tokens)";
         std::cout << " ---\n";
         printSummary(r.summary, std::cout);
-        if (sink) {
-            const std::vector<const obs::TraceSink*> views{sink.get()};
-            if (sink->level() >= obs::TraceLevel::Op) {
-                std::cout << "\n";
-                obs::printSwitchAttribution(std::cout, views);
-            }
-            if (!obs::writeChromeTraceFile(trace_cli.path, views,
-                                           "engine")) {
-                std::cerr << "prefix_cache_sim: cannot write trace to "
-                          << trace_cli.path << "\n";
-                return 1;
-            }
-            const std::string jsonl =
-                obs::requestJsonlPath(trace_cli.path);
-            if (!obs::writeRequestJsonlFile(jsonl, views)) {
-                std::cerr << "prefix_cache_sim: cannot write " << jsonl
-                          << "\n";
-                return 1;
-            }
-            std::cout << "\ntrace ("
-                      << obs::traceLevelName(sink->level()) << ", "
-                      << sink->eventCount() << " events) -> "
-                      << trace_cli.path << "\nrequest lifecycle -> "
-                      << jsonl << "\n";
-        }
+        if (sink &&
+            !trace_cli.write(std::cout, {sink.get()},
+                             std::to_string(sink->eventCount()) + " events",
+                             "engine"))
+            return 1;
     }
 
     // ---- 2. capacity sweep -------------------------------------------

@@ -157,51 +157,20 @@ main(int argc, char** argv)
         std::cout << "\nutilization timeline:\n";
         bucketReport(r, ec.totalComputeBw).print();
 
-        if (sink) {
-            const std::vector<const obs::TraceSink*> views{sink.get()};
-            if (sink->level() >= obs::TraceLevel::Op) {
-                std::cout << "\n";
-                obs::printSwitchAttribution(std::cout, views);
-            }
-            if (!obs::writeChromeTraceFile(trace_cli.path, views,
-                                           "engine")) {
-                std::cerr << "serving_sim: cannot write trace to "
-                          << trace_cli.path << "\n";
-                return 1;
-            }
-            const std::string jsonl =
-                obs::requestJsonlPath(trace_cli.path);
-            if (!obs::writeRequestJsonlFile(jsonl, views)) {
-                std::cerr << "serving_sim: cannot write " << jsonl
-                          << "\n";
-                return 1;
-            }
-            std::cout << "\ntrace (" << obs::traceLevelName(sink->level())
-                      << ", " << sink->eventCount() << " events, "
-                      << sink->droppedEvents() << " dropped) -> "
-                      << trace_cli.path << "\nrequest lifecycle -> "
-                      << jsonl << "\n";
-        }
-
-        if (registry) {
-            const std::vector<const obs::MetricsRegistry*> views{
-                registry.get()};
-            if (!obs::writeMetricsJsonFile(metrics_cli.path, views)) {
-                std::cerr << "serving_sim: cannot write metrics to "
-                          << metrics_cli.path << "\n";
-                return 1;
-            }
-            const std::string mw =
-                obs::metricsJsonlPath(metrics_cli.path);
-            if (!obs::writeMetricsWindowsJsonlFile(mw, views)) {
-                std::cerr << "serving_sim: cannot write " << mw << "\n";
-                return 1;
-            }
-            std::cout << "\nmetrics ("
-                      << registry->config().windowCycles / 1000
-                      << " kcycle windows) -> " << metrics_cli.path
-                      << "\nper-window series -> " << mw << "\n";
-        }
+        if (sink &&
+            !trace_cli.write(std::cout, {sink.get()},
+                             std::to_string(sink->eventCount()) +
+                                 " events, " +
+                                 std::to_string(sink->droppedEvents()) +
+                                 " dropped",
+                             "engine"))
+            return 1;
+        if (registry &&
+            !metrics_cli.write(
+                std::cout, {registry.get()}, nullptr,
+                std::to_string(registry->config().windowCycles / 1000) +
+                    " kcycle windows"))
+            return 1;
     }
     return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <ostream>
 
@@ -44,6 +45,56 @@ appendMetaEvent(std::string& out, const char* meta_name, size_t pid,
     out += ",\"args\":{\"name\":\"";
     appendJsonEscaped(out, label);
     out += "\"}},\n";
+}
+
+/**
+ * Merge the sinks' switch-attribution histograms by op name and print
+ * the top 16 rows (resumes, share, cumulative share). This is the
+ * work-list for trivial-op fusion: names that dominate the table are
+ * the chains to fuse first.
+ */
+void
+printSwitchAttribution(std::ostream& os,
+                       const std::vector<const TraceSink*>& sinks)
+{
+    // Merge by name across sinks (ordered map: deterministic and
+    // replica-order independent).
+    std::map<std::string_view, uint64_t> merged;
+    uint64_t total = 0;
+    for (const TraceSink* s : sinks) {
+        for (const SwitchAttribution& a : s->switchAttribution()) {
+            merged[a.name] += a.switches;
+            total += a.switches;
+        }
+    }
+    std::vector<SwitchAttribution> rows;
+    rows.reserve(merged.size());
+    for (const auto& [name, n] : merged)
+        rows.push_back(SwitchAttribution{name, n});
+    std::sort(rows.begin(), rows.end(),
+              [](const SwitchAttribution& a, const SwitchAttribution& b) {
+                  return a.switches != b.switches
+                             ? a.switches > b.switches
+                             : a.name < b.name;
+              });
+
+    os << "context-switch attribution (" << total << " resumes over "
+       << rows.size() << " op names; fusion candidates lead):\n";
+    Table t({"op", "resumes", "share %", "cum %"});
+    double cum = 0.0;
+    for (size_t i = 0; i < rows.size() && i < 16; ++i) {
+        double share = total
+                           ? 100.0 * static_cast<double>(rows[i].switches) /
+                                 static_cast<double>(total)
+                           : 0.0;
+        cum += share;
+        t.row()
+            .cell(std::string(rows[i].name))
+            .cell(static_cast<int64_t>(rows[i].switches))
+            .cellF(share, 1)
+            .cellF(cum, 1);
+    }
+    t.print(os);
 }
 
 } // namespace
@@ -160,17 +211,6 @@ writeChromeTrace(std::ostream& os,
 }
 
 bool
-writeChromeTraceFile(const std::string& path,
-                     const std::vector<const TraceSink*>& sinks,
-                     const std::string& process_label)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    return writeChromeTrace(out, sinks, process_label);
-}
-
-bool
 writeRequestJsonl(std::ostream& os,
                   const std::vector<const TraceSink*>& sinks)
 {
@@ -218,74 +258,17 @@ writeRequestJsonl(std::ostream& os,
     return os.good();
 }
 
-bool
-writeRequestJsonlFile(const std::string& path,
-                      const std::vector<const TraceSink*>& sinks)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    return writeRequestJsonl(out, sinks);
-}
-
-void
-printSwitchAttribution(std::ostream& os,
-                       const std::vector<const TraceSink*>& sinks,
-                       size_t top_n)
-{
-    // Merge by name across sinks (ordered map: deterministic and
-    // replica-order independent).
-    std::map<std::string_view, uint64_t> merged;
-    uint64_t total = 0;
-    for (const TraceSink* s : sinks) {
-        for (const SwitchAttribution& a : s->switchAttribution()) {
-            merged[a.name] += a.switches;
-            total += a.switches;
-        }
-    }
-    std::vector<SwitchAttribution> rows;
-    rows.reserve(merged.size());
-    for (const auto& [name, n] : merged)
-        rows.push_back(SwitchAttribution{name, n});
-    std::sort(rows.begin(), rows.end(),
-              [](const SwitchAttribution& a, const SwitchAttribution& b) {
-                  return a.switches != b.switches
-                             ? a.switches > b.switches
-                             : a.name < b.name;
-              });
-
-    os << "context-switch attribution (" << total << " resumes over "
-       << rows.size() << " op names; fusion candidates lead):\n";
-    Table t({"op", "resumes", "share %", "cum %"});
-    double cum = 0.0;
-    for (size_t i = 0; i < rows.size() && i < top_n; ++i) {
-        double share = total
-                           ? 100.0 * static_cast<double>(rows[i].switches) /
-                                 static_cast<double>(total)
-                           : 0.0;
-        cum += share;
-        t.row()
-            .cell(std::string(rows[i].name))
-            .cell(static_cast<int64_t>(rows[i].switches))
-            .cellF(share, 1)
-            .cellF(cum, 1);
-    }
-    t.print(os);
-}
-
 std::string
-requestJsonlPath(const std::string& trace_path)
+sidecarPath(const std::string& path, std::string_view suffix)
 {
-    std::string stem = trace_path;
-    const std::string suffix = ".json";
-    if (stem.size() > suffix.size() &&
-        stem.compare(stem.size() - suffix.size(), suffix.size(), suffix) ==
-            0)
-        stem.resize(stem.size() - suffix.size());
-    return stem + ".requests.jsonl";
+    std::string_view stem = path;
+    constexpr std::string_view json = ".json";
+    if (stem.size() > json.size() && stem.ends_with(json))
+        stem.remove_suffix(json.size());
+    return std::string(stem).append(suffix);
 }
 
-TraceCli::TraceCli(Cli& cli)
+TraceCli::TraceCli(Cli& cli) : prog_(cli.program())
 {
     cli.text("--trace", &path);
     cli.choice("--trace-level",
@@ -295,6 +278,30 @@ TraceCli::TraceCli(Cli& cli)
                 {"full", TraceLevel::Full}},
                &options.level);
     cli.needs("--trace-level", "--trace");
+}
+
+bool
+TraceCli::write(std::ostream& out, const std::vector<const TraceSink*>& sinks,
+                std::string_view note, const std::string& process_label) const
+{
+    std::ofstream trace(path, std::ios::binary);
+    if (!writeChromeTrace(trace, sinks, process_label)) {
+        std::cerr << prog_ << ": cannot write trace to " << path << "\n";
+        return false;
+    }
+    const std::string jsonl = sidecarPath(path, ".requests.jsonl");
+    std::ofstream lifecycle(jsonl, std::ios::binary);
+    if (!writeRequestJsonl(lifecycle, sinks)) {
+        std::cerr << prog_ << ": cannot write " << jsonl << "\n";
+        return false;
+    }
+    if (options.level >= TraceLevel::Op) {
+        out << "\n";
+        printSwitchAttribution(out, sinks);
+    }
+    out << "\ntrace (" << traceLevelName(options.level) << ", " << note
+        << ") -> " << path << "\nrequest lifecycle -> " << jsonl << "\n";
+    return true;
 }
 
 } // namespace step::obs

@@ -9,13 +9,15 @@
  * can creep into the byte stream.
  *
  * Also provides the `--trace <path> --trace-level {off,request,op,full}`
- * CLI convention shared by the example sims, and the switch-attribution
- * table printer (the fusion-planning histogram).
+ * flags shared by the example sims and the one writer that lays a trace
+ * out as files: `out.json` plus `out.requests.jsonl`, after the
+ * switch-attribution table (the fusion-planning histogram) at op level.
  */
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/sink.hh"
@@ -36,10 +38,6 @@ bool writeChromeTrace(std::ostream& os,
                       const std::vector<const TraceSink*>& sinks,
                       const std::string& process_label = "replica");
 
-bool writeChromeTraceFile(const std::string& path,
-                          const std::vector<const TraceSink*>& sinks,
-                          const std::string& process_label = "replica");
-
 /**
  * Write one JSON object per request per line: identity, lengths,
  * cache-hit annotation, and the lifecycle stamps (arrival / admitted /
@@ -49,22 +47,12 @@ bool writeChromeTraceFile(const std::string& path,
 bool writeRequestJsonl(std::ostream& os,
                        const std::vector<const TraceSink*>& sinks);
 
-bool writeRequestJsonlFile(const std::string& path,
-                           const std::vector<const TraceSink*>& sinks);
-
 /**
- * Merge the sinks' switch-attribution histograms by op name and print
- * the top @p top_n rows (resumes, share, cumulative share). This is the
- * work-list for trivial-op fusion: names that dominate the table are
- * the chains to fuse first.
+ * The sidecar file of an artifact: @p path without a trailing ".json",
+ * plus @p suffix. sidecarPath("out.json", ".requests.jsonl") and
+ * sidecarPath("out", ".requests.jsonl") are both "out.requests.jsonl".
  */
-void printSwitchAttribution(std::ostream& os,
-                            const std::vector<const TraceSink*>& sinks,
-                            size_t top_n = 16);
-
-/** Derive the lifecycle JSONL path from a trace path:
- *  "out.json" -> "out.requests.jsonl". */
-std::string requestJsonlPath(const std::string& trace_path);
+std::string sidecarPath(const std::string& path, std::string_view suffix);
 
 /** The `--trace <path>` and `--trace-level off|request|op|full` flags. */
 struct TraceCli
@@ -82,6 +70,22 @@ struct TraceCli
     {
         return !path.empty() && options.level != TraceLevel::Off;
     }
+
+    /**
+     * Write @p sinks as the Chrome trace at `path` (pids labeled
+     * @p process_label) and the lifecycle JSONL beside it, then report
+     * on @p out: the switch-attribution table when the level is `op` or
+     * higher, and "trace (<level>, @p note) -> <path>" with the
+     * "request lifecycle -> <jsonl>" line. A file that cannot be
+     * written prints "<prog>: cannot write ..." on stderr and returns
+     * false, with nothing written to @p out.
+     */
+    bool write(std::ostream& out, const std::vector<const TraceSink*>& sinks,
+               std::string_view note,
+               const std::string& process_label = "replica") const;
+
+  private:
+    std::string prog_; ///< names the program in write errors
 };
 
 } // namespace step::obs

@@ -1,8 +1,9 @@
 #include "obs/metrics.hh"
 
 #include <fstream>
-#include <ostream>
+#include <iostream>
 
+#include "obs/export.hh"
 #include "obs/json.hh"
 #include "support/cli.hh"
 #include "support/error.hh"
@@ -201,17 +202,6 @@ writeMetricsJson(std::ostream& os,
     return os.good();
 }
 
-bool
-writeMetricsJsonFile(const std::string& path,
-                     const std::vector<const MetricsRegistry*>& replicas,
-                     const MetricsRegistry* merged)
-{
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        return false;
-    return writeMetricsJson(os, replicas, merged);
-}
-
 namespace {
 
 void
@@ -261,35 +251,32 @@ writeMetricsWindowsJsonl(std::ostream& os,
     return os.good();
 }
 
-bool
-writeMetricsWindowsJsonlFile(
-    const std::string& path,
-    const std::vector<const MetricsRegistry*>& replicas,
-    const MetricsRegistry* merged)
-{
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        return false;
-    return writeMetricsWindowsJsonl(os, replicas, merged);
-}
-
-std::string
-metricsJsonlPath(const std::string& metrics_path)
-{
-    std::string stem = metrics_path;
-    const std::string suffix = ".json";
-    if (stem.size() > suffix.size() &&
-        stem.compare(stem.size() - suffix.size(), suffix.size(), suffix) ==
-            0)
-        stem.resize(stem.size() - suffix.size());
-    return stem + ".windows.jsonl";
-}
-
-MetricsCli::MetricsCli(Cli& cli)
+MetricsCli::MetricsCli(Cli& cli) : prog_(cli.program())
 {
     cli.text("--metrics", &path);
     cli.number("--metrics-window", &windowCycles, 1);
     cli.needs("--metrics-window", "--metrics");
+}
+
+bool
+MetricsCli::write(std::ostream& out,
+                  const std::vector<const MetricsRegistry*>& registries,
+                  const MetricsRegistry* merged, std::string_view note) const
+{
+    std::ofstream json(path, std::ios::binary);
+    if (!writeMetricsJson(json, registries, merged)) {
+        std::cerr << prog_ << ": cannot write metrics to " << path << "\n";
+        return false;
+    }
+    const std::string mw = sidecarPath(path, ".windows.jsonl");
+    std::ofstream windows(mw, std::ios::binary);
+    if (!writeMetricsWindowsJsonl(windows, registries, merged)) {
+        std::cerr << prog_ << ": cannot write " << mw << "\n";
+        return false;
+    }
+    out << "\nmetrics (" << note << ") -> " << path
+        << "\nper-window series -> " << mw << "\n";
+    return true;
 }
 
 } // namespace step::obs

@@ -105,10 +105,6 @@ bool writeMetricsJson(std::ostream& os,
                       const std::vector<const MetricsRegistry*>& replicas,
                       const MetricsRegistry* merged = nullptr);
 
-bool writeMetricsJsonFile(const std::string& path,
-                          const std::vector<const MetricsRegistry*>& replicas,
-                          const MetricsRegistry* merged = nullptr);
-
 /**
  * Write one JSON object per non-empty (replica, instrument, window)
  * in (replica, instrument, window) order; merged rows use replica -1.
@@ -117,15 +113,6 @@ bool
 writeMetricsWindowsJsonl(std::ostream& os,
                          const std::vector<const MetricsRegistry*>& replicas,
                          const MetricsRegistry* merged = nullptr);
-
-bool writeMetricsWindowsJsonlFile(
-    const std::string& path,
-    const std::vector<const MetricsRegistry*>& replicas,
-    const MetricsRegistry* merged = nullptr);
-
-/** Derive the window JSONL path from the artifact path:
- *  "out.json" -> "out.windows.jsonl". */
-std::string metricsJsonlPath(const std::string& metrics_path);
 
 /** The `--metrics <path>` and `--metrics-window <cycles>` flags. */
 struct MetricsCli
@@ -141,6 +128,21 @@ struct MetricsCli
     bool enabled() const { return !path.empty(); }
 
     MetricsConfig config() const { return {enabled(), windowCycles}; }
+
+    /**
+     * Write @p registries and @p merged (folded from them when null) as
+     * the metrics artifact at `path` and the per-window JSONL beside
+     * it, then report "metrics (@p note) -> <path>" and
+     * "per-window series -> <jsonl>" on @p out. A file that cannot be
+     * written prints "<prog>: cannot write ..." on stderr and returns
+     * false, with nothing written to @p out.
+     */
+    bool write(std::ostream& out,
+               const std::vector<const MetricsRegistry*>& registries,
+               const MetricsRegistry* merged, std::string_view note) const;
+
+  private:
+    std::string prog_; ///< names the program in write errors
 };
 
 } // namespace step::obs

@@ -26,7 +26,8 @@ struct BatcherConfig
 {
     /** KV-cache capacity in bytes. */
     int64_t kvBudgetBytes = int64_t{1} << 26;
-    /** KV bytes per cached token (model-dependent; see ModelConfig). */
+    /** KV bytes per cached token: K and V in BF16, 2 x numKvHeads x
+     *  headDim x 2 bytes (256 for the serving-sim model). */
     int64_t kvBytesPerToken = 256;
 };
 

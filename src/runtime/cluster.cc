@@ -88,15 +88,12 @@ std::vector<int64_t>
 routeLeastQueued(const std::vector<Request>& reqs, const ClusterConfig& cfg,
                  double prefillFpt)
 {
-    BatcherConfig bc = cfg.engine.batcher;
-    if (bc.kvBytesPerToken == 0)
-        bc.kvBytesPerToken = cfg.engine.model.kvBytesPerToken();
     const auto bw = static_cast<double>(cfg.engine.totalComputeBw);
     const auto R = static_cast<size_t>(cfg.replicas);
     std::vector<ShadowReplica> shadows;
     shadows.reserve(R);
     for (size_t r = 0; r < R; ++r)
-        shadows.emplace_back(bc);
+        shadows.emplace_back(cfg.engine.batcher);
 
     std::vector<int64_t> out(reqs.size(), 0);
     for (size_t i = 0; i < reqs.size(); ++i) {

@@ -362,8 +362,6 @@ decoderParams(const EngineConfig& cfg)
 ServingEngine::ServingEngine(EngineConfig cfg, const Policy& policy)
     : cfg_(std::move(cfg)), policy_(policy)
 {
-    if (cfg_.batcher.kvBytesPerToken == 0)
-        cfg_.batcher.kvBytesPerToken = cfg_.model.kvBytesPerToken();
     STEP_ASSERT(cfg_.totalComputeBw >= 2,
                 "bandwidth pool too small to split");
     STEP_ASSERT(cfg_.model.numLayers > 0, "layer count must be positive");

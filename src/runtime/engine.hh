@@ -52,7 +52,7 @@ struct EngineConfig
     static constexpr int64_t denseTile = 16;
     static constexpr int64_t weightTileCols = 64;
 
-    BatcherConfig batcher; ///< kvBytesPerToken 0 = derive from model
+    BatcherConfig batcher; ///< KV budget and bytes per token (> 0)
     /**
      * KV prefix cache (capacityTokens 0 = disabled, the default — the
      * engine is then bit-identical to a cache-less build). When

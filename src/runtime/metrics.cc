@@ -177,15 +177,11 @@ mergeSummaries(const std::vector<ServingSummary>& parts)
         m.prefixHits += p.prefixHits;
         m.prefixTokensSaved += p.prefixTokensSaved;
         m.prefixPeakOccupancyTokens += p.prefixPeakOccupancyTokens;
-        // Carry the per-replica peak: a part that is itself a merge
-        // reports its busiest replica; a leaf summary (maxReplica still
-        // 0) is one replica, so its own peak is the carrier.
-        const int64_t part_peak =
-            p.prefixPeakOccupancyMaxReplica != 0
-                ? p.prefixPeakOccupancyMaxReplica
-                : p.prefixPeakOccupancyTokens;
+        // Carry the busiest replica: an engine's summary sets it to its
+        // own peak, and a merge of merges keeps the largest.
         m.prefixPeakOccupancyMaxReplica =
-            std::max(m.prefixPeakOccupancyMaxReplica, part_peak);
+            std::max(m.prefixPeakOccupancyMaxReplica,
+                     p.prefixPeakOccupancyMaxReplica);
         for (const obs::CounterSample& c : p.counters) {
             auto it = std::find_if(m.counters.begin(), m.counters.end(),
                                    [&](const obs::CounterSample& x) {
@@ -259,10 +255,7 @@ printSummary(const ServingSummary& s, std::ostream& os)
            << 100.0 * s.prefillTokensSavedFrac << " % prefill saved), "
            << "peak occupancy " << s.prefixPeakOccupancyTokens
            << " KV tokens summed bound ("
-           << (s.prefixPeakOccupancyMaxReplica != 0
-                   ? s.prefixPeakOccupancyMaxReplica
-                   : s.prefixPeakOccupancyTokens)
-           << " busiest replica)\n";
+           << s.prefixPeakOccupancyMaxReplica << " busiest replica)\n";
     }
     if (!s.counters.empty()) {
         os << "counters           :";

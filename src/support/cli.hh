@@ -121,6 +121,9 @@ class Cli
      *  link flag values, run after parse(). */
     [[noreturn]] void fail(std::string_view message) const;
 
+    /** The program's name (argv[0] without its directory). */
+    const std::string& program() const { return prog_; }
+
   private:
     enum class Arity : uint8_t { None, One, Optional };
 

@@ -100,10 +100,11 @@ struct DecoderStructKey
 DecoderStructKey decoderStructKey(const DecoderParams& p, int64_t batch);
 
 /**
- * The SimConfig a serving iteration at @p batch runs under (channel
- * capacity scales with the batch). Exported so benches and tests build
- * exactly the graph the engine runs; rearm re-sizes the channels of a
- * built graph to the depth it implies.
+ * The SimConfig a layer or serving-iteration graph at @p batch runs
+ * under: the one channel-depth rule (capacity scales with the batch).
+ * Every attention, MoE and decoder graph is built under it, so benches
+ * and tests build exactly the graph the engine runs; rearm re-sizes the
+ * channels of a built graph to the depth it implies.
  */
 SimConfig iterationSimConfig(int64_t batch);
 

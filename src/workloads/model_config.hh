@@ -44,13 +44,6 @@ struct ModelConfig
      * paper's memory-bound evaluation regime.
      */
     int64_t moeMatmulBw = 1024;
-
-    /** KV bytes per token (K and V, BF16). */
-    int64_t
-    kvBytesPerToken() const
-    {
-        return 2 * numKvHeads * headDim * 2;
-    }
 };
 
 /** Qwen3-30B-A3B: 128 experts, top-8, H=2048, I_moe=768, 48 layers. */

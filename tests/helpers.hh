@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -85,6 +87,14 @@ struct SingleOpResult
     std::vector<Token> toks;
     SimResult sim;
 };
+
+/** The bytes of the file at @p path ("" when it cannot be read). */
+inline std::string
+readFile(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
 
 /** A command line that owns its strings, as main's argv would. */
 class Args

@@ -9,7 +9,7 @@
 
 #include "ops/source_sink.hh"
 #include "trace/trace.hh"
-#include "workloads/attention.hh"
+#include "workloads/decoder.hh"
 
 #include "support/stats.hh"
 
@@ -61,9 +61,7 @@ TEST_P(AttnFunctional, MatchesDenseReference)
     Payloads pl = randomPayloads(11, lens,
                                  p.cfg.numKvHeads * p.cfg.headDim);
 
-    SimConfig sc;
-    sc.channelCapacity = static_cast<size_t>(p.batch) + 32;
-    Graph g(sc);
+    Graph g(iterationSimConfig(p.batch));
     AttnBuild ab = buildAttentionLayer(g, p, lens, &pl.qs, &pl.ks,
                                        &pl.vs);
     auto& sink = g.add<SinkOp>("out", ab.out, true);
@@ -112,9 +110,7 @@ runTiming(ParStrategy s, const std::vector<int64_t>& lens)
     p.kvTileRows = 4;
     p.coarseBlock = p.batch / p.regions;
     p.computeBw = 256;
-    SimConfig sc;
-    sc.channelCapacity = static_cast<size_t>(p.batch) + 32;
-    Graph g(sc);
+    Graph g(iterationSimConfig(p.batch));
     AttnBuild ab = buildAttentionLayer(g, p, lens);
     g.add<SinkOp>("out", ab.out);
     return g.run().cycles;

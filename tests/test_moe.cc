@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "ops/source_sink.hh"
-#include "workloads/moe.hh"
+#include "workloads/decoder.hh"
 
 #include "helpers.hh"
 
@@ -58,9 +58,7 @@ TEST_P(MoeFunctional, MatchesDenseReference)
                                             p.cfg.numExperts, p.cfg.topK);
     auto tokens = randomTokens(3, p.batch, p.cfg.hidden);
 
-    SimConfig sc;
-    sc.channelCapacity = static_cast<size_t>(p.batch) + 32;
-    Graph g(sc);
+    Graph g(iterationSimConfig(p.batch));
     MoeBuild mb = buildMoeLayer(g, p, trace, &tokens);
     auto& sink = g.add<SinkOp>("out", mb.out, true);
     auto res = g.run();
@@ -117,9 +115,7 @@ TEST(MoeTiming, DynamicTilingCutsTrafficVsSmallStaticTile)
         MoeParams p = base;
         p.tiling = tiling;
         p.tileRows = tile;
-        SimConfig sc;
-        sc.channelCapacity = static_cast<size_t>(p.batch) + 32;
-        Graph g(sc);
+        Graph g(iterationSimConfig(p.batch));
         MoeBuild mb = buildMoeLayer(g, p, trace, nullptr);
         g.add<SinkOp>("out", mb.out);
         return g.run();
@@ -161,9 +157,7 @@ TEST(MoeTiming, TimeMuxSavesAllocatedCompute)
     auto run_regions = [&](int64_t regions) {
         MoeParams p = base;
         p.parallelRegions = regions;
-        SimConfig sc;
-        sc.channelCapacity = static_cast<size_t>(p.batch) + 32;
-        Graph g(sc);
+        Graph g(iterationSimConfig(p.batch));
         MoeBuild mb = buildMoeLayer(g, p, trace, nullptr);
         g.add<SinkOp>("out", mb.out);
         return g.run();

@@ -11,7 +11,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+#include <tuple>
 
 #include "obs/export.hh"
 #include "obs/json.hh"
@@ -98,6 +100,55 @@ TEST(ObsTrace, LevelParseAndNamesRoundTrip)
     EXPECT_LT(TraceLevel::Off, TraceLevel::Request);
     EXPECT_LT(TraceLevel::Request, TraceLevel::Op);
     EXPECT_LT(TraceLevel::Op, TraceLevel::Full);
+}
+
+TEST(ObsTrace, CliWriteLaysOutTheExportersFiles)
+{
+    TraceSink sink(TraceOptions{TraceLevel::Op});
+    runTraced(&sink, 6);
+    const std::vector<const TraceSink*> views{&sink};
+    auto write = [&](const std::string& path) {
+        test::Args a({"sim", "--trace", path, "--trace-level", "op"});
+        Cli cli = a.cli();
+        TraceCli trace(cli);
+        EXPECT_EQ(cli.tryParse(), "");
+        std::ostringstream out;
+        testing::internal::CaptureStderr();
+        const bool ok = trace.write(out, views, "6 requests", "engine");
+        return std::tuple(ok, out.str(),
+                          testing::internal::GetCapturedStderr());
+    };
+
+    // Both files hold exactly what the stream exporters write, and the
+    // report follows the switch table (the level is op).
+    const std::string path = testing::TempDir() + "obs_cli_write.json";
+    const std::string jsonl =
+        testing::TempDir() + "obs_cli_write.requests.jsonl";
+    const auto [ok, out, err] = write(path);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(err, "");
+    std::ostringstream chrome;
+    writeChromeTrace(chrome, views, "engine");
+    EXPECT_EQ(test::readFile(path), chrome.str());
+    EXPECT_EQ(test::readFile(jsonl), exportJsonl(sink));
+    EXPECT_EQ(out.rfind("\ncontext-switch attribution (", 0), 0u);
+    const std::string report = "\ntrace (op, 6 requests) -> " + path +
+                               "\nrequest lifecycle -> " + jsonl + "\n";
+    ASSERT_GE(out.size(), report.size());
+    EXPECT_EQ(out.substr(out.size() - report.size()), report);
+    std::remove(path.c_str());
+    std::remove(jsonl.c_str());
+
+    // A path in a missing directory: one stderr line, nothing on out.
+    const std::string missing = testing::TempDir() + "no-such-dir/t.json";
+    const auto [failed_ok, failed_out, failed_err] = write(missing);
+    EXPECT_FALSE(failed_ok);
+    EXPECT_EQ(failed_out, "");
+    EXPECT_EQ(failed_err, "sim: cannot write trace to " + missing + "\n");
+
+    EXPECT_EQ(sidecarPath("out.json", ".requests.jsonl"),
+              "out.requests.jsonl");
+    EXPECT_EQ(sidecarPath("out", ".requests.jsonl"), "out.requests.jsonl");
 }
 
 TEST(ObsTrace, InterningIsStableAndIdempotent)
@@ -452,16 +503,18 @@ TEST(ObsCluster, TracingOffProducesNoSinks)
 
 TEST(ObsMerge, PeakOccupancyReportsBothMaxReplicaAndSummedBound)
 {
+    // Leaf summaries as an engine builds them: one replica is its own
+    // busiest replica.
     ServingSummary a, b;
-    a.prefixPeakOccupancyTokens = 100; // leaf: maxReplica still 0
-    b.prefixPeakOccupancyTokens = 60;
+    a.prefixPeakOccupancyTokens = a.prefixPeakOccupancyMaxReplica = 100;
+    b.prefixPeakOccupancyTokens = b.prefixPeakOccupancyMaxReplica = 60;
     ServingSummary m = mergeSummaries({a, b});
     EXPECT_EQ(m.prefixPeakOccupancyTokens, 160);
     EXPECT_EQ(m.prefixPeakOccupancyMaxReplica, 100);
 
     // A merge of merges carries the busiest replica, not a summed bound.
     ServingSummary c;
-    c.prefixPeakOccupancyTokens = 90;
+    c.prefixPeakOccupancyTokens = c.prefixPeakOccupancyMaxReplica = 90;
     ServingSummary m2 = mergeSummaries({m, c});
     EXPECT_EQ(m2.prefixPeakOccupancyTokens, 250);
     EXPECT_EQ(m2.prefixPeakOccupancyMaxReplica, 100);

@@ -13,9 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
+#include "obs/export.hh"
 #include "obs/histogram.hh"
 #include "obs/metrics.hh"
 #include "obs/timeseries.hh"
@@ -343,8 +346,51 @@ TEST(Metrics, ParseCliVariantsAndErrors)
                               "decimal >= 1, got '") +
                       bad + "'");
     }
-    EXPECT_EQ(metricsJsonlPath("out.json"), "out.windows.jsonl");
-    EXPECT_EQ(metricsJsonlPath("out"), "out.windows.jsonl");
+    EXPECT_EQ(sidecarPath("out.json", ".windows.jsonl"), "out.windows.jsonl");
+    EXPECT_EQ(sidecarPath("out", ".windows.jsonl"), "out.windows.jsonl");
+
+    // write() lays the two exporters' bytes out as files and reports
+    // both paths; a path in a missing directory writes nothing.
+    MetricsRegistry reg(MetricsConfig{true, 1000});
+    const auto ttft = reg.histogram("ttft");
+    const auto queue = reg.series("queue_depth");
+    for (uint64_t i = 0; i < 40; ++i) {
+        reg.record(ttft, i * 300, 100 + 7 * i);
+        reg.record(queue, i * 300, i % 5);
+    }
+    const std::vector<const MetricsRegistry*> views{&reg};
+    auto write = [&](const std::string& path) {
+        test::Args a({"sim", "--metrics", path, "--metrics-window", "1000"});
+        Cli cli = a.cli();
+        MetricsCli m(cli);
+        EXPECT_EQ(cli.tryParse(), "");
+        std::ostringstream out;
+        testing::internal::CaptureStderr();
+        const bool ok = m.write(out, views, nullptr, "1 kcycle windows");
+        return std::tuple(ok, out.str(),
+                          testing::internal::GetCapturedStderr());
+    };
+    const std::string path = testing::TempDir() + "metrics_cli_write.json";
+    const std::string windows =
+        testing::TempDir() + "metrics_cli_write.windows.jsonl";
+    const auto [ok, out, err] = write(path);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(out, "\nmetrics (1 kcycle windows) -> " + path +
+                       "\nper-window series -> " + windows + "\n");
+    EXPECT_EQ(err, "");
+    std::ostringstream json, jsonl;
+    EXPECT_TRUE(writeMetricsJson(json, views));
+    EXPECT_TRUE(writeMetricsWindowsJsonl(jsonl, views));
+    EXPECT_EQ(test::readFile(path), json.str());
+    EXPECT_EQ(test::readFile(windows), jsonl.str());
+    std::remove(path.c_str());
+    std::remove(windows.c_str());
+
+    const std::string missing = testing::TempDir() + "no-such-dir/m.json";
+    const auto [failed_ok, failed_out, failed_err] = write(missing);
+    EXPECT_FALSE(failed_ok);
+    EXPECT_EQ(failed_out, "");
+    EXPECT_EQ(failed_err, "sim: cannot write metrics to " + missing + "\n");
 }
 
 namespace {

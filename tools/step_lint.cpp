@@ -145,9 +145,7 @@ main(int argc, char** argv)
     bool first = true;
 
     for (const LintCase& c : registry()) {
-        SimConfig sc;
-        sc.channelCapacity = c.batch + 32;
-        Graph g(sc);
+        Graph g(iterationSimConfig(static_cast<int64_t>(c.batch)));
         c.build(g);
         verify::VerifyReport r = g.verify(opts);
         if (!r.clean()) {
