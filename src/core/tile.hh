@@ -28,33 +28,17 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
 
 #include "support/error.hh"
+#include "support/refcount.hh"
 
 namespace step {
 
 /** Default element size: BFloat16, as in the paper's evaluation. */
 constexpr int kDefaultElemBytes = 2;
-
-namespace detail {
-
-/** Intrusive reference count at the head of every shared payload block
- *  (tile floats, spilled selector indices, tuple elements). */
-struct RefCount
-{
-    std::atomic<uint32_t> refs{1};
-
-    void retain() noexcept { refs.fetch_add(1); }
-
-    /** Drop one reference; true when it was the last. */
-    bool release() noexcept { return refs.fetch_sub(1) == 1; }
-};
-
-} // namespace detail
 
 class Tile
 {

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 
 #include "obs/export.hh"
 #include "obs/json.hh"
@@ -263,6 +264,10 @@ MetricsCli::write(std::ostream& out,
                   const std::vector<const MetricsRegistry*>& registries,
                   const MetricsRegistry* merged, std::string_view note) const
 {
+    // Both files carry the merge: fold the replicas once for the two.
+    std::optional<MetricsRegistry> fold;
+    if (merged == nullptr)
+        merged = &fold.emplace(foldReplicas(registries));
     std::ofstream json(path, std::ios::binary);
     if (!writeMetricsJson(json, registries, merged)) {
         std::cerr << prog_ << ": cannot write metrics to " << path << "\n";

@@ -55,16 +55,17 @@ ContinuousBatcher::admit(const AdmissionPolicy* policy,
                 continue;
             }
             // Brown-out middle rung: admit, but with a truncated output
-            // budget. The block-hash stream must shrink with it — the
+            // budget. The block-hash view must shrink with it — the
             // finish-time cache insert would otherwise publish blocks
-            // this request never generates.
+            // this request never generates. Only the view shrinks: the
+            // session's other turns share the stored chain.
             int64_t cap = policy->outputCap(*r, c);
             if (cap > 0 && cap < r->outputLen) {
                 r->outputLen = cap;
                 auto blocks = static_cast<size_t>(
                     (r->promptLen + r->outputLen) / kPrefixBlockTokens);
                 if (r->blockHashes.size() > blocks)
-                    r->blockHashes.resize(blocks);
+                    r->blockHashes.truncate(blocks);
                 need = r->kvReservationTokens() * cfg_.kvBytesPerToken;
                 out.capped.push_back(r);
             }

@@ -122,11 +122,8 @@ routeLeastQueued(const std::vector<Request>& reqs, const ClusterConfig& cfg,
         copy->generated = 0;
         copy->firstTokenAt = 0;
         copy->finishedAt = 0;
-        // The shadow batcher has no prefix cache; reserve worst case and
-        // drop the (unconsulted) block hashes the copy dragged in —
-        // multi-turn requests carry dozens of them.
+        // The shadow batcher has no prefix cache; reserve worst case.
         copy->cachedPrefixTokens = 0;
-        copy->blockHashes = {};
         s.batcher.enqueue(copy);
         // Per-token service proxy: the analytic prefill cost stands in
         // for both phases — the router only needs relative load, not

@@ -1,6 +1,7 @@
 #include "runtime/prefixcache.hh"
 
 #include <algorithm>
+#include <vector>
 
 #include "support/error.hh"
 
@@ -20,7 +21,7 @@ PrefixCache::PrefixCache(PrefixCacheConfig cfg) : cfg_(cfg)
 PrefixCache::~PrefixCache() = default;
 
 PrefixCache::Node*
-PrefixCache::walk(const std::vector<uint64_t>& block_hashes,
+PrefixCache::walk(std::span<const uint64_t> block_hashes,
                   int64_t nblocks) const
 {
     Node* n = &root_;
@@ -148,7 +149,7 @@ PrefixCache::evictOne()
 }
 
 void
-PrefixCache::insert(const std::vector<uint64_t>& block_hashes,
+PrefixCache::insert(std::span<const uint64_t> block_hashes,
                     int64_t nblocks)
 {
     if (cfg_.capacityTokens == 0)

@@ -26,8 +26,8 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "runtime/request.hh"
 
@@ -101,7 +101,7 @@ class PrefixCache
      * finishes, so a session's next turn can hit its predecessor's
      * whole context.
      */
-    void insert(const std::vector<uint64_t>& block_hashes, int64_t nblocks);
+    void insert(std::span<const uint64_t> block_hashes, int64_t nblocks);
 
     const PrefixCacheStats& stats() const { return stats_; }
     int64_t occupancyTokens() const { return stats_.occupancyTokens; }
@@ -127,7 +127,7 @@ class PrefixCache
     };
 
     /** Deepest node matching block_hashes[0..nblocks); may be root_. */
-    Node* walk(const std::vector<uint64_t>& block_hashes,
+    Node* walk(std::span<const uint64_t> block_hashes,
                int64_t nblocks) const;
     int64_t depthOf(const Node* n) const;
     bool evictable(const Node* n) const;

@@ -2,11 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
+#include <new>
 
 #include "support/error.hh"
 #include "support/rng.hh"
 
 namespace step::runtime {
+
+BlockHashes::BlockHashes(std::span<const uint64_t> hashes)
+{
+    if (hashes.empty())
+        return;
+    STEP_ASSERT(hashes.size() <= UINT32_MAX, "block-hash chain of "
+                                                 << hashes.size()
+                                                 << " blocks");
+    block_ = new (::operator new(sizeof(Block) +
+                                 hashes.size() * sizeof(uint64_t))) Block();
+    block_->n = static_cast<uint32_t>(hashes.size());
+    std::copy(hashes.begin(), hashes.end(), block_->hashes());
+    n_ = hashes.size();
+}
+
+void
+BlockHashes::freeBlock(Block* b) noexcept
+{
+    b->~Block();
+    ::operator delete(b);
+}
 
 namespace {
 
@@ -136,15 +158,10 @@ generateConversationTrace(const TraceConfig& cfg, uint64_t seed)
             chain.append(prefixHashMix(session_seed,
                                        static_cast<uint64_t>(2 * t + 1)),
                          output);
-            r.blockHashes.assign(
-                chain.blockHashes.begin(),
-                chain.blockHashes.begin() +
-                    static_cast<ptrdiff_t>(chain.tokens /
-                                           kPrefixBlockTokens));
 
             if (t == 0)
                 affinity_key = r.promptBlocks > 0
-                                   ? r.blockHashes[static_cast<size_t>(
+                                   ? chain.blockHashes[static_cast<size_t>(
                                          r.promptBlocks - 1)]
                                    : prefixHashMix(session_seed, 0);
             r.affinityKey = affinity_key;
@@ -156,6 +173,13 @@ generateConversationTrace(const TraceConfig& cfg, uint64_t seed)
             arrival += -std::log(gap) *
                        static_cast<double>(cfg.turnGapMean);
         }
+        // The last turn's stream holds every earlier one: store the
+        // chain once and let each turn view its prompt + output blocks.
+        const BlockHashes stored(chain.blockHashes);
+        for (auto it = reqs.end() - cfg.turnsPerSession; it != reqs.end();
+             ++it)
+            it->blockHashes = stored.prefix(static_cast<size_t>(
+                (it->promptLen + it->outputLen) / kPrefixBlockTokens));
     }
 
     // Arrival order with a deterministic tie-break; ids number the

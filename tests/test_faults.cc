@@ -1182,6 +1182,10 @@ TEST(LiveAppend, AppendingAtSeededBarriersEqualsTheColdRun)
             ec.drainAt.push_back(w.start);
         const Barriers bars = faultBarriers(ec);
 
+        // Deep copies of every chain: serving must write none of them.
+        std::vector<std::vector<uint64_t>> chains;
+        for (const Request& r : base)
+            chains.emplace_back(r.blockHashes.begin(), r.blockHashes.end());
         const Served first = serveCold(ec, policy, base, bars);
         // Capped: admitted with its output budget cut to the cap.
         int64_t capped = 0;
@@ -1189,6 +1193,19 @@ TEST(LiveAppend, AppendingAtSeededBarriersEqualsTheColdRun)
             capped += r.outputLen == BrownoutPolicy::kOutputCapTokens &&
                       base[size_t(r.id)].outputLen > r.outputLen;
         EXPECT_GT(capped, 0);
+        // A cap shrinks only the incarnation's view of its session's
+        // stored chain, to (prompt + cap) / 16 blocks; the caller's
+        // trace and the session's other turns keep their full chains.
+        for (const Request& r : first.reqs) {
+            const std::vector<uint64_t>& full = chains[size_t(r.id)];
+            EXPECT_TRUE(std::ranges::equal(base[size_t(r.id)].blockHashes,
+                                           full));
+            EXPECT_EQ(r.blockHashes.size(),
+                      size_t((r.promptLen + r.outputLen) /
+                             kPrefixBlockTokens));
+            EXPECT_TRUE(std::equal(r.blockHashes.begin(),
+                                   r.blockHashes.end(), full.begin()));
+        }
         Rng rng(seed);
         std::vector<Request> extra;
         dam::Cycle earliest = kEnd;
@@ -1212,6 +1229,39 @@ TEST(LiveAppend, AppendingAtSeededBarriersEqualsTheColdRun)
                           serveAppended(ec, policy, base, eb, at, extra));
         }
     }
+
+    // The finish-time insert of a capped turn publishes only its
+    // shorter prefix. A filler holds 800 of 1,024 KV tokens, so turn 0
+    // (128-token prompt, 64-token output) is admitted at pressure 0.78
+    // and capped to 32 tokens. Turn 1 arrives long after both finished
+    // and hits exactly (128 + 32) / 16 blocks, not (128 + 64) / 16.
+    TraceConfig tc;
+    tc.numSessions = 1;
+    tc.turnsPerSession = 2;
+    tc.sharedSystemPromptLen = 64;
+    tc.turnDeltaMean = tc.promptMin = tc.promptMax = 64;
+    tc.outputMean = tc.outputMin = tc.outputMax = 64;
+    const std::vector<Request> session = generateTrace(tc, 1);
+    std::vector<Request> trace = {mkReq(0, 0, 768, 32), session[0],
+                                  session[1]};
+    trace[1].id = 1;
+    trace[1].arrival = 1;
+    trace[2].id = 2;
+    trace[2].arrival = 1'000'000'000;
+    EngineConfig ec;
+    ec.prefixCache.capacityTokens = 1 << 12;
+    ec.batcher.kvBudgetBytes = 1024 * ec.batcher.kvBytesPerToken;
+    ec.admission = &brownout;
+    const Served capped = serveCold(ec, policy, trace);
+    const Request& turn0 = capped.reqs[1];
+    const Request& turn1 = capped.reqs[2];
+    ASSERT_EQ(turn0.state, ReqState::Finished);
+    ASSERT_EQ(turn0.outputLen, BrownoutPolicy::kOutputCapTokens);
+    EXPECT_EQ(turn0.blockHashes.size(), size_t(160 / kPrefixBlockTokens));
+    ASSERT_EQ(turn1.state, ReqState::Finished);
+    EXPECT_EQ(turn1.blockHashes, trace[2].blockHashes);
+    EXPECT_EQ(trace[1].blockHashes.size(), size_t(192 / kPrefixBlockTokens));
+    EXPECT_EQ(turn1.cachedPrefixTokens, 160);
 }
 
 TEST(LiveAppend, PrefillOnlyWakeStopsAtTheBarrierAndTheAppendCutsIt)

@@ -23,16 +23,19 @@ using namespace step::runtime;
 
 namespace {
 
+/** Hand-built block hashes for cache unit tests. */
+using Hashes = std::vector<uint64_t>;
+
 /** Request with hand-built block hashes for cache unit tests. */
 Request
-mkCacheReq(int64_t id, std::vector<uint64_t> blocks, int64_t prompt_len)
+mkCacheReq(int64_t id, const Hashes& blocks, int64_t prompt_len)
 {
     Request r;
     r.id = id;
     r.promptLen = prompt_len;
     r.outputLen = 4;
     r.promptBlocks = static_cast<int64_t>(blocks.size());
-    r.blockHashes = std::move(blocks);
+    r.blockHashes = BlockHashes(blocks);
     return r;
 }
 
@@ -82,7 +85,7 @@ TEST(PrefixCache, LongestPrefixMatchIsBlockGranular)
 {
     PrefixCache cache({/*capacityTokens=*/int64_t{1} << 20});
     // Shared 2-block prefix {1, 2}, then divergence.
-    cache.insert({1, 2, 3}, 3);
+    cache.insert(Hashes{1, 2, 3}, 3);
 
     Request same = mkCacheReq(0, {1, 2, 3}, 3 * kPrefixBlockTokens + 5);
     EXPECT_EQ(cache.matchTokens(same), 3 * kPrefixBlockTokens);
@@ -102,7 +105,7 @@ TEST(PrefixCache, LongestPrefixMatchIsBlockGranular)
     EXPECT_EQ(cache.occupancyTokens(), 3 * kPrefixBlockTokens);
     EXPECT_EQ(cache.stats().insertedBlocks, 3);
     // Re-inserting shared content allocates nothing new.
-    cache.insert({1, 2, 3}, 3);
+    cache.insert(Hashes{1, 2, 3}, 3);
     EXPECT_EQ(cache.stats().insertedBlocks, 3);
     EXPECT_EQ(cache.occupancyTokens(), 3 * kPrefixBlockTokens);
 }
@@ -111,18 +114,19 @@ TEST(PrefixCache, LruLeafFirstEviction)
 {
     // Capacity: 4 blocks.
     PrefixCache cache({4 * kPrefixBlockTokens});
-    cache.insert({11, 12}, 2); // chain A: interior 11, leaf 12
-    cache.insert({21}, 1);     // leaf B
-    cache.insert({31}, 1);     // leaf C -> cache full
-    cache.insert({21}, 1);     // touch B: C is now the LRU leaf after A's
+    cache.insert(Hashes{11, 12}, 2); // chain A: interior 11, leaf 12
+    cache.insert(Hashes{21}, 1);     // leaf B
+    cache.insert(Hashes{31}, 1);     // leaf C -> cache full
+    // Touch B: C is now the LRU leaf after A's.
+    cache.insert(Hashes{21}, 1);
 
-    cache.insert({41}, 1); // must evict: A's leaf 12 is the LRU leaf
+    cache.insert(Hashes{41}, 1); // must evict: A's leaf 12 is the LRU leaf
     Request a = mkCacheReq(0, {11, 12}, 2 * kPrefixBlockTokens + 5);
     EXPECT_EQ(cache.matchTokens(a), kPrefixBlockTokens)
         << "leaf 12 should be evicted, interior 11 kept";
     EXPECT_EQ(cache.stats().evictedBlocks, 1);
 
-    cache.insert({51}, 1); // next LRU leaf is 11 (a leaf since 12 left)
+    cache.insert(Hashes{51}, 1); // next LRU leaf is 11 (a leaf since 12 left)
     EXPECT_EQ(cache.matchTokens(a), 0) << "chain A fully evicted";
     Request b = mkCacheReq(1, {21}, kPrefixBlockTokens + 5);
     Request c = mkCacheReq(2, {31}, kPrefixBlockTokens + 5);
@@ -134,7 +138,7 @@ TEST(PrefixCache, LruLeafFirstEviction)
 TEST(PrefixCache, PinsBlockEvictionUntilRelease)
 {
     PrefixCache cache({2 * kPrefixBlockTokens});
-    cache.insert({1, 2}, 2);
+    cache.insert(Hashes{1, 2}, 2);
 
     Request r = mkCacheReq(7, {1, 2}, 2 * kPrefixBlockTokens + 1);
     r.cachedPrefixTokens = cache.matchTokens(r);
@@ -142,7 +146,7 @@ TEST(PrefixCache, PinsBlockEvictionUntilRelease)
     cache.acquire(r); // pins {1, 2}
 
     // Full and everything pinned: the insert must skip, not evict.
-    cache.insert({8, 9}, 2);
+    cache.insert(Hashes{8, 9}, 2);
     EXPECT_EQ(cache.stats().skippedBlocks, 2);
     EXPECT_EQ(cache.stats().evictedBlocks, 0);
     Request other = mkCacheReq(8, {8, 9}, 2 * kPrefixBlockTokens + 1);
@@ -151,7 +155,7 @@ TEST(PrefixCache, PinsBlockEvictionUntilRelease)
         << "pinned path intact";
 
     cache.release(r);
-    cache.insert({8, 9}, 2); // now the old chain can go
+    cache.insert(Hashes{8, 9}, 2); // now the old chain can go
     EXPECT_EQ(cache.matchTokens(other), 2 * kPrefixBlockTokens);
     EXPECT_EQ(cache.matchTokens(mkCacheReq(9, {1, 2},
                                            2 * kPrefixBlockTokens + 1)),
@@ -165,7 +169,7 @@ TEST(PrefixCache, PinsBlockEvictionUntilRelease)
 TEST(PrefixCache, AcquireCountsHitsAndTokensSaved)
 {
     PrefixCache cache({int64_t{1} << 16});
-    cache.insert({1, 2, 3}, 3);
+    cache.insert(Hashes{1, 2, 3}, 3);
 
     Request hit = mkCacheReq(0, {1, 2, 9}, 3 * kPrefixBlockTokens);
     hit.cachedPrefixTokens = cache.matchTokens(hit);
@@ -207,6 +211,7 @@ TEST(ConversationTrace, SessionStreamsNestAndShareTheSystemPrompt)
     std::set<uint64_t> affinity_keys;
     const std::vector<const Request*>& first =
         by_session.begin()->second;
+    size_t longest_chains = 0; // Σ over sessions of the longest chain
     for (auto& [sid, turns] : by_session) {
         auto sorted = turns;
         std::sort(sorted.begin(), sorted.end(),
@@ -222,6 +227,8 @@ TEST(ConversationTrace, SessionStreamsNestAndShareTheSystemPrompt)
                       (r->promptLen + r->outputLen) / kPrefixBlockTokens);
             EXPECT_EQ(r->affinityKey, sorted[0]->affinityKey)
                 << "every turn of a session shares the dominant-prefix key";
+            EXPECT_EQ(r->blockHashes.data(), sorted[0]->blockHashes.data())
+                << "every turn of a session views one stored chain";
             if (t) {
                 const Request* prev = sorted[t - 1];
                 // Turn t's prompt extends turn t-1's full stream.
@@ -243,9 +250,24 @@ TEST(ConversationTrace, SessionStreamsNestAndShareTheSystemPrompt)
             first[0]->blockHashes.begin() + sys_blocks,
             sorted[0]->blockHashes.begin()));
         affinity_keys.insert(sorted[0]->affinityKey);
+        // A copy shares the block instead of copying the hashes.
+        const Request copy = *sorted.back();
+        EXPECT_EQ(copy.blockHashes.data(), sorted.back()->blockHashes.data());
+        EXPECT_EQ(copy.blockHashes, sorted.back()->blockHashes);
+        longest_chains += sorted.back()->blockHashes.size();
     }
     EXPECT_EQ(affinity_keys.size(), 6u)
         << "distinct sessions get distinct affinity keys";
+
+    // The trace stores each session's longest chain once, nothing more.
+    std::map<const uint64_t*, size_t> stored; // block -> hashes it holds
+    for (const Request& r : reqs)
+        stored[r.blockHashes.data()] = r.blockHashes.stored();
+    EXPECT_EQ(stored.size(), 6u);
+    size_t total = 0;
+    for (const auto& [block, n] : stored)
+        total += n;
+    EXPECT_EQ(total, longest_chains);
 }
 
 TEST(ConversationTrace, DeterministicForFixedSeed)

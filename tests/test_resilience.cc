@@ -730,7 +730,8 @@ sessionTurn(int64_t id, dam::Cycle arrival, int64_t turn)
     r.sessionId = 7;
     r.turn = turn;
     r.affinityKey = 0x5e55;
-    r.blockHashes.assign(HandoffRig::kPrompt / kPrefixBlockTokens, 1);
+    r.blockHashes = BlockHashes(
+        std::vector<uint64_t>(HandoffRig::kPrompt / kPrefixBlockTokens, 1));
     return r;
 }
 
